@@ -163,13 +163,14 @@ class BufferSanitizer:
         """Reset per-batch state; freeze the stream delta permanently."""
         started = time.perf_counter()
         with self._lock:
-            if self._batch_no == batch_no:
-                self.seconds += time.perf_counter() - started
-                return
-            self._batch_no = batch_no
-            self._owners.clear()
-            self._claims.clear()
-            self._pins.clear()
+            if self._batch_no != batch_no:
+                self._batch_no = batch_no
+                self._owners.clear()
+                self._claims.clear()
+                self._pins.clear()
+            # Re-entry for the same batch (unit retry, replay of the batch
+            # that failed) keeps the maps but still owns the delta: a
+            # replay re-draws the trial matrix into a fresh buffer.
             owner = f"stream:batch-{batch_no}"
             for arr in _buffers_of(delta):
                 arr.flags.writeable = False

@@ -360,30 +360,26 @@ class RuntimeContext:
         """Install this batch's streamed delta (tagging bootstrap trials)."""
         self.batch_no = batch_no
         self.metrics = metrics
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "bootstrap", cat="bootstrap", batch=batch_no,
-                rows=len(delta), trials=self.config.num_trials,
-            ):
-                trials = trial_multiplicities(
-                    len(delta),
-                    self.config.num_trials,
-                    self.config.seed,
-                    self.streamed_table,
-                    batch_no,
-                )
-        else:
-            trials = trial_multiplicities(
-                len(delta),
+        self._delta = delta.with_mult(
+            delta.mult, self._draw_trials(len(delta), batch_no)
+        )
+        self.seen_rows += len(delta)
+        metrics.new_tuples += len(delta)
+
+    def _draw_trials(self, num_rows: int, batch_no: int) -> np.ndarray:
+        """The batch's (num_rows, T) ``uint8`` Poisson(1) trial counts."""
+        # The disabled tracer hands back a shared no-op span.
+        with self.obs.tracer.span(
+            "bootstrap", cat="bootstrap", batch=batch_no,
+            rows=num_rows, trials=self.config.num_trials,
+        ):
+            return trial_multiplicities(
+                num_rows,
                 self.config.num_trials,
                 self.config.seed,
                 self.streamed_table,
                 batch_no,
             )
-        self._delta = delta.with_mult(delta.mult, trials)
-        self.seen_rows += len(delta)
-        metrics.new_tuples += len(delta)
 
     @property
     def delta(self) -> Relation:

@@ -397,17 +397,21 @@ class AggregateOp(SpineOp):
                 point = spec.func.compute(values_arr[ix], rows.mult[ix]) * (
                     scale if spec.func.scales_with_m else 1.0
                 )
+                # Holistic functions (user UDAFs among them) do their own
+                # arithmetic on the weights: hand them floats, never the
+                # raw uint8 counts.
+                group_w = np.asarray(trial_w[ix], dtype=np.float64)
                 if vectorize:
-                    trials = spec.func.trial_compute(values_arr[ix], trial_w[ix])
+                    trials = spec.func.trial_compute(values_arr[ix], group_w)
                 else:
                     trials = np.empty(ctx.num_trials)
                     for j in range(ctx.num_trials):
-                        trials[j] = spec.func.compute(values_arr[ix], trial_w[ix, j])
+                        trials[j] = spec.func.compute(values_arr[ix], group_w[:, j])
                 if spec.func.scales_with_m:
                     trials = trials * scale
                 vals = per_group.setdefault(key, {})
                 vals[spec.name] = (point, trials)
-                exist_trials.setdefault(key, trial_w[ix].sum(axis=0) > 0)
+                exist_trials.setdefault(key, group_w.sum(axis=0) > 0)
                 exist_point.setdefault(key, bool(rows.mult[ix].sum() > 0))
 
     # -- publishing ------------------------------------------------------------------

@@ -8,10 +8,17 @@ partial results can be published every batch at sketch cost instead of
 data cost.
 
 :class:`AggBundle` is one such table of sums. The persistent operator
-state (:class:`GroupedSketch`) folds batches in place with capacity
-doubling; transient bundles are also built from the volatile
-(non-deterministic) input rows each batch and merged at finalize time
-without touching the persistent sums.
+state folds batches in place with capacity doubling; transient bundles
+are also built from the volatile (non-deterministic) input rows each
+batch and merged at finalize time without touching the persistent sums.
+
+Every fold is one segmented sum (:class:`~repro.relational.groupby.
+RowSegments`): the call's rows are sorted by group once and each table
+gets one ``np.add.reduceat`` plus one ``table[groups] += ...``. A group's
+increment depends only on that group's own rows in their original order,
+which is what keeps every engine configuration bit-identical. Trial
+weights may arrive as ``uint8`` Poisson counts; they widen to float64 in
+the reduction or at the multiply by a feature, never before.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.relational.aggregates import AggSpec
-from repro.relational.groupby import group_ids
+from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation
 
 GroupKey = tuple
@@ -104,11 +111,20 @@ class AggBundle:
         return gids
 
     def _grow(self, size: int) -> None:
+        """Make room for ``size`` groups, at least doubling the capacity.
+
+        Rows past ``len(self)`` are spare capacity (all zero); readers
+        slice ``[: len(self)]``.
+        """
+        capacity = self.weight.shape[0]
+        if size <= capacity:
+            return
+        capacity = max(size, 2 * capacity)
+
         def grown(arr: np.ndarray) -> np.ndarray:
-            if arr.shape[0] >= size:
-                return arr
-            extra = np.zeros((size - arr.shape[0],) + arr.shape[1:], dtype=np.float64)
-            return np.concatenate([arr, extra], axis=0)
+            out = np.zeros((capacity,) + arr.shape[1:], dtype=np.float64)
+            out[: arr.shape[0]] = arr
+            return out
 
         self.weight = grown(self.weight)
         self.trial_weight = grown(self.trial_weight)
@@ -122,26 +138,27 @@ class AggBundle:
         if len(rel) == 0:
             return
         local_keys, local_gids = group_ids(rel, list(group_by))
-        gids = self._ensure_groups(local_keys)[local_gids]
+        segments = RowSegments(self._ensure_groups(local_keys)[local_gids])
+        order, groups = segments.order, segments.groups
+        mult = rel.mult[order]
         # Deterministic-mult batches never materialize the (n, T) copy:
-        # the broadcast view is read-only, and every use below either
-        # reduces over it or fancy-indexes (which copies).
+        # the read-only broadcast is only reduced over or multiplied.
         trial_w = (
-            rel.trial_mults
+            rel.trial_mults[order]
             if rel.trial_mults is not None
-            else np.broadcast_to(rel.mult[:, None], (len(rel), self.num_trials))
+            else np.broadcast_to(mult[:, None], (len(rel), self.num_trials))
         )
-        np.add.at(self.weight, gids, rel.mult)
-        np.add.at(self.trial_weight, gids, trial_w)
+        self.weight[groups] += segments.sums(mult)
+        self.trial_weight[groups] += segments.sums(trial_w)
         for s, spec in enumerate(self.specs):
-            k = spec.func.num_features
-            if k == 0:
+            if spec.func.num_features == 0:
                 continue
-            feats = spec.func.features(spec.arg_values(rel))  # (k, n)
-            np.add.at(self.sums[s], gids, (feats * rel.mult).T)
-            np.add.at(
-                self.trial_sums[s], gids, feats.T[:, None, :] * trial_w[:, :, None]
-            )
+            feats = spec.func.features(spec.arg_values(rel))[:, order]  # (k, n)
+            self.sums[s][groups] += segments.sums((feats * mult).T)
+            for j, feature in enumerate(feats):
+                self.trial_sums[s][groups, :, j] += segments.sums(
+                    feature[:, None] * trial_w
+                )
 
     def fold_values(
         self,
@@ -159,14 +176,9 @@ class AggBundle:
         uncertain arguments (SUM/AVG-style; features = identity), which is
         checked at compile time.
         """
-        gids = self._ensure_groups(list(keys))
-        np.add.at(self.weight, gids, mult)
-        np.add.at(self.trial_weight, gids, trial_mults)
-        np.add.at(self.sums[spec_index], gids, (values * mult)[:, None])
-        np.add.at(
-            self.trial_sums[spec_index],
-            gids,
-            (trial_values * trial_mults)[:, :, None],
+        self._fold_value_rows(
+            self._ensure_groups(list(keys)),
+            spec_index, values, trial_values, mult, trial_mults,
         )
 
     def fold_values_coded(
@@ -183,18 +195,34 @@ class AggBundle:
 
         ``keys`` lists the distinct group keys in first-appearance order
         and ``gids`` codes each row into that list (the key codec's
-        output), replacing the per-row dict probe. Accumulation order is
-        identical to :meth:`fold_values`, so the sums are bit-identical.
+        output), replacing the per-row dict probe. Each group sees the
+        same rows in the same order as in :meth:`fold_values`, so the
+        sums are bit-identical.
         """
         base = self._ensure_groups(list(keys))
-        g = base[gids] if len(base) else np.zeros(0, dtype=np.intp)
-        np.add.at(self.weight, g, mult)
-        np.add.at(self.trial_weight, g, trial_mults)
-        np.add.at(self.sums[spec_index], g, (values * mult)[:, None])
-        np.add.at(
-            self.trial_sums[spec_index],
-            g,
-            (trial_values * trial_mults)[:, :, None],
+        self._fold_value_rows(
+            base[gids] if len(base) else np.zeros(0, dtype=np.intp),
+            spec_index, values, trial_values, mult, trial_mults,
+        )
+
+    def _fold_value_rows(
+        self,
+        gids: np.ndarray,
+        spec_index: int,
+        values: np.ndarray,
+        trial_values: np.ndarray,
+        mult: np.ndarray,
+        trial_mults: np.ndarray,
+    ) -> None:
+        segments = RowSegments(gids)
+        order, groups = segments.order, segments.groups
+        mult = mult[order]
+        trial_mults = trial_mults[order]
+        self.weight[groups] += segments.sums(mult)
+        self.trial_weight[groups] += segments.sums(trial_mults)
+        self.sums[spec_index][groups, 0] += segments.sums(values[order] * mult)
+        self.trial_sums[spec_index][groups, :, 0] += segments.sums(
+            trial_values[order] * trial_mults
         )
 
     # -- tier migration ----------------------------------------------------------------
@@ -258,16 +286,18 @@ class AggBundle:
         out._ensure_groups(self.keys)
         out._ensure_groups(other.keys)
         for bundle in (self, other):
-            if len(bundle) == 0:
+            g = len(bundle)
+            if g == 0:
                 continue
+            # A bundle's keys are distinct, so plain fancy += adds every row.
             gids = np.array(
                 [out.key_to_gid[k] for k in bundle.keys], dtype=np.intp
             )
-            np.add.at(out.weight, gids, bundle.weight[: len(bundle)])
-            np.add.at(out.trial_weight, gids, bundle.trial_weight[: len(bundle)])
+            out.weight[gids] += bundle.weight[:g]
+            out.trial_weight[gids] += bundle.trial_weight[:g]
             for s in range(len(self.specs)):
-                np.add.at(out.sums[s], gids, bundle.sums[s][: len(bundle)])
-                np.add.at(out.trial_sums[s], gids, bundle.trial_sums[s][: len(bundle)])
+                out.sums[s][gids] += bundle.sums[s][:g]
+                out.trial_sums[s][gids] += bundle.trial_sums[s][:g]
         return out
 
     def finalize(

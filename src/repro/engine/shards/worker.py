@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 import traceback
 
-from repro.bootstrap.poisson import trial_multiplicities
 from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.controller import OnlineQueryEngine
 from repro.engine.shards.envelope import (
@@ -68,14 +67,11 @@ class ShardRuntimeContext(RuntimeContext):
         # Full-batch draws first (identical to serial), then select the
         # owned rows together with their trial rows — original order
         # preserved, so each group's row sequence matches serial exactly.
-        trials = trial_multiplicities(
-            len(delta),
-            self.config.num_trials,
-            self.config.seed,
-            self.streamed_table,
-            batch_no,
+        # The redundant full draw is uint8 and is filtered before anything
+        # widens it: one byte per cell of the rows this shard drops.
+        tagged = delta.with_mult(
+            delta.mult, self._draw_trials(len(delta), batch_no)
         )
-        tagged = delta.with_mult(delta.mult, trials)
         owned = shard_ids(delta, self.shard.key, self.shard.count)
         self._delta = tagged.filter(owned == self.shard.index)
         self.seen_rows += len(delta)

@@ -165,7 +165,8 @@ def _join_trials(
         if right.trial_mults is not None
         else right.mult[ri][:, None]
     )
-    return lt * rt
+    # Both sides may carry uint8 Poisson counts: widen before the product.
+    return np.multiply(lt, rt, dtype=np.float64)
 
 
 def aggregate_relation(

@@ -80,6 +80,36 @@ def weighted_sums(
     return out
 
 
+class RowSegments:
+    """The rows of one call grouped by id, for segmented sums.
+
+    One stable argsort of the ids, shared by every table the call
+    accumulates into: ``order`` lists the rows group by group (original
+    order within a group), ``starts`` the first sorted position of each
+    segment and ``groups`` its id. A segment's sum depends only on that
+    group's own row sequence, never on which other rows share the call —
+    this is what keeps serial, threaded and sharded runs bit-identical.
+    """
+
+    __slots__ = ("order", "starts", "groups")
+
+    def __init__(self, gids: np.ndarray):
+        self.order = np.argsort(gids, kind="stable")
+        sorted_gids = gids[self.order]
+        is_start = np.ones(len(sorted_gids), dtype=bool)
+        is_start[1:] = sorted_gids[1:] != sorted_gids[:-1]
+        self.starts = np.flatnonzero(is_start)
+        self.groups = sorted_gids[self.starts]
+
+    def sums(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Per-segment float64 sums over axis 0 of rows already in ``order``.
+
+        Accumulates in float64 whatever the input dtype, so narrow
+        (``uint8``) trial counts never wrap.
+        """
+        return np.add.reduceat(sorted_rows, self.starts, axis=0, dtype=np.float64)
+
+
 def weighted_trial_sums(
     features: np.ndarray,
     trial_weights: np.ndarray,
@@ -89,16 +119,15 @@ def weighted_trial_sums(
     """Per-group per-trial weighted feature sums.
 
     ``features`` is (k, n), ``trial_weights`` (n, T); result is
-    (num_groups, T, k). Loops over features and trials stay in NumPy; at
-    mini-batch sizes (thousands of rows, ~100 trials) this is fast.
+    (num_groups, T, k).
     """
-    k = features.shape[0]
-    t = trial_weights.shape[1]
-    out = np.zeros((num_groups, t, k), dtype=np.float64)
-    for j in range(k):
-        weighted = features[j][:, None] * trial_weights  # (n, T)
-        for g, row in _accumulate_by_group(weighted, gids, num_groups):
-            out[g, :, j] = row
+    segments = RowSegments(gids)
+    sorted_w = trial_weights[segments.order]
+    out = np.zeros((num_groups, trial_weights.shape[1], features.shape[0]))
+    for j, feature in enumerate(features):
+        out[segments.groups, :, j] = segments.sums(
+            feature[segments.order][:, None] * sorted_w
+        )
     return out
 
 
@@ -106,15 +135,7 @@ def trial_weight_sums(
     trial_weights: np.ndarray, gids: np.ndarray, num_groups: int
 ) -> np.ndarray:
     """Per-group per-trial weight sums: (num_groups, T)."""
-    out = np.zeros((num_groups, trial_weights.shape[1]), dtype=np.float64)
-    for g, row in _accumulate_by_group(trial_weights, gids, num_groups):
-        out[g] = row
+    segments = RowSegments(gids)
+    out = np.zeros((num_groups, trial_weights.shape[1]))
+    out[segments.groups] = segments.sums(trial_weights[segments.order])
     return out
-
-
-def _accumulate_by_group(matrix: np.ndarray, gids: np.ndarray, num_groups: int):
-    """Yield ``(group, column-sum-of-rows-in-group)`` for a (n, T) matrix."""
-    acc = np.zeros((num_groups, matrix.shape[1]), dtype=np.float64)
-    np.add.at(acc, gids, matrix)
-    for g in range(num_groups):
-        yield g, acc[g]

@@ -12,7 +12,10 @@ A :class:`Relation` stores one NumPy array per column plus:
 * ``trial_mults`` — an optional (n, T) matrix of per-bootstrap-trial
   multiplicities used to piggyback Poissonized bootstrap through the plan
   (Section 7, rewriting step 2). Deterministic/batch execution leaves it
-  ``None``.
+  ``None``. It is either ``uint8`` (raw Poisson counts, as drawn) or
+  ``float64``; index operations keep the dtype and the first multiply by
+  a float widens it. Nothing may sum ``uint8`` counts or multiply two
+  ``uint8`` matrices without naming ``dtype=np.float64``.
 
 Columns normally hold plain scalars; in the online engine a column may be
 an object array of :class:`~repro.core.values.LineageRef`, which is opaque
@@ -98,7 +101,9 @@ class Relation:
                 raise SchemaError(f"mult has {len(mult)} entries, expected {n}")
         self.mult = mult
         if trial_mults is not None:
-            trial_mults = np.asarray(trial_mults, dtype=np.float64)
+            trial_mults = np.asarray(trial_mults)
+            if trial_mults.dtype != np.uint8:
+                trial_mults = trial_mults.astype(np.float64, copy=False)
             if trial_mults.shape[0] != n:
                 raise SchemaError(
                     f"trial_mults has {trial_mults.shape[0]} rows, expected {n}"

@@ -1,10 +1,14 @@
 """Tests for mini-batch partitioning and the Poissonized bootstrap."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from repro.batching import BatchInfo, Partitioner, num_batches_for, shuffle_relation
 from repro.bootstrap import bootstrap_ci, bootstrap_stdev, trial_multiplicities
+from repro.bootstrap.poisson import _POISSON1
 from repro.errors import ReproError
 from tests.conftest import random_kx
 
@@ -122,10 +126,47 @@ class TestPoissonBootstrap:
         m = trial_multiplicities(5000, 20, seed=0, table="t", batch_no=1)
         assert m.mean() == pytest.approx(1.0, abs=0.05)
 
-    def test_nonnegative_integers(self):
+    def test_counts_are_narrow(self):
         m = trial_multiplicities(100, 10, seed=0, table="t", batch_no=1)
-        assert (m >= 0).all()
-        assert (m == np.round(m)).all()
+        assert m.dtype == np.uint8
+        assert m.max() <= 8
+
+    @pytest.mark.parametrize("rows,trials", [(0, 100), (3, 0), (3, 7), (1, 1)])
+    def test_odd_shapes(self, rows, trials):
+        m = trial_multiplicities(rows, trials, seed=0, table="t", batch_no=1)
+        assert m.shape == (rows, trials)
+        assert m.dtype == np.uint8
+
+    def test_stream_is_pinned(self):
+        """The draw is part of every recorded result: it may not change
+        silently with the NumPy version or the host's byte order."""
+        m = trial_multiplicities(7, 5, seed=42, table="lineitem", batch_no=3)
+        assert m[0].tolist() == [1, 1, 0, 2, 3]
+        assert hashlib.sha256(m.tobytes()).hexdigest() == (
+            "b4ce61776662e254a2395938bdabe5b3796cda9520058ad51426c80ee561bee6"
+        )
+
+    def test_table_is_poisson_one(self):
+        """Exact distribution of the 65 536-entry inverse-CDF table."""
+        counts = np.bincount(_POISSON1)
+        assert counts.sum() == 65536 and _POISSON1.dtype == np.uint8
+        assert (np.diff(_POISSON1.astype(int)) >= 0).all()
+        ks = np.arange(len(counts))
+        pmf = counts / 65536.0
+        exact = np.array([math.exp(-1.0) / math.factorial(k) for k in ks])
+        assert np.abs(pmf - exact).max() < 2e-5
+        assert 1.0 - exact.sum() < 2e-5  # the mass of the counts the table lacks
+        mean = (pmf * ks).sum()
+        assert mean == pytest.approx(1.0, abs=1e-4)
+        assert (pmf * (ks - mean) ** 2).sum() == pytest.approx(1.0, abs=1e-3)
+
+    def test_chi_square_against_poisson_one(self):
+        m = trial_multiplicities(10_000, 100, seed=0, table="t", batch_no=1)
+        observed = np.bincount(np.minimum(m.ravel(), 7), minlength=8)
+        p = np.array([math.exp(-1.0) / math.factorial(k) for k in range(7)])
+        expected = np.append(p, 1.0 - p.sum()) * m.size
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert chi2 < 29.9  # χ²(7 df) at p = 1e-4
 
     def test_stdev_estimator(self):
         assert bootstrap_stdev(np.array([1.0, 3.0])) == pytest.approx(1.0)

@@ -73,6 +73,18 @@ class TestProtocol:
         san.begin_batch(3, rel)  # second worker hitting the same batch
         assert san._owners == owners
 
+    def test_replay_of_the_same_batch_owns_the_redrawn_delta(self):
+        """Recovery replays the failed batch under the same number with a
+        freshly drawn trial matrix; two same-wave scans forwarding it must
+        not read as two writers (an intermittent SAN003 before)."""
+        san = BufferSanitizer()
+        san.begin_batch(4, make_rel())
+        redrawn = make_rel()
+        san.begin_batch(4, redrawn)
+        assert not any(a.flags.writeable for a in _buffers_of(redrawn))
+        san.note_output(_Op(), redrawn)
+        assert not san._claims
+
     def test_slice_hook_freezes_both_sides(self):
         san = BufferSanitizer()
         san.begin_batch(1)

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sketch import AggBundle
 from repro.relational import avg, count, sum_
-from repro.relational.relation import Relation
+from repro.relational.evaluator import join_relations
+from repro.relational.groupby import (
+    RowSegments,
+    group_ids,
+    trial_weight_sums,
+    weighted_trial_sums,
+)
+from repro.relational.relation import Relation, relation_from_columns
 from tests.conftest import KX_SCHEMA, random_kx
 
 
@@ -153,3 +162,238 @@ class TestBytes:
         big = AggBundle(SPECS, 3)
         big.fold(with_trials(random_kx(50, seed=1, groups=20)), ["k"])
         assert big.estimated_bytes() > small.estimated_bytes()
+
+
+# -- the segmented-sum kernel against the np.add.at kernel it replaced ---------------
+#
+# Summation order differs (np.add.at adds row by row, reduceat sums each
+# segment pairwise), so parity is to rel 1e-12, the tolerance set from the
+# dtype: < 2**-40 relative for segments of up to a few thousand float64 terms.
+
+RTOL = 1e-12
+
+
+def add_at_sums(values: np.ndarray, gids: np.ndarray, num_groups: int) -> np.ndarray:
+    """Reference: unbuffered scatter-add of float64 rows into their groups."""
+    values = np.asarray(values, dtype=np.float64)
+    acc = np.zeros((num_groups,) + values.shape[1:])
+    np.add.at(acc, gids, values)
+    return acc
+
+
+def add_at_fold(bundle: AggBundle, rel: Relation, group_by: list[str]) -> None:
+    """Reference: ``AggBundle.fold`` as it was written over ``np.add.at``."""
+    local_keys, local_gids = group_ids(rel, group_by)
+    gids = bundle._ensure_groups(local_keys)[local_gids]
+    trial_w = np.asarray(
+        rel.trial_mults
+        if rel.trial_mults is not None
+        else np.broadcast_to(rel.mult[:, None], (len(rel), bundle.num_trials)),
+        dtype=np.float64,
+    )
+    np.add.at(bundle.weight, gids, rel.mult)
+    np.add.at(bundle.trial_weight, gids, trial_w)
+    for s, spec in enumerate(bundle.specs):
+        if spec.func.num_features == 0:
+            continue
+        feats = spec.func.features(spec.arg_values(rel))
+        np.add.at(bundle.sums[s], gids, (feats * rel.mult).T)
+        np.add.at(
+            bundle.trial_sums[s], gids, feats.T[:, None, :] * trial_w[:, :, None]
+        )
+
+
+def assert_same_tables(got: AggBundle, want: AggBundle) -> None:
+    g = len(want)
+    assert got.keys == want.keys
+    np.testing.assert_allclose(got.weight[:g], want.weight[:g], rtol=RTOL)
+    np.testing.assert_allclose(got.trial_weight[:g], want.trial_weight[:g], rtol=RTOL)
+    for s in range(len(want.specs)):
+        np.testing.assert_allclose(got.sums[s][:g], want.sums[s][:g], rtol=RTOL)
+        np.testing.assert_allclose(
+            got.trial_sums[s][:g], want.trial_sums[s][:g], rtol=RTOL
+        )
+
+
+@st.composite
+def grouped_rows(draw):
+    n = draw(st.integers(0, 60))
+    num_groups = draw(st.integers(1, 12))
+    t = draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    gids = rng.integers(0, num_groups, n).astype(np.intp)
+    counts = rng.poisson(1.0, (n, t)).astype(np.uint8)
+    weights = counts if draw(st.booleans()) else counts * rng.random((n, t))
+    feats = rng.normal(50.0, 20.0, (draw(st.integers(1, 3)), n))
+    return gids, num_groups, weights, feats
+
+
+class TestSegmentedSums:
+    @given(grouped_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_add_at(self, rows):
+        gids, num_groups, weights, feats = rows
+        np.testing.assert_allclose(
+            trial_weight_sums(weights, gids, num_groups),
+            add_at_sums(weights, gids, num_groups),
+            rtol=RTOL,
+        )
+        want = add_at_sums(
+            feats.T[:, None, :] * weights[:, :, None].astype(np.float64),
+            gids,
+            num_groups,
+        )
+        np.testing.assert_allclose(
+            weighted_trial_sums(feats, weights, gids, num_groups), want, rtol=RTOL
+        )
+
+    def test_empty_input(self):
+        out = trial_weight_sums(np.zeros((0, 4), dtype=np.uint8), np.zeros(0, np.intp), 3)
+        assert out.shape == (3, 4) and not out.any()
+        segments = RowSegments(np.zeros(0, dtype=np.intp))
+        assert len(segments.order) == len(segments.starts) == len(segments.groups) == 0
+
+    def test_one_group(self):
+        w = np.arange(12.0).reshape(6, 2)
+        out = trial_weight_sums(w, np.zeros(6, dtype=np.intp), 1)
+        assert out.tolist() == [[30.0, 36.0]]
+
+    def test_all_distinct_unsorted_groups(self):
+        gids = np.array([3, 0, 2, 1], dtype=np.intp)
+        w = np.array([[1.5], [2.5], [3.5], [4.5]])
+        assert trial_weight_sums(w, gids, 4).ravel().tolist() == [2.5, 4.5, 3.5, 1.5]
+
+    def test_rows_keep_their_order_within_a_group(self):
+        segments = RowSegments(np.array([1, 0, 1, 0, 1], dtype=np.intp))
+        assert segments.order.tolist() == [1, 3, 0, 2, 4]
+        assert segments.starts.tolist() == [0, 2]
+        assert segments.groups.tolist() == [0, 1]
+
+    def test_uint8_segment_sum_above_255(self):
+        counts = np.full((300, 2), 3, dtype=np.uint8)
+        out = trial_weight_sums(counts, np.zeros(300, dtype=np.intp), 1)
+        assert out.dtype == np.float64
+        assert out.tolist() == [[900.0, 900.0]]
+
+    def test_a_groups_sum_ignores_the_other_rows_of_the_call(self):
+        """What keeps shards (which see a subset of each batch) bit-identical."""
+        rng = np.random.default_rng(3)
+        gids = rng.integers(0, 5, 400).astype(np.intp)
+        w = rng.random((400, 7))
+        full = trial_weight_sums(w, gids, 5)
+        for g in range(5):
+            alone = trial_weight_sums(w[gids == g], np.zeros((gids == g).sum(), np.intp), 1)
+            assert (full[g] == alone[0]).all()
+
+
+class TestFoldAgainstReference:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4, 150])
+    def test_fold_matches_add_at(self, dtype, groups):
+        rel = random_kx(150, seed=groups, groups=groups)
+        counts = np.random.default_rng(7).poisson(1.0, (150, 6)).astype(dtype)
+        rel = rel.with_mult(np.random.default_rng(8).random(150), counts)
+        got, want = AggBundle(SPECS, 6), AggBundle(SPECS, 6)
+        for part in (rel.slice(0, 90), rel.slice(90, 150)):
+            got.fold(part, ["k"])
+            add_at_fold(want, part, ["k"])
+        assert rel.trial_mults.dtype == dtype
+        assert_same_tables(got, want)
+
+    def test_fold_without_trials_broadcasts_mult(self):
+        rel = random_kx(80, seed=2, groups=3)  # trial_mults None: read-only broadcast
+        got, want = AggBundle(SPECS, 4), AggBundle(SPECS, 4)
+        got.fold(rel, ["k"])
+        add_at_fold(want, rel, ["k"])
+        assert_same_tables(got, want)
+        assert (got.trial_weight[:3] == got.weight[:3, None]).all()
+
+    def test_fold_with_zero_trials(self):
+        rel = random_kx(40, seed=2, groups=3)
+        got, want = AggBundle(SPECS, 0), AggBundle(SPECS, 0)
+        got.fold(rel, ["k"])
+        add_at_fold(want, rel, ["k"])
+        assert_same_tables(got, want)
+
+    def test_fold_values_coded_matches_fold_values(self):
+        rng = np.random.default_rng(11)
+        n, t = 50, 4
+        codes = rng.integers(0, 3, n).astype(np.intp)
+        keys = [("a",), ("b",), ("c",)]
+        args = (
+            rng.normal(size=n),
+            rng.normal(size=(n, t)),
+            rng.random(n),
+            rng.poisson(1.0, (n, t)).astype(np.uint8),
+        )
+        row_wise, coded = AggBundle([sum_("x", "sx")], t), AggBundle([sum_("x", "sx")], t)
+        row_wise.fold_values([keys[c] for c in codes], 0, *args)
+        coded.fold_values_coded(keys, codes, 0, *args)
+        assert len(row_wise) == len(coded) == 3
+        # Bit-identical, not merely close: the vectorize on/off contract.
+        for key, gid in row_wise.key_to_gid.items():
+            other = coded.key_to_gid[key]
+            assert row_wise.weight[gid] == coded.weight[other]
+            assert (row_wise.trial_sums[0][gid] == coded.trial_sums[0][other]).all()
+        values, trial_values, mult, trial_mults = args
+        want = add_at_sums(trial_values * trial_mults, codes, 3)
+        got = np.stack([coded.trial_sums[0][coded.key_to_gid[k], :, 0] for k in keys])
+        np.testing.assert_allclose(got, want, rtol=RTOL)
+
+
+class TestCapacity:
+    def test_groups_trickling_in_reallocate_geometrically(self):
+        """4 096 folds of one new group each: ≤ 13 reallocations (doubling),
+        and the same tables as one fold of all the rows."""
+        n = 4096
+        rel = relation_from_columns(
+            KX_SCHEMA, k=np.arange(n), x=np.arange(n) * 0.5, y=np.zeros(n)
+        )
+        rel = rel.with_mult(rel.mult, np.full((n, 2), 2, dtype=np.uint8))
+        trickled, once = AggBundle(SPECS, 2), AggBundle(SPECS, 2)
+        reallocations, buffer = 0, trickled.trial_sums[0]
+        for i in range(n):
+            trickled.fold(rel.slice(i, i + 1), ["k"])
+            if trickled.trial_sums[0] is not buffer:
+                reallocations, buffer = reallocations + 1, trickled.trial_sums[0]
+        once.fold(rel, ["k"])
+        assert reallocations <= 13
+        assert len(trickled) == len(once) == n
+        assert trickled.estimated_bytes() == once.estimated_bytes()
+        for s in range(len(SPECS)):
+            for got, want in zip(trickled.finalize(s, 2.0), once.finalize(s, 2.0)):
+                assert got.shape == want.shape
+                assert (got == want).all()
+
+    def test_one_shot_bundle_allocates_exactly(self):
+        b = AggBundle.from_relation(with_trials(random_kx(50, seed=1, groups=5)), ["k"], SPECS, 3)
+        assert b.weight.shape[0] == len(b) == 5
+
+
+class TestNarrowCounts:
+    def test_streamed_join_product_above_255(self):
+        """Both sides carry uint8 counts: the product must widen first."""
+        left = relation_from_columns(KX_SCHEMA, k=[1, 2], x=[1.0, 2.0], y=[0.0, 0.0])
+        left = left.with_mult(left.mult, np.full((2, 3), 20, dtype=np.uint8))
+        right = left.rename({"x": "x2", "y": "y2"})
+        joined = join_relations(left, right, [("k", "k")])
+        assert joined.trial_mults.dtype == np.float64
+        assert (joined.trial_mults == 400.0).all()
+
+    def test_relation_keeps_uint8_and_coerces_the_rest(self):
+        rel = random_kx(6, seed=1)
+        counts = np.ones((6, 2), dtype=np.uint8)
+        kept = Relation(rel.schema, rel.columns, rel.mult, counts)
+        assert kept.trial_mults.dtype == np.uint8
+        for derived in (
+            kept.filter(np.arange(6) % 2 == 0),
+            kept.take(np.array([5, 0])),
+            kept.slice(1, 4),
+            kept.concat(kept),
+        ):
+            assert derived.trial_mults.dtype == np.uint8
+        assert kept.scale(0.5).trial_mults.dtype == np.float64
+        assert kept.estimated_bytes() == rel.with_mult(rel.mult, counts * 1.0).estimated_bytes()
+        widened = Relation(rel.schema, rel.columns, rel.mult, np.ones((6, 2), dtype=np.int64))
+        assert widened.trial_mults.dtype == np.float64
