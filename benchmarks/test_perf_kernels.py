@@ -48,6 +48,7 @@ from repro.relational import Catalog, ColumnType, Relation, Schema, col, scan
 from repro.relational.aggregates import count, median, sum_
 from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Col
+from repro.storage.lineage import LineageColumn
 from repro.workloads.tpch import LINEORDER_SCHEMA
 
 from benchmarks.harness import SEED, tpch_catalog
@@ -205,7 +206,7 @@ def _classify_bench() -> dict:
             OnlineConfig(num_trials=PERF_TRIALS, seed=SEED, vectorize=vectorize),
         )
         ctx.batch_no = 1
-        block = BlockOutput(1, ["k"], ["v"])
+        groups = []
         for k in range(n_groups):
             trials = rng.normal(100.0, 10.0, PERF_TRIALS)
             value = UncertainValue(
@@ -213,21 +214,27 @@ def _classify_bench() -> dict:
                 VariationRange.from_trials(trials, 2.0),
                 LineageRef(1, (k,), "v"),
             )
-            block.publish(
+            groups.append(
                 GroupValue((k,), {"k": k, "v": value}, False,
                            member_status=MEMBER_UNKNOWN, member_point=True,
-                           exist_trials=np.ones(PERF_TRIALS, dtype=bool)),
-                is_new=True,
+                           exist_trials=np.ones(PERF_TRIALS, dtype=bool))
             )
-        ctx.blocks[1] = block
+        ctx.blocks[1] = BlockOutput.from_groups(
+            1, ["k"], ["v"], groups, PERF_TRIALS, ctx.indexes[1]
+        )
         return ctx
 
     refs = np.array(
         [LineageRef(1, (i % n_groups,), "v") for i in range(n)], dtype=object
     )
-    rel = Relation(
+    # As the uncertain join attaches them: ref objects plus the gid sidecar
+    # (keys were published in order, so gid == key here).
+    rel = Relation._from_parts(
         Schema([("u", ColumnType.STRING), ("d", ColumnType.FLOAT)]),
         {"u": refs, "d": rng.normal(0.0, 1.0, n)},
+        np.ones(n),
+        None,
+        lineage={"u": LineageColumn(1, "v", np.arange(n) % n_groups)},
     )
     expr = Col("u") * 0.5 + col("d")
     ctx_vec, ctx_ref = make_ctx(True), make_ctx(False)
@@ -329,11 +336,10 @@ def test_op_seconds_confirm_hot_path_win(bench):
 
 def test_kernel_caches_hit(bench):
     # The ND-heavy plan joins against a *block view* (the member list), so
-    # the codec and group-view caches are the ones exercised; the static
-    # dimension-side index has its own tests in tests/test_kernels.py.
+    # the codec cache is the one exercised; the static dimension-side
+    # index has its own tests in tests/test_kernels.py.
     stats = bench["end_to_end"]["vectorized"]["kernel_stats"]
     assert stats["codec_hits"] > 0, stats
-    assert stats["view_table_hits"] > 0, stats
 
 
 def test_bench_file_checked_in_and_valid(bench):

@@ -17,7 +17,7 @@ Effect summaries combine two sources:
 2. **A targeted AST walk** of each operator class (cached per class):
    literal ``self.state.put("k")`` keys, ``ctx.blocks[self.X]`` reads
    and writes, and lineage-sidecar constructions
-   (``LineageRef``/``ref_pool``/``lineage_from_refs``) whose block-id
+   (``LineageRef``/``LineageColumn``/``GroupIndex.refs``) whose block-id
    attributes are then resolved against the *live* operator instance.
 
 The walk is deliberately conservative about dynamism: block ids read
@@ -107,7 +107,7 @@ class _ClassEffects:
 _CLASS_CACHE: dict[type, _ClassEffects] = {}
 
 #: Call targets whose arguments carry lineage block ids into sidecars.
-_SIDECAR_CALLS = ("ref_pool", "lineage_from_refs", "LineageRef")
+_SIDECAR_CALLS = ("refs", "LineageColumn", "LineageRef")
 
 
 def _dotted(node: ast.AST) -> str | None:

@@ -97,10 +97,9 @@ def _buffers_of(obj: Any) -> Iterator[np.ndarray]:
     lineage = getattr(obj, "lineage", None)
     if isinstance(lineage, dict):
         for lin in lineage.values():
-            for attr in ("pool", "slots", "block_ids"):
-                arr = getattr(lin, attr, None)
-                if isinstance(arr, np.ndarray):
-                    yield arr
+            arr = getattr(lin, "gids", None)
+            if isinstance(arr, np.ndarray):
+                yield arr
 
 
 def _base(arr: np.ndarray) -> np.ndarray:

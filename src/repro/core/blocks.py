@@ -6,11 +6,12 @@ block and only ``(relation, group key)`` references across block
 boundaries. This module holds the runtime datastructures that make that
 work:
 
-* :class:`GroupValue` / :class:`BlockOutput` — the published output of an
-  aggregate block: per group key, the uncertain aggregate values (point
-  estimate + bootstrap trials + variation range) and the group's own
-  existence uncertainty (a group backed only by non-deterministic tuples
-  may still disappear from some bootstrap trials);
+* :class:`BlockOutput` — the published output of an aggregate block, in
+  columnar form: a stable group id per key (:class:`GroupIndex`) and, per
+  gid, the uncertain aggregate values (point estimate + bootstrap trials +
+  variation range) and the group's own existence uncertainty (a group
+  backed only by non-deterministic tuples may still disappear from some
+  bootstrap trials); :class:`GroupValue` is the row form of one group;
 * :class:`RuntimeContext` — everything an operator needs during one
   mini-batch: the batch number and scale factor, this batch's delta
   relations (with their Poisson trial multiplicities), the block registry
@@ -20,14 +21,18 @@ work:
 
 from __future__ import annotations
 
+import copy
 import threading
-from dataclasses import dataclass, field
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.bootstrap.poisson import trial_multiplicities
 from repro.core.ranges import RangeMonitor
-from repro.core.values import LineageRef, UncertainValue
+from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.errors import ReproError
 from repro.metrics.stats import BatchMetrics
 from repro.obs.session import NULL_OBS
@@ -82,79 +87,312 @@ class GroupValue:
         return self.member_status == MEMBER_FALSE
 
 
+class GroupIndex:
+    """Append-only ``key -> gid`` map of one lineage block, for a whole run.
+
+    Gids follow first publication and never change — recovery rewinds
+    operator state, not this index — so a gid stored in a sidecar, sentinel
+    or checkpoint stays valid whatever is restored around it. A
+    pass-through view shares the index of the block it renames, hence ref
+    pools per ``(block, column)``.
+    """
+
+    __slots__ = ("keys", "gid_of", "_refs")
+
+    def __init__(self) -> None:
+        self.keys: list[GroupKey] = []
+        self.gid_of: dict[GroupKey, int] = {}
+        self._refs: dict[tuple[int, str], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __deepcopy__(self, memo: dict) -> "GroupIndex":
+        return self  # run-long by design: snapshots share it
+
+    def add(self, keys: Sequence[GroupKey]) -> np.ndarray:
+        """Gid per key, allocating the next gid for each unseen key."""
+        gid_of = self.gid_of
+        out = np.empty(len(keys), dtype=np.intp)
+        for i, key in enumerate(keys):
+            gid = gid_of.get(key)
+            if gid is None:
+                gid = gid_of[key] = len(self.keys)
+                self.keys.append(key)
+            out[i] = gid
+        return out
+
+    def refs(self, block_id: int, column: str) -> np.ndarray:
+        """Object array ``gid -> LineageRef(block_id, key, column)``: one
+        shared ref per group (refs compare by value), grown with the index."""
+        pool = self._refs.get((block_id, column))
+        have = 0 if pool is None else len(pool)
+        if have < len(self.keys):
+            grown = np.empty(len(self.keys), dtype=object)
+            grown[:have] = pool[:have] if have else ()
+            for gid in range(have, len(grown)):
+                grown[gid] = LineageRef(block_id, self.keys[gid], column)
+            pool = self._refs[(block_id, column)] = grown
+        return pool
+
+
+class UColumn(NamedTuple):
+    """One uncertain value column of a block output, indexed by gid."""
+
+    point: np.ndarray  # (G,)
+    trials: np.ndarray  # (G, T)
+    lo: np.ndarray  # (G,) variation-range bounds
+    hi: np.ndarray
+
+
 class BlockOutput:
-    """The (small) current output relation of a lineage block."""
+    """The (small) current output relation of a lineage block, columnar.
+
+    Arrays are indexed by gid (:class:`GroupIndex`), sized to the index at
+    publish time, replaced whole each batch and never written after
+    publish — snapshots and pass-through views share them. ``order`` lists
+    the gids this batch published, in publication order (``present`` is
+    its mask; other gids hold NaN / unbounded / empty filler); ``certain``
+    / ``member_status`` / ``member_point`` / ``exist (G, T)`` are the
+    :class:`GroupValue` membership fields; :meth:`ucol` is a value column.
+    :class:`GroupValue` rows are materialised on demand and cached
+    (:meth:`get`, :meth:`rows`, :attr:`groups`); an output built *from*
+    rows (:meth:`from_groups`) keeps them and stacks columns on demand.
+    """
 
     #: ``estimate_nbytes`` threads its seen-set through ``estimated_bytes``
     #: so groups shared with a rollup store are not double-counted.
     nbytes_seen_aware = True
 
-    def __init__(self, block_id: int, key_cols: list[str], value_cols: list[str]):
+    def __init__(
+        self,
+        block_id: int,
+        key_cols: list[str],
+        value_cols: list[str],
+        index: GroupIndex | None = None,
+        num_trials: int = 0,
+    ):
         self.block_id = block_id
         self.key_cols = key_cols
         self.value_cols = value_cols
-        self.groups: dict[GroupKey, GroupValue] = {}
-        #: Keys first published this batch (delta of the block boundary).
-        self.new_keys: list[GroupKey] = []
-        #: Bumped once per publish cycle when the output object persists
-        #: across batches (the rollup publish path); derived caches keyed
-        #: on output identity (e.g. the kernel group tables) must compare
-        #: versions, not just identity.
-        self.version = 0
-        #: Keys published behind the hot tier's stable prefix (tombstones
-        #: and keys not yet in the sketch); the next publish cycle pops
-        #: and re-appends them so hot groups keep their first-published
-        #: positions.
-        self.tail_keys: list[GroupKey] = []
+        self.index = index if index is not None else GroupIndex()
+        #: Trailing entries of ``order`` outside the rollup path's stable prefix.
+        self.num_tail = 0
+        #: Built by :meth:`from_groups`: rows are the truth, columns derived.
+        self.from_rows = False
+        self._rows: dict[int, GroupValue] = {}
+        self._join_status: np.ndarray | None = None
+        none = np.zeros(0, dtype=bool)
+        self.fill(
+            none.astype(np.intp), none, none.astype(np.int8), none,
+            np.zeros((0, num_trials), dtype=bool), {},
+        )
+
+    # -- construction ---------------------------------------------------------------
+
+    def fill(
+        self,
+        order: np.ndarray,
+        certain: np.ndarray,
+        member_status: np.ndarray,
+        member_point: np.ndarray,
+        exist: np.ndarray,
+        ucols: dict[str, UColumn],
+    ) -> None:
+        """Install this batch's arrays (the one write an output gets)."""
+        self.order = order
+        self.present = np.zeros(len(certain), dtype=bool)
+        self.present[order] = True
+        self.certain = certain
+        self.member_status = member_status
+        self.member_point = member_point
+        self.exist = exist
+        self._ucols = ucols
+
+    @classmethod
+    def from_groups(
+        cls,
+        block_id: int,
+        key_cols: list[str],
+        value_cols: list[str],
+        groups: Iterable[GroupValue],
+        num_trials: int,
+        index: GroupIndex | None = None,
+    ) -> "BlockOutput":
+        """Output over row-form groups (a later duplicate key replaces
+        the earlier group in place, as a dict would)."""
+        out = cls(block_id, key_cols, value_cols, index)
+        out.from_rows = True
+        by_key = {group.key: group for group in groups}
+        order = out.index.add(list(by_key))
+        out._rows = dict(zip(order.tolist(), by_key.values()))
+        g = len(out.index)
+        certain = np.zeros(g, dtype=bool)
+        status = np.zeros(g, dtype=np.int8)
+        point = np.zeros(g, dtype=bool)
+        exist = np.zeros((g, num_trials), dtype=bool)
+        for gid, group in out._rows.items():
+            certain[gid], status[gid] = group.certain, group.member_status
+            point[gid] = group.member_point
+            exist[gid] = True if group.exist_trials is None else group.exist_trials
+        out.fill(order, certain, status, point, exist, {})
+        return out
+
+    def relabel(
+        self, block_id: int, key_cols: list[str], value_cols: list[str],
+        source: dict[str, str],
+    ) -> "BlockOutput":
+        """Pass-through view under new names, sharing the index and every
+        array: ``key_cols`` rename ``self.key_cols`` one for one, ``source``
+        maps each uncertain view column to the column it renames. As for
+        any small-plan leaf, an unsettled group is an UNKNOWN member."""
+        view = BlockOutput(block_id, key_cols, value_cols, self.index)
+        view.fill(
+            self.order,
+            self.certain,
+            np.where(self.certain, MEMBER_TRUE, MEMBER_UNKNOWN).astype(np.int8),
+            self.member_point,
+            self.exist,
+            {name: self.ucol(src) for name, src in source.items()},
+        )
+        return view
+
+    def adopt_rows(self, prev: "BlockOutput", republished: np.ndarray) -> None:
+        """Take over the rows of ``prev`` (the output being replaced) except
+        the republished groups': the rollup tier's keep one row identity."""
+        self._rows, prev._rows = prev._rows, {}
+        for gid in republished.tolist():
+            self._rows.pop(gid, None)
+
+    # -- array reads ----------------------------------------------------------------
+
+    def ucol(self, name: str) -> UColumn:
+        """Column ``name`` by gid (stacked once from the rows of a
+        row-built output; plain values read as point ranges)."""
+        col = self._ucols.get(name)
+        if col is None:
+            g, t = self.exist.shape
+            col = self._ucols[name] = UColumn(
+                np.full(g, np.nan), np.full((g, t), np.nan),
+                np.full(g, -np.inf), np.full(g, np.inf),
+            )
+            for gid, group in self._rows.items():
+                v = group.values[name]
+                if isinstance(v, UncertainValue):
+                    col.point[gid], col.trials[gid] = v.value, v.trials
+                    col.lo[gid], col.hi[gid] = v.vrange.lo, v.vrange.hi
+                else:
+                    col.point[gid] = col.trials[gid] = col.lo[gid] = col.hi[gid] = v
+        return col
+
+    def det_values(self, name: str, dtype: np.dtype) -> np.ndarray:
+        """``(G,)`` deterministic values of column ``name``."""
+        g = len(self.present)
+        if name in self.key_cols:
+            at = self.key_cols.index(name)
+            return np.array([key[at] for key in self.index.keys[:g]], dtype=dtype)
+        out = np.zeros(g, dtype=dtype)
+        for gid, group in self._rows.items():
+            out[gid] = group.values[name]
+        return out
+
+    @property
+    def join_status(self) -> np.ndarray:
+        """Per gid, how a joining stream row classifies: stably in
+        (``certain`` and a TRUE member), stably out, or unresolved."""
+        if self._join_status is None:
+            self._join_status = np.where(
+                self.certain | (self.member_status != MEMBER_TRUE),
+                self.member_status,
+                np.int8(MEMBER_UNKNOWN),
+            )
+        return self._join_status
+
+    def absent(self, gids: np.ndarray) -> np.ndarray:
+        """Mask of ``gids`` this batch did not publish (``-1`` and gids the
+        index handed out after this publish included)."""
+        out = (gids < 0) | (gids >= len(self.present))
+        out[~out] = ~self.present[gids[~out]]
+        return out
+
+    def gid(self, key: GroupKey) -> int:
+        """Gid of ``key`` if this batch published it, else ``-1``."""
+        gid = self.index.gid_of.get(key, -1)
+        return gid if 0 <= gid < len(self.present) and self.present[gid] else -1
+
+    def probe(self, keys: Sequence[GroupKey]) -> np.ndarray:
+        """:meth:`gid` for many keys."""
+        gid_of = self.index.gid_of
+        gids = np.fromiter(
+            (gid_of.get(k, -1) for k in keys), dtype=np.intp, count=len(keys)
+        )
+        gids[self.absent(gids)] = -1
+        return gids
+
+    # -- row view -------------------------------------------------------------------
+
+    @property
+    def groups(self) -> dict[GroupKey, GroupValue]:
+        """The whole output as rows, in publication order."""
+        return {group.key: group for group in self.rows(self.order.tolist())}
 
     def get(self, key: GroupKey) -> GroupValue | None:
-        return self.groups.get(key)
+        gid = self.gid(key)
+        return None if gid < 0 else self.rows([gid])[0]
 
-    def publish(self, group: GroupValue, is_new: bool) -> None:
-        self.groups[group.key] = group
-        if is_new:
-            self.new_keys.append(group.key)
+    def rows(self, gids: list[int]) -> list[GroupValue]:
+        """Row form of the published groups ``gids``, materialised on
+        first use and cached for the life of this output."""
+        cache = self._rows
+        missing = [gid for gid in gids if gid not in cache]
+        if missing:
+            at = np.asarray(missing, dtype=np.intp)
+            keys = self.index.keys
+            certain = self.certain[at].tolist()
+            status = self.member_status[at].tolist()
+            point = self.member_point[at].tolist()
+            cols = [
+                (name, col.point[at].tolist(), col.trials, col.lo[at].tolist(),
+                 col.hi[at].tolist(), self.index.refs(self.block_id, name))
+                for name, col in self._ucols.items()
+            ]
+            for i, gid in enumerate(missing):
+                key = keys[gid]
+                values: dict[str, object] = dict(zip(self.key_cols, key))
+                for name, points, trials, lo, hi, refs in cols:
+                    values[name] = UncertainValue(
+                        points[i], trials[gid], VariationRange(lo[i], hi[i]), refs[gid]
+                    )
+                cache[gid] = GroupValue(
+                    key, values, certain[i], status[i], point[i],
+                    None if certain[i] else self.exist[gid],
+                )
+        return [cache[gid] for gid in gids]
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(self.order)
 
     def __deepcopy__(self, memo: dict) -> "BlockOutput":
-        """Checkpoint copy: fresh containers, shared ``GroupValue`` leaves.
-
-        Published groups are replaced, never mutated in place (each
-        publish cycle builds new ``GroupValue`` objects), so a snapshot
-        only needs its own dict/list structure. This keeps checkpoints of
-        the persistent rollup-path output O(groups) pointer copies
-        instead of deep-copying every trials array in the block.
-        """
-        clone = BlockOutput(self.block_id, self.key_cols, self.value_cols)
+        """Checkpoint copy: shares every array, owns its caches."""
+        clone = copy.copy(self)
         memo[id(self)] = clone
-        clone.groups = dict(self.groups)
-        clone.new_keys = list(self.new_keys)
-        clone.tail_keys = list(self.tail_keys)
-        clone.version = self.version
+        clone._ucols = dict(self._ucols)
+        clone._rows = dict(self._rows)
         return clone
 
     def estimated_bytes(self, seen: set[int] | None = None) -> int:
-        if not self.groups:
-            return 0
-        sample = next(iter(self.groups.values()))
-        per_group = 32
-        for v in sample.values.values():
-            per_group += 8
-            if isinstance(v, UncertainValue):
-                per_group += 8 * len(v.trials)
-        if seen is None:
-            return per_group * len(self.groups)
-        # Count only groups not already measured under another entry (a
-        # rollup tier referencing the same GroupValue objects), marking
-        # them so the dedup is symmetric whichever entry sizes first.
-        fresh = 0
-        for group in self.groups.values():
-            if id(group) not in seen:
-                seen.add(id(group))
-                fresh += 1
-        return per_group * fresh
+        n = len(self.order)
+        per_group = 32 + 8 * len(self.key_cols)
+        per_group += (8 + 8 * self.exist.shape[1]) * len(self._ucols)
+        if seen is not None:
+            # Only a materialised row can also be held by another entry
+            # (the rollup tier); it counts under whichever sizes first.
+            for group in self._rows.values():
+                if id(group) in seen:
+                    n -= 1
+                else:
+                    seen.add(id(group))
+        return per_group * n
 
 
 @dataclass
@@ -273,6 +511,9 @@ class RuntimeContext:
         self.config = config
         self.monitor = RangeMonitor(slack=config.slack, enabled=config.prune_with_ranges)
         self.blocks: dict[int, BlockOutput] = {}
+        #: One :class:`GroupIndex` per publishing block, for the whole
+        #: run — deliberately not cleared by :meth:`reset_for_replay`.
+        self.indexes: dict[int, GroupIndex] = defaultdict(GroupIndex)
         self.batch_no = 0
         self.seen_rows = 0
         #: Operator state stores, registered by ``SpineOp.open``; the
@@ -411,7 +652,7 @@ class RuntimeContext:
         output = self.blocks.get(ref.block_id)
         if output is None:
             return None
-        group = output.groups.get(ref.key)
+        group = output.get(ref.key)
         if group is None:
             return None
         return group.values.get(ref.column)

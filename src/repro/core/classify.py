@@ -30,7 +30,7 @@ from repro.core.blocks import RuntimeContext
 from repro.core.values import LineageRef, UncertainValue
 from repro.errors import UnsupportedQueryError
 from repro.kernels import resolve as kresolve
-from repro.relational.expressions import Col, Comparison, Expression
+from repro.relational.expressions import Comparison, Expression
 from repro.relational.relation import Relation
 
 TRUE, FALSE, UNKNOWN, PENDING = np.int8(1), np.int8(0), np.int8(2), np.int8(3)
@@ -45,8 +45,6 @@ class SideValues:
     point: np.ndarray  # (n,) current estimates
     trials: np.ndarray | None  # (n, T); None means "equal to point"
     pending: np.ndarray  # (n,) bool: unresolvable lineage refs
-    #: Block cells whose ranges these values derive from (for arming).
-    refs: set = None  # type: ignore[assignment]
 
     def trial_matrix(self, num_trials: int) -> np.ndarray:
         if self.trials is not None:
@@ -81,12 +79,7 @@ def evaluate_side(
     touched = expr.attrs() & uncertain_cols
     if not touched:
         vals = np.asarray(expr.evaluate(rel), dtype=np.float64)
-        return SideValues(vals, vals, vals, None, np.zeros(n, dtype=bool), set())
-
-    if isinstance(expr, Col):
-        return _resolve_column(
-            rel.column(expr.name), n, ctx, rel.lineage.get(expr.name)
-        )
+        return SideValues(vals, vals, vals, None, np.zeros(n, dtype=bool))
 
     if ctx.config.vectorize:
         out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
@@ -99,10 +92,10 @@ def evaluate_side(
     point = np.empty(n)
     trials = np.empty((n, ctx.num_trials))
     pending = np.zeros(n, dtype=bool)
-    refs: set = set()
     cache: dict[object, object] = {}
+    columns = {name: rel.columns[name] for name in expr.attrs()}
     for i in range(n):
-        row = rel.row(i)
+        row = {name: column[i] for name, column in columns.items()}
         bad = False
         for name in touched:
             cell = row[name]
@@ -121,48 +114,10 @@ def evaluate_side(
             lo[i], hi[i] = value.vrange.lo, value.vrange.hi
             point[i] = value.value
             trials[i] = value.trials
-            refs.update(value.sources)
         else:
             lo[i] = hi[i] = point[i] = float(value)  # type: ignore[arg-type]
             trials[i] = float(value)  # type: ignore[arg-type]
-    return SideValues(lo, hi, point, trials, pending, refs)
-
-
-def _resolve_column(
-    column: np.ndarray, n: int, ctx: RuntimeContext, lineage=None
-) -> SideValues:
-    """Fast path: a bare uncertain column of refs / uncertain values.
-
-    ``lineage`` is the column's structured sidecar when the producing
-    operator attached one (``UncertainJoinOp._attach_coded``): the
-    vectorized kernel then walks int32 slots and the ND bitmask instead
-    of ``isinstance``-scanning the cell objects. The row-wise reference
-    below ignores it by design.
-    """
-    if ctx.config.vectorize:
-        return SideValues(*kresolve.resolve_column(column, n, ctx, lineage))
-    lo = np.empty(n)
-    hi = np.empty(n)
-    point = np.empty(n)
-    trials = np.empty((n, ctx.num_trials))
-    pending = np.zeros(n, dtype=bool)
-    refs: set = set()
-    cache: dict[object, object] = {}
-    for i in range(n):
-        value = _resolve_cell(column[i], ctx, cache)
-        if value is None:
-            pending[i] = True
-            lo[i] = hi[i] = point[i] = np.nan
-            trials[i] = np.nan
-        elif isinstance(value, UncertainValue):
-            lo[i], hi[i] = value.vrange.lo, value.vrange.hi
-            point[i] = value.value
-            trials[i] = value.trials
-            refs.update(value.sources)
-        else:
-            lo[i] = hi[i] = point[i] = float(value)
-            trials[i] = float(value)
-    return SideValues(lo, hi, point, trials, pending, refs)
+    return SideValues(lo, hi, point, trials, pending)
 
 
 def _resolve_cell(

@@ -289,7 +289,6 @@ class OnlineQueryEngine:
             span.__enter__()
         started = time.perf_counter()
         ctx.monitor.replaying = True
-        ctx.monitor.reset()
         # CheckpointManager.restore demotes every restored rollup entry
         # back into its sketch: the replayed suffix cannot trust state
         # migrated past the restore point.
@@ -403,27 +402,23 @@ class OnlineQueryEngine:
     ) -> PartialResult:
         rows = []
         names = compiled.result_schema.names
-        if self.config.rollup:
-            # Result rows of rollup-tier groups are the *same* URow
-            # objects batch over batch (the small-plan leaves reuse them
-            # for unchanged GroupValues); projecting them into the
-            # result dict again would put the per-row cost back on the
-            # total group count. Identity-keyed, so any recomputed URow
-            # misses and projects fresh.
-            cache = self._result_rows_cache
-            fresh: dict[int, tuple[object, dict]] = {}
-            for urow in compiled.current_rows(ctx):
-                hit = cache.get(id(urow))
-                if hit is not None and hit[0] is urow:
-                    row = hit[1]
-                else:
-                    row = {name: urow.values[name] for name in names}
-                fresh[id(urow)] = (urow, row)
-                rows.append(row)
-            self._result_rows_cache = fresh
-        else:
-            for urow in compiled.current_rows(ctx):
-                rows.append({name: urow.values[name] for name in names})
+        # Result rows of rollup-tier groups are the *same* URow objects
+        # batch over batch (the small-plan leaves reuse them for
+        # unchanged GroupValues); projecting them into the result dict
+        # again would put the per-row cost back on the total group
+        # count. Identity-keyed, so any recomputed URow misses and
+        # projects fresh.
+        cache = self._result_rows_cache
+        fresh: dict[int, tuple[object, dict]] = {}
+        for urow in compiled.current_rows(ctx):
+            hit = cache.get(id(urow))
+            if hit is not None and hit[0] is urow:
+                row = hit[1]
+            else:
+                row = {name: urow.values[name] for name in names}
+            fresh[id(urow)] = (urow, row)
+            rows.append(row)
+        self._result_rows_cache = fresh
         is_final = batch_no == num_batches
         if is_final:
             rows = [_finalize_row(r) for r in rows]

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import BlockOutput, GroupKey, GroupValue, RuntimeContext
+from repro.core.blocks import (
+    MEMBER_TRUE,
+    BlockOutput,
+    GroupKey,
+    RuntimeContext,
+    UColumn,
+)
 from repro.core.classify import evaluate_side
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
 from repro.core.sentinels import QuiescenceTracker
 from repro.core.sketch import AggBundle
 from repro.rollup import ResolvedRollupStore
 from repro.state.store import SelfSizingSet
-from repro.core.values import LineageRef, UncertainValue
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import grouped_indices
-from repro.errors import UnsupportedQueryError
+from repro.errors import ReproError, UnsupportedQueryError
 from repro.relational.aggregates import AggSpec
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -45,7 +50,6 @@ class AggregateOp(SpineOp):
                 "rows",
                 "certain_groups",
                 "published_keys",
-                "tombstones",
                 "rollup",
                 "quiesce",
                 "output",
@@ -102,7 +106,6 @@ class AggregateOp(SpineOp):
         self.state.put("rows", None)
         self.state.put("certain_groups", SelfSizingSet())
         self.state.put("published_keys", SelfSizingSet())
-        self.state.put("tombstones", {})
         self.state.put("rollup", ResolvedRollupStore())
         self.state.put("quiesce", QuiescenceTracker())
         self.state.put(
@@ -133,10 +136,6 @@ class AggregateOp(SpineOp):
     @property
     def _published_keys(self) -> set[GroupKey]:
         return self.state.get("published_keys")
-
-    @property
-    def _tombstones(self) -> dict[GroupKey, GroupValue]:
-        return self.state.get("tombstones")
 
     @property
     def _rollup(self) -> ResolvedRollupStore:
@@ -210,27 +209,13 @@ class AggregateOp(SpineOp):
         combined = self.sketch.merged_with(volatile_bundle)
 
         scale = ctx.scale if self.sample_weighted else 1.0
-        per_group: dict[GroupKey, dict[str, object]] = {}
-        exist_trials: dict[GroupKey, np.ndarray] = {}
-        exist_point: dict[GroupKey, bool] = {}
-        g = len(combined)
-        finals = [combined.finalize(s, scale) for s in range(len(self.sketch_specs))]
-        trial_weight = combined.trial_weight[:g]
-        weight = combined.weight[:g]
-        for gi, key in enumerate(combined.keys):
-            vals: dict[str, object] = {}
-            for s, spec in enumerate(self.sketch_specs):
-                vals[spec.name] = (finals[s][0][gi], finals[s][1][gi])
-            per_group[key] = vals
-            exist_trials[key] = trial_weight[gi] > 0
-            exist_point[key] = bool(weight[gi] > 0)
-
+        cols = {
+            spec.name: combined.finalize(s, scale)
+            for s, spec in enumerate(self.sketch_specs)
+        }
         if self.lazy_specs or self.holistic_specs:
-            self._add_lazy_and_holistic(
-                ctx, vin, scale, per_group, exist_trials, exist_point
-            )
-
-        self._publish(ctx, per_group, exist_trials, exist_point)
+            self._add_lazy_and_holistic(ctx, vin, scale, combined.keys, cols)
+        self._publish(ctx, combined, cols)
         if rollup_on:
             self._migrate_quiescent(ctx)
         return DeltaBatch(self.empty(ctx), self.empty(ctx))
@@ -302,14 +287,15 @@ class AggregateOp(SpineOp):
             for key in self._quiesce.candidates(
                 list(sketch.key_to_gid), ctx.batch_no, ctx.config.rollup_quiesce
             )
-            if key in output.groups
+            if output.gid(key) >= 0
         ]
         if not candidates:
             return
         rollup = self._rollup
         rows = sketch.extract_groups(candidates)
         for key, accum in rows.items():
-            rollup.migrate(key, output.groups[key], accum, ctx.batch_no)
+            # Later outputs hand this same row object back (``adopt_rows``).
+            rollup.migrate(key, output.get(key), accum, ctx.batch_no)
         self._quiesce.forget(candidates)
         if ctx.obs.enabled:
             ctx.obs.metrics.counter("rollup.migrations", op=self.label).inc(
@@ -331,15 +317,19 @@ class AggregateOp(SpineOp):
         ctx: RuntimeContext,
         vin: Relation,
         scale: float,
-        per_group: dict[GroupKey, dict[str, object]],
-        exist_trials: dict[GroupKey, np.ndarray],
-        exist_point: dict[GroupKey, bool],
+        keys: list[GroupKey],
+        cols: dict[str, tuple[np.ndarray, np.ndarray]],
     ) -> None:
+        """Recompute the lazy and holistic specs from the row store and add
+        their ``(points, trials)`` to ``cols``, aligned with ``keys`` (the
+        sketch has folded every stored row's weight and the volatile bundle
+        every volatile row's, so these specs see no group beyond ``keys``).
+        """
         rows = self._lazy_input(ctx, vin)
         ctx.metrics.recomputed_tuples += len(rows)
         vectorize = ctx.config.vectorize
         kc = factorize_keys(rows, self.group_by) if vectorize else None
-        keys = (
+        row_keys = (
             None
             if vectorize
             else rows.key_tuples(self.group_by) if self.group_by else [()] * len(rows)
@@ -351,6 +341,21 @@ class AggregateOp(SpineOp):
             if rows.trial_mults is not None
             else np.broadcast_to(rows.mult[:, None], (len(rows), ctx.num_trials))
         )
+        pos = {key: i for i, key in enumerate(keys)}
+
+        def place(name: str, spec_keys, values, trial_values) -> None:
+            at = [pos[key] for key in spec_keys]
+            if len(at) != len(keys):
+                raise ReproError(
+                    f"{self.label}: aggregate {name!r} covers {len(at)} of "
+                    f"{len(keys)} published groups"
+                )
+            points = np.empty(len(keys))
+            trials = np.empty((len(keys), ctx.num_trials))
+            points[at] = values
+            trials[at] = np.reshape(trial_values, (len(at), ctx.num_trials))
+            cols[name] = (points, trials)
+
         for spec in self.lazy_specs:
             side = evaluate_side(spec.arg, rows, self.child.uncertain_cols, ctx)
             ok = ~side.pending
@@ -368,31 +373,27 @@ class AggregateOp(SpineOp):
                 )
             else:
                 bundle.fold_values(
-                    [k for k, good in zip(keys, ok) if good],
+                    [k for k, good in zip(row_keys, ok) if good],
                     0,
                     side.point[ok],
                     side.trial_matrix(ctx.num_trials)[ok],
                     rows.mult[ok],
                     trial_w[ok],
                 )
-            values, trial_values = bundle.finalize(0, scale)
-            for gi, key in enumerate(bundle.keys):
-                vals = per_group.setdefault(key, {})
-                vals[spec.name] = (values[gi], trial_values[gi])
-                exist_trials.setdefault(key, bundle.trial_weight[gi] > 0)
-                exist_point.setdefault(key, bool(bundle.weight[gi] > 0))
+            place(spec.name, bundle.keys, *bundle.finalize(0, scale))
         for spec in self.holistic_specs:
             values_arr = spec.arg_values(rows)
             if vectorize:
                 group_iter = zip(kc.keys, grouped_indices(kc.codes, kc.num_keys))
             else:
                 by_group: dict[GroupKey, list[int]] = {}
-                for i, key in enumerate(keys):
+                for i, key in enumerate(row_keys):
                     by_group.setdefault(key, []).append(i)
                 group_iter = (
                     (key, np.asarray(idx, dtype=np.intp))
                     for key, idx in by_group.items()
                 )
+            spec_keys, points, trial_rows = [], [], []
             for key, ix in group_iter:
                 point = spec.func.compute(values_arr[ix], rows.mult[ix]) * (
                     scale if spec.func.scales_with_m else 1.0
@@ -409,150 +410,131 @@ class AggregateOp(SpineOp):
                         trials[j] = spec.func.compute(values_arr[ix], group_w[:, j])
                 if spec.func.scales_with_m:
                     trials = trials * scale
-                vals = per_group.setdefault(key, {})
-                vals[spec.name] = (point, trials)
-                exist_trials.setdefault(key, group_w.sum(axis=0) > 0)
-                exist_point.setdefault(key, bool(rows.mult[ix].sum() > 0))
+                spec_keys.append(key)
+                points.append(point)
+                trial_rows.append(trials)
+            place(spec.name, spec_keys, points, trial_rows)
 
     # -- publishing ------------------------------------------------------------------
 
     def _publish(
         self,
         ctx: RuntimeContext,
-        per_group: dict[GroupKey, dict[str, object]],
-        exist_trials: dict[GroupKey, np.ndarray],
-        exist_point: dict[GroupKey, bool],
+        combined: AggBundle,
+        cols: dict[str, tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        value_cols = [s.name for s in self.specs]
+        """Publish ``combined``'s ``n`` groups as the block's columnar output:
+        their existence and, per spec, the ``(points (n,), trials (n, T))``
+        of ``cols``, scattered to gid positions — nothing built per group."""
+        keys = combined.keys
+        exist = combined.trial_weight[: len(keys)] > 0
+        exist_point = combined.weight[: len(keys)] > 0
         rollup_on = ctx.config.rollup and self.rollup_eligible
-        if rollup_on:
-            # Persistent output: hot groups overwrite in place (keeping
-            # their first-published position, which equals the rollup-off
-            # publication order), migrated groups ride along untouched,
-            # and the unstable tail (volatile-only keys, tombstones) is
-            # re-appended fresh each batch. This path is taken whenever
-            # the feature is on — even with no migrations yet — so the
-            # order cannot drift when the sketch is compacted/extended by
-            # a migrate/demote cycle mid-run.
-            output = self._output
-            output.version += 1
-            output.new_keys = []
-            for key in output.tail_keys:
-                output.groups.pop(key, None)
-            output.tail_keys = []
-        else:
-            output = BlockOutput(self.block_id, self.group_by, value_cols)
-        obs_on = ctx.obs.enabled
-        width_hist = (
-            ctx.obs.metrics.histogram("range.width", block=str(self.block_id))
-            if obs_on
-            else None
-        )
-        # Vectorized mode batches the range estimation per spec column —
-        # one (G, T) reduction instead of G scalar observe() calls — with
-        # bit-identical bounds (see RangeMonitor.observe_batch).
-        batched_ranges: dict[str, list] | None = None
-        if ctx.config.vectorize and per_group:
-            keys_order = list(per_group)
-            batched_ranges = {}
-            for spec in self.specs:
-                points = np.fromiter(
-                    (float(per_group[k][spec.name][0]) for k in keys_order),  # type: ignore[index]
-                    dtype=np.float64,
-                    count=len(keys_order),
-                )
-                trials_mat = np.vstack(
-                    [
-                        np.asarray(per_group[k][spec.name][1], dtype=np.float64)  # type: ignore[index]
-                        for k in keys_order
-                    ]
-                )
-                batched_ranges[spec.name] = ctx.monitor.observe_batch(
-                    self.block_id, spec.name, keys_order, ctx.batch_no, points, trials_mat
-                )
-        for row_i, (key, raw) in enumerate(per_group.items()):
-            values: dict[str, object] = {}
-            for gi, col_name in enumerate(self.group_by):
-                values[col_name] = key[gi]
-            for spec in self.specs:
-                point, trials = raw[spec.name]  # type: ignore[misc]
-                if batched_ranges is not None:
-                    vrange = batched_ranges[spec.name][row_i]
-                else:
-                    vrange = ctx.monitor.observe(
-                        (self.block_id, key, spec.name),
-                        ctx.batch_no,
-                        float(point),
-                        trials,
-                    )
-                if width_hist is not None and vrange is not None:
-                    width_hist.observe(vrange.width)
-                values[spec.name] = UncertainValue(
-                    float(point),
-                    trials,
-                    vrange,
-                    LineageRef(self.block_id, key, spec.name),
-                )
-            certain = key in self.certain_groups
-            group = GroupValue(
-                key,
-                values,
-                certain,
-                member_point=certain or exist_point.get(key, True),
-                exist_trials=None if certain else exist_trials.get(key),
-            )
-            output.publish(group, is_new=key not in self._published_keys)
-            self._published_keys.add(key)
+        published = self._published_keys
         # Groups that vanished (all their volatile contributors currently
         # excluded) stay visible with empty existence, so downstream
         # lineage references keep resolving. Sorted so the tombstone order
         # (and hence the output's group iteration order) does not depend
         # on set hashing. Migrated groups are published, just not
         # recomputed — they are not tombstones.
-        vanished = self._published_keys - set(per_group)
+        vanished = published - set(keys)
         if rollup_on:
             vanished -= set(self._rollup.entries)
-        for key in sorted(vanished):
-            tomb = self._tombstones.get(key)
-            if tomb is None:
-                values = {c: k for c, k in zip(self.group_by, key)}
-                for spec in self.specs:
-                    values[spec.name] = UncertainValue(
-                        float("nan"),
-                        np.full(ctx.num_trials, np.nan),
-                        lineage=LineageRef(self.block_id, key, spec.name),
-                    )
-                tomb = GroupValue(
-                    key,
-                    values,
-                    certain=False,
-                    member_point=False,
-                    exist_trials=np.zeros(ctx.num_trials, dtype=bool),
-                )
-                self._tombstones[key] = tomb
-            output.groups[key] = tomb
-        ctx.metrics.nd_groups += len(per_group)
+        index = ctx.indexes[self.block_id]
+        gids = index.add(keys)
+        tomb_gids = index.add(sorted(vanished))
+        published.update(keys)
+        g = len(index)
+        republished = np.concatenate([gids, tomb_gids])
+        # Replaced only with the rollup tier on (else the empty initial
+        # one): migrated groups ride along in its arrays untouched.
+        prev = self._output
+
+        def scattered(fill, values: np.ndarray, carry: np.ndarray) -> np.ndarray:
+            # values at gids; elsewhere carry, or (tombstones too) fill.
+            kept = len(carry)
+            out = np.empty((g,) + values.shape[1:], dtype=values.dtype)
+            out[kept:] = fill
+            if kept:
+                out[:kept] = carry
+                out[tomb_gids] = fill
+            out[gids] = values
+            return out
+
+        n = len(keys)
+        certain_n = np.fromiter(map(self.certain_groups.__contains__, keys), bool, n)
+        certain = scattered(False, certain_n, prev.certain)
+        member_point = scattered(False, certain_n | exist_point, prev.member_point)
+        exist_g = scattered(False, exist | certain_n[:, None], prev.exist)
+
+        obs_on = ctx.obs.enabled
+        width_hist = (
+            ctx.obs.metrics.histogram("range.width", block=str(self.block_id))
+            if obs_on
+            else None
+        )
+        ucols: dict[str, UColumn] = {}
+        for spec in self.specs:
+            points, trials = cols[spec.name]
+            if ctx.config.vectorize:
+                # One (G, T) reduction per spec column, bit-identical to
+                # the per-cell observe() loop of the reference.
+                lo, hi = ctx.monitor.observe_batch(points, trials)
+            else:
+                ranges = [
+                    ctx.monitor.observe(float(p), row)
+                    for p, row in zip(points, trials)
+                ]
+                lo = np.array([r.lo for r in ranges], dtype=np.float64)
+                hi = np.array([r.hi for r in ranges], dtype=np.float64)
+            if width_hist is not None:
+                for width in (hi - lo).tolist():
+                    width_hist.observe(width)
+            old = prev.ucol(spec.name)
+            ucols[spec.name] = UColumn(
+                scattered(np.nan, points, old.point),
+                scattered(np.nan, trials, old.trials),
+                scattered(-np.inf, lo, old.lo),
+                scattered(np.inf, hi, old.hi),
+            )
+
+        output = BlockOutput(
+            self.block_id, self.group_by, [s.name for s in self.specs], index
+        )
+        if not rollup_on:
+            order = republished
+        else:
+            # Hot groups keep their first-published position (the
+            # rollup-off publication order; the sketch's own order drifts
+            # when a migrate/demote cycle compacts and re-extends it);
+            # the unstable tail (volatile-only keys, tombstones) is
+            # re-appended each batch — migrations or not, so no drift.
+            stable = prev.order[: len(prev.order) - prev.num_tail]
+            placed = np.zeros(g, dtype=bool)
+            placed[stable] = True
+            hot = np.fromiter(map(self.sketch.key_to_gid.__contains__, keys), bool, n)
+            tail = np.concatenate([gids[~hot], tomb_gids])
+            order = np.concatenate([stable, gids[hot & ~placed[gids]], tail])
+            output.num_tail = len(tail)
+        all_members = np.full(g, MEMBER_TRUE, dtype=np.int8)
+        output.fill(order, certain, all_members, member_point, exist_g, ucols)
+        ctx.metrics.nd_groups += n
         if rollup_on:
             rollup = self._rollup
             ctx.metrics.rollup_groups += len(rollup)
-            sketch_keys = self.sketch.key_to_gid
-            output.tail_keys = [
-                k for k in per_group if k not in sketch_keys
-            ] + sorted(vanished)
+            # Migrated groups keep the row object the tier holds, so
+            # identity-keyed row caches downstream keep hitting.
+            output.adopt_rows(prev, republished)
             self.state.put("output", output)
             if obs_on:
                 ctx.obs.metrics.gauge("rollup.groups", op=self.label).set(
                     len(rollup)
                 )
-                ctx.obs.metrics.gauge("rollup.nd_groups", op=self.label).set(
-                    len(per_group)
-                )
+                ctx.obs.metrics.gauge("rollup.nd_groups", op=self.label).set(n)
                 if len(rollup):
                     ctx.obs.metrics.counter("rollup.hits", op=self.label).inc(
                         len(rollup)
                     )
         if obs_on:
-            ctx.obs.metrics.gauge("block.groups", op=self.label).set(
-                len(output.groups)
-            )
+            ctx.obs.metrics.gauge("block.groups", op=self.label).set(len(output))
         ctx.blocks[self.block_id] = output

@@ -19,11 +19,10 @@ from repro.core.values import LineageRef
 from repro.kernels.codec import factorize_keys
 from repro.kernels.joins import SideIndex, vectorized_join
 from repro.kernels.stats import STATS
-from repro.kernels.views import GroupTable, group_table
 from repro.relational.evaluator import join_relations
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.storage.lineage import lineage_from_refs
+from repro.storage.lineage import LineageColumn
 
 
 class StaticJoinOp(SpineOp):
@@ -190,28 +189,28 @@ class UncertainJoinOp(SpineOp):
             return [() for _ in range(len(rel))]
         return rel.key_tuples(self.stream_keys)
 
-    def _probe_table(
-        self, rel: Relation, view: BlockOutput | None
-    ) -> tuple[object, GroupTable | None, np.ndarray | None]:
-        """Factorize stream keys and probe the side view once per
-        *distinct* key: ``(codes, table, slot-per-distinct-key)``."""
+    def _probe(
+        self, rel: Relation, view: BlockOutput | None, missing: np.int8
+    ) -> tuple[object, np.ndarray, np.ndarray]:
+        """Factorize stream keys and probe the side view once per *distinct*
+        key: ``(codes, gid, join status)``, gid ``-1`` and status
+        ``missing`` where the view has not published the key."""
         kc = factorize_keys(rel, self.stream_keys)
+        status = np.full(kc.num_keys, missing, dtype=np.int8)
         if view is None:
-            return kc, None, None
-        table = group_table(view)
-        return kc, table, table.probe(kc.keys)
+            return kc, np.full(kc.num_keys, -1, dtype=np.intp), status
+        gids = view.probe(kc.keys)
+        status[gids >= 0] = view.join_status[gids[gids >= 0]]
+        return kc, gids, status
 
     def _attach_coded(
-        self, rel: Relation, table: GroupTable | None, slot_rows: np.ndarray
+        self, rel: Relation, view: BlockOutput | None, gid_rows: np.ndarray
     ) -> Relation:
-        """Vectorized :meth:`_attach`: gather side columns from the group
-        table's per-column pools instead of filling row by row.
-
-        Uncertain columns additionally get a structured
-        :class:`~repro.storage.lineage.LineageColumn` sidecar — the slot
-        rows *are* the ``(block_id, row_idx)`` lineage, so downstream
-        resolve/sentinel passes consume int32 slots and the ND bitmask
-        instead of re-factorizing the ref objects by identity."""
+        """Vectorized :meth:`_attach`: gather side columns by gid instead
+        of filling row by row. Uncertain columns also get their
+        :class:`~repro.storage.lineage.LineageColumn` sidecar — the gids
+        *are* the lineage; downstream resolve/sentinel passes gather by
+        them instead of looking at the ref objects."""
         n = len(rel)
         cols = dict(rel.columns)
         lineage = dict(rel.lineage)
@@ -222,12 +221,11 @@ class UncertainJoinOp(SpineOp):
                 )
                 cols[name] = np.empty(0, dtype=dtype)
             elif is_uncertain:
-                pool = table.ref_pool(self.side_id, name, LineageRef)
-                cols[name] = pool[slot_rows]
-                lineage[name] = lineage_from_refs(str(self.side_id), pool, slot_rows)
+                cols[name] = view.index.refs(self.side_id, name)[gid_rows]
+                lineage[name] = LineageColumn(self.side_id, name, gid_rows)
             else:
-                cols[name] = table.value_pool(name, self.schema.type_of(name).dtype)[
-                    slot_rows
+                cols[name] = view.det_values(name, self.schema.type_of(name).dtype)[
+                    gid_rows
                 ]
         return Relation._from_parts(
             self.schema,
@@ -309,29 +307,25 @@ class UncertainJoinOp(SpineOp):
     ) -> tuple[Relation, Relation, Relation]:
         """Vectorized :meth:`_partition_new` body: one view probe per
         distinct key, then status/slot gathers."""
-        kc, table, slots_u = self._probe_table(rel, view)
-        if table is None or not len(table.status):
-            status_u = np.full(kc.num_keys, PENDING, dtype=np.int8)
-            slots_u = np.full(kc.num_keys, -1, dtype=np.intp)
-        else:
-            status_u = np.where(
-                slots_u < 0, np.int8(PENDING), table.status[np.maximum(slots_u, 0)]
-            ).astype(np.int8, copy=False)
+        kc, gids_u, status_u = self._probe(rel, view, PENDING)
         if record:
-            # Sentinel recording is setdefault-idempotent and keyed by
-            # group, so once per distinct key matches once per row.
-            for u in np.flatnonzero(status_u == TRUE):
-                self.member_sentinels.record(kc.keys[u], True, batch_no=batch_no)
-            for u in np.flatnonzero(status_u == FALSE):
-                self.member_sentinels.record(kc.keys[u], False, batch_no=batch_no)
+            self._record_resolved(kc, status_u, batch_no)
         status = status_u[kc.codes]
-        slots = slots_u[kc.codes]
+        gids = gids_u[kc.codes]
         sure = status == TRUE
         unknown = status == UNKNOWN
         waiting = status == PENDING
-        certain_out = self._attach_coded(rel.filter(sure), table, slots[sure])
-        nd = self._attach_coded(rel.filter(unknown), table, slots[unknown])
+        certain_out = self._attach_coded(rel.filter(sure), view, gids[sure])
+        nd = self._attach_coded(rel.filter(unknown), view, gids[unknown])
         return certain_out, nd, rel.filter(waiting)
+
+    def _record_resolved(self, kc, status_u: np.ndarray, batch_no: int) -> None:
+        # Sentinel recording is setdefault-idempotent and keyed by group,
+        # so once per distinct key matches once per row.
+        for u in np.flatnonzero(status_u == TRUE):
+            self.member_sentinels.record(kc.keys[u], True, batch_no=batch_no)
+        for u in np.flatnonzero(status_u == FALSE):
+            self.member_sentinels.record(kc.keys[u], False, batch_no=batch_no)
 
     def _volatile_of(self, rel: Relation, ctx: RuntimeContext) -> Relation:
         """Current contribution of attached-but-unresolved rows."""
@@ -340,14 +334,13 @@ class UncertainJoinOp(SpineOp):
         if n == 0 or view is None:
             return self._empty_out(ctx)
         if ctx.config.vectorize:
-            kc, table, slots_u = self._probe_table(rel, view)
-            slots = slots_u[kc.codes]
-            present = slots >= 0
+            kc, gids_u, _ = self._probe(rel, view, UNKNOWN)
+            gids = gids_u[kc.codes]
+            present = gids >= 0
             point = np.zeros(n, dtype=bool)
             trials = np.zeros((n, ctx.num_trials), dtype=bool)
-            if len(table.status) and present.any():
-                point[present] = table.member_point[slots[present]]
-                trials[present] = table.exist_matrix(ctx.num_trials)[slots[present]]
+            point[present] = view.member_point[gids[present]]
+            trials[present] = view.exist[gids[present]]
             return mask_contribution(rel, (point, trials))
         keys = self._keys_of(rel)
         point = np.zeros(n, dtype=bool)
@@ -405,23 +398,8 @@ class UncertainJoinOp(SpineOp):
             )
         if len(nd_old) and view is not None:
             if ctx.config.vectorize:
-                kc, table, slots_u = self._probe_table(nd_old, view)
-                if table is None or not len(table.status):
-                    status_u = np.full(kc.num_keys, UNKNOWN, dtype=np.int8)
-                else:
-                    status_u = np.where(
-                        slots_u < 0,
-                        np.int8(UNKNOWN),
-                        table.status[np.maximum(slots_u, 0)],
-                    ).astype(np.int8, copy=False)
-                for u in np.flatnonzero(status_u == TRUE):
-                    self.member_sentinels.record(
-                        kc.keys[u], True, batch_no=ctx.batch_no
-                    )
-                for u in np.flatnonzero(status_u == FALSE):
-                    self.member_sentinels.record(
-                        kc.keys[u], False, batch_no=ctx.batch_no
-                    )
+                kc, _, status_u = self._probe(nd_old, view, UNKNOWN)
+                self._record_resolved(kc, status_u, ctx.batch_no)
                 status = status_u[kc.codes]
             else:
                 keys = self._keys_of(nd_old)

@@ -30,9 +30,6 @@ import numpy as np
 from repro.core.values import VariationRange
 from repro.kernels.ranges import batched_range_bounds
 
-#: Identifies one uncertain cell: (block id, group key tuple, column name).
-CellKey = tuple[int, tuple, str]
-
 
 class RangeMonitor:
     """Publishes variation ranges and counts integrity failures."""
@@ -46,12 +43,9 @@ class RangeMonitor:
         #: unbounded, so no pruning happens — which is what makes the
         #: replay unconditionally correct and recovery terminate.
         self.replaying = False
-        self._current: dict[CellKey, VariationRange] = {}
 
-    def observe(
-        self, key: CellKey, batch_no: int, value: float, trials: np.ndarray
-    ) -> VariationRange:
-        """Publish this batch's range for one cell.
+    def observe(self, value: float, trials: np.ndarray) -> VariationRange:
+        """This batch's range for one cell.
 
         With the monitor disabled (OPT1 off) or during a recovery replay,
         every cell keeps the unbounded range, so range-based pruning
@@ -62,47 +56,19 @@ class RangeMonitor:
         fresh = VariationRange.from_trials(trials, self.slack)
         if np.isfinite(value):
             fresh = VariationRange(min(fresh.lo, value), max(fresh.hi, value))
-        self._current[key] = fresh
         return fresh
 
     def observe_batch(
-        self,
-        block_id: int,
-        column: str,
-        keys: list[tuple],
-        batch_no: int,
-        points: np.ndarray,
-        trials: np.ndarray,
-    ) -> list[VariationRange]:
-        """Vectorized :meth:`observe` over every group of one column.
-
-        ``points`` is ``(G,)`` and ``trials`` is ``(G, T)``; entry ``i``
-        publishes cell ``(block_id, keys[i], column)``. Produces the exact
-        ranges the per-cell loop would (see
-        :func:`repro.kernels.ranges.batched_range_bounds`), amortizing the
-        NumPy reduction overhead across the whole group column.
-        """
+        self, points: np.ndarray, trials: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`observe` over every group of one column:
+        ``points (G,)``, ``trials (G, T)`` -> ``(lo, hi)`` arrays, entry for
+        entry the ranges the per-cell loop would produce
+        (:func:`repro.kernels.ranges.batched_range_bounds`)."""
         if not self.enabled or self.replaying:
-            return [VariationRange.everything()] * len(keys)
-        lo, hi = batched_range_bounds(points, trials, self.slack)
-        out = []
-        for i, key in enumerate(keys):
-            fresh = VariationRange(float(lo[i]), float(hi[i]))
-            self._current[(block_id, key, column)] = fresh
-            out.append(fresh)
-        return out
-
-    def range_for(self, key: CellKey) -> VariationRange:
-        if not self.enabled or self.replaying:
-            return VariationRange.everything()
-        return self._current.get(key, VariationRange.everything())
+            g = len(points)
+            return np.full(g, -np.inf), np.full(g, np.inf)
+        return batched_range_bounds(points, trials, self.slack)
 
     def record_failure(self) -> None:
         self.failures += 1
-
-    def reset(self) -> None:
-        """Drop published ranges (used before a recovery replay)."""
-        self._current.clear()
-
-    def __len__(self) -> int:
-        return len(self._current)

@@ -11,9 +11,11 @@ the expected outcome, keyed by the uncertain entity the decision compared
 against (the lineage cells of its uncertain side). Only the *tightest*
 sentinel per direction needs keeping — if the closest resolved value
 still classifies the same way, every farther one does too. Each batch the
-operator re-evaluates its sentinels against the current point estimates;
-a flip raises :class:`~repro.errors.RangeIntegrityError` and the
-controller replays conservatively.
+operator re-evaluates its sentinels against the current point estimates
+(one array pass over the block output; a staircase is walked row-wise
+only for an entity that flipped); a flip raises
+:class:`~repro.errors.RangeIntegrityError` and the controller replays
+conservatively.
 
 This is the loosest sound check: it fails exactly when a pruned tuple's
 contribution to the current partial result would have changed, rather
@@ -34,14 +36,17 @@ staircase is the true earliest flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.blocks import RuntimeContext
-from repro.core.values import LineageRef, UncertainValue, point_of
+from repro.core.values import LineageRef, UncertainValue
 from repro.errors import RangeIntegrityError
 from repro.relational.expressions import Comparison, Expression
+from repro.relational.relation import Relation
+from repro.relational.schema import ColumnType, Schema
 
 #: Identity of the uncertain side of one resolved decision: the raw
 #: lineage cells it compared against (hashable).
@@ -55,14 +60,64 @@ History = list
 
 @dataclass
 class _ConjunctSentinels:
-    """Sentinels of one uncertain conjunct, keyed by entity."""
+    """Sentinels of one uncertain conjunct, one slot per entity (whose
+    cells, zipped with the conjunct's uncertain columns, are also the row
+    its uncertain side is re-evaluated on)."""
 
-    #: entity -> tightening history of det values resolved TRUE
-    true_side: dict[Entity, History] = field(default_factory=dict)
-    #: entity -> tightening history of det values resolved FALSE
-    false_side: dict[Entity, History] = field(default_factory=dict)
-    #: entity -> ref cells by column (to re-evaluate the uncertain side)
-    ref_rows: dict[Entity, dict[str, object]] = field(default_factory=dict)
+    #: entity -> slot, in first-recorded order
+    entities: dict[Entity, int] = field(default_factory=dict)
+    #: per slot: tightening history of det values resolved TRUE / FALSE
+    true_hist: list[History] = field(default_factory=list)
+    false_hist: list[History] = field(default_factory=list)
+    #: Check-time cache per uncertain column position: ``(group index,
+    #: gid per slot)``, extended as entities are appended.
+    mirrors: dict[int, tuple] = field(default_factory=dict, compare=False)
+
+    def __deepcopy__(self, memo: dict) -> "_ConjunctSentinels":
+        # Entities and history entries are immutable; the containers are not.
+        return _ConjunctSentinels(
+            dict(self.entities),
+            [list(h) for h in self.true_hist],
+            [list(h) for h in self.false_hist],
+            {j: (index, list(gids)) for j, (index, gids) in self.mirrors.items()},
+        )
+
+    def history(self, entity: Entity, expected: bool) -> History:
+        slot = self.entities.get(entity)
+        if slot is None:
+            slot = self.entities[entity] = len(self.true_hist)
+            self.true_hist.append([])
+            self.false_hist.append([])
+        return (self.true_hist if expected else self.false_hist)[slot]
+
+
+def _gather_points(
+    store: "_ConjunctSentinels", j: int, ctx: RuntimeContext
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Current ``(points, absent mask)`` of every entity's ``j``-th cell,
+    or ``None`` unless all of them reference one published block column."""
+    first = next(iter(store.entities))[j]
+    output = ctx.blocks.get(first.block_id) if isinstance(first, LineageRef) else None
+    if output is None:
+        return None
+    index, gids = store.mirrors.get(j, (None, None))
+    if index is not output.index:
+        index, gids = store.mirrors[j] = (output.index, [])
+    for entity in islice(store.entities, len(gids), None):
+        cell = entity[j]
+        if not (
+            isinstance(cell, LineageRef)
+            and cell.block_id == first.block_id
+            and cell.column == first.column
+        ):
+            del store.mirrors[j]
+            return None
+        gids.append(index.gid_of.get(cell.key, -1))
+    at = np.asarray(gids, dtype=np.intp)
+    absent = output.absent(at)
+    if absent.all():
+        return np.full(len(at), np.nan), absent
+    return output.ucol(first.column).point[np.where(absent, 0, at)], absent
 
 
 def _tighter(op: str, expected: bool, old: float, new: float) -> float:
@@ -118,7 +173,8 @@ class SentinelStore:
 
     def __len__(self) -> int:
         return sum(
-            len(c.true_side) + len(c.false_side) for c in self._per_conjunct
+            sum(map(bool, c.true_hist)) + sum(map(bool, c.false_hist))
+            for c in self._per_conjunct
         )
 
     # -- recording ---------------------------------------------------------------
@@ -164,15 +220,11 @@ class SentinelStore:
                 store, op, rel, row_indices, expected, cols, det_values, batch_no
             )
             return
-        columns = {c: rel.columns[c] for c in cols}
+        columns = [rel.columns[c] for c in cols]
         for i, exp in zip(row_indices, expected):
-            entity = tuple(columns[c][i] for c in cols)
-            store.ref_rows.setdefault(
-                entity, {c: columns[c][i] for c in cols}
-            )
+            entity = tuple(column[i] for column in columns)
             d = float(det_values[i]) if det_values is not None else 0.0
-            side = store.true_side if exp else store.false_side
-            _push(op, bool(exp), side.setdefault(entity, []), batch_no, d)
+            _push(op, bool(exp), store.history(entity, bool(exp)), batch_no, d)
 
     def _record_batched(
         self,
@@ -193,15 +245,14 @@ class SentinelStore:
         # Entity codes by cell identity. Equal-but-distinct cells land in
         # different codes; the dict merge below re-unifies them by value,
         # and min/max folds commute, so the result is unchanged. A column
-        # with a structured lineage sidecar yields identity codes straight
-        # from its int32 slots (slot-distinctness equals identity-
-        # distinctness, and intermediate code order is immaterial — the
-        # final iteration below is by first appearance either way).
+        # with a structured lineage sidecar yields the codes straight from
+        # its gids (intermediate code order is immaterial — the final
+        # iteration below is by first appearance either way).
         codes = np.zeros(m, dtype=np.intp)
         for c, arr in zip(cols, cell_cols):
             lin = rel.lineage.get(c)
-            if lin is not None and len(lin) == len(rel.mult) and lin.all_refs:
-                _, inv = np.unique(lin.slots[idx], return_inverse=True)
+            if lin is not None and len(lin) == len(rel.mult):
+                _, inv = np.unique(lin.gids[idx], return_inverse=True)
             else:
                 ids = np.frompyfunc(id, 1, 1)(arr).astype(np.int64)
                 _, inv = np.unique(ids, return_inverse=True)
@@ -211,7 +262,7 @@ class SentinelStore:
             codes = codes.reshape(m).astype(np.intp, copy=False)
         num = int(codes.max()) + 1
         d = det_values[idx]
-        for flag, side in ((True, store.true_side), (False, store.false_side)):
+        for flag in (True, False):
             mask = exp if flag else ~exp
             if not mask.any():
                 continue
@@ -226,11 +277,10 @@ class SentinelStore:
             for code in present[np.argsort(first[present], kind="stable")]:
                 row = first[code]
                 entity = tuple(col[row] for col in cell_cols)
-                store.ref_rows.setdefault(
-                    entity, {c: col[row] for c, col in zip(cols, cell_cols)}
+                _push(
+                    op, flag, store.history(entity, flag), batch_no,
+                    float(fold[code]),
                 )
-                value = float(fold[code])
-                _push(op, flag, side.setdefault(entity, []), batch_no, value)
 
     # -- checking -------------------------------------------------------------------
 
@@ -265,45 +315,101 @@ class SentinelStore:
         #: (minimum) recovery point of the whole store.
         violations: list[tuple[int, str]] = []
         for idx, store in enumerate(self._per_conjunct):
-            if not store.ref_rows:
+            if not store.entities:
                 continue
-            det_expr, unc_expr, cols = self._sides[idx]
-            cmp_ = self.conjuncts[idx]
-            for entity, refs in store.ref_rows.items():
-                resolved = self._resolve_row(refs, ctx)
-                for expected, side in (
-                    (True, store.true_side),
-                    (False, store.false_side),
-                ):
-                    hist = side.get(entity)
-                    if not hist:
-                        continue
-                    if resolved is None:
-                        violations.append((
-                            max(hist[0][0] - 1, 0),
-                            f"entity vanished (first resolved at batch "
-                            f"{hist[0][0]})",
-                        ))
-                        continue
-                    # The tightest (latest) entry flips first: if it still
-                    # holds, every looser entry of the staircase does too.
-                    tight = hist[-1][1]
-                    if self._evaluate(cmp_, det_expr, tight, resolved) == expected:
-                        continue
-                    flipped = [
-                        batch
-                        for batch, det in hist
-                        if self._evaluate(cmp_, det_expr, det, resolved) != expected
-                    ]
-                    first = min(flipped)
-                    violations.append((
-                        max(first - 1, 0),
-                        f"resolved decision flipped: {cmp_!r} expected "
-                        f"{expected} for det value {tight!r} (earliest flip "
-                        f"resolved at batch {first})",
-                    ))
+            entities: Iterable[Entity] = store.entities
+            suspects = self._suspects(idx, store, ctx) if ctx.config.vectorize else None
+            if suspects is not None:
+                flagged = set(suspects.tolist())
+                entities = [e for e, slot in entities.items() if slot in flagged] if flagged else ()
+            for entity in entities:
+                self._check_entity(idx, entity, ctx, violations)
         if violations:
             raise self._violation(ctx, violations)
+
+    def _check_entity(
+        self, idx: int, entity: Entity, ctx: RuntimeContext, violations: list
+    ) -> None:
+        """Row-wise check of one entity's two staircases (the reference,
+        and what names the violation once the array pass found one)."""
+        det_expr, _unc_expr, cols = self._sides[idx]
+        cmp_, store = self.conjuncts[idx], self._per_conjunct[idx]
+        slot = store.entities[entity]
+        resolved = self._resolve_row(dict(zip(cols, entity)), ctx)
+        for expected, hist in (
+            (True, store.true_hist[slot]),
+            (False, store.false_hist[slot]),
+        ):
+            if not hist:
+                continue
+            if resolved is None:
+                violations.append((
+                    max(hist[0][0] - 1, 0),
+                    f"entity vanished (first resolved at batch "
+                    f"{hist[0][0]})",
+                ))
+                continue
+            # The tightest (latest) entry flips first: if it still
+            # holds, every looser entry of the staircase does too.
+            tight = hist[-1][1]
+            if self._evaluate(cmp_, det_expr, tight, resolved) == expected:
+                continue
+            flipped = [
+                batch
+                for batch, det in hist
+                if self._evaluate(cmp_, det_expr, det, resolved) != expected
+            ]
+            first = min(flipped)
+            violations.append((
+                max(first - 1, 0),
+                f"resolved decision flipped: {cmp_!r} expected "
+                f"{expected} for det value {tight!r} (earliest flip "
+                f"resolved at batch {first})",
+            ))
+
+    def _suspects(
+        self, idx: int, store: _ConjunctSentinels, ctx: RuntimeContext
+    ) -> np.ndarray | None:
+        """Slots whose tightest sentinel no longer holds, from one array
+        pass: entity points gathered by gid, the uncertain side evaluated
+        once, compared against the tightest det values. Only a filter
+        (:meth:`_check_entity` words each violation): it may flag
+        spuriously, never miss; ``None`` = check every entity (one is not a
+        plain reference into a published block)."""
+        det_expr, _unc_expr, cols = self._sides[idx]
+        cmp_ = self.conjuncts[idx]
+        n = len(store.entities)
+        points: dict[str, np.ndarray] = {}
+        vanished = np.zeros(n, dtype=bool)
+        for j, name in enumerate(cols):
+            gathered = _gather_points(store, j, ctx)
+            if gathered is None:
+                return None
+            points[name], absent = gathered
+            vanished |= absent
+        rows = Relation._from_parts(
+            Schema([(name, ColumnType.FLOAT) for name in cols]), points, np.ones(n)
+        )
+        with np.errstate(all="ignore"):
+            # None marks the det side: the tightest recorded value, below.
+            left, right = (
+                None if side is det_expr
+                else np.asarray(side.evaluate(rows), dtype=np.float64)
+                for side in (cmp_.left, cmp_.right)
+            )
+        suspect = np.zeros(n, dtype=bool)
+        for expected, hists in ((True, store.true_hist), (False, store.false_hist)):
+            has = np.fromiter(map(bool, hists), dtype=bool, count=n)
+            tight = np.fromiter(
+                (h[-1][1] if h else 0.0 for h in hists), dtype=np.float64, count=n
+            )
+            decided = _compare(
+                cmp_.op,
+                tight if left is None else left,
+                tight if right is None else right,
+            )
+            suspect |= has & (vanished | (decided != expected))
+        return np.flatnonzero(suspect)
 
     def _resolve_row(
         self, refs: dict[str, object], ctx: RuntimeContext
@@ -355,10 +461,11 @@ class SentinelStore:
     def estimated_bytes(self) -> int:
         total = 0
         for store in self._per_conjunct:
-            for side in (store.true_side, store.false_side):
-                for hist in side.values():
-                    total += 40 + 24 * len(hist)
-            total += 96 * len(store.ref_rows)
+            for hists in (store.true_hist, store.false_hist):
+                for hist in hists:
+                    if hist:
+                        total += 40 + 24 * len(hist)
+            total += 96 * len(store.entities)
         return total
 
 
@@ -402,15 +509,18 @@ class MembershipSentinels:
                 raise
 
     def _check(self, ctx: RuntimeContext, view) -> None:
-        flipped = [
-            key
-            for key, expected in self.expected.items()
-            if (
-                view is not None
-                and (group := view.get(key)) is not None
-                and group.member_point
-            ) != expected
-        ]
+        if ctx.config.vectorize and view is not None:
+            flipped = self._flipped(view)
+        else:
+            flipped = [
+                key
+                for key, expected in self.expected.items()
+                if (
+                    view is not None
+                    and (group := view.get(key)) is not None
+                    and group.member_point
+                ) != expected
+            ]
         if not flipped:
             return
         ctx.monitor.record_failure()
@@ -425,6 +535,16 @@ class MembershipSentinels:
             f"state is consistent through batch {recover_from}",
             recover_from_batch=recover_from,
         )
+
+    def _flipped(self, view) -> list[tuple]:
+        """Keys whose current point membership differs from the recorded
+        one — one gather over the view's arrays."""
+        keys = list(self.expected)
+        gids = view.probe(keys)
+        member_now = gids >= 0
+        member_now[member_now] = view.member_point[gids[member_now]]
+        expected = np.fromiter(self.expected.values(), dtype=bool, count=len(keys))
+        return [keys[i] for i in np.flatnonzero(member_now != expected)]
 
     def reset(self) -> None:
         self.expected.clear()

@@ -34,7 +34,7 @@ from repro.core.blocks import (
 from repro.core.values import LineageRef, UncertainValue, VariationRange, point_of, range_of, trials_of
 from repro.errors import UnsupportedQueryError
 from repro.relational.aggregates import AggSpec
-from repro.relational.expressions import Comparison, Expression
+from repro.relational.expressions import Col, Comparison, Expression
 from repro.relational.relation import Relation
 
 
@@ -84,15 +84,13 @@ class SmallBlockLeaf(SmallNode):
 
     def __init__(self, block_id: int):
         self.block_id = block_id
-        #: Identity-keyed URow cache (rollup runs): a rollup-tier group's
-        #: ``GroupValue`` is the same object batch over batch, so its
-        #: URow can be reused instead of re-materializing the values
-        #: dict per batch — which would keep the small-segment cost
-        #: proportional to the total group count. ``key -> (group, urow)``;
-        #: a hit requires the cached group *identity*, so any republished
-        #: group misses. Downstream small nodes never mutate a leaf URow
-        #: in place (selects ``replace``, projects/joins build new dicts),
-        #: which is what makes reuse safe.
+        #: ``key -> (group, urow)`` of the previous batch. A group the
+        #: block hands back as the *same* row object (the rollup tier's
+        #: migrated groups) reuses its URow instead of re-materializing
+        #: the values dict, keeping this segment's cost off the total
+        #: group count; any republished group misses. Downstream small
+        #: nodes never mutate a leaf URow in place (selects ``replace``,
+        #: projects/joins build new dicts), which makes reuse safe.
         self._urow_cache: dict[tuple, tuple[object, URow]] = {}
 
     def rows(self, ctx: RuntimeContext) -> list[URow]:
@@ -100,37 +98,23 @@ class SmallBlockLeaf(SmallNode):
         if output is None:
             return []
         out = []
-        if ctx.config.rollup:
-            cache = self._urow_cache
-            fresh: dict[tuple, tuple[object, URow]] = {}
-            for key, group in output.groups.items():
-                hit = cache.get(key)
-                if hit is not None and hit[0] is group:
-                    urow = hit[1]
-                else:
-                    urow = URow(
-                        dict(group.values),
-                        certain=group.certain,
-                        member_status=(
-                            MEMBER_TRUE if group.certain else MEMBER_UNKNOWN
-                        ),
-                        member_point=group.member_point,
-                        exist_trials=group.exist_trials,
-                    )
-                fresh[key] = (group, urow)
-                out.append(urow)
-            self._urow_cache = fresh
-            return out
-        for group in output.groups.values():
-            out.append(
-                URow(
+        cache = self._urow_cache
+        fresh: dict[tuple, tuple[object, URow]] = {}
+        for group in output.rows(output.order.tolist()):
+            hit = cache.get(group.key)
+            if hit is not None and hit[0] is group:
+                urow = hit[1]
+            else:
+                urow = URow(
                     dict(group.values),
                     certain=group.certain,
                     member_status=MEMBER_TRUE if group.certain else MEMBER_UNKNOWN,
                     member_point=group.member_point,
                     exist_trials=group.exist_trials,
                 )
-            )
+            fresh[group.key] = (group, urow)
+            out.append(urow)
+        self._urow_cache = fresh
         return out
 
 
@@ -171,7 +155,7 @@ class SmallSelect(SmallNode):
         trials = row.exist_trials
         certain = row.certain
         for pred in self.conjuncts:
-            p_status, p_point, p_trials, _sources = classify_row_predicate(
+            p_status, p_point, p_trials = classify_row_predicate(
                 pred, row.values, ctx.num_trials
             )
             if p_status == MEMBER_FALSE:
@@ -355,7 +339,7 @@ class SmallAggregate(SmallNode):
             # input (COUNT -> 0, AVG -> NaN), matching the batch evaluator.
             groups[()] = []
 
-        output = BlockOutput(self.block_id, self.group_by, [s.name for s in self.specs])
+        published: list[GroupValue] = []
         out_rows: list[URow] = []
         for key, members in groups.items():
             point_w = np.array([float(r.member_point) for r in members])
@@ -375,9 +359,7 @@ class SmallAggregate(SmallNode):
                     trials[j] = spec.func.compute(
                         arg_trials[:, j], exist[:, j].astype(np.float64)
                     )
-                vrange = ctx.monitor.observe(
-                    (self.block_id, key, spec.name), ctx.batch_no, point, trials
-                )
+                vrange = ctx.monitor.observe(point, trials)
                 values[spec.name] = UncertainValue(
                     point, trials, vrange, LineageRef(self.block_id, key, spec.name)
                 )
@@ -385,13 +367,14 @@ class SmallAggregate(SmallNode):
                 r.certain and r.member_status == MEMBER_TRUE for r in members
             )
             exist_any = exist.any(axis=0)
-            group = GroupValue(
-                key,
-                values,
-                certain,
-                exist_trials=None if certain else exist_any,
+            published.append(
+                GroupValue(
+                    key,
+                    values,
+                    certain,
+                    exist_trials=None if certain else exist_any,
+                )
             )
-            output.publish(group, is_new=True)
             out_rows.append(
                 URow(
                     dict(values),
@@ -401,7 +384,14 @@ class SmallAggregate(SmallNode):
                     exist_trials=None if certain else exist_any,
                 )
             )
-        ctx.blocks[self.block_id] = output
+        ctx.blocks[self.block_id] = BlockOutput.from_groups(
+            self.block_id,
+            self.group_by,
+            [s.name for s in self.specs],
+            published,
+            t,
+            ctx.indexes[self.block_id],
+        )
         return out_rows
 
 
@@ -423,11 +413,11 @@ def _argument_matrix(
 
 def classify_row_predicate(
     pred: Expression, values: dict[str, object], num_trials: int
-) -> tuple[int, bool, np.ndarray | None, tuple]:
+) -> tuple[int, bool, np.ndarray | None]:
     """Classify one predicate over one small row.
 
     Returns ``(member status, current point decision, per-trial decisions
-    or None, lineage sources involved)``. Non-comparison predicates must
+    or None)``. Non-comparison predicates must
     be deterministic over the row (checked at compile time for stream
     pipelines; here we verify at runtime because small rows mix certain
     and uncertain cells).
@@ -439,26 +429,21 @@ def classify_row_predicate(
             right, UncertainValue
         ):
             ok = bool(_point_compare(pred.op, left, right))
-            return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None, ()
-        sources = tuple(
-            dict.fromkeys(
-                getattr(left, "sources", ()) + getattr(right, "sources", ())
-            )
-        )
+            return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None
         lr, rr = range_of(left), range_of(right)
         status = _range_compare(pred.op, lr, rr)
         point = bool(_point_compare(pred.op, point_of(left), point_of(right)))
         if status != MEMBER_UNKNOWN:
-            return status, point, None, sources
+            return status, point, None
         lt = trials_of(left, num_trials)
         rt = trials_of(right, num_trials)
         with np.errstate(invalid="ignore"):
             trials = _point_compare(pred.op, lt, rt)
-        return MEMBER_UNKNOWN, point, np.asarray(trials, dtype=bool), sources
+        return MEMBER_UNKNOWN, point, np.asarray(trials, dtype=bool)
     # Boolean combinators / UDF predicates: require determinism.
     result = pred.evaluate_row(values)
     ok = bool(result)
-    return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None, ()
+    return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None
 
 
 def _point_compare(op: str, a, b):
@@ -509,6 +494,28 @@ def point_of_key(value: object) -> object:
     return value
 
 
+def _passthrough_of(
+    root: SmallNode, columns: list[str]
+) -> "tuple[SmallBlockLeaf, dict[str, str]] | None":
+    """The block leaf under a chain of renames / column-only projections and
+    the leaf-side name of each of ``columns``; ``None`` for any other shape."""
+    source = {c: c for c in columns}
+    node = root
+    while not isinstance(node, SmallBlockLeaf):
+        if isinstance(node, SmallRename):
+            below = {new: old for old, new in node.mapping.items()}
+            source = {c: below.get(src, src) for c, src in source.items()}
+        elif isinstance(node, SmallProject) and all(
+            isinstance(expr, Col) for _, expr in node.outputs
+        ):
+            below = {name: expr.name for name, expr in node.outputs}
+            source = {c: below[src] for c, src in source.items()}
+        else:
+            return None
+        node = node.child
+    return node, source
+
+
 @dataclass
 class SmallPlanUnit:
     """An executable small segment: evaluate, then publish and/or expose.
@@ -525,25 +532,51 @@ class SmallPlanUnit:
     _last_rows: list[URow] = field(default_factory=list)
 
     def run(self, ctx: RuntimeContext) -> None:
+        if self.publish_id is not None and self._relabel(ctx):
+            return
         rows = self.root.rows(ctx)
         self._last_rows = rows
         if self.publish_id is None:
             return
-        output = BlockOutput(self.publish_id, self.key_cols, self.value_cols)
-        for row in rows:
-            key = tuple(point_of_key(row.values[c]) for c in self.key_cols)
-            output.publish(
+        ctx.blocks[self.publish_id] = BlockOutput.from_groups(
+            self.publish_id,
+            self.key_cols,
+            self.value_cols,
+            (
                 GroupValue(
-                    key,
+                    tuple(point_of_key(row.values[c]) for c in self.key_cols),
                     row.values,
                     certain=row.certain and row.member_status == MEMBER_TRUE,
                     member_status=row.member_status,
                     member_point=row.member_point,
                     exist_trials=row.exist_trials,
-                ),
-                is_new=True,
-            )
-        ctx.blocks[self.publish_id] = output
+                )
+                for row in rows
+            ),
+            ctx.num_trials,
+            ctx.indexes[self.publish_id],
+        )
+
+    def _relabel(self, ctx: RuntimeContext) -> bool:
+        """Publish the view as an array relabel of its block; ``False``
+        (take the general row path) unless the segment only renames or
+        drops columns of one columnar block whose keys are the join keys."""
+        passthrough = _passthrough_of(self.root, self.key_cols + self.value_cols)
+        if passthrough is None:
+            return False
+        leaf, source = passthrough
+        output = ctx.blocks.get(leaf.block_id)
+        if output is None or output.from_rows:
+            return False
+        if [source[c] for c in self.key_cols] != output.key_cols:
+            return False
+        ctx.blocks[self.publish_id] = output.relabel(
+            self.publish_id,
+            self.key_cols,
+            self.value_cols,
+            {c: source[c] for c in self.value_cols if c not in self.key_cols},
+        )
+        return True
 
     def result_rows(self) -> list[URow]:
         """Rows currently in the result (stable-false ones excluded)."""

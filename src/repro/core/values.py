@@ -136,6 +136,9 @@ class LineageRef:
     key: tuple
     column: str
 
+    def __deepcopy__(self, memo: dict) -> "LineageRef":
+        return self  # immutable: snapshots share it
+
     def __repr__(self) -> str:
         return f"Lineage(block={self.block_id}, key={self.key!r}, col={self.column})"
 
@@ -150,7 +153,7 @@ class UncertainValue:
     """
 
     __iolap_uncertain__ = True
-    __slots__ = ("value", "trials", "vrange", "lineage", "sources")
+    __slots__ = ("value", "trials", "vrange", "lineage")
 
     def __init__(
         self,
@@ -158,18 +161,11 @@ class UncertainValue:
         trials: np.ndarray,
         vrange: VariationRange | None = None,
         lineage: LineageRef | None = None,
-        sources: tuple[LineageRef, ...] | None = None,
     ):
         self.value = float(value)
         self.trials = np.asarray(trials, dtype=np.float64)
         self.vrange = vrange if vrange is not None else VariationRange.everything()
         self.lineage = lineage
-        if sources is not None:
-            self.sources = sources
-        else:
-            # Provenance for range-arming: which block cells this value
-            # derives from. Arithmetic unions the operands' sources.
-            self.sources = (lineage,) if lineage is not None else ()
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -182,7 +178,6 @@ class UncertainValue:
                 fn(a.value, b.value),
                 fn(a.trials, b.trials),
                 fn(a.vrange, b.vrange),
-                sources=tuple(dict.fromkeys(a.sources + b.sources)),
             )
         if isinstance(other, (int, float, np.integer, np.floating)):
             other_f = float(other)
@@ -192,13 +187,11 @@ class UncertainValue:
                     fn(other_f, self.value),
                     fn(other_f, self.trials),
                     fn(point, self.vrange),
-                    sources=self.sources,
                 )
             return UncertainValue(
                 fn(self.value, other_f),
                 fn(self.trials, other_f),
                 fn(self.vrange, point),
-                sources=self.sources,
             )
         return NotImplemented  # type: ignore[return-value]
 

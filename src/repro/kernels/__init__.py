@@ -5,8 +5,6 @@ hot paths with batched NumPy kernels:
 
 * :mod:`repro.kernels.codec` — key factorization: group-by/join key
   columns become dense integer codes, memoized per (immutable) relation;
-* :mod:`repro.kernels.views` — code-indexed lookup tables over published
-  :class:`~repro.core.blocks.BlockOutput` group views;
 * :mod:`repro.kernels.joins` — cross-batch cached hash-join index and a
   vectorized equi-join identical to the reference row-wise join;
 * :mod:`repro.kernels.resolve` — batched lineage resolution and

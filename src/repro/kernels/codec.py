@@ -225,23 +225,3 @@ def recode_subset(kc: KeyCodes, mask: np.ndarray) -> tuple[list[tuple], np.ndarr
     order, rank = _first_appearance_order(inv, len(uniq), m)
     keys = [kc.keys[g] for g in uniq[order]]
     return keys, rank[inv]
-
-
-def factorize_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize an object column by cell *identity*.
-
-    Lineage-bearing columns repeat a handful of cell objects (one
-    ``LineageRef``/``UncertainValue`` per group) across thousands of rows;
-    resolving each distinct object once and gathering is the whole win.
-    Returns ``(codes, cells)``: ``cells[codes[i]] is column[i]``.
-    """
-    n = len(column)
-    if n == 0:
-        return np.empty(0, dtype=np.intp), column
-    ids = np.frompyfunc(id, 1, 1)(column).astype(np.int64)
-    _, inv = np.unique(ids, return_inverse=True)
-    inv = inv.reshape(n).astype(np.intp, copy=False)
-    num = int(inv.max()) + 1
-    first_pos = np.full(num, n, dtype=np.intp)
-    np.minimum.at(first_pos, inv, np.arange(n, dtype=np.intp))
-    return inv, column[first_pos]

@@ -2,29 +2,27 @@
 
 The reference classifier (``repro.core.classify``) evaluates a
 comparison side row by row: resolve the row's lineage cells, run
-``UncertainValue`` arithmetic, copy ``lo/hi/point/trials`` out. Lineage
-columns repeat a handful of distinct cell objects (one per side group),
-so the kernel factorizes each column by cell identity, resolves every
-*distinct* cell exactly once, and assembles the per-row arrays with
-gathers. Arithmetic then runs array-wide: elementwise ufuncs for points
-and trials (bit-identical to the per-row NumPy-scalar ops) and interval
-arithmetic mirroring :class:`~repro.core.values.VariationRange` for the
-bounds.
+``UncertainValue`` arithmetic, copy ``lo/hi/point/trials`` out. A column
+attached by the uncertain join carries its group ids
+(:class:`~repro.storage.lineage.LineageColumn`) and the block output is
+gid-indexed arrays, so resolving it is four gathers. Arithmetic then
+runs array-wide: elementwise ufuncs for points and trials (bit-identical
+to the per-row NumPy-scalar ops) and interval arithmetic mirroring
+:class:`~repro.core.values.VariationRange` for the bounds.
 
-:func:`try_evaluate_side` returns ``None`` for expression shapes the
-kernel does not cover (non-arithmetic nodes, ``%``, non-numeric
-literals); the caller falls back to the row-wise reference, keeping the
+:func:`try_evaluate_side` returns ``None`` for what the kernel does not
+cover (non-arithmetic nodes, ``%``, non-numeric literals, an uncertain
+column without the sidecar — hand-built, or attached by the row-wise
+reference); the caller falls back to the row-wise reference, keeping the
 fast path an optimization rather than a semantics fork.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.values import LineageRef, UncertainValue
-from repro.kernels.codec import factorize_cells
 from repro.relational.expressions import Arith, Col, Expression, Literal
 
 _INF = float("inf")
@@ -44,9 +42,6 @@ class _Node:
     point: object
     trials: np.ndarray | None
     pending: np.ndarray | None
-    #: (cell codes, sources-per-distinct-cell) of every uncertain column
-    #: under this subtree, for provenance (``SideValues.refs``).
-    ref_entries: list = field(default_factory=list)
 
 
 def try_evaluate_side(
@@ -54,10 +49,10 @@ def try_evaluate_side(
     rel,
     uncertain_cols: set[str],
     ctx,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, set] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Vectorized ``evaluate_side`` payload, or ``None`` to fall back.
 
-    Returns ``(lo, hi, point, trials, pending, refs)`` with the exact
+    Returns ``(lo, hi, point, trials, pending)`` with the exact
     values the row-wise reference computes (pending rows NaN-filled).
     """
     n = len(rel)
@@ -79,36 +74,7 @@ def try_evaluate_side(
         trials = np.array(trials, dtype=np.float64)
         lo[pending] = hi[pending] = point[pending] = np.nan
         trials[pending] = np.nan
-    return lo, hi, point, trials, pending, _collect_refs(node, pending)
-
-
-def resolve_column(
-    column: np.ndarray, n: int, ctx, lineage=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, set]:
-    """Vectorized fast path for a bare uncertain column of refs/values.
-
-    ``lineage`` may be the column's structured
-    :class:`~repro.storage.lineage.LineageColumn` sidecar; when present
-    the distinct cells come straight from its int32 slots instead of an
-    identity sweep over the objects.
-    """
-    node = _resolve_column_node(column, n, ctx, lineage)
-    pending = node.pending
-    assert pending is not None and node.trials is not None
-    refs = _collect_refs(node, pending)
-    return node.lo, node.hi, node.point, node.trials, pending, refs  # type: ignore[return-value]
-
-
-def _collect_refs(node: _Node, pending: np.ndarray) -> set:
-    """Sources of every uncertain cell that reaches a non-pending row —
-    the reference skips rows it cannot evaluate, so pending-only cells
-    must not contribute."""
-    refs: set = set()
-    mask = ~pending
-    for codes, sources_per_cell in node.ref_entries:
-        for u in np.unique(codes[mask]):
-            refs.update(sources_per_cell[u])
-    return refs
+    return lo, hi, point, trials, pending
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -123,7 +89,10 @@ def _eval(expr, rel, uncertain_cols: set[str], ctx, n: int) -> _Node:
     if isinstance(expr, Col):
         values = rel.columns[expr.name]
         if expr.name in uncertain_cols:
-            return _resolve_column_node(values, n, ctx, rel.lineage.get(expr.name))
+            lineage = rel.lineage.get(expr.name)
+            if lineage is None:
+                raise UnsupportedKernel(f"no lineage sidecar on {expr.name!r}")
+            return resolve_column(lineage, ctx)
         if values.dtype == object:
             raise UnsupportedKernel(f"object column {expr.name!r}")
         return _Node(values, values, values, None, None)
@@ -134,52 +103,20 @@ def _eval(expr, rel, uncertain_cols: set[str], ctx, n: int) -> _Node:
     raise UnsupportedKernel(f"cannot vectorize {type(expr).__name__}")
 
 
-def _resolve_column_node(column: np.ndarray, n: int, ctx, lineage=None) -> _Node:
-    """Resolve each *distinct* cell once, then gather per row.
-
-    With a structured lineage sidecar the distinct-cell factorization is
-    a pure int32 ``np.unique`` over slot indices (the pool holds one
-    distinct object per slot, so slot-distinctness equals the identity
-    factorization); mixed or sidecar-less columns fall back to the
-    ``id()`` sweep.
-    """
-    fact = None
-    if lineage is not None and len(lineage) == n:
-        fact = lineage.factorized()
-    if fact is None:
-        fact = factorize_cells(np.asarray(column, dtype=object))
-    codes, cells = fact
-    u = len(cells)
-    t = ctx.num_trials
-    u_lo = np.empty(u)
-    u_hi = np.empty(u)
-    u_point = np.empty(u)
-    u_trials = np.empty((u, t))
-    u_pending = np.zeros(u, dtype=bool)
-    sources_per_cell: list[tuple] = [()] * u
-    for j in range(u):
-        cell = cells[j]
-        value = ctx.resolve(cell) if isinstance(cell, LineageRef) else cell
-        if value is None:
-            u_pending[j] = True
-            u_lo[j] = u_hi[j] = u_point[j] = np.nan
-            u_trials[j] = np.nan
-        elif isinstance(value, UncertainValue):
-            u_lo[j], u_hi[j] = value.vrange.lo, value.vrange.hi
-            u_point[j] = value.value
-            u_trials[j] = value.trials
-            sources_per_cell[j] = value.sources
-        else:
-            u_lo[j] = u_hi[j] = u_point[j] = float(value)  # type: ignore[arg-type]
-            u_trials[j] = float(value)  # type: ignore[arg-type]
-    return _Node(
-        u_lo[codes],
-        u_hi[codes],
-        u_point[codes],
-        u_trials[codes],
-        u_pending[codes],
-        [(codes, sources_per_cell)],
-    )
+def resolve_column(lineage, ctx) -> _Node:
+    """Per-row ``lo/hi/point/trials`` of a lineage column: four gathers
+    by gid from the referenced block output, pending where that output
+    has not published the gid (those rows read group 0 here and are
+    blanked by :func:`try_evaluate_side`)."""
+    output = ctx.blocks.get(lineage.block_id)
+    n = len(lineage)
+    if output is None or not len(output.present):
+        nan = np.full(n, np.nan)
+        return _Node(nan, nan, nan, None, np.ones(n, dtype=bool))
+    pending = output.absent(lineage.gids)
+    gids = np.where(pending, 0, lineage.gids)
+    col = output.ucol(lineage.column)
+    return _Node(col.lo[gids], col.hi[gids], col.point[gids], col.trials[gids], pending)
 
 
 # -- interval / trial arithmetic ---------------------------------------------------
@@ -235,7 +172,7 @@ def _combine(op: str, a: _Node, b: _Node) -> _Node:
             point = a.point / b.point
             if a.trials is not None or b.trials is not None:
                 trials = ta / tb
-    return _Node(lo, hi, point, trials, pending, a.ref_entries + b.ref_entries)
+    return _Node(lo, hi, point, trials, pending)
 
 
 def _interval_mul(alo, ahi, blo, bhi):

@@ -1,9 +1,9 @@
 """Kernel cache counters, surfaced through the obs metrics registry.
 
 The counters answer the "where does the time go" question for the
-vectorized hot paths: how often the per-relation key codec and the
-per-block-output group tables were rebuilt versus reused, and whether the
-static join's dimension index was actually cached across batches. The
+vectorized hot paths: how often the per-relation key codec was rebuilt
+versus reused, and whether the static join's dimension index was
+actually cached across batches. The
 controller samples :func:`snapshot` into gauges once per batch, so
 ``iolap report`` shows them next to the operator timings.
 
@@ -23,8 +23,6 @@ class KernelStats:
         "codec_hits",
         "codec_misses",
         "codec_encoded_cols",
-        "view_table_hits",
-        "view_table_misses",
         "side_index_hits",
         "side_index_misses",
     )

@@ -3,9 +3,9 @@
 A :class:`ResolvedRollupStore` lives as one named entry ("rollup") of its
 aggregate operator's state store, so it rides the checkpoint/restore
 machinery like any other between-batch state. Each entry pairs the
-group's published :class:`~repro.core.blocks.GroupValue` (shared by
-reference with the persistent block output — the publish path reuses it
-verbatim, which is what makes migrated groups free per batch) with the
+group's published row (:class:`~repro.core.blocks.GroupValue`,
+materialised once at migration and handed back by every later block
+output, whose arrays carry the group's values over unchanged) with the
 extracted :class:`~repro.core.sketch.SketchRow` sums needed to fold the
 group back into the sketch on demotion.
 

@@ -5,9 +5,10 @@ This package owns the physical representation of relation data:
 * :mod:`repro.storage.columns` — append-only dictionary pages and
   dictionary-encoded columns with explicit null masks. Encoding is a
   property of storage (carried across operators), not a per-call cache.
-* :mod:`repro.storage.lineage` — the structured lineage sidecar: parallel
-  ``(block_id, slot)`` int32 arrays plus an explicit ND bitmask, replacing
-  object arrays of :class:`~repro.core.values.LineageRef` on hot paths.
+* :mod:`repro.storage.lineage` — the structured lineage sidecar: the
+  ``(block, column)`` a reference column points into plus one int32 group
+  id per row, replacing object arrays of
+  :class:`~repro.core.values.LineageRef` on hot paths.
 * :mod:`repro.storage.chunks` / :mod:`repro.storage.ingest` — the on-disk
   chunked columnar format (memory-mapped buffers, Arrow-IPC in spirit)
   and streaming ingestion, so fact tables never materialize as in-memory
@@ -27,7 +28,7 @@ from repro.storage.columns import (
 )
 from repro.storage.chunks import ChunkWriter, DiskTable
 from repro.storage.ingest import ingest_chunks, open_table, write_relation
-from repro.storage.lineage import LineageColumn, lineage_from_refs
+from repro.storage.lineage import LineageColumn
 
 __all__ = [
     "ChunkWriter",
@@ -37,7 +38,6 @@ __all__ = [
     "LineageColumn",
     "encode_relation",
     "ingest_chunks",
-    "lineage_from_refs",
     "open_table",
     "sidecar_nbytes",
     "write_relation",

@@ -1,24 +1,18 @@
-"""Structured lineage sidecar: int32 slot/block arrays plus an ND bitmask.
+"""Structured lineage sidecar: the group ids behind a column of references.
 
 The online operators attach lineage by storing one
-:class:`~repro.core.values.LineageRef` (or ``UncertainValue``) object per
-cell of an object column. Classification, resolution, and sentinel
-recording then have to rediscover structure with identity factorization
-(``codec.factorize_cells``: an ``id()`` ufunc sweep over every row, every
-batch). A :class:`LineageColumn` records that structure once, at
-attachment time:
+:class:`~repro.core.values.LineageRef` object per cell of an object
+column. Every such column is produced by one uncertain join against one
+published block, so its structure is three facts: the block, the block's
+value column, and — per row — the *gid* of the referenced group in the
+block's append-only :class:`~repro.core.blocks.GroupIndex`. A
+:class:`LineageColumn` records exactly that, at attachment time, and
+rides through every ``Relation`` transformation beside the objects.
 
-* ``slots`` — int32, row index into ``pool`` (the distinct reference
-  cells, at most one per output group), ``-1`` for plain-value cells;
-* ``block_ids`` — int32, index into ``blocks`` (the block-id dictionary),
-  ``-1`` for plain-value cells;
-* ``nd_mask`` — the explicit non-deterministic bitmask (``slots >= 0``),
-  so consumers test membership with a vector compare instead of
-  ``isinstance`` scans.
-
-Pool invariant: ``pool`` holds *distinct* cell objects (each slot's cell
-is constructed exactly once by the producing operator), so factorizing
-``slots`` is identical to factorizing cells by identity.
+Gids are stable for a run (``GroupIndex`` never rewinds), so sidecars
+written in different batches, or restored from a checkpoint, always
+concatenate. Consumers gather from the block output's gid-indexed
+arrays; the row-wise reference paths ignore the sidecar.
 """
 
 from __future__ import annotations
@@ -29,104 +23,34 @@ from repro.storage.columns import CODE_DTYPE
 
 
 class LineageColumn:
-    """Lineage structure of one object column, parallel to its rows."""
+    """Lineage structure of one all-reference column, parallel to its rows."""
 
-    __slots__ = ("pool", "slots", "block_ids", "blocks", "_nd")
+    __slots__ = ("block_id", "column", "gids")
 
-    def __init__(
-        self,
-        pool: np.ndarray,
-        slots: np.ndarray,
-        block_ids: np.ndarray,
-        blocks: tuple[str, ...],
-    ) -> None:
-        self.pool = pool
-        self.slots = slots
-        self.block_ids = block_ids
-        self.blocks = blocks
-        self._nd: np.ndarray | None = None
+    def __init__(self, block_id: int, column: str, gids: np.ndarray) -> None:
+        self.block_id = block_id
+        self.column = column
+        self.gids = gids.astype(CODE_DTYPE, copy=False)
 
     def __len__(self) -> int:
-        return len(self.slots)
-
-    @property
-    def nd_mask(self) -> np.ndarray:
-        """Bitmask of non-deterministic (reference-bearing) cells."""
-        if self._nd is None:
-            self._nd = self.slots >= 0
-        return self._nd
-
-    @property
-    def all_refs(self) -> bool:
-        return bool(self.nd_mask.all()) if len(self.slots) else True
+        return len(self.gids)
 
     # -- index operations (parallel to Relation transformations) ----------------
 
     def take(self, indices: np.ndarray) -> "LineageColumn":
-        return LineageColumn(
-            self.pool, self.slots[indices], self.block_ids[indices], self.blocks
-        )
+        return LineageColumn(self.block_id, self.column, self.gids[indices])
 
     def slice(self, start: int, stop: int) -> "LineageColumn":
-        return LineageColumn(
-            self.pool, self.slots[start:stop], self.block_ids[start:stop], self.blocks
-        )
+        return LineageColumn(self.block_id, self.column, self.gids[start:stop])
 
     def concat(self, other: "LineageColumn") -> "LineageColumn | None":
-        """Concatenate when both sides share a pool; ``None`` otherwise.
-
-        Distinct pools would need slot translation against object
-        identity — not worth it; the caller simply drops the sidecar and
-        consumers fall back to identity factorization.
-        """
-        if other.pool is not self.pool or other.blocks != self.blocks:
+        """Concatenation, or ``None`` (the caller drops the sidecar) for a
+        union of columns attached from different blocks."""
+        if other.block_id != self.block_id or other.column != self.column:
             return None
         return LineageColumn(
-            self.pool,
-            np.concatenate([self.slots, other.slots]),
-            np.concatenate([self.block_ids, other.block_ids]),
-            self.blocks,
+            self.block_id, self.column, np.concatenate([self.gids, other.gids])
         )
 
-    # -- consumers ----------------------------------------------------------------
-
-    def factorized(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """First-appearance ``(codes, cells)`` — ``factorize_cells`` contract.
-
-        ``cells[codes[i]] is column[i]`` for the materialized column.
-        Returns ``None`` when some cells are plain values (mixed columns
-        fall back to identity factorization over the objects).
-        """
-        if not self.all_refs:
-            return None
-        n = len(self.slots)
-        if n == 0:
-            return np.empty(0, dtype=np.intp), self.pool[:0]
-        uniq, inv = np.unique(self.slots, return_inverse=True)
-        inv = inv.reshape(n).astype(np.intp, copy=False)
-        first_pos = np.full(len(uniq), n, dtype=np.intp)
-        np.minimum.at(first_pos, inv, np.arange(n, dtype=np.intp))
-        order = np.argsort(first_pos, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(uniq), dtype=np.intp)
-        return rank[inv], self.pool[uniq[order]]
-
     def estimated_bytes(self, seen: set[int] | None = None) -> int:
-        """Physical footprint; a shared pool counts once per ``seen`` set."""
-        total = int(self.slots.nbytes) + int(self.block_ids.nbytes)
-        if seen is None or id(self.pool) not in seen:
-            if seen is not None:
-                seen.add(id(self.pool))
-            total += 64 * len(self.pool)
-        return total
-
-
-def lineage_from_refs(block_id: str, pool: np.ndarray, slots: np.ndarray) -> LineageColumn:
-    """Sidecar for an all-reference column whose refs live in one block.
-
-    ``pool`` is the block's distinct reference cells (one per group slot);
-    ``slots[i]`` indexes it for row ``i``.
-    """
-    slots = slots.astype(CODE_DTYPE, copy=False)
-    block_ids = np.zeros(len(slots), dtype=CODE_DTYPE)
-    return LineageColumn(pool, slots, block_ids, (block_id,))
+        return int(self.gids.nbytes)

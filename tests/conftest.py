@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.blocks import BlockOutput, GroupValue, RuntimeContext
 from repro.relational import (
     Catalog,
     ColumnType,
@@ -19,6 +20,27 @@ KX_SCHEMA = Schema(
 )
 
 DIM_SCHEMA = Schema([("k", ColumnType.INT), ("label", ColumnType.STRING)])
+
+
+def publish_group(
+    ctx: RuntimeContext,
+    block_id: int,
+    value_cols: list[str],
+    group: GroupValue,
+    key_cols: tuple[str, ...] = (),
+) -> None:
+    """Republish block ``block_id`` with ``group`` added (a block output
+    is replaced whole, never extended in place)."""
+    prev = ctx.blocks.get(block_id)
+    groups = list(prev.groups.values()) if prev is not None else []
+    ctx.blocks[block_id] = BlockOutput.from_groups(
+        block_id,
+        list(key_cols),
+        value_cols,
+        groups + [group],
+        ctx.num_trials,
+        ctx.indexes[block_id],
+    )
 
 
 @pytest.fixture

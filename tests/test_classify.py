@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.blocks import BlockOutput, GroupValue, OnlineConfig, RuntimeContext
+from repro.core.blocks import GroupValue, OnlineConfig, RuntimeContext
 from repro.core.classify import (
     FALSE,
     PENDING,
@@ -16,6 +16,7 @@ from repro.core.classify import (
 from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.relational import Catalog, ColumnType, Relation, Schema
 from repro.relational.expressions import Col, Comparison, Literal, col
+from tests.conftest import publish_group
 
 SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 
@@ -27,15 +28,13 @@ def make_ctx(t=4):
 
 
 def publish(ctx, value, trials, lo, hi, key=(), block=1, colname="v"):
-    out = ctx.blocks.get(block) or BlockOutput(block, [], [colname])
     uv = UncertainValue(
         value,
         np.asarray(trials, dtype=float),
         VariationRange(lo, hi),
         LineageRef(block, key, colname),
     )
-    out.publish(GroupValue(key, {colname: uv}, True), is_new=True)
-    ctx.blocks[block] = out
+    publish_group(ctx, block, [colname], GroupValue(key, {colname: uv}, True))
 
 
 def rel(d_values, keys=None, block=1, colname="v"):
@@ -76,12 +75,6 @@ class TestEvaluateSide:
         ctx = make_ctx()  # nothing published
         side = evaluate_side(Col("u"), rel([0.0]), {"u"}, ctx)
         assert side.pending[0]
-
-    def test_refs_collected(self):
-        ctx = make_ctx()
-        publish(ctx, 10.0, [10.0] * 4, 8.0, 12.0)
-        side = evaluate_side(Col("u"), rel([0.0]), {"u"}, ctx)
-        assert side.refs == {LineageRef(1, (), "v")}
 
 
 class TestClassifyComparison:

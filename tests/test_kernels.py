@@ -24,7 +24,6 @@ from repro.core.operators.base import SpineOp, StateRule, TagRule
 from repro.core.operators.join import UncertainJoinOp
 from repro.core.sentinels import SentinelStore
 from repro.core.values import LineageRef, UncertainValue, VariationRange
-from repro.kernels import views
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import (
     grouped_indices,
@@ -33,12 +32,13 @@ from repro.kernels.holistic import (
 )
 from repro.kernels.joins import SideIndex, vectorized_join
 from repro.kernels.stats import STATS
-from repro.kernels.views import GroupTable, group_table
 from repro.relational import Catalog, ColumnType, Relation, Schema, relation_from_columns
 from repro.relational.aggregates import AGG_FUNCTIONS, AggregateFunction, Median, Quantile
 from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
+from repro.storage.lineage import LineageColumn
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
+from tests.conftest import publish_group
 
 
 def make_ctx(t=4, vectorize=True):
@@ -249,7 +249,7 @@ class TestVectorizedJoin:
 
 
 def _view(t=4):
-    out = BlockOutput(7, ["k2"], ["ax"])
+    groups = []
     statuses = [
         (0, MEMBER_TRUE, True, True, None),
         (1, MEMBER_FALSE, True, False, None),
@@ -262,59 +262,72 @@ def _view(t=4):
             float(k), np.full(t, float(k)), VariationRange(k - 1.0, k + 1.0),
             LineageRef(7, (k,), "ax"),
         )
-        out.publish(
+        groups.append(
             GroupValue(
                 (k,), {"ax": uv, "lbl": k * 10}, certain,
                 member_status=status, member_point=point, exist_trials=exist,
-            ),
-            is_new=True,
+            )
         )
-    return out
+    return BlockOutput.from_groups(7, ["k2"], ["ax"], groups, t)
 
 
-class TestGroupTable:
-    def test_constants_align_with_classify(self):
-        assert views.TRUE == classify.TRUE
-        assert views.FALSE == classify.FALSE
-        assert views.UNKNOWN == classify.UNKNOWN
-        assert views.PENDING == classify.PENDING
+class TestBlockOutputArrays:
+    """The gid-indexed arrays against the row view of the same output."""
+
+    def test_status_codes_align_with_classify(self):
+        assert MEMBER_TRUE == classify.TRUE
+        assert MEMBER_FALSE == classify.FALSE
+        assert MEMBER_UNKNOWN == classify.UNKNOWN
 
     def test_probe_matches_view_get(self):
         view = _view()
-        table = GroupTable(view)
         keys = [(0,), (99,), (3,), (2,)]
-        slots = table.probe(keys)
-        for key, slot in zip(keys, slots):
-            if slot < 0:
+        for key, gid in zip(keys, view.probe(keys)):
+            if gid < 0:
                 assert view.get(key) is None
             else:
-                assert table.groups[slot] is view.get(key)
+                assert view.index.keys[gid] == key
+                assert view.get(key).key == key
 
-    def test_status_matches_group_flags(self):
+    def test_join_status_matches_group_flags(self):
         view = _view()
-        table = GroupTable(view)
-        for slot, group in enumerate(table.groups):
+        for key, group in view.groups.items():
+            gid = view.gid(key)
             if group.certainly_in:
-                assert table.status[slot] == views.TRUE
+                assert view.join_status[gid] == classify.TRUE
             elif group.certainly_out:
-                assert table.status[slot] == views.FALSE
+                assert view.join_status[gid] == classify.FALSE
             else:
-                assert table.status[slot] == views.UNKNOWN
-            assert table.member_point[slot] == group.member_point
+                assert view.join_status[gid] == classify.UNKNOWN
+            assert view.member_point[gid] == group.member_point
 
     def test_exist_matrix(self):
         view = _view()
-        table = GroupTable(view)
-        mat = table.exist_matrix(4)
-        for slot, group in enumerate(table.groups):
-            assert np.array_equal(mat[slot], group.exist_in_trial(4))
+        for key, group in view.groups.items():
+            assert np.array_equal(view.exist[view.gid(key)], group.exist_in_trial(4))
 
-    def test_memoized_per_view(self):
+    def test_columns_stack_once_from_rows(self):
         view = _view()
-        STATS.reset()
-        assert group_table(view) is group_table(view)
-        snap = STATS.snapshot()
-        assert snap["view_table_misses"] == 1 and snap["view_table_hits"] == 1
+        col = view.ucol("ax")
+        assert view.ucol("ax") is col
+        for key, group in view.groups.items():
+            gid, uv = view.gid(key), group.values["ax"]
+            assert col.point[gid] == uv.value
+            assert np.array_equal(col.trials[gid], uv.trials)
+            assert (col.lo[gid], col.hi[gid]) == (uv.vrange.lo, uv.vrange.hi)
+        assert view.det_values("lbl", np.dtype(np.int64)).tolist() == [
+            0, 10, 20, 30, 40
+        ]
+        assert view.det_values("k2", np.dtype(np.int64)).tolist() == [0, 1, 2, 3, 4]
+
+    def test_gids_survive_republish_in_another_order(self):
+        first = _view()
+        again = BlockOutput.from_groups(
+            7, ["k2"], ["ax"], reversed(list(first.groups.values())), 4, first.index
+        )
+        assert list(again.groups) == list(reversed(list(first.groups)))
+        for key in first.groups:
+            assert again.gid(key) == first.gid(key)
 
 
 class _StubChild(SpineOp):
@@ -350,12 +363,14 @@ class TestAttachCoded:
     def test_attach_equality(self):
         op = self.make_op()
         view = _view()
-        table = GroupTable(view)
         rel = self.stream([0, 2, 4, 0, 3])
-        slots = table.probe([(k,) for k in rel.columns["k"].tolist()])
+        gids = view.probe([(k,) for k in rel.columns["k"].tolist()])
         groups = [view.get((k,)) for k in rel.columns["k"].tolist()]
         ref = op._attach(rel, groups)
-        out = op._attach_coded(rel, table, slots)
+        out = op._attach_coded(rel, view, gids)
+        lin = out.lineage["ax"]
+        assert (lin.block_id, lin.column) == (7, "ax")
+        assert lin.gids.tolist() == gids.tolist()
         assert out.schema.names == ref.schema.names
         assert np.array_equal(out.columns["lbl"], ref.columns["lbl"])
         assert out.columns["lbl"].dtype == ref.columns["lbl"].dtype
@@ -375,15 +390,13 @@ class TestAttachCoded:
 
 
 def publish_block(ctx, block, key, value, trials, lo, hi, colname="v"):
-    out = ctx.blocks.get(block) or BlockOutput(block, [], [colname])
     uv = UncertainValue(
         value,
         np.asarray(trials, dtype=float),
         VariationRange(lo, hi),
         LineageRef(block, key, colname),
     )
-    out.publish(GroupValue(key, {colname: uv}, True), is_new=True)
-    ctx.blocks[block] = out
+    publish_group(ctx, block, [colname], GroupValue(key, {colname: uv}, True))
 
 
 class TestResolveKernel:
@@ -391,13 +404,19 @@ class TestResolveKernel:
 
     SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 
-    def rel(self, d_values, keys):
+    def rel(self, d_values, keys, gids=None):
+        """Refs plus their gid sidecar, as the uncertain join attaches
+        them (the tests publish key ``k`` as gid ``k`` unless told)."""
         n = len(d_values)
         refs = np.empty(n, dtype=object)
         for i in range(n):
             refs[i] = LineageRef(1, (keys[i],), "v")
-        return Relation(
-            self.SCHEMA, {"d": np.asarray(d_values, dtype=float), "u": refs}
+        return Relation._from_parts(
+            self.SCHEMA,
+            {"d": np.asarray(d_values, dtype=float), "u": refs},
+            np.ones(n),
+            None,
+            lineage={"u": LineageColumn(1, "v", np.asarray(keys if gids is None else gids))},
         )
 
     def contexts(self, publish_keys=(0, 1), t=4):
@@ -424,7 +443,6 @@ class TestResolveKernel:
             equal_nan=True,
         )
         assert np.array_equal(vec.pending, ref.pending)
-        assert vec.refs == ref.refs
 
     def test_bare_column(self):
         self.assert_sides_equal(Col("u"), self.rel([0.0, 0.0, 0.0], [0, 1, 0]))
@@ -439,7 +457,7 @@ class TestResolveKernel:
         vec_ctx, ref_ctx = self.contexts((0,))
         for ctx in (vec_ctx, ref_ctx):
             publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
-        rel = self.rel([6.0, 6.0], [0, 9])
+        rel = self.rel([6.0, 6.0], [0, 9], gids=[0, 1])
         expr = col("d") / Col("u")
         vec = classify.evaluate_side(expr, rel, {"u"}, vec_ctx)
         ref = classify.evaluate_side(expr, rel, {"u"}, ref_ctx)
@@ -464,6 +482,18 @@ class TestResolveKernel:
             Arith("%", Col("u"), lit(3.0)), rel, {"u"}, vec_ctx
         )
         assert out is None
+
+    def test_column_without_sidecar_outside_kernel(self):
+        from repro.kernels import resolve as kresolve
+
+        vec_ctx, ref_ctx = self.contexts((0,))
+        rel = self.rel([2.0], [0])
+        bare = Relation(self.SCHEMA, dict(rel.columns))
+        assert kresolve.try_evaluate_side(Col("u") * 2.0, rel, {"u"}, vec_ctx)
+        assert kresolve.try_evaluate_side(Col("u") * 2.0, bare, {"u"}, vec_ctx) is None
+        vec = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, vec_ctx)
+        ref = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, ref_ctx)
+        assert np.array_equal(vec.point, ref.point)
 
     def test_classification_identical(self):
         vec_ctx, ref_ctx = self.contexts()
@@ -569,10 +599,15 @@ class TestVectorizedSentinels:
         )
 
     def assert_stores_equal(self, a, b):
+        def by_entity(store):
+            # Slot numbering is free; histories per entity are not.
+            return {
+                ent: (store.true_hist[slot], store.false_hist[slot])
+                for ent, slot in store.entities.items()
+            }
+
         for sa, sb in zip(a._per_conjunct, b._per_conjunct):
-            assert sa.true_side == sb.true_side
-            assert sa.false_side == sb.false_side
-            assert sa.ref_rows == sb.ref_rows
+            assert by_entity(sa) == by_entity(sb)
 
     def test_batched_fold_equals_sequential(self):
         rng = np.random.default_rng(4)

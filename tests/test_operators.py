@@ -200,7 +200,7 @@ class TestAggregateOp:
         op.run(ctx)
         assert all(g.certain for g in ctx.blocks[99].groups.values())
 
-    def test_new_keys_tracked_across_batches(self):
+    def test_gids_follow_first_publication_across_batches(self):
         ctx = make_ctx(total=20)
         first = random_kx(10, seed=4, groups=1)
         second = random_kx(10, seed=5, groups=3)
@@ -217,11 +217,15 @@ class TestAggregateOp:
         op = AggregateOp(child, ["k"], [count("n")], node.output_schema({}), 99, True)
         feed(ctx, 1, first)
         op.run(ctx)
-        first_new = list(ctx.blocks[99].new_keys)
+        index = ctx.indexes[99]
+        first_keys = list(index.keys)
+        assert first_keys == list(ctx.blocks[99].groups)
         feed(ctx, 2, second)
         op.run(ctx)
-        second_new = list(ctx.blocks[99].new_keys)
-        assert set(first_new).isdisjoint(second_new)
+        assert ctx.blocks[99].index is index
+        assert index.keys[: len(first_keys)] == first_keys
+        assert len(index) > len(first_keys)
+        assert set(index.keys) == set(ctx.blocks[99].groups)
 
     def test_vanished_volatile_group_tombstoned(self):
         ctx = make_ctx(total=20)

@@ -36,6 +36,7 @@ from repro.relational import (
 from repro.relational.aggregates import median
 from repro.relational.evaluator import aggregate_relation, join_relations
 from repro.relational.expressions import Col
+from repro.storage.lineage import LineageColumn
 from tests.conftest import KX_SCHEMA
 from tests.test_kernels import (
     assert_partials_identical,
@@ -284,8 +285,13 @@ class TestKernelsMatchReferenceFuzzed:
         refs = np.empty(n, dtype=object)
         for i in range(n):
             refs[i] = LineageRef(1, (int(key_ids[i]),), "v")
-        rel = Relation(
-            schema, {"d": np.round(rng.normal(0, 3, n), 2), "u": refs}
+        # Groups are published in key order below, so gid == key.
+        rel = Relation._from_parts(
+            schema,
+            {"d": np.round(rng.normal(0, 3, n), 2), "u": refs},
+            np.ones(n),
+            None,
+            lineage={"u": LineageColumn(1, "v", np.asarray(key_ids))},
         )
         trials_of = {k: rng.standard_normal(5).round(2) for k in range(keys)}
         sides = []
@@ -294,7 +300,7 @@ class TestKernelsMatchReferenceFuzzed:
                 Catalog({}), "t", 100, OnlineConfig(num_trials=5, vectorize=vectorize)
             )
             ctx.batch_no = 1
-            out = BlockOutput(1, [], ["v"])
+            groups = []
             for k in range(keys):
                 value = float(10 + k)
                 uv = UncertainValue(
@@ -303,8 +309,8 @@ class TestKernelsMatchReferenceFuzzed:
                     VariationRange(value - 2.0, value + 2.0),
                     LineageRef(1, (k,), "v"),
                 )
-                out.publish(GroupValue((k,), {"v": uv}, True), is_new=True)
-            ctx.blocks[1] = out
+                groups.append(GroupValue((k,), {"v": uv}, True))
+            ctx.blocks[1] = BlockOutput.from_groups(1, [], ["v"], groups, 5)
             expr = Col("u") * 0.5 + col("d")
             sides.append(evaluate_side(expr, rel, {"u"}, ctx))
         vec, ref = sides
@@ -317,7 +323,6 @@ class TestKernelsMatchReferenceFuzzed:
             equal_nan=True,
         )
         assert np.array_equal(vec.pending, ref.pending)
-        assert vec.refs == ref.refs
 
 
 class TestFullRunVectorizeFuzzed:
@@ -392,8 +397,8 @@ class TestRangeMonitorBatchedParity:
 
     @staticmethod
     def assert_ranges_equal(got, want, where):
-        for name in ("lo", "hi"):
-            g, w = getattr(got, name), getattr(want, name)
+        for name, g in zip(("lo", "hi"), got):
+            w = getattr(want, name)
             assert g == w or (np.isnan(g) and np.isnan(w)), (
                 f"{where}: {name} {g!r} != {w!r}"
             )
@@ -420,16 +425,7 @@ class TestRangeMonitorBatchedParity:
 
         batched = RangeMonitor(slack=slack)
         scalar = RangeMonitor(slack=slack)
-        keys = [(g,) for g in range(num_groups)]
-        got = batched.observe_batch(7, "v", keys, 1, points, trials)
-        for g, key in enumerate(keys):
-            want = scalar.observe(
-                (7, key, "v"), 1, float(points[g]), trials[g]
-            )
-            self.assert_ranges_equal(got[g], want, f"group {g}")
-            # The published (stored) range must agree too.
-            self.assert_ranges_equal(
-                batched.range_for((7, key, "v")),
-                scalar.range_for((7, key, "v")),
-                f"stored group {g}",
-            )
+        lo, hi = batched.observe_batch(points, trials)
+        for g in range(num_groups):
+            want = scalar.observe(float(points[g]), trials[g])
+            self.assert_ranges_equal((lo[g], hi[g]), want, f"group {g}")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocks import (
     BlockOutput,
@@ -15,8 +17,8 @@ from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.errors import RangeIntegrityError
 from repro.relational import Catalog, ColumnType, Relation, Schema
 from repro.relational.expressions import Col, Comparison, Literal
+from tests.conftest import publish_group
 
-CELL = (1, (), "v")
 
 
 def make_ctx(num_trials=4) -> RuntimeContext:
@@ -28,52 +30,46 @@ def make_ctx(num_trials=4) -> RuntimeContext:
 
 
 def publish(ctx, block_id, key, colname, value, trials, member_point=True, certain=True):
-    out = ctx.blocks.get(block_id) or BlockOutput(block_id, [], [colname])
     uv = UncertainValue(
-        value, np.asarray(trials, dtype=float), lineage=LineageRef(block_id, key, colname)
+        value,
+        np.resize(np.asarray(trials, dtype=float), ctx.num_trials),
+        lineage=LineageRef(block_id, key, colname),
     )
-    out.publish(
-        GroupValue(key, {colname: uv}, certain, member_point=member_point), is_new=True
+    publish_group(
+        ctx, block_id, [colname],
+        GroupValue(key, {colname: uv}, certain, member_point=member_point),
     )
-    ctx.blocks[block_id] = out
 
 
 class TestRangeMonitor:
     def test_observe_returns_fresh_range(self):
         mon = RangeMonitor(slack=0.0)
-        r = mon.observe(CELL, 1, 2.0, np.array([1.0, 3.0]))
+        r = mon.observe(2.0, np.array([1.0, 3.0]))
         assert (r.lo, r.hi) == (1.0, 3.0)
 
     def test_range_includes_running_value(self):
         mon = RangeMonitor(slack=0.0)
-        r = mon.observe(CELL, 1, 10.0, np.array([1.0, 3.0]))
+        r = mon.observe(10.0, np.array([1.0, 3.0]))
         assert r.contains_value(10.0)
 
     def test_disabled_returns_everything(self):
         mon = RangeMonitor(enabled=False)
-        r = mon.observe(CELL, 1, 2.0, np.array([1.0, 3.0]))
+        r = mon.observe(2.0, np.array([1.0, 3.0]))
         assert r == VariationRange.everything()
 
     def test_replaying_freezes(self):
         mon = RangeMonitor()
-        mon.observe(CELL, 1, 2.0, np.array([1.0, 3.0]))
         mon.replaying = True
-        assert mon.range_for(CELL) == VariationRange.everything()
-
-    def test_range_for_unknown_cell(self):
-        assert RangeMonitor().range_for(CELL) == VariationRange.everything()
+        r = mon.observe(2.0, np.array([1.0, 3.0]))
+        assert r == VariationRange.everything()
+        lo, hi = mon.observe_batch(np.array([2.0]), np.array([[1.0, 3.0]]))
+        assert (lo[0], hi[0]) == (-np.inf, np.inf)
 
     def test_ranges_float_between_batches(self):
         mon = RangeMonitor(slack=0.0)
-        mon.observe(CELL, 1, 2.0, np.array([1.0, 3.0]))
-        r2 = mon.observe(CELL, 2, 9.0, np.array([8.0, 10.0]))
+        mon.observe(2.0, np.array([1.0, 3.0]))
+        r2 = mon.observe(9.0, np.array([8.0, 10.0]))
         assert (r2.lo, r2.hi) == (8.0, 10.0)  # no intersection pre-use
-
-    def test_reset(self):
-        mon = RangeMonitor(slack=0.0)
-        mon.observe(CELL, 1, 2.0, np.array([1.0, 3.0]))
-        mon.reset()
-        assert len(mon) == 0
 
     def test_failure_counter(self):
         mon = RangeMonitor()
@@ -361,3 +357,120 @@ class TestMembershipRecoverFrom:
         ms.record(("g",), True, batch_no=2)
         ctx.monitor.replaying = True
         ms.check(ctx, self.view(ctx, {("g",): False}))
+
+
+class TestVectorizedCheckMatchesRowwise:
+    """The array pass of ``SentinelStore.check`` / ``MembershipSentinels
+    .check`` only filters: outcome, recovery depth and first reason equal
+    the row-wise reference (``vectorize=False``) on random staircases."""
+
+    SCHEMA = Schema(
+        [("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT), ("w", ColumnType.FLOAT)]
+    )
+    CONJUNCTS = [
+        Comparison(">", Col("d"), Col("u")),
+        Comparison("<=", Col("u") * 0.5, Col("d")),  # det side on the right
+        Comparison(">", Col("u"), Col("w") * 2.0),  # both sides uncertain
+    ]
+
+    @staticmethod
+    def outcome(check):
+        try:
+            check()
+        except RangeIntegrityError as failure:
+            return failure.recover_from_batch, str(failure)
+        return None
+
+    def contexts(self, published):
+        pair = []
+        for vectorize in (True, False):
+            ctx = RuntimeContext(
+                Catalog({}), "t", 100, OnlineConfig(num_trials=2, vectorize=vectorize)
+            )
+            ctx.batch_no = 9
+            for block_id, colname in ((1, "v"), (2, "x")):
+                for key, value in published[block_id].items():
+                    publish(ctx, block_id, (key,), colname, value, [value])
+            pair.append(ctx)
+        return pair
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sentinel_store(self, data):
+        """Decisions are recorded as they held under one set of estimates
+        (NaN det values and a few wrong ones mixed in), then checked
+        under moved estimates — none, one or several flip or vanish."""
+        which = data.draw(st.integers(0, 2), label="conjunct")
+        conjunct = self.CONJUNCTS[which]
+        value = st.floats(-20, 20, allow_nan=False)
+        before = {1: [data.draw(value) for _ in range(4)],
+                  2: [data.draw(value) for _ in range(2)]}
+        store = SentinelStore([conjunct], {"u", "w"})
+        for batch_no in range(1, data.draw(st.integers(1, 5), label="batches") + 1):
+            n = data.draw(st.integers(1, 6), label="rows")
+            uk = [data.draw(st.integers(0, 3)) for _ in range(n)]
+            wk = [data.draw(st.integers(0, 1)) for _ in range(n)]
+            d = np.array([
+                float("nan") if data.draw(st.integers(0, 9)) == 0 else data.draw(value)
+                for _ in range(n)
+            ])
+            pu = np.array([before[1][k] for k in uk])
+            pw = np.array([before[2][k] for k in wk])
+            with np.errstate(invalid="ignore"):
+                held = [d > pu, pu * 0.5 <= d, pu > pw * 2.0][which]
+            wrong = np.array([data.draw(st.integers(0, 14)) == 0 for _ in range(n)])
+            u = np.empty(n, dtype=object)
+            w = np.empty(n, dtype=object)
+            u[:] = [LineageRef(1, (k,), "v") for k in uk]
+            w[:] = [LineageRef(2, (k,), "x") for k in wk]
+            store.record(
+                0, Relation(self.SCHEMA, {"d": d, "u": u, "w": w}), np.arange(n),
+                held ^ wrong,
+                vectorize=data.draw(st.booleans(), label="batched record"),
+                batch_no=batch_no,
+            )
+        moved = st.one_of(st.just(0.0), st.floats(-15, 15, allow_nan=False))
+        published = {
+            block_id: {
+                k: float("nan") if data.draw(st.integers(0, 19)) == 0 else p + data.draw(moved)
+                for k, p in enumerate(points)
+                if data.draw(st.integers(0, 9), label=f"{block_id}/{k} published")
+            }
+            for block_id, points in before.items()
+        }
+        vec_ctx, ref_ctx = self.contexts(published)
+        needed = {1, 2} if which == 2 else {1}
+        if needed <= set(vec_ctx.blocks):
+            # The array pass decides; it does not fall back to all rows.
+            per_conjunct = store._per_conjunct[0]
+            assert store._suspects(0, per_conjunct, vec_ctx) is not None
+        got = self.outcome(lambda: store.check(vec_ctx))
+        want = self.outcome(lambda: store.check(ref_ctx))
+        assert got == want
+        assert vec_ctx.monitor.failures == ref_ctx.monitor.failures
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_membership(self, data):
+        ms = MembershipSentinels()
+        for key in range(5):
+            if data.draw(st.booleans(), label=f"recorded {key}"):
+                ms.record(
+                    (key,), data.draw(st.booleans()),
+                    batch_no=data.draw(st.integers(1, 8)),
+                )
+        outcomes = []
+        members = {
+            key: data.draw(st.booleans())
+            for key in range(5)
+            if data.draw(st.booleans(), label=f"published {key}")
+        }
+        for vectorize in (True, False):
+            ctx = RuntimeContext(
+                Catalog({}), "t", 100, OnlineConfig(num_trials=2, vectorize=vectorize)
+            )
+            ctx.batch_no = 9
+            for key, member in members.items():
+                publish(ctx, 7, (key,), "v", 1.0, [1.0], member_point=member)
+            outcomes.append(self.outcome(lambda: ms.check(ctx, ctx.blocks.get(7))))
+        assert outcomes[0] == outcomes[1]

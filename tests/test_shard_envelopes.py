@@ -32,7 +32,7 @@ from repro.metrics.stats import BatchMetrics
 from repro.relational import ColumnType, Schema, relation_from_columns
 from repro.relational.relation import Relation
 from repro.storage import ingest_chunks
-from repro.storage.lineage import lineage_from_refs
+from repro.storage.lineage import LineageColumn
 from repro.workloads import TPCH_QUERIES
 
 
@@ -99,9 +99,7 @@ class TestRelationRoundTrip:
         ).encodings
 
     def test_lineage_sidecar(self, kx_relation):
-        pool = np.array(["g0", "g1"], dtype=object)
-        slots = np.array([0, 1] * 6)
-        lin = lineage_from_refs("blk", pool, slots)
+        lin = LineageColumn(7, "v", np.array([0, 1] * 6))
         rel = Relation._from_parts(
             kx_relation.schema,
             dict(kx_relation.columns),
@@ -111,8 +109,8 @@ class TestRelationRoundTrip:
         )
         back = roundtrip(rel)
         assert "k" in back.lineage
-        assert np.array_equal(back.lineage["k"].slots, lin.slots)
-        assert list(back.lineage["k"].blocks) == ["blk"]
+        assert np.array_equal(back.lineage["k"].gids, lin.gids)
+        assert (back.lineage["k"].block_id, back.lineage["k"].column) == (7, "v")
 
     def test_whole_disk_table_relation(self, tmp_path):
         schema = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT)])

@@ -50,9 +50,13 @@ def uv(value, trials, lo, hi, key=(), colname="v", block=1):
 
 
 def publish_block(ctx, rows, block=1, key_cols=("g",)):
-    out = BlockOutput(block, list(key_cols), [])
-    for key, values, certain in rows:
-        out.publish(GroupValue(key, values, certain), is_new=True)
+    out = BlockOutput.from_groups(
+        block,
+        list(key_cols),
+        [],
+        [GroupValue(key, values, certain) for key, values, certain in rows],
+        ctx.num_trials,
+    )
     ctx.blocks[block] = out
     return out
 
@@ -245,22 +249,21 @@ class TestUnit:
 
 class TestClassifyRowPredicate:
     def test_deterministic(self):
-        status, point, trials, sources = classify_row_predicate(
+        status, point, trials = classify_row_predicate(
             Col("a") > 1.0, {"a": 2.0}, T
         )
-        assert status == MEMBER_TRUE and point and trials is None and sources == ()
+        assert status == MEMBER_TRUE and point and trials is None
 
     def test_uncertain_resolved(self):
         value = uv(10.0, [10.0] * T, 8, 12)
-        status, point, trials, sources = classify_row_predicate(
+        status, point, trials = classify_row_predicate(
             Col("a") > 100.0, {"a": value}, T
         )
-        assert status == MEMBER_FALSE
-        assert sources == value.sources
+        assert status == MEMBER_FALSE and not point and trials is None
 
     def test_uncertain_unknown_trials(self):
         value = uv(10.0, [9.0, 10.0, 11.0, 12.0], 8, 12)
-        status, point, trials, _ = classify_row_predicate(
+        status, point, trials = classify_row_predicate(
             Col("a") > 10.5, {"a": value}, T
         )
         assert status == MEMBER_UNKNOWN
@@ -268,10 +271,10 @@ class TestClassifyRowPredicate:
 
     def test_equality_ranges(self):
         value = uv(10.0, [10.0] * T, 8, 12)
-        status, _, _, _ = classify_row_predicate(Col("a").eq(99.0), {"a": value}, T)
+        status, _, _ = classify_row_predicate(Col("a").eq(99.0), {"a": value}, T)
         assert status == MEMBER_FALSE
 
     def test_not_equal_mirrors(self):
         value = uv(10.0, [10.0] * T, 8, 12)
-        status, _, _, _ = classify_row_predicate(Col("a").ne(99.0), {"a": value}, T)
+        status, _, _ = classify_row_predicate(Col("a").ne(99.0), {"a": value}, T)
         assert status == MEMBER_TRUE

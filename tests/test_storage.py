@@ -19,7 +19,6 @@ from repro.analysis.lint import lint_source
 from repro.batching import Partitioner
 from repro.core.values import LineageRef
 from repro.errors import ReproError
-from repro.kernels.codec import factorize_cells
 from repro.relational import ColumnType, Relation, Schema, relation_from_columns
 from repro.storage import (
     DictPage,
@@ -28,7 +27,6 @@ from repro.storage import (
     LineageColumn,
     encode_relation,
     ingest_chunks,
-    lineage_from_refs,
     open_table,
     write_relation,
 )
@@ -274,59 +272,47 @@ class TestPartitionerZeroCopy:
 # ---------------------------------------------------------------------------
 
 
-def _ref_column(n: int, groups: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    pool = np.empty(groups, dtype=object)
-    pool[:] = [LineageRef(block_id=0, key=(g,), column="v") for g in range(groups)]
-    slots = rng.integers(0, groups, n).astype(np.int32)
-    return pool, slots
+def _gids(n: int, groups: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, groups, n)
 
 
 class TestLineageColumn:
-    def test_factorized_honours_factorize_cells_contract(self):
-        # The contract is ``cells[codes[i]] is column[i]`` — the code
-        # *numbering* is free (factorize_cells sorts by id, the sidecar
-        # by first appearance); consumers only gather and re-partition.
-        pool, slots = _ref_column(50, 5, seed=3)
-        lin = lineage_from_refs("b", pool, slots)
-        column = pool[slots]
-        codes, cells = lin.factorized()
-        assert all(cells[c] is obj for c, obj in zip(codes, column))
-        ref_codes, ref_cells = factorize_cells(column)
-        assert len(cells) == len(ref_cells)
-        # Identical partitions: same-code pairs agree between the two.
-        np.testing.assert_array_equal(
-            codes[:, None] == codes[None, :],
-            ref_codes[:, None] == ref_codes[None, :],
-        )
+    def test_gids_narrow_to_code_dtype(self):
+        lin = LineageColumn(3, "v", _gids(50, 5, seed=3))
+        assert lin.gids.dtype == np.int32
+        assert (lin.block_id, lin.column, len(lin)) == (3, "v", 50)
 
-    def test_nd_mask_and_all_refs(self):
-        pool, slots = _ref_column(10, 3)
-        slots[4] = -1
-        lin = LineageColumn(pool, slots, np.zeros(10, np.int32), ("b",))
-        assert lin.nd_mask.tolist() == (slots >= 0).tolist()
-        assert not lin.all_refs
-        assert lin.factorized() is None  # mixed columns fall back
+    def test_take_slice_keep_the_block_column(self):
+        gids = _gids(20, 4)
+        lin = LineageColumn(3, "v", gids)
+        taken = lin.take(np.array([3, 7]))
+        assert (taken.block_id, taken.column) == (3, "v")
+        assert taken.gids.tolist() == gids[[3, 7]].tolist()
+        assert lin.slice(5, 15).gids.tolist() == gids[5:15].tolist()
 
-    def test_take_slice_preserve_pool(self):
-        pool, slots = _ref_column(20, 4)
-        lin = lineage_from_refs("b", pool, slots)
-        assert lin.take(np.array([3, 7])).pool is pool
-        assert lin.slice(5, 15).pool is pool
-        assert len(lin.slice(5, 15)) == 10
+    def test_concat_requires_the_same_block_column(self):
+        lin = LineageColumn(3, "v", _gids(10, 3))
+        # Sidecars written in different batches always concatenate: gids
+        # are stable, so there is no per-batch pool to disagree on.
+        later = LineageColumn(3, "v", _gids(4, 6, seed=1))
+        both = lin.concat(later)
+        assert both.gids.tolist() == lin.gids.tolist() + later.gids.tolist()
+        assert lin.concat(LineageColumn(4, "v", later.gids)) is None
+        assert lin.concat(LineageColumn(3, "w", later.gids)) is None
 
-    def test_concat_requires_shared_pool(self):
-        pool, slots = _ref_column(10, 3)
-        lin = lineage_from_refs("b", pool, slots)
-        assert len(lin.concat(lin.slice(0, 4))) == 14
-        other_pool, other_slots = _ref_column(10, 3, seed=1)
-        assert lin.concat(lineage_from_refs("b", other_pool, other_slots)) is None
+    def test_relation_concat_keeps_sidecar_across_batches(self):
+        schema = Schema([("u", ColumnType.FLOAT)])
 
-    def test_empty_factorized(self):
-        pool, _ = _ref_column(1, 2)
-        lin = lineage_from_refs("b", pool, np.empty(0, dtype=np.int32))
-        codes, cells = lin.factorized()
-        assert len(codes) == 0 and len(cells) == 0
+        def batch(gids):
+            refs = np.empty(len(gids), dtype=object)
+            refs[:] = [LineageRef(3, (int(g),), "v") for g in gids]
+            return Relation._from_parts(
+                schema, {"u": refs}, np.ones(len(gids)), None,
+                lineage={"u": LineageColumn(3, "v", np.asarray(gids))},
+            )
+
+        store = batch([0, 1]).concat(batch([1, 2, 5]))
+        assert store.lineage["u"].gids.tolist() == [0, 1, 1, 2, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +544,9 @@ def test_prop_single_distinct_key(n, chunk_rows, tmp_path_factory):
 @fuzz
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40))
 def test_prop_lineage_round_trip(raw_slots):
-    groups = 4
-    pool = np.empty(groups, dtype=object)
-    pool[:] = [LineageRef(block_id=0, key=(g,), column="v") for g in range(groups)]
-    slots = np.asarray([abs(s) % groups for s in raw_slots], dtype=np.int32)
-    lin = lineage_from_refs("b", pool, slots)
-    column = pool[slots]
-    codes, cells = lin.factorized()
-    assert all(cells[c] is obj for c, obj in zip(codes, column))
-    assert len(cells) == len(set(slots.tolist()))
-    # Slicing then concatenating reproduces the original factorization.
-    half = len(slots) // 2
-    rejoined = lin.slice(0, half).concat(lin.slice(half, len(slots)))
-    np.testing.assert_array_equal(rejoined.slots, lin.slots)
+    gids = np.asarray([abs(s) for s in raw_slots])
+    lin = LineageColumn(0, "v", gids)
+    # Slicing then concatenating reproduces the original gids.
+    half = len(gids) // 2
+    rejoined = lin.slice(0, half).concat(lin.slice(half, len(gids)))
+    np.testing.assert_array_equal(rejoined.gids, lin.gids)

@@ -176,22 +176,6 @@ class TestUncertainValue:
         lo, hi = uv(0.0, [np.nan]).confidence_interval()
         assert math.isnan(lo) and math.isnan(hi)
 
-    def test_sources_default_from_lineage(self):
-        ref = LineageRef(1, (), "a")
-        v = UncertainValue(1.0, np.array([1.0]), lineage=ref)
-        assert v.sources == (ref,)
-
-    def test_sources_union_in_arithmetic(self):
-        r1, r2 = LineageRef(1, (), "a"), LineageRef(2, (), "b")
-        a = UncertainValue(1.0, np.array([1.0]), lineage=r1)
-        b = UncertainValue(2.0, np.array([2.0]), lineage=r2)
-        assert set((a + b).sources) == {r1, r2}
-
-    def test_sources_preserved_with_scalar(self):
-        r1 = LineageRef(1, (), "a")
-        a = UncertainValue(1.0, np.array([1.0]), lineage=r1)
-        assert (a * 3).sources == (r1,)
-
 
 class TestHelpers:
     def test_range_of_plain(self):
