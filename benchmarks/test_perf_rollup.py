@@ -156,19 +156,15 @@ def test_end_to_end_speedup(bench):
 
 def test_per_batch_cost_flat_in_resolved_groups(bench):
     """The mechanism, not just the headline: rollup-on batch cost must
-    stay flatter than the reference, which grows with the published
-    universe. (Since the block boundary went columnar the reference's
-    publish no longer builds objects per group and the rollup path pays
-    one (G, T) array carry per batch, so at CI's reduced scale the two
-    growth ratios sit near 2.0 and 1.3; the floors leave room for that.)"""
+    stay flat while the reference grows with the published universe."""
     on = bench["end_to_end"]["tail_over_head_rollup"]
     off = bench["end_to_end"]["tail_over_head_reference"]
     assert on <= 2.0, f"rollup per-batch cost grew {on:.2f}x head->tail"
-    assert off >= 1.5, (
+    assert off >= 2.0, (
         f"reference per-batch cost grew only {off:.2f}x head->tail — the "
         "workload no longer stresses the published-universe recompute"
     )
-    assert off / on >= 1.25, f"flatness gap too small: off={off:.2f} on={on:.2f}"
+    assert off / on >= 1.5, f"flatness gap too small: off={off:.2f} on={on:.2f}"
 
 
 def test_rollup_tier_dominates_hot_tier(bench):

@@ -154,10 +154,15 @@ class BlockOutput:
     the gids this batch published, in publication order (``present`` is
     its mask; other gids hold NaN / unbounded / empty filler); ``certain``
     / ``member_status`` / ``member_point`` / ``exist (G, T)`` are the
-    :class:`GroupValue` membership fields; :meth:`ucol` is a value column.
-    :class:`GroupValue` rows are materialised on demand and cached
-    (:meth:`get`, :meth:`rows`, :attr:`groups`); an output built *from*
-    rows (:meth:`from_groups`) keeps them and stacks columns on demand.
+    :class:`GroupValue` membership fields; :meth:`ucol` is an uncertain
+    value column, :meth:`det_values` a plain one. :class:`GroupValue` rows
+    are a cache over the arrays (:meth:`get`, :meth:`rows`,
+    :attr:`groups`), the one thing written after publish: two threads
+    materialising one group build equal rows and the later one stays.
+
+    Exception: the ``persistent`` output of a rollup-on aggregate is that
+    operator's state — the next publish extends its arrays and rewrites
+    the republished gids in place, and a snapshot copies them.
     """
 
     #: ``estimate_nbytes`` threads its seen-set through ``estimated_bytes``
@@ -176,16 +181,23 @@ class BlockOutput:
         self.key_cols = key_cols
         self.value_cols = value_cols
         self.index = index if index is not None else GroupIndex()
-        #: Trailing entries of ``order`` outside the rollup path's stable prefix.
+        #: Rollup-on aggregate output; ``num_tail`` trailing entries of
+        #: ``order`` lie outside its stable prefix.
+        self.persistent = False
         self.num_tail = 0
-        #: Built by :meth:`from_groups`: rows are the truth, columns derived.
-        self.from_rows = False
         self._rows: dict[int, GroupValue] = {}
+        self._dets: dict[str, np.ndarray] = {}
         self._join_status: np.ndarray | None = None
         none = np.zeros(0, dtype=bool)
+        nan = np.zeros(0)
         self.fill(
             none.astype(np.intp), none, none.astype(np.int8), none,
-            np.zeros((0, num_trials), dtype=bool), {},
+            np.zeros((0, num_trials), dtype=bool),
+            {
+                name: UColumn(nan, np.zeros((0, num_trials)), nan, nan)
+                for name in value_cols
+                if name not in key_cols
+            },
         )
 
     # -- construction ---------------------------------------------------------------
@@ -219,10 +231,11 @@ class BlockOutput:
         num_trials: int,
         index: GroupIndex | None = None,
     ) -> "BlockOutput":
-        """Output over row-form groups (a later duplicate key replaces
-        the earlier group in place, as a dict would)."""
+        """Output stacked from row-form groups, which seed the row cache
+        (a later duplicate key replaces the earlier group, as in a dict).
+        A value column with an uncertain cell becomes a :class:`UColumn`
+        (plain cells read as point ranges), any other a plain array."""
         out = cls(block_id, key_cols, value_cols, index)
-        out.from_rows = True
         by_key = {group.key: group for group in groups}
         order = out.index.add(list(by_key))
         out._rows = dict(zip(order.tolist(), by_key.values()))
@@ -235,7 +248,28 @@ class BlockOutput:
             certain[gid], status[gid] = group.certain, group.member_status
             point[gid] = group.member_point
             exist[gid] = True if group.exist_trials is None else group.exist_trials
-        out.fill(order, certain, status, point, exist, {})
+        ucols: dict[str, UColumn] = {}
+        for name in value_cols:
+            if name in key_cols:
+                continue
+            cells = [group.values[name] for group in by_key.values()]
+            uncertain = [isinstance(cell, UncertainValue) for cell in cells]
+            if not any(uncertain):
+                plain = np.array(cells)
+                out._dets[name] = np.zeros(g, dtype=plain.dtype)
+                out._dets[name][order] = plain
+            if any(uncertain) or not cells:
+                col = ucols[name] = UColumn(
+                    np.full(g, np.nan), np.full((g, num_trials), np.nan),
+                    np.full(g, -np.inf), np.full(g, np.inf),
+                )
+                for gid, v, is_uncertain in zip(order.tolist(), cells, uncertain):
+                    if is_uncertain:
+                        col.point[gid], col.trials[gid] = v.value, v.trials
+                        col.lo[gid], col.hi[gid] = v.vrange.lo, v.vrange.hi
+                    else:
+                        col.point[gid] = col.trials[gid] = col.lo[gid] = col.hi[gid] = v
+        out.fill(order, certain, status, point, exist, ucols)
         return out
 
     def relabel(
@@ -244,8 +278,8 @@ class BlockOutput:
     ) -> "BlockOutput":
         """Pass-through view under new names, sharing the index and every
         array: ``key_cols`` rename ``self.key_cols`` one for one, ``source``
-        maps each uncertain view column to the column it renames. As for
-        any small-plan leaf, an unsettled group is an UNKNOWN member."""
+        maps each other view column to the column it renames. As for any
+        small-plan leaf, an unsettled group is an UNKNOWN member."""
         view = BlockOutput(block_id, key_cols, value_cols, self.index)
         view.fill(
             self.order,
@@ -253,8 +287,9 @@ class BlockOutput:
             np.where(self.certain, MEMBER_TRUE, MEMBER_UNKNOWN).astype(np.int8),
             self.member_point,
             self.exist,
-            {name: self.ucol(src) for name, src in source.items()},
+            {c: self._ucols[s] for c, s in source.items() if s in self._ucols},
         )
+        view._dets = {c: self._dets[s] for c, s in source.items() if s in self._dets}
         return view
 
     def adopt_rows(self, prev: "BlockOutput", republished: np.ndarray) -> None:
@@ -267,34 +302,16 @@ class BlockOutput:
     # -- array reads ----------------------------------------------------------------
 
     def ucol(self, name: str) -> UColumn:
-        """Column ``name`` by gid (stacked once from the rows of a
-        row-built output; plain values read as point ranges)."""
-        col = self._ucols.get(name)
-        if col is None:
-            g, t = self.exist.shape
-            col = self._ucols[name] = UColumn(
-                np.full(g, np.nan), np.full((g, t), np.nan),
-                np.full(g, -np.inf), np.full(g, np.inf),
-            )
-            for gid, group in self._rows.items():
-                v = group.values[name]
-                if isinstance(v, UncertainValue):
-                    col.point[gid], col.trials[gid] = v.value, v.trials
-                    col.lo[gid], col.hi[gid] = v.vrange.lo, v.vrange.hi
-                else:
-                    col.point[gid] = col.trials[gid] = col.lo[gid] = col.hi[gid] = v
-        return col
+        """Uncertain value column ``name`` by gid."""
+        return self._ucols[name]
 
     def det_values(self, name: str, dtype: np.dtype) -> np.ndarray:
-        """``(G,)`` deterministic values of column ``name``."""
-        g = len(self.present)
+        """``(G,)`` values of the key or plain value column ``name``."""
         if name in self.key_cols:
             at = self.key_cols.index(name)
-            return np.array([key[at] for key in self.index.keys[:g]], dtype=dtype)
-        out = np.zeros(g, dtype=dtype)
-        for gid, group in self._rows.items():
-            out[gid] = group.values[name]
-        return out
+            keys = self.index.keys[: len(self.present)]
+            return np.array([key[at] for key in keys], dtype=dtype)
+        return self._dets[name].astype(dtype, copy=False)
 
     @property
     def join_status(self) -> np.ndarray:
@@ -344,28 +361,33 @@ class BlockOutput:
         """Row form of the published groups ``gids``, materialised on
         first use and cached for the life of this output."""
         cache = self._rows
-        missing = [gid for gid in gids if gid not in cache]
+        missing = sorted(set(gids).difference(cache))
         if missing:
             at = np.asarray(missing, dtype=np.intp)
             keys = self.index.keys
             certain = self.certain[at].tolist()
             status = self.member_status[at].tolist()
             point = self.member_point[at].tolist()
+            # Gathers copy: a row owns its trial vectors.
+            exist = self.exist[at]
             cols = [
-                (name, col.point[at].tolist(), col.trials, col.lo[at].tolist(),
+                (name, col.point[at].tolist(), col.trials[at], col.lo[at].tolist(),
                  col.hi[at].tolist(), self.index.refs(self.block_id, name))
                 for name, col in self._ucols.items()
             ]
+            dets = [(name, det[at].tolist()) for name, det in self._dets.items()]
             for i, gid in enumerate(missing):
                 key = keys[gid]
                 values: dict[str, object] = dict(zip(self.key_cols, key))
+                for name, plain in dets:
+                    values[name] = plain[i]
                 for name, points, trials, lo, hi, refs in cols:
                     values[name] = UncertainValue(
-                        points[i], trials[gid], VariationRange(lo[i], hi[i]), refs[gid]
+                        points[i], trials[i], VariationRange(lo[i], hi[i]), refs[gid]
                     )
                 cache[gid] = GroupValue(
                     key, values, certain[i], status[i], point[i],
-                    None if certain[i] else self.exist[gid],
+                    None if certain[i] else exist[i],
                 )
         return [cache[gid] for gid in gids]
 
@@ -373,11 +395,17 @@ class BlockOutput:
         return len(self.order)
 
     def __deepcopy__(self, memo: dict) -> "BlockOutput":
-        """Checkpoint copy: shares every array, owns its caches."""
+        """Checkpoint copy: owns its row cache and shares every array,
+        unless they are a persistent output's (written in place)."""
         clone = copy.copy(self)
         memo[id(self)] = clone
-        clone._ucols = dict(self._ucols)
         clone._rows = dict(self._rows)
+        if self.persistent:
+            for name in ("certain", "member_point", "exist"):
+                setattr(clone, name, getattr(self, name).copy())
+            clone._ucols = {
+                name: UColumn(*map(np.copy, col)) for name, col in self._ucols.items()
+            }
         return clone
 
     def estimated_bytes(self, seen: set[int] | None = None) -> int:

@@ -93,9 +93,8 @@ def evaluate_side(
     trials = np.empty((n, ctx.num_trials))
     pending = np.zeros(n, dtype=bool)
     cache: dict[object, object] = {}
-    columns = {name: rel.columns[name] for name in expr.attrs()}
     for i in range(n):
-        row = {name: column[i] for name, column in columns.items()}
+        row = rel.row(i)
         bad = False
         for name in touched:
             cell = row[name]

@@ -293,9 +293,10 @@ class AggregateOp(SpineOp):
             return
         rollup = self._rollup
         rows = sketch.extract_groups(candidates)
-        for key, accum in rows.items():
-            # Later outputs hand this same row object back (``adopt_rows``).
-            rollup.migrate(key, output.get(key), accum, ctx.batch_no)
+        # Later outputs hand these same row objects back (``adopt_rows``).
+        groups = output.rows([output.gid(key) for key in rows])
+        for (key, accum), group in zip(rows.items(), groups):
+            rollup.migrate(key, group, accum, ctx.batch_no)
         self._quiesce.forget(candidates)
         if ctx.obs.enabled:
             ctx.obs.metrics.counter("rollup.migrations", op=self.label).inc(
@@ -447,16 +448,16 @@ class AggregateOp(SpineOp):
         g = len(index)
         republished = np.concatenate([gids, tomb_gids])
         # Replaced only with the rollup tier on (else the empty initial
-        # one): migrated groups ride along in its arrays untouched.
+        # one): its arrays are this operator's buffers, rewritten at the
+        # republished gids only — migrated groups ride along untouched.
         prev = self._output
 
         def scattered(fill, values: np.ndarray, carry: np.ndarray) -> np.ndarray:
             # values at gids; elsewhere carry, or (tombstones too) fill.
             kept = len(carry)
-            out = np.empty((g,) + values.shape[1:], dtype=values.dtype)
+            out = _extended(carry, g, values)
             out[kept:] = fill
             if kept:
-                out[:kept] = carry
                 out[tomb_gids] = fill
             out[gids] = values
             return out
@@ -515,7 +516,7 @@ class AggregateOp(SpineOp):
             hot = np.fromiter(map(self.sketch.key_to_gid.__contains__, keys), bool, n)
             tail = np.concatenate([gids[~hot], tomb_gids])
             order = np.concatenate([stable, gids[hot & ~placed[gids]], tail])
-            output.num_tail = len(tail)
+            output.persistent, output.num_tail = True, len(tail)
         all_members = np.full(g, MEMBER_TRUE, dtype=np.int8)
         output.fill(order, certain, all_members, member_point, exist_g, ucols)
         ctx.metrics.nd_groups += n
@@ -538,3 +539,14 @@ class AggregateOp(SpineOp):
         if obs_on:
             ctx.obs.metrics.gauge("block.groups", op=self.label).set(len(output))
         ctx.blocks[self.block_id] = output
+
+
+def _extended(buf: np.ndarray, g: int, like: np.ndarray) -> np.ndarray:
+    """``buf`` lengthened to ``g`` rows (of ``like``'s row shape), in place
+    while the allocation behind it has room; it doubles when not."""
+    base = buf.base if isinstance(buf.base, np.ndarray) else buf
+    if len(base) < g or base.shape[1:] != like.shape[1:]:
+        base = np.empty((max(g, 2 * len(base)),) + like.shape[1:], dtype=like.dtype)
+        if len(buf):
+            base[: len(buf)] = buf
+    return base[:g]

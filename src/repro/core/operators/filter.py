@@ -161,14 +161,16 @@ class UncertainFilterOp(SpineOp):
         if not ctx.config.lazy_lineage and self.nd_store is not None:
             # OPT2 off: regenerate cached rows from scratch — re-run the
             # deterministic conjuncts over the store as well, modelling the
-            # re-execution of the upstream chain for each cached tuple.
+            # re-execution of the upstream chain for each cached tuple
+            # (which re-attaches the same lineage gids).
             store = self.nd_store
             self.nd_store = self._apply_det(
-                Relation(
+                Relation._from_parts(
                     store.schema,
                     {n: a.copy() for n, a in store.columns.items()},
                     store.mult.copy(),
                     None if store.trial_mults is None else store.trial_mults.copy(),
+                    lineage=dict(store.lineage) or None,
                 )
             )
 

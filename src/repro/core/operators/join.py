@@ -203,6 +203,31 @@ class UncertainJoinOp(SpineOp):
         status[gids >= 0] = view.join_status[gids[gids >= 0]]
         return kc, gids, status
 
+    def _probe_rows(
+        self, rel: Relation, view: BlockOutput | None, missing: np.int8,
+        record: bool, batch_no: int,
+    ) -> tuple[np.ndarray, list[GroupValue | None]]:
+        """Row-wise :meth:`_probe`: per row its join status (``missing``
+        where the view has not published the key) and group, leaving a
+        sentinel for each stable decision when ``record``."""
+        keys = self._keys_of(rel)
+        status = np.full(len(rel), missing, dtype=np.int8)
+        groups = [view.get(key) if view is not None else None for key in keys]
+        for i, (key, group) in enumerate(zip(keys, groups)):
+            if group is None:
+                continue
+            decided = group.certainly_in or group.certainly_out
+            status[i] = UNKNOWN if not decided else TRUE if group.certainly_in else FALSE
+            if decided and record:
+                self.member_sentinels.record(key, group.certainly_in, batch_no=batch_no)
+        return status, groups
+
+    def _with_columns(self, rel: Relation, cols: dict, lineage: dict) -> Relation:
+        return Relation._from_parts(
+            self.schema, cols, rel.mult, rel.trial_mults,
+            encodings=rel.encodings or None, lineage=lineage or None,
+        )
+
     def _attach_coded(
         self, rel: Relation, view: BlockOutput | None, gid_rows: np.ndarray
     ) -> Relation:
@@ -227,30 +252,32 @@ class UncertainJoinOp(SpineOp):
                 cols[name] = view.det_values(name, self.schema.type_of(name).dtype)[
                     gid_rows
                 ]
-        return Relation._from_parts(
-            self.schema,
-            cols,
-            rel.mult,
-            rel.trial_mults,
-            encodings=rel.encodings or None,
-            lineage=lineage or None,
-        )
+        return self._with_columns(rel, cols, lineage)
 
-    def _attach(self, rel: Relation, groups: list[GroupValue]) -> Relation:
-        """Append side columns for rows whose group is known."""
+    def _attach(
+        self, rel: Relation, view: BlockOutput | None, groups: list[GroupValue]
+    ) -> Relation:
+        """Append side columns for rows whose group is known, row by row
+        (the reference, and OPT2-off's regenerate-from-scratch cost); the
+        gid sidecar rides along as in :meth:`_attach_coded`."""
         n = len(rel)
         cols = dict(rel.columns)
+        lineage = dict(rel.lineage)
         for name, is_uncertain in self.attach_cols:
             if is_uncertain:
                 arr = np.empty(n, dtype=object)
                 for i, g in enumerate(groups):
                     arr[i] = LineageRef(self.side_id, g.key, name)
+                if n:
+                    lineage[name] = LineageColumn(
+                        self.side_id, name, view.probe([g.key for g in groups])
+                    )
             else:
                 arr = np.empty(n, dtype=self.schema.type_of(name).dtype)
                 for i, g in enumerate(groups):
                     arr[i] = g.values[name]
             cols[name] = arr
-        return Relation(self.schema, cols, rel.mult, rel.trial_mults)
+        return self._with_columns(rel, cols, lineage)
 
     def _partition_new(
         self,
@@ -269,32 +296,15 @@ class UncertainJoinOp(SpineOp):
             return self._empty_out(ctx), self._empty_out(ctx), rel
         if ctx.config.vectorize:
             return self._partition_new_vec(rel, view, record, ctx.batch_no)
-        keys = self._keys_of(rel)
-        status = np.empty(n, dtype=np.int8)
-        groups: list[GroupValue | None] = [None] * n
-        for i, key in enumerate(keys):
-            group = view.get(key) if view is not None else None
-            groups[i] = group
-            if group is None:
-                status[i] = PENDING
-            elif group.certainly_in:
-                status[i] = TRUE
-                if record:
-                    self.member_sentinels.record(key, True, batch_no=ctx.batch_no)
-            elif group.certainly_out:
-                status[i] = FALSE
-                if record:
-                    self.member_sentinels.record(key, False, batch_no=ctx.batch_no)
-            else:
-                status[i] = UNKNOWN
+        status, groups = self._probe_rows(rel, view, PENDING, record, ctx.batch_no)
         sure = status == TRUE
         unknown = status == UNKNOWN
         waiting = status == PENDING
         certain_out = self._attach(
-            rel.filter(sure), [g for g, s in zip(groups, sure) if s]
+            rel.filter(sure), view, [g for g, s in zip(groups, sure) if s]
         )
         nd = self._attach(
-            rel.filter(unknown), [g for g, s in zip(groups, unknown) if s]
+            rel.filter(unknown), view, [g for g, s in zip(groups, unknown) if s]
         )
         return certain_out, nd, rel.filter(waiting)
 
@@ -333,24 +343,20 @@ class UncertainJoinOp(SpineOp):
         n = len(rel)
         if n == 0 or view is None:
             return self._empty_out(ctx)
+        point = np.zeros(n, dtype=bool)
+        trials = np.zeros((n, ctx.num_trials), dtype=bool)
         if ctx.config.vectorize:
             kc, gids_u, _ = self._probe(rel, view, UNKNOWN)
             gids = gids_u[kc.codes]
             present = gids >= 0
-            point = np.zeros(n, dtype=bool)
-            trials = np.zeros((n, ctx.num_trials), dtype=bool)
             point[present] = view.member_point[gids[present]]
             trials[present] = view.exist[gids[present]]
-            return mask_contribution(rel, (point, trials))
-        keys = self._keys_of(rel)
-        point = np.zeros(n, dtype=bool)
-        trials = np.zeros((n, ctx.num_trials), dtype=bool)
-        for i, key in enumerate(keys):
-            group = view.get(key)
-            if group is None:
-                continue
-            point[i] = group.member_point
-            trials[i] = group.exist_in_trial(ctx.num_trials)
+        else:
+            for i, key in enumerate(self._keys_of(rel)):
+                group = view.get(key)
+                if group is not None:
+                    point[i] = group.member_point
+                    trials[i] = group.exist_in_trial(ctx.num_trials)
         return mask_contribution(rel, (point, trials))
 
     def _empty_out(self, ctx: RuntimeContext) -> Relation:
@@ -389,12 +395,10 @@ class UncertainJoinOp(SpineOp):
             # column for the whole store (the paper's "re-generating the
             # tuple from scratch" cost that lineage + lazy evaluation
             # avoids).
-            groups = [view.get(key) for key in self._keys_of(nd_old)]
-            keep = np.array(
-                [g is not None for g in groups], dtype=bool
-            )
+            gids = view.probe(self._keys_of(nd_old))
+            keep = gids >= 0
             nd_old = self._attach(
-                nd_old.filter(keep), [g for g in groups if g is not None]
+                nd_old.filter(keep), view, view.rows(gids[keep].tolist())
             )
         if len(nd_old) and view is not None:
             if ctx.config.vectorize:
@@ -402,24 +406,7 @@ class UncertainJoinOp(SpineOp):
                 self._record_resolved(kc, status_u, ctx.batch_no)
                 status = status_u[kc.codes]
             else:
-                keys = self._keys_of(nd_old)
-                status = np.empty(len(nd_old), dtype=np.int8)
-                for i, key in enumerate(keys):
-                    group = view.get(key)
-                    if group is None:
-                        status[i] = UNKNOWN
-                    elif group.certainly_in:
-                        status[i] = TRUE
-                        self.member_sentinels.record(
-                            key, True, batch_no=ctx.batch_no
-                        )
-                    elif group.certainly_out:
-                        status[i] = FALSE
-                        self.member_sentinels.record(
-                            key, False, batch_no=ctx.batch_no
-                        )
-                    else:
-                        status[i] = UNKNOWN
+                status, _ = self._probe_rows(nd_old, view, UNKNOWN, True, ctx.batch_no)
             certain_new = certain_new.concat(nd_old.filter(status == TRUE))
             nd_old = nd_old.filter(status == UNKNOWN)
         self.nd_store = nd_old.concat(nd_new)

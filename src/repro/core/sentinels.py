@@ -150,6 +150,25 @@ def _push(op: str, expected: bool, hist: History, batch_no: int, value: float) -
         hist.append((batch_no, tight))
 
 
+def _traced(ctx: RuntimeContext, store, check) -> None:
+    """Run ``check()`` under a ``range-check`` span (a failure also logs a
+    warning) — unless a recovery replay is in flight."""
+    if ctx.monitor.replaying:
+        return
+    tracer = ctx.obs.tracer
+    if not tracer.enabled:
+        check()
+        return
+    with tracer.span("range-check", cat="range", batch=ctx.batch_no, sentinels=len(store)):
+        try:
+            check()
+        except RangeIntegrityError as failure:
+            tracer.warning(
+                "range-integrity-failure", batch=ctx.batch_no, message=str(failure)
+            )
+            raise
+
+
 class SentinelStore:
     """All sentinels of one online operator."""
 
@@ -291,23 +310,7 @@ class SentinelStore:
         hold at the restore point, the replayed suffix prunes nothing, and
         a raise here would escape the controller's recovery handler.
         """
-        if ctx.monitor.replaying:
-            return
-        tracer = ctx.obs.tracer
-        if not tracer.enabled:
-            self._check(ctx)
-            return
-        with tracer.span(
-            "range-check", cat="range", batch=ctx.batch_no, sentinels=len(self)
-        ):
-            try:
-                self._check(ctx)
-            except RangeIntegrityError as failure:
-                tracer.warning(
-                    "range-integrity-failure", batch=ctx.batch_no,
-                    message=str(failure),
-                )
-                raise
+        _traced(ctx, self, lambda: self._check(ctx))
 
     def _check(self, ctx: RuntimeContext) -> None:
         #: (recover_from_batch, reason) per violated (entity, direction);
@@ -490,23 +493,7 @@ class MembershipSentinels:
             self.resolved_at[key] = batch_no
 
     def check(self, ctx: RuntimeContext, view) -> None:
-        if ctx.monitor.replaying:
-            return
-        tracer = ctx.obs.tracer
-        if not tracer.enabled:
-            self._check(ctx, view)
-            return
-        with tracer.span(
-            "range-check", cat="range", batch=ctx.batch_no, sentinels=len(self)
-        ):
-            try:
-                self._check(ctx, view)
-            except RangeIntegrityError as failure:
-                tracer.warning(
-                    "range-integrity-failure", batch=ctx.batch_no,
-                    message=str(failure),
-                )
-                raise
+        _traced(ctx, self, lambda: self._check(ctx, view))
 
     def _check(self, ctx: RuntimeContext, view) -> None:
         if ctx.config.vectorize and view is not None:

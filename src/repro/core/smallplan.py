@@ -566,9 +566,7 @@ class SmallPlanUnit:
             return False
         leaf, source = passthrough
         output = ctx.blocks.get(leaf.block_id)
-        if output is None or output.from_rows:
-            return False
-        if [source[c] for c in self.key_cols] != output.key_cols:
+        if output is None or [source[c] for c in self.key_cols] != output.key_cols:
             return False
         ctx.blocks[self.publish_id] = output.relabel(
             self.publish_id,

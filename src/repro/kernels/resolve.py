@@ -11,10 +11,10 @@ to the per-row NumPy-scalar ops) and interval arithmetic mirroring
 :class:`~repro.core.values.VariationRange` for the bounds.
 
 :func:`try_evaluate_side` returns ``None`` for what the kernel does not
-cover (non-arithmetic nodes, ``%``, non-numeric literals, an uncertain
-column without the sidecar — hand-built, or attached by the row-wise
-reference); the caller falls back to the row-wise reference, keeping the
-fast path an optimization rather than a semantics fork.
+cover (non-arithmetic nodes, ``%``, non-numeric literals, a hand-built
+uncertain column without the sidecar); the caller falls back to the
+row-wise reference, keeping the fast path an optimization rather than a
+semantics fork.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def resolve_column(lineage, ctx) -> _Node:
     blanked by :func:`try_evaluate_side`)."""
     output = ctx.blocks.get(lineage.block_id)
     n = len(lineage)
-    if output is None or not len(output.present):
+    if output is None or not len(output):
         nan = np.full(n, np.nan)
         return _Node(nan, nan, nan, None, np.ones(n, dtype=bool))
     pending = output.absent(lineage.gids)

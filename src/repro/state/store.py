@@ -107,13 +107,8 @@ class SelfSizingSet(set):
 
     def update(self, *iterables: object) -> None:  # type: ignore[override]
         for iterable in iterables:
-            # Steady state re-offers the same keys every batch: find the
-            # few new ones with one set difference, not a probe per item.
-            fresh = set(iterable)  # type: ignore[call-overload]
-            fresh.difference_update(self)
-            for item in fresh:
-                set.add(self, item)
-                self._nbytes += 16 + estimate_nbytes(item)
+            for item in iterable:  # type: ignore[attr-defined]
+                self.add(item)
 
     def discard(self, item: object) -> None:
         if item in self:

@@ -2,9 +2,10 @@
 
 Three kinds of check, all count- or value-based so they repeat exactly:
 
-* engine runs — with the default config no lineage reference is resolved
-  through an object: every classify of an ND store gathers by gid from
-  the sidecar, and never over more distinct groups than the block has;
+* engine runs — with the vectorized kernels (default config, and OPT2
+  off) no lineage reference is resolved through an object: every classify
+  of an ND store gathers by gid from the sidecar, and never over more
+  distinct groups than the block has;
 * hypothesis parity of the lazily materialised ``groups`` view against
   the arrays it is built from (tombstones, volatile-only groups, the
   scalar ``()`` group, empty outputs, keys not yet published);
@@ -53,9 +54,10 @@ def catalogs(tpch_small, conviva_small):
 
 
 class TestLineageIsTheGid:
+    @pytest.mark.parametrize("lazy_lineage", [True, False], ids=["default", "opt2-off"])
     @pytest.mark.parametrize("name", ["Q20", "C9"])
-    def test_no_object_resolution_on_the_default_path(
-        self, name, catalogs, monkeypatch
+    def test_no_object_resolution_on_the_vectorized_path(
+        self, name, lazy_lineage, catalogs, monkeypatch
     ):
         spec = {**TPCH_QUERIES, **CONVIVA_QUERIES}[name]
         counts = {"resolve": 0, "rowwise": 0, "gathers": 0}
@@ -84,7 +86,9 @@ class TestLineageIsTheGid:
         monkeypatch.setattr(kresolve, "resolve_column", gather)
 
         engine = OnlineQueryEngine(
-            catalogs[name], spec.streamed_table, OnlineConfig(num_trials=8, seed=7)
+            catalogs[name],
+            spec.streamed_table,
+            OnlineConfig(num_trials=8, seed=7, lazy_lineage=lazy_lineage),
         )
         session = engine.open_run(spec.plan, 12)
         try:
@@ -223,6 +227,15 @@ class TestRowViewMatchesArrays:
         assert out.get((1,)) is None
         assert out.probe([(1,)]).tolist() == [-1]
         assert out.estimated_bytes() == 0
+
+    def test_row_built_output_with_nothing_published(self):
+        index = GroupIndex()
+        index.add([(1,), (2,)])
+        out = BlockOutput.from_groups(5, ["k"], ["v", "w"], [], T, index)
+        assert len(out) == 0 and out.absent(np.array([0, 1])).all()
+        # Either reading of a column nobody published is filler.
+        assert np.isnan(out.ucol("v").point).all() and out.ucol("v").trials.shape == (2, T)
+        assert out.det_values("w", np.dtype(np.int64)).tolist() == [0, 0]
 
     def test_passthrough_view_is_an_array_relabel(self):
         ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=T))

@@ -268,7 +268,7 @@ def _view(t=4):
                 member_status=status, member_point=point, exist_trials=exist,
             )
         )
-    return BlockOutput.from_groups(7, ["k2"], ["ax"], groups, t)
+    return BlockOutput.from_groups(7, ["k2"], ["ax", "lbl"], groups, t)
 
 
 class TestBlockOutputArrays:
@@ -306,7 +306,7 @@ class TestBlockOutputArrays:
         for key, group in view.groups.items():
             assert np.array_equal(view.exist[view.gid(key)], group.exist_in_trial(4))
 
-    def test_columns_stack_once_from_rows(self):
+    def test_columns_stacked_from_rows(self):
         view = _view()
         col = view.ucol("ax")
         assert view.ucol("ax") is col
@@ -323,7 +323,8 @@ class TestBlockOutputArrays:
     def test_gids_survive_republish_in_another_order(self):
         first = _view()
         again = BlockOutput.from_groups(
-            7, ["k2"], ["ax"], reversed(list(first.groups.values())), 4, first.index
+            7, ["k2"], ["ax", "lbl"], reversed(list(first.groups.values())), 4,
+            first.index,
         )
         assert list(again.groups) == list(reversed(list(first.groups)))
         for key in first.groups:
@@ -366,11 +367,11 @@ class TestAttachCoded:
         rel = self.stream([0, 2, 4, 0, 3])
         gids = view.probe([(k,) for k in rel.columns["k"].tolist()])
         groups = [view.get((k,)) for k in rel.columns["k"].tolist()]
-        ref = op._attach(rel, groups)
+        ref = op._attach(rel, view, groups)
         out = op._attach_coded(rel, view, gids)
-        lin = out.lineage["ax"]
-        assert (lin.block_id, lin.column) == (7, "ax")
-        assert lin.gids.tolist() == gids.tolist()
+        for lin in (out.lineage["ax"], ref.lineage["ax"]):
+            assert (lin.block_id, lin.column) == (7, "ax")
+            assert lin.gids.tolist() == gids.tolist()
         assert out.schema.names == ref.schema.names
         assert np.array_equal(out.columns["lbl"], ref.columns["lbl"])
         assert out.columns["lbl"].dtype == ref.columns["lbl"].dtype
@@ -382,7 +383,7 @@ class TestAttachCoded:
         op = self.make_op()
         rel = self.stream([])
         out = op._attach_coded(rel, None, np.empty(0, dtype=np.intp))
-        ref = op._attach(rel, [])
+        ref = op._attach(rel, None, [])
         assert out.schema.names == ref.schema.names
         for name in out.schema.names:
             assert out.columns[name].dtype == ref.columns[name].dtype

@@ -402,6 +402,76 @@ class TestRestoreDemotion:
 
 
 # ---------------------------------------------------------------------------
+# The rollup-on block output is operator state: buffers written in place.
+# ---------------------------------------------------------------------------
+
+
+class TestPersistentOutput:
+    def _session(self, num_batches):
+        engine = OnlineQueryEngine(
+            wave_catalog(n=12000, groups=600),
+            "t",
+            OnlineConfig(num_trials=8, seed=7, rollup=True, checkpoint_interval=0),
+            partition_mode="sequential",
+        )
+        return engine.open_run(wave_plan(), num_batches)
+
+    @staticmethod
+    def _output(ctx):
+        (out,) = [
+            store.get("output")
+            for store in map(ctx.stores.get, ctx.stores.namespaces())
+            if store.get("output") is not None
+        ]
+        return out
+
+    def test_publish_rewrites_only_republished_groups(self):
+        session = self._session(20)
+        try:
+            buffers, migrated = {}, 0
+            for batch_no in range(1, 21):
+                session.process(batch_no)
+                out = self._output(session.ctx)
+                assert out.persistent
+                trials = out.ucol("ax").trials
+                assert len(trials) == len(out.index)
+                buffers[id(trials.base)] = trials.base  # kept alive: ids stay distinct
+                migrated = max(migrated, session.ctx.metrics.rollup_groups)
+        finally:
+            session.close()
+        assert migrated > 0
+        # 30 fresh groups arrive in each of the 20 batches, yet the (G, T)
+        # buffer is reallocated only when its doubling capacity runs out.
+        assert len(buffers) <= 6, len(buffers)
+
+    def test_snapshot_owns_its_arrays(self):
+        import copy
+
+        session = self._session(8)
+        try:
+            for batch_no in range(1, 5):
+                session.process(batch_no)
+            out = self._output(session.ctx)
+            snap = copy.deepcopy(out)
+            want = {
+                "exist": out.exist.copy(),
+                "certain": out.certain.copy(),
+                "trials": out.ucol("ay").trials.copy(),
+                "point": out.ucol("ay").point.copy(),
+            }
+            assert not np.shares_memory(snap.exist, out.exist)
+            assert not np.shares_memory(snap.ucol("ay").trials, out.ucol("ay").trials)
+            for batch_no in range(5, 9):
+                session.process(batch_no)
+        finally:
+            session.close()
+        assert np.array_equal(snap.exist, want["exist"])
+        assert np.array_equal(snap.certain, want["certain"])
+        assert np.array_equal(snap.ucol("ay").trials, want["trials"], equal_nan=True)
+        assert np.array_equal(snap.ucol("ay").point, want["point"], equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # Report schema v2: the rollup section round-trips and validates.
 # ---------------------------------------------------------------------------
 

@@ -53,7 +53,7 @@ def publish_block(ctx, rows, block=1, key_cols=("g",)):
     out = BlockOutput.from_groups(
         block,
         list(key_cols),
-        [],
+        sorted({c for _, values, _ in rows for c in values} - set(key_cols)),
         [GroupValue(key, values, certain) for key, values, certain in rows],
         ctx.num_trials,
     )
