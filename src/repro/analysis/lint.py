@@ -446,7 +446,7 @@ def _is_set_expression(node: ast.expr) -> bool:
 #: ingestion these arrays alias other relations (and disk pages), so an
 #: in-place write anywhere corrupts every aliasing view.
 _BUFFER_ATTRS = frozenset(
-    {"columns", "mult", "trial_mults", "codes", "null_mask", "gids"}
+    {"columns", "mult", "trial_mults", "_trials", "ids", "codes", "null_mask", "gids"}
 )
 
 #: Module suffixes allowed to write buffers: the storage layer's own

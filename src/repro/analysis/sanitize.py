@@ -62,8 +62,9 @@ def _buffers_of(obj: Any) -> Iterator[np.ndarray]:
     """Duck-typed sweep of every ndarray a dataflow message carries.
 
     Understands ``DeltaBatch`` (certain/volatile), ``Relation``
-    (columns, mult, trial_mults, encoding and lineage sidecars), lists,
-    tuples, and bare arrays; silently skips anything else.
+    (columns, mult, the trial matrix or the row ids of undrawn trials,
+    encoding and lineage sidecars), lists, tuples, and bare arrays;
+    silently skips anything else.
     """
     if obj is None:
         return
@@ -83,8 +84,8 @@ def _buffers_of(obj: Any) -> Iterator[np.ndarray]:
         for arr in cols.values():
             if isinstance(arr, np.ndarray):
                 yield arr
-    for attr in ("mult", "trial_mults"):
-        arr = getattr(obj, attr, None)
+    trials = getattr(obj, "_trials", None)
+    for arr in (getattr(obj, "mult", None), getattr(trials, "ids", trials)):
         if isinstance(arr, np.ndarray):
             yield arr
     encodings = getattr(obj, "encodings", None)
@@ -168,12 +169,25 @@ class BufferSanitizer:
                 self._claims.clear()
                 self._pins.clear()
             # Re-entry for the same batch (unit retry, replay of the batch
-            # that failed) keeps the maps but still owns the delta: a
-            # replay re-draws the trial matrix into a fresh buffer.
+            # that failed) keeps the maps but still owns the delta.
             owner = f"stream:batch-{batch_no}"
             for arr in _buffers_of(delta):
                 arr.flags.writeable = False
                 self._own(_base(arr), owner)
+        self.seconds += time.perf_counter() - started
+
+    def own_drawn(self, trials: np.ndarray) -> None:
+        """Freeze a trial matrix as it is drawn; the stream owns it.
+
+        Trials are drawn inside whichever operator first reads them, and
+        two same-wave pipelines may draw the same rows (a pure function of
+        the row id) — neither claims the buffer, so emitting it is a
+        pass-through and an in-place write names the stream as owner.
+        """
+        started = time.perf_counter()
+        trials.flags.writeable = False
+        with self._lock:
+            self._own(trials, f"stream:batch-{self._batch_no}")
         self.seconds += time.perf_counter() - started
 
     def check_batch(self) -> None:

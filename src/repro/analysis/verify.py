@@ -61,8 +61,10 @@ def _relation_parts(rel: Any) -> Iterable[bytes]:
         else:
             yield arr.tobytes()
     yield rel.mult.tobytes()
-    if rel.trial_mults is not None:
-        yield rel.trial_mults.tobytes()
+    trials = rel._trials
+    if trials is not None:
+        # Undrawn weights are a pure function of the row ids: hash those.
+        yield getattr(trials, "ids", trials).tobytes()
 
 
 def fingerprint_value(value: Any) -> bytes | None:

@@ -17,7 +17,10 @@ are provided, mirroring the paper:
 Whatever the mode, :meth:`Partitioner.partition` materializes a batch
 with ``Relation.slice`` (views, no copies) whenever its sorted row
 indices turn out contiguous, and falls back to ``take`` gathers
-otherwise.
+otherwise. Every batch carries its rows' indices in the partitioned
+relation (:class:`~repro.relational.relation.LazyTrials` with no source
+yet): the global row ids the run's bootstrap weights are a function of,
+so a row keeps its weights whatever the mode or the batch count.
 
 The partitioner also exposes the accumulated-sampling bookkeeping: after
 batch ``i`` the engine has seen ``|D_i|`` rows of ``|D|``, so partial
@@ -27,11 +30,12 @@ aggregates extrapolate with ``m_i = |D| / |D_i|``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.relational.relation import Relation
+from repro.relational.relation import LazyTrials, Relation
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,21 @@ class Partitioner:
         return [np.sort(part) for part in np.array_split(order, num_batches)]
 
     def partition(
-        self, relation: Relation, num_batches: int
+        self,
+        relation: Relation,
+        num_batches: int,
+        columns: Sequence[str] | None = None,
     ) -> list[Relation]:
-        """Materialized mini-batch relations (zero-copy when contiguous)."""
-        return [
-            _materialize_batch(relation, ix)
-            for ix in self.partition_indices(len(relation), num_batches)
-        ]
+        """Materialized mini-batch relations (zero-copy when contiguous),
+        of ``columns`` only when given: what is not read is not gathered."""
+        indices = self._batch_indices(relation, num_batches)
+        if columns is not None:
+            relation = relation.project(columns)
+        return [_materialize_batch(relation, ix) for ix in indices]
+
+    def _batch_indices(self, relation: Relation, num_batches: int) -> list[np.ndarray]:
+        """Each batch's sorted row indices (value-aware subclasses override)."""
+        return self.partition_indices(len(relation), num_batches)
 
 
 def _materialize_batch(relation: Relation, ix: np.ndarray) -> Relation:
@@ -111,8 +123,12 @@ def _materialize_batch(relation: Relation, ix: np.ndarray) -> Relation:
     the streamed table (its buffers may themselves be disk maps).
     """
     if len(ix) and int(ix[-1]) - int(ix[0]) == len(ix) - 1:
-        return relation.slice(int(ix[0]), int(ix[-1]) + 1)
-    return relation.take(ix)
+        batch = relation.slice(int(ix[0]), int(ix[-1]) + 1)
+    else:
+        batch = relation.take(ix)
+    if isinstance(batch._trials, LazyTrials):
+        return batch  # ids of an enclosing table (a disk table's offsets)
+    return batch.with_mult(batch.mult, LazyTrials(ix))
 
 
 def num_batches_for(total_rows: int, batch_rows: int) -> int:

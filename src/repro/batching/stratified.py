@@ -55,11 +55,7 @@ class StratifiedPartitioner(Partitioner):
             for parts in batches
         ]
 
-    def partition(self, relation: Relation, num_batches: int) -> list[Relation]:
-        return [
-            relation.take(ix)
-            for ix in self.partition_relation_indices(relation, num_batches)
-        ]
+    _batch_indices = partition_relation_indices
 
 
 def stratum_coverage(

@@ -9,10 +9,13 @@ the ``T`` per-trial results form an empirical distribution of the
 estimator, from which standard errors, confidence intervals, and the
 variation ranges of Section 5 are all derived.
 
-Draws are deterministic per ``(seed, table, batch)`` so that multiple
-scans of the same streamed table inside one query observe identical trial
-weights — required for the bootstrap to be consistent across a query's
-lineage blocks — and so that failure-recovery replays reproduce history.
+A row's ``T`` weights are a pure function of ``(seed, streamed table,
+global row id, trial)`` — a counter-based hash, no generator state — so
+every scan of the streamed table inside one query, every executor, every
+shard worker and every failure-recovery replay observes identical
+weights, whatever the batch count or partition mode, and only the rows
+that survive to a consumer of trials are ever drawn
+(:class:`~repro.relational.relation.LazyTrials`).
 """
 
 from __future__ import annotations
@@ -41,25 +44,50 @@ def _poisson1_table() -> np.ndarray:
 _POISSON1 = _poisson1_table()
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a ``uint64`` array (callers
+    silence the wrap-around: ``np.errstate(over="ignore")``)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def trial_multiplicities(
-    num_rows: int, num_trials: int, seed: int, table: str, batch_no: int
+    num_rows: int,
+    num_trials: int,
+    seed: int,
+    table: str,
+    row_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """A (num_rows, num_trials) ``uint8`` matrix of Poisson(1) trial counts.
 
-    Sixteen uniform bits per cell, mapped through :data:`_POISSON1`. The
-    bytes are read little-endian so the stream is the same on every host.
-    Counts stay ``uint8`` until something multiplies them by a float;
-    callers must never sum them or multiply two of them in ``uint8``.
+    Row ``i`` holds the weights of global row ``row_ids[i]`` of ``table``
+    (``arange(num_rows)`` when omitted); ids may repeat or come in any
+    order. Each row id is hashed with the ``(seed, table)`` key into a
+    splitmix64 stream start, one 64-bit word of that stream feeds four
+    trials (16 uniform bits each, read little-endian so every host agrees)
+    and each lane is mapped through :data:`_POISSON1`. Trial ``t`` of a
+    row therefore does not depend on ``num_trials``, on the other rows of
+    the call or on any earlier call. Counts stay ``uint8`` until something
+    multiplies them by a float; callers must never sum them or multiply
+    two of them in ``uint8``.
     """
-    rng = np.random.default_rng(_derive_seed(seed, table, batch_no))
-    bits = np.frombuffer(rng.bytes(2 * num_rows * num_trials), dtype="<u2")
-    return np.take(_POISSON1, bits).reshape(num_rows, num_trials)
-
-
-def _derive_seed(seed: int, table: str, batch_no: int) -> np.random.SeedSequence:
+    ids = np.arange(num_rows) if row_ids is None else np.asarray(row_ids)
+    words = -(-num_trials // 4)
     # CRC32 rather than hash(): stable across processes and replays.
-    table_code = zlib.crc32(table.encode("utf-8"))
-    return np.random.SeedSequence(entropy=seed, spawn_key=(table_code, batch_no))
+    key = np.uint64((seed ^ zlib.crc32(table.encode("utf-8")) << 32) & (2**64 - 1))
+    with np.errstate(over="ignore"):
+        start = mix64((ids.astype(np.uint64) + np.uint64(1)) * _GOLDEN ^ mix64(key * _GOLDEN))
+        steps = np.arange(1, words + 1, dtype=np.uint64) * _GOLDEN
+        bits = mix64(start[:, None] + steps).astype("<u8", copy=False).view("<u2")
+    counts = np.take(_POISSON1, bits)
+    return counts if 4 * words == num_trials else np.ascontiguousarray(counts[:, :num_trials])
 
 
 def bootstrap_stdev(trials: np.ndarray) -> float:

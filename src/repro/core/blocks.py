@@ -37,7 +37,7 @@ from repro.errors import ReproError
 from repro.metrics.stats import BatchMetrics
 from repro.obs.session import NULL_OBS
 from repro.relational.catalog import Catalog
-from repro.relational.relation import Relation
+from repro.relational.relation import LazyTrials, Relation
 from repro.state import StateRegistry
 
 GroupKey = tuple
@@ -626,29 +626,43 @@ class RuntimeContext:
     def begin_batch(
         self, batch_no: int, delta: Relation, metrics: BatchMetrics
     ) -> None:
-        """Install this batch's streamed delta (tagging bootstrap trials)."""
+        """Install this batch's streamed delta, its bootstrap trials named
+        by global row id (the partitioner's; arrival order for a delta
+        built by hand) and drawn where something first reads them."""
         self.batch_no = batch_no
         self.metrics = metrics
-        self._delta = delta.with_mult(
-            delta.mult, self._draw_trials(len(delta), batch_no)
+        lazy = delta._trials
+        ids = (
+            lazy.ids
+            if isinstance(lazy, LazyTrials)
+            else self.seen_rows + np.arange(len(delta))
         )
+        self._delta = self._owned(delta.with_mult(delta.mult, LazyTrials(ids, self)))
         self.seen_rows += len(delta)
-        metrics.new_tuples += len(delta)
+        metrics.new_tuples += len(self._delta)
 
-    def _draw_trials(self, num_rows: int, batch_no: int) -> np.ndarray:
-        """The batch's (num_rows, T) ``uint8`` Poisson(1) trial counts."""
+    def _owned(self, delta: Relation) -> Relation:
+        """The rows of ``delta`` this context processes (all of them;
+        a shard worker keeps its shard's)."""
+        return delta
+
+    def draw_trials(self, row_ids: np.ndarray) -> np.ndarray:
+        """The (len(row_ids), T) ``uint8`` Poisson(1) counts of those rows."""
         # The disabled tracer hands back a shared no-op span.
         with self.obs.tracer.span(
-            "bootstrap", cat="bootstrap", batch=batch_no,
-            rows=num_rows, trials=self.config.num_trials,
+            "bootstrap", cat="bootstrap", batch=self.batch_no,
+            rows=len(row_ids), trials=self.config.num_trials,
         ):
-            return trial_multiplicities(
-                num_rows,
+            drawn = trial_multiplicities(
+                len(row_ids),
                 self.config.num_trials,
                 self.config.seed,
                 self.streamed_table,
-                batch_no,
+                row_ids,
             )
+        if self.sanitizer is not None:
+            self.sanitizer.own_drawn(drawn)
+        return drawn
 
     @property
     def delta(self) -> Relation:

@@ -71,6 +71,7 @@ from repro.relational.algebra import (
 from repro.relational.catalog import Catalog
 from repro.relational.evaluator import evaluate
 from repro.relational.expressions import Comparison, Expression, conjoin, conjuncts
+from repro.relational.optimizer import prune_scans
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -171,6 +172,9 @@ class CompiledQuery:
     result_sink: RowSinkOp | None
     result_schema: Schema
     streamed_table: str
+    #: Columns of the streamed table some scan reads, in table order: all
+    #: a mini-batch needs to carry.
+    stream_columns: list[str]
 
     def open(self, ctx: RuntimeContext) -> None:
         """Run the operator ``open`` lifecycle (state registration)."""
@@ -213,11 +217,13 @@ class OnlineCompiler:
     """Compiles one logical plan for online execution."""
 
     def __init__(self, plan: PlanNode, catalog: Catalog, streamed_table: str):
-        self.plan = plan
         self.catalog = catalog
         self.streamed_table = streamed_table
         self.tags: dict[int, NodeTags] = analyze(plan, {streamed_table})
         self.schemas = catalog.schemas()
+        # Scans narrowed to the columns the plan reads; node ids (the keys
+        # of ``tags``) are kept.
+        self.plan = prune_scans(plan, self.schemas)
         self.units: list[ExecutionUnit] = []
         #: node_id -> compiled ref, for plan nodes referenced more than
         #: once (a subquery bound to a variable and reused, e.g. the
@@ -232,24 +238,36 @@ class OnlineCompiler:
     def compile(self) -> CompiledQuery:
         ref = self._compile(self.plan)
         result_schema = self.plan.output_schema(self.schemas)
+        read = {
+            name
+            for node in self.plan.walk()
+            if isinstance(node, Scan) and node.table == self.streamed_table
+            for name in node.schema.names
+        }
+        stream_columns = [
+            c for c in self.schemas[self.streamed_table].names if c in read
+        ]
         if ref.kind == "stream":
             sink = RowSinkOp(ref.stream)
             self.units.append(StreamPipelineUnit(sink))
             return CompiledQuery(
-                self.units, None, sink, result_schema, self.streamed_table
+                self.units, None, sink, result_schema, self.streamed_table,
+                stream_columns,
             )
         if ref.kind == "small":
             unit = SmallPlanUnit(ref.small)
             self.units.append(SmallSegmentUnit(unit))
             return CompiledQuery(
-                self.units, unit, None, result_schema, self.streamed_table
+                self.units, unit, None, result_schema, self.streamed_table,
+                stream_columns,
             )
         # Fully static query: expose the precomputed relation through a
         # trivial small unit so callers get a uniform interface.
         static_unit = SmallPlanUnit(SmallStaticLeaf(ref.static))
         self.units.append(SmallSegmentUnit(static_unit))
         return CompiledQuery(
-            self.units, static_unit, None, result_schema, self.streamed_table
+            self.units, static_unit, None, result_schema, self.streamed_table,
+            stream_columns,
         )
 
     # -- recursion ---------------------------------------------------------------------
@@ -287,7 +305,7 @@ class OnlineCompiler:
     def _compile_scan(self, node: Scan) -> _Ref:
         if node.table == self.streamed_table:
             return _Ref(stream=ScanOp(node.table, node.schema))
-        return _Ref(static=self.catalog.get(node.table))
+        return _Ref(static=self.catalog.get(node.table).project(node.schema.names))
 
     def _compile_select(self, node: Select) -> _Ref:
         if self._is_static(node):

@@ -110,7 +110,6 @@ class OnlineQueryEngine:
             from repro.batching.partitioner import num_batches_for
 
             num_batches = num_batches_for(len(streamed), batch_rows)
-        batches = self.partitioner.partition(streamed, num_batches)
 
         obs = self.obs
         profiler = None
@@ -139,6 +138,9 @@ class OnlineQueryEngine:
             )
             obs.flush()
             raise
+        batches = self.partitioner.partition(
+            streamed, num_batches, compiled.stream_columns
+        )
         ctx = self._make_context(len(streamed))
         ctx.attach_obs(obs)
         if ctx.sanitizer is not None:

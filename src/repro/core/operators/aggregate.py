@@ -185,6 +185,8 @@ class AggregateOp(SpineOp):
         if rollup_on:
             self._demote_and_touch(ctx, cin, vin)
 
+        if self.needs_row_store:
+            cin = cin.with_drawn_trials()  # folded now, re-read every batch
         self.sketch.fold(cin, self.group_by)
         if self.needs_row_store and len(cin):
             store = self.row_store
@@ -337,11 +339,9 @@ class AggregateOp(SpineOp):
         )
         # Deterministic-mult stores never materialize the (n, T) copy —
         # the broadcast is read-only and all uses below fancy-index it.
-        trial_w = (
-            rows.trial_mults
-            if rows.trial_mults is not None
-            else np.broadcast_to(rows.mult[:, None], (len(rows), ctx.num_trials))
-        )
+        trial_w = rows.trial_mults
+        if trial_w is None:
+            trial_w = np.broadcast_to(rows.mult[:, None], (len(rows), ctx.num_trials))
         pos = {key: i for i, key in enumerate(keys)}
 
         def place(name: str, spec_keys, values, trial_values) -> None:

@@ -329,11 +329,8 @@ def mask_contribution(
     """Volatile contribution of ND rows: zero out failed decisions."""
     point, trials = masks
     mult = rel.mult * point
-    trial_mults = (
-        rel.trial_mults * trials
-        if rel.trial_mults is not None
-        else rel.mult[:, None] * trials
-    )
+    trial_mults = rel.trial_mults
+    trial_mults = (rel.mult[:, None] if trial_mults is None else trial_mults) * trials
     keep = point | trials.any(axis=1)
     return Relation._from_parts(
         rel.schema,

@@ -191,9 +191,10 @@ class UncertainFilterOp(SpineOp):
             res_old = None
 
         certain_parts = [new_rows.filter(res_new.status == TRUE)]
+        # Stored across batches and masked below: drawn once, here.
         keep_new = new_rows.filter(
             (res_new.status == UNKNOWN) | (res_new.status == PENDING)
-        )
+        ).with_drawn_trials()
         masks_new = subset_masks(
             res_new, (res_new.status == UNKNOWN) | (res_new.status == PENDING), ctx
         )

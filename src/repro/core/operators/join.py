@@ -111,7 +111,7 @@ def _reorder_columns(rel: Relation, schema: Schema) -> Relation:
         schema,
         cols,
         rel.mult,
-        rel.trial_mults,
+        rel._trials,
         encodings={n: e for n, e in rel.encodings.items() if n in cols} or None,
         lineage={n: s for n, s in rel.lineage.items() if n in cols} or None,
     )
@@ -224,7 +224,7 @@ class UncertainJoinOp(SpineOp):
 
     def _with_columns(self, rel: Relation, cols: dict, lineage: dict) -> Relation:
         return Relation._from_parts(
-            self.schema, cols, rel.mult, rel.trial_mults,
+            self.schema, cols, rel.mult, rel._trials,
             encodings=rel.encodings or None, lineage=lineage or None,
         )
 
@@ -382,9 +382,10 @@ class UncertainJoinOp(SpineOp):
             )
             certain_new = certain_new.concat(certain_retry)
             nd_new = nd_new.concat(nd_retry)
-            self.pending = still_pending.concat(pending_new)
-        else:
-            self.pending = pending_new
+            pending_new = still_pending.concat(pending_new)
+        # Rows kept across batches own their trial matrix: drawn once here,
+        # not at every retry and re-examination.
+        self.pending = pending_new.with_drawn_trials()
 
         # Re-examine the non-deterministic store against fresh membership.
         nd_old = self.nd_store if self.nd_store is not None else self._empty_out(ctx)
@@ -409,7 +410,7 @@ class UncertainJoinOp(SpineOp):
                 status, _ = self._probe_rows(nd_old, view, UNKNOWN, True, ctx.batch_no)
             certain_new = certain_new.concat(nd_old.filter(status == TRUE))
             nd_old = nd_old.filter(status == UNKNOWN)
-        self.nd_store = nd_old.concat(nd_new)
+        self.nd_store = nd_old.concat(nd_new).with_drawn_trials()
 
         volatile = self._volatile_of(self.nd_store, ctx)
         if len(delta.volatile):

@@ -51,7 +51,7 @@ class ProjectOp(SpineOp):
                 cols[name] = np.asarray(values, dtype=object)
             else:
                 cols[name] = np.asarray(values, dtype=column.ctype.dtype)
-        return Relation(self.schema, cols, rel.mult, rel.trial_mults)
+        return Relation(self.schema, cols, rel.mult, rel._trials)
 
 
 class RenameOp(SpineOp):

@@ -22,7 +22,12 @@ class ScanOp(SpineOp):
         self.table = table
 
     def process(self, delta: None, ctx: RuntimeContext) -> DeltaBatch:
-        return DeltaBatch(ctx.delta, self.empty(ctx))
+        rows = ctx.delta
+        # The delta holds the columns of every scan of the streamed table;
+        # this one emits (zero-copy) the columns its own consumers read.
+        if len(rows.schema) != len(self.schema):
+            rows = rows.project(self.schema.names)
+        return DeltaBatch(rows, self.empty(ctx))
 
 
 class StaticEmitOp(SpineOp):

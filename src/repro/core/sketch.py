@@ -143,11 +143,9 @@ class AggBundle:
         mult = rel.mult[order]
         # Deterministic-mult batches never materialize the (n, T) copy:
         # the read-only broadcast is only reduced over or multiplied.
-        trial_w = (
-            rel.trial_mults[order]
-            if rel.trial_mults is not None
-            else np.broadcast_to(mult[:, None], (len(rel), self.num_trials))
-        )
+        trial_w = rel.trials_at(order)  # lazy weights: drawn in fold order
+        if trial_w is None:
+            trial_w = np.broadcast_to(mult[:, None], (len(rel), self.num_trials))
         self.weight[groups] += segments.sums(mult)
         self.trial_weight[groups] += segments.sums(trial_w)
         for s, spec in enumerate(self.specs):

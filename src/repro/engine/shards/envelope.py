@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bootstrap.poisson import mix64
 from repro.core.blocks import OnlineConfig
 from repro.metrics.stats import BatchMetrics
 from repro.relational.algebra import PlanNode
 from repro.relational.relation import Relation
+from repro.storage.columns import EncodedColumn
 
 _FNV_PRIME = np.uint64(1099511628211)
 _FNV_OFFSET = np.uint64(14695981039346656037)
@@ -115,30 +117,36 @@ def shard_ids(rel: Relation, key: tuple[str, ...], count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         h = np.full(len(rel), _FNV_OFFSET, dtype=np.uint64)
         for name in key:
-            h = (h ^ _column_hash(rel.columns[name])) * _FNV_PRIME
+            hashed = _column_hash(rel.columns[name], rel.encodings.get(name))
+            h = (h ^ mix64(hashed)) * _FNV_PRIME
         return (h % np.uint64(count)).astype(np.int64)
 
 
-def _column_hash(arr: np.ndarray) -> np.ndarray:
+def _column_hash(arr: np.ndarray, enc: "EncodedColumn | None" = None) -> np.ndarray:
+    """A fresh ``uint64`` per row: the value's bits, or for strings and
+    objects the CRC32 of its stable text form — computed once per distinct
+    value (shard keys are group-key columns: few values, many rows) and
+    gathered, never once per row."""
     kind = arr.dtype.kind
     if kind in "iub":
-        v = arr.astype(np.uint64)
-    elif kind == "f":
-        v = arr.astype(np.float64).view(np.uint64)
-    else:
-        # Strings / objects: CRC32 of the stable text form, row by row
-        # (shard keys are group-key columns — low cardinality in practice).
-        v = np.fromiter(
-            (zlib.crc32(str(x).encode("utf-8")) for x in arr.tolist()),
-            dtype=np.uint64,
-            count=len(arr),
-        )
-    return _mix64(v)
+        return arr.astype(np.uint64)
+    if kind == "f":
+        return arr.astype(np.float64).view(np.uint64)
+    if enc is not None and len(enc.page) <= len(arr):
+        # Cells are the page's canonical objects: hash the dictionary.
+        return _text_hashes(enc.page.tolist())[enc.codes]
+    values = arr.tolist()
+    distinct = dict.fromkeys(values)
+    if not all(type(x) is str for x in distinct):
+        # Equal keys of different types (1, 1.0, True) differ as text.
+        return _text_hashes(values)
+    code = dict(zip(distinct, range(len(distinct))))
+    return _text_hashes(distinct)[[code[x] for x in values]]
 
 
-def _mix64(v: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: spreads low-entropy key values across shards."""
-    with np.errstate(over="ignore"):
-        v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return v ^ (v >> np.uint64(31))
+def _text_hashes(values) -> np.ndarray:
+    return np.fromiter(
+        (zlib.crc32(str(x).encode("utf-8")) for x in values),
+        dtype=np.uint64,
+        count=len(values),
+    )

@@ -6,11 +6,10 @@ per-shard :class:`~repro.state.CheckpointManager` — over the rows whose
 shard-key hash it owns. Nothing is shared with the parent or siblings;
 the only coordination is the batch-step protocol over the pipe.
 
-Determinism is inherited, not re-derived: the worker partitions the
-*full* stream with the same seeded partitioner the serial engine uses
-and draws the *full* batch's bootstrap trial matrix from the same
-``(seed, table, batch)`` ``SeedSequence`` scheme, then selects its owned
-rows (with their trial rows) by the stable shard hash. Group-key
+A worker partitions the *full* stream with the same seeded partitioner
+the serial engine uses, keeps the rows whose shard hash it owns, and draws
+trial weights for those rows only: a row's weights are a pure function of
+its global row id, so no shard ever draws a cell it drops. Group-key
 sharding (see :mod:`.planner`) guarantees each owned group receives
 exactly the serial row sequence, so every per-group float accumulation
 is bit-identical to the serial reference. Range-integrity recovery runs
@@ -34,7 +33,6 @@ from repro.engine.shards.envelope import (
     StopTask,
     shard_ids,
 )
-from repro.metrics.stats import BatchMetrics
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 
@@ -59,23 +57,11 @@ class ShardRuntimeContext(RuntimeContext):
         super().__init__(statics, streamed_table, total_rows, config)
         self.shard = shard
 
-    def begin_batch(
-        self, batch_no: int, delta: Relation, metrics: BatchMetrics
-    ) -> None:
-        self.batch_no = batch_no
-        self.metrics = metrics
-        # Full-batch draws first (identical to serial), then select the
-        # owned rows together with their trial rows — original order
-        # preserved, so each group's row sequence matches serial exactly.
-        # The redundant full draw is uint8 and is filtered before anything
-        # widens it: one byte per cell of the rows this shard drops.
-        tagged = delta.with_mult(
-            delta.mult, self._draw_trials(len(delta), batch_no)
-        )
+    def _owned(self, delta: Relation) -> Relation:
+        # Original order preserved, so each group's row sequence matches
+        # serial exactly; the lazy trial ids are filtered with the rows.
         owned = shard_ids(delta, self.shard.key, self.shard.count)
-        self._delta = tagged.filter(owned == self.shard.index)
-        self.seen_rows += len(delta)
-        metrics.new_tuples += len(self._delta)
+        return delta.filter(owned == self.shard.index)
 
 
 class ShardWorkerEngine(OnlineQueryEngine):

@@ -101,13 +101,12 @@ def vectorized_join(
     for c in kept_right:
         cols[c.name] = right.columns[c.name][ri]
         _gather_sidecars(right, c.name, ri, encodings, lineage)
-    mult = left.mult[li] * right.mult[ri]
-    trials = _join_trials(left, right, li, ri)
+    lm, rm = left.mult[li], right.mult[ri]
     return Relation._from_parts(
         schema,
         cols,
-        mult,
-        trials,
+        lm * rm,
+        _join_trials(left, right, li, ri, lm, rm),
         encodings=encodings or None,
         lineage=lineage or None,
     )

@@ -33,7 +33,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.catalog import Catalog
 from repro.relational.groupby import group_ids, weighted_sums
-from repro.relational.relation import Relation
+from repro.relational.relation import LazyTrials, Relation
 from repro.relational.schema import ColumnType, Schema
 
 
@@ -65,6 +65,9 @@ def _eval(node: PlanNode, catalog: Catalog, stats: EvalStats) -> Relation:
     if isinstance(node, Scan):
         rel = catalog.get(node.table)
         stats.record("scan", len(rel))
+        # A scan reads the columns it declares (see ``prune_scans``).
+        if len(node.schema) < len(rel.schema):
+            rel = rel.project(node.schema.names)
         return rel
     if isinstance(node, Select):
         child = _eval(node.child, catalog, stats)
@@ -111,7 +114,7 @@ def project_relation(rel: Relation, node: Project) -> Relation:
     for (name, expr), column in zip(node.outputs, schema):
         values = expr.evaluate(rel)
         cols[name] = np.asarray(values, dtype=column.ctype.dtype)
-    return Relation(schema, cols, rel.mult, rel.trial_mults)
+    return Relation(schema, cols, rel.mult, rel._trials)
 
 
 def join_relations(
@@ -149,24 +152,40 @@ def join_relations(
         cols[c.name] = left.columns[c.name][li]
     for c in kept_right:
         cols[c.name] = right.columns[c.name][ri]
-    mult = left.mult[li] * right.mult[ri]
-    trials = _join_trials(left, right, li, ri)
-    return Relation(schema, cols, mult, trials)
+    lm, rm = left.mult[li], right.mult[ri]
+    return Relation(schema, cols, lm * rm, _join_trials(left, right, li, ri, lm, rm))
 
 
 def _join_trials(
-    left: Relation, right: Relation, li: np.ndarray, ri: np.ndarray
-) -> np.ndarray | None:
-    if left.trial_mults is None and right.trial_mults is None:
-        return None
-    lt = left.trial_mults[li] if left.trial_mults is not None else left.mult[li][:, None]
-    rt = (
-        right.trial_mults[ri]
-        if right.trial_mults is not None
-        else right.mult[ri][:, None]
+    left: Relation,
+    right: Relation,
+    li: np.ndarray,
+    ri: np.ndarray,
+    lm: np.ndarray,
+    rm: np.ndarray,
+) -> "np.ndarray | LazyTrials | None":
+    """Trial weights of the joined rows ``(li, ri)``; ``lm``/``rm`` are the
+    sides' gathered multiplicities. Lazy weights joined with a trial-less
+    side of unit multiplicity (a dimension table) stay lazy: the product
+    would multiply every count by 1.0."""
+    # Ids no run has installed (a disk table as dimension side) are not trials.
+    lt, rt = (
+        None if isinstance(t, LazyTrials) and t.source is None else t
+        for t in (left._trials, right._trials)
     )
+    if rt is None and isinstance(lt, LazyTrials) and (rm == 1.0).all():
+        return lt[li]
+    if lt is None and isinstance(rt, LazyTrials) and (lm == 1.0).all():
+        return rt[ri]
+    lt, rt = left.trials_at(li), right.trials_at(ri)
+    if lt is None and rt is None:
+        return None
     # Both sides may carry uint8 Poisson counts: widen before the product.
-    return np.multiply(lt, rt, dtype=np.float64)
+    return np.multiply(
+        lm[:, None] if lt is None else lt,
+        rm[:, None] if rt is None else rt,
+        dtype=np.float64,
+    )
 
 
 def aggregate_relation(

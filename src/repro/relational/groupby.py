@@ -108,34 +108,3 @@ class RowSegments:
         (``uint8``) trial counts never wrap.
         """
         return np.add.reduceat(sorted_rows, self.starts, axis=0, dtype=np.float64)
-
-
-def weighted_trial_sums(
-    features: np.ndarray,
-    trial_weights: np.ndarray,
-    gids: np.ndarray,
-    num_groups: int,
-) -> np.ndarray:
-    """Per-group per-trial weighted feature sums.
-
-    ``features`` is (k, n), ``trial_weights`` (n, T); result is
-    (num_groups, T, k).
-    """
-    segments = RowSegments(gids)
-    sorted_w = trial_weights[segments.order]
-    out = np.zeros((num_groups, trial_weights.shape[1], features.shape[0]))
-    for j, feature in enumerate(features):
-        out[segments.groups, :, j] = segments.sums(
-            feature[segments.order][:, None] * sorted_w
-        )
-    return out
-
-
-def trial_weight_sums(
-    trial_weights: np.ndarray, gids: np.ndarray, num_groups: int
-) -> np.ndarray:
-    """Per-group per-trial weight sums: (num_groups, T)."""
-    segments = RowSegments(gids)
-    out = np.zeros((num_groups, trial_weights.shape[1]))
-    out[segments.groups] = segments.sums(trial_weights[segments.order])
-    return out

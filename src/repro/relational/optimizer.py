@@ -1,23 +1,20 @@
-"""Rule-based logical plan optimizer.
+"""Scan pruning: the one plan rewrite, applied by the online compiler.
 
-The online rewriter benefits from tidy plans: pushed-down predicates
-shrink mini-batch deltas before they hit uncertain operators, and pruned
-projections shrink the non-deterministic stores. This module implements
-the standard equivalence-preserving rewrites used by the batch engine and
-(optionally) before online compilation:
-
-* **predicate pushdown** — move deterministic selection conjuncts below
-  projections, renames, unions, and into the matching side of joins;
-* **selection merging** — collapse adjacent selections into one conjunction;
-* **projection pruning** — drop columns no ancestor ever reads (inserting
-  narrow projections above scans);
-* **constant-predicate elimination** — drop ``lit(True)`` filters.
-
-All rewrites preserve bag semantics; the test suite checks every rule on
-randomized inputs against the unoptimized plan.
+A base-table scan declares the columns it reads (``Scan.schema``). The SQL
+planner and the hand-built workload plans declare whole tables; the online
+engine then gathers, filters and joins every column of every mini-batch
+row, although a query reads a handful. :func:`prune_scans` narrows each
+``Scan`` to the columns some ancestor actually reads, so the partitioner
+gathers, ``ScanOp`` emits and static join sides hold only those — a
+zero-copy :meth:`~repro.relational.relation.Relation.project`, no operator
+added to the plan. Nothing else is rewritten and node ids are kept, so
+operator labels, lineage-block ids and uncertainty tags are unaffected,
+and pruning a pruned plan returns it unchanged.
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro.relational.algebra import (
     Aggregate,
@@ -30,237 +27,82 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.expressions import (
-    Col,
-    Expression,
-    Literal,
-    conjoin,
-    conjuncts,
-)
 from repro.relational.schema import Schema
 
 CatalogSchemas = dict[str, Schema]
 
 
-def optimize(plan: PlanNode, schemas: CatalogSchemas) -> PlanNode:
-    """Apply all rewrites to a fixpoint (bounded)."""
-    out = plan
-    for _ in range(5):
-        previous = out
-        out = merge_selects(out)
-        out = push_down_predicates(out, schemas)
-        out = drop_trivial_selects(out)
-        out = prune_projections(out, schemas)
-        if _plans_identical(previous, out):
-            break
-    return out
+def prune_scans(plan: PlanNode, schemas: CatalogSchemas) -> PlanNode:
+    """``plan`` with every ``Scan`` narrowed to the columns the plan reads."""
+    needed: dict[int, set[str]] = {}
+    _collect(plan, set(plan.output_schema(schemas).names), schemas, needed)
+    return _narrowed(plan, needed, {})
 
 
-# -- selection merging ---------------------------------------------------------
-
-
-def merge_selects(plan: PlanNode) -> PlanNode:
-    """``σ_a(σ_b(R)) → σ_{a∧b}(R)``, applied bottom-up."""
-    from repro.relational.algebra import transform
-
-    def rule(node: PlanNode) -> PlanNode | None:
-        if isinstance(node, Select) and isinstance(node.child, Select):
-            inner = node.child
-            return Select(
-                inner.child, conjoin(conjuncts(node.predicate) + conjuncts(inner.predicate))
-            )
-        return None
-
-    return transform(plan, rule)
-
-
-def drop_trivial_selects(plan: PlanNode) -> PlanNode:
-    """Remove ``σ_true`` filters left behind by pushdown."""
-    from repro.relational.algebra import transform
-
-    def rule(node: PlanNode) -> PlanNode | None:
-        if isinstance(node, Select):
-            parts = [
-                p
-                for p in conjuncts(node.predicate)
-                if not (isinstance(p, Literal) and p.value is True)
-            ]
-            if not parts:
-                return node.child
-            if len(parts) != len(conjuncts(node.predicate)):
-                return Select(node.child, conjoin(parts))
-        return None
-
-    return transform(plan, rule)
-
-
-# -- predicate pushdown -----------------------------------------------------------
-
-
-def push_down_predicates(plan: PlanNode, schemas: CatalogSchemas) -> PlanNode:
-    """Push selection conjuncts as deep as they can go."""
-    return _push(plan, [], schemas)
-
-
-def _push(
-    node: PlanNode, pending: list[Expression], schemas: CatalogSchemas
-) -> PlanNode:
+def _collect(
+    node: PlanNode, want: set[str], schemas: CatalogSchemas, needed: dict[int, set[str]]
+) -> None:
+    """Top-down: union into ``needed[node_id]`` the output columns of
+    ``node`` that its ancestors read. A subplan shared by two parents is
+    revisited until its set stops growing."""
+    have = needed.get(node.node_id)
+    if have is not None and want <= have:
+        return
+    have = needed.setdefault(node.node_id, set())
+    have |= want
     if isinstance(node, Select):
-        return _push(node.child, pending + conjuncts(node.predicate), schemas)
-
-    if isinstance(node, Project):
-        passthrough = {
-            name: expr.name
-            for name, expr in node.outputs
-            if isinstance(expr, Col)
-        }
-        pushable, stuck = [], []
-        for pred in pending:
-            if pred.attrs() <= set(passthrough):
-                pushable.append(_substitute_cols(pred, passthrough))
-            else:
-                stuck.append(pred)
-        rebuilt = Project(_push(node.child, pushable, schemas), node.outputs)
-        return _wrap(rebuilt, stuck)
-
-    if isinstance(node, Rename):
+        _collect(node.child, have | node.predicate.attrs(), schemas, needed)
+    elif isinstance(node, Project):
+        attrs = set().union(*(expr.attrs() for _, expr in node.outputs))
+        _collect(node.child, attrs, schemas, needed)
+    elif isinstance(node, Rename):
+        # Every renamed column must survive, read or not: the rename
+        # itself names it.
         inverse = {new: old for old, new in node.mapping.items()}
-        pushable = [
-            _substitute_cols(p, {c: inverse.get(c, c) for c in p.attrs()})
-            for p in pending
-        ]
-        return Rename(_push(node.child, pushable, schemas), node.mapping)
-
-    if isinstance(node, Union):
-        left = _push(node.left, list(pending), schemas)
-        right = _push(node.right, list(pending), schemas)
-        return Union(left, right)
-
-    if isinstance(node, Join):
+        _collect(
+            node.child, {inverse.get(c, c) for c in have} | set(node.mapping), schemas, needed
+        )
+    elif isinstance(node, Join):
         left_cols = set(node.left.output_schema(schemas).names)
         right_cols = set(node.right.output_schema(schemas).names)
-        # The join output exposes the LEFT key name for both sides; map it
-        # to the right key when pushing right.
-        key_map = {lk: rk for lk, rk in node.keys}
-        to_left, to_right, stuck = [], [], []
-        for pred in pending:
-            attrs = pred.attrs()
-            if attrs <= left_cols:
-                to_left.append(pred)
-            elif {key_map.get(a, a) for a in attrs} <= right_cols:
-                to_right.append(
-                    _substitute_cols(pred, {a: key_map.get(a, a) for a in attrs})
-                )
-            else:
-                stuck.append(pred)
-        rebuilt = Join(
-            _push(node.left, to_left, schemas),
-            _push(node.right, to_right, schemas),
-            node.keys,
-        )
-        return _wrap(rebuilt, stuck)
-
-    if isinstance(node, (Aggregate, Distinct)):
-        # Predicates over group keys could cross an aggregate, but the
-        # online engine keys its block state by group; keep the barrier.
-        child = _push(node.child, [], schemas)
-        if isinstance(node, Aggregate):
-            rebuilt: PlanNode = Aggregate(child, node.group_by, node.aggs)
-        else:
-            rebuilt = Distinct(child, node.columns)
-        return _wrap(rebuilt, pending)
-
-    if isinstance(node, Scan):
-        return _wrap(node, pending)
-
-    raise TypeError(f"unknown node {type(node).__name__}")  # pragma: no cover
-
-
-def _wrap(node: PlanNode, preds: list[Expression]) -> PlanNode:
-    if not preds:
-        return node
-    return Select(node, conjoin(preds))
-
-
-def _substitute_cols(expr: Expression, mapping: dict[str, str]) -> Expression:
-    """Rewrite column references through a rename/projection mapping."""
-    if isinstance(expr, Col):
-        return Col(mapping.get(expr.name, expr.name))
-    clone = expr.__class__.__new__(expr.__class__)
-    clone.__dict__.update(expr.__dict__)
-    for attr in ("left", "right", "child"):
-        if hasattr(expr, attr):
-            setattr(clone, attr, _substitute_cols(getattr(expr, attr), mapping))
-    if hasattr(expr, "args"):
-        clone.args = [_substitute_cols(a, mapping) for a in expr.args]
-    return clone
-
-
-# -- projection pruning ----------------------------------------------------------------
-
-
-def prune_projections(plan: PlanNode, schemas: CatalogSchemas) -> PlanNode:
-    """Insert narrow projections above scans for unused columns."""
-    needed = set(plan.output_schema(schemas).names)
-    return _prune(plan, needed, schemas)
-
-
-def _prune(node: PlanNode, needed: set[str], schemas: CatalogSchemas) -> PlanNode:
-    if isinstance(node, Scan):
-        ordered = [c for c in node.schema.names if c in needed]
-        if set(ordered) == set(node.schema.names) or not ordered:
-            return node
-        return Project(node, [(c, Col(c)) for c in ordered])
-
-    if isinstance(node, Select):
-        child_needed = needed | node.predicate.attrs()
-        return Select(_prune(node.child, child_needed, schemas), node.predicate)
-
-    if isinstance(node, Project):
-        kept = [(n, e) for n, e in node.outputs if n in needed] or node.outputs[:1]
-        child_needed = set()
-        for _, expr in kept:
-            child_needed |= expr.attrs()
-        return Project(_prune(node.child, child_needed, schemas), kept)
-
-    if isinstance(node, Rename):
-        inverse = {new: old for old, new in node.mapping.items()}
-        child_needed = {inverse.get(c, c) for c in needed}
-        return Rename(_prune(node.child, child_needed, schemas), node.mapping)
-
-    if isinstance(node, Join):
-        left_cols = set(node.left.output_schema(schemas).names)
-        right_cols = set(node.right.output_schema(schemas).names)
-        left_needed = (needed & left_cols) | set(node.left_keys)
-        right_needed = (needed & right_cols) | set(node.right_keys)
-        return Join(
-            _prune(node.left, left_needed, schemas),
-            _prune(node.right, right_needed, schemas),
-            node.keys,
-        )
-
-    if isinstance(node, Union):
+        _collect(node.left, (have & left_cols) | set(node.left_keys), schemas, needed)
+        _collect(node.right, (have & right_cols) | set(node.right_keys), schemas, needed)
+    elif isinstance(node, Union):
         # Union children must keep identical schemas; pass everything.
         full = set(node.output_schema(schemas).names)
-        return Union(
-            _prune(node.left, full, schemas), _prune(node.right, full, schemas)
-        )
-
-    if isinstance(node, Aggregate):
-        child_needed = set(node.group_by)
-        for spec in node.aggs:
-            child_needed |= spec.attrs()
-        return Aggregate(
-            _prune(node.child, child_needed, schemas), node.group_by, node.aggs
-        )
-
-    if isinstance(node, Distinct):
-        return Distinct(_prune(node.child, set(node.columns), schemas), node.columns)
-
-    raise TypeError(f"unknown node {type(node).__name__}")  # pragma: no cover
+        _collect(node.left, full, schemas, needed)
+        _collect(node.right, full, schemas, needed)
+    elif isinstance(node, Aggregate):
+        attrs = set(node.group_by).union(*(spec.attrs() for spec in node.aggs))
+        _collect(node.child, attrs, schemas, needed)
+    elif isinstance(node, Distinct):
+        _collect(node.child, set(node.columns), schemas, needed)
+    elif not isinstance(node, Scan):
+        raise TypeError(f"unknown node {type(node).__name__}")  # pragma: no cover
 
 
-def _plans_identical(a: PlanNode, b: PlanNode) -> bool:
-    from repro.baselines.viewlet import plans_equal
-
-    return plans_equal(a, b)
+def _narrowed(
+    node: PlanNode, needed: dict[int, set[str]], done: dict[int, PlanNode]
+) -> PlanNode:
+    """Bottom-up: shallow copies (same node ids) along every path to a
+    narrowed scan; untouched subtrees, and shared ones, stay shared."""
+    out = done.get(node.node_id)
+    if out is not None:
+        return out
+    out = node
+    if isinstance(node, Scan):
+        # A scan nobody reads a column of (COUNT(*)) keeps one, for its rows.
+        names = [c for c in node.schema.names if c in needed[node.node_id]]
+        names = names or node.schema.names[:1]
+        if len(names) < len(node.schema):
+            out = copy.copy(node)
+            out.schema = node.schema.project(names)
+    else:
+        for attr in ("child", "left", "right"):
+            kid = getattr(node, attr, None)
+            if kid is not None and (new := _narrowed(kid, needed, done)) is not kid:
+                if out is node:
+                    out = copy.copy(node)
+                setattr(out, attr, new)
+    done[node.node_id] = out
+    return out

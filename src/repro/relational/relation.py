@@ -15,7 +15,10 @@ A :class:`Relation` stores one NumPy array per column plus:
   ``None``. It is either ``uint8`` (raw Poisson counts, as drawn) or
   ``float64``; index operations keep the dtype and the first multiply by
   a float widens it. Nothing may sum ``uint8`` counts or multiply two
-  ``uint8`` matrices without naming ``dtype=np.float64``.
+  ``uint8`` matrices without naming ``dtype=np.float64``. Rows of the
+  streamed table carry :class:`LazyTrials` instead — their global row
+  ids — through every index operation, and the matrix is drawn for
+  exactly the rows that reach the first reader of ``trial_mults``.
 
 Columns normally hold plain scalars; in the online engine a column may be
 an object array of :class:`~repro.core.values.LineageRef`, which is opaque
@@ -62,6 +65,36 @@ def set_slice_hook(hook: Callable[["Relation", "Relation"], None] | None) -> Non
     _slice_hook = hook
 
 
+class LazyTrials:
+    """Trial weights named but not drawn: the rows' global ids.
+
+    The weights are a pure function of the id
+    (:func:`repro.bootstrap.poisson.trial_multiplicities`), so indexing
+    the handle indexes the ids and :meth:`draw` may run anywhere, any
+    number of times. ``source`` is the run that draws — it has
+    ``num_trials`` and ``draw_trials(ids)``
+    (:class:`~repro.core.blocks.RuntimeContext`) — or None on a relation
+    no run has installed yet (a partitioner batch, a disk chunk): that
+    one has ids and no trials.
+    """
+
+    __slots__ = ("ids", "source")
+
+    def __init__(self, ids: np.ndarray, source: object = None):
+        self.ids = ids
+        self.source = source
+
+    def __getitem__(self, index: object) -> "LazyTrials":
+        return LazyTrials(self.ids[index], self.source)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.ids), 0 if self.source is None else self.source.num_trials)
+
+    def draw(self) -> np.ndarray | None:
+        return None if self.source is None else self.source.draw_trials(self.ids)
+
+
 class Relation:
     """An immutable-by-convention columnar bag relation.
 
@@ -75,7 +108,7 @@ class Relation:
         schema: Schema,
         columns: Mapping[str, np.ndarray],
         mult: np.ndarray | None = None,
-        trial_mults: np.ndarray | None = None,
+        trial_mults: "np.ndarray | LazyTrials | None" = None,
     ):
         self.schema = schema
         self.columns: dict[str, np.ndarray] = {}
@@ -101,14 +134,15 @@ class Relation:
                 raise SchemaError(f"mult has {len(mult)} entries, expected {n}")
         self.mult = mult
         if trial_mults is not None:
-            trial_mults = np.asarray(trial_mults)
-            if trial_mults.dtype != np.uint8:
-                trial_mults = trial_mults.astype(np.float64, copy=False)
+            if not isinstance(trial_mults, LazyTrials):
+                trial_mults = np.asarray(trial_mults)
+                if trial_mults.dtype != np.uint8:
+                    trial_mults = trial_mults.astype(np.float64, copy=False)
             if trial_mults.shape[0] != n:
                 raise SchemaError(
                     f"trial_mults has {trial_mults.shape[0]} rows, expected {n}"
                 )
-        self.trial_mults = trial_mults
+        self._trials = trial_mults
         self._n = n
         self.encodings: dict[str, "EncodedColumn"] = {}
         self.lineage: dict[str, "LineageColumn"] = {}
@@ -121,7 +155,7 @@ class Relation:
         schema: Schema,
         columns: Mapping[str, np.ndarray],
         mult: np.ndarray,
-        trial_mults: np.ndarray | None = None,
+        trial_mults: "np.ndarray | LazyTrials | None" = None,
         *,
         encodings: "dict[str, EncodedColumn] | None" = None,
         lineage: "dict[str, LineageColumn] | None" = None,
@@ -138,7 +172,7 @@ class Relation:
         rel.schema = schema
         rel.columns = dict(columns)
         rel.mult = mult
-        rel.trial_mults = trial_mults
+        rel._trials = trial_mults
         rel._n = len(mult)
         rel.encodings = encodings if encodings is not None else _NO_SIDECARS
         rel.lineage = lineage if lineage is not None else _NO_SIDECARS
@@ -152,7 +186,7 @@ class Relation:
             self.schema,
             self.columns,
             self.mult,
-            self.trial_mults,
+            self._trials,
             encodings=dict(self.encodings),
             lineage=dict(self.lineage),
         )
@@ -208,8 +242,29 @@ class Relation:
         return self._n
 
     @property
+    def trial_mults(self) -> np.ndarray | None:
+        """The (n, T) trial matrix; lazy weights are drawn on every read,
+        so a caller that needs it twice binds it once."""
+        return self.trials_at(None)
+
+    def trials_at(self, index: object) -> np.ndarray | None:
+        """``trial_mults[index]`` (all rows for None), drawing only those
+        rows, in that order, when the weights are lazy."""
+        trials = self._trials
+        if trials is not None and index is not None:
+            trials = trials[index]
+        return trials.draw() if isinstance(trials, LazyTrials) else trials
+
+    def with_drawn_trials(self) -> "Relation":
+        """This relation with its trial matrix materialized — what a
+        cross-batch store keeps, so that it draws once, not every batch."""
+        if not isinstance(self._trials, LazyTrials):
+            return self
+        return self.with_mult(self.mult, self._trials.draw())
+
+    @property
     def num_trials(self) -> int:
-        return 0 if self.trial_mults is None else self.trial_mults.shape[1]
+        return 0 if self._trials is None else self._trials.shape[1]
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
@@ -232,7 +287,7 @@ class Relation:
         """Rows where boolean ``mask`` holds (multiplicities preserved)."""
         mask = np.asarray(mask)
         cols = {n: a[mask] for n, a in self.columns.items()}
-        trials = None if self.trial_mults is None else self.trial_mults[mask]
+        trials = None if self._trials is None else self._trials[mask]
         return Relation._from_parts(
             self.schema, cols, self.mult[mask], trials, **self._map_sidecars("take", mask)
         )
@@ -241,7 +296,7 @@ class Relation:
         """Rows at ``indices`` (with repetition allowed)."""
         indices = np.asarray(indices)
         cols = {n: a[indices] for n, a in self.columns.items()}
-        trials = None if self.trial_mults is None else self.trial_mults[indices]
+        trials = None if self._trials is None else self._trials[indices]
         return Relation._from_parts(
             self.schema,
             cols,
@@ -258,7 +313,7 @@ class Relation:
         convention; the ContractVerifier fingerprints inputs to catch it).
         """
         cols = {n: a[start:stop] for n, a in self.columns.items()}
-        trials = None if self.trial_mults is None else self.trial_mults[start:stop]
+        trials = None if self._trials is None else self._trials[start:stop]
         view = Relation._from_parts(
             self.schema,
             cols,
@@ -287,7 +342,9 @@ class Relation:
             lineage=self.lineage or None,
         )
 
-    def with_mult(self, mult: np.ndarray, trial_mults: np.ndarray | None) -> "Relation":
+    def with_mult(
+        self, mult: np.ndarray, trial_mults: "np.ndarray | LazyTrials | None"
+    ) -> "Relation":
         mult = np.asarray(mult, dtype=np.float64)
         if len(mult) != self._n:
             raise SchemaError(f"mult has {len(mult)} entries, expected {self._n}")
@@ -307,7 +364,7 @@ class Relation:
             sub,
             cols,
             self.mult,
-            self.trial_mults,
+            self._trials,
             encodings={n: e for n, e in self.encodings.items() if n in cols} or None,
             lineage={n: s for n, s in self.lineage.items() if n in cols} or None,
         )
@@ -319,7 +376,7 @@ class Relation:
             schema,
             cols,
             self.mult,
-            self.trial_mults,
+            self._trials,
             encodings={mapping.get(n, n): e for n, e in self.encodings.items()} or None,
             lineage={mapping.get(n, n): s for n, s in self.lineage.items()} or None,
         )
@@ -337,7 +394,7 @@ class Relation:
             schema,
             cols,
             self.mult,
-            self.trial_mults,
+            self._trials,
             encodings=self.encodings or None,
             lineage=self.lineage or None,
         )
@@ -393,7 +450,7 @@ class Relation:
     def estimated_bytes(self) -> int:
         """Approximate in-memory footprint (columns + mult + trials)."""
         per_row = self.schema.row_byte_width() + 8
-        if self.trial_mults is not None:
+        if self._trials is not None:
             per_row += 8 * self.num_trials
         return per_row * self._n
 
@@ -451,16 +508,20 @@ class Relation:
         return f"Relation({self.schema!r}, n={self._n}, |D|={self.total_multiplicity():g})"
 
 
-def _concat_trials(a: Relation, b: Relation) -> np.ndarray | None:
+def _concat_trials(a: Relation, b: Relation) -> "np.ndarray | LazyTrials | None":
     """Stack trial-multiplicity matrices, padding absent sides with ``mult``.
 
     A missing matrix means "this side never went through bootstrap
     reweighting", so its per-trial multiplicity equals its actual
-    multiplicity in every trial.
+    multiplicity in every trial. Undrawn weights of one run stay undrawn:
+    their ids are concatenated.
     """
-    if a.trial_mults is None and b.trial_mults is None:
-        return None
+    ta, tb = a._trials, b._trials
+    if isinstance(ta, LazyTrials) and isinstance(tb, LazyTrials) and ta.source is tb.source:
+        return LazyTrials(np.concatenate([ta.ids, tb.ids]), ta.source)
     ta, tb = a.trial_mults, b.trial_mults
+    if ta is None and tb is None:
+        return None
     # Broadcast views, not materialized copies: vstack below copies anyway.
     if ta is None:
         ta = np.broadcast_to(a.mult[:, None], (len(a.mult), tb.shape[1]))

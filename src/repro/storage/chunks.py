@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from repro.errors import ReproError
-from repro.relational.relation import Relation
+from repro.relational.relation import LazyTrials, Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.storage.columns import CODE_DTYPE, DictPage, EncodedColumn
 
@@ -239,7 +239,9 @@ class DiskTable:
             self.schema,
             cols,
             np.ones(n, dtype=np.float64),
-            None,
+            # Global row ids: a chunk streamed on its own keeps the
+            # bootstrap weights its rows have in the whole table.
+            LazyTrials(np.arange(start, stop)),
             encodings=encodings,
         )
         if _chunk_view_hook is not None:

@@ -218,7 +218,7 @@ def encode_relation(rel, columns: Sequence[str] | None = None):
         rel.schema,
         cols,
         rel.mult,
-        rel.trial_mults,
+        rel._trials,
         encodings=encodings,
         lineage=dict(rel.lineage),
     )

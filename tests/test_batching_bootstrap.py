@@ -104,47 +104,72 @@ class TestNumBatchesFor:
 
 class TestPoissonBootstrap:
     def test_shape(self):
-        m = trial_multiplicities(50, 30, seed=0, table="t", batch_no=1)
+        m = trial_multiplicities(50, 30, seed=0, table="t")
         assert m.shape == (50, 30)
 
     def test_deterministic_per_key(self):
-        a = trial_multiplicities(50, 30, seed=0, table="t", batch_no=1)
-        b = trial_multiplicities(50, 30, seed=0, table="t", batch_no=1)
+        a = trial_multiplicities(50, 30, seed=0, table="t")
+        b = trial_multiplicities(50, 30, seed=0, table="t")
         assert (a == b).all()
 
-    def test_differs_across_batches(self):
-        a = trial_multiplicities(50, 30, seed=0, table="t", batch_no=1)
-        b = trial_multiplicities(50, 30, seed=0, table="t", batch_no=2)
-        assert (a != b).any()
+    def test_differs_across_tables_and_seeds(self):
+        a = trial_multiplicities(50, 30, seed=0, table="t")
+        assert (a != trial_multiplicities(50, 30, seed=0, table="u")).any()
+        assert (a != trial_multiplicities(50, 30, seed=1, table="t")).any()
 
-    def test_differs_across_tables(self):
-        a = trial_multiplicities(50, 30, seed=0, table="t", batch_no=1)
-        b = trial_multiplicities(50, 30, seed=0, table="u", batch_no=1)
-        assert (a != b).any()
+    def test_a_row_is_a_function_of_its_id_alone(self):
+        """Not of the other rows of the call, their order, repeats, the
+        number of trials drawn, or the ids' integer type."""
+        full = trial_multiplicities(40, 12, seed=3, table="t")
+        ids = np.array([7, 2, 7, 39, 0])
+        picked = trial_multiplicities(5, 12, 3, "t", ids)
+        assert (picked == full[ids]).all()
+        assert (trial_multiplicities(5, 12, 3, "t", ids.astype(np.uint32)) == picked).all()
+        assert (trial_multiplicities(40, 7, seed=3, table="t") == full[:, :7]).all()
+        far = np.array([2**40 + 5, 5])
+        assert (trial_multiplicities(2, 12, 3, "t", far)[1] == full[5]).all()
 
     def test_poisson_mean_one(self):
-        m = trial_multiplicities(5000, 20, seed=0, table="t", batch_no=1)
+        m = trial_multiplicities(5000, 20, seed=0, table="t")
         assert m.mean() == pytest.approx(1.0, abs=0.05)
 
     def test_counts_are_narrow(self):
-        m = trial_multiplicities(100, 10, seed=0, table="t", batch_no=1)
+        m = trial_multiplicities(100, 10, seed=0, table="t")
         assert m.dtype == np.uint8
         assert m.max() <= 8
 
-    @pytest.mark.parametrize("rows,trials", [(0, 100), (3, 0), (3, 7), (1, 1)])
+    @pytest.mark.parametrize("rows,trials", [(0, 100), (3, 0), (3, 7), (1, 1), (4, 101)])
     def test_odd_shapes(self, rows, trials):
-        m = trial_multiplicities(rows, trials, seed=0, table="t", batch_no=1)
+        m = trial_multiplicities(rows, trials, seed=0, table="t")
         assert m.shape == (rows, trials)
-        assert m.dtype == np.uint8
+        assert m.dtype == np.uint8 and m.flags.c_contiguous
+        ids = np.arange(rows)[::-1]
+        assert (trial_multiplicities(rows, trials, 0, "t", ids) == m[::-1]).all()
 
     def test_stream_is_pinned(self):
         """The draw is part of every recorded result: it may not change
         silently with the NumPy version or the host's byte order."""
-        m = trial_multiplicities(7, 5, seed=42, table="lineitem", batch_no=3)
-        assert m[0].tolist() == [1, 1, 0, 2, 3]
+        ids = np.array([0, 1, 2, 1000, 39_999, 2**33, 5])
+        m = trial_multiplicities(7, 5, 42, "lineitem", ids)
+        assert m[0].tolist() == [1, 2, 1, 0, 1]
         assert hashlib.sha256(m.tobytes()).hexdigest() == (
-            "b4ce61776662e254a2395938bdabe5b3796cda9520058ad51426c80ee561bee6"
+            "c87c195a7da76892d9269732b917a46646a17e435efc9d2d73a412c4a9f1de0c"
         )
+
+    def test_cells_are_uncorrelated(self):
+        """Lag-1 correlation across adjacent row ids, across adjacent
+        trials, and between the four 16-bit lanes of one hashed word."""
+        # 10**6 cell pairs per lane pair: 5e-3 is five standard errors.
+        m = trial_multiplicities(40_000, 100, seed=5, table="t").astype(np.float64)
+
+        def corr(a, b):
+            return abs(np.corrcoef(a.ravel(), b.ravel())[0, 1])
+
+        assert corr(m[:-1], m[1:]) < 5e-3
+        assert corr(m[:, :-1], m[:, 1:]) < 5e-3
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert corr(m[:, i::4], m[:, j::4]) < 5e-3
 
     def test_table_is_poisson_one(self):
         """Exact distribution of the 65 536-entry inverse-CDF table."""
@@ -161,7 +186,7 @@ class TestPoissonBootstrap:
         assert (pmf * (ks - mean) ** 2).sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_chi_square_against_poisson_one(self):
-        m = trial_multiplicities(10_000, 100, seed=0, table="t", batch_no=1)
+        m = trial_multiplicities(10_000, 100, seed=0, table="t")
         observed = np.bincount(np.minimum(m.ravel(), 7), minlength=8)
         p = np.array([math.exp(-1.0) / math.factorial(k) for k in range(7)])
         expected = np.append(p, 1.0 - p.sum()) * m.size
@@ -183,6 +208,6 @@ class TestPoissonBootstrap:
         """Poissonized bootstrap of a mean approximates σ/√n."""
         rng = np.random.default_rng(0)
         data = rng.normal(10.0, 4.0, 1000)
-        trials = trial_multiplicities(1000, 200, seed=1, table="t", batch_no=1)
+        trials = trial_multiplicities(1000, 200, seed=1, table="t")
         means = (data[:, None] * trials).sum(0) / trials.sum(0)
         assert bootstrap_stdev(means) == pytest.approx(4.0 / np.sqrt(1000), rel=0.3)

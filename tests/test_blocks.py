@@ -88,12 +88,15 @@ class TestLineageIsTheGid:
         engine = OnlineQueryEngine(
             catalogs[name],
             spec.streamed_table,
-            OnlineConfig(num_trials=8, seed=7, lazy_lineage=lazy_lineage),
+            # A seed with no range-integrity failure in these 12 batches:
+            # a recovery words its violation through the row-wise sentinel
+            # check (one ``resolve`` per flipped entity), by design.
+            OnlineConfig(num_trials=8, seed=5, lazy_lineage=lazy_lineage),
         )
         session = engine.open_run(spec.plan, 12)
         try:
             for batch_no in range(1, 13):
-                session.process(batch_no)
+                assert not session.process(batch_no).metrics.recovered
                 for namespace in session.ctx.stores.namespaces():
                     nd = session.ctx.stores.get(namespace).get("nd")
                     if nd is None or not len(nd):

@@ -111,7 +111,7 @@ class TestAnalyticalBootstrap:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.x = rng.gamma(3.0, 5.0, 800)
-        self.trials = trial_multiplicities(800, 400, seed=2, table="t", batch_no=1)
+        self.trials = trial_multiplicities(800, 400, seed=2, table="t")
 
     def test_sum_matches_simulation(self):
         simulated = bootstrap_stdev((self.x[:, None] * self.trials).sum(0))

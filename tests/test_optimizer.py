@@ -1,32 +1,24 @@
-"""Tests for the rule-based plan optimizer (semantics-preserving rewrites)."""
+"""Tests for scan pruning, the plan rewrite the online compiler applies."""
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.compiler import compile_online
 from repro.relational import (
     Catalog,
-    Join,
-    Project,
     Scan,
-    Select,
     avg,
     col,
     count,
     evaluate,
-    lit,
     relation_from_columns,
     scan,
     sum_,
 )
-from repro.relational.optimizer import (
-    drop_trivial_selects,
-    merge_selects,
-    optimize,
-    prune_projections,
-    push_down_predicates,
-)
+from repro.relational.optimizer import prune_scans
+from repro.workloads.conviva_queries import CONVIVA_QUERIES
+from repro.workloads.tpch_queries import TPCH_QUERIES
 from tests.conftest import DIM_SCHEMA, KX_SCHEMA, random_kx
 
 fuzz = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -37,174 +29,97 @@ def catalog(seed=0):
     return Catalog({"t": random_kx(400, seed=seed, groups=6), "dim": dim})
 
 
-def equivalent(plan, cat):
-    optimized = optimize(plan, cat.schemas())
-    assert evaluate(plan, cat).bag_equal(evaluate(optimized, cat), 4)
-    return optimized
+def scans(plan):
+    """{table: [column names]} per Scan, in plan order."""
+    return [(n.table, n.schema.names) for n in plan.walk() if isinstance(n, Scan)]
 
 
-class TestMergeSelects:
-    def test_adjacent_selects_merge(self):
-        plan = scan("t", KX_SCHEMA).select(col("x") > 1).select(col("y") > 2)
-        merged = merge_selects(plan)
-        assert isinstance(merged, Select)
-        assert isinstance(merged.child, Scan)
-
-    def test_triple_stack(self):
-        plan = (
-            scan("t", KX_SCHEMA)
-            .select(col("x") > 1)
-            .select(col("y") > 2)
-            .select(col("k") > 0)
-        )
-        merged = merge_selects(plan)
-        assert isinstance(merged.child, Scan)
-
-    def test_semantics(self):
-        cat = catalog()
-        plan = scan("t", KX_SCHEMA).select(col("x") > 10).select(col("y") > 90)
-        equivalent(plan, cat)
+def pruned(plan, cat):
+    out = prune_scans(plan, cat.schemas())
+    assert evaluate(plan, cat).bag_equal(evaluate(out, cat), 4)
+    assert out.output_schema(cat.schemas()) == plan.output_schema(cat.schemas())
+    assert [n.node_id for n in out.walk()] == [n.node_id for n in plan.walk()]
+    assert type(out) is type(plan) and [type(n) for n in out.walk()] == [
+        type(n) for n in plan.walk()
+    ]
+    return out
 
 
-class TestTrivialSelects:
-    def test_true_filter_removed(self):
-        plan = scan("t", KX_SCHEMA).select(lit(True))
-        assert isinstance(drop_trivial_selects(plan), Scan)
-
-    def test_true_conjunct_removed(self):
-        plan = scan("t", KX_SCHEMA).select(lit(True) & (col("x") > 1))
-        out = drop_trivial_selects(plan)
-        assert isinstance(out, Select)
-        assert "True" not in repr(out.predicate)
-
-
-class TestPushdown:
-    def test_through_projection_passthrough(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .project([("k", "k"), ("x", "x")])
-            .select(col("x") > 10)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert isinstance(out, Project)
-        assert isinstance(out.child, Select)
-        equivalent(plan, cat)
-
-    def test_blocked_by_computed_projection(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .project([("z", col("x") * 2)])
-            .select(col("z") > 10)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert isinstance(out, Select)  # stays above the projection
-        equivalent(plan, cat)
-
-    def test_into_left_join_side(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(scan("dim", DIM_SCHEMA), keys=["k"])
-            .select(col("x") > 10)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert isinstance(out, Join)
-        assert isinstance(out.left, Select)
-        equivalent(plan, cat)
-
-    def test_into_right_join_side(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(scan("dim", DIM_SCHEMA), keys=["k"])
-            .select(col("label").eq("a"))
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert isinstance(out.right, Select)
-        equivalent(plan, cat)
-
-    def test_key_predicate_maps_to_right_key_name(self):
-        cat = catalog()
-        renamed_dim = scan("dim", DIM_SCHEMA).rename({"k": "dk"})
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(renamed_dim, keys=[("k", "dk")])
-            .select(col("k") > 2)
-        )
-        equivalent(plan, cat)
-
-    def test_through_rename(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA).rename({"x": "value"}).select(col("value") > 10)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert type(out).__name__ == "Rename"
-        equivalent(plan, cat)
-
-    def test_into_both_union_branches(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .union(scan("t", KX_SCHEMA))
-            .select(col("x") > 10)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert type(out).__name__ == "Union"
-        equivalent(plan, cat)
-
-    def test_stops_at_aggregate(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .aggregate(["k"], [count("n")])
-            .select(col("n") > 50)
-        )
-        out = push_down_predicates(plan, cat.schemas())
-        assert isinstance(out, Select)
-        equivalent(plan, cat)
-
-
-class TestProjectionPruning:
-    def test_narrows_scan(self):
+class TestPruneScans:
+    def test_narrows_scan_without_adding_a_node(self):
         cat = catalog()
         plan = scan("t", KX_SCHEMA).aggregate([], [sum_("x", "sx")])
-        out = prune_projections(plan, cat.schemas())
-        assert isinstance(out.child, Project)
-        assert out.child.output_schema(cat.schemas()).names == ["x"]
-        equivalent(plan, cat)
+        out = pruned(plan, cat)
+        assert scans(out) == [("t", ["x"])]
+        assert scans(plan) == [("t", ["k", "x", "y"])]  # the input is not edited
 
     def test_keeps_predicate_columns(self):
         cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .select(col("y") > 0)
-            .aggregate([], [sum_("x", "sx")])
-        )
-        out = prune_projections(plan, cat.schemas())
-        names = out.child.child.output_schema(cat.schemas()).names
-        assert set(names) == {"x", "y"}
-        equivalent(plan, cat)
+        plan = scan("t", KX_SCHEMA).select(col("y") > 0).aggregate([], [sum_("x", "sx")])
+        assert scans(pruned(plan, cat)) == [("t", ["x", "y"])]
 
-    def test_keeps_join_keys(self):
+    def test_keeps_join_keys_on_both_sides(self):
         cat = catalog()
         plan = (
             scan("t", KX_SCHEMA)
             .join(scan("dim", DIM_SCHEMA), keys=["k"])
             .aggregate(["label"], [count("n")])
         )
-        equivalent(plan, cat)
+        assert scans(pruned(plan, cat)) == [("t", ["k"]), ("dim", ["k", "label"])]
 
-    def test_full_schema_untouched(self):
+    def test_a_rename_keeps_what_it_names(self):
+        """Q7's shape: the rename maps a column nobody reads afterwards."""
+        cat = catalog()
+        plan = (
+            scan("t", KX_SCHEMA)
+            .join(scan("dim", DIM_SCHEMA).rename({"k": "dk", "label": "name"}), keys=[("k", "dk")])
+            .aggregate(["k"], [sum_("x", "sx")])
+        )
+        assert scans(pruned(plan, cat)) == [("t", ["k", "x"]), ("dim", ["k", "label"])]
+
+    def test_count_star_keeps_one_column(self):
+        cat = catalog()
+        plan = scan("t", KX_SCHEMA).aggregate([], [count("n")])
+        assert scans(pruned(plan, cat)) == [("t", ["k"])]
+
+    def test_union_sides_keep_identical_schemas(self):
+        cat = catalog()
+        plan = (
+            scan("t", KX_SCHEMA)
+            .select(col("x") > 20)
+            .union(scan("t", KX_SCHEMA).select(col("y") > 100))
+            .aggregate([], [sum_("x", "sx")])
+        )
+        assert scans(pruned(plan, cat)) == [("t", ["k", "x", "y"])] * 2
+
+    def test_full_schema_plan_is_returned_as_is(self):
         cat = catalog()
         plan = scan("t", KX_SCHEMA).select(col("x") > 0)
-        out = prune_projections(plan, cat.schemas())
-        assert isinstance(out.child, Scan)
+        assert prune_scans(plan, cat.schemas()) is plan
 
+    def test_a_shared_subplan_stays_shared_and_reads_the_union(self):
+        cat = catalog()
+        base = scan("t", KX_SCHEMA).select(col("x") > 5)
+        plan = (
+            base.aggregate(["k"], [sum_("x", "sx")])
+            .join(base.aggregate(["k"], [sum_("y", "sy")]).rename({"k": "k2"}), keys=[("k", "k2")])
+        )
+        out = pruned(plan, cat)
+        assert scans(out) == [("t", ["k", "x", "y"])] * 2
+        assert out.left.child is out.right.child.child
 
-class TestOptimizeEndToEnd:
+    @pytest.mark.parametrize("name", sorted({**TPCH_QUERIES, **CONVIVA_QUERIES}))
+    def test_idempotent_on_the_workload_queries(self, name, tpch_small, conviva_small):
+        spec = {**TPCH_QUERIES, **CONVIVA_QUERIES}[name]
+        data = tpch_small if name in TPCH_QUERIES else conviva_small
+        cat = data.catalog()
+        plan = spec.plan
+        once = prune_scans(plan, cat.schemas())
+        assert prune_scans(once, cat.schemas()) is once
+        assert evaluate(once, cat).bag_equal(evaluate(plan, cat), 4)
+        # Some scan of every workload query got narrower.
+        assert sum(len(c) for _, c in scans(once)) < sum(len(c) for _, c in scans(plan))
+
     @fuzz
     @given(st.integers(0, 500), st.floats(5.0, 40.0))
     def test_fuzzed_equivalence(self, seed, threshold):
@@ -217,35 +132,29 @@ class TestOptimizeEndToEnd:
             .select(col("label").ne("c"))
             .aggregate(["label"], [sum_("y", "sy"), count("n")])
         )
-        equivalent(plan, cat)
+        pruned(plan, cat)
 
-    def test_online_engine_runs_optimized_plans(self):
+
+class TestCompilerPrunes:
+    def test_batches_and_static_sides_carry_only_what_is_read(self):
         from repro.core import OnlineConfig, OnlineQueryEngine
 
         cat = catalog()
         inner = scan("t", KX_SCHEMA).aggregate([], [avg("x", "ax")])
         plan = (
             scan("t", KX_SCHEMA)
+            .join(scan("dim", DIM_SCHEMA), keys=["k"])
             .join(inner, keys=[])
-            .select((col("x") > col("ax")) & (col("y") > 0))
-            .aggregate(["k"], [count("n")])
+            .select(col("x") > col("ax"))
+            .aggregate(["label"], [count("n")])
         )
-        optimized = optimize(plan, cat.schemas())
-        exact = evaluate(plan, cat)
+        compiled = compile_online(plan, cat, "t")
+        assert compiled.stream_columns == ["k", "x"]
         engine = OnlineQueryEngine(cat, "t", OnlineConfig(num_trials=15, seed=3))
-        final = engine.run_to_completion(optimized, 5)
-        assert final.to_relation().bag_equal(exact, 3)
-
-    def test_reaches_fixpoint(self):
-        cat = catalog()
-        plan = (
-            scan("t", KX_SCHEMA)
-            .select(col("x") > 1)
-            .select(col("y") > 1)
-            .aggregate(["k"], [count("n")])
-        )
-        once = optimize(plan, cat.schemas())
-        twice = optimize(once, cat.schemas())
-        from repro.baselines.viewlet import plans_equal
-
-        assert plans_equal(once, twice)
+        session = engine.open_run(plan, 5)
+        try:
+            assert {tuple(b.schema.names) for b in session.batches} == {("k", "x")}
+            partial = [session.process(i) for i in range(1, 6)][-1]
+        finally:
+            session.close()
+        assert partial.to_relation().bag_equal(evaluate(plan, cat), 3)

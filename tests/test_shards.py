@@ -11,7 +11,9 @@ shard-smoke job's weekly configuration).
 
 from __future__ import annotations
 
+import hashlib
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from repro.core.values import UncertainValue
 from repro.engine.shards import (
     ShardedQueryEngine,
     analyze_shardability,
+    envelope,
     shard_ids,
 )
+from repro.relational import ColumnType, Relation, Schema
+from repro.storage import encode_relation
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 FULL = os.environ.get("IOLAP_SHARD_FULL") == "1"
@@ -175,6 +180,98 @@ class TestShardIds:
         ids = shard_ids(rel, ("cdn", "isp"), 3)
         assert ids.min() >= 0 and ids.max() < 3
         assert len(np.unique(ids)) == 3
+
+
+def _mixed_key_relation(n=3000):
+    schema = Schema(
+        [("s", ColumnType.STRING), ("i", ColumnType.INT),
+         ("f", ColumnType.FLOAT), ("m", ColumnType.STRING)]
+    )
+    rng = np.random.default_rng(0)
+    mixed = np.empty(n, dtype=object)
+    pool = [1, 1.0, True, "1", None, "x", 2.5, float("nan")]
+    for row, pick in enumerate(rng.integers(0, len(pool), n)):
+        mixed[row] = pool[pick]
+    return Relation(
+        schema,
+        {
+            "s": np.array(["ab", "cd", "é", "", "long string"], dtype=object)[
+                rng.integers(0, 5, n)
+            ],
+            "i": rng.integers(-5, 5, n),
+            "f": rng.normal(size=n).round(1),
+            "m": mixed,
+        },
+    )
+
+
+def _rowwise_shard_ids(rel, key, count):
+    """The definition, one Python int at a time: FNV-1a over the
+    splitmix64-mixed bits (numbers) or text CRC32 (anything else)."""
+    mask = 2**64 - 1
+
+    def mix(v):
+        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & mask
+        return v ^ (v >> 31)
+
+    out = []
+    for row in range(len(rel)):
+        h = 14695981039346656037
+        for name in key:
+            arr = rel.columns[name]
+            if arr.dtype.kind in "iub":
+                v = int(arr[row]) & mask
+            elif arr.dtype.kind == "f":
+                v = int(arr[row : row + 1].astype(np.float64).view(np.uint64)[0])
+            else:
+                v = zlib.crc32(str(arr[row]).encode("utf-8"))
+            h = ((h ^ mix(v)) * 1099511628211) & mask
+        out.append(h % count)
+    return np.array(out)
+
+
+class TestShardIdsHashValuesNotRows:
+    """String keys hash each distinct value once (the dictionary page
+    when the column carries one, a sweep otherwise) and gather; the ids
+    are those of the row-wise definition, bit for bit."""
+
+    KEYS = [("s",), ("i",), ("f",), ("m",), ("s", "i", "m"), ("f", "s")]
+
+    @pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
+    @pytest.mark.parametrize("key", KEYS, ids=["+".join(k) for k in KEYS])
+    def test_matches_the_rowwise_definition(self, key, encoded):
+        rel = _mixed_key_relation()
+        if encoded:
+            rel = encode_relation(rel, ["s", "m"])
+            assert set(rel.encodings) == {"s", "m"}
+        for count in (2, 3):
+            assert np.array_equal(
+                shard_ids(rel, key, count), _rowwise_shard_ids(rel, key, count)
+            )
+
+    def test_assignment_is_pinned(self):
+        """Shard ownership is part of every recorded sharded result."""
+        ids = shard_ids(_mixed_key_relation(), ("s", "i", "m"), 4)
+        assert ids.dtype == np.int64
+        assert hashlib.sha256(ids.tobytes()).hexdigest() == (
+            "e6481de1388b088a0bc14b3a418129ed5d902eee6398ab127ade600b127f5976"
+        )
+
+    def test_distinct_values_are_hashed_once(self, monkeypatch, conviva_small):
+        calls = []
+        crc32 = zlib.crc32
+        monkeypatch.setattr(
+            envelope.zlib, "crc32", lambda data: calls.append(data) or crc32(data)
+        )
+        rel = conviva_small.catalog().get("sessions")
+        shard_ids(rel, ("cdn", "isp"), 2)
+        distinct = len(set(rel.columns["cdn"])) + len(set(rel.columns["isp"]))
+        assert len(calls) == distinct < len(rel) / 10
+        calls.clear()
+        plain = Relation(rel.schema, rel.columns)  # no dictionary carried
+        assert np.array_equal(shard_ids(plain, ("cdn", "isp"), 2), shard_ids(rel, ("cdn", "isp"), 2))
+        assert len(calls) == 2 * distinct
 
 
 class TestDeterminism:

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from repro.core.sketch import AggBundle
 from repro.relational import avg, count, sum_
 from repro.relational.evaluator import join_relations
-from repro.relational.groupby import (
-    RowSegments,
-    group_ids,
-    trial_weight_sums,
-    weighted_trial_sums,
-)
+from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation, relation_from_columns
 from tests.conftest import KX_SCHEMA, random_kx
 
@@ -229,6 +224,14 @@ def grouped_rows(draw):
     return gids, num_groups, weights, feats
 
 
+def trial_weight_sums(rows: np.ndarray, gids: np.ndarray, num_groups: int) -> np.ndarray:
+    """Per-group sums over axis 0 through RowSegments, the way AggBundle folds."""
+    segments = RowSegments(gids)
+    out = np.zeros((num_groups,) + rows.shape[1:])
+    out[segments.groups] = segments.sums(rows[segments.order])
+    return out
+
+
 class TestSegmentedSums:
     @given(grouped_rows())
     @settings(max_examples=150, deadline=None)
@@ -239,13 +242,11 @@ class TestSegmentedSums:
             add_at_sums(weights, gids, num_groups),
             rtol=RTOL,
         )
-        want = add_at_sums(
-            feats.T[:, None, :] * weights[:, :, None].astype(np.float64),
-            gids,
-            num_groups,
-        )
+        weighted = feats.T[:, None, :] * weights[:, :, None].astype(np.float64)
         np.testing.assert_allclose(
-            weighted_trial_sums(feats, weights, gids, num_groups), want, rtol=RTOL
+            trial_weight_sums(weighted, gids, num_groups),
+            add_at_sums(weighted, gids, num_groups),
+            rtol=RTOL,
         )
 
     def test_empty_input(self):
