@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.core.blocks import BlockOutput, GroupValue, MEMBER_UNKNOWN, RuntimeContext
+from repro.core.blocks import GroupValue, MEMBER_UNKNOWN, RuntimeContext
 from repro.core.classify import evaluate_side
 from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.kernels.codec import factorize_keys
@@ -52,6 +52,7 @@ from repro.storage.lineage import LineageColumn
 from repro.workloads.tpch import LINEORDER_SCHEMA
 
 from benchmarks.harness import SEED, tpch_catalog
+from tests.conftest import output_from_groups
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -219,7 +220,7 @@ def _classify_bench() -> dict:
                            member_status=MEMBER_UNKNOWN, member_point=True,
                            exist_trials=np.ones(PERF_TRIALS, dtype=bool))
             )
-        ctx.blocks[1] = BlockOutput.from_groups(
+        ctx.blocks[1] = output_from_groups(
             1, ["k"], ["v"], groups, PERF_TRIALS, ctx.indexes[1]
         )
         return ctx

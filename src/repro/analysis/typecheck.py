@@ -146,10 +146,9 @@ def _infer_inner(
     if isinstance(node, Select):
         child = _infer(node.child, streamed, tags, diags)
         touched = frozenset(node.predicate.attrs() & child.uncertain_cols)
-        # Predicate-shape and projection-shape restrictions (TC107/TC108)
-        # apply only on the stream pipeline: small segments evaluate
-        # arbitrary expressions over uncertain values per bootstrap trial.
-        if touched and child.raw_stream:
+        # Every conjunct over uncertain attributes must be a comparison
+        # (TC107), on the stream pipeline and in small segments alike.
+        if touched:
             for part in conjuncts(node.predicate):
                 part_touched = part.attrs() & child.uncertain_cols
                 if part_touched and not isinstance(part, Comparison):
@@ -178,6 +177,7 @@ def _infer_inner(
             if not touched:
                 continue
             out_uncertain.add(name)
+            # Small segments compute over uncertain values array-wide.
             if child.raw_stream and not isinstance(expr, Col):
                 diags.append(
                     _diag(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -222,54 +222,43 @@ class BlockOutput:
         self._ucols = ucols
 
     @classmethod
-    def from_groups(
-        cls,
-        block_id: int,
-        key_cols: list[str],
-        value_cols: list[str],
-        groups: Iterable[GroupValue],
-        num_trials: int,
-        index: GroupIndex | None = None,
+    def published(
+        cls, block_id: int, key_cols: list[str], value_cols: list[str], index: GroupIndex,
+        gids: np.ndarray, certain: np.ndarray, member_status: np.ndarray,
+        member_point: np.ndarray, exist: np.ndarray | None,
+        columns: dict[str, "UColumn | np.ndarray"], num_trials: int,
     ) -> "BlockOutput":
-        """Output stacked from row-form groups, which seed the row cache
-        (a later duplicate key replaces the earlier group, as in a dict).
-        A value column with an uncertain cell becomes a :class:`UColumn`
-        (plain cells read as point ranges), any other a plain array."""
-        out = cls(block_id, key_cols, value_cols, index)
-        by_key = {group.key: group for group in groups}
-        order = out.index.add(list(by_key))
-        out._rows = dict(zip(order.tolist(), by_key.values()))
+        """Output publishing ``n`` rows at ``gids`` (distinct, in
+        publication order): per row the membership fields, ``exist (n, T)``
+        (None = every trial) and, per value column, a :class:`UColumn` or
+        plain array of ``n`` rows. Other gids hold filler; a column no row
+        carries reads as filler either way."""
+        out = cls(block_id, key_cols, value_cols, index, num_trials)
         g = len(out.index)
-        certain = np.zeros(g, dtype=bool)
-        status = np.zeros(g, dtype=np.int8)
-        point = np.zeros(g, dtype=bool)
-        exist = np.zeros((g, num_trials), dtype=bool)
-        for gid, group in out._rows.items():
-            certain[gid], status[gid] = group.certain, group.member_status
-            point[gid] = group.member_point
-            exist[gid] = True if group.exist_trials is None else group.exist_trials
+
+        def scatter(fill, values: np.ndarray) -> np.ndarray:
+            buf = np.full((g,) + values.shape[1:], fill, dtype=values.dtype)
+            buf[gids] = values
+            return buf
+
         ucols: dict[str, UColumn] = {}
         for name in value_cols:
+            col = columns.get(name)
             if name in key_cols:
                 continue
-            cells = [group.values[name] for group in by_key.values()]
-            uncertain = [isinstance(cell, UncertainValue) for cell in cells]
-            if not any(uncertain):
-                plain = np.array(cells)
-                out._dets[name] = np.zeros(g, dtype=plain.dtype)
-                out._dets[name][order] = plain
-            if any(uncertain) or not cells:
-                col = ucols[name] = UColumn(
-                    np.full(g, np.nan), np.full((g, num_trials), np.nan),
-                    np.full(g, -np.inf), np.full(g, np.inf),
-                )
-                for gid, v, is_uncertain in zip(order.tolist(), cells, uncertain):
-                    if is_uncertain:
-                        col.point[gid], col.trials[gid] = v.value, v.trials
-                        col.lo[gid], col.hi[gid] = v.vrange.lo, v.vrange.hi
-                    else:
-                        col.point[gid] = col.trials[gid] = col.lo[gid] = col.hi[gid] = v
-        out.fill(order, certain, status, point, exist, ucols)
+            if col is None:
+                out._dets[name], col = np.zeros(g), out._ucols[name]
+            if isinstance(col, np.ndarray):
+                out._dets[name] = scatter(0, col)
+            else:
+                fills = (np.nan, np.nan, -np.inf, np.inf)
+                ucols[name] = UColumn(*map(scatter, fills, col))
+        exist_g = np.zeros((g, num_trials), dtype=bool)
+        exist_g[gids] = True if exist is None else exist
+        out.fill(
+            gids, scatter(False, certain), scatter(0, member_status),
+            scatter(False, member_point), exist_g, ucols,
+        )
         return out
 
     def relabel(
@@ -305,13 +294,20 @@ class BlockOutput:
         """Uncertain value column ``name`` by gid."""
         return self._ucols[name]
 
-    def det_values(self, name: str, dtype: np.dtype) -> np.ndarray:
+    def det_values(self, name: str, dtype: np.dtype | None) -> np.ndarray:
         """``(G,)`` values of the key or plain value column ``name``."""
         if name in self.key_cols:
             at = self.key_cols.index(name)
             keys = self.index.keys[: len(self.present)]
             return np.array([key[at] for key in keys], dtype=dtype)
         return self._dets[name].astype(dtype, copy=False)
+
+    def column(self, name: str) -> "UColumn | np.ndarray | None":
+        """Column ``name`` by gid: a :class:`UColumn` if uncertain, else
+        plain (keys' dtype inferred); None if there is no such column."""
+        if name in self.key_cols:
+            return self.det_values(name, None)
+        return self._ucols.get(name, self._dets.get(name))
 
     @property
     def join_status(self) -> np.ndarray:

@@ -141,9 +141,21 @@ def classify_comparison(
     """Classify one comparison conjunct over all rows of ``rel``."""
     left = evaluate_side(cmp.left, rel, uncertain_cols, ctx)
     right = evaluate_side(cmp.right, rel, uncertain_cols, ctx)
-    n = len(rel)
-    op = cmp.op
+    status, point = classify_bounds(cmp.op, left, right)
+    trials: np.ndarray | None = None
+    if np.any(status == UNKNOWN):
+        t = ctx.num_trials
+        trials = compare(cmp.op, left.trial_matrix(t), right.trial_matrix(t))
+        trials[left.pending | right.pending] = False
+    return ClassifyResult(status, point, trials)
 
+
+def classify_bounds(
+    op: str, left: SideValues, right: SideValues
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the status ranges give ``left op right`` and the current
+    point decision (PENDING / False where a side is pending): the one
+    predicate classifier, of ND stores and small plan segments alike."""
     if op in (">", ">="):
         always = left.lo > right.hi if op == ">" else left.lo >= right.hi
         never = left.hi <= right.lo if op == ">" else left.hi < right.lo
@@ -159,24 +171,18 @@ def classify_comparison(
     else:  # pragma: no cover - Comparison validates its operator
         raise UnsupportedQueryError(f"cannot classify comparison {op!r}")
 
-    status = np.full(n, UNKNOWN, dtype=np.int8)
+    pending = left.pending | right.pending
+    status = np.full(len(pending), UNKNOWN, dtype=np.int8)
     status[always] = TRUE
     status[never] = FALSE
-    pending = left.pending | right.pending
     status[pending] = PENDING
-
-    point = _compare(op, left.point, right.point)
+    point = compare(op, left.point, right.point)
     point[pending] = False
-    trials: np.ndarray | None = None
-    if np.any(status == UNKNOWN):
-        lt = left.trial_matrix(ctx.num_trials)
-        rt = right.trial_matrix(ctx.num_trials)
-        trials = _compare(op, lt, rt)
-        trials[pending] = False
-    return ClassifyResult(status, point, trials)
+    return status, point
 
 
-def _compare(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def compare(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a op b`` elementwise (NaN compares False, except ``!=``)."""
     with np.errstate(invalid="ignore"):
         if op == ">":
             return a > b

@@ -51,7 +51,6 @@ from repro.core.smallplan import (
     SmallRename,
     SmallSelect,
     SmallStaticLeaf,
-    URow,
     iter_small_nodes,
 )
 from repro.core.uncertainty import NodeTags, analyze
@@ -185,12 +184,13 @@ class CompiledQuery:
         for unit in self.units:
             unit.close()
 
-    def current_rows(self, ctx: RuntimeContext) -> list[URow]:
+    def current_rows(self, ctx: RuntimeContext) -> list[dict[str, object]]:
+        """This batch's result rows as ``column -> value`` dicts."""
         if self.result_small is not None:
-            return self.result_small.result_rows()
+            return self.result_small.result_rows(ctx)
         assert self.result_sink is not None
         rel = self.result_sink.result(ctx)
-        return [URow(rel.row(i)) for i in range(len(rel))]
+        return [rel.row(i) for i in range(len(rel))]
 
     def reset(self) -> None:
         for unit in self.units:
@@ -312,13 +312,12 @@ class OnlineCompiler:
             return _Ref(static=evaluate(node, self.catalog))
         child = self._compile(node.child)
         parts = conjuncts(node.predicate)
-        if child.kind == "small":
-            return _Ref(small=SmallSelect(child.small, parts))
-        assert child.stream is not None
+        side = child.stream if child.stream is not None else self.tags[node.child.node_id]
+        uncertain_cols = side.uncertain_cols
         det: list[Expression] = []
         uncertain: list[Comparison] = []
         for part in parts:
-            if part.attrs() & child.stream.uncertain_cols:
+            if part.attrs() & uncertain_cols:
                 if not isinstance(part, Comparison):
                     raise UnsupportedQueryError(
                         f"predicate {part!r} over uncertain columns must be a "
@@ -328,6 +327,8 @@ class OnlineCompiler:
                 uncertain.append(part)
             else:
                 det.append(part)
+        if child.kind == "small":
+            return _Ref(small=SmallSelect(child.small, parts))
         if not uncertain:
             return _Ref(stream=FilterOp(child.stream, conjoin(det)))
         return _Ref(

@@ -71,7 +71,7 @@ class OnlineQueryEngine:
         #: (``OnlineConfig(profile=True)``), or None.
         self.profiler = None
         #: Identity-keyed result-row projection cache (rollup runs only):
-        #: ``id(urow) -> (urow, projected dict)``, rebuilt every batch.
+        #: ``id(values) -> (values, projected dict)``, rebuilt every batch.
         self._result_rows_cache: dict[int, tuple[object, dict]] = {}
 
     #: Tag recorded on the per-run CheckpointManager; shard workers set
@@ -404,21 +404,20 @@ class OnlineQueryEngine:
     ) -> PartialResult:
         rows = []
         names = compiled.result_schema.names
-        # Result rows of rollup-tier groups are the *same* URow objects
-        # batch over batch (the small-plan leaves reuse them for
-        # unchanged GroupValues); projecting them into the result dict
-        # again would put the per-row cost back on the total group
-        # count. Identity-keyed, so any recomputed URow misses and
-        # projects fresh.
+        # A bare block root hands back its groups' own value dicts, the
+        # *same* objects batch over batch for rollup-tier groups;
+        # projecting them into the result dict again would put the
+        # per-row cost back on the total group count. Identity-keyed, so
+        # any republished group misses and projects fresh.
         cache = self._result_rows_cache
         fresh: dict[int, tuple[object, dict]] = {}
-        for urow in compiled.current_rows(ctx):
-            hit = cache.get(id(urow))
-            if hit is not None and hit[0] is urow:
+        for values in compiled.current_rows(ctx):
+            hit = cache.get(id(values))
+            if hit is not None and hit[0] is values:
                 row = hit[1]
             else:
-                row = {name: urow.values[name] for name in names}
-            fresh[id(urow)] = (urow, row)
+                row = {name: values[name] for name in names}
+            fresh[id(values)] = (values, row)
             rows.append(row)
         self._result_rows_cache = fresh
         is_final = batch_no == num_batches

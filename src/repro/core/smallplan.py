@@ -1,4 +1,4 @@
-"""Interpreter for *small* plan segments over lineage-block outputs.
+"""Small plan segments over lineage-block outputs, evaluated column-wise.
 
 Everything in a query that does not touch the streamed fact table
 row-by-row — HAVING clauses, scalar comparisons between aggregates,
@@ -14,11 +14,19 @@ batch (they are tiny), but does so *uncertainty-aware*:
   through arbitrarily nested blocks;
 * aggregate segments publish their own block outputs (with monitored
   variation ranges), making nesting compositional.
+
+A segment's rows are a :class:`Frame` (columns over a gid selection of
+block outputs, plus per-row membership arrays); each node maps frames to
+a frame with a few array operations — selects classify with the ND
+stores' :func:`~repro.core.classify.classify_bounds`, arithmetic is
+:func:`~repro.kernels.resolve.evaluate` — and rows are built only where
+the root segment delivers the query result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,38 +35,150 @@ from repro.core.blocks import (
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
     BlockOutput,
-    GroupKey,
-    GroupValue,
     RuntimeContext,
+    UColumn,
 )
-from repro.core.values import LineageRef, UncertainValue, VariationRange, point_of, range_of, trials_of
-from repro.errors import UnsupportedQueryError
-from repro.relational.aggregates import AggSpec
+from repro.core.classify import SideValues, classify_bounds, compare
+from repro.core.values import UncertainValue, VariationRange
+from repro.errors import SchemaError, UnsupportedQueryError
+from repro.kernels import resolve as kresolve
+from repro.kernels.codec import factorize_arrays
+from repro.relational.aggregates import AggregateFunction, AggSpec
 from repro.relational.expressions import Col, Comparison, Expression
 from repro.relational.relation import Relation
 
 
-@dataclass
-class URow:
-    """One row of a small segment, with uncertainty bookkeeping."""
+class UCol(NamedTuple):
+    """An uncertain frame column: rows ``at`` of a :class:`UColumn` (a
+    block's, by gid, or one a projection computed), gathered when read."""
 
-    values: dict[str, object]
-    #: Existence/membership is fully settled (stable-in).
-    certain: bool = True
-    member_status: int = MEMBER_TRUE
-    member_point: bool = True
-    exist_trials: np.ndarray | None = None
+    src: UColumn
+    at: np.ndarray
 
-    def exists(self, num_trials: int) -> np.ndarray:
-        if self.exist_trials is None:
-            return np.ones(num_trials, dtype=bool)
-        return self.exist_trials
+    def take(self, rows: np.ndarray) -> "UCol":
+        return UCol(self.src, self.at[rows])
+
+    def gather(self) -> UColumn:
+        return UColumn(*(a[self.at] for a in self.src))
+
+    def node(self, trials: bool) -> kresolve.Node:
+        s, at = self.src, self.at
+        picked = s.trials[at] if trials else None
+        return kresolve.Node(s.lo[at], s.hi[at], s.point[at], picked, None)
+
+
+class Frame:
+    """The rows of a small segment, column-wise.
+
+    ``cols`` maps each column to a plain array or a :class:`UCol`; per
+    row, ``certain`` / ``status`` / ``point`` are the membership fields of
+    :class:`~repro.core.blocks.GroupValue` and ``exist (n, T)`` the
+    per-trial existence (None: every row exists in every trial).
+    """
+
+    __slots__ = ("cols", "certain", "status", "point", "exist")
+
+    def __init__(self, cols: dict[str, np.ndarray | UCol], certain, status, point, exist=None):
+        self.cols, self.certain, self.status = cols, certain, status
+        self.point, self.exist = point, exist
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    @property
+    def uncertain(self) -> set[str]:
+        return {name for name, col in self.cols.items() if isinstance(col, UCol)}
+
+    def column(self, name: str) -> np.ndarray:
+        """Plain column ``name`` (what ``Expression.evaluate`` reads)."""
+        col = self.cols.get(name)
+        if col is None or isinstance(col, UCol):
+            raise SchemaError(f"no plain column {name!r}; have {list(self.cols)}")
+        return col
+
+    def evaluate(self, expr: Expression, trials: bool = True) -> kresolve.Node:
+        """Arithmetic over this frame's columns, uncertain ones included."""
+
+        def leaf(name: str) -> kresolve.Node:
+            col = self.cols.get(name)
+            if isinstance(col, UCol):
+                return col.node(trials)
+            col = self.column(name)
+            return kresolve.Node(col, col, col, None, None)
+
+        try:
+            return kresolve.evaluate(expr, leaf)
+        except kresolve.UnsupportedKernel as exc:
+            raise UnsupportedQueryError(f"{expr!r} over uncertain columns: {exc}") from None
+
+    def side(self, expr: Expression, trials: bool) -> SideValues:
+        """One comparison side, as the classifier reads it."""
+        none = np.zeros(len(self), bool)
+        if expr.attrs() & self.uncertain:
+            node = self.evaluate(expr, trials)
+            return SideValues(node.lo, node.hi, node.point, node.trials, none)
+        values = np.asarray(expr.evaluate(self), dtype=np.float64)
+        return SideValues(values, values, values, None, none)
+
+    def take(self, rows: np.ndarray) -> "Frame":
+        cols = {c: v.take(rows) if isinstance(v, UCol) else v[rows] for c, v in self.cols.items()}
+        exist = None if self.exist is None else self.exist[rows]
+        return Frame(cols, self.certain[rows], self.status[rows], self.point[rows], exist)
+
+    def members(self) -> "Frame":
+        """The rows not stably filtered out: all a join or aggregate reads."""
+        live = self.status != MEMBER_FALSE
+        return self if live.all() else self.take(np.flatnonzero(live))
+
+    def rows(self) -> list[dict[str, object]]:
+        """Every row as a ``column -> value`` dict."""
+        cells = []
+        for col in self.cols.values():
+            if isinstance(col, UCol):
+                c = col.gather()
+                bounds = zip(c.point.tolist(), c.trials, c.lo.tolist(), c.hi.tolist())
+                col = [UncertainValue(p, tr, VariationRange(lo, hi)) for p, tr, lo, hi in bounds]
+            cells.append(col.tolist() if isinstance(col, np.ndarray) else col)
+        return [dict(zip(self.cols, row)) for row in zip(*cells)]
+
+
+def _block_frame(output: BlockOutput, gids: np.ndarray) -> Frame:
+    """Groups ``gids`` of ``output`` as rows; as at any leaf, an unsettled
+    group is an UNKNOWN member."""
+    cols: dict[str, np.ndarray | UCol] = {}
+    for name in dict.fromkeys(output.key_cols + output.value_cols):
+        col = output.column(name)
+        if col is not None:
+            cols[name] = UCol(col, gids) if isinstance(col, UColumn) else col[gids]
+    certain = output.certain[gids]
+    exist = None
+    if not certain.all():
+        exist = output.exist[gids]
+        exist[certain] = True
+    status = np.where(certain, MEMBER_TRUE, MEMBER_UNKNOWN).astype(np.int8)
+    return Frame(cols, certain, status, output.member_point[gids], exist)
+
+
+def _factorize(arrays: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-appearance key codes of ``n`` rows, and each key's first row."""
+    # NaN float keys fall back to comparing as Python objects do.
+    out = factorize_arrays(arrays, n) or factorize_arrays([a.astype(object) for a in arrays], n)
+    if out is None:
+        raise UnsupportedQueryError("group/join key with unhashable values")
+    return out
+
+
+def _group_sums(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group sums of the rows of ``values``, accumulated in row order."""
+    out = np.zeros((num_groups,) + values.shape[1:])
+    np.add.at(out, codes, values)
+    return out
 
 
 class SmallNode:
     """Base class of small-segment plan nodes."""
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
+    def frame(self, ctx: RuntimeContext) -> Frame:
         raise NotImplementedError
 
 
@@ -68,15 +188,9 @@ def iter_small_nodes(root: SmallNode):
     while stack:
         node = stack.pop()
         yield node
-        child = getattr(node, "child", None)
-        if child is not None:
-            stack.append(child)
-        left = getattr(node, "left", None)
-        if left is not None:
-            stack.append(left)
-        right = getattr(node, "right", None)
-        if right is not None:
-            stack.append(right)
+        for attr in ("child", "left", "right"):
+            if getattr(node, attr, None) is not None:
+                stack.append(getattr(node, attr))
 
 
 class SmallBlockLeaf(SmallNode):
@@ -84,38 +198,12 @@ class SmallBlockLeaf(SmallNode):
 
     def __init__(self, block_id: int):
         self.block_id = block_id
-        #: ``key -> (group, urow)`` of the previous batch. A group the
-        #: block hands back as the *same* row object (the rollup tier's
-        #: migrated groups) reuses its URow instead of re-materializing
-        #: the values dict, keeping this segment's cost off the total
-        #: group count; any republished group misses. Downstream small
-        #: nodes never mutate a leaf URow in place (selects ``replace``,
-        #: projects/joins build new dicts), which makes reuse safe.
-        self._urow_cache: dict[tuple, tuple[object, URow]] = {}
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
+    def frame(self, ctx: RuntimeContext) -> Frame:
         output = ctx.blocks.get(self.block_id)
         if output is None:
-            return []
-        out = []
-        cache = self._urow_cache
-        fresh: dict[tuple, tuple[object, URow]] = {}
-        for group in output.rows(output.order.tolist()):
-            hit = cache.get(group.key)
-            if hit is not None and hit[0] is group:
-                urow = hit[1]
-            else:
-                urow = URow(
-                    dict(group.values),
-                    certain=group.certain,
-                    member_status=MEMBER_TRUE if group.certain else MEMBER_UNKNOWN,
-                    member_point=group.member_point,
-                    exist_trials=group.exist_trials,
-                )
-            fresh[group.key] = (group, urow)
-            out.append(urow)
-        self._urow_cache = fresh
-        return out
+            return Frame({}, np.zeros(0, bool), np.zeros(0, np.int8), np.zeros(0, bool))
+        return _block_frame(output, output.order)
 
 
 class SmallStaticLeaf(SmallNode):
@@ -124,8 +212,10 @@ class SmallStaticLeaf(SmallNode):
     def __init__(self, relation: Relation):
         self.relation = relation
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        return [URow(self.relation.row(i)) for i in range(len(self.relation))]
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        n = len(self.relation)
+        true = np.ones(n, bool)
+        return Frame(dict(self.relation.columns), true, np.full(n, MEMBER_TRUE, np.int8), true)
 
 
 class SmallSelect(SmallNode):
@@ -133,45 +223,56 @@ class SmallSelect(SmallNode):
 
     Stable-false rows are *retained* with ``MEMBER_FALSE`` so that
     stream-side consumers (semi-joins) can distinguish "stably filtered
-    out" from "group not yet seen"; every other consumer skips them.
+    out" from "group not yet seen"; every other consumer skips them. A
+    conjunct over uncertain columns is a comparison (the compiler rejects
+    anything else), whose per-trial decisions are computed only for the
+    rows it leaves UNKNOWN.
     """
 
     def __init__(self, child: SmallNode, conjuncts: list[Expression]):
         self.child = child
         self.conjuncts = conjuncts
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        out = []
-        for row in self.child.rows(ctx):
-            if row.member_status == MEMBER_FALSE:
-                out.append(row)
-                continue
-            out.append(self._apply(row, ctx))
-        return out
-
-    def _apply(self, row: URow, ctx: RuntimeContext) -> URow:
-        status = row.member_status
-        point = row.member_point
-        trials = row.exist_trials
-        certain = row.certain
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        f = self.child.frame(ctx)
+        n, t = len(f), ctx.num_trials
+        if not n:
+            return f
+        live = f.status != MEMBER_FALSE
+        false, unknown = np.zeros(n, bool), np.zeros(n, bool)
+        point = f.point.copy()
+        trials = None  # AND of the UNKNOWN conjuncts' per-trial decisions
+        uncertain = f.uncertain
         for pred in self.conjuncts:
-            p_status, p_point, p_trials = classify_row_predicate(
-                pred, row.values, ctx.num_trials
-            )
-            if p_status == MEMBER_FALSE:
-                return replace(row, member_status=MEMBER_FALSE, member_point=False)
-            if p_status == MEMBER_UNKNOWN:
-                status = MEMBER_UNKNOWN if status == MEMBER_TRUE else status
-                certain = False
-                trials = p_trials if trials is None else (trials & p_trials)
-            point = point and p_point
-        return URow(
-            row.values,
-            certain=certain,
-            member_status=status,
-            member_point=point,
-            exist_trials=trials,
-        )
+            if isinstance(pred, Comparison) and pred.attrs() & uncertain:
+                status, decided = classify_bounds(
+                    pred.op, f.side(pred.left, False), f.side(pred.right, False)
+                )
+                rows = np.flatnonzero(live & (status == MEMBER_UNKNOWN))
+                if len(rows):
+                    sub = f.take(rows)
+                    left = sub.side(pred.left, True).trial_matrix(t)
+                    right = sub.side(pred.right, True).trial_matrix(t)
+                    trials = np.ones((n, t), bool) if trials is None else trials
+                    trials[rows] &= compare(pred.op, left, right)
+            else:
+                decided = np.asarray(pred.evaluate(f), dtype=bool)
+                status = np.where(decided, MEMBER_TRUE, MEMBER_FALSE)
+            false |= status == MEMBER_FALSE
+            unknown |= status == MEMBER_UNKNOWN
+            point &= decided
+        # A row turned stably false keeps its other fields; a live row some
+        # conjunct leaves UNKNOWN becomes an unsettled member.
+        unsettled = live & ~false & unknown
+        status = f.status.copy()
+        status[live & false] = MEMBER_FALSE
+        status[unsettled] = MEMBER_UNKNOWN
+        exist = f.exist
+        if unsettled.any():
+            exist = np.ones((n, t), bool) if exist is None else exist.copy()
+            exist[unsettled] &= trials[unsettled]
+        point = np.where(live, point & ~false, f.point)
+        return Frame(f.cols, f.certain & ~unsettled, status, point, exist)
 
 
 class SmallProject(SmallNode):
@@ -182,14 +283,19 @@ class SmallProject(SmallNode):
         self.child = child
         self.outputs = outputs
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        out = []
-        for row in self.child.rows(ctx):
-            values = {
-                name: expr.evaluate_row(row.values) for name, expr in self.outputs
-            }
-            out.append(replace(row, values=values))
-        return out
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        f = self.child.frame(ctx)
+        cols: dict[str, np.ndarray | UCol] = {}
+        for name, expr in self.outputs:
+            if isinstance(expr, Col):
+                cols[name] = f.cols[expr.name]
+            elif expr.attrs() & f.uncertain:
+                node = f.evaluate(expr)
+                computed = UColumn(node.point, node.trials, node.lo, node.hi)
+                cols[name] = UCol(computed, np.arange(len(f)))
+            else:
+                cols[name] = np.asarray(expr.evaluate(f))
+        return Frame(cols, f.certain, f.status, f.point, f.exist)
 
 
 class SmallRename(SmallNode):
@@ -197,12 +303,10 @@ class SmallRename(SmallNode):
         self.child = child
         self.mapping = mapping
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        out = []
-        for row in self.child.rows(ctx):
-            values = {self.mapping.get(k, k): v for k, v in row.values.items()}
-            out.append(replace(row, values=values))
-        return out
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        f = self.child.frame(ctx)
+        cols = {self.mapping.get(c, c): v for c, v in f.cols.items()}
+        return Frame(cols, f.certain, f.status, f.point, f.exist)
 
 
 class SmallDistinct(SmallNode):
@@ -212,41 +316,28 @@ class SmallDistinct(SmallNode):
         self.child = child
         self.columns = columns
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        merged: dict[GroupKey, URow] = {}
-        for row in self.child.rows(ctx):
-            key = tuple(point_of_key(row.values[c]) for c in self.columns)
-            slim = URow(
-                {c: row.values[c] for c in self.columns},
-                certain=row.certain and row.member_status == MEMBER_TRUE,
-                member_status=row.member_status,
-                member_point=row.member_point,
-                exist_trials=row.exist_trials,
-            )
-            prev = merged.get(key)
-            merged[key] = slim if prev is None else _or_membership(prev, slim, ctx)
-        return list(merged.values())
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        f = self.child.frame(ctx)
+        keys = [f.column(c) for c in self.columns]
+        codes, first = _factorize(keys, len(f))
+        g = len(first)
 
+        def any_of(mask: np.ndarray) -> np.ndarray:
+            return np.bincount(codes, weights=mask, minlength=g) > 0
 
-def _or_membership(a: URow, b: URow, ctx: RuntimeContext) -> URow:
-    status: int
-    if MEMBER_TRUE in (a.member_status, b.member_status):
-        status = MEMBER_TRUE
-    elif MEMBER_UNKNOWN in (a.member_status, b.member_status):
-        status = MEMBER_UNKNOWN
-    else:
-        status = MEMBER_FALSE
-    return URow(
-        a.values,
-        certain=a.certain or b.certain,
-        member_status=status,
-        member_point=a.member_point or b.member_point,
-        exist_trials=(
-            None
-            if a.exist_trials is None or b.exist_trials is None
-            else (a.exist_trials | b.exist_trials)
-        ),
-    )
+        status = np.where(
+            any_of(f.status == MEMBER_TRUE),
+            MEMBER_TRUE,
+            np.where(any_of(f.status == MEMBER_UNKNOWN), MEMBER_UNKNOWN, MEMBER_FALSE),
+        ).astype(np.int8)
+        exist = None
+        if f.exist is not None:
+            exist = np.zeros((g, f.exist.shape[1]), bool)
+            np.logical_or.at(exist, codes, f.exist)
+        return Frame(
+            {c: v[first] for c, v in zip(self.columns, keys)},
+            any_of(f.certain & (f.status == MEMBER_TRUE)), status, any_of(f.point), exist,
+        )
 
 
 class SmallJoin(SmallNode):
@@ -257,50 +348,39 @@ class SmallJoin(SmallNode):
         self.right = right
         self.keys = keys
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        left_rows = [
-            r for r in self.left.rows(ctx) if r.member_status != MEMBER_FALSE
-        ]
-        right_rows = [
-            r for r in self.right.rows(ctx) if r.member_status != MEMBER_FALSE
-        ]
-        index: dict[GroupKey, list[URow]] = {}
-        for r in right_rows:
-            key = tuple(point_of_key(r.values[rk]) for _, rk in self.keys)
-            index.setdefault(key, []).append(r)
-        out = []
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        left = self.left.frame(ctx).members()
+        right = self.right.frame(ctx).members()
+        nl, nr = len(left), len(right)
+        if self.keys:
+            keys = []
+            for lk, rk in self.keys:
+                a, b = left.column(lk), right.column(rk)
+                if a.dtype.kind != b.dtype.kind:
+                    a, b = a.astype(object), b.astype(object)
+                keys.append(np.concatenate([a, b]))
+            codes = _factorize(keys, nl + nr)[0]
+            # Per left row, its right matches in right order.
+            order = np.argsort(codes[nl:], kind="stable")
+            matched = codes[nl:][order]
+            start = np.searchsorted(matched, codes[:nl], "left")
+            count = np.searchsorted(matched, codes[:nl], "right") - start
+            li = np.repeat(np.arange(nl), count)
+            ri = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(li))]
+        else:
+            li, ri = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+        lt, rt = left.take(li), right.take(ri)
         drop = {rk for _, rk in self.keys}
-        for l in left_rows:
-            key = tuple(point_of_key(l.values[lk]) for lk, _ in self.keys)
-            for r in index.get(key, []):
-                values = dict(l.values)
-                values.update(
-                    {k: v for k, v in r.values.items() if k not in drop}
-                )
-                status = min(l.member_status, r.member_status, key=_status_rank)
-                lt = l.exist_trials
-                rt = r.exist_trials
-                out.append(
-                    URow(
-                        values,
-                        certain=l.certain and r.certain,
-                        member_status=status,
-                        member_point=l.member_point and r.member_point,
-                        exist_trials=(
-                            lt
-                            if rt is None
-                            else rt
-                            if lt is None
-                            else (lt & rt)
-                        ),
-                    )
-                )
-        return out
-
-
-def _status_rank(status: int) -> int:
-    # AND-combination order: FALSE < UNKNOWN < TRUE.
-    return {MEMBER_FALSE: 0, MEMBER_UNKNOWN: 1, MEMBER_TRUE: 2}[status]
+        cols = {**lt.cols, **{c: v for c, v in rt.cols.items() if c not in drop}}
+        unknown = (lt.status == MEMBER_UNKNOWN) | (rt.status == MEMBER_UNKNOWN)
+        exist = (
+            lt.exist if rt.exist is None else rt.exist if lt.exist is None else lt.exist & rt.exist
+        )
+        return Frame(
+            cols, lt.certain & rt.certain,
+            np.where(unknown, MEMBER_UNKNOWN, MEMBER_TRUE).astype(np.int8),
+            lt.point & rt.point, exist,
+        )
 
 
 class SmallAggregate(SmallNode):
@@ -312,186 +392,86 @@ class SmallAggregate(SmallNode):
     ranges), so further nesting and stream-side pruning compose.
     """
 
-    def __init__(
-        self,
-        child: SmallNode,
-        group_by: list[str],
-        specs: list[AggSpec],
-        block_id: int,
-    ):
+    def __init__(self, child: SmallNode, group_by: list[str], specs: list[AggSpec], block_id: int):
         self.child = child
         self.group_by = group_by
         self.specs = specs
         self.block_id = block_id
 
-    def rows(self, ctx: RuntimeContext) -> list[URow]:
-        in_rows = [
-            r for r in self.child.rows(ctx) if r.member_status != MEMBER_FALSE
-        ]
-        ctx.metrics.recomputed_tuples += len(in_rows)
-        t = ctx.num_trials
-        groups: dict[GroupKey, list[URow]] = {}
-        for row in in_rows:
-            key = tuple(point_of_key(row.values[c]) for c in self.group_by)
-            groups.setdefault(key, []).append(row)
-        if not self.group_by and not groups:
+    def frame(self, ctx: RuntimeContext) -> Frame:
+        f = self.child.frame(ctx).members()
+        n, t = len(f), ctx.num_trials
+        ctx.metrics.recomputed_tuples += n
+        if self.group_by:
+            keys = [f.column(c) for c in self.group_by]
+            codes, first = _factorize(keys, n)
+            group_keys = list(zip(*(k[first].tolist() for k in keys)))
+        else:
             # A scalar aggregate always yields one row, even over an empty
             # input (COUNT -> 0, AVG -> NaN), matching the batch evaluator.
-            groups[()] = []
-
-        published: list[GroupValue] = []
-        out_rows: list[URow] = []
-        for key, members in groups.items():
-            point_w = np.array([float(r.member_point) for r in members])
-            exist = (
-                np.vstack([r.exists(t) for r in members])
-                if members
-                else np.zeros((0, t), dtype=bool)
-            )  # (n, T)
-            values: dict[str, object] = {
-                c: key[i] for i, c in enumerate(self.group_by)
-            }
-            for spec in self.specs:
-                arg_point, arg_trials = _argument_matrix(spec, members, t)
-                point = spec.func.compute(arg_point, point_w)
-                trials = np.empty(t)
-                for j in range(t):
-                    trials[j] = spec.func.compute(
-                        arg_trials[:, j], exist[:, j].astype(np.float64)
-                    )
-                vrange = ctx.monitor.observe(point, trials)
-                values[spec.name] = UncertainValue(
-                    point, trials, vrange, LineageRef(self.block_id, key, spec.name)
-                )
-            certain = any(
-                r.certain and r.member_status == MEMBER_TRUE for r in members
-            )
-            exist_any = exist.any(axis=0)
-            published.append(
-                GroupValue(
-                    key,
-                    values,
-                    certain,
-                    exist_trials=None if certain else exist_any,
-                )
-            )
-            out_rows.append(
-                URow(
-                    dict(values),
-                    certain=certain,
-                    member_status=MEMBER_TRUE if certain else MEMBER_UNKNOWN,
-                    member_point=bool(point_w.any()),
-                    exist_trials=None if certain else exist_any,
-                )
-            )
-        ctx.blocks[self.block_id] = BlockOutput.from_groups(
-            self.block_id,
-            self.group_by,
-            [s.name for s in self.specs],
-            published,
-            t,
-            ctx.indexes[self.block_id],
+            codes, group_keys = np.zeros(n, dtype=np.intp), [()]
+        g = len(group_keys)
+        # Column 0 weighs a row by its point membership, column 1 + j by
+        # its existence in trial j: one pass yields estimate and trials.
+        weights = np.empty((n, 1 + t))
+        weights[:, 0] = f.point
+        weights[:, 1:] = True if f.exist is None else f.exist
+        totals = _group_sums(codes, g, weights)
+        columns: dict[str, UColumn | np.ndarray] = {}
+        for spec in self.specs:
+            values, plain = _argument(f, spec, t)
+            out = _aggregate(spec.func, values, weights, codes, g, totals, plain)
+            points, trials = out[:, 0].copy(), out[:, 1:].copy()
+            columns[spec.name] = UColumn(points, trials, *ctx.monitor.observe_batch(points, trials))
+        certain = np.bincount(codes, weights=f.certain & (f.status == MEMBER_TRUE), minlength=g) > 0
+        index = ctx.indexes[self.block_id]
+        gids = index.add(group_keys)
+        ctx.blocks[self.block_id] = BlockOutput.published(
+            self.block_id, self.group_by, [s.name for s in self.specs], index, gids,
+            certain, np.full(g, MEMBER_TRUE, np.int8), np.ones(g, bool),
+            (totals[:, 1:] > 0) | certain[:, None], columns, t,
         )
-        return out_rows
+        out = _block_frame(ctx.blocks[self.block_id], gids)
+        out.point = totals[:, 0] > 0
+        return out
 
 
-def _argument_matrix(
-    spec: AggSpec, members: list[URow], num_trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point and per-trial argument values of an aggregate over urows."""
-    n = len(members)
+def _argument(f: Frame, spec: AggSpec, num_trials: int) -> tuple[np.ndarray, bool]:
+    """An aggregate's ``(n, 1 + T)`` argument values — the estimate's, then
+    each trial's — and whether they are plain (equal in every column)."""
+    n = len(f)
     if spec.arg is None:
-        return np.ones(n), np.ones((n, num_trials))
-    point = np.empty(n)
-    trials = np.empty((n, num_trials))
-    for i, row in enumerate(members):
-        value = spec.arg.evaluate_row(row.values)
-        point[i] = point_of(value)
-        trials[i] = trials_of(value, num_trials)
-    return point, trials
+        return np.ones((n, 1 + num_trials)), True
+    if spec.arg.attrs() & f.uncertain:
+        node = f.evaluate(spec.arg)
+        values = np.empty((n, 1 + num_trials))
+        values[:, 0], values[:, 1:] = node.point, node.trials
+        return values, False
+    plain = np.asarray(spec.arg.evaluate(f), dtype=np.float64)
+    return np.repeat(plain[:, None], 1 + num_trials, axis=1), True
 
 
-def classify_row_predicate(
-    pred: Expression, values: dict[str, object], num_trials: int
-) -> tuple[int, bool, np.ndarray | None]:
-    """Classify one predicate over one small row.
-
-    Returns ``(member status, current point decision, per-trial decisions
-    or None)``. Non-comparison predicates must
-    be deterministic over the row (checked at compile time for stream
-    pipelines; here we verify at runtime because small rows mix certain
-    and uncertain cells).
-    """
-    if isinstance(pred, Comparison):
-        left = pred.left.evaluate_row(values)
-        right = pred.right.evaluate_row(values)
-        if not isinstance(left, UncertainValue) and not isinstance(
-            right, UncertainValue
-        ):
-            ok = bool(_point_compare(pred.op, left, right))
-            return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None
-        lr, rr = range_of(left), range_of(right)
-        status = _range_compare(pred.op, lr, rr)
-        point = bool(_point_compare(pred.op, point_of(left), point_of(right)))
-        if status != MEMBER_UNKNOWN:
-            return status, point, None
-        lt = trials_of(left, num_trials)
-        rt = trials_of(right, num_trials)
-        with np.errstate(invalid="ignore"):
-            trials = _point_compare(pred.op, lt, rt)
-        return MEMBER_UNKNOWN, point, np.asarray(trials, dtype=bool)
-    # Boolean combinators / UDF predicates: require determinism.
-    result = pred.evaluate_row(values)
-    ok = bool(result)
-    return (MEMBER_TRUE if ok else MEMBER_FALSE), ok, None
-
-
-def _point_compare(op: str, a, b):
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == "==":
-        return a == b
-    return a != b
-
-
-def _range_compare(op: str, a: VariationRange, b: VariationRange) -> int:
-    if op in (">", ">="):
-        if (a.lo > b.hi) if op == ">" else (a.lo >= b.hi):
-            return MEMBER_TRUE
-        if (a.hi <= b.lo) if op == ">" else (a.hi < b.lo):
-            return MEMBER_FALSE
-        return MEMBER_UNKNOWN
-    if op in ("<", "<="):
-        flipped = ">" if op == "<" else ">="
-        return _range_compare(flipped, b, a)
-    if op == "==":
-        if a.is_point and b.is_point and a.lo == b.lo:
-            return MEMBER_TRUE
-        if not a.intersects(b):
-            return MEMBER_FALSE
-        return MEMBER_UNKNOWN
-    # "!=" mirrors "==".
-    inner = _range_compare("==", a, b)
-    if inner == MEMBER_TRUE:
-        return MEMBER_FALSE
-    if inner == MEMBER_FALSE:
-        return MEMBER_TRUE
-    return MEMBER_UNKNOWN
-
-
-def point_of_key(value: object) -> object:
-    """Group/join keys must be deterministic; unwrap defensively."""
-    if isinstance(value, UncertainValue):
-        raise UnsupportedQueryError(
-            "group/join key over an uncertain value is not supported"
+def _aggregate(
+    func: AggregateFunction, values: np.ndarray, weights: np.ndarray,
+    codes: np.ndarray, num_groups: int, totals: np.ndarray, plain: bool,
+) -> np.ndarray:
+    """``func`` per group and column of ``values`` / ``weights``: from the
+    weighted feature sums if decomposable, else evaluated directly."""
+    if func.decomposable:
+        n, m = values.shape
+        features = func.features(values.ravel()).reshape(func.num_features, n, m) * weights
+        sums = _group_sums(codes, num_groups, features.transpose(1, 2, 0))
+        return np.asarray(func.finalize(sums, totals), dtype=np.float64)
+    out = np.empty((num_groups, values.shape[1]))
+    for group in range(num_groups):
+        rows = codes == group
+        v, w = values[rows], weights[rows]
+        out[group] = (
+            func.trial_compute(v[:, 0], w)
+            if plain
+            else [func.compute(v[:, j], w[:, j]) for j in range(v.shape[1])]
         )
-    return value
+    return out
 
 
 def _passthrough_of(
@@ -529,38 +509,38 @@ class SmallPlanUnit:
     publish_id: int | None = None
     key_cols: list[str] = field(default_factory=list)
     value_cols: list[str] = field(default_factory=list)
-    _last_rows: list[URow] = field(default_factory=list)
+    _result: Frame | None = None
 
     def run(self, ctx: RuntimeContext) -> None:
-        if self.publish_id is not None and self._relabel(ctx):
-            return
-        rows = self.root.rows(ctx)
-        self._last_rows = rows
         if self.publish_id is None:
+            # A bare block root is delivered from the block itself.
+            if not isinstance(self.root, SmallBlockLeaf):
+                self._result = self.root.frame(ctx)
             return
-        ctx.blocks[self.publish_id] = BlockOutput.from_groups(
-            self.publish_id,
-            self.key_cols,
-            self.value_cols,
-            (
-                GroupValue(
-                    tuple(point_of_key(row.values[c]) for c in self.key_cols),
-                    row.values,
-                    certain=row.certain and row.member_status == MEMBER_TRUE,
-                    member_status=row.member_status,
-                    member_point=row.member_point,
-                    exist_trials=row.exist_trials,
-                )
-                for row in rows
-            ),
-            ctx.num_trials,
-            ctx.indexes[self.publish_id],
+        if self._relabel(ctx):
+            return
+        frame = self.root.frame(ctx)
+        n = len(frame)
+        keys = [frame.column(c).tolist() for c in self.key_cols]
+        index = ctx.indexes[self.publish_id]
+        gids = index.add(list(zip(*keys)) if keys else [()] * n)
+        # A later duplicate key replaces the earlier row.
+        rows = n - 1 - np.unique(gids[::-1], return_index=True)[1]
+        f = frame.take(rows)
+        cols = {
+            c: v.gather() if isinstance(v, UCol) else v
+            for c, v in f.cols.items() if c in self.value_cols
+        }
+        ctx.blocks[self.publish_id] = BlockOutput.published(
+            self.publish_id, self.key_cols, self.value_cols, index, gids[rows],
+            f.certain & (f.status == MEMBER_TRUE), f.status, f.point, f.exist,
+            cols, ctx.num_trials,
         )
 
     def _relabel(self, ctx: RuntimeContext) -> bool:
         """Publish the view as an array relabel of its block; ``False``
-        (take the general row path) unless the segment only renames or
-        drops columns of one columnar block whose keys are the join keys."""
+        (evaluate the segment) unless it only renames or drops columns of
+        one block whose keys are the join keys."""
         passthrough = _passthrough_of(self.root, self.key_cols + self.value_cols)
         if passthrough is None:
             return False
@@ -576,10 +556,18 @@ class SmallPlanUnit:
         )
         return True
 
-    def result_rows(self) -> list[URow]:
-        """Rows currently in the result (stable-false ones excluded)."""
-        return [
-            r
-            for r in self._last_rows
-            if r.member_status != MEMBER_FALSE and r.member_point
-        ]
+    def result_rows(self, ctx: RuntimeContext) -> list[dict[str, object]]:
+        """This batch's result rows (stable-false and point-excluded ones
+        dropped) as ``column -> value`` dicts. A bare block root hands
+        back its groups' own value dicts: the same objects for as long as
+        the block keeps a group's row."""
+        if isinstance(self.root, SmallBlockLeaf):
+            output = ctx.blocks.get(self.root.block_id)
+            if output is None:
+                return []
+            gids = output.order[output.member_point[output.order]]
+            return [group.values for group in output.rows(gids.tolist())]
+        f = self._result
+        if f is None:
+            return []
+        return f.take(np.flatnonzero((f.status != MEMBER_FALSE) & f.point)).rows()

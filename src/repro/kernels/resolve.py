@@ -10,6 +10,8 @@ runs array-wide: elementwise ufuncs for points and trials (bit-identical
 to the per-row NumPy-scalar ops) and interval arithmetic mirroring
 :class:`~repro.core.values.VariationRange` for the bounds.
 
+:func:`evaluate` is that arithmetic over any column source: the small
+plan segments (:mod:`repro.core.smallplan`) run it over their frames.
 :func:`try_evaluate_side` returns ``None`` for what the kernel does not
 cover (non-arithmetic nodes, ``%``, non-numeric literals, a hand-built
 uncertain column without the sidecar); the caller falls back to the
@@ -20,6 +22,7 @@ semantics fork.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,11 +32,11 @@ _INF = float("inf")
 
 
 class UnsupportedKernel(Exception):
-    """Raised internally when an expression needs the row-wise path."""
+    """Raised when an expression shape is outside :func:`evaluate`."""
 
 
 @dataclass
-class _Node:
+class Node:
     """Evaluated subtree: bounds/point may be arrays or Python scalars;
     ``trials`` of None means "equal to point in every trial"."""
 
@@ -56,8 +59,20 @@ def try_evaluate_side(
     values the row-wise reference computes (pending rows NaN-filled).
     """
     n = len(rel)
+
+    def leaf(name: str) -> Node:
+        values = rel.columns[name]
+        if name in uncertain_cols:
+            lineage = rel.lineage.get(name)
+            if lineage is None:
+                raise UnsupportedKernel(f"no lineage sidecar on {name!r}")
+            return resolve_column(lineage, ctx)
+        if values.dtype == object:
+            raise UnsupportedKernel(f"object column {name!r}")
+        return Node(values, values, values, None, None)
+
     try:
-        node = _eval(expr, rel, uncertain_cols, ctx, n)
+        node = evaluate(expr, leaf)
     except UnsupportedKernel:
         return None
     lo = np.asarray(node.lo, dtype=np.float64)
@@ -80,30 +95,22 @@ def try_evaluate_side(
 # -- evaluation --------------------------------------------------------------------
 
 
-def _eval(expr, rel, uncertain_cols: set[str], ctx, n: int) -> _Node:
+def evaluate(expr: Expression, leaf: Callable[[str], Node]) -> Node:
+    """Arithmetic over numeric literals and the columns ``leaf`` resolves;
+    raises :class:`UnsupportedKernel` for any other expression shape."""
     if isinstance(expr, Literal):
         v = expr.value
         if not isinstance(v, (int, float, np.integer, np.floating)):
             raise UnsupportedKernel(f"non-numeric literal {v!r}")
-        return _Node(v, v, v, None, None)
+        return Node(v, v, v, None, None)
     if isinstance(expr, Col):
-        values = rel.columns[expr.name]
-        if expr.name in uncertain_cols:
-            lineage = rel.lineage.get(expr.name)
-            if lineage is None:
-                raise UnsupportedKernel(f"no lineage sidecar on {expr.name!r}")
-            return resolve_column(lineage, ctx)
-        if values.dtype == object:
-            raise UnsupportedKernel(f"object column {expr.name!r}")
-        return _Node(values, values, values, None, None)
+        return leaf(expr.name)
     if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/"):
-        a = _eval(expr.left, rel, uncertain_cols, ctx, n)
-        b = _eval(expr.right, rel, uncertain_cols, ctx, n)
-        return _combine(expr.op, a, b)
+        return _combine(expr.op, evaluate(expr.left, leaf), evaluate(expr.right, leaf))
     raise UnsupportedKernel(f"cannot vectorize {type(expr).__name__}")
 
 
-def resolve_column(lineage, ctx) -> _Node:
+def resolve_column(lineage, ctx) -> Node:
     """Per-row ``lo/hi/point/trials`` of a lineage column: four gathers
     by gid from the referenced block output, pending where that output
     has not published the gid (those rows read group 0 here and are
@@ -112,17 +119,17 @@ def resolve_column(lineage, ctx) -> _Node:
     n = len(lineage)
     if output is None or not len(output):
         nan = np.full(n, np.nan)
-        return _Node(nan, nan, nan, None, np.ones(n, dtype=bool))
+        return Node(nan, nan, nan, None, np.ones(n, dtype=bool))
     pending = output.absent(lineage.gids)
     gids = np.where(pending, 0, lineage.gids)
     col = output.ucol(lineage.column)
-    return _Node(col.lo[gids], col.hi[gids], col.point[gids], col.trials[gids], pending)
+    return Node(col.lo[gids], col.hi[gids], col.point[gids], col.trials[gids], pending)
 
 
 # -- interval / trial arithmetic ---------------------------------------------------
 
 
-def _trials_view(node: _Node):
+def _trials_view(node: Node):
     """Operand's (n, T)-broadcastable trial values."""
     if node.trials is not None:
         return node.trials
@@ -130,7 +137,7 @@ def _trials_view(node: _Node):
     return point[:, None] if isinstance(point, np.ndarray) else point
 
 
-def _merge_pending(a: _Node, b: _Node) -> np.ndarray | None:
+def _merge_pending(a: Node, b: Node) -> np.ndarray | None:
     if a.pending is None:
         return b.pending
     if b.pending is None:
@@ -138,7 +145,7 @@ def _merge_pending(a: _Node, b: _Node) -> np.ndarray | None:
     return a.pending | b.pending
 
 
-def _combine(op: str, a: _Node, b: _Node) -> _Node:
+def _combine(op: str, a: Node, b: Node) -> Node:
     trials = None
     if a.trials is not None or b.trials is not None:
         ta, tb = _trials_view(a), _trials_view(b)
@@ -172,7 +179,7 @@ def _combine(op: str, a: _Node, b: _Node) -> _Node:
             point = a.point / b.point
             if a.trials is not None or b.trials is not None:
                 trials = ta / tb
-    return _Node(lo, hi, point, trials, pending)
+    return Node(lo, hi, point, trials, pending)
 
 
 def _interval_mul(alo, ahi, blo, bhi):

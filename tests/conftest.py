@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.blocks import BlockOutput, GroupValue, RuntimeContext
+from repro.core.blocks import (
+    BlockOutput,
+    GroupIndex,
+    GroupValue,
+    RuntimeContext,
+    UColumn,
+)
+from repro.core.values import UncertainValue
 from repro.relational import (
     Catalog,
     ColumnType,
@@ -22,6 +29,53 @@ KX_SCHEMA = Schema(
 DIM_SCHEMA = Schema([("k", ColumnType.INT), ("label", ColumnType.STRING)])
 
 
+def output_from_groups(
+    block_id: int,
+    key_cols: list[str],
+    value_cols: list[str],
+    groups,
+    num_trials: int,
+    index: GroupIndex | None = None,
+) -> BlockOutput:
+    """A block output stacked from row-form groups, which seed its row
+    cache (a later duplicate key replaces the earlier group, as in a
+    dict). A value column with an uncertain cell becomes a ``UColumn``
+    (plain cells read as point ranges), any other a plain array."""
+    by_key = {group.key: group for group in groups}
+    rows = list(by_key.values())
+    n = len(rows)
+    index = index if index is not None else GroupIndex()
+    gids = index.add(list(by_key))
+    columns = {}
+    for name in value_cols:
+        cells = [group.values[name] for group in rows] if name not in key_cols else []
+        if not any(isinstance(cell, UncertainValue) for cell in cells):
+            if cells:
+                columns[name] = np.array(cells)
+            continue
+        col = columns[name] = UColumn(
+            np.empty(n), np.empty((n, num_trials)), np.empty(n), np.empty(n)
+        )
+        for i, v in enumerate(cells):
+            if isinstance(v, UncertainValue):
+                col.point[i], col.trials[i] = v.value, v.trials
+                col.lo[i], col.hi[i] = v.vrange.lo, v.vrange.hi
+            else:
+                col.point[i] = col.trials[i] = col.lo[i] = col.hi[i] = v
+    out = BlockOutput.published(
+        block_id, key_cols, value_cols, index, gids,
+        np.array([group.certain for group in rows], dtype=bool),
+        np.array([group.member_status for group in rows], dtype=np.int8),
+        np.array([group.member_point for group in rows], dtype=bool),
+        np.array(
+            [group.exist_in_trial(num_trials) for group in rows], dtype=bool
+        ).reshape(n, num_trials),
+        columns, num_trials,
+    )
+    out._rows = dict(zip(gids.tolist(), rows))
+    return out
+
+
 def publish_group(
     ctx: RuntimeContext,
     block_id: int,
@@ -33,7 +87,7 @@ def publish_group(
     is replaced whole, never extended in place)."""
     prev = ctx.blocks.get(block_id)
     groups = list(prev.groups.values()) if prev is not None else []
-    ctx.blocks[block_id] = BlockOutput.from_groups(
+    ctx.blocks[block_id] = output_from_groups(
         block_id,
         list(key_cols),
         value_cols,

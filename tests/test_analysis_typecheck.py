@@ -158,6 +158,15 @@ def test_tc107_non_comparison_uncertain_predicate():
     assert "TC107" in _rules_of(diags)
 
 
+def test_tc107_holds_in_small_segments_as_the_compiler_does(kx_catalog):
+    # A HAVING over an aggregate: the compiler rejects the OR as it does on
+    # the stream, so the typechecker flags it before the compiler can.
+    plan = _kx().aggregate(["k"], [avg("x", "ax")]).select(Or(col("ax") > 5.0, col("k").eq(1)))
+    report = check_plan(plan, kx_catalog, "t")
+    assert "TC107" in _rules_of(report.diagnostics)
+    assert not any("compiler rejects" in d.message for d in report.diagnostics)
+
+
 def test_tc108_projection_computes_over_uncertain():
     plan = _with_uncertain().project([("z", col("ax") * 2.0), ("k", col("k"))])
     _, diags = infer_tags(plan, STREAMED)

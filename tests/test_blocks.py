@@ -34,6 +34,7 @@ from repro.relational import Catalog, ColumnType, Relation, Schema
 from repro.relational.expressions import Col
 from repro.storage.lineage import LineageColumn
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
+from tests.conftest import output_from_groups
 from tests.test_kernels import assert_partials_identical
 
 fuzz = settings(
@@ -234,7 +235,7 @@ class TestRowViewMatchesArrays:
     def test_row_built_output_with_nothing_published(self):
         index = GroupIndex()
         index.add([(1,), (2,)])
-        out = BlockOutput.from_groups(5, ["k"], ["v", "w"], [], T, index)
+        out = output_from_groups(5, ["k"], ["v", "w"], [], T, index)
         assert len(out) == 0 and out.absent(np.array([0, 1])).all()
         # Either reading of a column nobody published is filler.
         assert np.isnan(out.ucol("v").point).all() and out.ucol("v").trials.shape == (2, T)

@@ -15,7 +15,6 @@ from repro.core.blocks import (
     MEMBER_FALSE,
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
-    BlockOutput,
     GroupValue,
     OnlineConfig,
     RuntimeContext,
@@ -38,7 +37,7 @@ from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
 from repro.storage.lineage import LineageColumn
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
-from tests.conftest import publish_group
+from tests.conftest import output_from_groups, publish_group
 
 
 def make_ctx(t=4, vectorize=True):
@@ -268,7 +267,7 @@ def _view(t=4):
                 member_status=status, member_point=point, exist_trials=exist,
             )
         )
-    return BlockOutput.from_groups(7, ["k2"], ["ax", "lbl"], groups, t)
+    return output_from_groups(7, ["k2"], ["ax", "lbl"], groups, t)
 
 
 class TestBlockOutputArrays:
@@ -322,7 +321,7 @@ class TestBlockOutputArrays:
 
     def test_gids_survive_republish_in_another_order(self):
         first = _view()
-        again = BlockOutput.from_groups(
+        again = output_from_groups(
             7, ["k2"], ["ax", "lbl"], reversed(list(first.groups.values())), 4,
             first.index,
         )

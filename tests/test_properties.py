@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.core.blocks import BlockOutput, GroupValue, RuntimeContext
+from repro.core.blocks import GroupValue, RuntimeContext
 from repro.core.classify import evaluate_side
 from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.kernels.codec import factorize_keys
@@ -37,7 +37,7 @@ from repro.relational.aggregates import median
 from repro.relational.evaluator import aggregate_relation, join_relations
 from repro.relational.expressions import Col
 from repro.storage.lineage import LineageColumn
-from tests.conftest import KX_SCHEMA
+from tests.conftest import KX_SCHEMA, output_from_groups
 from tests.test_kernels import (
     assert_partials_identical,
     assert_rel_identical,
@@ -310,7 +310,7 @@ class TestKernelsMatchReferenceFuzzed:
                     LineageRef(1, (k,), "v"),
                 )
                 groups.append(GroupValue((k,), {"v": uv}, True))
-            ctx.blocks[1] = BlockOutput.from_groups(1, [], ["v"], groups, 5)
+            ctx.blocks[1] = output_from_groups(1, [], ["v"], groups, 5)
             expr = Col("u") * 0.5 + col("d")
             sides.append(evaluate_side(expr, rel, {"u"}, ctx))
         vec, ref = sides

@@ -131,6 +131,43 @@ def test_compound_uncertain_predicate_rejected(catalog):
     assert exc.value.node is not None
 
 
+def _having(predicate):
+    """A HAVING view over the stream's per-``k`` average ``ax``."""
+    return _kx().aggregate(["k"], [avg("x", "ax")]).select(predicate)
+
+
+def test_compound_uncertain_having_rejected(catalog):
+    # Decided by its point estimate as if stable, it would collapse the
+    # per-trial membership of every group.
+    plan = _having(Or(col("ax") > 25.0, col("ax") < 0.0))
+    with pytest.raises(UnsupportedQueryError, match="simple comparison") as exc:
+        _compile(plan, catalog)
+    assert exc.value.node is not None
+
+
+def test_compound_uncertain_in_subquery_rejected(catalog):
+    # As a semi-join side the point decision was taken as stable and a
+    # later flip of it ended the run with a RangeIntegrityError.
+    inner = _having(Or(col("ax") > 25.0, col("ax") < 0.0)).project([("k", "k")])
+    plan = _kx().join(inner.rename({"k": "k2"}), keys=[("k", "k2")])
+    with pytest.raises(UnsupportedQueryError, match="simple comparison") as exc:
+        _compile(plan.aggregate([], [count("n")]), catalog)
+    assert exc.value.node is not None
+
+
+def test_deterministic_compound_having_still_runs(catalog):
+    from repro.baselines import run_batch
+    from repro.core import OnlineConfig, OnlineQueryEngine
+    from repro.relational.expressions import Func
+
+    odd = Func("odd", lambda k: k % 2 == 1, [col("k")])
+    plan = _having(Or(col("k").eq(0), odd) & (col("ax") > 0.0))
+    engine = OnlineQueryEngine(catalog, "t", OnlineConfig(num_trials=10))
+    final = engine.run_to_completion(plan, 4)
+    want = run_batch(plan, catalog).relation.column("k").tolist()
+    assert sorted(r["k"] for r in final.to_plain_rows()) == sorted(want)
+
+
 def test_union_of_aggregate_derived_inputs_rejected(catalog):
     left = _kx().aggregate([], [avg("x", "v")])
     right = _kx().aggregate([], [avg("y", "v")])
