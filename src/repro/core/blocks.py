@@ -468,9 +468,6 @@ class OnlineConfig:
     #: ``transient = True``, e.g. injected unit faults); anything else
     #: propagates immediately.
     unit_retry_attempts: int = 2
-    #: Base backoff seconds between unit retries (doubled per retry); 0
-    #: retries immediately (the test/benchmark setting).
-    unit_retry_backoff: float = 0.0
     #: Run the TSan-style buffer sanitizer
     #: (:class:`repro.analysis.sanitize.BufferSanitizer`): freeze every
     #: buffer handed to ``process`` and every zero-copy view base, track

@@ -428,8 +428,9 @@ class AggregateOp(SpineOp):
         their existence and, per spec, the ``(points (n,), trials (n, T))``
         of ``cols``, scattered to gid positions — nothing built per group."""
         keys = combined.keys
-        exist = combined.trial_weight[: len(keys)] > 0
-        exist_point = combined.weight[: len(keys)] > 0
+        weights = combined.acc[: len(keys), 0]  # (n, 1+T): point, then trials
+        exist = weights[:, 1:] > 0
+        exist_point = weights[:, 0] > 0
         rollup_on = ctx.config.rollup and self.rollup_eligible
         published = self._published_keys
         # Groups that vanished (all their volatile contributors currently

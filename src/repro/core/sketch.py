@@ -7,18 +7,32 @@ sketch is the delta update; finalizing is a pure function of the sums, so
 partial results can be published every batch at sketch cost instead of
 data cost.
 
-:class:`AggBundle` is one such table of sums. The persistent operator
-state folds batches in place with capacity doubling; transient bundles
-are also built from the volatile (non-deterministic) input rows each
-batch and merged at finalize time without touching the persistent sums.
+:class:`AggBundle` keeps all of a group's sums in one accumulator,
+``acc``, of shape ``(capacity, 1+K, 1+T)`` where ``K`` counts the
+features of every spec. Row 0 of a group's block holds its weights and
+row ``1+j`` its sums of feature ``j`` (each spec owns a contiguous run of
+rows, ``feature_rows``); column 0 is the actual multiplicity and column
+``1+t`` trial ``t``. The persistent operator state folds batches in place
+with capacity doubling; transient bundles are also built from the
+volatile (non-deterministic) input rows each batch and merged at
+finalize time without touching the persistent sums.
 
-Every fold is one segmented sum (:class:`~repro.relational.groupby.
-RowSegments`): the call's rows are sorted by group once and each table
-gets one ``np.add.reduceat`` plus one ``table[groups] += ...``. A group's
-increment depends only on that group's own rows in their original order,
-which is what keeps every engine configuration bit-identical. Trial
-weights may arrive as ``uint8`` Poisson counts; they widen to float64 in
-the reduction or at the multiply by a feature, never before.
+Every fold is one contraction per group. The call's rows are sorted by
+group once (:class:`~repro.relational.groupby.RowSegments`) and two
+matrices are built: ``W = [mult | trial weights]``, ``(n, 1+T)`` — the
+``uint8`` Poisson counts widen here, once — and ``A = [1; features]``,
+``(1+K, n)``. A group's whole block is then ``A[:, seg] @ W[seg]``, and
+the call writes every block with one ``acc[groups] += ...``. Two
+degenerate cases of the same contraction are measured and kept: a bundle
+with no feature (COUNT only, ``K = 0``, a plan property) takes plain
+segmented sums of the counts, and length-1 segments are outer products
+formed in one broadcast multiply (exact, so the bits equal a one-row
+product).
+
+Bit contract: a group's block depends only on that group's own rows in
+their original order, never on which other groups share the call or
+where its rows sit, which is what keeps every engine configuration of one
+seed bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ GroupKey = tuple
 
 @dataclass
 class SketchRow:
-    """One group's sum row, detached from the bundle's tables.
+    """One group's accumulator block, detached from the bundle.
 
     The unit of tier migration: :meth:`AggBundle.extract_groups` hands
     these to the rollup store, and :meth:`AggBundle.reinsert_groups`
@@ -45,16 +59,10 @@ class SketchRow:
     is bit-exact.
     """
 
-    weight: float
-    trial_weight: np.ndarray  # (T,)
-    sums: list[np.ndarray]  # per spec, (k,)
-    trial_sums: list[np.ndarray]  # per spec, (T, k)
+    acc: np.ndarray  # (1+K, 1+T)
 
     def estimated_bytes(self) -> int:
-        nbytes = 8 + int(self.trial_weight.nbytes)
-        nbytes += sum(int(a.nbytes) for a in self.sums)
-        nbytes += sum(int(a.nbytes) for a in self.trial_sums)
-        return nbytes
+        return int(self.acc.nbytes)
 
 
 class AggBundle:
@@ -65,16 +73,10 @@ class AggBundle:
         self.num_trials = num_trials
         self.keys: list[GroupKey] = []
         self.key_to_gid: dict[GroupKey, int] = {}
-        g = 0
-        self.weight = np.zeros(g, dtype=np.float64)
-        self.trial_weight = np.zeros((g, num_trials), dtype=np.float64)
-        self.sums = [
-            np.zeros((g, s.func.num_features), dtype=np.float64) for s in self.specs
-        ]
-        self.trial_sums = [
-            np.zeros((g, num_trials, s.func.num_features), dtype=np.float64)
-            for s in self.specs
-        ]
+        ends = np.cumsum([1] + [s.func.num_features for s in self.specs]).tolist()
+        #: Each spec's feature rows of a group's block (row 0 is weights).
+        self.feature_rows = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self.acc = np.zeros((0, ends[-1], 1 + num_trials), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -96,19 +98,16 @@ class AggBundle:
 
     def _ensure_groups(self, keys: Sequence[GroupKey]) -> np.ndarray:
         """Map keys to gids, allocating rows for unseen groups."""
-        gids = np.empty(len(keys), dtype=np.intp)
-        fresh = 0
-        for i, key in enumerate(keys):
-            gid = self.key_to_gid.get(key)
-            if gid is None:
-                gid = len(self.keys)
-                self.key_to_gid[key] = gid
-                self.keys.append(key)
-                fresh += 1
-            gids[i] = gid
-        if fresh:
+        gids = list(map(self.key_to_gid.get, keys))
+        if None in gids:
+            misses = np.flatnonzero(np.equal(np.array(gids, dtype=object), None))
+            for i in misses.tolist():
+                key = keys[i]  # may repeat among the misses
+                gids[i] = self.key_to_gid.setdefault(key, len(self.keys))
+                if gids[i] == len(self.keys):
+                    self.keys.append(key)
             self._grow(len(self.keys))
-        return gids
+        return np.array(gids, dtype=np.intp)
 
     def _grow(self, size: int) -> None:
         """Make room for ``size`` groups, at least doubling the capacity.
@@ -116,47 +115,42 @@ class AggBundle:
         Rows past ``len(self)`` are spare capacity (all zero); readers
         slice ``[: len(self)]``.
         """
-        capacity = self.weight.shape[0]
+        capacity = self.acc.shape[0]
         if size <= capacity:
             return
-        capacity = max(size, 2 * capacity)
-
-        def grown(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros((capacity,) + arr.shape[1:], dtype=np.float64)
-            out[: arr.shape[0]] = arr
-            return out
-
-        self.weight = grown(self.weight)
-        self.trial_weight = grown(self.trial_weight)
-        self.sums = [grown(a) for a in self.sums]
-        self.trial_sums = [grown(a) for a in self.trial_sums]
+        grown = np.zeros((max(size, 2 * capacity),) + self.acc.shape[1:])
+        grown[:capacity] = self.acc
+        self.acc = grown
 
     # -- delta update ---------------------------------------------------------------
 
     def fold(self, rel: Relation, group_by: Sequence[str]) -> None:
         """Fold a mini-batch of rows into the sums (the delta update)."""
-        if len(rel) == 0:
+        n = len(rel)
+        if n == 0:
             return
         local_keys, local_gids = group_ids(rel, list(group_by))
         segments = RowSegments(self._ensure_groups(local_keys)[local_gids])
         order, groups = segments.order, segments.groups
         mult = rel.mult[order]
-        # Deterministic-mult batches never materialize the (n, T) copy:
-        # the read-only broadcast is only reduced over or multiplied.
         trial_w = rel.trials_at(order)  # lazy weights: drawn in fold order
-        if trial_w is None:
-            trial_w = np.broadcast_to(mult[:, None], (len(rel), self.num_trials))
-        self.weight[groups] += segments.sums(mult)
-        self.trial_weight[groups] += segments.sums(trial_w)
-        for s, spec in enumerate(self.specs):
-            if spec.func.num_features == 0:
-                continue
-            feats = spec.func.features(spec.arg_values(rel))[:, order]  # (k, n)
-            self.sums[s][groups] += segments.sums((feats * mult).T)
-            for j, feature in enumerate(feats):
-                self.trial_sums[s][groups, :, j] += segments.sums(
-                    feature[:, None] * trial_w
-                )
+        if trial_w is None:  # deterministic mult: a read-only broadcast
+            trial_w = np.broadcast_to(mult[:, None], (n, self.num_trials))
+        if self.acc.shape[1] == 1:
+            # No feature (COUNT only): no product to avoid, so the counts
+            # are summed as they are, without widening.
+            self.acc[groups, 0, 0] += segments.sums(mult)
+            self.acc[groups, 0, 1:] += segments.sums(trial_w)
+            return
+        weights = np.empty((n, 1 + self.num_trials))
+        weights[:, 0] = mult
+        weights[:, 1:] = trial_w
+        features = np.empty((self.acc.shape[1], n))
+        features[0] = 1.0
+        for spec, rows in zip(self.specs, self.feature_rows):
+            if spec.func.num_features:
+                features[rows] = spec.func.features(spec.arg_values(rel))[:, order]
+        self.acc[groups] += segments.contract(features, weights)
 
     def fold_values(
         self,
@@ -212,16 +206,17 @@ class AggBundle:
         mult: np.ndarray,
         trial_mults: np.ndarray,
     ) -> None:
+        # Elementwise trial values × weights, not a contraction: segmented
+        # sums into the spec's single feature row.
         segments = RowSegments(gids)
         order, groups = segments.order, segments.groups
+        row = self.feature_rows[spec_index].start
         mult = mult[order]
         trial_mults = trial_mults[order]
-        self.weight[groups] += segments.sums(mult)
-        self.trial_weight[groups] += segments.sums(trial_mults)
-        self.sums[spec_index][groups, 0] += segments.sums(values[order] * mult)
-        self.trial_sums[spec_index][groups, :, 0] += segments.sums(
-            trial_values[order] * trial_mults
-        )
+        self.acc[groups, 0, 0] += segments.sums(mult)
+        self.acc[groups, 0, 1:] += segments.sums(trial_mults)
+        self.acc[groups, row, 0] += segments.sums(values[order] * mult)
+        self.acc[groups, row, 1:] += segments.sums(trial_values[order] * trial_mults)
 
     # -- tier migration ----------------------------------------------------------------
 
@@ -236,25 +231,12 @@ class AggBundle:
         :meth:`reinsert_groups`.
         """
         wanted = set(keys)
-        rows: dict[GroupKey, SketchRow] = {}
-        for key in keys:
-            gid = self.key_to_gid[key]
-            rows[key] = SketchRow(
-                weight=float(self.weight[gid]),
-                trial_weight=self.trial_weight[gid].copy(),
-                sums=[a[gid].copy() for a in self.sums],
-                trial_sums=[a[gid].copy() for a in self.trial_sums],
-            )
+        rows = {key: SketchRow(self.acc[self.key_to_gid[key]].copy()) for key in keys}
         g = len(self.keys)
-        keep = np.array(
-            [k not in wanted for k in self.keys], dtype=bool
-        )
+        keep = np.array([k not in wanted for k in self.keys], dtype=bool)
         self.keys = [k for k in self.keys if k not in wanted]
         self.key_to_gid = {k: i for i, k in enumerate(self.keys)}
-        self.weight = self.weight[:g][keep]
-        self.trial_weight = self.trial_weight[:g][keep]
-        self.sums = [a[:g][keep] for a in self.sums]
-        self.trial_sums = [a[:g][keep] for a in self.trial_sums]
+        self.acc = self.acc[:g][keep]
         return rows
 
     def reinsert_groups(self, rows: dict[GroupKey, "SketchRow"]) -> None:
@@ -267,12 +249,7 @@ class AggBundle:
         if not rows:
             return
         gids = self._ensure_groups(list(rows))
-        for gid, row in zip(gids, rows.values()):
-            self.weight[gid] = row.weight
-            self.trial_weight[gid] = row.trial_weight
-            for s in range(len(self.specs)):
-                self.sums[s][gid] = row.sums[s]
-                self.trial_sums[s][gid] = row.trial_sums[s]
+        self.acc[gids] = [row.acc for row in rows.values()]
 
     # -- finalize ----------------------------------------------------------------------
 
@@ -281,21 +258,10 @@ class AggBundle:
         if other is None or len(other) == 0:
             return self
         out = AggBundle(self.specs, self.num_trials)
-        out._ensure_groups(self.keys)
-        out._ensure_groups(other.keys)
         for bundle in (self, other):
-            g = len(bundle)
-            if g == 0:
-                continue
             # A bundle's keys are distinct, so plain fancy += adds every row.
-            gids = np.array(
-                [out.key_to_gid[k] for k in bundle.keys], dtype=np.intp
-            )
-            out.weight[gids] += bundle.weight[:g]
-            out.trial_weight[gids] += bundle.trial_weight[:g]
-            for s in range(len(self.specs)):
-                out.sums[s][gids] += bundle.sums[s][:g]
-                out.trial_sums[s][gids] += bundle.trial_sums[s][:g]
+            gids = out._ensure_groups(bundle.keys)
+            out.acc[gids] += bundle.acc[: len(bundle)]
         return out
 
     def finalize(
@@ -304,24 +270,14 @@ class AggBundle:
         """Per-group results: ``(values (G,), trial_values (G, T))``."""
         g = len(self.keys)
         spec = self.specs[spec_index]
-        values = np.asarray(
-            spec.func.finalize(self.sums[spec_index][:g], self.weight[:g]),
-            dtype=np.float64,
-        )
-        trial_values = np.asarray(
-            spec.func.finalize(
-                self.trial_sums[spec_index][:g], self.trial_weight[:g]
-            ),
-            dtype=np.float64,
-        )
+        sums = self.acc[:g, self.feature_rows[spec_index]].transpose(0, 2, 1)
+        # Point (column 0) and trials finalize in one broadcast call.
+        out = np.asarray(spec.func.finalize(sums, self.acc[:g, 0]), dtype=np.float64)
         if spec.func.scales_with_m and scale != 1.0:
-            values = values * scale
-            trial_values = trial_values * scale
-        return values, trial_values
+            out = out * scale
+        return out[:, 0], out[:, 1:]
 
     def estimated_bytes(self) -> int:
         g = len(self.keys)
-        per_group = 8 * (1 + self.num_trials)
-        for spec in self.specs:
-            per_group += 8 * spec.func.num_features * (1 + self.num_trials)
+        per_group = 8 * self.acc.shape[1] * self.acc.shape[2]
         return per_group * g + 48 * g  # sums + key dict overhead

@@ -249,23 +249,3 @@ class UncertainValue:
 
     def __repr__(self) -> str:
         return f"≈{self.value:g} ±{self.stdev():.3g} {self.vrange!r}"
-
-
-def range_of(value: object) -> VariationRange:
-    """Variation range of a (possibly deterministic) cell value."""
-    if isinstance(value, UncertainValue):
-        return value.vrange
-    return VariationRange.point(float(value))  # type: ignore[arg-type]
-
-
-def trials_of(value: object, num_trials: int) -> np.ndarray:
-    """Per-trial values of a cell (constant vector when deterministic)."""
-    if isinstance(value, UncertainValue):
-        return value.trials
-    return np.full(num_trials, float(value))  # type: ignore[arg-type]
-
-
-def point_of(value: object) -> float:
-    if isinstance(value, UncertainValue):
-        return value.value
-    return float(value)  # type: ignore[arg-type]

@@ -265,9 +265,9 @@ def _run_with_retry(unit: ExecutionUnit, ctx: RuntimeContext) -> None:
     """Run one unit body, absorbing transient failures.
 
     Only errors marked ``transient`` (:class:`~repro.errors.
-    TransientUnitError`) are retried, up to
-    ``OnlineConfig.unit_retry_attempts`` extra attempts with exponential
-    backoff; everything else propagates immediately. The ``unit`` fault
+    TransientUnitError`) are retried at once, up to
+    ``OnlineConfig.unit_retry_attempts`` extra attempts; everything else
+    propagates immediately. The ``unit`` fault
     probe fires *before* the unit body, so a retried injected fault
     re-runs the unit from an untouched slate — no store mutation is ever
     applied twice. (A real transient error raised mid-body would need an
@@ -281,8 +281,7 @@ def _run_with_retry(unit: ExecutionUnit, ctx: RuntimeContext) -> None:
         try:
             # One "unit" span per *attempt*, tagged with its ordinal: a
             # retried unit renders as separate slices instead of
-            # overlapping spans with identical args (backoff sleeps fall
-            # in the gap between slices, where they belong).
+            # overlapping spans with identical args.
             if tracer.enabled:
                 with tracer.span(
                     "unit", cat="exec", batch=ctx.batch_no,
@@ -301,9 +300,6 @@ def _run_with_retry(unit: ExecutionUnit, ctx: RuntimeContext) -> None:
                 "unit-retry", batch=ctx.batch_no, unit=unit.label,
                 attempt=attempt, message=str(err),
             )
-            backoff = ctx.config.unit_retry_backoff * (2 ** (attempt - 1))
-            if backoff > 0:
-                time.sleep(backoff)
 
 
 def make_executor(spec: str | BatchExecutor, max_workers: int | None = None) -> BatchExecutor:

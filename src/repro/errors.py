@@ -73,8 +73,8 @@ class TransientUnitError(ReproError):
     Raised before the unit body runs (fault injection, and the seam for
     future transient backends), so re-running the unit is side-effect
     safe. Executors retry errors carrying ``transient = True`` up to
-    ``OnlineConfig.unit_retry_attempts`` times with exponential backoff;
-    anything else propagates immediately.
+    ``OnlineConfig.unit_retry_attempts`` times; anything else propagates
+    immediately.
     """
 
     #: Marks the error as safe to retry at the executor level.

@@ -83,8 +83,8 @@ def weighted_sums(
 class RowSegments:
     """The rows of one call grouped by id, for segmented sums.
 
-    One stable argsort of the ids, shared by every table the call
-    accumulates into: ``order`` lists the rows group by group (original
+    One stable argsort of the ids, shared by every sum the call
+    accumulates: ``order`` lists the rows group by group (original
     order within a group), ``starts`` the first sorted position of each
     segment and ``groups`` its id. A segment's sum depends only on that
     group's own row sequence, never on which other rows share the call —
@@ -108,3 +108,24 @@ class RowSegments:
         (``uint8``) trial counts never wrap.
         """
         return np.add.reduceat(sorted_rows, self.starts, axis=0, dtype=np.float64)
+
+    def contract(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Per-segment products ``left[:, seg] @ right[seg]``, ``(S, k, m)``.
+
+        ``left`` is ``(k, n)`` and ``right`` ``(n, m)``, both float64 and
+        already in ``order``. A segment of several rows is one BLAS
+        product over its own rows; length-1 segments are outer products,
+        exact, so they are formed together in one broadcast multiply with
+        the bits a one-row product would give. Either way a segment's
+        block depends only on its own rows in their order.
+        """
+        n = right.shape[0]
+        out = np.empty((len(self.starts), left.shape[0], right.shape[1]))
+        single = np.diff(self.starts, append=n) == 1
+        at = self.starts[single]
+        out[single] = left[:, at].T[:, :, None] * right[at][:, None, :]
+        bounds = self.starts.tolist() + [n]
+        for s in np.flatnonzero(~single).tolist():
+            a, b = bounds[s], bounds[s + 1]
+            np.matmul(left[:, a:b], right[a:b], out=out[s])
+        return out

@@ -6,8 +6,9 @@ machinery like any other between-batch state. Each entry pairs the
 group's published row (:class:`~repro.core.blocks.GroupValue`,
 materialised once at migration and handed back by every later block
 output, whose arrays carry the group's values over unchanged) with the
-extracted :class:`~repro.core.sketch.SketchRow` sums needed to fold the
-group back into the sketch on demotion.
+extracted :class:`~repro.core.sketch.SketchRow` (the group's one
+accumulator block) needed to fold the group back into the sketch on
+demotion.
 
 Invariants (DESIGN.md §15):
 

@@ -273,30 +273,18 @@ class TestSketchRoundTrip:
     def test_extract_reinsert_is_identity(self):
         op = make_sketch_op(seed=1, groups=12)
         sketch = op.sketch
-        before = {
-            key: (
-                float(sketch.weight[gid]),
-                sketch.trial_weight[gid].copy(),
-                [a[gid].copy() for a in sketch.sums],
-                [a[gid].copy() for a in sketch.trial_sums],
-            )
-            for key, gid in sketch.key_to_gid.items()
-        }
+        before = {key: sketch.acc[gid].copy() for key, gid in sketch.key_to_gid.items()}
         victims = sorted(before)[::2]
         rows = sketch.extract_groups(victims)
         assert sorted(rows) == sorted(victims)
         for key in victims:
             assert key not in sketch.key_to_gid
+            assert rows[key].acc.shape == before[key].shape
         sketch.reinsert_groups(rows)
         assert set(sketch.key_to_gid) == set(before)
-        for key, (w, tw, sums, tsums) in before.items():
-            gid = sketch.key_to_gid[key]
-            assert sketch.weight[gid] == w, key
-            assert np.array_equal(sketch.trial_weight[gid], tw)
-            for a, b in zip(sketch.sums, sums):
-                assert np.array_equal(a[gid], b, equal_nan=True)
-            for a, b in zip(sketch.trial_sums, tsums):
-                assert np.array_equal(a[gid], b, equal_nan=True)
+        for key, block in before.items():
+            got = sketch.acc[sketch.key_to_gid[key]]
+            assert got.tobytes() == block.tobytes(), key
 
     def test_store_migrate_demote_round_trip(self):
         op = make_sketch_op(seed=2, groups=10)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sketch import AggBundle
-from repro.relational import avg, count, sum_
+from repro.relational import avg, count, sum_, var
 from repro.relational.evaluator import join_relations
 from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation, relation_from_columns
@@ -31,7 +31,7 @@ class TestFold:
         rel = with_trials(random_kx(100, seed=1, groups=4))
         b = AggBundle(SPECS, 3)
         b.fold(rel, ["k"])
-        assert b.weight.sum() == pytest.approx(100.0)
+        assert b.acc[:, 0, 0].sum() == pytest.approx(100.0)
 
     def test_incremental_fold_equals_single_fold(self):
         rel = with_trials(random_kx(200, seed=1, groups=4))
@@ -145,9 +145,9 @@ class TestMerge:
         rel = with_trials(random_kx(50, seed=5, groups=2))
         a = AggBundle(SPECS, 3)
         a.fold(rel, ["k"])
-        before = a.weight.copy()
+        before = a.acc.copy()
         a.merged_with(a)
-        assert (a.weight == before).all()
+        assert (a.acc == before).all()
 
 
 class TestBytes:
@@ -159,11 +159,12 @@ class TestBytes:
         assert big.estimated_bytes() > small.estimated_bytes()
 
 
-# -- the segmented-sum kernel against the np.add.at kernel it replaced ---------------
+# -- the fold's kernels against the np.add.at kernel they replaced --------------------
 #
-# Summation order differs (np.add.at adds row by row, reduceat sums each
-# segment pairwise), so parity is to rel 1e-12, the tolerance set from the
-# dtype: < 2**-40 relative for segments of up to a few thousand float64 terms.
+# Summation order differs (np.add.at adds row by row, reduceat and the
+# per-segment BLAS product each sum a segment in their own order), so parity
+# is to rel 1e-12, the tolerance set from the dtype: < 2**-40 relative for
+# segments of up to a few thousand float64 terms.
 
 RTOL = 1e-12
 
@@ -177,7 +178,9 @@ def add_at_sums(values: np.ndarray, gids: np.ndarray, num_groups: int) -> np.nda
 
 
 def add_at_fold(bundle: AggBundle, rel: Relation, group_by: list[str]) -> None:
-    """Reference: ``AggBundle.fold`` as it was written over ``np.add.at``."""
+    """Reference: ``AggBundle.fold`` as row-by-row scatter-adds into views
+    of the accumulator (row 0 weights, then each spec's feature rows;
+    column 0 the point, then the trials)."""
     local_keys, local_gids = group_ids(rel, group_by)
     gids = bundle._ensure_groups(local_keys)[local_gids]
     trial_w = np.asarray(
@@ -186,28 +189,22 @@ def add_at_fold(bundle: AggBundle, rel: Relation, group_by: list[str]) -> None:
         else np.broadcast_to(rel.mult[:, None], (len(rel), bundle.num_trials)),
         dtype=np.float64,
     )
-    np.add.at(bundle.weight, gids, rel.mult)
-    np.add.at(bundle.trial_weight, gids, trial_w)
-    for s, spec in enumerate(bundle.specs):
+    acc = bundle.acc
+    np.add.at(acc[:, 0, 0], gids, rel.mult)
+    np.add.at(acc[:, 0, 1:], gids, trial_w)
+    for spec, rows in zip(bundle.specs, bundle.feature_rows):
         if spec.func.num_features == 0:
             continue
-        feats = spec.func.features(spec.arg_values(rel))
-        np.add.at(bundle.sums[s], gids, (feats * rel.mult).T)
-        np.add.at(
-            bundle.trial_sums[s], gids, feats.T[:, None, :] * trial_w[:, :, None]
-        )
+        feats = spec.func.features(spec.arg_values(rel))  # (k, n)
+        np.add.at(acc[:, rows, 0], gids, (feats * rel.mult).T)
+        np.add.at(acc[:, rows, 1:], gids, feats.T[:, :, None] * trial_w[:, None, :])
 
 
 def assert_same_tables(got: AggBundle, want: AggBundle) -> None:
     g = len(want)
     assert got.keys == want.keys
-    np.testing.assert_allclose(got.weight[:g], want.weight[:g], rtol=RTOL)
-    np.testing.assert_allclose(got.trial_weight[:g], want.trial_weight[:g], rtol=RTOL)
-    for s in range(len(want.specs)):
-        np.testing.assert_allclose(got.sums[s][:g], want.sums[s][:g], rtol=RTOL)
-        np.testing.assert_allclose(
-            got.trial_sums[s][:g], want.trial_sums[s][:g], rtol=RTOL
-        )
+    assert got.acc.shape[1:] == want.acc.shape[1:]
+    np.testing.assert_allclose(got.acc[:g], want.acc[:g], rtol=RTOL)
 
 
 @st.composite
@@ -308,7 +305,7 @@ class TestFoldAgainstReference:
         got.fold(rel, ["k"])
         add_at_fold(want, rel, ["k"])
         assert_same_tables(got, want)
-        assert (got.trial_weight[:3] == got.weight[:3, None]).all()
+        assert (got.acc[:3, 0, 1:] == got.acc[:3, 0, :1]).all()
 
     def test_fold_with_zero_trials(self):
         rel = random_kx(40, seed=2, groups=3)
@@ -335,12 +332,124 @@ class TestFoldAgainstReference:
         # Bit-identical, not merely close: the vectorize on/off contract.
         for key, gid in row_wise.key_to_gid.items():
             other = coded.key_to_gid[key]
-            assert row_wise.weight[gid] == coded.weight[other]
-            assert (row_wise.trial_sums[0][gid] == coded.trial_sums[0][other]).all()
+            assert row_wise.acc[gid].tobytes() == coded.acc[other].tobytes()
         values, trial_values, mult, trial_mults = args
         want = add_at_sums(trial_values * trial_mults, codes, 3)
-        got = np.stack([coded.trial_sums[0][coded.key_to_gid[k], :, 0] for k in keys])
+        got = np.stack([coded.acc[coded.key_to_gid[k], 1, 1:] for k in keys])
         np.testing.assert_allclose(got, want, rtol=RTOL)
+
+
+SPEC_SETS = [
+    [count("n")],  # K = 0: the segmented-sum case
+    [sum_("x", "sx")],
+    SPECS,
+    [var("x", "vx"), count("n"), sum_("y", "sy")],
+]
+
+
+@st.composite
+def fold_cases(draw):
+    """A relation, its specs and T, over the shapes the fold special-cases."""
+    n = draw(st.integers(1, 60))
+    t = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = draw(st.sampled_from(["random", "distinct", "one"]))
+    k = {
+        "random": rng.integers(0, draw(st.integers(1, 12)), n),
+        "distinct": rng.permutation(n),  # every segment has length 1
+        "one": np.zeros(n, dtype=np.int64),  # one group holds every row
+    }[keys]
+    x, y = rng.normal(50.0, 20.0, n), rng.normal(-5.0, 3.0, n)
+    weights = draw(st.sampled_from(["uint8", "heavy", "float", "broadcast"]))
+    counts = rng.poisson(1.0, (n, t)).astype(np.uint8)
+    if weights == "heavy":  # uint8 counts whose group sums exceed 255
+        counts = rng.integers(100, 256, (n, t)).astype(np.uint8)
+    trials = {
+        "uint8": counts,
+        "heavy": counts,
+        "float": counts * rng.random((n, t)),
+        "broadcast": None,  # deterministic mult: the read-only broadcast
+    }[weights]
+    if draw(st.booleans()) and trials is not None and t:
+        # Non-finite features on rows with a zero trial weight: 0·inf = NaN.
+        bad = rng.random(n) < 0.25
+        x[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+        trials[bad, 0] = 0
+    rel = relation_from_columns(KX_SCHEMA, k=k, x=x, y=y)
+    rel = rel.with_mult(rng.random(n) + 0.5, trials)
+    return rel, draw(st.sampled_from(SPEC_SETS)), t
+
+
+class TestAccumulatorParity:
+    @given(fold_cases(), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_fold_matches_add_at(self, case, cut):
+        rel, specs, t = case
+        got, want = AggBundle(specs, t), AggBundle(specs, t)
+        cut = min(cut, len(rel))
+        for part in (rel.slice(0, cut), rel.slice(cut, len(rel))):
+            got.fold(part, ["k"])
+            add_at_fold(want, part, ["k"])
+        assert_same_tables(got, want)
+
+    def test_one_row(self):
+        rel = with_trials(random_kx(1, seed=4), value=3.0)
+        got, want = AggBundle(SPECS, 3), AggBundle(SPECS, 3)
+        got.fold(rel, ["k"])
+        add_at_fold(want, rel, ["k"])
+        assert got.acc[:1].tobytes() == want.acc[:1].tobytes()  # a product is exact
+
+    def test_finalize_reads_the_accumulator(self):
+        rel = with_trials(random_kx(40, seed=6, groups=3), value=2.0)
+        b = AggBundle(SPECS, 3)
+        b.fold(rel, ["k"])
+        g = len(b)
+        sx, sx_trials = b.finalize(0, 1.0)
+        assert (sx == b.acc[:g, 1, 0]).all() and (sx_trials == b.acc[:g, 1, 1:]).all()
+        n, n_trials = b.finalize(2, 1.0)
+        assert (n == b.acc[:g, 0, 0]).all() and (n_trials == b.acc[:g, 0, 1:]).all()
+
+
+class TestPositionIndependence:
+    """A group's block is the same bits alone, among other groups, or at
+    another offset of the call — what shards rely on."""
+
+    @given(fold_cases(), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_block_ignores_other_groups(self, case, pad):
+        rel, specs, t = case
+        keys = rel.column("k")
+        target = int(keys[len(rel) // 2])
+        prefix = relation_from_columns(
+            KX_SCHEMA, k=-1 - np.arange(pad), x=np.arange(pad) + 0.25, y=np.ones(pad)
+        )
+        prefix = prefix.with_mult(np.ones(pad), None if rel.trial_mults is None else
+                                  np.ones((pad, t), dtype=rel.trial_mults.dtype))
+        alone, among, shifted = (AggBundle(specs, t) for _ in range(3))
+        alone.fold(rel.filter(keys == target), ["k"])
+        among.fold(rel, ["k"])
+        shifted.fold(prefix.concat(rel), ["k"])
+        blocks = [b.acc[b.key_to_gid[(target,)]].tobytes() for b in (alone, among, shifted)]
+        assert blocks[0] == blocks[1] == blocks[2]
+
+
+class TestRollupRoundTrip:
+    def test_extract_reinsert_is_bit_exact(self):
+        rel = with_trials(random_kx(120, seed=9, groups=10), value=1.5)
+        b = AggBundle(SPECS, 3)
+        b.fold(rel, ["k"])
+        before = {key: b.acc[gid].copy() for key, gid in b.key_to_gid.items()}
+        victims = sorted(before)[1::3]
+        rows = b.extract_groups(victims)
+        assert len(b) == len(before) - len(victims)
+        for key in victims:
+            assert rows[key].acc.shape == (1 + 2, 1 + 3)
+            assert rows[key].estimated_bytes() == rows[key].acc.nbytes
+        b.reinsert_groups(rows)
+        for key, block in before.items():
+            assert b.acc[b.key_to_gid[key]].tobytes() == block.tobytes()
 
 
 class TestCapacity:
@@ -353,11 +462,11 @@ class TestCapacity:
         )
         rel = rel.with_mult(rel.mult, np.full((n, 2), 2, dtype=np.uint8))
         trickled, once = AggBundle(SPECS, 2), AggBundle(SPECS, 2)
-        reallocations, buffer = 0, trickled.trial_sums[0]
+        reallocations, buffer = 0, trickled.acc
         for i in range(n):
             trickled.fold(rel.slice(i, i + 1), ["k"])
-            if trickled.trial_sums[0] is not buffer:
-                reallocations, buffer = reallocations + 1, trickled.trial_sums[0]
+            if trickled.acc is not buffer:
+                reallocations, buffer = reallocations + 1, trickled.acc
         once.fold(rel, ["k"])
         assert reallocations <= 13
         assert len(trickled) == len(once) == n
@@ -369,7 +478,7 @@ class TestCapacity:
 
     def test_one_shot_bundle_allocates_exactly(self):
         b = AggBundle.from_relation(with_trials(random_kx(50, seed=1, groups=5)), ["k"], SPECS, 3)
-        assert b.weight.shape[0] == len(b) == 5
+        assert b.acc.shape == (5, 1 + 2, 1 + 3)  # 5 groups, [1; sx; ax], [mult | 3 trials]
 
 
 class TestNarrowCounts:

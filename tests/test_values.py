@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.values import (
-    LineageRef,
-    UncertainValue,
-    VariationRange,
-    point_of,
-    range_of,
-    trials_of,
-)
+from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.errors import ExpressionError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -178,23 +171,6 @@ class TestUncertainValue:
 
 
 class TestHelpers:
-    def test_range_of_plain(self):
-        assert range_of(3.0) == VariationRange.point(3.0)
-
-    def test_range_of_uncertain(self):
-        v = uv(1.0, [1.0], 0.0, 2.0)
-        assert range_of(v) == VariationRange(0.0, 2.0)
-
-    def test_trials_of_plain_broadcasts(self):
-        assert list(trials_of(2.0, 3)) == [2.0, 2.0, 2.0]
-
-    def test_trials_of_uncertain(self):
-        assert list(trials_of(uv(1.0, [4.0, 5.0]), 2)) == [4.0, 5.0]
-
-    def test_point_of(self):
-        assert point_of(uv(9.0, [1.0])) == 9.0
-        assert point_of(4) == 4.0
-
     def test_lineage_ref_hashable(self):
         a = LineageRef(1, ("x",), "c")
         b = LineageRef(1, ("x",), "c")
