@@ -37,10 +37,6 @@ Rules:
 * ``RACE201`` — a carried lineage sidecar whose producing unit has no
   dependency path to the carrier, i.e. the producer can republish the
   block concurrently with the carrier resolving into it (error).
-* ``RACE301`` — a block-backed state entry (a store entry aliasing a
-  published lineage block, e.g. the rollup plane's persistent output)
-  whose backing block is produced by a *different* unit: two units would
-  mutate one object graph across the store/block boundary (error).
 """
 
 from __future__ import annotations
@@ -75,7 +71,6 @@ RACE_RULES: dict[str, str] = {
     "RACE002": "two units in the same wave conflict on a lineage block",
     "RACE101": "store entry shared across units with no dependency path between them",
     "RACE201": "carried sidecar's producing unit can republish concurrently",
-    "RACE301": "block-backed state entry aliases a block produced by another unit",
 }
 
 
@@ -200,11 +195,6 @@ class EffectSummary:
     block_writes: set[int] = field(default_factory=set)
     #: Block ids this unit's operators bake into carried lineage sidecars.
     sidecar_sources: set[int] = field(default_factory=set)
-    #: ``(entry, block_id)`` pairs of store entries that alias a lineage
-    #: block (declared via ``StateRule.block_backed``): the persistent
-    #: rollup-path output lives in the store *and* is published as the
-    #: block, so its block must be produced by this unit alone.
-    block_backed: set[tuple[str, int]] = field(default_factory=set)
     #: ``id(store) -> op label`` for diagnostics.
     store_owners: dict[int, str] = field(default_factory=dict)
 
@@ -251,15 +241,6 @@ def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
             for key in entries:
                 summary.store_reads.add((id(store), key))
                 summary.store_writes.add((id(store), key))
-            if rule is not None and rule.block_backed:
-                block_id = _resolve_block_id(op, "block_id")
-                if block_id is not None:
-                    for entry in rule.block_backed:
-                        summary.block_backed.add((entry, block_id))
-                    # Mutating the backing entry mutates the published
-                    # block: the aliasing makes every backed entry a
-                    # block write as far as scheduling is concerned.
-                    summary.block_writes.add(block_id)
         for attr in effects.block_write_attrs:
             block_id = _resolve_block_id(op, attr)
             if block_id is not None:
@@ -414,27 +395,6 @@ def check_races(units: list[ExecutionUnit]) -> list[AnalysisDiagnostic]:
                         "first",
                     )
                 )
-        for entry, block_id in sorted(summary.block_backed):
-            p = producers.get(block_id)
-            if p is not None and p == i:
-                continue  # backed by this unit's own block: the safe shape
-            produced_by = (
-                f"unit {units[p].label!r}" if p is not None else "no unit"
-            )
-            diags.append(
-                _diag(
-                    "RACE301",
-                    summary.unit_label,
-                    f"block-backed state entry {entry!r} of "
-                    f"{summary.unit_label!r} aliases lineage block "
-                    f"{block_id}, which is produced by {produced_by}: two "
-                    "writers would mutate one object graph across the "
-                    "store/block boundary",
-                    "a block-backed entry must alias a block its own unit "
-                    "produces; move the entry next to the block's producer "
-                    "or publish a copy instead of the stored object",
-                )
-            )
     return diags
 
 

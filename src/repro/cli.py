@@ -171,11 +171,6 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
         "--stop-rsd", type=float, default=None,
         help="stop once the worst relative stdev falls below this",
     )
-    parser.add_argument(
-        "--rollup", action="store_true",
-        help="fold pruning-resolved groups into a per-sink rollup tier "
-        "(bit-identical results, faster once sentinels resolve groups)",
-    )
 
 
 def _resolve_query(args: argparse.Namespace):
@@ -279,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run operator hot paths row by row instead of through the "
         "vectorized kernels (iolap engine); results are bit-identical, "
         "only slower — an A/B lever for debugging and benchmarks",
-    )
-    parser.add_argument(
-        "--rollup", action="store_true",
-        help="fold pruning-resolved groups into a per-sink rollup tier so "
-        "the per-batch hot loop touches only groups with live ND "
-        "membership (iolap engine); results are bit-identical, only "
-        "faster once sentinels start resolving groups",
     )
     parser.add_argument(
         "--faults", metavar="SPEC", default=None,
@@ -615,7 +603,7 @@ def run_metrics_cmd(argv: Sequence[str]) -> int:
         catalog,
         streamed,
         OnlineConfig(num_trials=args.trials, seed=args.seed,
-                     rollup=args.rollup, **_profile_config(args)),
+                     **_profile_config(args)),
         executor=args.executor,
         obs=obs,
     )
@@ -663,7 +651,6 @@ def run_top(argv: Sequence[str]) -> int:
     catalog, plan, streamed = resolved
     config_kwargs = _profile_config(args)
     config_kwargs["profile"] = True  # the view *is* the profiler's state
-    config_kwargs["rollup"] = args.rollup
     view = TopView(target_rsd=args.target_rsd, top=args.top)
     engine = OnlineQueryEngine(
         catalog,
@@ -680,7 +667,6 @@ def run_top(argv: Sequence[str]) -> int:
             frame = view.frame(
                 engine.profiler, partial.batch_no, partial.num_batches,
                 rsd, bm.new_tuples, seen_rows, bm.wall_seconds,
-                rollup_groups=bm.rollup_groups, nd_groups=bm.nd_groups,
             )
             if args.plain:
                 print(frame + "\n")
@@ -797,7 +783,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             verify=args.verify,
             sanitize=args.sanitize,
             vectorize=not args.no_vectorize,
-            rollup=args.rollup,
             faults=args.faults,
             shards=args.shards,
             **_profile_config(args),

@@ -159,15 +159,7 @@ class BlockOutput:
     are a cache over the arrays (:meth:`get`, :meth:`rows`,
     :attr:`groups`), the one thing written after publish: two threads
     materialising one group build equal rows and the later one stays.
-
-    Exception: the ``persistent`` output of a rollup-on aggregate is that
-    operator's state — the next publish extends its arrays and rewrites
-    the republished gids in place, and a snapshot copies them.
     """
-
-    #: ``estimate_nbytes`` threads its seen-set through ``estimated_bytes``
-    #: so groups shared with a rollup store are not double-counted.
-    nbytes_seen_aware = True
 
     def __init__(
         self,
@@ -181,10 +173,6 @@ class BlockOutput:
         self.key_cols = key_cols
         self.value_cols = value_cols
         self.index = index if index is not None else GroupIndex()
-        #: Rollup-on aggregate output; ``num_tail`` trailing entries of
-        #: ``order`` lie outside its stable prefix.
-        self.persistent = False
-        self.num_tail = 0
         self._rows: dict[int, GroupValue] = {}
         self._dets: dict[str, np.ndarray] = {}
         self._join_status: np.ndarray | None = None
@@ -280,13 +268,6 @@ class BlockOutput:
         )
         view._dets = {c: self._dets[s] for c, s in source.items() if s in self._dets}
         return view
-
-    def adopt_rows(self, prev: "BlockOutput", republished: np.ndarray) -> None:
-        """Take over the rows of ``prev`` (the output being replaced) except
-        the republished groups': the rollup tier's keep one row identity."""
-        self._rows, prev._rows = prev._rows, {}
-        for gid in republished.tolist():
-            self._rows.pop(gid, None)
 
     # -- array reads ----------------------------------------------------------------
 
@@ -391,32 +372,16 @@ class BlockOutput:
         return len(self.order)
 
     def __deepcopy__(self, memo: dict) -> "BlockOutput":
-        """Checkpoint copy: owns its row cache and shares every array,
-        unless they are a persistent output's (written in place)."""
+        """Checkpoint copy: owns its row cache and shares every array."""
         clone = copy.copy(self)
         memo[id(self)] = clone
         clone._rows = dict(self._rows)
-        if self.persistent:
-            for name in ("certain", "member_point", "exist"):
-                setattr(clone, name, getattr(self, name).copy())
-            clone._ucols = {
-                name: UColumn(*map(np.copy, col)) for name, col in self._ucols.items()
-            }
         return clone
 
-    def estimated_bytes(self, seen: set[int] | None = None) -> int:
-        n = len(self.order)
+    def estimated_bytes(self) -> int:
         per_group = 32 + 8 * len(self.key_cols)
         per_group += (8 + 8 * self.exist.shape[1]) * len(self._ucols)
-        if seen is not None:
-            # Only a materialised row can also be held by another entry
-            # (the rollup tier); it counts under whichever sizes first.
-            for group in self._rows.values():
-                if id(group) in seen:
-                    n -= 1
-                else:
-                    seen.add(id(group))
-        return per_group * n
+        return per_group * len(self.order)
 
 
 @dataclass
@@ -497,16 +462,6 @@ class OnlineConfig:
     #: None disables the gauge. Does not stop the run — early stopping
     #: stays the caller's decision, as in the paper's interaction model.
     target_rsd: float | None = None
-    #: Two-tier aggregation (:mod:`repro.rollup`): migrate groups whose
-    #: pruning decisions the sentinel layer has resolved out of the
-    #: per-batch hot loop into a finalized rollup tier, so batch cost
-    #: scales with the live ND set instead of the total group count.
-    #: Results are bit-identical to a rollup-off run (enforced by tests).
-    rollup: bool = False
-    #: Consecutive batches a resolved group must go untouched (no new
-    #: certain or ND contribution) before it migrates to the rollup tier.
-    #: Higher = more conservative (fewer demotions on late arrivals).
-    rollup_quiesce: int = 2
     #: Process-level scale-out (:mod:`repro.engine.shards`): hash-partition
     #: the streamed table across this many worker processes, each running
     #: the full delta algorithm over its shard with shared-nothing state,

@@ -70,9 +70,6 @@ class OnlineQueryEngine:
         #: Continuous profiler of the current run
         #: (``OnlineConfig(profile=True)``), or None.
         self.profiler = None
-        #: Identity-keyed result-row projection cache (rollup runs only):
-        #: ``id(values) -> (values, projected dict)``, rebuilt every batch.
-        self._result_rows_cache: dict[int, tuple[object, dict]] = {}
 
     #: Tag recorded on the per-run CheckpointManager; shard workers set
     #: theirs to ``shard<i>`` so recovery logs and snapshots are
@@ -148,7 +145,6 @@ class OnlineQueryEngine:
             # hooks for the duration of this run (removed on close).
             ctx.sanitizer.activate()
         self.metrics = RunMetrics()
-        self._result_rows_cache = {}
 
         compiled.open(ctx)
         # Pristine-state snapshot: failure recovery rewinds every operator
@@ -291,19 +287,14 @@ class OnlineQueryEngine:
             span.__enter__()
         started = time.perf_counter()
         ctx.monitor.replaying = True
-        # CheckpointManager.restore demotes every restored rollup entry
-        # back into its sketch: the replayed suffix cannot trust state
-        # migrated past the restore point.
         if ckpt is not None:
-            demoted = self._checkpoints.restore(ctx.stores, ckpt.snapshot)
+            self._checkpoints.restore(ctx.stores, ckpt.snapshot)
             ctx.reset_for_replay(
                 batch_no=ckpt.batch_no, seen_rows=ckpt.seen_rows
             )
         else:
-            demoted = self._checkpoints.restore(ctx.stores, baseline)
+            self._checkpoints.restore(ctx.stores, baseline)
             ctx.reset_for_replay()
-        if demoted:
-            obs.metrics.counter("rollup.restore_demotions").inc(demoted)
         # Checkpoints newer than the restore point contain the decisions
         # the failure just invalidated; they must never be restored.
         self._checkpoints.drop_after(start_from)
@@ -402,24 +393,11 @@ class OnlineQueryEngine:
         num_batches: int,
         bm: BatchMetrics,
     ) -> PartialResult:
-        rows = []
         names = compiled.result_schema.names
-        # A bare block root hands back its groups' own value dicts, the
-        # *same* objects batch over batch for rollup-tier groups;
-        # projecting them into the result dict again would put the
-        # per-row cost back on the total group count. Identity-keyed, so
-        # any republished group misses and projects fresh.
-        cache = self._result_rows_cache
-        fresh: dict[int, tuple[object, dict]] = {}
-        for values in compiled.current_rows(ctx):
-            hit = cache.get(id(values))
-            if hit is not None and hit[0] is values:
-                row = hit[1]
-            else:
-                row = {name: values[name] for name in names}
-            fresh[id(values)] = (values, row)
-            rows.append(row)
-        self._result_rows_cache = fresh
+        rows = [
+            {name: values[name] for name in names}
+            for values in compiled.current_rows(ctx)
+        ]
         is_final = batch_no == num_batches
         if is_final:
             rows = [_finalize_row(r) for r in rows]

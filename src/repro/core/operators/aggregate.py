@@ -13,9 +13,7 @@ from repro.core.blocks import (
 )
 from repro.core.classify import evaluate_side
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
-from repro.core.sentinels import QuiescenceTracker
 from repro.core.sketch import AggBundle
-from repro.rollup import ResolvedRollupStore
 from repro.state.store import SelfSizingSet
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import grouped_indices
@@ -44,21 +42,8 @@ class AggregateOp(SpineOp):
     tag_rule = TagRule(consumes_uncertain="allowed", resets_tags=True)
     state_rule = StateRule(
         frozenset(
-            {
-                "sketch",
-                "sketch_ready",
-                "rows",
-                "certain_groups",
-                "published_keys",
-                "rollup",
-                "quiesce",
-                "output",
-            }
-        ),
-        # The persistent block output doubles as the published lineage
-        # block under ``rollup=True``; the race detector checks that the
-        # backing block is produced by this unit alone (RACE301).
-        block_backed=frozenset({"output"}),
+            {"sketch", "sketch_ready", "rows", "certain_groups", "published_keys"}
+        )
     )
 
     def __init__(
@@ -106,12 +91,6 @@ class AggregateOp(SpineOp):
         self.state.put("rows", None)
         self.state.put("certain_groups", SelfSizingSet())
         self.state.put("published_keys", SelfSizingSet())
-        self.state.put("rollup", ResolvedRollupStore())
-        self.state.put("quiesce", QuiescenceTracker())
-        self.state.put(
-            "output",
-            BlockOutput(self.block_id, self.group_by, [s.name for s in self.specs]),
-        )
 
     @property
     def sketch(self) -> AggBundle:
@@ -138,35 +117,8 @@ class AggregateOp(SpineOp):
         return self.state.get("published_keys")
 
     @property
-    def _rollup(self) -> ResolvedRollupStore:
-        return self.state.get("rollup")
-
-    @property
-    def _quiesce(self) -> QuiescenceTracker:
-        return self.state.get("quiesce")
-
-    @property
-    def _output(self) -> BlockOutput:
-        return self.state.get("output")
-
-    @property
     def needs_row_store(self) -> bool:
         return bool(self.lazy_specs or self.holistic_specs)
-
-    @property
-    def rollup_eligible(self) -> bool:
-        """Whether this sink can run the two-tier plan.
-
-        Lazy/holistic paths recompute from the row store each batch and
-        sample-weighted scaling aggregates (COUNT/SUM-style,
-        ``scales_with_m``) are re-finalized with a new ``ctx.scale``
-        every batch, so neither has a per-group fixed point to migrate;
-        non-scaling decomposable sketches (AVG-style) do.
-        """
-        return not self.needs_row_store and (
-            not self.sample_weighted
-            or all(not s.func.scales_with_m for s in self.sketch_specs)
-        )
 
     def process(self, delta: DeltaBatch, ctx: RuntimeContext) -> DeltaBatch:
         if not self.state.get("sketch_ready"):
@@ -180,10 +132,6 @@ class AggregateOp(SpineOp):
                 self.certain_groups.add(())
         cin, vin = delta.certain, delta.volatile
         ctx.metrics.shipped_bytes += cin.estimated_bytes() + vin.estimated_bytes()
-
-        rollup_on = ctx.config.rollup and self.rollup_eligible
-        if rollup_on:
-            self._demote_and_touch(ctx, cin, vin)
 
         if self.needs_row_store:
             cin = cin.with_drawn_trials()  # folded now, re-read every batch
@@ -218,94 +166,7 @@ class AggregateOp(SpineOp):
         if self.lazy_specs or self.holistic_specs:
             self._add_lazy_and_holistic(ctx, vin, scale, combined.keys, cols)
         self._publish(ctx, combined, cols)
-        if rollup_on:
-            self._migrate_quiescent(ctx)
         return DeltaBatch(self.empty(ctx), self.empty(ctx))
-
-    # -- rollup tier (repro.rollup) ----------------------------------------------------
-
-    def _batch_touched_keys(
-        self, ctx: RuntimeContext, cin: Relation, vin: Relation
-    ) -> list[GroupKey]:
-        """Distinct group keys receiving any contribution this batch."""
-        if not self.group_by:
-            return [()] if (len(cin) or len(vin)) else []
-        touched: dict[GroupKey, None] = {}
-        for rel in (cin, vin):
-            if not len(rel):
-                continue
-            if ctx.config.vectorize:
-                touched.update(
-                    dict.fromkeys(factorize_keys(rel, self.group_by).keys)
-                )
-            else:
-                touched.update(dict.fromkeys(rel.key_tuples(self.group_by)))
-        return list(touched)
-
-    def _demote_and_touch(
-        self, ctx: RuntimeContext, cin: Relation, vin: Relation
-    ) -> None:
-        """Fold touched (or, off the happy path, all) rollup groups back.
-
-        Runs before the batch's fold so reinsertion assigns into fresh
-        sketch rows the fold then accumulates onto. Touch-demotion is
-        the tier's structural flip detector; the conservative branch
-        (pruning valve tripped, or a recovery replay in flight) demotes
-        everything — resolved decisions are exactly what is no longer
-        trusted there.
-        """
-        rollup = self._rollup
-        tracker = self._quiesce
-        active = ctx.monitor.enabled and not ctx.monitor.replaying
-        touched = self._batch_touched_keys(ctx, cin, vin)
-        if len(rollup):
-            demote = (
-                [k for k in touched if k in rollup]
-                if active
-                else list(rollup.keys())
-            )
-            if demote:
-                rows = rollup.demote(demote)
-                self.sketch.reinsert_groups(rows)
-                tracker.forget(rows)
-                if ctx.obs.enabled:
-                    ctx.obs.metrics.counter(
-                        "rollup.demotions", op=self.label
-                    ).inc(len(rows))
-                self.state.put("rollup", rollup)
-                self.state.put("sketch", self.sketch)
-        if touched:
-            tracker.touch(touched, ctx.batch_no)
-            self.state.put("quiesce", tracker)
-
-    def _migrate_quiescent(self, ctx: RuntimeContext) -> None:
-        """Move quiescent resolved groups out of the hot path."""
-        if not (ctx.monitor.enabled and not ctx.monitor.replaying):
-            return
-        sketch = self.sketch
-        output = self._output
-        candidates = [
-            key
-            for key in self._quiesce.candidates(
-                list(sketch.key_to_gid), ctx.batch_no, ctx.config.rollup_quiesce
-            )
-            if output.gid(key) >= 0
-        ]
-        if not candidates:
-            return
-        rollup = self._rollup
-        rows = sketch.extract_groups(candidates)
-        # Later outputs hand these same row objects back (``adopt_rows``).
-        groups = output.rows([output.gid(key) for key in rows])
-        for (key, accum), group in zip(rows.items(), groups):
-            rollup.migrate(key, group, accum, ctx.batch_no)
-        self._quiesce.forget(candidates)
-        if ctx.obs.enabled:
-            ctx.obs.metrics.counter("rollup.migrations", op=self.label).inc(
-                len(rows)
-            )
-        self.state.put("rollup", rollup)
-        self.state.put("sketch", sketch)
 
     # -- lazy / holistic paths ---------------------------------------------------------
 
@@ -431,43 +292,30 @@ class AggregateOp(SpineOp):
         weights = combined.acc[: len(keys), 0]  # (n, 1+T): point, then trials
         exist = weights[:, 1:] > 0
         exist_point = weights[:, 0] > 0
-        rollup_on = ctx.config.rollup and self.rollup_eligible
         published = self._published_keys
         # Groups that vanished (all their volatile contributors currently
         # excluded) stay visible with empty existence, so downstream
         # lineage references keep resolving. Sorted so the tombstone order
         # (and hence the output's group iteration order) does not depend
-        # on set hashing. Migrated groups are published, just not
-        # recomputed — they are not tombstones.
+        # on set hashing.
         vanished = published - set(keys)
-        if rollup_on:
-            vanished -= set(self._rollup.entries)
         index = ctx.indexes[self.block_id]
         gids = index.add(keys)
         tomb_gids = index.add(sorted(vanished))
         published.update(keys)
         g = len(index)
-        republished = np.concatenate([gids, tomb_gids])
-        # Replaced only with the rollup tier on (else the empty initial
-        # one): its arrays are this operator's buffers, rewritten at the
-        # republished gids only — migrated groups ride along untouched.
-        prev = self._output
 
-        def scattered(fill, values: np.ndarray, carry: np.ndarray) -> np.ndarray:
-            # values at gids; elsewhere carry, or (tombstones too) fill.
-            kept = len(carry)
-            out = _extended(carry, g, values)
-            out[kept:] = fill
-            if kept:
-                out[tomb_gids] = fill
+        def scattered(fill, values: np.ndarray) -> np.ndarray:
+            # values at gids; fill elsewhere (tombstones too).
+            out = np.full((g,) + values.shape[1:], fill, dtype=values.dtype)
             out[gids] = values
             return out
 
         n = len(keys)
         certain_n = np.fromiter(map(self.certain_groups.__contains__, keys), bool, n)
-        certain = scattered(False, certain_n, prev.certain)
-        member_point = scattered(False, certain_n | exist_point, prev.member_point)
-        exist_g = scattered(False, exist | certain_n[:, None], prev.exist)
+        certain = scattered(False, certain_n)
+        member_point = scattered(False, certain_n | exist_point)
+        exist_g = scattered(False, exist | certain_n[:, None])
 
         obs_on = ctx.obs.enabled
         width_hist = (
@@ -492,62 +340,20 @@ class AggregateOp(SpineOp):
             if width_hist is not None:
                 for width in (hi - lo).tolist():
                     width_hist.observe(width)
-            old = prev.ucol(spec.name)
             ucols[spec.name] = UColumn(
-                scattered(np.nan, points, old.point),
-                scattered(np.nan, trials, old.trials),
-                scattered(-np.inf, lo, old.lo),
-                scattered(np.inf, hi, old.hi),
+                scattered(np.nan, points),
+                scattered(np.nan, trials),
+                scattered(-np.inf, lo),
+                scattered(np.inf, hi),
             )
 
         output = BlockOutput(
             self.block_id, self.group_by, [s.name for s in self.specs], index
         )
-        if not rollup_on:
-            order = republished
-        else:
-            # Hot groups keep their first-published position (the
-            # rollup-off publication order; the sketch's own order drifts
-            # when a migrate/demote cycle compacts and re-extends it);
-            # the unstable tail (volatile-only keys, tombstones) is
-            # re-appended each batch — migrations or not, so no drift.
-            stable = prev.order[: len(prev.order) - prev.num_tail]
-            placed = np.zeros(g, dtype=bool)
-            placed[stable] = True
-            hot = np.fromiter(map(self.sketch.key_to_gid.__contains__, keys), bool, n)
-            tail = np.concatenate([gids[~hot], tomb_gids])
-            order = np.concatenate([stable, gids[hot & ~placed[gids]], tail])
-            output.persistent, output.num_tail = True, len(tail)
+        order = np.concatenate([gids, tomb_gids])
         all_members = np.full(g, MEMBER_TRUE, dtype=np.int8)
         output.fill(order, certain, all_members, member_point, exist_g, ucols)
         ctx.metrics.nd_groups += n
-        if rollup_on:
-            rollup = self._rollup
-            ctx.metrics.rollup_groups += len(rollup)
-            # Migrated groups keep the row object the tier holds, so
-            # identity-keyed row caches downstream keep hitting.
-            output.adopt_rows(prev, republished)
-            self.state.put("output", output)
-            if obs_on:
-                ctx.obs.metrics.gauge("rollup.groups", op=self.label).set(
-                    len(rollup)
-                )
-                ctx.obs.metrics.gauge("rollup.nd_groups", op=self.label).set(n)
-                if len(rollup):
-                    ctx.obs.metrics.counter("rollup.hits", op=self.label).inc(
-                        len(rollup)
-                    )
         if obs_on:
             ctx.obs.metrics.gauge("block.groups", op=self.label).set(len(output))
         ctx.blocks[self.block_id] = output
-
-
-def _extended(buf: np.ndarray, g: int, like: np.ndarray) -> np.ndarray:
-    """``buf`` lengthened to ``g`` rows (of ``like``'s row shape), in place
-    while the allocation behind it has room; it doubles when not."""
-    base = buf.base if isinstance(buf.base, np.ndarray) else buf
-    if len(base) < g or base.shape[1:] != like.shape[1:]:
-        base = np.empty((max(g, 2 * len(base)),) + like.shape[1:], dtype=like.dtype)
-        if len(buf):
-            base[: len(buf)] = buf
-    return base[:g]

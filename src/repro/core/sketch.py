@@ -37,7 +37,6 @@ seed bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,22 +46,6 @@ from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation
 
 GroupKey = tuple
-
-
-@dataclass
-class SketchRow:
-    """One group's accumulator block, detached from the bundle.
-
-    The unit of tier migration: :meth:`AggBundle.extract_groups` hands
-    these to the rollup store, and :meth:`AggBundle.reinsert_groups`
-    folds them back verbatim on demotion, so a migrate/demote round trip
-    is bit-exact.
-    """
-
-    acc: np.ndarray  # (1+K, 1+T)
-
-    def estimated_bytes(self) -> int:
-        return int(self.acc.nbytes)
 
 
 class AggBundle:
@@ -217,39 +200,6 @@ class AggBundle:
         self.acc[groups, 0, 1:] += segments.sums(trial_mults)
         self.acc[groups, row, 0] += segments.sums(values[order] * mult)
         self.acc[groups, row, 1:] += segments.sums(trial_values[order] * trial_mults)
-
-    # -- tier migration ----------------------------------------------------------------
-
-    def extract_groups(
-        self, keys: Sequence[GroupKey]
-    ) -> dict[GroupKey, "SketchRow"]:
-        """Remove ``keys`` from the sketch, returning their sum rows.
-
-        The extracted rows are private copies (the rollup tier owns them
-        across batches); the surviving groups are compacted in key order,
-        so re-folding never scatters into a hole. Inverse:
-        :meth:`reinsert_groups`.
-        """
-        wanted = set(keys)
-        rows = {key: SketchRow(self.acc[self.key_to_gid[key]].copy()) for key in keys}
-        g = len(self.keys)
-        keep = np.array([k not in wanted for k in self.keys], dtype=bool)
-        self.keys = [k for k in self.keys if k not in wanted]
-        self.key_to_gid = {k: i for i, k in enumerate(self.keys)}
-        self.acc = self.acc[:g][keep]
-        return rows
-
-    def reinsert_groups(self, rows: dict[GroupKey, "SketchRow"]) -> None:
-        """Put extracted sum rows back (demotion from the rollup tier).
-
-        Assignment, not accumulation: the sketch must not already hold
-        the keys (they were extracted, and demotion runs before the
-        batch's fold touches them again).
-        """
-        if not rows:
-            return
-        gids = self._ensure_groups(list(rows))
-        self.acc[gids] = [row.acc for row in rows.values()]
 
     # -- finalize ----------------------------------------------------------------------
 

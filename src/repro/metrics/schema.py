@@ -12,7 +12,7 @@ immediately preceding one (archived artifacts outlive engine releases),
 each against its own frozen field set. v2 -> v3 added the continuous
 profiler / cost-model fields (``predicted_seconds`` per batch,
 ``profile_seconds`` + ``cost_calibration`` per run); v3 -> v4 added the
-rollup-tier group split (``rollup_groups``/``nd_groups`` per batch).
+per-batch group counts ``rollup_groups`` (now always 0) and ``nd_groups``.
 """
 
 from __future__ import annotations

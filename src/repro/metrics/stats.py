@@ -47,12 +47,9 @@ class BatchMetrics:
     #: off or the model was still warming up). Compared against
     #: ``wall_seconds - recovery_seconds`` for calibration.
     predicted_seconds: float = 0.0
-    #: Groups served from the resolved-rollup tier this batch, summed
-    #: over aggregate sinks (0 with ``rollup=False``). The Fig. 10 claim
-    #: in one number: ``nd_groups`` stays flat while this grows.
+    #: Always 0 (the tier it counted is gone); ``bench/measure.py`` reads it.
     rollup_groups: int = 0
-    #: Groups recomputed in the hot per-batch loop (the live ND set plus
-    #: not-yet-quiescent groups), summed over aggregate sinks.
+    #: Groups recomputed by the aggregate sinks this batch, summed.
     nd_groups: int = 0
 
     def reset_attempt(self) -> None:
@@ -73,7 +70,6 @@ class BatchMetrics:
         self.shipped_bytes = 0
         self.state_bytes = {}
         self.op_seconds = {}
-        self.rollup_groups = 0
         self.nd_groups = 0
 
     def add_state(self, label: str, nbytes: int) -> None:
@@ -105,7 +101,6 @@ class BatchMetrics:
             self.add_op_seconds(label, seconds)
         self.recovered = self.recovered or other.recovered
         self.recovery_seconds += other.recovery_seconds
-        self.rollup_groups += other.rollup_groups
         self.nd_groups += other.nd_groups
 
     @property

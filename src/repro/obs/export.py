@@ -239,8 +239,6 @@ class TopView:
         batch_rows: int,
         seen_rows: int,
         wall_seconds: float,
-        rollup_groups: int = 0,
-        nd_groups: int = 0,
     ) -> str:
         self.frames += 1
         prof = profiler.profile
@@ -262,14 +260,6 @@ class TopView:
             f"cost model: next batch ~{predicted * 1000:.1f} ms"
             f"  (mape {cal['mape'] * 100:.1f}% over {cal['predictions']}"
             f" scored)  to rsd<{self.target_rsd:g}: {eta}",
-        ]
-        total_groups = rollup_groups + nd_groups
-        if rollup_groups:
-            lines.append(
-                f"rollup tier: {rollup_groups} resolved / {nd_groups} ND "
-                f"group(s)  hit rate {rollup_groups / total_groups:5.1%}"
-            )
-        lines += [
             "",
             f"{'operator':<40} {'self ms':>9} {'rows in':>9} "
             f"{'nd rows':>9} {'state KiB':>10}",

@@ -20,8 +20,9 @@ from typing import Any, Iterable
 from repro.obs.events import read_events
 
 #: Bump whenever a field is added/removed/retyped in ``REPORT_FIELDS``.
-#: v1 -> v2 added the rollup-tier summary field.
-REPORT_SCHEMA_VERSION = 2
+#: v1 -> v2 added a group-tier summary field; v2 -> v3 removed it with
+#: the tier.
+REPORT_SCHEMA_VERSION = 3
 
 _NUMBER = (int, float)
 
@@ -38,7 +39,6 @@ REPORT_FIELDS: dict[str, tuple[type, ...]] = {
     "recovery": (list,),
     "warning_counts": (dict,),
     "convergence": (list,),
-    "rollup": (dict,),
 }
 
 
@@ -156,47 +156,6 @@ class TraceSummary:
             if name.startswith("state.")
         }
 
-    def rollup_summary(self) -> dict:
-        """Resolved/ND group split and tier hit rate of the run.
-
-        Sums the per-op ``rollup.*`` series: the gauges
-        ``rollup.groups``/``rollup.nd_groups`` are sampled once per batch
-        (so their sample sums are group-batches served from each tier)
-        and the ``hits``/``migrations``/``demotions`` counters are
-        monotone (so their last samples are run totals). Empty when the
-        run had no rollup series (``rollup=False`` or no eligible sink).
-        """
-        served = hot = hits = migrations = demotions = 0.0
-        found = False
-        for key, samples in self.counters.items():
-            base = key.split("{", 1)[0]
-            if not base.startswith("rollup."):
-                continue
-            found = True
-            if not samples:
-                continue
-            if base == "rollup.groups":
-                served += sum(v for _, v in samples)
-            elif base == "rollup.nd_groups":
-                hot += sum(v for _, v in samples)
-            elif base == "rollup.hits":
-                hits += samples[-1][1]
-            elif base == "rollup.migrations":
-                migrations += samples[-1][1]
-            elif base == "rollup.demotions":
-                demotions += samples[-1][1]
-        if not found:
-            return {}
-        total = served + hot
-        return {
-            "served_group_batches": served,
-            "hot_group_batches": hot,
-            "hits": hits,
-            "migrations": migrations,
-            "demotions": demotions,
-            "hit_rate": served / total if total else 0.0,
-        }
-
     def recovery_events(self) -> list[dict]:
         timeline = [s for s in self.spans if s["name"] == "recovery-replay"]
         timeline += [
@@ -276,7 +235,6 @@ class TraceSummary:
             ],
             "warning_counts": warning_counts,
             "convergence": convergence,
-            "rollup": self.rollup_summary(),
         }
 
 
@@ -298,11 +256,11 @@ def render_report(summary: TraceSummary, top: int = 10) -> str:
         f"run: {summary.run_duration()*1000:.1f} ms"
     )
 
-    rollup = summary.span_rollup()
-    if rollup:
+    totals = summary.span_rollup()
+    if totals:
         out.append("")
         out.append("== where the time went (span totals) ==")
-        for name, count, total, peak in rollup[:top]:
+        for name, count, total, peak in totals[:top]:
             out.append(
                 f"  {name:<16} x{count:<5} total {total*1000:9.1f} ms   "
                 f"max {peak*1000:8.1f} ms"
@@ -328,20 +286,6 @@ def render_report(summary: TraceSummary, top: int = 10) -> str:
                 f"  {name:<48} {values[0]:12,.0f} -> {max(values):12,.0f} "
                 f"-> {values[-1]:12,.0f}"
             )
-
-    tiers = summary.rollup_summary()
-    if tiers:
-        out.append("")
-        out.append("== rollup tier (resolved vs ND group-batches) ==")
-        out.append(
-            f"  served from rollup: {tiers['served_group_batches']:12,.0f}   "
-            f"recomputed hot: {tiers['hot_group_batches']:12,.0f}   "
-            f"hit rate {tiers['hit_rate']*100:5.1f}%"
-        )
-        out.append(
-            f"  migrations: {tiers['migrations']:,.0f}   "
-            f"demotions: {tiers['demotions']:,.0f}"
-        )
 
     recovery = summary.recovery_events()
     out.append("")

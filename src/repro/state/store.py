@@ -16,7 +16,7 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
     """Rough in-memory footprint of one state entry, in bytes.
 
     Engine objects that know their own footprint (relations, sentinel
-    stores, aggregate sketches, block outputs) expose ``estimated_bytes``
+    stores, aggregate sketches) expose ``estimated_bytes``
     and are deferred to; containers are measured recursively; everything
     else gets a small flat estimate. The absolute numbers follow the
     same conventions the operators used before the store layer existed,
@@ -47,12 +47,6 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
         return value.estimated_bytes()
     own = getattr(value, "estimated_bytes", None)
     if callable(own):
-        # Objects marked seen-aware (block outputs, rollup stores) share
-        # structure across entries — a migrated group's GroupValue is
-        # referenced by both the "rollup" and "output" entries — and take
-        # the traversal's seen-set so the shared objects count once.
-        if getattr(value, "nbytes_seen_aware", False):
-            return int(own(seen))
         return int(own())
     if isinstance(value, np.ndarray):
         if value.dtype == object:
@@ -273,9 +267,8 @@ class InMemoryStateStore(StateStore):
 
     def checkpoint(self) -> object:
         # One deepcopy memo across entries: objects shared between
-        # entries (a GroupValue referenced by both the rollup tier and
-        # the block output) stay shared in the snapshot, preserving both
-        # the aliasing semantics and the deduplicated byte accounting.
+        # entries stay shared in the snapshot, preserving both the
+        # aliasing semantics and the deduplicated byte accounting.
         memo: dict[int, object] = {}
         entries = {
             k: (v if k in self._static else copy.deepcopy(v, memo))

@@ -226,51 +226,6 @@ def test_race201_silent_when_sidecar_block_consumed():
     assert check_races([producer, carrier]) == []
 
 
-class _BackedOp:
-    """Operator whose store entry aliases a published block (rollup shape)."""
-
-    label = "agg:backed"
-    state_rule = StateRule(
-        entries=("sketch", "output"), block_backed=frozenset({"output"})
-    )
-
-    def __init__(self, store, block_id):
-        self.state = store
-        self.block_id = block_id
-
-
-def test_race301_block_backed_entry_with_foreign_producer():
-    store = InMemoryStateStore()
-    producer = _SeededUnit("pipeline:prod", produces={9})
-    backed = _SeededUnit(
-        "agg:backed-unit", produces={8}, consumes={9},
-        ops=[_BackedOp(store, 9)],
-    )
-    diags = check_races([producer, backed])
-    assert _rules_of(diags) == {"RACE301"}
-    diag = diags[0]
-    assert diag.severity == "error"
-    assert "block 9" in diag.message and "'output'" in diag.message
-    assert "pipeline:prod" in diag.message
-    assert diag.hint
-
-
-def test_race301_block_backed_entry_with_no_producer():
-    store = InMemoryStateStore()
-    backed = _SeededUnit("agg:backed-unit", ops=[_BackedOp(store, 9)])
-    diags = check_races([backed])
-    assert _rules_of(diags) == {"RACE301"}
-    assert "no unit" in diags[0].message
-
-
-def test_race301_silent_when_unit_produces_backing_block():
-    store = InMemoryStateStore()
-    backed = _SeededUnit(
-        "agg:backed-unit", produces={8}, ops=[_BackedOp(store, 8)]
-    )
-    assert check_races([backed]) == []
-
-
 def test_race000_bad_sql_is_warning(conviva_catalog):
     report = analyze_query_races(
         "FROBNICATE everything", conviva_catalog, "sessions"

@@ -45,7 +45,7 @@ def catalogs(tpch_small, conviva_small):
     return {"tpch": tpch_small.catalog(), "conviva": conviva_small.catalog()}
 
 
-def run_query(spec, catalog, executor, faults=None, rollup=False):
+def run_query(spec, catalog, executor, faults=None):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
@@ -56,7 +56,6 @@ def run_query(spec, catalog, executor, faults=None, rollup=False):
             checkpoint_interval=INTERVAL,
             unit_retry_attempts=2,
             sanitize=SANITIZE,
-            rollup=rollup,
         ),
         executor=executor,
     )
@@ -79,20 +78,11 @@ class TestChaos:
     def test_parallel(self, source, name, catalogs):
         self._check(source, name, catalogs, "parallel")
 
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_serial_rollup(self, source, name, catalogs):
-        """Recovery under faults with the rollup tier on must still land
-        on the fault-free, rollup-off answer (restore demotes migrated
-        groups before the replay suffix runs)."""
-        self._check(source, name, catalogs, "serial", rollup=True)
-
-    def _check(self, source, name, catalogs, executor, rollup=False):
+    def _check(self, source, name, catalogs, executor):
         spec = spec_of(source, name)
         catalog = catalogs[source]
         eng0, clean = run_query(spec, catalog, executor)
-        eng1, faulted = run_query(
-            spec, catalog, executor, faults=FAULTS, rollup=rollup
-        )
+        eng1, faulted = run_query(spec, catalog, executor, faults=FAULTS)
         # Real (non-injected) violations can also occur, especially at low
         # trial counts — recovery handles those identically, so only the
         # two *forced* failures are a floor, not an exact count.

@@ -388,28 +388,6 @@ def _race201(ctx):
     )
 
 
-class _BackedOp:
-    label = "agg:golden-backed"
-    state_rule = StateRule(
-        entries=("sketch", "output"), block_backed=frozenset({"output"})
-    )
-
-    def __init__(self, store, block_id):
-        self.state = store
-        self.block_id = block_id
-
-
-def _race301(ctx):
-    store = InMemoryStateStore()
-    return check_races(
-        [
-            _Unit("prod", produces={9}),
-            _Unit("backed", produces={8}, consumes={9},
-                  ops=[_BackedOp(store, 9)]),
-        ]
-    )
-
-
 # -- sanitizer fixtures -----------------------------------------------------
 #
 # SAN rules are runtime violations, not report diagnostics; the fixtures
@@ -535,7 +513,6 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "RACE002": _race002,
     "RACE101": _race101,
     "RACE201": _race201,
-    "RACE301": _race301,
     "SAN001": _san001,
     "SAN002": _san002,
     "SAN003": _san003,

@@ -295,6 +295,16 @@ class TestReportJson:
         validate_report(doc)
         assert set(doc) == set(REPORT_FIELDS)
 
+    def test_v3_dropped_the_tier_summary(self):
+        # v2 carried a "rollup" group-tier summary; v3 removed it with the
+        # tier, so a v2 document no longer validates.
+        assert REPORT_SCHEMA_VERSION == 3
+        doc = TraceSummary([]).to_dict()
+        assert "rollup" not in doc
+        doc.update(schema_version=2, rollup={})
+        with pytest.raises(ValueError, match="schema version"):
+            validate_report(doc)
+
 
 class TestMetricsObservability:
     def test_metrics_only_session_shape(self):

@@ -435,23 +435,6 @@ class TestPositionIndependence:
         assert blocks[0] == blocks[1] == blocks[2]
 
 
-class TestRollupRoundTrip:
-    def test_extract_reinsert_is_bit_exact(self):
-        rel = with_trials(random_kx(120, seed=9, groups=10), value=1.5)
-        b = AggBundle(SPECS, 3)
-        b.fold(rel, ["k"])
-        before = {key: b.acc[gid].copy() for key, gid in b.key_to_gid.items()}
-        victims = sorted(before)[1::3]
-        rows = b.extract_groups(victims)
-        assert len(b) == len(before) - len(victims)
-        for key in victims:
-            assert rows[key].acc.shape == (1 + 2, 1 + 3)
-            assert rows[key].estimated_bytes() == rows[key].acc.nbytes
-        b.reinsert_groups(rows)
-        for key, block in before.items():
-            assert b.acc[b.key_to_gid[key]].tobytes() == block.tobytes()
-
-
 class TestCapacity:
     def test_groups_trickling_in_reallocate_geometrically(self):
         """4 096 folds of one new group each: ≤ 13 reallocations (doubling),

@@ -10,6 +10,8 @@ single-distinct-key columns.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from repro.batching import Partitioner
 from repro.core.values import LineageRef
 from repro.errors import ReproError
 from repro.relational import ColumnType, Relation, Schema, relation_from_columns
+from repro.relational.groupby import group_ids
 from repro.storage import (
     DictPage,
     DiskTable,
@@ -30,6 +33,7 @@ from repro.storage import (
     open_table,
     write_relation,
 )
+from repro.workloads.tpch import LINEORDER_SCHEMA, stream_lineorder_chunks
 from tests.conftest import KX_SCHEMA, random_kx
 
 fuzz = settings(
@@ -404,6 +408,60 @@ class TestDiskRoundTrip:
         write_relation(str(tmp_path / "t"), rel, chunk_rows=8)
         assert_same_rows(open_table(str(tmp_path / "t")).relation(), rel)
         assert isinstance(open_table(str(tmp_path / "t")), DiskTable)
+
+
+class TestStreamedScan:
+    """A chunked scan of a fact table streamed to disk holds chunks, not
+    the table: 60 000 rows in twelve 5 000-row chunks."""
+
+    GROUP_KEYS = ["returnflag", "shipmode"]
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("streamed") / "lineorder")
+        chunks = stream_lineorder_chunks(60_000, seed=42, chunk_rows=5_000)
+        return ingest_chunks(path, LINEORDER_SCHEMA, chunks).path
+
+    def _revenue(self, rel: Relation) -> np.ndarray:
+        return np.asarray(rel.columns["extendedprice"]) * (
+            1.0 - np.asarray(rel.columns["discount"])
+        )
+
+    def _scan_groupby(self, table: DiskTable) -> dict[tuple, float]:
+        totals: dict[tuple, float] = {}
+        for chunk in table.iter_chunks():
+            keys, gids = group_ids(chunk, self.GROUP_KEYS)
+            sums = np.bincount(gids, weights=self._revenue(chunk), minlength=len(keys))
+            for key, s in zip(keys, sums):
+                totals[key] = totals.get(key, 0.0) + float(s)
+        return totals
+
+    def test_peak_memory_tracks_chunks_not_the_table(self, table):
+        # memmapped buffers are untraced OS pages; tracemalloc sees the
+        # per-chunk materialisation, which must stay O(chunk).
+        fresh = open_table(table)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            self._scan_groupby(fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = fresh.chunk(0).estimated_bytes()
+        whole = sum(c.estimated_bytes() for c in fresh.iter_chunks())
+        assert whole > 10 * chunk
+        assert peak <= 8 * chunk, f"scan peak {peak:,} > 8 chunks ({chunk:,} each)"
+        assert peak < whole / 2, f"scan peak {peak:,} not < half table {whole:,}"
+
+    def test_chunked_groupby_matches_materialized(self, table):
+        disk = open_table(table)
+        rel = disk.relation()
+        keys, gids = group_ids(rel, self.GROUP_KEYS)
+        sums = np.bincount(gids, weights=self._revenue(rel), minlength=len(keys))
+        streamed = self._scan_groupby(disk)
+        assert set(streamed) == set(keys)
+        for key, s in zip(keys, sums):
+            np.testing.assert_allclose(streamed[key], s, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
