@@ -92,7 +92,6 @@ def run_iolap(
     prune_with_ranges: bool = True,
     lazy_lineage: bool = True,
     keep_partials: bool = False,
-    executor: str = "serial",
     vectorize: bool = True,
 ) -> OnlineRun:
     catalog = catalog if catalog is not None else catalog_for(spec)
@@ -107,7 +106,6 @@ def run_iolap(
             lazy_lineage=lazy_lineage,
             vectorize=vectorize,
         ),
-        executor=executor,
     )
     # Static analysis runs once per query before execution; its wall time
     # rides along in the metrics JSON as the analyzer's fixed cost.
@@ -116,7 +114,6 @@ def run_iolap(
     for partial in engine.run(spec.plan, num_batches):
         if keep_partials:
             partials.append(partial)
-    engine.executor.close()
     engine.metrics.analysis_seconds = analysis.wall_seconds
     return OnlineRun(spec, engine.metrics, partials)
 

@@ -6,7 +6,7 @@ attribute-uncertainty (``uA``) tags, and the §4.2 delta-update state
 rules are *derived* from those tags. This package checks — before a run
 starts — that a compiled plan's tag flow and state rules are mutually
 consistent, and that the operator implementations still honor the
-contracts the executor assumes:
+contracts the engine assumes:
 
 * :mod:`repro.analysis.typecheck` — the plan-level uncertainty
   typechecker: re-infers the Appendix-A tags bottom-up over the logical
@@ -14,24 +14,23 @@ contracts the executor assumes:
   (operator placement, declared state entries, ND-cache presence, block
   production/consumption);
 * :mod:`repro.analysis.lint` — an ``ast``-based lint suite over the
-  engine's own source, enforcing the executor contracts (no input
+  engine's own source, enforcing the engine contracts (no input
   mutation in ``process``, between-batch state only in named
   :class:`~repro.state.StateStore` entries, block writes only by the
   declared producer, no banned nondeterminism in batch-pure paths);
 * :mod:`repro.analysis.verify` — the runtime contract verifier behind
   ``--verify`` / ``OnlineConfig(verify=True)``, which re-checks the
   static claims dynamically (input fingerprints around ``process``,
-  state-key snapshots per batch, cross-thread store-write detection);
+  state-key snapshots per batch);
 * :mod:`repro.analysis.races` — the plan-level race detector behind
   ``iolap analyze --races``: derives a read/write effect summary per
-  compiled execution unit (store entries, block edges, carried
-  sidecars) and checks the summaries against the wave schedule's
-  happens-before order (RACE0xx/RACE1xx/RACE2xx);
-* :mod:`repro.analysis.sanitize` — the TSan-style runtime buffer
-  sanitizer behind ``--sanitize`` / ``OnlineConfig(sanitize=True)``:
-  freezes zero-copy buffers during ``process``, tracks aliased-view
-  provenance, and cross-checks per-batch buffer access logs between
-  executor threads (SAN0xx).
+  compiled execution unit (store entries, carried sidecars) and checks
+  that every conflicting pair is ordered by a declared produce/consume
+  path (RACE000/RACE101/RACE201);
+* :mod:`repro.analysis.sanitize` — the runtime buffer sanitizer behind
+  ``--sanitize`` / ``OnlineConfig(sanitize=True)``: freezes zero-copy
+  buffers during ``process`` and tracks aliased-view provenance, so an
+  in-place write names its writer and the buffer's owner (SAN0xx).
 
 Everything reports through :class:`AnalysisDiagnostic`: a structured
 (rule id, location, message, fix hint) record instead of a runtime

@@ -1,13 +1,13 @@
 """AST-based lint suite over the engine's own source (``ENG0xx`` rules).
 
-The executor layer assumes contracts the Python type system cannot
+The engine assumes contracts the Python type system cannot
 express: ``process`` must treat its inputs as immutable (sibling
 operators read the same :class:`~repro.core.operators.DeltaBatch`),
 between-batch state must live in named :class:`~repro.state.StateStore`
 entries (so checkpoint/restore and the Figure 9(b) accounting see it),
-lineage blocks have a single producing operator (lock-free parallel
-waves depend on it), and batch-pure code paths must be deterministic
-(bit-identical serial/parallel replay depends on it). This module
+lineage blocks have a single producing operator (cross-unit dataflow
+depends on it), and batch-pure code paths must be deterministic
+(bit-identical recovery replay and shard runs depend on it). This module
 enforces those contracts statically over ``src/repro`` itself.
 
 Framework:
@@ -392,7 +392,7 @@ class NoNondeterminism(LintRule):
                             f"call to {name}() in batch-pure "
                             f"{cls.name}.{method.name}()",
                             "batch results must be a pure function of the "
-                            "batch inputs and seeded config (serial/parallel "
+                            "batch inputs and seeded config (sharded runs "
                             "and recovery replay must agree bit for bit)",
                         )
 

@@ -1,13 +1,13 @@
-"""Plan-level race detector: effect summaries checked against wave order.
+"""Plan-level race detector: effect summaries checked against declared order.
 
 The iOLAP delta-update discipline only stays correct if every state
 store, lineage block, and carried sidecar has exactly one writer per
 batch. PR 2's TC3xx single-producer check covers block *wiring*; this
-pass covers *scheduling*: it derives a read/write effect summary per
-compiled :class:`~repro.core.compiler.ExecutionUnit` and checks the
-summaries against the happens-before order implied by
-:func:`repro.engine.executor.dependency_waves` (units within one wave
-may run concurrently on the ``ParallelExecutor``; waves are barriers).
+pass covers *ordering*: it derives a read/write effect summary per
+compiled :class:`~repro.core.compiler.ExecutionUnit` and checks that
+every pair of conflicting units is ordered by a declared produce/consume
+dependency path, not merely by the compiler's unit order (which
+:func:`repro.engine.executor.run_units` follows).
 
 Effect summaries combine two sources:
 
@@ -27,16 +27,14 @@ reports a false positive for it.
 
 Rules:
 
-* ``RACE001``/``RACE002`` — two units in the *same* wave with
-  conflicting store-entry / lineage-block effects (errors: the parallel
-  executor may interleave them).
-* ``RACE101`` — a store entry shared across waves with no
-  produce/consume dependency path between the units in either
-  direction (warning: the ordering is a scheduling accident, not a
-  declared dependency).
+* ``RACE101`` — a store entry shared by two units with no
+  produce/consume dependency path between them in either direction
+  (warning: the ordering is an accident of unit order, not a declared
+  dependency).
 * ``RACE201`` — a carried lineage sidecar whose producing unit has no
-  dependency path to the carrier, i.e. the producer can republish the
-  block concurrently with the carrier resolving into it (error).
+  dependency path to the carrier, i.e. only unit order keeps the
+  producer from republishing the block after the carrier baked
+  references into it (error).
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from repro.core.compiler import (
 )
 from repro.core.operators import iter_ops
 from repro.core.smallplan import iter_small_nodes
-from repro.engine.executor import dependency_waves
 from repro.errors import ReproError, UnsupportedQueryError
 from repro.relational.algebra import PlanNode
 from repro.relational.catalog import Catalog
@@ -67,10 +64,8 @@ from repro.sql.planner import plan_sql
 #: test suite asserts every rule here is triggered by some fixture.
 RACE_RULES: dict[str, str] = {
     "RACE000": "plan does not compile for online execution; race analysis skipped",
-    "RACE001": "two units in the same wave touch the same state-store entry",
-    "RACE002": "two units in the same wave conflict on a lineage block",
     "RACE101": "store entry shared across units with no dependency path between them",
-    "RACE201": "carried sidecar's producing unit can republish concurrently",
+    "RACE201": "carried sidecar's producing unit is ordered only by unit order",
 }
 
 
@@ -94,8 +89,6 @@ class _ClassEffects:
     """Syntactic effects of one operator class, before instance resolution."""
 
     state_keys: set[str] = field(default_factory=set)
-    block_write_attrs: set[str] = field(default_factory=set)
-    block_read_attrs: set[str] = field(default_factory=set)
     sidecar_attrs: set[str] = field(default_factory=set)
 
 
@@ -128,14 +121,6 @@ def _self_attr(node: ast.AST) -> str | None:
 
 def _collect_effects(tree: ast.AST, effects: _ClassEffects) -> None:
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and _dotted(node.value) == "ctx.blocks":
-            attr = _self_attr(node.slice)
-            if attr is not None:
-                if isinstance(node.ctx, ast.Store):
-                    effects.block_write_attrs.add(attr)
-                else:
-                    effects.block_read_attrs.add(attr)
-            continue
         if not isinstance(node, ast.Call):
             continue
         func = _dotted(node.func)
@@ -147,11 +132,6 @@ def _collect_effects(tree: ast.AST, effects: _ClassEffects) -> None:
                 key = node.args[0].value
                 if isinstance(key, str):
                     effects.state_keys.add(key)
-        elif func in ("ctx.block", "ctx.blocks.get"):
-            if node.args:
-                attr = _self_attr(node.args[0])
-                if attr is not None:
-                    effects.block_read_attrs.add(attr)
         elif head in _SIDECAR_CALLS:
             for arg in node.args:
                 for sub in ast.walk(arg):
@@ -191,8 +171,6 @@ class EffectSummary:
     #: adoption discipline (each op owns exactly one store instance).
     store_reads: set[tuple[int, str]] = field(default_factory=set)
     store_writes: set[tuple[int, str]] = field(default_factory=set)
-    block_reads: set[int] = field(default_factory=set)
-    block_writes: set[int] = field(default_factory=set)
     #: Block ids this unit's operators bake into carried lineage sidecars.
     sidecar_sources: set[int] = field(default_factory=set)
     #: ``id(store) -> op label`` for diagnostics.
@@ -206,7 +184,7 @@ def _unit_ops(unit: ExecutionUnit) -> list[Any]:
         # The SmallPlanUnit itself publishes ctx.blocks[self.publish_id].
         return [unit.unit, *iter_small_nodes(unit.unit.root)]
     # Future unit kinds (and test fixtures) can expose their operator list
-    # directly; an effect-free unit summarizes to its declared block edges.
+    # directly; a unit without one has no store or sidecar effects.
     return list(getattr(unit, "ops", ()))
 
 
@@ -218,16 +196,12 @@ def _resolve_block_id(op: Any, attr: str) -> int | None:
 def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
     """Derive the unit's effects from plan metadata + the class AST walk.
 
-    Declared ``produces``/``consumes`` seed the block sets; declared
-    ``StateRule`` entries and AST-observed store keys both count as
-    read+write (the §4.2 state discipline reads and rewrites every entry
-    it keeps between batches).
+    Declared ``StateRule`` entries and AST-observed store keys both count
+    as read+write (the §4.2 state discipline reads and rewrites every
+    entry it keeps between batches). Block edges need no summary: the
+    unit's declared ``produces``/``consumes`` are the dependency graph.
     """
-    summary = EffectSummary(
-        unit_label=unit.label,
-        block_reads=set(unit.consumes),
-        block_writes=set(unit.produces),
-    )
+    summary = EffectSummary(unit_label=unit.label)
     for op in _unit_ops(unit):
         effects = class_effects(type(op))
         store = getattr(op, "state", None)
@@ -241,14 +215,6 @@ def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
             for key in entries:
                 summary.store_reads.add((id(store), key))
                 summary.store_writes.add((id(store), key))
-        for attr in effects.block_write_attrs:
-            block_id = _resolve_block_id(op, attr)
-            if block_id is not None:
-                summary.block_writes.add(block_id)
-        for attr in effects.block_read_attrs:
-            block_id = _resolve_block_id(op, attr)
-            if block_id is not None:
-                summary.block_reads.add(block_id)
         for attr in effects.sidecar_attrs:
             block_id = _resolve_block_id(op, attr)
             if block_id is not None:
@@ -257,7 +223,7 @@ def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
 
 
 # ---------------------------------------------------------------------------
-# Happens-before checks over the wave schedule.
+# Happens-before checks over the declared dependency edges.
 # ---------------------------------------------------------------------------
 
 
@@ -293,84 +259,37 @@ def _store_conflicts(
     )
 
 
-def _block_conflicts(a: EffectSummary, b: EffectSummary) -> set[int]:
-    return (a.block_writes & (b.block_writes | b.block_reads)) | (
-        b.block_writes & a.block_reads
-    )
-
-
 def check_races(units: list[ExecutionUnit]) -> list[AnalysisDiagnostic]:
-    """Check every unit pair's effects against the wave schedule."""
+    """Check every conflicting unit pair for a declared dependency path."""
     diags: list[AnalysisDiagnostic] = []
     summaries = [summarize_effects(u) for u in units]
-    waves = dependency_waves(units)
-    wave_of: dict[int, int] = {
-        i: w for w, wave in enumerate(waves) for i in wave
-    }
     reach = _reachability(units)
 
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
+            if j in reach[i] or i in reach[j]:
+                continue
             a, b = summaries[i], summaries[j]
-            same_wave = wave_of[i] == wave_of[j]
-            ordered = j in reach[i] or i in reach[j]
-
-            stores = _store_conflicts(a, b)
-            if stores and same_wave:
-                for store_id, entry in sorted(
-                    stores, key=lambda pair: (pair[1], pair[0])
-                ):
-                    owner = a.store_owners.get(
-                        store_id, b.store_owners.get(store_id, "unknown")
+            for store_id, entry in sorted(
+                _store_conflicts(a, b), key=lambda pair: (pair[1], pair[0])
+            ):
+                owner = a.store_owners.get(
+                    store_id, b.store_owners.get(store_id, "unknown")
+                )
+                diags.append(
+                    _diag(
+                        "RACE101",
+                        a.unit_label,
+                        f"store entry {entry!r} of operator {owner!r} is "
+                        f"shared by {a.unit_label!r} (unit {i}) and "
+                        f"{b.unit_label!r} (unit {j}) with no "
+                        "produce/consume path between them",
+                        "the ordering is an accident of unit order; "
+                        "declare the dependency through a lineage block "
+                        "or split the store",
+                        severity="warning",
                     )
-                    diags.append(
-                        _diag(
-                            "RACE001",
-                            a.unit_label,
-                            f"store entry {entry!r} of operator {owner!r} is "
-                            f"touched by both {a.unit_label!r} and "
-                            f"{b.unit_label!r} in wave {wave_of[i]}",
-                            "each operator's state store must belong to "
-                            "exactly one execution unit (§4.2 single-writer "
-                            "discipline)",
-                        )
-                    )
-            elif stores and not ordered:
-                for store_id, entry in sorted(
-                    stores, key=lambda pair: (pair[1], pair[0])
-                ):
-                    owner = a.store_owners.get(
-                        store_id, b.store_owners.get(store_id, "unknown")
-                    )
-                    diags.append(
-                        _diag(
-                            "RACE101",
-                            a.unit_label,
-                            f"store entry {entry!r} of operator {owner!r} is "
-                            f"shared by {a.unit_label!r} (wave {wave_of[i]}) "
-                            f"and {b.unit_label!r} (wave {wave_of[j]}) with "
-                            "no produce/consume path between them",
-                            "the ordering is a wave-scheduling accident; "
-                            "declare the dependency through a lineage block "
-                            "or split the store",
-                            severity="warning",
-                        )
-                    )
-
-            if same_wave:
-                for block_id in sorted(_block_conflicts(a, b)):
-                    diags.append(
-                        _diag(
-                            "RACE002",
-                            a.unit_label,
-                            f"lineage block {block_id} is written by one of "
-                            f"{a.unit_label!r}/{b.unit_label!r} while the "
-                            f"other accesses it in wave {wave_of[i]}",
-                            "a block write must be ordered before every "
-                            "reader by the wave schedule; check the unit's "
-                            "produces/consumes declarations",
-                        )
-                    )
+                )
 
     producers: dict[int, int] = {}
     for i, unit in enumerate(units):
@@ -388,10 +307,10 @@ def check_races(units: list[ExecutionUnit]) -> list[AnalysisDiagnostic]:
                         summary.unit_label,
                         f"sidecar references block {block_id} produced by "
                         f"{units[p].label!r}, which has no dependency path "
-                        f"to {summary.unit_label!r} and can republish the "
-                        "block concurrently",
+                        f"to {summary.unit_label!r}; only unit order keeps "
+                        "it from republishing the block under the sidecar",
                         "consume the block (declare it in the unit's "
-                        "consumes) so the wave schedule orders the producer "
+                        "consumes) so a dependency orders the producer "
                         "first",
                     )
                 )

@@ -13,11 +13,6 @@ cannot silently drift from the implementation:
   live :meth:`state_items` keys are compared against its class's declared
   :class:`~repro.core.operators.StateRule` entries, so between-batch state
   cannot appear or vanish outside the declaration.
-* **Write isolation** — a write observer installed on every operator's
-  :class:`~repro.state.InMemoryStateStore` attributes each ``put``/
-  ``delete`` to the thread that issued it; two distinct threads writing
-  the same store entry within one batch means a ParallelExecutor wave
-  raced on shared state.
 
 All violations raise :class:`~repro.errors.ContractViolationError`.
 Verification is observational: a verified run produces bit-identical
@@ -33,7 +28,6 @@ attributes the ``SpineOp`` contract guarantees (``label``, ``state``,
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Iterable
 
 from repro.errors import ContractViolationError
@@ -99,12 +93,11 @@ class ContractVerifier:
     Installed on :class:`~repro.core.blocks.RuntimeContext` when
     ``OnlineConfig.verify`` is set; :func:`~repro.core.operators.base.
     drive_pipeline` calls :meth:`before_process` / :meth:`after_process`
-    around every operator invocation, and the batch executors call
+    around every operator invocation, and the unit loop calls
     :meth:`begin_batch` at each batch boundary.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         #: Structured-warning emitter with the signature of
         #: ``Tracer.warning(name, batch=None, **args)``. ``RuntimeContext.
         #: attach_obs`` wires the observability tracer in here, so every
@@ -112,40 +105,29 @@ class ContractVerifier:
         #: violations exception-only.
         self.emit: Any = None
         self._batch_no: int | None = None
-        #: (store id, entry key) -> {thread idents that wrote it this batch}.
-        self._writers: dict[tuple[int, str], set[int]] = {}
-        #: (store id, entry key) -> operator label (for messages).
-        self._owners: dict[tuple[int, str], str] = {}
         #: id(op) -> fingerprint of its input taken in before_process.
         self._input_fps: dict[int, bytes | None] = {}
         #: Fingerprint of ctx.delta for the current batch.
         self._delta_fp: bytes | None = None
-        #: Stores already carrying our observer (by id, to attach once).
-        self._observed: set[int] = set()
-        #: id(op) -> op label, for stores observed through that op.
         self._violations: int = 0
 
     # -- batch lifecycle ---------------------------------------------------------
 
     def begin_batch(self, batch_no: int) -> None:
-        """Reset per-batch tracking (called by the executors and lazily
+        """Reset per-batch tracking (called by the unit loop and lazily
         from :meth:`before_process` when operators are driven by hand)."""
-        with self._lock:
-            if batch_no == self._batch_no:
-                return
-            self._batch_no = batch_no
-            self._writers.clear()
-            self._delta_fp = None
+        if batch_no == self._batch_no:
+            return
+        self._batch_no = batch_no
+        self._delta_fp = None
 
     # -- per-operator hooks ------------------------------------------------------
 
     def before_process(self, op: Any, delta: Any, ctx: Any) -> None:
         self.begin_batch(ctx.batch_no)
-        self._observe_store(op)
         self._input_fps[id(op)] = fingerprint_value(delta)
-        with self._lock:
-            if self._delta_fp is None and ctx._delta is not None:
-                self._delta_fp = fingerprint_value(ctx.delta)
+        if self._delta_fp is None and ctx._delta is not None:
+            self._delta_fp = fingerprint_value(ctx.delta)
 
     def after_process(self, op: Any, delta: Any, ctx: Any) -> None:
         before = self._input_fps.pop(id(op), None)
@@ -156,10 +138,8 @@ class ContractVerifier:
                 "process(); inputs are shared with sibling operators and "
                 "must be treated as immutable",
             )
-        with self._lock:
-            delta_fp = self._delta_fp
-        if delta_fp is not None and ctx._delta is not None:
-            if fingerprint_value(ctx.delta) != delta_fp:
+        if self._delta_fp is not None and ctx._delta is not None:
+            if fingerprint_value(ctx.delta) != self._delta_fp:
                 raise self._violation(
                     "delta-mutated", op.label,
                     f"operator {op.label!r} mutated ctx.delta (the installed "
@@ -189,35 +169,4 @@ class ContractVerifier:
                 f"operator {op.label!r} holds state entries {sorted(live)} "
                 f"but its StateRule declares {sorted(declared)}; between-"
                 "batch state may only live in declared named entries",
-            )
-
-    def _observe_store(self, op: Any) -> None:
-        store = getattr(op, "state", None)
-        if store is None or id(store) in self._observed:
-            return
-        with self._lock:
-            if id(store) in self._observed:
-                return
-            self._observed.add(id(store))
-        store_id = id(store)
-        label = op.label
-
-        def observer(key: str) -> None:
-            self._record_write(store_id, key, label)
-
-        store.observer = observer
-
-    def _record_write(self, store_id: int, key: str, label: str) -> None:
-        ident = threading.get_ident()
-        with self._lock:
-            writers = self._writers.setdefault((store_id, key), set())
-            writers.add(ident)
-            self._owners[(store_id, key)] = label
-            raced = len(writers) > 1
-        if raced:
-            raise self._violation(
-                "write-race", label,
-                f"state entry {key!r} of operator {label!r} was written by "
-                "two different threads within one batch; store entries must "
-                "have a single writing unit per wave",
             )

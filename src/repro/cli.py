@@ -164,10 +164,6 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
         "--stream", help="table to stream (default: the workload's fact table)"
     )
     parser.add_argument(
-        "--executor", choices=["serial", "parallel"], default="serial",
-        help="batch executor (default: serial)",
-    )
-    parser.add_argument(
         "--stop-rsd", type=float, default=None,
         help="stop once the worst relative stdev falls below this",
     )
@@ -231,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rows", type=int, default=10, help="result rows to print per update"
     )
     parser.add_argument(
-        "--executor", choices=["serial", "parallel"], default="serial",
-        help="batch executor for the iolap engine (default: serial)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=0, metavar="N",
         help="run the iolap engine across N shard worker processes "
         "(group-key sharding; results are bit-identical to the serial "
@@ -259,15 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify", action="store_true",
         help="enable runtime contract checks (iolap engine): input "
-        "immutability, state-entry discipline, cross-thread write "
-        "isolation; results are unchanged",
+        "immutability and state-entry discipline; results are unchanged",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime buffer sanitizer (iolap engine): freeze "
-        "zero-copy batch buffers during process calls, track aliased-view "
-        "provenance, and cross-check per-batch buffer access between "
-        "executor threads; results are unchanged",
+        "zero-copy batch buffers during process calls and track "
+        "aliased-view provenance, so an in-place write names its writer "
+        "and the buffer's owner; results are unchanged",
     )
     parser.add_argument(
         "--no-vectorize", action="store_true",
@@ -321,8 +312,8 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--races", action="store_true",
         help="run the plan-level race detector instead of the typechecker: "
-        "per-unit effect summaries checked against the wave schedule's "
-        "happens-before order (RACE0xx/RACE1xx/RACE2xx rules)",
+        "every pair of units with conflicting effects must be ordered "
+        "by a declared produce/consume path (RACE0xx/RACE1xx/RACE2xx rules)",
     )
     parser.add_argument(
         "--fail-on-warning", action="store_true",
@@ -604,7 +595,6 @@ def run_metrics_cmd(argv: Sequence[str]) -> int:
         streamed,
         OnlineConfig(num_trials=args.trials, seed=args.seed,
                      **_profile_config(args)),
-        executor=args.executor,
         obs=obs,
     )
     try:
@@ -625,7 +615,6 @@ def run_metrics_cmd(argv: Sequence[str]) -> int:
             if args.stop_rsd is not None and rsd == rsd and rsd < args.stop_rsd:
                 break
     finally:
-        engine.executor.close()
         if server is not None:
             if args.hold > 0:
                 import time as _time
@@ -656,27 +645,23 @@ def run_top(argv: Sequence[str]) -> int:
         catalog,
         streamed,
         OnlineConfig(num_trials=args.trials, seed=args.seed, **config_kwargs),
-        executor=args.executor,
     )
     seen_rows = 0
-    try:
-        for partial in engine.run(plan, args.batches):
-            bm = partial.metrics
-            seen_rows += bm.new_tuples
-            rsd = partial.max_relative_stdev()
-            frame = view.frame(
-                engine.profiler, partial.batch_no, partial.num_batches,
-                rsd, bm.new_tuples, seen_rows, bm.wall_seconds,
-            )
-            if args.plain:
-                print(frame + "\n")
-            else:
-                sys.stdout.write(ANSI_CLEAR + frame + "\n")
-            sys.stdout.flush()
-            if args.stop_rsd is not None and rsd == rsd and rsd < args.stop_rsd:
-                break
-    finally:
-        engine.executor.close()
+    for partial in engine.run(plan, args.batches):
+        bm = partial.metrics
+        seen_rows += bm.new_tuples
+        rsd = partial.max_relative_stdev()
+        frame = view.frame(
+            engine.profiler, partial.batch_no, partial.num_batches,
+            rsd, bm.new_tuples, seen_rows, bm.wall_seconds,
+        )
+        if args.plain:
+            print(frame + "\n")
+        else:
+            sys.stdout.write(ANSI_CLEAR + frame + "\n")
+        sys.stdout.flush()
+        if args.stop_rsd is not None and rsd == rsd and rsd < args.stop_rsd:
+            break
     return 0
 
 
@@ -792,7 +777,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else {}
             ),
         ),
-        executor=args.executor,
         obs=obs,
     )
     partial = None
@@ -815,7 +799,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                          args.stop_rsd)
                 break
     finally:
-        engine.executor.close()
         obs.close()
     if partial is not None:
         _print_partial_rows(partial, args.max_rows)

@@ -22,7 +22,6 @@ work:
 from __future__ import annotations
 
 import copy
-import threading
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -157,8 +156,7 @@ class BlockOutput:
     :class:`GroupValue` membership fields; :meth:`ucol` is an uncertain
     value column, :meth:`det_values` a plain one. :class:`GroupValue` rows
     are a cache over the arrays (:meth:`get`, :meth:`rows`,
-    :attr:`groups`), the one thing written after publish: two threads
-    materialising one group build equal rows and the later one stays.
+    :attr:`groups`), the one thing written after publish.
     """
 
     def __init__(
@@ -409,7 +407,7 @@ class OnlineConfig:
     vectorize: bool = True
     #: Contract-check mode: cross-check the static analyzer's claims at
     #: runtime (input fingerprints around each ``process`` call, state-key
-    #: snapshots per batch, cross-thread store-write detection). Purely
+    #: snapshots per batch). Purely
     #: observational — results are bit-identical to a non-verify run.
     verify: bool = False
     #: Take a state checkpoint every N batches (Section 5.1 recovery):
@@ -429,15 +427,15 @@ class OnlineConfig:
     #: :mod:`repro.faults`), an already-parsed ``FaultPlan``, or None
     #: (no faults — the production setting).
     faults: object = None
-    #: Executor retries per unit for transient failures (errors carrying
+    #: Retries per unit for transient failures (errors carrying
     #: ``transient = True``, e.g. injected unit faults); anything else
     #: propagates immediately.
     unit_retry_attempts: int = 2
     #: Run the TSan-style buffer sanitizer
     #: (:class:`repro.analysis.sanitize.BufferSanitizer`): freeze every
     #: buffer handed to ``process`` and every zero-copy view base, track
-    #: view provenance, and cross-check per-batch access logs between
-    #: ParallelExecutor threads. Off by default (zero cost when off).
+    #: view provenance, and check every write against the frozen set.
+    #: Off by default (zero cost when off).
     sanitize: bool = False
     #: Continuous profiling (:mod:`repro.obs.profile`): fold every batch
     #: into a rolling per-operator EWMA profile and fit the predictive
@@ -495,10 +493,7 @@ class RuntimeContext:
         #: Operator state stores, registered by ``SpineOp.open``; the
         #: engine checkpoints/restores through this registry.
         self.stores = StateRegistry()
-        self._metrics: BatchMetrics = BatchMetrics(0)
-        #: Per-thread metrics override (parallel executor workers record
-        #: into private scratch metrics merged deterministically later).
-        self._metrics_local = threading.local()
+        self.metrics = BatchMetrics(0)
         self._delta: Relation | None = None
         #: True while replaying batches during failure recovery: range
         #: observations neither check integrity nor tighten ranges.
@@ -522,7 +517,7 @@ class RuntimeContext:
         #: The inert NULL_OBS by default; the engine attaches a real one.
         self.obs = NULL_OBS
         #: Deterministic fault injector (``config.faults``), or None. The
-        #: operators and executors poke :meth:`fault` at their designated
+        #: operators and the unit loop poke :meth:`fault` at their designated
         #: injection points; with no plan configured that is one attribute
         #: test per point.
         self.faults = None
@@ -545,29 +540,6 @@ class RuntimeContext:
             self.verifier.emit = obs.tracer.warning
         if self.sanitizer is not None and obs.enabled:
             self.sanitizer.emit = obs.tracer.warning
-
-    # -- metrics routing -----------------------------------------------------------
-
-    @property
-    def metrics(self) -> BatchMetrics:
-        override = getattr(self._metrics_local, "stack", None)
-        if override:
-            return override[-1]
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: BatchMetrics) -> None:
-        self._metrics = value
-
-    def push_metrics(self, metrics: BatchMetrics) -> None:
-        """Route this thread's metric writes to ``metrics`` until popped."""
-        stack = getattr(self._metrics_local, "stack", None)
-        if stack is None:
-            stack = self._metrics_local.stack = []
-        stack.append(metrics)
-
-    def pop_metrics(self) -> BatchMetrics:
-        return self._metrics_local.stack.pop()
 
     # -- per-batch lifecycle -------------------------------------------------------
 

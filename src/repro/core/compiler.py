@@ -79,8 +79,8 @@ class ExecutionUnit:
     """One step of a batch iteration.
 
     Units declare the lineage-block ids they publish (``produces``) and
-    read (``consumes``); the executor schedules units whose dependencies
-    within a batch are satisfied — concurrently, if asked to.
+    read (``consumes``); the compiler emits them in an order that runs
+    every producer before its consumers.
     """
 
     label: str = "unit"

@@ -1,7 +1,7 @@
 """The query controller (Section 7, module 3) — iOLAP's public entry point.
 
-Partitions the streamed input into mini-batches, schedules the compiled
-delta query on each batch (through a pluggable batch executor), collects
+Partitions the streamed input into mini-batches, runs the compiled
+delta query's units on each batch, collects
 partial results with error estimates, monitors variation-range integrity,
 and runs the failure-recovery replay when a check fails.
 
@@ -29,7 +29,7 @@ from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.compiler import CompiledQuery, compile_online
 from repro.core.result import PartialResult
 from repro.core.values import UncertainValue
-from repro.engine.executor import BatchExecutor, make_executor
+from repro.engine.executor import run_units
 from repro.errors import RangeIntegrityError, ReproError, UnsupportedQueryError
 from repro.kernels.stats import STATS as KERNEL_STATS
 from repro.metrics.stats import BatchMetrics, RunMetrics
@@ -52,14 +52,12 @@ class OnlineQueryEngine:
         streamed_table: str,
         config: OnlineConfig | None = None,
         partition_mode: str = "shuffle",
-        executor: str | BatchExecutor = "serial",
         obs=None,
     ):
         self.catalog = catalog
         self.streamed_table = streamed_table
         self.config = config if config is not None else OnlineConfig()
         self.partitioner = Partitioner(mode=partition_mode, seed=self.config.seed)
-        self.executor = make_executor(executor)
         #: Observability session (tracing + metrics registry); the inert
         #: NULL_OBS unless the caller wants a trace.
         self.obs = obs if obs is not None else NULL_OBS
@@ -162,7 +160,6 @@ class OnlineQueryEngine:
             streamed_table=self.streamed_table,
             num_batches=len(batches),
             total_rows=len(streamed),
-            executor=self.executor.name,
         ) if tracer.enabled else None
         if run_span:
             run_span.__enter__()
@@ -206,7 +203,7 @@ class OnlineQueryEngine:
                 ctx.begin_batch(batch_no, delta, bm)
                 # Controller-level fault seam: fires before any unit runs.
                 ctx.fault("batch")
-                self.executor.execute(compiled.units, ctx)
+                run_units(compiled.units, ctx)
                 return
             except RangeIntegrityError as failure:
                 bm.recovered = True
@@ -303,7 +300,7 @@ class OnlineQueryEngine:
         try:
             for b in range(start_from + 1, failed_batch):
                 ctx.begin_batch(b, batches[b - 1], scratch)
-                self.executor.execute(compiled.units, ctx)
+                run_units(compiled.units, ctx)
         finally:
             ctx.metrics = saved
             ctx.monitor.replaying = False
@@ -342,8 +339,8 @@ class OnlineQueryEngine:
     def _sample_metrics(self, ctx: RuntimeContext, bm: BatchMetrics, batch_no: int) -> None:
         """Per-batch sampling of engine-level gauges + the full registry.
 
-        Runs on the controller thread between batches, so the snapshot is
-        a consistent cut: every unit of batch ``batch_no`` has merged.
+        Runs between batches, so the snapshot is a consistent cut: every
+        unit of batch ``batch_no`` has finished.
         """
         reg = ctx.obs.metrics
         reg.gauge("state.total_bytes").set(ctx.stores.total_bytes())
@@ -415,10 +412,9 @@ class OnlineQueryEngine:
 class RunSession:
     """One in-progress online run, driven one batch at a time.
 
-    Owns everything ``open_run`` acquired and releases it in :meth:`close`
-    — including the engine's executor pool, which previously leaked its
-    worker threads when a run ended, raised, or its generator was
-    abandoned mid-stream.
+    Owns everything ``open_run`` acquired and releases it in :meth:`close`,
+    whether the run ended, raised, or its generator was abandoned
+    mid-stream.
     """
 
     def __init__(
@@ -499,10 +495,6 @@ class RunSession:
             self.engine.profiler.finish()
         self.compiled.close()
         self.obs.flush()
-        # The run owns the executor pool's lifecycle: a ParallelExecutor
-        # re-creates its pool lazily on the next run, so closing here is
-        # safe for engine reuse while guaranteeing no stranded threads.
-        self.engine.executor.close()
 
 
 def _finalize_row(row: dict[str, object]) -> dict[str, object]:

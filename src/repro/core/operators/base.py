@@ -16,8 +16,8 @@ Operators never call into their children: :func:`drive_pipeline` walks
 the operator tree bottom-up, feeding each operator its inputs and
 recording per-operator wall time into ``BatchMetrics.op_seconds``. This
 keeps operator logic, state management, and scheduling in separate
-layers (the executor picks which pipelines run concurrently; the driver
-sequences operators within one pipeline).
+layers (the unit loop sequences pipelines; the driver sequences
+operators within one pipeline).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The execution layer: batch executors scheduling compiled units.
+"""The execution layer: the unit loop that runs one batch of a compiled query.
 
 ``repro.engine.shards`` adds the scale-out tier: a sharded engine that
 hash-partitions the stream across worker processes and merges per-batch
@@ -6,19 +6,11 @@ results deterministically (imported lazily here to keep the serial
 import path free of multiprocessing).
 """
 
-from repro.engine.executor import (
-    BatchExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executor import run_units
 
 __all__ = [
-    "BatchExecutor",
-    "ParallelExecutor",
-    "SerialExecutor",
     "ShardedQueryEngine",
-    "make_executor",
+    "run_units",
 ]
 
 

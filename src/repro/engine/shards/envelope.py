@@ -54,7 +54,6 @@ class InitTask:
     config: OnlineConfig
     num_batches: int
     partition_mode: str
-    executor: str
     shard: ShardSpec
     #: Whether the parent's observability session is live: workers skip
     #: computing per-batch counters (state walks) when nobody reads them.

@@ -73,15 +73,10 @@ class ShardWorkerEngine(OnlineQueryEngine):
         streamed_table: str,
         config: OnlineConfig,
         partition_mode: str,
-        executor: str,
         shard: ShardSpec,
     ):
         super().__init__(
-            catalog,
-            streamed_table,
-            config=config,
-            partition_mode=partition_mode,
-            executor=executor,
+            catalog, streamed_table, config=config, partition_mode=partition_mode
         )
         self.shard = shard
         self.checkpoint_namespace = f"shard{shard.index}"
@@ -105,7 +100,6 @@ def worker_main(conn, init: InitTask) -> None:
             init.streamed_table,
             init.config,
             init.partition_mode,
-            init.executor,
             init.shard,
         )
         session = engine.open_run(init.plan, init.num_batches)

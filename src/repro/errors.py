@@ -72,12 +72,12 @@ class TransientUnitError(ReproError):
 
     Raised before the unit body runs (fault injection, and the seam for
     future transient backends), so re-running the unit is side-effect
-    safe. Executors retry errors carrying ``transient = True`` up to
+    safe. The unit loop retries errors carrying ``transient = True`` up to
     ``OnlineConfig.unit_retry_attempts`` times; anything else propagates
     immediately.
     """
 
-    #: Marks the error as safe to retry at the executor level.
+    #: Marks the error as safe to retry at the unit level.
     transient = True
 
 
@@ -89,22 +89,20 @@ class ContractViolationError(ReproError):
     """A runtime engine-contract check failed (``--verify`` mode).
 
     Raised by :class:`repro.analysis.verify.ContractVerifier` when an
-    operator breaks a contract the executor relies on: mutating its input
+    operator breaks a contract the engine relies on: mutating its input
     :class:`~repro.core.operators.DeltaBatch` or the installed streamed
-    delta, growing state entries outside its declared
-    :class:`~repro.state.StateStore` names, or two threads of one
-    ParallelExecutor wave touching the same store entry.
+    delta, or growing state entries outside its declared
+    :class:`~repro.state.StateStore` names.
     """
 
 
 class SanitizerViolationError(ReproError):
-    """The runtime buffer sanitizer caught an aliasing race (``--sanitize``).
+    """The runtime buffer sanitizer caught an aliased write (``--sanitize``).
 
     Raised by :class:`repro.analysis.sanitize.BufferSanitizer` when an
-    operator writes in place into a frozen zero-copy buffer (``SAN001``),
-    a read-only memmapped :class:`~repro.storage.DiskTable` chunk
-    (``SAN002``), or when one base buffer is write-claimed from two
-    threads within a single batch (``SAN003``). Carries the rule id, the
+    operator writes in place into a frozen zero-copy buffer (``SAN001``)
+    or a read-only memmapped :class:`~repro.storage.DiskTable` chunk
+    (``SAN002``). Carries the rule id, the
     writing operator's label, and the buffer's original owner(s).
     """
 

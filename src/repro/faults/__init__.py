@@ -3,7 +3,7 @@
 Incremental engines live or die by their recovery paths, and recovery
 paths rot unless they are exercised on purpose. This package arms
 deterministic faults at the engine's three recovery seams — variation-
-range integrity (sentinel/batch faults), executor units (transient
+range integrity (sentinel/batch faults), execution units (transient
 failures absorbed by the retry policy), and state checkpoints (corruption
 forcing fall-back to an older snapshot) — from a compact spec wired
 through ``OnlineConfig(faults=...)`` or the CLI ``--faults`` flag::

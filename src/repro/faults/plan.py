@@ -6,7 +6,7 @@ A plan is a comma-separated list of specs, each::
 
 * ``kind``    — ``sentinel`` (force a variation-range integrity failure),
   ``batch`` (force one at the controller level, before any unit runs),
-  ``unit`` (raise a transient executor-unit failure), ``checkpoint``
+  ``unit`` (raise a transient execution-unit failure), ``checkpoint``
   (corrupt the checkpoint taken at that batch), or ``shard`` (kill one
   shard worker process before that batch; the shard scheduler respawns
   it and replays its sub-stream — single-shard recovery).

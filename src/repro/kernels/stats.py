@@ -13,11 +13,9 @@ monotonic; :func:`reset` exists for tests and benchmark harnesses.
 
 from __future__ import annotations
 
-import threading
-
 
 class KernelStats:
-    """Thread-safe hit/miss counters for the kernel-layer caches."""
+    """Hit/miss counters for the kernel-layer caches."""
 
     _FIELDS = (
         "codec_hits",
@@ -28,21 +26,17 @@ class KernelStats:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counts = {name: 0 for name in self._FIELDS}
 
     def inc(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += by
+        self._counts[name] += by
 
     def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def reset(self) -> None:
-        with self._lock:
-            for name in self._counts:
-                self._counts[name] = 0
+        for name in self._counts:
+            self._counts[name] = 0
 
 
 #: Process-global counters; the kernel caches below feed these.

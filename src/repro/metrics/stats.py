@@ -19,13 +19,10 @@ class BatchMetrics:
 
     batch_no: int
     #: True elapsed wall-clock seconds of the batch (incl. bootstrap).
-    #: Owned by the controller, which stamps it once per batch; executors
-    #: never write it, so parallel unit times cannot inflate it.
+    #: Owned by the controller, which stamps it once per batch.
     wall_seconds: float = 0.0
-    #: Sum of per-execution-unit elapsed seconds (the CPU-occupancy view).
-    #: Under the serial executor this is ~``wall_seconds`` minus engine
-    #: overhead; under the parallel executor concurrent units overlap, so
-    #: ``wall_seconds <= unit_seconds`` on a multi-unit batch.
+    #: Sum of per-execution-unit elapsed seconds: ~``wall_seconds`` minus
+    #: engine overhead (summed over shards for a sharded run).
     unit_seconds: float = 0.0
     #: Rows newly ingested from the streamed table this batch.
     new_tuples: int = 0
@@ -81,14 +78,12 @@ class BatchMetrics:
     def merge_from(self, other: "BatchMetrics") -> None:
         """Fold another batch's counters into this one.
 
-        The parallel executor gives each execution unit a scratch
-        ``BatchMetrics`` and merges them in unit order once the batch
-        completes, so concurrent units never contend on shared counters
-        and the merged totals are deterministic.
+        The shard scheduler merges each worker's ``BatchMetrics`` in
+        shard-index order, so the merged totals are deterministic.
 
-        ``wall_seconds`` is deliberately *not* merged: summing concurrent
-        units' elapsed time would inflate it past the true batch latency.
-        Per-unit time folds into ``unit_seconds`` instead; the controller
+        ``wall_seconds`` is deliberately *not* merged: summing the
+        concurrent shards' elapsed time would inflate it past the true batch latency.
+        Per-unit time folds into ``unit_seconds`` instead; the scheduler
         stamps ``wall_seconds`` with the real batch elapsed time.
         """
         self.unit_seconds += other.unit_seconds
@@ -144,7 +139,7 @@ class RunMetrics:
     analysis_seconds: float = 0.0
     #: Wall seconds spent inside the runtime buffer sanitizer
     #: (``OnlineConfig(sanitize=True)``): buffer freezes, provenance
-    #: tracking, and cross-thread access-log checks. Exactly 0.0 when
+    #: tracking, and write checks. Exactly 0.0 when
     #: sanitizing is off — the perf suite asserts the zero-cost claim.
     sanitize_seconds: float = 0.0
     #: Wall seconds spent inside the continuous profiler + cost model
@@ -169,7 +164,7 @@ class RunMetrics:
     @property
     def total_unit_seconds(self) -> float:
         """Summed per-unit elapsed time (CPU-occupancy view; exceeds
-        ``total_seconds`` when the parallel executor overlaps units)."""
+        ``total_seconds`` when shards overlap)."""
         return sum(b.unit_seconds for b in self.batches)
 
     @property

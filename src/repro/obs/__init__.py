@@ -4,9 +4,8 @@ The subsystem has four pieces, all zero-cost when disabled (the engine's
 default is the inert :data:`NULL_OBS`):
 
 * :class:`Tracer` — nested spans over the whole execution path
-  (run → batch → wave → execution unit → operator ``process`` →
-  bootstrap / range-check / recovery-replay), collected deterministically
-  under the parallel executor via per-unit scratch buffers;
+  (run → batch → execution unit → operator ``process`` →
+  bootstrap / range-check / recovery-replay) on one event timeline;
 * the event bus and sinks — JSON-lines event log (``--trace-out``),
   in-memory sink for tests, and a Chrome trace-event exporter whose
   output loads in Perfetto (``iolap trace --format chrome``);
@@ -61,7 +60,7 @@ from repro.obs.report import (
 )
 from repro.obs.session import NULL_OBS, MetricsObservability, Observability
 from repro.obs.sinks import EventBus, EventSink, JsonlSink, MemorySink
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TraceBuffer, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "EVENT_KINDS",
@@ -91,7 +90,6 @@ __all__ = [
     "Span",
     "TextfileExporter",
     "TopView",
-    "TraceBuffer",
     "TraceSummary",
     "Tracer",
     "metric_key",

@@ -4,10 +4,10 @@ Converts an event-log trace (the JSONL schema of :mod:`repro.obs.events`)
 into the Chrome trace-event JSON format, loadable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``:
 
-* each logical track (``main``, ``unit:<label>``) becomes a named thread
-  of one process, so parallel execution units render side by side;
+* each logical track (the tracer writes ``main``) becomes a named thread
+  of one process;
 * spans become complete events (``ph: "X"``); Perfetto reconstructs the
-  run → batch → wave / unit → operator nesting from per-track time
+  run → batch → unit → operator nesting from per-track time
   containment, which the tracer guarantees by construction;
 * counter samples become counter events (``ph: "C"``) and render as the
   Fig. 7–10 style per-batch trajectories (state bytes, |U_i|, …);
@@ -31,7 +31,7 @@ def to_chrome(events: Iterable[dict]) -> dict:
     def tid_for(track: str) -> int:
         tid = tids.get(track)
         if tid is None:
-            # Track 0 is the controller; units get stable ids by first use.
+            # Tracks get stable ids by first use.
             tid = tids[track] = len(tids)
             trace_events.append(
                 {

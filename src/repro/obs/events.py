@@ -13,7 +13,7 @@ Common fields (all kinds)
     ``name``   event name (span name, metric key, warning code)
     ``cat``    category (span taxonomy bucket: ``run``/``exec``/``bootstrap``/
                ``integrity``/``recovery``/``metric``/``warning``/``convergence``)
-    ``track``  logical track the event belongs to (``main`` or ``unit:<label>``);
+    ``track``  logical track the event belongs to (the tracer writes ``main``);
                the Chrome exporter maps tracks to threads
     ``ts``     seconds since the tracer's epoch (float, >= 0)
 

@@ -8,12 +8,10 @@ throughput. The engine snapshots the registry after every batch into
 ``counter`` trace events, so the series land in the same timeline as the
 spans.
 
-Concurrency model: instruments are created through a lock, but samples
-are written lock-free — every labelled instrument has a single writing
-execution unit per batch (operator labels are unique to one unit; the
-engine's own series are written by the controller thread), the same
-single-writer discipline the state stores enforce. Snapshots are taken
-between batches on the controller thread.
+Concurrency model: the engine writes every sample from the thread that
+drives the run. Instruments are created and snapshotted through a lock
+because the ``iolap metrics --listen`` HTTP daemon thread reads the
+registry while the run writes it.
 
 The default registry is :data:`NULL_REGISTRY`: disabled, returning one
 shared inert instrument, so instrumented code paths cost a method call
@@ -64,8 +62,8 @@ class Gauge:
 class Histogram:
     """A running summary (count/sum/min/max) of observed values.
 
-    Summaries rather than reservoirs: order-independent, so merged or
-    parallel runs report identical values regardless of timing.
+    Summaries rather than reservoirs: order-independent, so merged runs
+    report identical values regardless of timing.
     """
 
     __slots__ = ("count", "sum", "min", "max")

@@ -1,8 +1,8 @@
 """Event sinks and the bus that fans events out to them.
 
 Sinks are intentionally dumb: they receive already-formed schema-valid
-event dicts (see :mod:`repro.obs.events`) in a deterministic order — the
-tracer serializes all emission through the main thread — and persist or
+event dicts (see :mod:`repro.obs.events`) in the order the tracer
+recorded them — and persist or
 buffer them. The bus owns sink lifecycle (flush/close).
 """
 

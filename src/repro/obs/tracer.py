@@ -1,18 +1,12 @@
-"""Nested spans with deterministic parallel collection.
+"""Nested spans, instants and counter samples on one event timeline.
 
-The tracer mirrors the engine's metrics design: worker threads never
-write shared event buffers. Each thread appends finished events to its
-*current* :class:`TraceBuffer` — the main thread's root buffer by
-default, or a per-execution-unit scratch buffer pushed thread-locally by
-the parallel executor (exactly the ``ctx.push_metrics`` pattern). After
-a batch, the executor merges the scratch buffers into the root in unit
-order, so a parallel run's event *sequence* is deterministic even though
-its timestamps are not.
+Every finished event is appended to the tracer's one buffer, in the
+order it finishes, and forwarded to the event bus on :meth:`Tracer.flush`.
 
-Span nesting is positional: a span's events carry the buffer's track
-name, and the Chrome exporter reconstructs nesting from per-track time
-containment, which holds by construction (spans on one track come from
-one thread and strictly nest).
+Span nesting is positional: every event carries the ``main`` track name,
+and the Chrome exporter reconstructs nesting from per-track time
+containment, which holds by construction (spans are opened and closed by
+one thread, so they strictly nest).
 
 The default tracer is :data:`NULL_TRACER`: ``enabled`` is False, every
 span call returns one shared no-op handle, and nothing is ever
@@ -22,40 +16,30 @@ computation behind ``tracer.enabled``.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.obs.events import EVENT_SCHEMA_VERSION, jsonable
 from repro.obs.sinks import EventBus
 
-
-class TraceBuffer:
-    """An append-only event list bound to one logical track."""
-
-    __slots__ = ("track", "events")
-
-    def __init__(self, track: str):
-        self.track = track
-        self.events: list[dict] = []
+#: The track name every event carries.
+TRACK = "main"
 
 
 class Span:
     """A live span handle; a context manager that records on exit."""
 
-    __slots__ = ("_tracer", "_buf", "name", "cat", "batch", "args", "_t0")
+    __slots__ = ("_tracer", "name", "cat", "batch", "args", "_t0")
 
     def __init__(
         self,
         tracer: "Tracer",
-        buf: TraceBuffer,
         name: str,
         cat: str,
         batch: int | None,
         args: dict | None,
     ):
         self._tracer = tracer
-        self._buf = buf
         self.name = name
         self.cat = cat
         self.batch = batch
@@ -79,7 +63,7 @@ class Span:
             "kind": "span",
             "name": self.name,
             "cat": self.cat,
-            "track": self._buf.track,
+            "track": TRACK,
             "ts": self._t0,
             "dur": max(0.0, self._tracer.now() - self._t0),
         }
@@ -87,7 +71,7 @@ class Span:
             event["batch"] = self.batch
         if self.args:
             event["args"] = {k: jsonable(v) for k, v in self.args.items()}
-        self._buf.events.append(event)
+        self._tracer._events.append(event)
 
     def __bool__(self) -> bool:
         return True
@@ -102,8 +86,7 @@ class Tracer:
         self.bus = bus
         self._clock = clock
         self._epoch = clock()
-        self._root = TraceBuffer("main")
-        self._local = threading.local()
+        self._events: list[dict] = []
 
     # -- time ----------------------------------------------------------------------
 
@@ -111,41 +94,9 @@ class Tracer:
         """Seconds since the tracer's epoch."""
         return self._clock() - self._epoch
 
-    # -- buffer routing (the parallel-scratch design) ------------------------------
-
-    def buffer(self, track: str) -> TraceBuffer:
-        """A fresh scratch buffer for one execution unit's events."""
-        return TraceBuffer(track)
-
-    def push_buffer(self, buf: TraceBuffer) -> None:
-        """Route this thread's events to ``buf`` until popped."""
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(buf)
-
-    def pop_buffer(self) -> TraceBuffer:
-        return self._local.stack.pop()
-
-    def _current(self) -> TraceBuffer:
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1]
-        return self._root
-
-    def merge(self, buffers: Iterable[TraceBuffer]) -> None:
-        """Fold scratch buffers into the root, in the order given.
-
-        Callers pass buffers in unit-index order (the executor sorts), so
-        the merged event sequence matches a serial run's structure.
-        """
-        for buf in buffers:
-            self._root.events.extend(buf.events)
-            buf.events = []
-
     def flush(self) -> None:
-        """Forward all root-buffer events to the bus (main thread only)."""
-        events, self._root.events = self._root.events, []
+        """Forward all buffered events to the bus."""
+        events, self._events = self._events, []
         for event in events:
             self.bus.emit(event)
         self.bus.flush()
@@ -155,7 +106,7 @@ class Tracer:
     def span(
         self, name: str, cat: str = "exec", batch: int | None = None, **args: object
     ) -> Span:
-        return Span(self, self._current(), name, cat, batch, args or None)
+        return Span(self, name, cat, batch, args or None)
 
     def event(
         self,
@@ -171,7 +122,7 @@ class Tracer:
             "kind": kind,
             "name": name,
             "cat": cat,
-            "track": self._current().track,
+            "track": TRACK,
             "ts": self.now(),
         }
         if value is not None:
@@ -180,7 +131,7 @@ class Tracer:
             record["batch"] = batch
         if args:
             record["args"] = {k: jsonable(v) for k, v in args.items()}
-        self._current().events.append(record)
+        self._events.append(record)
 
     def instant(self, name: str, cat: str = "exec", batch: int | None = None,
                 **args: object) -> None:
@@ -220,7 +171,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-_NULL_BUFFER = TraceBuffer("null")
 
 
 class NullTracer:
@@ -230,18 +180,6 @@ class NullTracer:
 
     def now(self) -> float:
         return 0.0
-
-    def buffer(self, track: str) -> TraceBuffer:
-        return _NULL_BUFFER
-
-    def push_buffer(self, buf: TraceBuffer) -> None:
-        pass
-
-    def pop_buffer(self) -> TraceBuffer:
-        return _NULL_BUFFER
-
-    def merge(self, buffers: Iterable[TraceBuffer]) -> None:
-        pass
 
     def flush(self) -> None:
         pass

@@ -88,7 +88,7 @@ class RowSegments:
     order within a group), ``starts`` the first sorted position of each
     segment and ``groups`` its id. A segment's sum depends only on that
     group's own row sequence, never on which other rows share the call —
-    this is what keeps serial, threaded and sharded runs bit-identical.
+    this is what keeps serial and sharded runs bit-identical.
     """
 
     __slots__ = ("order", "starts", "groups")

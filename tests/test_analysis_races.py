@@ -39,9 +39,8 @@ def conviva_catalog():
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: every bundled workload query race-checks clean. The wave
-# schedule is derived from the same declared produces/consumes edges both
-# executors honor, so a clean report covers serial and parallel execution.
+# Acceptance: every bundled workload query race-checks clean: every pair
+# of conflicting units is ordered by a declared produces/consumes path.
 # ---------------------------------------------------------------------------
 
 
@@ -82,30 +81,20 @@ def test_analyze_query_races_sql_roundtrip(conviva_catalog):
 # ---------------------------------------------------------------------------
 
 
-def test_summaries_cover_declared_block_edges(tpch_catalog):
-    spec = TPCH_QUERIES["Q17"]  # nested: pipeline -> small -> pipeline
-    compiled = compile_online(spec.plan, tpch_catalog, spec.streamed_table)
-    assert len(compiled.units) >= 3
-    for unit in compiled.units:
-        summary = summarize_effects(unit)
-        assert set(unit.produces) <= summary.block_writes
-        assert set(unit.consumes) <= summary.block_reads
-
-
 def test_summary_resolves_uncertain_join_sidecar(tpch_catalog):
     """The join's carried lineage sidecar must surface as a sidecar
     source *and* as a consumed block — that is what keeps it ordered."""
-    spec = TPCH_QUERIES["Q17"]
+    spec = TPCH_QUERIES["Q17"]  # nested: pipeline -> small -> pipeline
     compiled = compile_online(spec.plan, tpch_catalog, spec.streamed_table)
     joined = [
-        summarize_effects(u)
+        (u, summarize_effects(u))
         for u in compiled.units
         if "pipeline" in u.label and summarize_effects(u).sidecar_sources
     ]
     assert joined, "expected at least one pipeline with sidecar sources"
-    for summary in joined:
-        external = summary.sidecar_sources - summary.block_writes
-        assert external <= summary.block_reads
+    for unit, summary in joined:
+        external = summary.sidecar_sources - unit.produces
+        assert external <= unit.consumes
 
 
 class _SeededOp:
@@ -162,40 +151,19 @@ def test_ast_walk_finds_sidecar_source():
 # ---------------------------------------------------------------------------
 
 
-def test_race001_same_wave_store_conflict():
-    store = InMemoryStateStore()
-    a = _SeededUnit("pipeline:a", produces={1}, ops=[_SeededOp(store)])
-    b = _SeededUnit("pipeline:b", produces={2}, ops=[_SeededOp(store)])
-    diags = check_races([a, b])
-    assert _rules_of(diags) == {"RACE001"}
-    diag = diags[0]
-    assert diag.severity == "error"
-    assert "pipeline:a" in diag.message and "pipeline:b" in diag.message
-    assert "wave 0" in diag.message
-    assert diag.hint
-
-
-def test_race002_same_wave_block_conflict():
-    a = _SeededUnit("pipeline:a", produces={5})
-    b = _SeededUnit("pipeline:b", produces={5})
-    diags = check_races([a, b])
-    assert "RACE002" in _rules_of(diags)
-    (diag,) = [d for d in diags if d.rule_id == "RACE002"]
-    assert diag.severity == "error"
-    assert "block 5" in diag.message
-
-
 def test_race101_cross_wave_unordered_store():
     store = InMemoryStateStore()
     a = _SeededUnit("pipeline:a", produces={1}, ops=[_SeededOp(store)])
     b = _SeededUnit("pipeline:b", produces={2})
     c = _SeededUnit("small:c", consumes={2}, ops=[_SeededOp(store)])
-    # a and c land in different waves (c waits for b), but share the
-    # store with no produce/consume path between them.
+    # c is ordered after b, but shares a's store with no produce/consume
+    # path between a and c: only unit order keeps a first.
     diags = check_races([a, b, c])
     assert _rules_of(diags) == {"RACE101"}
     assert all(d.severity == "warning" for d in diags)
     assert "no produce/consume path" in diags[0].message
+    assert "(unit 0)" in diags[0].message and "(unit 2)" in diags[0].message
+    assert diags[0].hint
 
 
 def test_race101_silent_when_path_exists():

@@ -1,13 +1,10 @@
 """Runtime contract verification (``OnlineConfig(verify=True)``).
 
 Two halves: verified runs must be *observational* — bit-identical partial
-results to unverified runs on flat and nested queries under both
-executors — and each contract (input immutability, declared state
-entries, single-writer store discipline) must actually fire on a
-violating operator.
+results to unverified runs on flat and nested queries — and each
+contract (input immutability, declared state entries) must actually fire
+on a violating operator.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -24,25 +21,21 @@ from tests.conftest import random_kx
 # -- verified runs are observational ----------------------------------------------
 
 
-def _run(spec, catalog, *, verify, executor, num_batches=6):
+def _run(spec, catalog, *, verify, num_batches=6):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
         OnlineConfig(num_trials=20, seed=3, verify=verify),
-        executor=executor,
     )
-    partials = list(engine.run(spec.plan, num_batches))
-    engine.executor.close()
-    return partials
+    return list(engine.run(spec.plan, num_batches))
 
 
-@pytest.mark.parametrize("executor", ["serial", "parallel"])
 @pytest.mark.parametrize("name", ["Q1", "Q17"])  # flat and nested
-def test_verify_mode_is_bit_identical(name, executor):
+def test_verify_mode_is_bit_identical(name):
     catalog = generate_tpch(scale=0.5, seed=3).catalog()
     spec = TPCH_QUERIES[name]
-    plain = _run(spec, catalog, verify=False, executor=executor)
-    checked = _run(spec, catalog, verify=True, executor=executor)
+    plain = _run(spec, catalog, verify=False)
+    checked = _run(spec, catalog, verify=True)
     assert len(plain) == len(checked)
     for pp, pc in zip(plain, checked):
         assert pp.batch_no == pc.batch_no
@@ -158,48 +151,3 @@ def test_missing_state_entry_detected():
     op.state.delete("nd")
     with pytest.raises(ContractViolationError, match="StateRule"):
         verifier.after_process(op, batch, ctx)
-
-
-def test_cross_thread_write_to_same_entry_detected():
-    verifier, op, ctx = ContractVerifier(), _FakeOp(), _FakeCtx()
-    verifier.before_process(op, _batch(), ctx)  # installs the observer
-    op.state.put("nd", {1: "a"})  # first writer: this thread
-    caught = []
-
-    def other_thread():
-        try:
-            op.state.put("nd", {2: "b"})
-        except ContractViolationError as exc:
-            caught.append(exc)
-
-    worker = threading.Thread(target=other_thread)
-    worker.start()
-    worker.join()
-    assert len(caught) == 1
-    assert "two different threads" in str(caught[0])
-
-
-def test_same_thread_rewrites_are_fine():
-    verifier, op, ctx = ContractVerifier(), _FakeOp(), _FakeCtx()
-    verifier.before_process(op, _batch(), ctx)
-    op.state.put("nd", {1: "a"})
-    op.state.put("nd", {2: "b"})  # same thread: no race
-
-
-def test_write_tracking_resets_at_batch_boundary():
-    verifier, op, ctx = ContractVerifier(), _FakeOp(), _FakeCtx()
-    verifier.before_process(op, _batch(), ctx)
-    op.state.put("nd", {1: "a"})
-    verifier.begin_batch(1)  # next batch: prior writers forgotten
-    caught = []
-
-    def other_thread():
-        try:
-            op.state.put("nd", {2: "b"})
-        except ContractViolationError as exc:
-            caught.append(exc)
-
-    worker = threading.Thread(target=other_thread)
-    worker.start()
-    worker.join()
-    assert caught == []

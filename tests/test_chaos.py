@@ -3,7 +3,7 @@ the fault-free answer (the executable form of the Section 5.1 claim that
 failure recovery preserves Theorem 1).
 
 The fault plan per run exercises all four kinds: a transient unit failure
-(absorbed by executor retry), two controller-level integrity failures
+(absorbed by unit retry), two controller-level integrity failures
 (checkpointed partial replay), and one checkpoint corruption (fall-back
 to an older snapshot). ``batch`` faults are used for the forced failures
 because they fire for every query shape; ``sentinel`` probes only exist
@@ -14,7 +14,7 @@ Scale knobs (for the CI chaos-smoke job):
 * ``IOLAP_CHAOS_BATCHES`` — mini-batches per run (default 8)
 * ``IOLAP_CHAOS_TRIALS``  — bootstrap trials (default 8)
 * ``IOLAP_CHAOS_SANITIZE`` — set to ``1`` to run every engine with the
-  zero-copy aliasing sanitizer on (the CI race-smoke job does); results
+  zero-copy aliasing sanitizer on (the CI chaos-smoke job does); results
   must still be bit-identical to the fault-free run
 """
 
@@ -45,7 +45,7 @@ def catalogs(tpch_small, conviva_small):
     return {"tpch": tpch_small.catalog(), "conviva": conviva_small.catalog()}
 
 
-def run_query(spec, catalog, executor, faults=None):
+def run_query(spec, catalog, faults=None):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
@@ -57,12 +57,8 @@ def run_query(spec, catalog, executor, faults=None):
             unit_retry_attempts=2,
             sanitize=SANITIZE,
         ),
-        executor=executor,
     )
-    try:
-        return engine, engine.run_to_completion(spec.plan, BATCHES)
-    finally:
-        engine.executor.close()
+    return engine, engine.run_to_completion(spec.plan, BATCHES)
 
 
 def spec_of(source, name):
@@ -72,17 +68,10 @@ def spec_of(source, name):
 class TestChaos:
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, catalogs):
-        self._check(source, name, catalogs, "serial")
-
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_parallel(self, source, name, catalogs):
-        self._check(source, name, catalogs, "parallel")
-
-    def _check(self, source, name, catalogs, executor):
         spec = spec_of(source, name)
         catalog = catalogs[source]
-        eng0, clean = run_query(spec, catalog, executor)
-        eng1, faulted = run_query(spec, catalog, executor, faults=FAULTS)
+        eng0, clean = run_query(spec, catalog)
+        eng1, faulted = run_query(spec, catalog, faults=FAULTS)
         # Real (non-injected) violations can also occur, especially at low
         # trial counts — recovery handles those identically, so only the
         # two *forced* failures are a floor, not an exact count.
@@ -92,5 +81,5 @@ class TestChaos:
             f"(got {eng1.metrics.num_recoveries}, clean run had {extra})"
         )
         assert faulted.to_relation().bag_equal(clean.to_relation(), 9), (
-            f"{name} ({executor}): faulted final diverged from fault-free"
+            f"{name}: faulted final diverged from fault-free"
         )

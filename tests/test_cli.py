@@ -130,19 +130,6 @@ class TestMain:
         assert len(data["batches"]) == 3
         assert all(b["op_seconds"] for b in data["batches"])
 
-    def test_parallel_executor(self, capsys):
-        code, out, err = self.run(
-            [
-                "SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn",
-                "--scale", "0.05", "--batches", "3", "--trials", "5",
-                "--executor", "parallel",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "exact" in err
-        assert "slowest operators:" in err
-
     def test_max_rows_truncation(self, capsys):
         code, out, err = self.run(
             [

@@ -1,32 +1,17 @@
-"""Tests for the executor layer: scheduling, determinism, instrumentation.
+"""Tests for the unit loop: per-operator and per-unit instrumentation.
 
-The load-bearing property: the parallel executor must be a pure
-performance optimization — per-batch partial results (point estimates AND
-bootstrap trials) bit-identical to the serial executor on every supported
-query shape, including nested queries whose units form a real DAG.
+Also home of :func:`_assert_rows_identical`, the bit-identity helper other
+suites import (points *and* bootstrap trials, order-insensitive).
 """
 
 import numpy as np
-import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.core.compiler import ExecutionUnit, compile_online
+from repro.core.compiler import ExecutionUnit
 from repro.core.values import UncertainValue
-from repro.engine import (
-    BatchExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.engine.executor import dependency_waves
-from repro.workloads import (
-    CONVIVA_QUERIES,
-    TPCH_QUERIES,
-    generate_conviva,
-    generate_tpch,
-)
+from repro.engine import run_units
 from tests.conftest import KX_SCHEMA, random_kx
-from repro.relational import Catalog, avg, col, count, scan, sum_
+from repro.relational import Catalog, col, scan, sum_
 
 
 class _Unit(ExecutionUnit):
@@ -37,68 +22,6 @@ class _Unit(ExecutionUnit):
 
     def run(self, ctx):
         pass
-
-
-class TestDependencyWaves:
-    def test_independent_units_share_a_wave(self):
-        units = [_Unit("a", produces={1}), _Unit("b", produces={2})]
-        assert dependency_waves(units) == [[0, 1]]
-
-    def test_consumer_waits_for_producer(self):
-        units = [
-            _Unit("agg", produces={1}),
-            _Unit("view", produces={2}, consumes={1}),
-            _Unit("outer", consumes={2}),
-        ]
-        assert dependency_waves(units) == [[0], [1], [2]]
-
-    def test_diamond(self):
-        units = [
-            _Unit("a", produces={1}),
-            _Unit("b", produces={2}, consumes={1}),
-            _Unit("c", produces={3}, consumes={1}),
-            _Unit("d", consumes={2, 3}),
-        ]
-        assert dependency_waves(units) == [[0], [1, 2], [3]]
-
-    def test_external_ids_treated_available(self):
-        units = [_Unit("a", consumes={42})]
-        assert dependency_waves(units) == [[0]]
-
-    def test_compiled_nested_query_declares_dag(self):
-        catalog = Catalog({"t": random_kx(100, seed=0, groups=3)})
-        inner = scan("t", KX_SCHEMA).aggregate([], [avg("x", "ax")])
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(inner, keys=[])
-            .select(col("x") > col("ax"))
-            .aggregate([], [count("n")])
-        )
-        compiled = compile_online(plan, catalog, "t")
-        waves = dependency_waves(compiled.units)
-        # The inner aggregate must be scheduled before the side view it
-        # feeds, which precedes the outer pipeline that consumes it.
-        assert len(waves) >= 3
-        order = [i for wave in waves for i in wave]
-        assert sorted(order) == list(range(len(compiled.units)))
-
-
-class TestMakeExecutor:
-    def test_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("parallel"), ParallelExecutor)
-
-    def test_instance_passthrough(self):
-        ex = ParallelExecutor(max_workers=2)
-        assert make_executor(ex) is ex
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("distributed")
-
-    def test_base_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            BatchExecutor().execute([], None)
 
 
 def _canonical(rows, names):
@@ -125,63 +48,6 @@ def _assert_rows_identical(rows_a, rows_b, names, where):
                 assert va == vb, f"{where}: {name}"
 
 
-def _run_both(spec, catalog, num_batches=6, num_trials=20, seed=7):
-    results = {}
-    metrics = {}
-    for name in ("serial", "parallel"):
-        engine = OnlineQueryEngine(
-            catalog,
-            spec.streamed_table,
-            OnlineConfig(num_trials=num_trials, seed=seed),
-            executor=name,
-        )
-        results[name] = list(engine.run(spec.plan, num_batches))
-        metrics[name] = engine.metrics
-        engine.executor.close()
-    return results, metrics
-
-
-@pytest.mark.parametrize(
-    "workload,name",
-    [
-        ("tpch", "Q1"),     # flat
-        ("tpch", "Q17"),    # nested, correlated
-        ("conviva", "C3"),  # flat
-        ("conviva", "C2"),  # nested (SBI)
-    ],
-)
-def test_parallel_matches_serial(workload, name):
-    """Property: SerialExecutor and ParallelExecutor yield bit-identical
-    partial results (points and bootstrap trials) for every batch."""
-    if workload == "tpch":
-        catalog = generate_tpch(scale=0.5, seed=3).catalog()
-        spec = TPCH_QUERIES[name]
-    else:
-        catalog = generate_conviva(scale=0.5, seed=3).catalog()
-        spec = CONVIVA_QUERIES[name]
-    results, metrics = _run_both(spec, catalog)
-    names = results["serial"][0].schema.names if results["serial"] else []
-    for ps, pp in zip(results["serial"], results["parallel"]):
-        assert ps.batch_no == pp.batch_no
-        _assert_rows_identical(
-            ps.rows, pp.rows, names, f"{name} batch {ps.batch_no}"
-        )
-    # Deterministic counters must agree too (timings obviously differ).
-    # Labels carry plan node ids, which are assigned fresh each time the
-    # spec rebuilds its plan, so compare by operator kind + footprint.
-    ms, mp = metrics["serial"], metrics["parallel"]
-    assert ms.total_recomputed == mp.total_recomputed
-    assert ms.total_shipped_bytes == mp.total_shipped_bytes
-    for bs, bp in zip(ms.batches, mp.batches):
-        kinds_s = sorted(
-            (label.split(":")[0], nbytes) for label, nbytes in bs.state_bytes.items()
-        )
-        kinds_p = sorted(
-            (label.split(":")[0], nbytes) for label, nbytes in bp.state_bytes.items()
-        )
-        assert kinds_s == kinds_p
-
-
 class TestOpSeconds:
     def test_per_operator_and_per_unit_timings_recorded(self):
         catalog = Catalog({"t": random_kx(400, seed=1, groups=4)})
@@ -200,32 +66,9 @@ class TestOpSeconds:
         totals = engine.metrics.total_op_seconds()
         assert all(seconds >= 0 for seconds in totals.values())
 
-    def test_parallel_records_same_labels(self):
-        catalog = Catalog({"t": random_kx(400, seed=1, groups=4)})
-        plan = scan("t", KX_SCHEMA).select(col("x") > 10.0).aggregate(
-            ["k"], [sum_("y", "sy")]
-        )
-        serial = OnlineQueryEngine(
-            catalog, "t", OnlineConfig(num_trials=10, seed=1)
-        )
-        serial.run_to_completion(plan, 3)
-        parallel = OnlineQueryEngine(
-            catalog, "t", OnlineConfig(num_trials=10, seed=1), executor="parallel"
-        )
-        parallel.run_to_completion(plan, 3)
-        parallel.executor.close()
-        assert set(serial.metrics.total_op_seconds()) == set(
-            parallel.metrics.total_op_seconds()
-        )
-
-    def test_pool_shutdown_idempotent(self):
-        ex = ParallelExecutor(max_workers=2)
-        ex.close()
-        ex.close()
-
 
 class _SleepUnit(_Unit):
-    """A unit that just occupies its worker for a fixed time."""
+    """A unit that just sleeps for a fixed time."""
 
     def __init__(self, label, produces, seconds):
         super().__init__(label, produces=produces)
@@ -250,36 +93,12 @@ def _fresh_ctx():
 
 class TestUnitSeconds:
     """wall_seconds is the controller's true batch elapsed; unit_seconds is
-    the CPU-occupancy sum over units. Under the parallel executor, with
-    independent units genuinely overlapping, wall < sum-of-units — the
-    historical bug was reporting the sum as if it were wall time."""
-
-    SLEEP = 0.15
-
-    def test_parallel_wall_not_inflated(self):
-        import time
-
-        ctx, bm = _fresh_ctx()
-        units = [
-            _SleepUnit("a", {1}, self.SLEEP),
-            _SleepUnit("b", {2}, self.SLEEP),
-        ]
-        ex = ParallelExecutor(max_workers=2)
-        try:
-            started = time.perf_counter()
-            ex.execute(units, ctx)
-            bm.wall_seconds = time.perf_counter() - started
-        finally:
-            ex.close()
-        # Both units slept concurrently: the occupancy sum sees both
-        # sleeps, the wall clock only one.
-        assert bm.unit_seconds >= 2 * self.SLEEP
-        assert bm.wall_seconds <= bm.unit_seconds
+    the CPU-occupancy sum over units."""
 
     def test_serial_accumulates_unit_seconds(self):
         ctx, bm = _fresh_ctx()
         units = [_SleepUnit("a", {1}, 0.01), _SleepUnit("b", {2}, 0.01)]
-        SerialExecutor().execute(units, ctx)
+        run_units(units, ctx)
         assert bm.unit_seconds >= 0.02
 
     def test_merge_folds_unit_seconds_not_wall(self):
@@ -289,125 +108,7 @@ class TestUnitSeconds:
         a.wall_seconds = 5.0
         scratch = BatchMetrics(1)
         scratch.unit_seconds = 2.0
-        scratch.wall_seconds = 99.0  # scratches never own wall time
+        scratch.wall_seconds = 99.0  # a merged shard never owns wall time
         a.merge_from(scratch)
         assert a.unit_seconds == 2.0
         assert a.wall_seconds == 5.0
-
-
-class TestWideWaves:
-    """Regression for the quadratic membership scan in dependency_waves:
-    the wave set is built once per wave, and wide fan-outs produce the
-    pinned schedule."""
-
-    def test_wide_fanout_schedule_pinned(self):
-        # 1 producer -> 200 parallel consumers -> 1 sink.
-        units = [_Unit("root", produces={0})]
-        for i in range(200):
-            units.append(_Unit(f"mid{i}", produces={i + 1}, consumes={0}))
-        units.append(
-            _Unit("sink", consumes=set(range(1, 201)))
-        )
-        waves = dependency_waves(units)
-        assert waves == [[0], list(range(1, 201)), [201]]
-
-    def test_wide_independent_single_wave(self):
-        units = [_Unit(f"u{i}", produces={i}) for i in range(500)]
-        assert dependency_waves(units) == [list(range(500))]
-
-    def test_chain_order_stable(self):
-        units = [
-            _Unit(f"u{i}", produces={i}, consumes={i - 1} if i else set())
-            for i in range(40)
-        ]
-        assert dependency_waves(units) == [[i] for i in range(40)]
-
-
-class _FailUnit(_Unit):
-    def __init__(self, label, produces, message):
-        super().__init__(label, produces=produces)
-        self.message = message
-
-    def run(self, ctx):
-        raise RuntimeError(self.message)
-
-
-class TestMultiFailurePropagation:
-    """When several units of one wave fail, the lowest-index failure is
-    raised (deterministic), and the others surface on it instead of being
-    silently dropped."""
-
-    def _execute(self, units, obs=None):
-        ctx, _ = _fresh_ctx()
-        if obs is not None:
-            ctx.attach_obs(obs)
-        ex = ParallelExecutor(max_workers=4)
-        try:
-            with pytest.raises(RuntimeError) as excinfo:
-                ex.execute(units, ctx)
-        finally:
-            ex.close()
-        return excinfo.value
-
-    def test_min_index_failure_wins(self):
-        units = [
-            _Unit("ok", produces={0}),
-            _FailUnit("f1", {1}, "first"),
-            _FailUnit("f2", {2}, "second"),
-            _FailUnit("f3", {3}, "third"),
-        ]
-        primary = self._execute(units)
-        assert str(primary) == "first"
-
-    def test_sibling_failures_chained_via_context(self):
-        units = [
-            _FailUnit("f1", {1}, "first"),
-            _FailUnit("f2", {2}, "second"),
-            _FailUnit("f3", {3}, "third"),
-        ]
-        primary = self._execute(units)
-        chained = []
-        node = primary.__context__
-        while node is not None:
-            chained.append(str(node))
-            node = node.__context__
-        assert "second" in chained and "third" in chained
-
-    def test_sibling_failures_noted(self):
-        import sys
-
-        if sys.version_info < (3, 11):
-            pytest.skip("exception notes need Python 3.11+")
-        units = [
-            _FailUnit("f1", {1}, "first"),
-            _FailUnit("f2", {2}, "second"),
-        ]
-        primary = self._execute(units)
-        notes = "\n".join(getattr(primary, "__notes__", []))
-        assert "also failed in the same wave" in notes
-        assert "second" in notes
-
-    def test_sibling_failures_traced(self):
-        from repro.obs import Observability
-
-        obs, sink = Observability.in_memory()
-        units = [
-            _FailUnit("f1", {1}, "first"),
-            _FailUnit("f2", {2}, "second"),
-        ]
-        self._execute(units, obs=obs)
-        obs.close()
-        warnings = [
-            e for e in sink.events
-            if e.get("kind") == "warning"
-            and e.get("name") == "wave-multi-failure"
-        ]
-        assert len(warnings) == 1
-        assert warnings[0]["args"]["message"] == "second"
-        assert warnings[0]["args"]["primary_unit"]
-
-    def test_single_failure_has_no_siblings(self):
-        units = [_Unit("ok", produces={0}), _FailUnit("f1", {1}, "only")]
-        primary = self._execute(units)
-        assert str(primary) == "only"
-        assert not getattr(primary, "__notes__", [])

@@ -22,8 +22,8 @@ from tests.test_online_engine import make_catalog, sbi_plan
 SBI = sbi_plan()
 
 
-def run_engine(catalog, faults=None, interval=4, executor="serial",
-               num_batches=20, with_obs=False, **config):
+def run_engine(catalog, faults=None, interval=4, num_batches=20,
+               with_obs=False, **config):
     sink = None
     if with_obs:
         obs, sink = Observability.in_memory()
@@ -34,13 +34,9 @@ def run_engine(catalog, faults=None, interval=4, executor="serial",
         "t",
         OnlineConfig(num_trials=16, seed=3, faults=faults,
                      checkpoint_interval=interval, **config),
-        executor=executor,
         obs=obs,
     )
-    try:
-        final = eng.run_to_completion(SBI, num_batches)
-    finally:
-        eng.executor.close()
+    final = eng.run_to_completion(SBI, num_batches)
     return eng, final, sink
 
 
@@ -268,13 +264,6 @@ class TestPartialReplay:
         assert eng._checkpoints.batches() == [4, 8, 20]
         assert final.to_relation().bag_equal(final0.to_relation(), 9)
 
-    def test_parallel_executor_matches(self, catalog, fault_free):
-        _, final0, _ = fault_free
-        _, final, _ = run_engine(
-            catalog, faults="sentinel@16", executor="parallel"
-        )
-        assert final.to_relation().bag_equal(final0.to_relation(), 9)
-
 
 class TestRecoveredMetricsNotDoubleCounted:
     """Satellite: a recovered batch used to keep the failed attempt's
@@ -320,25 +309,14 @@ class TestUnitRetry:
                 unit_retry_attempts=2,
             )
 
-    def test_parallel_executor_retries_too(self):
-        catalog = make_catalog(n=1200)
-        _, final0, _ = run_engine(catalog, num_batches=8)
-        eng, final, _ = run_engine(
-            catalog, faults="unit@5:aggregate", num_batches=8,
-            executor="parallel", unit_retry_attempts=2,
-        )
-        assert eng.metrics.num_recoveries == 0
-        assert final.to_relation().bag_equal(final0.to_relation(), 9)
-
-    @pytest.mark.parametrize("executor", ["serial", "parallel"])
-    def test_retried_attempts_get_their_own_spans(self, executor):
+    def test_retried_attempts_get_their_own_spans(self):
         # One "unit" span per *attempt*, tagged with its ordinal: two
         # injected transient faults mean attempts 1 and 2 fail (span
         # carries an ``error`` arg) and attempt 3 lands the unit.
         catalog = make_catalog(n=1200)
         _, _, sink = run_engine(
             catalog, faults="unit@5:aggregate*2", num_batches=8,
-            executor=executor, unit_retry_attempts=2, with_obs=True,
+            unit_retry_attempts=2, with_obs=True,
         )
         unit_spans = [
             e for e in sink.events

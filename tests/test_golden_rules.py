@@ -354,20 +354,6 @@ def _race000(ctx):
     ).diagnostics
 
 
-def _race001(ctx):
-    store = InMemoryStateStore()
-    return check_races(
-        [
-            _Unit("a", produces={1}, ops=[_StoreOp(store)]),
-            _Unit("b", produces={2}, ops=[_StoreOp(store)]),
-        ]
-    )
-
-
-def _race002(ctx):
-    return check_races([_Unit("a", produces={5}), _Unit("b", produces={5})])
-
-
 def _race101(ctx):
     store = InMemoryStateStore()
     return check_races(
@@ -452,31 +438,6 @@ def _san002(ctx, tmp_path=None):
         )
 
 
-def _san003(ctx):
-    import threading
-
-    san = BufferSanitizer()
-    san.begin_batch(1)
-    buf = np.zeros(4)
-
-    class _Other:
-        label = "op:golden-other"
-
-    san.note_output(_Other(), buf)
-    caught: list[Any] = []
-
-    def clash():
-        try:
-            san.note_output(_WriterOp(), buf)
-        except Exception as err:  # noqa: BLE001 - the violation is the fixture
-            caught.append(err)
-
-    t = threading.Thread(target=clash)
-    t.start()
-    t.join()
-    return _san_diag(caught[0])
-
-
 # -- the registry -----------------------------------------------------------
 
 FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
@@ -509,13 +470,10 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "ENG005": _eng005,
     "ENG006": _eng006,
     "RACE000": _race000,
-    "RACE001": _race001,
-    "RACE002": _race002,
     "RACE101": _race101,
     "RACE201": _race201,
     "SAN001": _san001,
     "SAN002": _san002,
-    "SAN003": _san003,
 }
 
 ALL_RULES = (

@@ -651,17 +651,13 @@ ALL_QUERIES = [("tpch", name) for name in TPCH_QUERIES] + [
 ]
 
 
-def _run_spec(spec, catalog, vectorize, executor, num_batches=3, num_trials=8):
+def _run_spec(spec, catalog, vectorize, num_batches=3, num_trials=8):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
         OnlineConfig(num_trials=num_trials, seed=7, vectorize=vectorize),
-        executor=executor,
     )
-    try:
-        return list(engine.run(spec.plan, num_batches))
-    finally:
-        engine.executor.close()
+    return list(engine.run(spec.plan, num_batches))
 
 
 def _scalar_eq(a, b):
@@ -702,22 +698,13 @@ def small_catalogs(tpch_small, conviva_small):
 
 class TestFullRunBitIdentity:
     """Vectorized and reference modes must agree bit for bit on every
-    workload query — per batch, per row, per trial — under both executors."""
+    workload query — per batch, per row, per trial."""
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, small_catalogs):
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
         catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True, "serial")
-        ref = _run_spec(spec, catalog, False, "serial")
+        vec = _run_spec(spec, catalog, True)
+        ref = _run_spec(spec, catalog, False)
         assert vec, f"{name}: no partial results"
         assert_partials_identical(vec, ref, f"{name} serial")
-
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_parallel(self, source, name, small_catalogs):
-        spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
-        catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True, "parallel")
-        ref = _run_spec(spec, catalog, False, "parallel")
-        assert vec, f"{name}: no partial results"
-        assert_partials_identical(vec, ref, f"{name} parallel")

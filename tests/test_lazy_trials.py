@@ -211,7 +211,7 @@ class TestWeightsDoNotDependOnTheConfiguration:
             recorder["deltas"].clear(), recorder["draws"].clear()
             engine = ShardWorkerEngine(
                 Catalog({"t": table}), "t", OnlineConfig(num_trials=T, seed=4),
-                "shuffle", "serial", ShardSpec(index, shards, ("k",)),
+                "shuffle", ShardSpec(index, shards, ("k",)),
             )
             session = engine.open_run(plan, 6)
             try:

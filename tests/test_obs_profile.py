@@ -4,8 +4,8 @@
 The two load-bearing claims:
 
 * **bit-identical when on** — ``OnlineConfig(profile=True)`` changes no
-  result: every workload query, under both executors, yields the same
-  points and bootstrap trials with profiling on and off;
+  result: every workload query yields the same points and bootstrap
+  trials with profiling on and off;
 * **the model predicts** — after the warm-up quota the cost model issues
   per-batch predictions, scores them against actuals, excludes recovery
   replay from what it learns, and inverts the measured ``c/√n`` CI
@@ -57,19 +57,15 @@ def spec_of(source, name):
     return (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
 
 
-def run_query(spec, catalog, executor, profile=False, path=None,
+def run_query(spec, catalog, profile=False, path=None,
               batches=BATCHES, **config):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
         OnlineConfig(num_trials=TRIALS, seed=7, profile=profile,
                      profile_path=path, **config),
-        executor=executor,
     )
-    try:
-        return engine, list(engine.run(spec.plan, batches))
-    finally:
-        engine.executor.close()
+    return engine, list(engine.run(spec.plan, batches))
 
 
 class TestEwma:
@@ -281,7 +277,7 @@ class TestEngineProfiling:
 
     def test_zero_cost_when_off(self, catalogs):
         spec, catalog = self._spec_catalog(catalogs)
-        engine, _ = run_query(spec, catalog, "serial", profile=False)
+        engine, _ = run_query(spec, catalog, profile=False)
         assert engine.profiler is None
         assert engine.metrics.profile_seconds == 0.0
         assert engine.metrics.cost_calibration == {}
@@ -289,7 +285,7 @@ class TestEngineProfiling:
 
     def test_profiles_and_calibration_recorded(self, catalogs):
         spec, catalog = self._spec_catalog(catalogs)
-        engine, _ = run_query(spec, catalog, "serial", profile=True,
+        engine, _ = run_query(spec, catalog, profile=True,
                               batches=8)
         assert engine.profiler is not None
         assert engine.metrics.profile_seconds > 0.0
@@ -308,29 +304,29 @@ class TestEngineProfiling:
     def test_profiles_persist_and_warm_start(self, catalogs, tmp_path):
         spec, catalog = self._spec_catalog(catalogs)
         path = str(tmp_path / "profiles.json")
-        run_query(spec, catalog, "serial", profile=True, path=path)
+        run_query(spec, catalog, profile=True, path=path)
         doc = json.load(open(path))
         assert doc["schema"] == PROFILES_SCHEMA
         sig = plan_signature(spec.plan)
         assert doc["queries"][sig]["runs"] == 1
         # Warm run: the reloaded profile predicts from the first batch.
-        engine, _ = run_query(spec, catalog, "serial", profile=True,
+        engine, _ = run_query(spec, catalog, profile=True,
                               path=path)
         assert engine.metrics.batches[0].predicted_seconds > 0.0
         assert json.load(open(path))["queries"][sig]["runs"] == 2
 
     def test_profile_key_isolates_queries(self, catalogs, tmp_path):
         path = str(tmp_path / "profiles.json")
-        run_query(TPCH_QUERIES["Q1"], catalogs["tpch"], "serial",
+        run_query(TPCH_QUERIES["Q1"], catalogs["tpch"],
                   profile=True, path=path)
-        run_query(TPCH_QUERIES["Q6"], catalogs["tpch"], "serial",
+        run_query(TPCH_QUERIES["Q6"], catalogs["tpch"],
                   profile=True, path=path)
         doc = json.load(open(path))
         assert len(doc["queries"]) == 2
 
     def test_stack_sampler_smoke(self, catalogs):
         spec, catalog = self._spec_catalog(catalogs)
-        engine, _ = run_query(spec, catalog, "serial", profile=True,
+        engine, _ = run_query(spec, catalog, profile=True,
                               profile_stack=True)
         report = engine.profiler.stack_report()
         assert report is not None
@@ -339,7 +335,7 @@ class TestEngineProfiling:
     def test_recovery_batches_do_not_poison_the_model(self, catalogs):
         spec, catalog = self._spec_catalog(catalogs)
         engine, _ = run_query(
-            spec, catalog, "serial", profile=True, batches=8,
+            spec, catalog, profile=True, batches=8,
             faults="batch@7", checkpoint_interval=3,
         )
         assert engine.metrics.num_recoveries == 1
@@ -353,23 +349,15 @@ class TestEngineProfiling:
 
 
 class TestBitIdenticalWithProfiling:
-    """Acceptance sweep: profiling changes no bits on any workload query
-    under either executor."""
+    """Acceptance sweep: profiling changes no bits on any workload query."""
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, catalogs, tmp_path):
-        self._check(source, name, catalogs, "serial", tmp_path)
-
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_parallel(self, source, name, catalogs, tmp_path):
-        self._check(source, name, catalogs, "parallel", tmp_path)
-
-    def _check(self, source, name, catalogs, executor, tmp_path):
         spec = spec_of(source, name)
         catalog = catalogs[source]
-        _, plain = run_query(spec, catalog, executor, profile=False)
+        _, plain = run_query(spec, catalog, profile=False)
         _, profiled = run_query(
-            spec, catalog, executor, profile=True,
+            spec, catalog, profile=True,
             path=str(tmp_path / "profiles.json"), profile_stack=True,
         )
         assert len(plain) == len(profiled)
@@ -378,5 +366,5 @@ class TestBitIdenticalWithProfiling:
             assert pp.batch_no == pq.batch_no
             _assert_rows_identical(
                 pp.rows, pq.rows, names,
-                f"{name} ({executor}) batch {pp.batch_no}",
+                f"{name} batch {pp.batch_no}",
             )

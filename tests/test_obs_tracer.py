@@ -2,7 +2,6 @@
 
 import io
 import json
-import threading
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     Observability,
-    TraceBuffer,
     to_chrome,
     validate_events,
     write_chrome,
@@ -113,85 +111,6 @@ class TestSpans:
         assert len(sink.events) == 1
 
 
-class TestBufferRouting:
-    """The deterministic parallel-collection design: per-unit scratch
-    buffers, thread-local routing, merge in unit order."""
-
-    def test_pushed_buffer_captures_thread_events(self):
-        tracer, sink, _ = make_tracer()
-        buf = TraceBuffer("unit:select:1")
-        tracer.push_buffer(buf)
-        tracer.instant("inside")
-        tracer.pop_buffer()
-        tracer.instant("outside")
-        assert [e["name"] for e in buf.events] == ["inside"]
-        assert buf.events[0]["track"] == "unit:select:1"
-        tracer.merge([buf])
-        tracer.flush()
-        # Merge appends scratches after the main-track events.
-        assert [e["name"] for e in sink.events] == ["outside", "inside"]
-
-    def test_merge_order_is_caller_order(self):
-        tracer, sink, _ = make_tracer()
-        bufs = []
-        for i in (2, 0, 1):
-            buf = TraceBuffer(f"unit:{i}")
-            tracer.push_buffer(buf)
-            tracer.instant(f"u{i}")
-            tracer.pop_buffer()
-            bufs.append((i, buf))
-        tracer.merge(b for _, b in sorted(bufs))
-        tracer.flush()
-        assert [e["name"] for e in sink.events] == ["u0", "u1", "u2"]
-
-    def test_buffer_stack_is_thread_local(self):
-        tracer, sink, _ = make_tracer()
-        worker_buf = TraceBuffer("unit:w")
-        done = threading.Event()
-
-        def worker():
-            tracer.push_buffer(worker_buf)
-            tracer.instant("worker-event")
-            tracer.pop_buffer()
-            done.set()
-
-        t = threading.Thread(target=worker)
-        t.start()
-        tracer.instant("main-event")  # must land in root, not worker_buf
-        t.join()
-        assert done.wait(1)
-        tracer.flush()
-        assert [e["name"] for e in sink.events] == ["main-event"]
-        assert [e["name"] for e in worker_buf.events] == ["worker-event"]
-
-    def test_merged_parallel_sequence_deterministic(self):
-        # Two interleavings of the same per-unit work produce the same
-        # final event sequence after an ordered merge.
-        sequences = []
-        for _ in range(2):
-            tracer, sink, _ = make_tracer()
-            bufs = [TraceBuffer(f"unit:{i}") for i in range(3)]
-
-            def run_unit(i):
-                tracer.push_buffer(bufs[i])
-                with tracer.span("unit", unit=str(i)):
-                    tracer.instant(f"work-{i}")
-                tracer.pop_buffer()
-
-            threads = [
-                threading.Thread(target=run_unit, args=(i,)) for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            tracer.merge(bufs)
-            tracer.flush()
-            sequences.append([(e["kind"], e["name"], e["track"])
-                              for e in sink.events])
-        assert sequences[0] == sequences[1]
-
-
 class TestNullTracer:
     def test_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
@@ -248,12 +167,8 @@ class TestChromeExport:
             clock.advance(1.0)
             with tracer.span("batch", cat="exec", batch=1):
                 clock.advance(0.5)
-        buf = TraceBuffer("unit:select:1")
-        tracer.push_buffer(buf)
         with tracer.span("unit", cat="exec", batch=1):
             clock.advance(0.2)
-        tracer.pop_buffer()
-        tracer.merge([buf])
         tracer.counter("state.total_bytes", 1024, batch=1)
         tracer.warning("pruning-disabled", batch=1, message="m")
         tracer.flush()
@@ -266,10 +181,9 @@ class TestChromeExport:
         for e in doc["traceEvents"]:
             by_ph.setdefault(e["ph"], []).append(e)
         assert {"M", "X", "C", "i"} <= set(by_ph)
-        # One thread-name metadata record per track, stable tids.
+        # One thread-name metadata record per track: the tracer's one.
         names = {e["args"]["name"]: e["tid"] for e in by_ph["M"]}
-        assert set(names) == {"main", "unit:select:1"}
-        assert names["main"] == 0
+        assert names == {"main": 0}
 
     def test_span_timestamps_in_microseconds(self):
         doc = to_chrome(self.trace_events())

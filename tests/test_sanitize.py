@@ -8,14 +8,13 @@ fault plan with the sanitizer on and require bit-identical results.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.analysis.sanitize import (
     SANITIZE_RULES,
     BufferSanitizer,
+    _base,
     _buffers_of,
 )
 from repro.core import OnlineConfig, OnlineQueryEngine
@@ -70,20 +69,22 @@ class TestProtocol:
         rel = make_rel()
         san.begin_batch(3, rel)
         owners = dict(san._owners)
-        san.begin_batch(3, rel)  # second worker hitting the same batch
+        san.begin_batch(3, rel)  # a unit retry re-enters the same batch
         assert san._owners == owners
 
     def test_replay_of_the_same_batch_owns_the_redrawn_delta(self):
         """Recovery replays the failed batch under the same number with a
-        freshly drawn trial matrix; two same-wave scans forwarding it must
-        not read as two writers (an intermittent SAN003 before)."""
+        freshly drawn trial matrix; a scan forwarding it must leave the
+        stream as its owner."""
         san = BufferSanitizer()
         san.begin_batch(4, make_rel())
         redrawn = make_rel()
         san.begin_batch(4, redrawn)
         assert not any(a.flags.writeable for a in _buffers_of(redrawn))
         san.note_output(_Op(), redrawn)
-        assert not san._claims
+        assert {
+            san._owners[id(_base(a))] for a in _buffers_of(redrawn)
+        } == {"stream:batch-4"}
 
     def test_slice_hook_freezes_both_sides(self):
         san = BufferSanitizer()
@@ -103,8 +104,9 @@ class TestProtocol:
         san = BufferSanitizer()
         rel = make_rel()
         san.begin_batch(1, rel)
+        owners = dict(san._owners)
         san.note_output(_Op(), rel)  # forwarding the stream delta
-        assert not san._claims
+        assert san._owners == owners
 
 
 # ---------------------------------------------------------------------------
@@ -150,61 +152,6 @@ class TestRules:
         assert violation.rule_id == "SAN002"
         assert str(path) in str(violation)
         assert violation.writer == "op:test"
-
-    def test_san003_two_thread_claim(self):
-        san = BufferSanitizer()
-        san.begin_batch(1)
-        buf = np.zeros(4)
-
-        class _A:
-            label = "op:a"
-
-        class _B:
-            label = "op:b"
-
-        san.note_output(_A(), buf)
-        raised: list[BaseException] = []
-
-        def other():
-            try:
-                san.note_output(_B(), buf)
-            except SanitizerViolationError as err:
-                raised.append(err)
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        assert len(raised) == 1
-        assert raised[0].rule_id == "SAN003"
-        assert "op:a" in raised[0].owners
-
-    def test_wave_barrier_seals_claims(self):
-        """A barrier orders earlier claims: a later-wave pass-through from
-        another thread must NOT trip SAN003."""
-        san = BufferSanitizer()
-        san.begin_batch(1)
-        buf = np.zeros(4)
-
-        class _A:
-            label = "op:a"
-
-        san.note_output(_A(), buf)
-        san.check_batch()  # wave barrier
-
-        class _B:
-            label = "op:b"
-
-        done: list[bool] = []
-
-        def other():
-            san.note_output(_B(), buf)
-            done.append(True)
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        assert done == [True]
-        san.check_batch()
 
     def test_translate_ignores_unrelated_value_errors(self):
         san = BufferSanitizer()
@@ -262,7 +209,7 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
-# Parity: sanitized + faulted parallel == clean serial, bit for bit.
+# Parity: sanitized + faulted == clean, bit for bit.
 # ---------------------------------------------------------------------------
 
 FAULTS = "unit@3:aggregate,batch@5,checkpoint@6,batch@8"
@@ -271,7 +218,7 @@ PARITY_QUERIES = [("tpch", "Q1"), ("tpch", "Q17"), ("conviva", "C8")]
 
 class TestParity:
     @pytest.mark.parametrize("source,name", PARITY_QUERIES)
-    def test_sanitized_faulted_parallel_matches_clean_serial(
+    def test_sanitized_faulted_matches_clean(
         self, source, name, tpch_small, conviva_small
     ):
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
@@ -279,7 +226,7 @@ class TestParity:
             tpch_small if source == "tpch" else conviva_small
         ).catalog()
 
-        def run(executor, sanitize, faults=None):
+        def run(sanitize, faults=None):
             engine = OnlineQueryEngine(
                 catalog,
                 spec.streamed_table,
@@ -291,17 +238,13 @@ class TestParity:
                     unit_retry_attempts=2,
                     sanitize=sanitize,
                 ),
-                executor=executor,
             )
-            try:
-                return engine, engine.run_to_completion(spec.plan, 8)
-            finally:
-                engine.executor.close()
+            return engine, engine.run_to_completion(spec.plan, 8)
 
-        eng0, clean = run("serial", sanitize=False)
-        eng1, faulted = run("parallel", sanitize=True, faults=FAULTS)
+        eng0, clean = run(sanitize=False)
+        eng1, faulted = run(sanitize=True, faults=FAULTS)
         assert faulted.to_relation().bag_equal(clean.to_relation(), 9), (
-            f"{name}: sanitized faulted parallel diverged from clean serial"
+            f"{name}: sanitized faulted run diverged from the clean run"
         )
         assert eng1.metrics.num_recoveries >= 2
         assert eng1.metrics.sanitize_seconds > 0
