@@ -112,14 +112,15 @@ class GroupIndex:
     def add(self, keys: Sequence[GroupKey]) -> np.ndarray:
         """Gid per key, allocating the next gid for each unseen key."""
         gid_of = self.gid_of
-        out = np.empty(len(keys), dtype=np.intp)
-        for i, key in enumerate(keys):
-            gid = gid_of.get(key)
-            if gid is None:
-                gid = gid_of[key] = len(self.keys)
-                self.keys.append(key)
-            out[i] = gid
-        return out
+        gids = list(map(gid_of.get, keys))
+        if None in gids:
+            for i, gid in enumerate(gids):
+                if gid is None:
+                    key = keys[i]  # may repeat among the misses
+                    gids[i] = gid_of.setdefault(key, len(self.keys))
+                    if gids[i] == len(self.keys):
+                        self.keys.append(key)
+        return np.array(gids, dtype=np.intp)
 
     def refs(self, block_id: int, column: str) -> np.ndarray:
         """Object array ``gid -> LineageRef(block_id, key, column)``: one

@@ -135,28 +135,29 @@ class AggregateOp(SpineOp):
 
         if self.needs_row_store:
             cin = cin.with_drawn_trials()  # folded now, re-read every batch
-        self.sketch.fold(cin, self.group_by)
+        folded_keys = self.sketch.fold(cin, self.group_by)
         if self.needs_row_store and len(cin):
             store = self.row_store
             self.row_store = cin if store is None else store.concat(cin)
         if len(cin):
             if ctx.config.vectorize:
-                # The codec's distinct keys update the set identically to
-                # the per-row tuples (set semantics), without building a
-                # tuple per row.
-                self.certain_groups.update(factorize_keys(cin, self.group_by).keys)
+                # The fold's distinct keys update the set as the per-row
+                # tuples would (set semantics: equal values hash alike),
+                # without factorizing the rows again. A NaN never equals
+                # another NaN, so keys holding one come from the codec, as
+                # the rows' own tuples would.
+                if any(v != v for key in folded_keys for v in key):
+                    folded_keys = factorize_keys(cin, self.group_by).keys
+                self.certain_groups.update(folded_keys)
             else:
                 self.certain_groups.update(
                     cin.key_tuples(self.group_by) if self.group_by else [()]
                 )
 
-        volatile_bundle = None
-        if len(vin):
-            ctx.metrics.recomputed_tuples += len(vin)
-            volatile_bundle = AggBundle.from_relation(
-                vin, self.group_by, self.sketch_specs, ctx.num_trials
-            )
-        combined = self.sketch.merged_with(volatile_bundle)
+        # The volatile rows fold on top of a copy, re-read from scratch
+        # every batch; the persistent sums never see them.
+        ctx.metrics.recomputed_tuples += len(vin)
+        combined = self.sketch.folded_with(vin, self.group_by)
 
         scale = ctx.scale if self.sample_weighted else 1.0
         cols = {

@@ -29,7 +29,6 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from repro.core.blocks import RuntimeContext
-from repro.core.classify import ClassifyResult
 from repro.relational.expressions import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -110,7 +109,7 @@ def empty_relation(schema: Schema, uncertain_cols: set[str], num_trials: int) ->
     for c in schema:
         dtype = np.dtype(object) if c.name in uncertain_cols else c.ctype.dtype
         cols[c.name] = np.empty(0, dtype=dtype)
-    return Relation(
+    return Relation._from_parts(
         schema, cols, np.empty(0), np.empty((0, num_trials), dtype=np.float64)
     )
 
@@ -308,25 +307,85 @@ def filter_det(rel: Relation, predicate: Expression) -> Relation:
     return rel.filter(mask)
 
 
-def subset_masks(
-    res: ClassifyResult, keep: np.ndarray, ctx: RuntimeContext
-) -> tuple[np.ndarray, np.ndarray]:
-    return res.point[keep], res.trial_matrix(ctx.num_trials)[keep]
-
-
 def mask_contribution(
-    rel: Relation, masks: tuple[np.ndarray, np.ndarray]
+    rel: Relation,
+    masks: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray | None = None,
 ) -> Relation:
-    """Volatile contribution of ND rows: zero out failed decisions."""
+    """Volatile contribution of ND rows: zero out failed decisions.
+
+    ``masks`` are the current point and per-trial decisions of ``rel``'s
+    rows at positions ``rows`` (all rows for None); rows failing every
+    decision drop out. One ``take``, then one multiply per weight."""
     point, trials = masks
-    mult = rel.mult * point
-    trial_mults = rel.trial_mults
-    trial_mults = (rel.mult[:, None] if trial_mults is None else trial_mults) * trials
     keep = point | trials.any(axis=1)
-    return Relation._from_parts(
-        rel.schema,
-        {n: a[keep] for n, a in rel.columns.items()},
-        mult[keep],
-        trial_mults[keep],
-        **rel._map_sidecars("take", keep),
-    )
+    out = rel.take(np.flatnonzero(keep) if rows is None else rows[keep])
+    trial_mults = out.trial_mults
+    trial_mults = (out.mult[:, None] if trial_mults is None else trial_mults) * trials[keep]
+    return out.with_mult(out.mult * point[keep], trial_mults)
+
+
+class NDStore:
+    """The non-deterministic set ``U_i`` of one operator, append-only.
+
+    ``rows`` holds every row appended since the last compaction, in
+    arrival order, and ``live`` the increasing positions of those still
+    undecided. Each batch appends the new undecided rows and replaces
+    ``live``; nothing is written in place, so a checkpoint shares both.
+    The rows compact (one ``take``) only once dead rows outnumber live
+    ones. ``gids`` optionally rides along per row (the uncertain join
+    keeps each row's side-group gid there).
+    """
+
+    __slots__ = ("rows", "live", "gids")
+
+    def __init__(
+        self, rows: Relation, live: np.ndarray | None = None, gids: np.ndarray | None = None
+    ):
+        self.rows = rows
+        self.live = np.arange(len(rows)) if live is None else live
+        self.gids = gids
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+    def __deepcopy__(self, memo: dict) -> "NDStore":
+        return self  # replaced, never written: snapshots share it
+
+    def live_rows(self, columns: list[str] | None = None) -> Relation:
+        """The undecided rows, in order; only ``columns`` (and no trial
+        weights) if given."""
+        rows = self.rows
+        if columns is not None:
+            rows = rows.with_mult(rows.mult, None).project(columns)
+        return rows if len(self.live) == len(rows) else rows.take(self.live)
+
+    def live_gids(self) -> np.ndarray:
+        return self.gids[self.live]
+
+    def advanced(
+        self, keep: np.ndarray, new: Relation, new_gids: np.ndarray | None = None
+    ) -> "NDStore":
+        """The store after one batch: live rows where ``keep`` holds, then
+        ``new`` appended (its trial weights drawn here, once)."""
+        live = self.live[keep]
+        rows, gids = self.rows, self.gids
+        if len(rows) - len(live) > len(live):
+            rows, gids = rows.take(live), None if gids is None else gids[live]
+            live = np.arange(len(live))
+        if len(new):
+            live = np.concatenate([live, np.arange(len(rows), len(rows) + len(new))])
+            rows = rows.concat(new.with_drawn_trials())
+            if gids is not None:
+                gids = np.concatenate([gids, new_gids])
+        return NDStore(rows, live, gids)
+
+    def estimated_bytes(self) -> int:
+        """Bytes of the live rows (the pruned state the paper counts)."""
+        n = len(self.rows)
+        if not n:
+            return 0
+        total = self.rows.estimated_bytes() + sum(
+            lin.estimated_bytes() for lin in self.rows.lineage.values()
+        )
+        return total * len(self.live) // n

@@ -16,12 +16,12 @@ from repro.core.classify import (
 )
 from repro.core.operators.base import (
     DeltaBatch,
+    NDStore,
     SpineOp,
     StateRule,
     TagRule,
     filter_det,
     mask_contribution,
-    subset_masks,
 )
 from repro.core.sentinels import SentinelStore
 from repro.relational.expressions import Comparison, Expression
@@ -80,6 +80,7 @@ class UncertainFilterOp(SpineOp):
         self.child = child
         self.det_conjuncts = det_conjuncts
         self.uncertain_conjuncts = uncertain_conjuncts
+        self._conjunct_cols = sorted(set().union(*(c.attrs() for c in uncertain_conjuncts)))
         self._init_state()
 
     def _init_state(self) -> None:
@@ -90,11 +91,11 @@ class UncertainFilterOp(SpineOp):
         )
 
     @property
-    def nd_store(self) -> Relation | None:
+    def nd_store(self) -> NDStore | None:
         return self.state.get("nd")
 
     @nd_store.setter
-    def nd_store(self, value: Relation | None) -> None:
+    def nd_store(self, value: NDStore | None) -> None:
         self.state.put("nd", value)
 
     @property
@@ -115,36 +116,27 @@ class UncertainFilterOp(SpineOp):
     def _record_sentinels(
         self,
         rel: Relation,
+        k: int,
         combined: ClassifyResult,
         per_conjunct: list[ClassifyResult],
         ctx: RuntimeContext,
     ) -> None:
         """Guard every permanent action with a sentinel (see sentinels.py).
 
-        Emitted rows needed ALL conjuncts stably true; dropped rows needed
-        the specific conjuncts that were stably false."""
-        vectorize = ctx.config.vectorize
-        emitted = np.flatnonzero(combined.status == TRUE)
+        ``rel`` holds the store's rows before position ``k``, then the new
+        rows. Emitted rows needed ALL conjuncts stably true; dropped rows
+        needed the specific conjuncts that were stably false. One record
+        per conjunct takes the rows in decision order: the new rows'
+        emitted, then dropped, then the store's."""
+        emitted = combined.status == TRUE
         dropped = combined.status == FALSE
+        parts = (np.arange(k, len(rel)), np.arange(k))
         for idx, res in enumerate(per_conjunct):
-            if len(emitted):
+            false = dropped & (res.status == FALSE)
+            rows = np.concatenate([p[m[p]] for p in parts for m in (emitted, false)])
+            if len(rows):
                 self.sentinels.record(
-                    idx,
-                    rel,
-                    emitted,
-                    np.ones(len(emitted), dtype=bool),
-                    vectorize=vectorize,
-                    batch_no=ctx.batch_no,
-                )
-            conj_false = np.flatnonzero(dropped & (res.status == FALSE))
-            if len(conj_false):
-                self.sentinels.record(
-                    idx,
-                    rel,
-                    conj_false,
-                    np.zeros(len(conj_false), dtype=bool),
-                    vectorize=vectorize,
-                    batch_no=ctx.batch_no,
+                    idx, rel, rows, emitted[rows], batch_no=ctx.batch_no
                 )
 
     def _apply_det(self, rel: Relation) -> Relation:
@@ -157,81 +149,63 @@ class UncertainFilterOp(SpineOp):
     def process(self, delta: DeltaBatch, ctx: RuntimeContext) -> DeltaBatch:
         new_rows = self._apply_det(delta.certain)
         vol_in = self._apply_det(delta.volatile)
+        store = self.nd_store if self.nd_store is not None else NDStore(self.empty(ctx))
 
-        if not ctx.config.lazy_lineage and self.nd_store is not None:
+        if not ctx.config.lazy_lineage and len(store):
             # OPT2 off: regenerate cached rows from scratch — re-run the
             # deterministic conjuncts over the store as well, modelling the
             # re-execution of the upstream chain for each cached tuple
             # (which re-attaches the same lineage gids).
-            store = self.nd_store
-            self.nd_store = self._apply_det(
+            live = store.live_rows()
+            store = NDStore(self._apply_det(
                 Relation._from_parts(
-                    store.schema,
-                    {n: a.copy() for n, a in store.columns.items()},
-                    store.mult.copy(),
-                    None if store.trial_mults is None else store.trial_mults.copy(),
-                    lineage=dict(store.lineage) or None,
+                    live.schema,
+                    {n: a.copy() for n, a in live.columns.items()},
+                    live.mult.copy(),
+                    None if live.trial_mults is None else live.trial_mults.copy(),
+                    lineage=dict(live.lineage) or None,
                 )
-            )
+            ))
 
         # Integrity: every previously pruned decision must still hold for
         # the current estimates; a flip triggers failure recovery.
         ctx.fault("sentinel", self.label)
         self.sentinels.check(ctx)
 
-        res_new, per_new = self._classify(new_rows, ctx)
-        self._record_sentinels(new_rows, res_new, per_new, ctx)
+        # One classification of the store's live rows followed by the new
+        # rows, over the columns the conjuncts read (row by row, so each
+        # row classifies as it would alone).
+        live = store.live
+        k = len(live)
+        ctx.metrics.recomputed_tuples += k + len(vol_in)
+        rel = new_rows.with_mult(new_rows.mult, None).project(self._conjunct_cols)
+        if k:
+            rel = store.live_rows(self._conjunct_cols).concat(rel)
+        res, per = self._classify(rel, ctx)
+        self._record_sentinels(rel, k, res, per, ctx)
+        certain = new_rows.filter(res.status[k:] == TRUE)
+        if k:
+            certain = certain.concat(store.rows.take(live[res.status[:k] == TRUE]))
 
-        store = self.nd_store if self.nd_store is not None else self.empty(ctx)
-        ctx.metrics.recomputed_tuples += len(store) + len(vol_in)
-        if len(store):
-            res_old, per_old = self._classify(store, ctx)
-            self._record_sentinels(store, res_old, per_old, ctx)
-        else:
-            res_old = None
-
-        certain_parts = [new_rows.filter(res_new.status == TRUE)]
-        # Stored across batches and masked below: drawn once, here.
-        keep_new = new_rows.filter(
-            (res_new.status == UNKNOWN) | (res_new.status == PENDING)
-        ).with_drawn_trials()
-        masks_new = subset_masks(
-            res_new, (res_new.status == UNKNOWN) | (res_new.status == PENDING), ctx
+        # Undecided rows stay (the new ones drawn once, on entry) and
+        # contribute their current decisions.
+        undecided = (res.status == UNKNOWN) | (res.status == PENDING)
+        store = store.advanced(undecided[:k], new_rows.filter(undecided[k:]))
+        self.nd_store = store
+        volatile = mask_contribution(
+            store.rows,
+            (res.point[undecided], res.trial_matrix(ctx.num_trials)[undecided]),
+            store.live,
         )
-
-        if res_old is not None:
-            certain_parts.append(store.filter(res_old.status == TRUE))
-            undecided = (res_old.status == UNKNOWN) | (res_old.status == PENDING)
-            keep_old = store.filter(undecided)
-            masks_old = subset_masks(res_old, undecided, ctx)
-        else:
-            keep_old = self.empty(ctx)
-            masks_old = None
-
-        self.nd_store = keep_old.concat(keep_new)
-
-        volatile_parts = []
-        if len(keep_old) and masks_old is not None:
-            volatile_parts.append(mask_contribution(keep_old, masks_old))
-        if len(keep_new):
-            volatile_parts.append(mask_contribution(keep_new, masks_new))
         if len(vol_in):
             res_vol, _ = self._classify(vol_in, ctx)
-            volatile_parts.append(
+            volatile = volatile.concat(
                 mask_contribution(
                     vol_in, (res_vol.point, res_vol.trial_matrix(ctx.num_trials))
                 )
             )
-
-        certain = certain_parts[0]
-        for part in certain_parts[1:]:
-            certain = certain.concat(part)
-        volatile = self.empty(ctx)
-        for part in volatile_parts:
-            volatile = volatile.concat(part)
         if ctx.obs.enabled:
             reg = ctx.obs.metrics
-            nd = self.nd_store
-            reg.gauge("nd.rows", op=self.label).set(0 if nd is None else len(nd))
+            reg.gauge("nd.rows", op=self.label).set(len(store))
             reg.gauge("sentinels", op=self.label).set(len(self.sentinels))
         return DeltaBatch(certain, volatile)

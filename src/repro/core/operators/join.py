@@ -8,6 +8,7 @@ from repro.core.blocks import BlockOutput, GroupKey, GroupValue, RuntimeContext
 from repro.core.classify import FALSE, PENDING, TRUE, UNKNOWN
 from repro.core.operators.base import (
     DeltaBatch,
+    NDStore,
     SpineOp,
     StateRule,
     TagRule,
@@ -163,11 +164,11 @@ class UncertainJoinOp(SpineOp):
         self.state.put("member_sentinels", MembershipSentinels())
 
     @property
-    def nd_store(self) -> Relation | None:
+    def nd_store(self) -> NDStore | None:
         return self.state.get("nd")
 
     @nd_store.setter
-    def nd_store(self, value: Relation | None) -> None:
+    def nd_store(self, value: NDStore | None) -> None:
         self.state.put("nd", value)
 
     @property
@@ -285,15 +286,17 @@ class UncertainJoinOp(SpineOp):
         view: BlockOutput | None,
         ctx: RuntimeContext,
         record: bool = False,
-    ) -> tuple[Relation, Relation, Relation]:
-        """Split incoming certain rows into (certain-out, nd, pending).
+    ) -> tuple[Relation, Relation, np.ndarray, Relation]:
+        """Split incoming certain rows into (certain-out, nd, the nd rows'
+        side gids, pending).
 
         With ``record=True`` (permanent actions: the certain input path),
         every stable membership decision leaves a sentinel so later flips
         trigger recovery."""
         n = len(rel)
         if n == 0:
-            return self._empty_out(ctx), self._empty_out(ctx), rel
+            none = np.zeros(0, dtype=np.intp)
+            return self._empty_out(ctx), self._empty_out(ctx), none, rel
         if ctx.config.vectorize:
             return self._partition_new_vec(rel, view, record, ctx.batch_no)
         status, groups = self._probe_rows(rel, view, PENDING, record, ctx.batch_no)
@@ -303,10 +306,10 @@ class UncertainJoinOp(SpineOp):
         certain_out = self._attach(
             rel.filter(sure), view, [g for g, s in zip(groups, sure) if s]
         )
-        nd = self._attach(
-            rel.filter(unknown), view, [g for g, s in zip(groups, unknown) if s]
-        )
-        return certain_out, nd, rel.filter(waiting)
+        nd_groups = [g for g, s in zip(groups, unknown) if s]
+        nd = self._attach(rel.filter(unknown), view, nd_groups)
+        nd_gids = view.probe([g.key for g in nd_groups]) if nd_groups else np.zeros(0, np.intp)
+        return certain_out, nd, nd_gids, rel.filter(waiting)
 
     def _partition_new_vec(
         self,
@@ -314,12 +317,12 @@ class UncertainJoinOp(SpineOp):
         view: BlockOutput | None,
         record: bool,
         batch_no: int = 0,
-    ) -> tuple[Relation, Relation, Relation]:
+    ) -> tuple[Relation, Relation, np.ndarray, Relation]:
         """Vectorized :meth:`_partition_new` body: one view probe per
         distinct key, then status/slot gathers."""
         kc, gids_u, status_u = self._probe(rel, view, PENDING)
         if record:
-            self._record_resolved(kc, status_u, batch_no)
+            self._record_resolved(view, gids_u, status_u, batch_no)
         status = status_u[kc.codes]
         gids = gids_u[kc.codes]
         sure = status == TRUE
@@ -327,37 +330,37 @@ class UncertainJoinOp(SpineOp):
         waiting = status == PENDING
         certain_out = self._attach_coded(rel.filter(sure), view, gids[sure])
         nd = self._attach_coded(rel.filter(unknown), view, gids[unknown])
-        return certain_out, nd, rel.filter(waiting)
+        return certain_out, nd, gids[unknown], rel.filter(waiting)
 
-    def _record_resolved(self, kc, status_u: np.ndarray, batch_no: int) -> None:
-        # Sentinel recording is setdefault-idempotent and keyed by group,
-        # so once per distinct key matches once per row.
-        for u in np.flatnonzero(status_u == TRUE):
-            self.member_sentinels.record(kc.keys[u], True, batch_no=batch_no)
-        for u in np.flatnonzero(status_u == FALSE):
-            self.member_sentinels.record(kc.keys[u], False, batch_no=batch_no)
+    def _record_resolved(
+        self, view: BlockOutput | None, gids_u: np.ndarray, status_u: np.ndarray,
+        batch_no: int,
+    ) -> None:
+        """Sentinels for the stable decisions of distinct groups ``gids_u``
+        (first-recorded wins, so once per group matches once per row)."""
+        for member, code in ((True, TRUE), (False, FALSE)):
+            at = gids_u[status_u == code]
+            if len(at):
+                self.member_sentinels.record_gids(
+                    view.index, at, np.full(len(at), member), batch_no
+                )
 
-    def _volatile_of(self, rel: Relation, ctx: RuntimeContext) -> Relation:
-        """Current contribution of attached-but-unresolved rows."""
+    def _volatile_of(
+        self, rel: Relation, gids: np.ndarray, ctx: RuntimeContext,
+        rows: np.ndarray | None = None,
+    ) -> Relation:
+        """Current contribution of attached-but-unresolved rows (``rel``'s
+        rows at ``rows``, all for None), read by their side ``gids``."""
         view = ctx.blocks.get(self.side_id)
-        n = len(rel)
+        n = len(gids)
         if n == 0 or view is None:
             return self._empty_out(ctx)
         point = np.zeros(n, dtype=bool)
         trials = np.zeros((n, ctx.num_trials), dtype=bool)
-        if ctx.config.vectorize:
-            kc, gids_u, _ = self._probe(rel, view, UNKNOWN)
-            gids = gids_u[kc.codes]
-            present = gids >= 0
-            point[present] = view.member_point[gids[present]]
-            trials[present] = view.exist[gids[present]]
-        else:
-            for i, key in enumerate(self._keys_of(rel)):
-                group = view.get(key)
-                if group is not None:
-                    point[i] = group.member_point
-                    trials[i] = group.exist_in_trial(ctx.num_trials)
-        return mask_contribution(rel, (point, trials))
+        present = ~view.absent(gids)
+        point[present] = view.member_point[gids[present]]
+        trials[present] = view.exist[gids[present]]
+        return mask_contribution(rel, (point, trials), rows)
 
     def _empty_out(self, ctx: RuntimeContext) -> Relation:
         return empty_relation(self.schema, self.uncertain_cols, ctx.num_trials)
@@ -370,56 +373,64 @@ class UncertainJoinOp(SpineOp):
         ctx.fault("sentinel", self.label)
         self.member_sentinels.check(ctx, view)
 
-        certain_new, nd_new, pending_new = self._partition_new(
+        certain_new, nd_new, nd_gids, pending_new = self._partition_new(
             delta.certain, view, ctx, record=True
         )
 
         # Retry rows that were waiting for their group to be published.
         if self.pending is not None and len(self.pending):
             ctx.metrics.recomputed_tuples += len(self.pending)
-            certain_retry, nd_retry, still_pending = self._partition_new(
+            certain_retry, nd_retry, retry_gids, still_pending = self._partition_new(
                 self.pending, view, ctx, record=True
             )
             certain_new = certain_new.concat(certain_retry)
             nd_new = nd_new.concat(nd_retry)
+            nd_gids = np.concatenate([nd_gids, retry_gids])
             pending_new = still_pending.concat(pending_new)
         # Rows kept across batches own their trial matrix: drawn once here,
         # not at every retry and re-examination.
         self.pending = pending_new.with_drawn_trials()
 
-        # Re-examine the non-deterministic store against fresh membership.
-        nd_old = self.nd_store if self.nd_store is not None else self._empty_out(ctx)
-        ctx.metrics.recomputed_tuples += len(nd_old)
-        if not ctx.config.lazy_lineage and len(nd_old) and view is not None:
+        # Re-examine the non-deterministic store against fresh membership,
+        # read by the side gids its rows carry.
+        store = self.nd_store
+        if store is None:
+            store = NDStore(self._empty_out(ctx), gids=np.zeros(0, dtype=np.intp))
+        ctx.metrics.recomputed_tuples += len(store)
+        if not ctx.config.lazy_lineage and len(store) and view is not None:
             # OPT2 off: regenerate cached tuples instead of updating them
             # in place — re-do the join lookup and rebuild every attached
             # column for the whole store (the paper's "re-generating the
             # tuple from scratch" cost that lineage + lazy evaluation
             # avoids).
-            gids = view.probe(self._keys_of(nd_old))
+            live = store.live_rows()
+            gids = view.probe(self._keys_of(live))
             keep = gids >= 0
-            nd_old = self._attach(
-                nd_old.filter(keep), view, view.rows(gids[keep].tolist())
+            store = NDStore(
+                self._attach(live.filter(keep), view, view.rows(gids[keep].tolist())),
+                gids=gids[keep],
             )
-        if len(nd_old) and view is not None:
-            if ctx.config.vectorize:
-                kc, _, status_u = self._probe(nd_old, view, UNKNOWN)
-                self._record_resolved(kc, status_u, ctx.batch_no)
-                status = status_u[kc.codes]
-            else:
-                status, _ = self._probe_rows(nd_old, view, UNKNOWN, True, ctx.batch_no)
-            certain_new = certain_new.concat(nd_old.filter(status == TRUE))
-            nd_old = nd_old.filter(status == UNKNOWN)
-        self.nd_store = nd_old.concat(nd_new).with_drawn_trials()
+        keep = np.ones(len(store), dtype=bool)
+        if len(store) and view is not None:
+            gids = store.live_gids()
+            present = ~view.absent(gids)
+            status = np.full(len(gids), UNKNOWN, dtype=np.int8)
+            status[present] = view.join_status[gids[present]]
+            # Each group once, in first-appearance order.
+            first = np.sort(np.unique(gids, return_index=True)[1])
+            self._record_resolved(view, gids[first], status[first], ctx.batch_no)
+            certain_new = certain_new.concat(store.rows.take(store.live[status == TRUE]))
+            keep = status == UNKNOWN
+        store = store.advanced(keep, nd_new, nd_gids)
+        self.nd_store = store
 
-        volatile = self._volatile_of(self.nd_store, ctx)
+        volatile = self._volatile_of(store.rows, store.live_gids(), ctx, store.live)
         if len(delta.volatile):
-            vol_view = ctx.blocks.get(self.side_id)
-            v_certain, v_nd, _ = self._partition_new(delta.volatile, vol_view, ctx)
+            v_certain, v_nd, v_gids, _ = self._partition_new(delta.volatile, view, ctx)
             # Upstream volatile rows are never stored here; they contribute
             # whatever their current membership allows.
             volatile = volatile.concat(v_certain)
-            volatile = volatile.concat(self._volatile_of(v_nd, ctx))
+            volatile = volatile.concat(self._volatile_of(v_nd, v_gids, ctx))
         if ctx.obs.enabled:
             reg = ctx.obs.metrics
             nd, pending = self.nd_store, self.pending

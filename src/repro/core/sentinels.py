@@ -12,8 +12,8 @@ against (the lineage cells of its uncertain side). Only the *tightest*
 sentinel per direction needs keeping — if the closest resolved value
 still classifies the same way, every farther one does too. Each batch the
 operator re-evaluates its sentinels against the current point estimates
-(one array pass over the block output; a staircase is walked row-wise
-only for an entity that flipped); a flip raises
+(one gather and one comparison per conjunct; the history is read only for
+an entity that flipped); a flip raises
 :class:`~repro.errors.RangeIntegrityError` and the controller replays
 conservatively.
 
@@ -21,9 +21,17 @@ This is the loosest sound check: it fails exactly when a pruned tuple's
 contribution to the current partial result would have changed, rather
 than whenever a range drifts.
 
+Everything is kept in arrays indexed by *slot* (one per entity, in
+first-recorded order). An entity is the tuple of its cells' codes, and a
+cell carried with a lineage sidecar is coded straight from its gid
+(:class:`~repro.storage.lineage.LineageColumn`), so recording touches each
+row a constant number of times: no per-row tuple, dict probe or Python
+call.
+
 Recovery depth: each (entity, direction) keeps its monotone *tightening
 history* — the batch at which each successively tighter binding value was
-resolved. On a violation the store computes the earliest batch whose
+resolved — as entries of an append-only log, written only when a value
+tightens. On a violation the store computes the earliest batch whose
 recorded decision flips under the current estimates; every strictly
 earlier decision still holds, so ``RangeIntegrityError.recover_from_batch``
 is that batch minus one and the controller only replays the suffix. The
@@ -34,10 +42,6 @@ staircase is the true earliest flip.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
@@ -52,102 +56,258 @@ from repro.relational.schema import ColumnType, Schema
 #: lineage cells it compared against (hashable).
 Entity = tuple
 
-
 #: One (entity, direction) tightening history: ``[(batch_no, det), ...]``
 #: in batch order, each entry strictly tighter than the previous.
 History = list
 
+_ORDERED = ("<", "<=", ">", ">=")
 
-@dataclass
+
+def _room(arr: np.ndarray, size: int, fill: object) -> np.ndarray:
+    """``arr`` if it has ``size`` rows, else a copy with at least double
+    the rows, the new ones set to ``fill``."""
+    have = arr.shape[0]
+    if size <= have:
+        return arr
+    grown = np.full((max(size, 2 * have),) + arr.shape[1:], fill, dtype=arr.dtype)
+    grown[:have] = arr
+    return grown
+
+
+class _Cells:
+    """Dense codes of one uncertain column's cells, in first-recorded order.
+
+    ``refs[code]`` is the cell (a :class:`LineageRef` in the engine).
+    ``gid_codes`` maps a lineage sidecar's gids straight to codes (``-1``:
+    not seen yet), one table per ``(block, column)`` the sidecars name, so
+    a recorded row costs one gather; only a first-seen gid goes through
+    the ``code_of`` dict, which also codes cells that arrive without a
+    sidecar (by value, as the cells compare).
+    """
+
+    __slots__ = ("refs", "code_of", "gid_codes")
+
+    def __init__(self) -> None:
+        self.refs: list = []
+        self.code_of: dict = {}
+        self.gid_codes: dict[tuple[int, str], np.ndarray] = {}
+
+    def copy(self) -> "_Cells":
+        out = _Cells()
+        out.refs = list(self.refs)
+        out.code_of = dict(self.code_of)
+        out.gid_codes = {k: v.copy() for k, v in self.gid_codes.items()}
+        return out
+
+    def _code(self, cell: object) -> int:
+        code = self.code_of.get(cell)
+        if code is None:
+            code = self.code_of[cell] = len(self.refs)
+            self.refs.append(cell)
+        return code
+
+    def codes(self, rel: Relation, name: str, idx: np.ndarray) -> np.ndarray:
+        """Code of column ``name``'s cell at each row of ``idx``."""
+        cells = rel.columns[name]
+        lin = rel.lineage.get(name)
+        if lin is None or len(lin) != len(rel):
+            return np.fromiter(map(self._code, cells[idx].tolist()), np.intp, len(idx))
+        gids = lin.gids[idx]
+        key = (lin.block_id, lin.column)
+        table = self.gid_codes.get(key)
+        top = int(gids.max()) + 1
+        if table is None or len(table) < top:
+            table = self.gid_codes[key] = _room(
+                np.zeros(0, np.intp) if table is None else table, top, -1
+            )
+        codes = table[gids]
+        missed = np.flatnonzero(codes < 0)
+        if len(missed):
+            # First-seen gids in row order, so codes follow first record.
+            new, first = np.unique(gids[missed], return_index=True)
+            order = np.argsort(first, kind="stable")
+            for gid, at in zip(new[order].tolist(), missed[first[order]].tolist()):
+                table[gid] = self._code(cells[idx[at]])
+            codes = table[gids]
+        return codes
+
+
 class _ConjunctSentinels:
-    """Sentinels of one uncertain conjunct, one slot per entity (whose
-    cells, zipped with the conjunct's uncertain columns, are also the row
-    its uncertain side is re-evaluated on)."""
+    """Sentinels of one uncertain conjunct, one slot per entity.
 
-    #: entity -> slot, in first-recorded order
-    entities: dict[Entity, int] = field(default_factory=dict)
-    #: per slot: tightening history of det values resolved TRUE / FALSE
-    true_hist: list[History] = field(default_factory=list)
-    false_hist: list[History] = field(default_factory=list)
-    #: Check-time cache per uncertain column position: ``(group index,
-    #: gid per slot)``, extended as entities are appended.
-    mirrors: dict[int, tuple] = field(default_factory=dict, compare=False)
+    ``entities[slot]`` holds the entity's cell code per uncertain column
+    (whose cells, zipped with those columns, are also the row its
+    uncertain side is re-evaluated on). Per slot and direction (column 0:
+    resolved FALSE, 1: TRUE), ``tight`` is the binding det value and
+    ``has`` whether any decision was recorded. The log holds one
+    ``(slot, direction, batch)`` row in ``log_at`` and its det value in
+    ``log_det`` per tightening, in record order.
+    """
+
+    def __init__(self, op: str, ncols: int):
+        self.op = op
+        self.cells = [_Cells() for _ in range(ncols)]
+        #: Entity (code tuple) -> slot; conjuncts over one column use the
+        #: code as the slot and leave this empty.
+        self.slot_of: dict[tuple, int] = {}
+        self.n = 0
+        self.entities = np.zeros((0, ncols), dtype=np.intp)
+        self.tight = np.zeros((0, 2))
+        self.has = np.zeros((0, 2), dtype=bool)
+        self.log_n = 0
+        self.log_at = np.zeros((0, 3), dtype=np.intp)
+        self.log_det = np.zeros(0)
+        #: Check-time cache per uncertain column position: ``(group index,
+        #: gid per code)``, extended as codes are appended.
+        self.mirrors: dict[int, tuple] = {}
 
     def __deepcopy__(self, memo: dict) -> "_ConjunctSentinels":
-        # Entities and history entries are immutable; the containers are not.
-        return _ConjunctSentinels(
-            dict(self.entities),
-            [list(h) for h in self.true_hist],
-            [list(h) for h in self.false_hist],
-            {j: (index, list(gids)) for j, (index, gids) in self.mirrors.items()},
-        )
+        # Cells are immutable; the containers and arrays are copied, and the
+        # check-time cache is rebuilt on demand.
+        out = _ConjunctSentinels(self.op, 0)
+        out.cells = [cells.copy() for cells in self.cells]
+        out.slot_of = dict(self.slot_of)
+        out.n, out.log_n = self.n, self.log_n
+        for name in ("entities", "tight", "has", "log_at", "log_det"):
+            setattr(out, name, getattr(self, name).copy())
+        return out
 
-    def history(self, entity: Entity, expected: bool) -> History:
-        slot = self.entities.get(entity)
+    # -- recording ---------------------------------------------------------------
+
+    def slots(self, rel: Relation, cols: list[str], idx: np.ndarray) -> np.ndarray:
+        """Slot of each row of ``idx``, allocating unseen entities."""
+        per_col = [cells.codes(rel, name, idx) for cells, name in zip(self.cells, cols)]
+        if len(per_col) == 1:
+            slots = per_col[0]
+            top = len(self.cells[0].refs)
+        else:
+            keys = zip(*(c.tolist() for c in per_col))
+            slots = np.fromiter(map(self._slot, keys), np.intp, len(idx))
+            top = len(self.slot_of)
+        if top > self.n:
+            self.entities = _room(self.entities, top, 0)
+            self.tight = _room(self.tight, top, 0.0)
+            self.has = _room(self.has, top, False)
+            if len(per_col) == 1:
+                self.entities[self.n:top, 0] = np.arange(self.n, top)
+            self.n = top
+        return slots
+
+    def _slot(self, key: tuple) -> int:
+        slot = self.slot_of.get(key)
         if slot is None:
-            slot = self.entities[entity] = len(self.true_hist)
-            self.true_hist.append([])
-            self.false_hist.append([])
-        return (self.true_hist if expected else self.false_hist)[slot]
+            slot = self.slot_of[key] = len(self.slot_of)
+            self.entities = _room(self.entities, slot + 1, 0)
+            self.entities[slot] = key
+        return slot
 
+    def fold(self, expected: bool, slots: np.ndarray, values: np.ndarray, batch_no: int) -> None:
+        """Fold one batch's decisions of one direction into the tightest
+        values, logging every entry that tightens.
 
-def _gather_points(
-    store: "_ConjunctSentinels", j: int, ctx: RuntimeContext
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Current ``(points, absent mask)`` of every entity's ``j``-th cell,
-    or ``None`` unless all of them reference one published block column."""
-    first = next(iter(store.entities))[j]
-    output = ctx.blocks.get(first.block_id) if isinstance(first, LineageRef) else None
-    if output is None:
-        return None
-    index, gids = store.mirrors.get(j, (None, None))
-    if index is not output.index:
-        index, gids = store.mirrors[j] = (output.index, [])
-    for entity in islice(store.entities, len(gids), None):
-        cell = entity[j]
-        if not (
-            isinstance(cell, LineageRef)
-            and cell.block_id == first.block_id
-            and cell.column == first.column
-        ):
-            del store.mirrors[j]
+        The result equals pushing the rows one at a time in row order: an
+        empty entry takes its first value (NaN included), a NaN entry never
+        moves, and an ordered entry moves only to a strictly tighter value
+        (NaN never is); an equality entry follows the latest value and
+        restarts its history whenever that changes.
+        """
+        d = int(expected)
+        n = self.n
+        has = self.has[:n, d]
+        if self.op in _ORDERED:
+            tighter = np.fmin if (self.op in (">", ">=")) == expected else np.fmax
+            folded = np.full(n, np.nan)
+            tighter.at(folded, slots, values)  # fmin/fmax skip NaN
+            start = np.where(has, self.tight[:n, d], folded)
+            if np.isnan(values).any():
+                # An empty entry whose first value is NaN stays NaN.
+                uniq, first = np.unique(slots, return_index=True)
+                start[uniq[np.isnan(values[first]) & ~has[uniq]]] = np.nan
+            stuck = np.isnan(start)
+            new = np.where(stuck, start, tighter(start, folded))
+            hit = np.zeros(n, dtype=bool)
+            hit[slots] = True
+            moved = np.where(has, (new != start) & ~stuck, hit)
+        else:
+            new, moved = self._latest(has, self.tight[:n, d], slots, values)
+        at = np.flatnonzero(moved)
+        if not len(at):
+            return
+        self.tight[at, d] = new[at]
+        has[at] = True
+        end = self.log_n + len(at)
+        self.log_at = _room(self.log_at, end, 0)
+        self.log_det = _room(self.log_det, end, 0.0)
+        self.log_at[self.log_n:end, 0] = at
+        self.log_at[self.log_n:end, 1] = d
+        self.log_at[self.log_n:end, 2] = batch_no
+        self.log_det[self.log_n:end] = new[at]
+        self.log_n = end
+
+    def _latest(
+        self, has: np.ndarray, old: np.ndarray, slots: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Equality entries, per slot: the last value, and whether any value
+        differs from the one before it (the entry's old value first; NaN
+        differs from everything, an empty entry always moves)."""
+        order = np.argsort(slots, kind="stable")
+        v, s = values[order], slots[order]
+        lead = np.ones(len(v), dtype=bool)
+        lead[1:] = s[1:] != s[:-1]
+        prev = np.empty_like(v)
+        prev[1:] = v[:-1]
+        prev[lead] = old[s[lead]]
+        differs = ~(v == prev) | (lead & ~has[s])
+        starts = np.flatnonzero(lead)
+        new = np.empty(len(old))
+        moved = np.zeros(len(old), dtype=bool)
+        new[s[starts]] = v[np.append(starts[1:], len(v)) - 1]
+        moved[s[starts]] = np.logical_or.reduceat(differs, starts)
+        return new, moved
+
+    # -- reading -----------------------------------------------------------------------
+
+    def entity(self, slot: int) -> Entity:
+        return tuple(cells.refs[code] for cells, code in zip(self.cells, self.entities[slot].tolist()))
+
+    def history(self, slot: int, expected: bool) -> History:
+        """The staircase of one (slot, direction), read from the log. An
+        equality entry restarts at each change, so only its latest counts."""
+        log = self.log_at[: self.log_n]
+        mine = np.flatnonzero((log[:, 0] == slot) & (log[:, 1] == int(expected)))
+        if self.op not in _ORDERED:
+            mine = mine[-1:]
+        return list(zip(log[mine, 2].tolist(), self.log_det[mine].tolist()))
+
+    def gather(self, j: int, ctx: RuntimeContext) -> tuple[np.ndarray, np.ndarray] | None:
+        """Current ``(points, absent mask)`` of every slot's ``j``-th cell,
+        or ``None`` unless all of them reference one published block column."""
+        refs = self.cells[j].refs
+        first = refs[0]
+        output = ctx.blocks.get(first.block_id) if isinstance(first, LineageRef) else None
+        if output is None:
             return None
-        gids.append(index.gid_of.get(cell.key, -1))
-    at = np.asarray(gids, dtype=np.intp)
-    absent = output.absent(at)
-    if absent.all():
-        return np.full(len(at), np.nan), absent
-    return output.ucol(first.column).point[np.where(absent, 0, at)], absent
-
-
-def _tighter(op: str, expected: bool, old: float, new: float) -> float:
-    """The binding (hardest to keep satisfied) of two resolved det values."""
-    if op in (">", ">="):
-        # det > unc resolved TRUE: smallest det value is binding;
-        # resolved FALSE (det <= unc): largest det value is binding.
-        return min(old, new) if expected else max(old, new)
-    if op in ("<", "<="):
-        return max(old, new) if expected else min(old, new)
-    return new  # ==/!=: keep the most recent
-
-
-def _push(op: str, expected: bool, hist: History, batch_no: int, value: float) -> None:
-    """Fold ``value`` into a tightening history, stamping the batch."""
-    if not hist:
-        hist.append((batch_no, value))
-        return
-    last_batch, last_value = hist[-1]
-    tight = _tighter(op, expected, last_value, value)
-    if tight == last_value:
-        return
-    if op in ("==", "!="):
-        # Equality sentinels guard only the most recent decision; the
-        # superseded history cannot flip independently of it.
-        hist[:] = [(batch_no, tight)]
-    elif last_batch == batch_no:
-        hist[-1] = (batch_no, tight)
-    else:
-        hist.append((batch_no, tight))
+        index, gids = self.mirrors.get(j, (None, None))
+        if index is not output.index:
+            index, gids = output.index, np.zeros(0, dtype=np.intp)
+        if len(gids) < len(refs):
+            extra = []
+            for cell in refs[len(gids):]:
+                if not (
+                    isinstance(cell, LineageRef)
+                    and cell.block_id == first.block_id
+                    and cell.column == first.column
+                ):
+                    self.mirrors.pop(j, None)
+                    return None
+                extra.append(index.gid_of.get(cell.key, -1))
+            gids = np.concatenate([gids, np.asarray(extra, dtype=np.intp)])
+        self.mirrors[j] = (index, gids)
+        at = gids[self.entities[: self.n, j]]
+        absent = output.absent(at)
+        if absent.all():
+            return np.full(len(at), np.nan), absent
+        return output.ucol(first.column).point[np.where(absent, 0, at)], absent
 
 
 def _traced(ctx: RuntimeContext, store, check) -> None:
@@ -175,10 +335,11 @@ class SentinelStore:
     def __init__(self, conjuncts: list[Comparison], uncertain_cols: set[str]):
         self.conjuncts = conjuncts
         self.uncertain_cols = uncertain_cols
-        self._per_conjunct = [_ConjunctSentinels() for _ in conjuncts]
         # Compile: which side is deterministic; which uncertain columns
-        # each conjunct touches (entity identity).
+        # each conjunct touches (entity identity); the comparison read
+        # with the det side on the left.
         self._sides: list[tuple[Expression | None, Expression | None, list[str]]] = []
+        self._ops: list[str] = []
         for cmp_ in conjuncts:
             left_u = bool(cmp_.left.attrs() & uncertain_cols)
             right_u = bool(cmp_.right.attrs() & uncertain_cols)
@@ -189,12 +350,23 @@ class SentinelStore:
                 self._sides.append((cmp_.left, cmp_.right, cols))
             else:
                 self._sides.append((cmp_.right, cmp_.left, cols))
+            det = self._sides[-1][0]
+            self._ops.append(cmp_.op if det is None or det is cmp_.left else _flip(cmp_.op))
+        #: Per conjunct, the schema of the entity points the check gathers.
+        self._point_schemas = [
+            Schema([(name, ColumnType.FLOAT) for name in cols]) for _, _, cols in self._sides
+        ]
+        self.reset()
+
+    def __deepcopy__(self, memo: dict) -> "SentinelStore":
+        # Conjuncts and sides are compiled configuration, shared.
+        out = object.__new__(SentinelStore)
+        out.__dict__.update(self.__dict__)
+        out._per_conjunct = [store.__deepcopy__(memo) for store in self._per_conjunct]
+        return out
 
     def __len__(self) -> int:
-        return sum(
-            sum(map(bool, c.true_hist)) + sum(map(bool, c.false_hist))
-            for c in self._per_conjunct
-        )
+        return sum(int(c.has[: c.n].sum()) for c in self._per_conjunct)
 
     # -- recording ---------------------------------------------------------------
 
@@ -211,95 +383,27 @@ class SentinelStore:
 
         ``row_indices`` are positions in ``rel``; ``expected`` the resolved
         boolean per row; ``batch_no`` stamps the tightening history (used
-        to compute the recovery depth on a later flip). With
-        ``vectorize=True``, ordered comparisons fold the batch per entity
-        with array min/max before touching the dicts (bit-identical:
-        min/max folds commute, and entity equality is by value either
-        way).
+        to compute the recovery depth on a later flip). Recording has one
+        path whatever ``vectorize`` says: it folds the rows with array
+        min/max, equal to pushing them one by one (see
+        :meth:`_ConjunctSentinels.fold`).
         """
-        det_expr, unc_expr, cols = self._sides[conjunct_idx]
-        store = self._per_conjunct[conjunct_idx]
-        cmp_ = self.conjuncts[conjunct_idx]
-        op = cmp_.op if det_expr is cmp_.left or det_expr is None else _flip(cmp_.op)
-        det_values = (
-            np.asarray(det_expr.evaluate(rel), dtype=np.float64)
-            if det_expr is not None
-            else None
-        )
-        if (
-            vectorize
-            and det_values is not None
-            and op in ("<", "<=", ">", ">=")
-            and len(row_indices)
-            # Python's min/max are order-sensitive under NaN; keep the
-            # sequential reference fold there.
-            and not np.isnan(det_values[row_indices]).any()
-        ):
-            self._record_batched(
-                store, op, rel, row_indices, expected, cols, det_values, batch_no
-            )
-            return
-        columns = [rel.columns[c] for c in cols]
-        for i, exp in zip(row_indices, expected):
-            entity = tuple(column[i] for column in columns)
-            d = float(det_values[i]) if det_values is not None else 0.0
-            _push(op, bool(exp), store.history(entity, bool(exp)), batch_no, d)
-
-    def _record_batched(
-        self,
-        store: _ConjunctSentinels,
-        op: str,
-        rel,
-        row_indices: np.ndarray,
-        expected: np.ndarray,
-        cols: list[str],
-        det_values: np.ndarray,
-        batch_no: int,
-    ) -> None:
-        """Fold one batch per (entity, direction) before the dict merge."""
         idx = np.asarray(row_indices, dtype=np.intp)
-        m = len(idx)
+        if not len(idx):
+            return
+        det_expr, _unc_expr, cols = self._sides[conjunct_idx]
+        store = self._per_conjunct[conjunct_idx]
+        if det_expr is None:
+            det = np.zeros(len(idx))
+        else:
+            det = np.asarray(det_expr.evaluate(rel), dtype=np.float64)[idx]
+        slots = store.slots(rel, cols, idx)
         exp = np.asarray(expected, dtype=bool)
-        cell_cols = [np.asarray(rel.columns[c], dtype=object)[idx] for c in cols]
-        # Entity codes by cell identity. Equal-but-distinct cells land in
-        # different codes; the dict merge below re-unifies them by value,
-        # and min/max folds commute, so the result is unchanged. A column
-        # with a structured lineage sidecar yields the codes straight from
-        # its gids (intermediate code order is immaterial — the final
-        # iteration below is by first appearance either way).
-        codes = np.zeros(m, dtype=np.intp)
-        for c, arr in zip(cols, cell_cols):
-            lin = rel.lineage.get(c)
-            if lin is not None and len(lin) == len(rel.mult):
-                _, inv = np.unique(lin.gids[idx], return_inverse=True)
-            else:
-                ids = np.frompyfunc(id, 1, 1)(arr).astype(np.int64)
-                _, inv = np.unique(ids, return_inverse=True)
-            inv = inv.reshape(m).astype(np.intp, copy=False)
-            radix = int(inv.max()) + 1
-            _, codes = np.unique(codes * radix + inv, return_inverse=True)
-            codes = codes.reshape(m).astype(np.intp, copy=False)
-        num = int(codes.max()) + 1
-        d = det_values[idx]
-        for flag in (True, False):
-            mask = exp if flag else ~exp
-            if not mask.any():
-                continue
-            sub_codes = codes[mask]
-            sub_rows = np.flatnonzero(mask)
-            use_min = (op in (">", ">=")) == flag
-            fold = np.full(num, np.inf if use_min else -np.inf)
-            (np.minimum if use_min else np.maximum).at(fold, sub_codes, d[mask])
-            first = np.full(num, m, dtype=np.intp)
-            np.minimum.at(first, sub_codes, sub_rows)
-            present = np.unique(sub_codes)
-            for code in present[np.argsort(first[present], kind="stable")]:
-                row = first[code]
-                entity = tuple(col[row] for col in cell_cols)
-                _push(
-                    op, flag, store.history(entity, flag), batch_no,
-                    float(fold[code]),
-                )
+        if exp.all() or not exp.any():
+            store.fold(bool(exp[0]), slots, det, batch_no)
+            return
+        for flag, mask in ((True, exp), (False, ~exp)):
+            store.fold(flag, slots[mask], det[mask], batch_no)
 
     # -- checking -------------------------------------------------------------------
 
@@ -318,33 +422,27 @@ class SentinelStore:
         #: (minimum) recovery point of the whole store.
         violations: list[tuple[int, str]] = []
         for idx, store in enumerate(self._per_conjunct):
-            if not store.entities:
+            if not store.n:
                 continue
-            entities: Iterable[Entity] = store.entities
             suspects = self._suspects(idx, store, ctx) if ctx.config.vectorize else None
-            if suspects is not None:
-                flagged = set(suspects.tolist())
-                entities = [e for e, slot in entities.items() if slot in flagged] if flagged else ()
-            for entity in entities:
-                self._check_entity(idx, entity, ctx, violations)
+            slots = range(store.n) if suspects is None else suspects.tolist()
+            for slot in slots:
+                self._check_entity(idx, slot, ctx, violations)
         if violations:
             raise self._violation(ctx, violations)
 
     def _check_entity(
-        self, idx: int, entity: Entity, ctx: RuntimeContext, violations: list
+        self, idx: int, slot: int, ctx: RuntimeContext, violations: list
     ) -> None:
         """Row-wise check of one entity's two staircases (the reference,
         and what names the violation once the array pass found one)."""
         det_expr, _unc_expr, cols = self._sides[idx]
         cmp_, store = self.conjuncts[idx], self._per_conjunct[idx]
-        slot = store.entities[entity]
-        resolved = self._resolve_row(dict(zip(cols, entity)), ctx)
-        for expected, hist in (
-            (True, store.true_hist[slot]),
-            (False, store.false_hist[slot]),
-        ):
-            if not hist:
+        resolved = self._resolve_row(dict(zip(cols, store.entity(slot))), ctx)
+        for expected in (True, False):
+            if not store.has[slot, int(expected)]:
                 continue
+            hist = store.history(slot, expected)
             if resolved is None:
                 violations.append((
                     max(hist[0][0] - 1, 0),
@@ -381,18 +479,16 @@ class SentinelStore:
         plain reference into a published block)."""
         det_expr, _unc_expr, cols = self._sides[idx]
         cmp_ = self.conjuncts[idx]
-        n = len(store.entities)
+        n = store.n
         points: dict[str, np.ndarray] = {}
         vanished = np.zeros(n, dtype=bool)
         for j, name in enumerate(cols):
-            gathered = _gather_points(store, j, ctx)
+            gathered = store.gather(j, ctx)
             if gathered is None:
                 return None
             points[name], absent = gathered
             vanished |= absent
-        rows = Relation._from_parts(
-            Schema([(name, ColumnType.FLOAT) for name in cols]), points, np.ones(n)
-        )
+        rows = Relation._from_parts(self._point_schemas[idx], points, np.ones(n))
         with np.errstate(all="ignore"):
             # None marks the det side: the tightest recorded value, below.
             left, right = (
@@ -401,17 +497,14 @@ class SentinelStore:
                 for side in (cmp_.left, cmp_.right)
             )
         suspect = np.zeros(n, dtype=bool)
-        for expected, hists in ((True, store.true_hist), (False, store.false_hist)):
-            has = np.fromiter(map(bool, hists), dtype=bool, count=n)
-            tight = np.fromiter(
-                (h[-1][1] if h else 0.0 for h in hists), dtype=np.float64, count=n
-            )
+        for expected in (True, False):
+            tight = store.tight[:n, int(expected)]
             decided = _compare(
                 cmp_.op,
                 tight if left is None else left,
                 tight if right is None else right,
             )
-            suspect |= has & (vanished | (decided != expected))
+            suspect |= store.has[:n, int(expected)] & (vanished | (decided != expected))
         return np.flatnonzero(suspect)
 
     def _resolve_row(
@@ -459,17 +552,16 @@ class SentinelStore:
         )
 
     def reset(self) -> None:
-        self._per_conjunct = [_ConjunctSentinels() for _ in self.conjuncts]
+        self._per_conjunct = [
+            _ConjunctSentinels(op, len(cols))
+            for op, (_, _, cols) in zip(self._ops, self._sides)
+        ]
 
     def estimated_bytes(self) -> int:
-        total = 0
-        for store in self._per_conjunct:
-            for hists in (store.true_hist, store.false_hist):
-                for hist in hists:
-                    if hist:
-                        total += 40 + 24 * len(hist)
-            total += 96 * len(store.entities)
-        return total
+        return sum(
+            96 * store.n + 40 * int(store.has[: store.n].sum()) + 24 * store.log_n
+            for store in self._per_conjunct
+        )
 
 
 class MembershipSentinels:
@@ -479,69 +571,132 @@ class MembershipSentinels:
     side group's membership is stable. The sentinel per group is simply
     the expected membership; a flip of the group's current point
     membership invalidates those emissions.
+
+    Entries are slots in first-recorded order (``keys``, ``member``, the
+    batch each was first resolved in ``since``). The join records by side
+    gid (:meth:`record_gids`): ``slot_of_gid`` maps gids of one group
+    index to slots, so a batch of decisions costs one gather. The check
+    gathers every slot's current membership by gid in one pass.
     """
 
     def __init__(self) -> None:
-        self.expected: dict[tuple, bool] = {}
-        #: key -> batch at which the membership was first resolved; drives
+        self.reset()
+
+    def reset(self) -> None:
+        self.keys: list = []
+        self._slot_of: dict = {}
+        self.member = np.zeros(0, dtype=bool)
+        #: slot -> batch at which the membership was first resolved; drives
         #: ``recover_from_batch`` when the decision later flips.
-        self.resolved_at: dict[tuple, int] = {}
+        self.since = np.zeros(0, dtype=np.intp)
+        #: The group index gids below refer to, ``gid -> slot`` (``-1``:
+        #: none) and ``slot -> gid`` (``-1``: key not in the index).
+        self._index = None
+        self._slot_of_gid = np.zeros(0, dtype=np.intp)
+        self._gids = np.zeros(0, dtype=np.intp)
+
+    def __deepcopy__(self, memo: dict) -> "MembershipSentinels":
+        out = object.__new__(MembershipSentinels)
+        out.__dict__.update(self.__dict__)  # the index is run-long, shared
+        out.keys, out._slot_of = list(self.keys), dict(self._slot_of)
+        for name in ("member", "since", "_slot_of_gid", "_gids"):
+            setattr(out, name, getattr(self, name).copy())
+        return out
 
     def record(self, key: tuple, member: bool, batch_no: int = 0) -> None:
-        if key not in self.expected:
-            self.expected[key] = member
-            self.resolved_at[key] = batch_no
+        """Record one group's decision (the first record of a key wins)."""
+        if key not in self._slot_of:
+            self._append([key], np.array([member]), batch_no)
+
+    def record_gids(
+        self, index, gids: np.ndarray, member: np.ndarray, batch_no: int = 0
+    ) -> None:
+        """Record the decisions of distinct groups ``gids`` of ``index``
+        (the first record of a group wins)."""
+        if not len(gids):
+            return
+        self._use(index)
+        known = self._slot_of_gid[gids] >= 0
+        if known.all():
+            return
+        fresh = ~known
+        keys = [index.keys[g] for g in gids[fresh].tolist()]
+        new = np.fromiter((k not in self._slot_of for k in keys), bool, len(keys))
+        self._append([k for k, n in zip(keys, new) if n], member[fresh][new], batch_no)
+
+    def _append(self, keys: list, member: np.ndarray, batch_no: int) -> None:
+        start = len(self.keys)
+        for slot, key in enumerate(keys, start):
+            self._slot_of[key] = slot
+        self.keys.extend(keys)
+        self.member = np.concatenate([self.member, member])
+        self.since = np.concatenate([self.since, np.full(len(keys), batch_no)])
+        if self._index is not None:
+            self._map(start)
+
+    def _use(self, index) -> None:
+        """Point the gid maps at ``index`` (rebuilt if it changed)."""
+        if index is not self._index:
+            self._index = index
+            self._slot_of_gid = np.zeros(0, dtype=np.intp)
+            self._gids = np.zeros(0, dtype=np.intp)
+            self._map(0)
+        self._slot_of_gid = _room(self._slot_of_gid, len(index), -1)
+
+    def _map(self, start: int) -> None:
+        """Gids of slots ``start..`` in the current index."""
+        gid_of = self._index.gid_of
+        gids = np.fromiter(
+            (gid_of.get(k, -1) for k in self.keys[start:]), np.intp, len(self.keys) - start
+        )
+        self._gids = np.concatenate([self._gids[:start], gids])
+        found = gids >= 0
+        self._slot_of_gid = _room(self._slot_of_gid, int(gids.max(initial=-1)) + 1, -1)
+        self._slot_of_gid[gids[found]] = np.arange(start, len(self.keys))[found]
 
     def check(self, ctx: RuntimeContext, view) -> None:
         _traced(ctx, self, lambda: self._check(ctx, view))
 
     def _check(self, ctx: RuntimeContext, view) -> None:
-        if ctx.config.vectorize and view is not None:
-            flipped = self._flipped(view)
-        else:
-            flipped = [
-                key
-                for key, expected in self.expected.items()
-                if (
-                    view is not None
-                    and (group := view.get(key)) is not None
-                    and group.member_point
-                ) != expected
-            ]
-        if not flipped:
+        member_now = np.zeros(len(self.keys), dtype=bool)
+        if view is not None and self.keys:
+            self._use(view.index)
+            unmapped = np.flatnonzero(self._gids < 0)
+            if len(unmapped):
+                # Keys recorded before their group reached the index.
+                self._map_missing(unmapped)
+            gids = self._gids
+            present = ~view.absent(gids)
+            member_now[present] = view.member_point[gids[present]]
+        flipped = np.flatnonzero(member_now != self.member)
+        if not len(flipped):
             return
         ctx.monitor.record_failure()
-        recover_from = min(
-            max(self.resolved_at.get(key, 0) - 1, 0) for key in flipped
-        )
-        key = min(flipped, key=lambda k: self.resolved_at.get(k, 0))
+        recover_from = int(np.maximum(self.since[flipped] - 1, 0).min())
+        first = flipped[np.argmin(self.since[flipped])]
+        key = self.keys[first]
         more = f" (+{len(flipped) - 1} more)" if len(flipped) > 1 else ""
         raise RangeIntegrityError(
             f"membership of group {key!r} flipped (expected "
-            f"{self.expected[key]}) at batch {ctx.batch_no}{more}; "
+            f"{bool(self.member[first])}) at batch {ctx.batch_no}{more}; "
             f"state is consistent through batch {recover_from}",
             recover_from_batch=recover_from,
         )
 
-    def _flipped(self, view) -> list[tuple]:
-        """Keys whose current point membership differs from the recorded
-        one — one gather over the view's arrays."""
-        keys = list(self.expected)
-        gids = view.probe(keys)
-        member_now = gids >= 0
-        member_now[member_now] = view.member_point[gids[member_now]]
-        expected = np.fromiter(self.expected.values(), dtype=bool, count=len(keys))
-        return [keys[i] for i in np.flatnonzero(member_now != expected)]
-
-    def reset(self) -> None:
-        self.expected.clear()
-        self.resolved_at.clear()
+    def _map_missing(self, slots: np.ndarray) -> None:
+        gid_of = self._index.gid_of
+        gids = np.fromiter((gid_of.get(self.keys[s], -1) for s in slots.tolist()), np.intp, len(slots))
+        found = gids >= 0
+        if found.any():
+            self._gids[slots[found]] = gids[found]
+            self._slot_of_gid = _room(self._slot_of_gid, int(gids.max()) + 1, -1)
+            self._slot_of_gid[gids[found]] = slots[found]
 
     def __len__(self) -> int:
-        return len(self.expected)
+        return len(self.keys)
 
     def estimated_bytes(self) -> int:
-        return 56 * len(self.expected)
+        return 56 * len(self.keys)
 
 
 def point_of_safe(value: object) -> float:

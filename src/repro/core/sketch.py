@@ -13,9 +13,9 @@ features of every spec. Row 0 of a group's block holds its weights and
 row ``1+j`` its sums of feature ``j`` (each spec owns a contiguous run of
 rows, ``feature_rows``); column 0 is the actual multiplicity and column
 ``1+t`` trial ``t``. The persistent operator state folds batches in place
-with capacity doubling; transient bundles are also built from the
-volatile (non-deterministic) input rows each batch and merged at
-finalize time without touching the persistent sums.
+with capacity doubling; each batch's volatile (non-deterministic) input
+rows fold on top of a copy of it (:meth:`AggBundle.folded_with`), so
+the persistent sums never see them.
 
 Every fold is one contraction per group. The call's rows are sorted by
 group once (:class:`~repro.relational.groupby.RowSegments`) and two
@@ -37,6 +37,7 @@ seed bit-identical.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Sequence
 
 import numpy as np
@@ -64,20 +65,16 @@ class AggBundle:
     def __len__(self) -> int:
         return len(self.keys)
 
-    # -- construction ------------------------------------------------------------
+    def __deepcopy__(self, memo: dict) -> "AggBundle":
+        # Specs are compiled configuration and keys are immutable: a
+        # checkpoint owns only the containers and the sums.
+        out = object.__new__(AggBundle)
+        out.__dict__.update(self.__dict__)
+        out.keys, out.key_to_gid = list(self.keys), dict(self.key_to_gid)
+        out.acc = self.acc.copy()
+        return out
 
-    @classmethod
-    def from_relation(
-        cls,
-        rel: Relation,
-        group_by: Sequence[str],
-        specs: Sequence[AggSpec],
-        num_trials: int,
-    ) -> "AggBundle":
-        """One-shot bundle from a relation (used for volatile inputs)."""
-        bundle = cls(specs, num_trials)
-        bundle.fold(rel, group_by)
-        return bundle
+    # -- construction ------------------------------------------------------------
 
     def _ensure_groups(self, keys: Sequence[GroupKey]) -> np.ndarray:
         """Map keys to gids, allocating rows for unseen groups."""
@@ -107,11 +104,12 @@ class AggBundle:
 
     # -- delta update ---------------------------------------------------------------
 
-    def fold(self, rel: Relation, group_by: Sequence[str]) -> None:
-        """Fold a mini-batch of rows into the sums (the delta update)."""
+    def fold(self, rel: Relation, group_by: Sequence[str]) -> list[GroupKey]:
+        """Fold a mini-batch of rows into the sums (the delta update);
+        returns the distinct keys of its rows."""
         n = len(rel)
         if n == 0:
-            return
+            return []
         local_keys, local_gids = group_ids(rel, list(group_by))
         segments = RowSegments(self._ensure_groups(local_keys)[local_gids])
         order, groups = segments.order, segments.groups
@@ -124,7 +122,7 @@ class AggBundle:
             # are summed as they are, without widening.
             self.acc[groups, 0, 0] += segments.sums(mult)
             self.acc[groups, 0, 1:] += segments.sums(trial_w)
-            return
+            return local_keys
         weights = np.empty((n, 1 + self.num_trials))
         weights[:, 0] = mult
         weights[:, 1:] = trial_w
@@ -134,6 +132,7 @@ class AggBundle:
             if spec.func.num_features:
                 features[rows] = spec.func.features(spec.arg_values(rel))[:, order]
         self.acc[groups] += segments.contract(features, weights)
+        return local_keys
 
     def fold_values(
         self,
@@ -201,18 +200,28 @@ class AggBundle:
         self.acc[groups, row, 0] += segments.sums(values[order] * mult)
         self.acc[groups, row, 1:] += segments.sums(trial_values[order] * trial_mults)
 
-    # -- finalize ----------------------------------------------------------------------
+    def folded_with(self, rel: Relation, group_by: Sequence[str]) -> "AggBundle":
+        """A new bundle: these sums with ``rel`` folded on top, this one
+        untouched (the volatile rows of one batch over the persistent
+        state). Unseen groups follow this bundle's, in ``rel``'s
+        first-appearance order, through an overlay on the key → gid map.
 
-    def merged_with(self, other: "AggBundle | None") -> "AggBundle":
-        """A new bundle summing this one with ``other`` (keys unioned)."""
-        if other is None or len(other) == 0:
+        The sums equal folding ``rel`` into an empty bundle and adding the
+        two: each group's block gets its own rows' contraction either way,
+        and ``+ 0.0`` maps ``-0.0`` to ``0.0`` as adding into zeros does.
+        """
+        if not len(rel):
             return self
-        out = AggBundle(self.specs, self.num_trials)
-        for bundle in (self, other):
-            # A bundle's keys are distinct, so plain fancy += adds every row.
-            gids = out._ensure_groups(bundle.keys)
-            out.acc[gids] += bundle.acc[: len(bundle)]
+        out = object.__new__(AggBundle)
+        out.specs, out.num_trials = self.specs, self.num_trials
+        out.feature_rows = self.feature_rows
+        out.keys = list(self.keys)
+        out.key_to_gid = ChainMap({}, self.key_to_gid)
+        out.acc = self.acc + 0.0
+        out.fold(rel, group_by)
         return out
+
+    # -- finalize ----------------------------------------------------------------------
 
     def finalize(
         self, spec_index: int, scale: float

@@ -17,11 +17,16 @@ default is the inert :data:`NULL_OBS`):
   estimate ± CI view and the post-hoc trace summary.
 
 See DESIGN.md §9 for the span taxonomy and the event schema.
+
+The engine imports this package on every run, so only the pieces a run
+needs load eagerly; the exporters, profiler, report, cost model and
+Chrome writer (``http.server`` among their imports) load on first access
+to one of their names.
 """
 
-from repro.obs.chrome import to_chrome, write_chrome
+from importlib import import_module
+
 from repro.obs.convergence import ConvergenceReporter
-from repro.obs.costmodel import CostModel
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
@@ -38,29 +43,40 @@ from repro.obs.registry import (
     NullRegistry,
     metric_key,
 )
-from repro.obs.export import (
-    MetricsHTTPServer,
-    TextfileExporter,
-    TopView,
-    parse_listen,
-    parse_prometheus_text,
-    prometheus_text,
-)
-from repro.obs.profile import (
-    ContinuousProfiler,
-    ProfileStore,
-    QueryProfile,
-    plan_signature,
-)
-from repro.obs.report import (
-    REPORT_SCHEMA_VERSION,
-    TraceSummary,
-    render_report,
-    validate_report,
-)
 from repro.obs.session import NULL_OBS, MetricsObservability, Observability
 from repro.obs.sinks import EventBus, EventSink, JsonlSink, MemorySink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+
+#: Names served lazily by :func:`__getattr__`, by defining submodule.
+_LAZY = {
+    "to_chrome": "chrome",
+    "write_chrome": "chrome",
+    "CostModel": "costmodel",
+    "MetricsHTTPServer": "export",
+    "TextfileExporter": "export",
+    "TopView": "export",
+    "parse_listen": "export",
+    "parse_prometheus_text": "export",
+    "prometheus_text": "export",
+    "ContinuousProfiler": "profile",
+    "ProfileStore": "profile",
+    "QueryProfile": "profile",
+    "plan_signature": "profile",
+    "REPORT_SCHEMA_VERSION": "report",
+    "TraceSummary": "report",
+    "render_report": "report",
+    "validate_report": "report",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"repro.obs.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "EVENT_KINDS",

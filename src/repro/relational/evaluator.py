@@ -165,17 +165,17 @@ def _join_trials(
     rm: np.ndarray,
 ) -> "np.ndarray | LazyTrials | None":
     """Trial weights of the joined rows ``(li, ri)``; ``lm``/``rm`` are the
-    sides' gathered multiplicities. Lazy weights joined with a trial-less
-    side of unit multiplicity (a dimension table) stay lazy: the product
-    would multiply every count by 1.0."""
+    sides' gathered multiplicities. Weights joined with a trial-less side
+    of unit multiplicity (a dimension table) are gathered as they are,
+    lazy or drawn: the product would multiply every count by 1.0."""
     # Ids no run has installed (a disk table as dimension side) are not trials.
     lt, rt = (
         None if isinstance(t, LazyTrials) and t.source is None else t
         for t in (left._trials, right._trials)
     )
-    if rt is None and isinstance(lt, LazyTrials) and (rm == 1.0).all():
+    if rt is None and lt is not None and (rm == 1.0).all():
         return lt[li]
-    if lt is None and isinstance(rt, LazyTrials) and (lm == 1.0).all():
+    if lt is None and rt is not None and (lm == 1.0).all():
         return rt[ri]
     lt, rt = left.trials_at(li), right.trials_at(ri)
     if lt is None and rt is None:

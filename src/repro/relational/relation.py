@@ -92,7 +92,11 @@ class LazyTrials:
         return (len(self.ids), 0 if self.source is None else self.source.num_trials)
 
     def draw(self) -> np.ndarray | None:
-        return None if self.source is None else self.source.draw_trials(self.ids)
+        if self.source is None:
+            return None
+        if not len(self.ids):
+            return np.zeros(self.shape, dtype=np.uint8)
+        return self.source.draw_trials(self.ids)
 
 
 class Relation:
@@ -286,6 +290,8 @@ class Relation:
     def filter(self, mask: np.ndarray) -> "Relation":
         """Rows where boolean ``mask`` holds (multiplicities preserved)."""
         mask = np.asarray(mask)
+        if mask.dtype == bool and len(mask) == self._n and mask.all():
+            return self  # immutable: every row kept is this relation
         cols = {n: a[mask] for n, a in self.columns.items()}
         trials = None if self._trials is None else self._trials[mask]
         return Relation._from_parts(

@@ -101,7 +101,8 @@ class SelfSizingSet(set):
 
     def update(self, *iterables: object) -> None:  # type: ignore[override]
         for iterable in iterables:
-            for item in iterable:  # type: ignore[attr-defined]
+            # Only the items not yet in the set cost a Python step.
+            for item in set(iterable).difference(self):  # type: ignore[call-overload]
                 self.add(item)
 
     def discard(self, item: object) -> None:

@@ -103,11 +103,11 @@ class TestLineageIsTheGid:
                     if nd is None or not len(nd):
                         continue
                     refs = [
-                        c for c, a in nd.columns.items()
+                        c for c, a in nd.rows.columns.items()
                         if a.dtype == object and isinstance(a[0], LineageRef)
                     ]
-                    # The sidecar survives every concat of the ND store.
-                    assert refs and set(refs) <= set(nd.lineage), namespace
+                    # The sidecar survives every append to the ND store.
+                    assert refs and set(refs) <= set(nd.rows.lineage), namespace
         finally:
             session.close()
         assert counts["gathers"] > 0

@@ -9,6 +9,8 @@ whole-engine runs with ``vectorize`` on/off.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineQueryEngine, classify
 from repro.core.blocks import (
@@ -23,6 +25,7 @@ from repro.core.operators.base import SpineOp, StateRule, TagRule
 from repro.core.operators.join import UncertainJoinOp
 from repro.core.sentinels import SentinelStore
 from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.errors import RangeIntegrityError
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import (
     grouped_indices,
@@ -580,68 +583,195 @@ class TestHolisticKernels:
             Quantile(0.0)
 
 
-class TestVectorizedSentinels:
-    def make_stores(self):
-        cmp_ = Comparison(">", Col("d"), Col("u"))
-        return (
-            SentinelStore([cmp_], {"u"}),
-            SentinelStore([cmp_], {"u"}),
+_FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+class _ReferenceStaircases:
+    """Brute-force sentinels: one dict-held staircase per (entity,
+    direction), every row pushed on its own — the semantics the array
+    store must reproduce, NaN det values included."""
+
+    def __init__(self, cmp_: Comparison):
+        self.cmp = cmp_
+        self.det_left = cmp_.left.attrs() == {"d"}
+        self.op = cmp_.op if self.det_left else _FLIP[cmp_.op]
+        #: entity -> {expected: [(batch, det), ...]}, first-recorded order
+        self.hist: dict = {}
+
+    def record(self, rel, rows, expected, batch_no):
+        for i, exp in zip(rows, expected):
+            entity = (rel.columns["u"][i],)
+            hist = self.hist.setdefault(entity, {True: [], False: []})[bool(exp)]
+            self._push(bool(exp), hist, batch_no, float(rel.columns["d"][i]))
+
+    def _push(self, expected, hist, batch_no, value):
+        if not hist:
+            hist.append((batch_no, value))
+            return
+        last_batch, last = hist[-1]
+        if self.op in (">", ">="):
+            tight = min(last, value) if expected else max(last, value)
+        elif self.op in ("<", "<="):
+            tight = max(last, value) if expected else min(last, value)
+        else:
+            tight = value
+        if tight == last:
+            return
+        if self.op in ("==", "!="):
+            hist[:] = [(batch_no, tight)]
+        elif last_batch == batch_no:
+            hist[-1] = (batch_no, tight)
+        else:
+            hist.append((batch_no, tight))
+
+    def holds(self, det, unc):
+        a, b = (det, unc) if self.det_left else (unc, det)
+        with np.errstate(invalid="ignore"):
+            return bool(
+                {">": np.greater, ">=": np.greater_equal, "<": np.less,
+                 "<=": np.less_equal, "==": np.equal, "!=": np.not_equal}[self.cmp.op](a, b)
+            )
+
+    def outcome(self, points: dict, batch_no: int):
+        """``(recover_from_batch, message)`` of a check against ``points``
+        (entity key -> current point; a missing key has vanished)."""
+        violations = []
+        for (ref,), by_dir in self.hist.items():
+            for expected in (True, False):
+                hist = by_dir[expected]
+                if not hist:
+                    continue
+                if ref.key not in points:
+                    violations.append((
+                        max(hist[0][0] - 1, 0),
+                        f"entity vanished (first resolved at batch {hist[0][0]})",
+                    ))
+                    continue
+                unc = points[ref.key]
+                tight = hist[-1][1]
+                if self.holds(tight, unc) == expected:
+                    continue
+                first = min(b for b, det in hist if self.holds(det, unc) != expected)
+                violations.append((
+                    max(first - 1, 0),
+                    f"resolved decision flipped: {self.cmp!r} expected {expected} "
+                    f"for det value {tight!r} (earliest flip resolved at batch {first})",
+                ))
+        if not violations:
+            return None
+        recover_from = min(b for b, _ in violations)
+        reason = violations[0][1]
+        if len(violations) > 1:
+            reason += f" (+{len(violations) - 1} more)"
+        return recover_from, (
+            f"sentinel violation at batch {batch_no}: {reason}; "
+            f"state is consistent through batch {recover_from}"
         )
 
-    def rel(self, d_values, keys):
+
+class TestVectorizedSentinels:
+    """The array sentinel store against :class:`_ReferenceStaircases`:
+    every check outcome — whether it fails, its recovery depth and its
+    wording — equals the brute-force staircase's."""
+
+    def make_stores(self, cmp_=None):
+        cmp_ = cmp_ or Comparison(">", Col("d"), Col("u"))
+        return SentinelStore([cmp_], {"u"}), _ReferenceStaircases(cmp_)
+
+    def rel(self, d_values, keys, sidecar=False):
         n = len(d_values)
         refs = np.empty(n, dtype=object)
         for i in range(n):
-            refs[i] = LineageRef(1, (keys[i],), "v")
-        return Relation(
+            refs[i] = LineageRef(1, (int(keys[i]),), "v")
+        rel = Relation(
             Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)]),
             {"d": np.asarray(d_values, dtype=float), "u": refs},
         )
+        if sidecar:
+            # Gids of a fixed key -> gid map (key k has gid 10 - k).
+            gids = 10 - np.asarray(keys, dtype=np.intp)
+            rel = Relation._from_parts(
+                rel.schema, rel.columns, rel.mult,
+                lineage={"u": LineageColumn(1, "v", gids)},
+            )
+        return rel
 
-    def assert_stores_equal(self, a, b):
-        def by_entity(store):
-            # Slot numbering is free; histories per entity are not.
-            return {
-                ent: (store.true_hist[slot], store.false_hist[slot])
-                for ent, slot in store.entities.items()
-            }
-
-        for sa, sb in zip(a._per_conjunct, b._per_conjunct):
-            assert by_entity(sa) == by_entity(sb)
+    def assert_matches_reference(self, store, ref, probes=(), keys=range(4)):
+        """Check both against every entity at each probe estimate (and at
+        each recorded det value, just above and below it, NaN and gone)."""
+        dets = [d for by_dir in ref.hist.values() for h in by_dir.values() for _, d in h]
+        values = set(probes) | {float("nan"), None}
+        for d in dets:
+            if d == d:
+                values |= {d, d - 0.25, d + 0.25}
+        for value in values:
+            ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=2))
+            ctx.batch_no = 99
+            points = {}
+            for k in keys if value is not None else ():
+                points[(k,)] = value
+                uv = UncertainValue(value, np.full(2, value), lineage=LineageRef(1, (k,), "v"))
+                publish_group(ctx, 1, ["v"], GroupValue((k,), {"v": uv}, True))
+            try:
+                store.check(ctx)
+                got = None
+            except RangeIntegrityError as failure:
+                got = (failure.recover_from_batch, str(failure))
+            assert got == ref.outcome(points, 99), value
 
     def test_batched_fold_equals_sequential(self):
         rng = np.random.default_rng(4)
-        vec, ref = self.make_stores()
-        for _ in range(3):
+        store, ref = self.make_stores()
+        for batch_no in (1, 1, 2, 4):
             d = np.round(rng.normal(10, 5, 30), 3)
             keys = rng.integers(0, 4, 30)
-            rel = self.rel(d, keys)
+            rel = self.rel(d, keys, sidecar=batch_no % 2 == 0)
             rows = np.arange(30)
             expected = rng.random(30) > 0.5
-            vec.record(0, rel, rows, expected, vectorize=True)
-            ref.record(0, rel, rows, expected, vectorize=False)
-        self.assert_stores_equal(vec, ref)
+            store.record(0, rel, rows, expected, batch_no=batch_no)
+            ref.record(rel, rows, expected, batch_no)
+        self.assert_matches_reference(store, ref)
 
     def test_nan_det_values_use_reference(self):
-        vec, ref = self.make_stores()
-        d = np.array([1.0, float("nan"), 3.0])
-        rel = self.rel(d, [0, 0, 1])
-        rows = np.arange(3)
-        expected = np.array([True, True, False])
-        vec.record(0, rel, rows, expected, vectorize=True)
-        ref.record(0, rel, rows, expected, vectorize=False)
-        self.assert_stores_equal(vec, ref)
+        store, ref = self.make_stores()
+        for batch_no, (d, keys, expected) in enumerate([
+            ([1.0, float("nan"), 3.0], [0, 0, 1], [True, True, False]),
+            ([float("nan"), 0.5, 7.0], [2, 0, 1], [True, True, False]),
+            ([-1.0, 9.0], [2, 1], [True, False]),
+        ], start=1):
+            rel = self.rel(d, keys)
+            store.record(0, rel, np.arange(len(d)), np.array(expected), batch_no=batch_no)
+            ref.record(rel, np.arange(len(d)), expected, batch_no)
+        self.assert_matches_reference(store, ref, keys=range(3))
 
     def test_equality_op_uses_reference(self):
-        cmp_ = Comparison("==", Col("d"), Col("u"))
-        vec = SentinelStore([cmp_], {"u"})
-        ref = SentinelStore([cmp_], {"u"})
-        rel = self.rel([1.0, 2.0, 1.5], [0, 0, 0])
-        rows = np.arange(3)
-        expected = np.array([False, False, True])
-        vec.record(0, rel, rows, expected, vectorize=True)
-        ref.record(0, rel, rows, expected, vectorize=False)
-        self.assert_stores_equal(vec, ref)
+        store, ref = self.make_stores(Comparison("==", Col("d"), Col("u")))
+        for batch_no, d in ((1, [1.0, 2.0, 1.5]), (2, [1.5, 1.5, 2.5]), (3, [2.5, 2.5, 2.5])):
+            rel = self.rel(d, [0, 0, 0])
+            expected = np.array([False, False, True])
+            store.record(0, rel, np.arange(3), expected, batch_no=batch_no)
+            ref.record(rel, np.arange(3), expected, batch_no)
+        self.assert_matches_reference(store, ref, keys=[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_staircases_match_reference(self, data):
+        op = data.draw(st.sampled_from(sorted(_FLIP)), label="op")
+        det_left = data.draw(st.booleans(), label="det on the left")
+        cmp_ = Comparison(op, Col("d"), Col("u")) if det_left else Comparison(op, Col("u"), Col("d"))
+        store, ref = self.make_stores(cmp_)
+        value = st.one_of(st.just(float("nan")), st.integers(-8, 8).map(lambda i: i / 2))
+        batch_no = 0
+        for _ in range(data.draw(st.integers(1, 6), label="calls")):
+            batch_no += data.draw(st.integers(0, 2), label="batch step")
+            n = data.draw(st.integers(1, 6), label="rows")
+            d = [data.draw(value) for _ in range(n)]
+            keys = [data.draw(st.integers(0, 3)) for _ in range(n)]
+            expected = np.array([data.draw(st.booleans()) for _ in range(n)])
+            rel = self.rel(d, keys, sidecar=data.draw(st.booleans(), label="sidecar"))
+            store.record(0, rel, np.arange(n), expected, batch_no=batch_no)
+            ref.record(rel, np.arange(n), expected, batch_no)
+        self.assert_matches_reference(store, ref, probes=[-5.0, 0.0, 5.0])
 
 
 # -- whole-engine bit identity -----------------------------------------------------

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from urllib.request import urlopen
 
 import pytest
@@ -40,6 +42,30 @@ def make_registry() -> MetricsRegistry:
     reg.histogram("batch.seconds").observe(1.5)
     reg.gauge("costmodel.predicted_seconds").set(0.25)
     return reg
+
+
+class TestLazyImport:
+    def test_engine_import_leaves_exporters_unloaded(self):
+        """The engine imports ``repro.obs`` on every run; the exporters
+        (and ``http.server`` with them) load only when a name is used."""
+        code = (
+            "import sys, repro.core\n"
+            "loaded = [m for m in ('http.server', 'repro.obs.export') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}
+        )
+
+    def test_lazy_names_resolve(self):
+        import repro.obs
+        import repro.obs.export
+
+        assert repro.obs.MetricsHTTPServer is repro.obs.export.MetricsHTTPServer
+        assert set(repro.obs.__all__) <= set(dir(repro.obs)) | set(repro.obs._LAZY)
+        with pytest.raises(AttributeError):
+            repro.obs.no_such_name
 
 
 class TestPrometheusText:

@@ -202,7 +202,10 @@ class TestMembershipSentinels:
         ms = MembershipSentinels()
         ms.record(("g",), True)
         ms.record(("g",), False)
-        assert ms.expected[("g",)] is True
+        ctx = make_ctx()
+        ms.check(ctx, self.view(ctx, member_point=True))  # True was kept
+        with pytest.raises(RangeIntegrityError):
+            ms.check(ctx, self.view(ctx, member_point=False))
 
     def test_reset(self):
         ms = MembershipSentinels()
@@ -439,14 +442,16 @@ class TestVectorizedCheckMatchesRowwise:
             for block_id, points in before.items()
         }
         vec_ctx, ref_ctx = self.contexts(published)
-        needed = {1, 2} if which == 2 else {1}
-        if needed <= set(vec_ctx.blocks):
-            # The array pass decides; it does not fall back to all rows.
-            per_conjunct = store._per_conjunct[0]
-            assert store._suspects(0, per_conjunct, vec_ctx) is not None
+        resolved = []
+        resolve = vec_ctx.resolve
+        vec_ctx.resolve = lambda ref: resolved.append(ref) or resolve(ref)
         got = self.outcome(lambda: store.check(vec_ctx))
         want = self.outcome(lambda: store.check(ref_ctx))
         assert got == want
+        needed = {1, 2} if which == 2 else {1}
+        if needed <= set(vec_ctx.blocks) and got is None:
+            # The array pass decides; it does not fall back to all rows.
+            assert resolved == []
         assert vec_ctx.monitor.failures == ref_ctx.monitor.failures
 
     @settings(max_examples=40, deadline=None)

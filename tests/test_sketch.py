@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sketch import AggBundle
-from repro.relational import avg, count, sum_, var
+from repro.relational import ColumnType, avg, count, sum_, var
 from repro.relational.evaluator import join_relations
 from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation, relation_from_columns
@@ -115,39 +115,61 @@ class TestFoldValues:
         assert list(trials[0]) == [7.0, 70.0]
 
 
-class TestMerge:
-    def test_merged_with_none(self):
+class TestFoldedWith:
+    def test_folded_with_no_rows_is_self(self):
         b = AggBundle(SPECS, 3)
-        assert b.merged_with(None) is b
+        assert b.folded_with(with_trials(random_kx(0, seed=1)), ["k"]) is b
 
-    def test_merge_unions_keys(self):
+    def test_folded_with_unions_keys(self):
         rel = with_trials(random_kx(100, seed=5, groups=4))
         left = AggBundle(SPECS, 3)
         left.fold(rel.filter(rel.column("k") < 2), ["k"])
-        right = AggBundle(SPECS, 3)
-        right.fold(rel.filter(rel.column("k") >= 2), ["k"])
-        merged = left.merged_with(right)
-        assert len(merged) == 4
+        out = left.folded_with(rel.filter(rel.column("k") >= 2), ["k"])
+        assert len(out) == 4 and len(left) == 2
+        assert out.keys[:2] == left.keys
 
-    def test_merge_sums_overlapping_groups(self):
+    def test_folded_with_sums_overlapping_groups(self):
         rel = with_trials(random_kx(100, seed=5, groups=2))
         a = AggBundle(SPECS, 3)
         a.fold(rel, ["k"])
-        merged = a.merged_with(a)
+        out = a.folded_with(rel, ["k"])
         va, _ = a.finalize(0, 1.0)
-        vm, _ = merged.finalize(0, 1.0)
-        order_a = {k: i for i, k in enumerate(a.keys)}
-        order_m = {k: i for i, k in enumerate(merged.keys)}
-        for key in order_a:
-            assert vm[order_m[key]] == pytest.approx(2.0 * va[order_a[key]])
+        vm, _ = out.finalize(0, 1.0)
+        for i, key in enumerate(a.keys):
+            assert vm[out.keys.index(key)] == pytest.approx(2.0 * va[i])
 
-    def test_merge_does_not_mutate_inputs(self):
+    def test_folded_with_does_not_mutate_self(self):
         rel = with_trials(random_kx(50, seed=5, groups=2))
         a = AggBundle(SPECS, 3)
         a.fold(rel, ["k"])
-        before = a.acc.copy()
-        a.merged_with(a)
-        assert (a.acc == before).all()
+        before, keys = a.acc.copy(), list(a.keys)
+        a.folded_with(with_trials(random_kx(50, seed=6, groups=4)), ["k"])
+        assert (a.acc == before).all() and a.keys == keys
+        assert set(a.key_to_gid) == set(keys)
+
+    def test_bits_equal_a_separate_bundle_added_in(self):
+        """Every block is the persistent block plus the volatile rows' own
+        block, as adding a separately folded bundle into zeros gives —
+        ``-0.0`` blocks (zero weights times negative features) included."""
+        def rows(n, seed, groups, weight):
+            rel = with_trials(random_kx(n, seed=seed, groups=groups), weight)
+            rel = rel.with_mult(rel.mult * weight, rel.trial_mults)
+            return rel.with_column("neg", ColumnType.FLOAT, -np.ones(n))
+
+        specs = [sum_("neg", "sn"), avg("x", "ax")]
+        base = AggBundle(specs, 3)
+        base.fold(rows(60, 7, 3, 0.0), ["k"])
+        vol = rows(40, 8, 5, 0.0)
+        alone = AggBundle(specs, 3)
+        alone.fold(vol, ["k"])
+        out = base.folded_with(vol, ["k"])
+        for gid, key in enumerate(out.keys):
+            want = np.zeros(out.acc.shape[1:])
+            if key in base.key_to_gid:
+                want = want + base.acc[base.key_to_gid[key]]
+            if key in alone.key_to_gid:
+                want = want + alone.acc[alone.key_to_gid[key]]
+            assert want.tobytes() == out.acc[gid].tobytes(), key
 
 
 class TestBytes:
@@ -460,7 +482,8 @@ class TestCapacity:
                 assert (got == want).all()
 
     def test_one_shot_bundle_allocates_exactly(self):
-        b = AggBundle.from_relation(with_trials(random_kx(50, seed=1, groups=5)), ["k"], SPECS, 3)
+        b = AggBundle(SPECS, 3)
+        b.fold(with_trials(random_kx(50, seed=1, groups=5)), ["k"])
         assert b.acc.shape == (5, 1 + 2, 1 + 3)  # 5 groups, [1; sx; ax], [mult | 3 trials]
 
 
