@@ -139,7 +139,7 @@ class HDAExecutor:
 
     def run(self, plan: PlanNode, num_batches: int) -> Iterator[HDAPartial]:
         streamed = self.catalog.get(self.streamed_table)
-        batches = self.partitioner.partition(streamed, num_batches)
+        batches = self.partitioner.source(streamed, num_batches)
         outer_plan, views = self._split(plan)
         outer_reads_data = bool(
             self.streamed_table in outer_plan.base_tables()

@@ -2,6 +2,7 @@
 
 from repro.batching.partitioner import (
     BatchInfo,
+    BatchSource,
     Partitioner,
     num_batches_for,
     shuffle_relation,
@@ -10,6 +11,7 @@ from repro.batching.stratified import StratifiedPartitioner, stratum_coverage
 
 __all__ = [
     "BatchInfo",
+    "BatchSource",
     "Partitioner",
     "StratifiedPartitioner",
     "num_batches_for",

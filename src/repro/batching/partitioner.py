@@ -14,13 +14,15 @@ are provided, mirroring the paper:
   disk ingestion): every batch is then a zero-copy
   :meth:`~repro.relational.relation.Relation.slice`.
 
-Whatever the mode, :meth:`Partitioner.partition` materializes a batch
-with ``Relation.slice`` (views, no copies) whenever its sorted row
-indices turn out contiguous, and falls back to ``take`` gathers
-otherwise. Every batch carries its rows' indices in the partitioned
-relation (:class:`~repro.relational.relation.LazyTrials` with no source
-yet): the global row ids the run's bootstrap weights are a function of,
-so a row keeps its weights whatever the mode or the batch count.
+Whatever the mode, :meth:`Partitioner.source` computes only the batches'
+row indices; its :class:`BatchSource` gathers batch ``i`` when a run asks
+for it, with ``Relation.slice`` (views, no copies) whenever the sorted
+row indices turn out contiguous and ``take`` gathers otherwise. A run
+that stops after batch ``k`` never gathers the rest. Every batch carries
+its rows' indices in the partitioned relation
+(:class:`~repro.relational.relation.LazyTrials` with no source yet): the
+global row ids the run's bootstrap weights are a function of, so a row
+keeps its weights whatever the mode or the batch count.
 
 The partitioner also exposes the accumulated-sampling bookkeeping: after
 batch ``i`` the engine has seen ``|D_i|`` rows of ``|D|``, so partial
@@ -29,8 +31,8 @@ aggregates extrapolate with ``m_i = |D| / |D_i|``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -97,22 +99,52 @@ class Partitioner:
             )
         return [np.sort(part) for part in np.array_split(order, num_batches)]
 
+    def source(
+        self,
+        relation: Relation,
+        num_batches: int,
+        columns: Sequence[str] | None = None,
+    ) -> "BatchSource":
+        """The mini-batches of ``relation``, each gathered on demand, of
+        ``columns`` only when given: what is not read is not gathered."""
+        indices = self._batch_indices(relation, num_batches)
+        if columns is not None:
+            relation = relation.project(columns)
+        return BatchSource(relation, indices)
+
     def partition(
         self,
         relation: Relation,
         num_batches: int,
         columns: Sequence[str] | None = None,
     ) -> list[Relation]:
-        """Materialized mini-batch relations (zero-copy when contiguous),
-        of ``columns`` only when given: what is not read is not gathered."""
-        indices = self._batch_indices(relation, num_batches)
-        if columns is not None:
-            relation = relation.project(columns)
-        return [_materialize_batch(relation, ix) for ix in indices]
+        """Every mini-batch relation at once (zero-copy when contiguous)."""
+        return list(self.source(relation, num_batches, columns))
 
     def _batch_indices(self, relation: Relation, num_batches: int) -> list[np.ndarray]:
         """Each batch's sorted row indices (value-aware subclasses override)."""
         return self.partition_indices(len(relation), num_batches)
+
+
+class BatchSource(Sequence):
+    """One run's mini-batches, gathered only when indexed.
+
+    Holds the streamed relation (already projected to the columns the run
+    reads) and each batch's sorted row indices. ``source[i]`` gathers
+    batch ``i + 1`` afresh and keeps nothing: work and memory follow the
+    batches a run consumes, and a recovery replay re-gathers the same
+    bits.
+    """
+
+    def __init__(self, relation: Relation, indices: list[np.ndarray]):
+        self.relation = relation
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int) -> Relation:
+        return _materialize_batch(self.relation, self.indices[i])
 
 
 def _materialize_batch(relation: Relation, ix: np.ndarray) -> Relation:

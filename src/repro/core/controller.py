@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
-from repro.batching.partitioner import Partitioner
+from repro.batching.partitioner import BatchSource, Partitioner
 from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.compiler import CompiledQuery, compile_online
 from repro.core.result import PartialResult
@@ -133,7 +133,7 @@ class OnlineQueryEngine:
             )
             obs.flush()
             raise
-        batches = self.partitioner.partition(
+        batches = self.partitioner.source(
             streamed, num_batches, compiled.stream_columns
         )
         ctx = self._make_context(len(streamed))
@@ -191,7 +191,7 @@ class OnlineQueryEngine:
         self,
         compiled: CompiledQuery,
         ctx: RuntimeContext,
-        batches: list[Relation],
+        batches: BatchSource,
         batch_no: int,
         delta: Relation,
         bm: BatchMetrics,
@@ -243,7 +243,7 @@ class OnlineQueryEngine:
         self,
         compiled: CompiledQuery,
         ctx: RuntimeContext,
-        batches: list[Relation],
+        batches: BatchSource,
         failed_batch: int,
         recover_from: int,
         bm: BatchMetrics,
@@ -401,7 +401,10 @@ class OnlineQueryEngine:
         return PartialResult(
             batch_no=batch_no,
             num_batches=num_batches,
-            fraction_processed=ctx.seen_rows / max(ctx.total_rows, 1),
+            # An empty stream's one batch processed all of it.
+            fraction_processed=(
+                ctx.seen_rows / ctx.total_rows if ctx.total_rows else 1.0
+            ),
             schema=compiled.result_schema,
             rows=rows,
             metrics=bm,
@@ -422,7 +425,7 @@ class RunSession:
         engine: OnlineQueryEngine,
         compiled: CompiledQuery,
         ctx: RuntimeContext,
-        batches: list[Relation],
+        batches: BatchSource,
         baseline: dict[str, object],
         obs,
         run_span,
@@ -444,13 +447,17 @@ class RunSession:
         profiler = engine.profiler
         tracer = obs.tracer
         i = batch_no
-        delta = self.batches[i - 1]
         bm = engine.metrics.start_batch(i)
         if profiler is not None:
             t0 = time.perf_counter()
-            bm.predicted_seconds = profiler.predict_batch_seconds(len(delta))
+            bm.predicted_seconds = profiler.predict_batch_seconds(
+                len(self.batches.indices[i - 1])
+            )
             engine.metrics.profile_seconds += time.perf_counter() - t0
         started = time.perf_counter()
+        # Gathered here, not at open_run: the first estimate waits for
+        # one batch, and a run that stops early never gathers the rest.
+        delta = self.batches[i - 1]
         if tracer.enabled:
             with tracer.span(
                 "batch", cat="exec", batch=i, rows=len(delta)

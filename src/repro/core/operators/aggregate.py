@@ -324,20 +324,24 @@ class AggregateOp(SpineOp):
             if obs_on
             else None
         )
-        ucols: dict[str, UColumn] = {}
-        for spec in self.specs:
-            points, trials = cols[spec.name]
-            if ctx.config.vectorize:
-                # One (G, T) reduction per spec column, bit-identical to
-                # the per-cell observe() loop of the reference.
-                lo, hi = ctx.monitor.observe_batch(points, trials)
-            else:
+        columns = [cols[spec.name] for spec in self.specs]
+        if ctx.config.vectorize:
+            # One (K·G, T) reduction for every spec column, bit-identical
+            # to the per-cell observe() loop of the reference.
+            bounds = ctx.monitor.observe_columns(columns)
+        else:
+            bounds = []
+            for points, trials in columns:
                 ranges = [
                     ctx.monitor.observe(float(p), row)
                     for p, row in zip(points, trials)
                 ]
-                lo = np.array([r.lo for r in ranges], dtype=np.float64)
-                hi = np.array([r.hi for r in ranges], dtype=np.float64)
+                bounds.append((
+                    np.array([r.lo for r in ranges], dtype=np.float64),
+                    np.array([r.hi for r in ranges], dtype=np.float64),
+                ))
+        ucols: dict[str, UColumn] = {}
+        for spec, (points, trials), (lo, hi) in zip(self.specs, columns, bounds):
             if width_hist is not None:
                 for width in (hi - lo).tolist():
                     width_hist.observe(width)

@@ -70,5 +70,26 @@ class RangeMonitor:
             return np.full(g, -np.inf), np.full(g, np.inf)
         return batched_range_bounds(points, trials, self.slack)
 
+    def observe_columns(
+        self, columns: list[tuple[np.ndarray, np.ndarray]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`observe_batch` over every ``(points, trials)`` column of
+        one block in a single call: the columns are stacked row-wise and
+        the bounds split back per column. ``batched_range_bounds`` reduces
+        row by row, so each column's bounds are the bits its own call
+        would give."""
+        if not columns:
+            return []
+        lo, hi = self.observe_batch(
+            np.concatenate([points for points, _ in columns]),
+            np.concatenate([trials for _, trials in columns]),
+        )
+        bounds, start = [], 0
+        for points, _ in columns:
+            stop = start + len(points)
+            bounds.append((lo[start:stop], hi[start:stop]))
+            start = stop
+        return bounds
+
     def record_failure(self) -> None:
         self.failures += 1

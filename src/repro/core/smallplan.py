@@ -417,12 +417,16 @@ class SmallAggregate(SmallNode):
         weights[:, 0] = f.point
         weights[:, 1:] = True if f.exist is None else f.exist
         totals = _group_sums(codes, g, weights)
-        columns: dict[str, UColumn | np.ndarray] = {}
+        estimates = []
         for spec in self.specs:
             values, plain = _argument(f, spec, t)
             out = _aggregate(spec.func, values, weights, codes, g, totals, plain)
-            points, trials = out[:, 0].copy(), out[:, 1:].copy()
-            columns[spec.name] = UColumn(points, trials, *ctx.monitor.observe_batch(points, trials))
+            estimates.append((out[:, 0].copy(), out[:, 1:].copy()))
+        bounds = ctx.monitor.observe_columns(estimates)
+        columns: dict[str, UColumn | np.ndarray] = {
+            spec.name: UColumn(points, trials, lo, hi)
+            for spec, (points, trials), (lo, hi) in zip(self.specs, estimates, bounds)
+        }
         certain = np.bincount(codes, weights=f.certain & (f.status == MEMBER_TRUE), minlength=g) > 0
         index = ctx.indexes[self.block_id]
         gids = index.add(group_keys)

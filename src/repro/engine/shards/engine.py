@@ -283,7 +283,9 @@ class ShardedQueryEngine:
                 yield PartialResult(
                     batch_no=i,
                     num_batches=len(batch_sizes),
-                    fraction_processed=seen_rows / max(len(streamed), 1),
+                    fraction_processed=(
+                        seen_rows / len(streamed) if len(streamed) else 1.0
+                    ),
                     schema=compiled.result_schema,
                     rows=rows,
                     metrics=bm,

@@ -229,8 +229,28 @@ class TestResultStream:
         cat = Catalog({"t": random_kx(0), "dim": make_catalog().get("dim")})
         # Empty stream -> a single batch with an empty delta still works.
         eng = engine(cat)
-        final = eng.run_to_completion(FLAT, 3)
+        partials = list(eng.run(FLAT, 3))
+        assert len(partials) == 1
+        final = partials[0]
         assert final.is_final
+        assert final.rows == []
+        # The whole (empty) input was processed.
+        assert final.fraction_processed == 1.0
+
+    def test_run_to_completion_empty_table_sharded(self):
+        from repro.engine.shards import ShardedQueryEngine
+
+        cat = Catalog({"t": random_kx(0), "dim": make_catalog().get("dim")})
+        eng = ShardedQueryEngine(
+            cat, "t", OnlineConfig(num_trials=25, seed=5, shards=2)
+        )
+        partials = list(eng.run(FLAT, 3))
+        assert eng.shard_plan is not None and eng.shard_plan.shardable
+        assert len(partials) == 1
+        final = partials[0]
+        assert final.is_final
+        assert final.rows == []
+        assert final.fraction_processed == 1.0
 
 
 class TestMetrics:

@@ -434,3 +434,53 @@ class TestRangeMonitorBatchedParity:
         for g in range(num_groups):
             want = scalar.observe(float(points[g]), trials[g])
             self.assert_ranges_equal((lo[g], hi[g]), want, f"group {g}")
+
+    @staticmethod
+    def assert_bounds_identical(got, want):
+        assert len(got) == len(want)
+        for (g_lo, g_hi), (w_lo, w_hi) in zip(got, want):
+            assert g_lo.tobytes() == w_lo.tobytes()
+            assert g_hi.tobytes() == w_hi.tobytes()
+
+    @fuzz
+    @given(st.data())
+    def test_observe_columns_matches_per_column_calls(self, data):
+        """One stacked call per block publishes each spec column's bounds
+        bit for bit as its own ``observe_batch`` call would, NaN/inf
+        trial rows (the per-row fallback) and empty columns included."""
+        from repro.core.ranges import RangeMonitor
+
+        num_trials = data.draw(st.integers(1, 6), label="trials")
+        columns = []
+        for k in range(data.draw(st.integers(1, 4), label="columns")):
+            g = data.draw(st.integers(0, 5), label=f"groups {k}")
+            points = np.array([data.draw(self.VALUES) for _ in range(g)], dtype=float)
+            trials = np.array(
+                [[data.draw(self.VALUES) for _ in range(num_trials)] for _ in range(g)],
+                dtype=float,
+            ).reshape(g, num_trials)
+            columns.append((points, trials))
+        monitor = RangeMonitor(slack=data.draw(st.sampled_from([0.0, 2.0])))
+        want = [monitor.observe_batch(p, t) for p, t in columns]
+        self.assert_bounds_identical(monitor.observe_columns(columns), want)
+
+    @pytest.mark.parametrize("num_trials", [7, 100, 257])
+    def test_observe_columns_long_trial_rows(self, num_trials):
+        """Trial rows long enough for pairwise summation to matter reduce
+        to the same bits stacked as alone; some rows carry a NaN trial."""
+        from repro.core.ranges import RangeMonitor
+
+        rng = np.random.default_rng(num_trials)
+        columns = []
+        for g in (1, 13, 0, 40):
+            points = rng.normal(1e3, 50.0, g)
+            trials = rng.normal(1e3, 50.0, (g, num_trials)) * rng.gamma(2.0, 1.0, (g, 1))
+            trials[rng.random(g) < 0.2, rng.integers(num_trials)] = np.nan
+            columns.append((points, trials))
+        monitor = RangeMonitor(slack=2.0)
+        want = [monitor.observe_batch(p, t) for p, t in columns]
+        self.assert_bounds_identical(monitor.observe_columns(columns), want)
+        monitor.replaying = True
+        replay = monitor.observe_columns(columns)
+        assert [len(lo) for lo, _ in replay] == [1, 13, 0, 40]
+        assert all(np.isinf(lo).all() and np.isinf(hi).all() for lo, hi in replay)
