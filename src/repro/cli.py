@@ -270,14 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", metavar="SPEC", default=None,
         help="inject deterministic faults (iolap engine): comma-separated "
         "kind@batch[:target][*times] specs with kind in "
-        "{sentinel,batch,unit,checkpoint,shard}, e.g. "
-        "'sentinel@16,unit@5:aggregate*2,checkpoint@12,shard@6:1'; "
+        "{sentinel,batch,shard}, e.g. 'sentinel@16,batch@18,shard@6:1'; "
         "recovery must still produce the fault-free answer",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
-        help="take a recovery state checkpoint every N batches (iolap "
-        "engine; 0 disables, default: engine default)",
     )
     _add_profile_flags(parser)
     _add_logging_flags(parser)
@@ -771,11 +765,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             faults=args.faults,
             shards=args.shards,
             **_profile_config(args),
-            **(
-                {"checkpoint_interval": args.checkpoint_interval}
-                if args.checkpoint_interval is not None
-                else {}
-            ),
         ),
         obs=obs,
     )

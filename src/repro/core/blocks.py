@@ -411,27 +411,11 @@ class OnlineConfig:
     #: snapshots per batch). Purely
     #: observational — results are bit-identical to a non-verify run.
     verify: bool = False
-    #: Take a state checkpoint every N batches (Section 5.1 recovery):
-    #: failure recovery restores the newest checkpoint at or before the
-    #: failure's ``recover_from_batch`` and replays only the suffix. 0
-    #: disables periodic checkpoints (recovery replays from the pristine
-    #: pre-run snapshot, the pre-checkpoint behavior).
-    checkpoint_interval: int = 8
-    #: Ring-buffer capacity: at most this many checkpoints are retained
-    #: (oldest evicted first; the pristine baseline is kept separately).
-    checkpoint_keep: int = 4
-    #: Byte budget across retained checkpoints (``estimate_nbytes`` of
-    #: each snapshot); oldest checkpoints are evicted to stay under it.
-    checkpoint_budget_bytes: int = 256 * 1024 * 1024
     #: Deterministic fault-injection plan: a spec string like
-    #: ``"sentinel@16,unit@5:aggregate*2,checkpoint@12"`` (see
-    #: :mod:`repro.faults`), an already-parsed ``FaultPlan``, or None
-    #: (no faults — the production setting).
+    #: ``"sentinel@16,batch@18,shard@6:1"`` (see :mod:`repro.faults`), an
+    #: already-parsed ``FaultPlan``, or None (no faults — the production
+    #: setting).
     faults: object = None
-    #: Retries per unit for transient failures (errors carrying
-    #: ``transient = True``, e.g. injected unit faults); anything else
-    #: propagates immediately.
-    unit_retry_attempts: int = 2
     #: Run the TSan-style buffer sanitizer
     #: (:class:`repro.analysis.sanitize.BufferSanitizer`): freeze every
     #: buffer handed to ``process`` and every zero-copy view base, track
@@ -518,9 +502,9 @@ class RuntimeContext:
         #: The inert NULL_OBS by default; the engine attaches a real one.
         self.obs = NULL_OBS
         #: Deterministic fault injector (``config.faults``), or None. The
-        #: operators and the unit loop poke :meth:`fault` at their designated
-        #: injection points; with no plan configured that is one attribute
-        #: test per point.
+        #: operators and the controller poke :meth:`fault` at their
+        #: designated injection points; with no plan configured that is one
+        #: attribute test per point.
         self.faults = None
         if config.faults:
             from repro.faults import FaultInjector, as_plan
@@ -620,16 +604,16 @@ class RuntimeContext:
             return None
         return group.values.get(ref.column)
 
-    def reset_for_replay(self, batch_no: int = 0, seen_rows: int = 0) -> None:
-        """Rewind the batch cursor before a recovery replay.
+    def reset_for_replay(self) -> None:
+        """Rewind the batch cursor to the start of the run before a
+        recovery replay.
 
         Published block outputs are dropped (the first replayed batch
         republishes every block: producers run before consumers within a
-        batch); ``batch_no``/``seen_rows`` rewind to the restored
-        checkpoint's position so ``ctx.scale`` extrapolates correctly
-        through the replayed suffix.
+        batch); ``batch_no``/``seen_rows`` rewind to zero so ``ctx.scale``
+        extrapolates correctly through the replayed batches.
         """
         self.blocks.clear()
-        self.seen_rows = seen_rows
-        self.batch_no = batch_no
+        self.seen_rows = 0
+        self.batch_no = 0
         self._delta = None

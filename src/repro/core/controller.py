@@ -37,7 +37,6 @@ from repro.obs.session import NULL_OBS
 from repro.relational.algebra import PlanNode
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
-from repro.state import CheckpointManager
 
 #: Safety valve: recoveries per run before pruning is disabled outright.
 _MAX_RECOVERIES = 8
@@ -63,16 +62,9 @@ class OnlineQueryEngine:
         self.obs = obs if obs is not None else NULL_OBS
         #: Metrics of the most recent (or in-progress) run.
         self.metrics = RunMetrics()
-        #: Periodic state checkpoints; re-armed from the config per run.
-        self._checkpoints = CheckpointManager(0)
         #: Continuous profiler of the current run
         #: (``OnlineConfig(profile=True)``), or None.
         self.profiler = None
-
-    #: Tag recorded on the per-run CheckpointManager; shard workers set
-    #: theirs to ``shard<i>`` so recovery logs and snapshots are
-    #: attributable to one shard's namespace.
-    checkpoint_namespace = ""
 
     def run(
         self,
@@ -146,14 +138,8 @@ class OnlineQueryEngine:
 
         compiled.open(ctx)
         # Pristine-state snapshot: failure recovery rewinds every operator
-        # store to this point when no newer checkpoint can serve.
+        # store to this point and replays from there.
         baseline = ctx.stores.checkpoint()
-        self._checkpoints = CheckpointManager(
-            self.config.checkpoint_interval,
-            keep=self.config.checkpoint_keep,
-            budget_bytes=self.config.checkpoint_budget_bytes,
-            namespace=self.checkpoint_namespace,
-        )
 
         run_span = tracer.span(
             "run", cat="run",
@@ -205,7 +191,7 @@ class OnlineQueryEngine:
                 ctx.fault("batch")
                 run_units(compiled.units, ctx)
                 return
-            except RangeIntegrityError as failure:
+            except RangeIntegrityError:
                 bm.recovered = True
                 attempts += 1
                 ctx.obs.metrics.counter("recovery.failures").inc()
@@ -229,15 +215,7 @@ class OnlineQueryEngine:
                 # earned again by the re-run; zero them so recovered
                 # batches are not double-counted in the run totals.
                 bm.reset_attempt()
-                self._replay(
-                    compiled,
-                    ctx,
-                    batches,
-                    batch_no,
-                    failure.recover_from_batch,
-                    bm,
-                    baseline,
-                )
+                self._replay(compiled, ctx, batches, batch_no, bm, baseline)
 
     def _replay(
         self,
@@ -245,60 +223,40 @@ class OnlineQueryEngine:
         ctx: RuntimeContext,
         batches: BatchSource,
         failed_batch: int,
-        recover_from: int,
         bm: BatchMetrics,
         baseline: dict[str, object],
     ) -> None:
         """Failure recovery (Section 5.1): restore operator state to the
-        newest valid checkpoint taken at or before ``recover_from`` (the
-        last batch whose resolved pruning decisions all still hold),
-        falling back to the pristine baseline, then rebuild the rest by
-        replaying only the suffix of processed batches conservatively.
+        pristine baseline, then rebuild it by replaying batches
+        ``1..failed_batch-1`` conservatively.
 
         During the replay the monitor publishes unbounded ranges, so no
         pruning happens and no sentinels are created — the rebuilt state
-        is unconditionally correct (Theorem 1 holds exactly as it does
-        for a full replay). The failed batch is then re-processed live:
-        pruning resumes with fresh ranges, whose sentinels are recorded
-        from the *current* estimates and therefore cannot flip within
-        the same batch, guaranteeing recovery terminates.
+        is unconditionally correct (Theorem 1). The failed batch is then
+        re-processed live: pruning resumes with fresh ranges, whose
+        sentinels are recorded from the *current* estimates and therefore
+        cannot flip within the same batch, guaranteeing recovery
+        terminates.
         """
         obs = ctx.obs
         tracer = obs.tracer
-        # In conservative mode (valve tripped) checkpoints embed pruning
-        # decisions the engine no longer tracks; only the baseline is safe.
-        ckpt = (
-            self._checkpoints.best_for(recover_from)
-            if ctx.monitor.enabled else None
-        )
-        start_from = ckpt.batch_no if ckpt is not None else 0
-        replayed = failed_batch - 1 - start_from
+        replayed = failed_batch - 1
         obs.metrics.counter("recovery.replays").inc()
         obs.metrics.histogram("recovery.depth").observe(replayed)
         span = tracer.span(
             "recovery-replay", cat="recovery", batch=failed_batch,
-            replayed_batches=replayed, recover_from=recover_from,
-            start_from=start_from,
+            replayed_batches=replayed,
         ) if tracer.enabled else None
         if span:
             span.__enter__()
         started = time.perf_counter()
         ctx.monitor.replaying = True
-        if ckpt is not None:
-            self._checkpoints.restore(ctx.stores, ckpt.snapshot)
-            ctx.reset_for_replay(
-                batch_no=ckpt.batch_no, seen_rows=ckpt.seen_rows
-            )
-        else:
-            self._checkpoints.restore(ctx.stores, baseline)
-            ctx.reset_for_replay()
-        # Checkpoints newer than the restore point contain the decisions
-        # the failure just invalidated; they must never be restored.
-        self._checkpoints.drop_after(start_from)
+        ctx.stores.restore(baseline)
+        ctx.reset_for_replay()
         scratch = BatchMetrics(0)
         saved = ctx.metrics
         try:
-            for b in range(start_from + 1, failed_batch):
+            for b in range(1, failed_batch):
                 ctx.begin_batch(b, batches[b - 1], scratch)
                 run_units(compiled.units, ctx)
         finally:
@@ -307,34 +265,6 @@ class OnlineQueryEngine:
             if span:
                 span.__exit__(None, None, None)
         bm.recovery_seconds += time.perf_counter() - started
-
-    def _maybe_checkpoint(self, ctx: RuntimeContext, batch_no: int) -> None:
-        """Take a periodic state checkpoint after a successful batch.
-
-        Skipped in conservative mode: with pruning disabled a restore is
-        never allowed to resurrect pruning-era sentinel state, so new
-        snapshots would be dead weight.
-        """
-        if not ctx.monitor.enabled or not self._checkpoints.due(batch_no):
-            return
-        tracer = ctx.obs.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "checkpoint", cat="recovery", batch=batch_no
-            ) as span:
-                ckpt = self._checkpoints.take(
-                    ctx.stores, batch_no, ctx.seen_rows
-                )
-                span.set(nbytes=ckpt.nbytes, kept=len(self._checkpoints))
-        else:
-            self._checkpoints.take(ctx.stores, batch_no, ctx.seen_rows)
-        if ctx.faults is not None and ctx.faults.claim("checkpoint", batch_no):
-            self._checkpoints.corrupt(batch_no)
-            tracer.warning(
-                "checkpoint-corrupted", batch=batch_no,
-                message="injected checkpoint corruption; recovery will "
-                "fall back to an older snapshot",
-            )
 
     def _sample_metrics(self, ctx: RuntimeContext, bm: BatchMetrics, batch_no: int) -> None:
         """Per-batch sampling of engine-level gauges + the full registry.
@@ -348,9 +278,6 @@ class OnlineQueryEngine:
         reg.gauge("engine.range_failures").set(ctx.monitor.failures)
         reg.counter("engine.recomputed_tuples").inc(bm.recomputed_tuples)
         reg.counter("engine.shipped_bytes").inc(bm.shipped_bytes)
-        if self._checkpoints.enabled:
-            reg.gauge("checkpoint.count").set(len(self._checkpoints))
-            reg.gauge("checkpoint.bytes").set(self._checkpoints.total_bytes())
         for name, value in KERNEL_STATS.snapshot().items():
             reg.gauge(f"kernel.{name}").set(value)
         ctx.obs.emit_metrics(batch=batch_no)
@@ -476,7 +403,6 @@ class RunSession:
         bm.wall_seconds = time.perf_counter() - started
         if ctx.sanitizer is not None:
             engine.metrics.sanitize_seconds = ctx.sanitizer.seconds
-        engine._maybe_checkpoint(ctx, i)
         if obs.enabled:
             engine._sample_metrics(ctx, bm, i)
             obs.flush()

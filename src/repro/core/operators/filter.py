@@ -135,9 +135,7 @@ class UncertainFilterOp(SpineOp):
             false = dropped & (res.status == FALSE)
             rows = np.concatenate([p[m[p]] for p in parts for m in (emitted, false)])
             if len(rows):
-                self.sentinels.record(
-                    idx, rel, rows, emitted[rows], batch_no=ctx.batch_no
-                )
+                self.sentinels.record(idx, rel, rows, emitted[rows])
 
     def _apply_det(self, rel: Relation) -> Relation:
         for pred in self.det_conjuncts:

@@ -206,7 +206,7 @@ class UncertainJoinOp(SpineOp):
 
     def _probe_rows(
         self, rel: Relation, view: BlockOutput | None, missing: np.int8,
-        record: bool, batch_no: int,
+        record: bool,
     ) -> tuple[np.ndarray, list[GroupValue | None]]:
         """Row-wise :meth:`_probe`: per row its join status (``missing``
         where the view has not published the key) and group, leaving a
@@ -220,7 +220,7 @@ class UncertainJoinOp(SpineOp):
             decided = group.certainly_in or group.certainly_out
             status[i] = UNKNOWN if not decided else TRUE if group.certainly_in else FALSE
             if decided and record:
-                self.member_sentinels.record(key, group.certainly_in, batch_no=batch_no)
+                self.member_sentinels.record(key, group.certainly_in)
         return status, groups
 
     def _with_columns(self, rel: Relation, cols: dict, lineage: dict) -> Relation:
@@ -298,8 +298,8 @@ class UncertainJoinOp(SpineOp):
             none = np.zeros(0, dtype=np.intp)
             return self._empty_out(ctx), self._empty_out(ctx), none, rel
         if ctx.config.vectorize:
-            return self._partition_new_vec(rel, view, record, ctx.batch_no)
-        status, groups = self._probe_rows(rel, view, PENDING, record, ctx.batch_no)
+            return self._partition_new_vec(rel, view, record)
+        status, groups = self._probe_rows(rel, view, PENDING, record)
         sure = status == TRUE
         unknown = status == UNKNOWN
         waiting = status == PENDING
@@ -316,13 +316,12 @@ class UncertainJoinOp(SpineOp):
         rel: Relation,
         view: BlockOutput | None,
         record: bool,
-        batch_no: int = 0,
     ) -> tuple[Relation, Relation, np.ndarray, Relation]:
         """Vectorized :meth:`_partition_new` body: one view probe per
         distinct key, then status/slot gathers."""
         kc, gids_u, status_u = self._probe(rel, view, PENDING)
         if record:
-            self._record_resolved(view, gids_u, status_u, batch_no)
+            self._record_resolved(view, gids_u, status_u)
         status = status_u[kc.codes]
         gids = gids_u[kc.codes]
         sure = status == TRUE
@@ -333,17 +332,14 @@ class UncertainJoinOp(SpineOp):
         return certain_out, nd, gids[unknown], rel.filter(waiting)
 
     def _record_resolved(
-        self, view: BlockOutput | None, gids_u: np.ndarray, status_u: np.ndarray,
-        batch_no: int,
+        self, view: BlockOutput | None, gids_u: np.ndarray, status_u: np.ndarray
     ) -> None:
         """Sentinels for the stable decisions of distinct groups ``gids_u``
         (first-recorded wins, so once per group matches once per row)."""
         for member, code in ((True, TRUE), (False, FALSE)):
             at = gids_u[status_u == code]
             if len(at):
-                self.member_sentinels.record_gids(
-                    view.index, at, np.full(len(at), member), batch_no
-                )
+                self.member_sentinels.record_gids(view.index, at, np.full(len(at), member))
 
     def _volatile_of(
         self, rel: Relation, gids: np.ndarray, ctx: RuntimeContext,
@@ -418,7 +414,7 @@ class UncertainJoinOp(SpineOp):
             status[present] = view.join_status[gids[present]]
             # Each group once, in first-appearance order.
             first = np.sort(np.unique(gids, return_index=True)[1])
-            self._record_resolved(view, gids[first], status[first], ctx.batch_no)
+            self._record_resolved(view, gids[first], status[first])
             certain_new = certain_new.concat(store.rows.take(store.live[status == TRUE]))
             keep = status == UNKNOWN
         store = store.advanced(keep, nd_new, nd_gids)

@@ -12,10 +12,11 @@ against (the lineage cells of its uncertain side). Only the *tightest*
 sentinel per direction needs keeping — if the closest resolved value
 still classifies the same way, every farther one does too. Each batch the
 operator re-evaluates its sentinels against the current point estimates
-(one gather and one comparison per conjunct; the history is read only for
-an entity that flipped); a flip raises
-:class:`~repro.errors.RangeIntegrityError` and the controller replays
-conservatively.
+(one gather and one comparison per conjunct; only an entity that pass
+flags is re-read row by row); a flip, or an entity that vanished, raises
+:class:`~repro.errors.RangeIntegrityError` naming the entity and the
+direction, and the controller restores the pristine pre-run state and
+replays conservatively.
 
 This is the loosest sound check: it fails exactly when a pruned tuple's
 contribution to the current partial result would have changed, rather
@@ -27,18 +28,6 @@ cell carried with a lineage sidecar is coded straight from its gid
 (:class:`~repro.storage.lineage.LineageColumn`), so recording touches each
 row a constant number of times: no per-row tuple, dict probe or Python
 call.
-
-Recovery depth: each (entity, direction) keeps its monotone *tightening
-history* — the batch at which each successively tighter binding value was
-resolved — as entries of an append-only log, written only when a value
-tightens. On a violation the store computes the earliest batch whose
-recorded decision flips under the current estimates; every strictly
-earlier decision still holds, so ``RangeIntegrityError.recover_from_batch``
-is that batch minus one and the controller only replays the suffix. The
-history suffices: a flipped decision that was folded away (looser than
-the staircase step active when it was recorded) implies the tighter step
-recorded at or before its batch flips too, so the minimum over the
-staircase is the true earliest flip.
 """
 
 from __future__ import annotations
@@ -55,10 +44,6 @@ from repro.relational.schema import ColumnType, Schema
 #: Identity of the uncertain side of one resolved decision: the raw
 #: lineage cells it compared against (hashable).
 Entity = tuple
-
-#: One (entity, direction) tightening history: ``[(batch_no, det), ...]``
-#: in batch order, each entry strictly tighter than the previous.
-History = list
 
 _ORDERED = ("<", "<=", ">", ">=")
 
@@ -139,9 +124,7 @@ class _ConjunctSentinels:
     (whose cells, zipped with those columns, are also the row its
     uncertain side is re-evaluated on). Per slot and direction (column 0:
     resolved FALSE, 1: TRUE), ``tight`` is the binding det value and
-    ``has`` whether any decision was recorded. The log holds one
-    ``(slot, direction, batch)`` row in ``log_at`` and its det value in
-    ``log_det`` per tightening, in record order.
+    ``has`` whether any decision was recorded.
     """
 
     def __init__(self, op: str, ncols: int):
@@ -154,9 +137,6 @@ class _ConjunctSentinels:
         self.entities = np.zeros((0, ncols), dtype=np.intp)
         self.tight = np.zeros((0, 2))
         self.has = np.zeros((0, 2), dtype=bool)
-        self.log_n = 0
-        self.log_at = np.zeros((0, 3), dtype=np.intp)
-        self.log_det = np.zeros(0)
         #: Check-time cache per uncertain column position: ``(group index,
         #: gid per code)``, extended as codes are appended.
         self.mirrors: dict[int, tuple] = {}
@@ -167,8 +147,8 @@ class _ConjunctSentinels:
         out = _ConjunctSentinels(self.op, 0)
         out.cells = [cells.copy() for cells in self.cells]
         out.slot_of = dict(self.slot_of)
-        out.n, out.log_n = self.n, self.log_n
-        for name in ("entities", "tight", "has", "log_at", "log_det"):
+        out.n = self.n
+        for name in ("entities", "tight", "has"):
             setattr(out, name, getattr(self, name).copy())
         return out
 
@@ -201,15 +181,14 @@ class _ConjunctSentinels:
             self.entities[slot] = key
         return slot
 
-    def fold(self, expected: bool, slots: np.ndarray, values: np.ndarray, batch_no: int) -> None:
+    def fold(self, expected: bool, slots: np.ndarray, values: np.ndarray) -> None:
         """Fold one batch's decisions of one direction into the tightest
-        values, logging every entry that tightens.
+        values.
 
         The result equals pushing the rows one at a time in row order: an
         empty entry takes its first value (NaN included), a NaN entry never
         moves, and an ordered entry moves only to a strictly tighter value
-        (NaN never is); an equality entry follows the latest value and
-        restarts its history whenever that changes.
+        (NaN never is); an equality entry follows the latest value.
         """
         d = int(expected)
         n = self.n
@@ -231,18 +210,8 @@ class _ConjunctSentinels:
         else:
             new, moved = self._latest(has, self.tight[:n, d], slots, values)
         at = np.flatnonzero(moved)
-        if not len(at):
-            return
         self.tight[at, d] = new[at]
         has[at] = True
-        end = self.log_n + len(at)
-        self.log_at = _room(self.log_at, end, 0)
-        self.log_det = _room(self.log_det, end, 0.0)
-        self.log_at[self.log_n:end, 0] = at
-        self.log_at[self.log_n:end, 1] = d
-        self.log_at[self.log_n:end, 2] = batch_no
-        self.log_det[self.log_n:end] = new[at]
-        self.log_n = end
 
     def _latest(
         self, has: np.ndarray, old: np.ndarray, slots: np.ndarray, values: np.ndarray
@@ -269,15 +238,6 @@ class _ConjunctSentinels:
 
     def entity(self, slot: int) -> Entity:
         return tuple(cells.refs[code] for cells, code in zip(self.cells, self.entities[slot].tolist()))
-
-    def history(self, slot: int, expected: bool) -> History:
-        """The staircase of one (slot, direction), read from the log. An
-        equality entry restarts at each change, so only its latest counts."""
-        log = self.log_at[: self.log_n]
-        mine = np.flatnonzero((log[:, 0] == slot) & (log[:, 1] == int(expected)))
-        if self.op not in _ORDERED:
-            mine = mine[-1:]
-        return list(zip(log[mine, 2].tolist(), self.log_det[mine].tolist()))
 
     def gather(self, j: int, ctx: RuntimeContext) -> tuple[np.ndarray, np.ndarray] | None:
         """Current ``(points, absent mask)`` of every slot's ``j``-th cell,
@@ -377,16 +337,13 @@ class SentinelStore:
         row_indices: np.ndarray,
         expected: np.ndarray,
         vectorize: bool = False,
-        batch_no: int = 0,
     ) -> None:
         """Record sentinels for rows just resolved by conjunct ``conjunct_idx``.
 
         ``row_indices`` are positions in ``rel``; ``expected`` the resolved
-        boolean per row; ``batch_no`` stamps the tightening history (used
-        to compute the recovery depth on a later flip). Recording has one
-        path whatever ``vectorize`` says: it folds the rows with array
-        min/max, equal to pushing them one by one (see
-        :meth:`_ConjunctSentinels.fold`).
+        boolean per row. Recording has one path whatever ``vectorize``
+        says: it folds the rows with array min/max, equal to pushing them
+        one by one (see :meth:`_ConjunctSentinels.fold`).
         """
         idx = np.asarray(row_indices, dtype=np.intp)
         if not len(idx):
@@ -400,10 +357,10 @@ class SentinelStore:
         slots = store.slots(rel, cols, idx)
         exp = np.asarray(expected, dtype=bool)
         if exp.all() or not exp.any():
-            store.fold(bool(exp[0]), slots, det, batch_no)
+            store.fold(bool(exp[0]), slots, det)
             return
         for flag, mask in ((True, exp), (False, ~exp)):
-            store.fold(flag, slots[mask], det[mask], batch_no)
+            store.fold(flag, slots[mask], det[mask])
 
     # -- checking -------------------------------------------------------------------
 
@@ -417,56 +374,39 @@ class SentinelStore:
         _traced(ctx, self, lambda: self._check(ctx))
 
     def _check(self, ctx: RuntimeContext) -> None:
-        #: (recover_from_batch, reason) per violated (entity, direction);
-        #: collected exhaustively so one raise carries the deepest
-        #: (minimum) recovery point of the whole store.
-        violations: list[tuple[int, str]] = []
         for idx, store in enumerate(self._per_conjunct):
             if not store.n:
                 continue
             suspects = self._suspects(idx, store, ctx) if ctx.config.vectorize else None
-            slots = range(store.n) if suspects is None else suspects.tolist()
-            for slot in slots:
-                self._check_entity(idx, slot, ctx, violations)
-        if violations:
-            raise self._violation(ctx, violations)
+            for slot in range(store.n) if suspects is None else suspects.tolist():
+                reason = self._violated(idx, slot, ctx)
+                if reason is not None:
+                    ctx.monitor.record_failure()
+                    raise RangeIntegrityError(
+                        f"sentinel violation at batch {ctx.batch_no}: {reason}"
+                    )
 
-    def _check_entity(
-        self, idx: int, slot: int, ctx: RuntimeContext, violations: list
-    ) -> None:
-        """Row-wise check of one entity's two staircases (the reference,
-        and what names the violation once the array pass found one)."""
+    def _violated(self, idx: int, slot: int, ctx: RuntimeContext) -> str | None:
+        """Row-wise check of one entity's two tightest sentinels (the
+        reference, and what names the violation once the array pass found
+        one): why the first of them no longer holds, or None."""
         det_expr, _unc_expr, cols = self._sides[idx]
         cmp_, store = self.conjuncts[idx], self._per_conjunct[idx]
-        resolved = self._resolve_row(dict(zip(cols, store.entity(slot))), ctx)
+        entity = store.entity(slot)
+        resolved = self._resolve_row(dict(zip(cols, entity)), ctx)
         for expected in (True, False):
             if not store.has[slot, int(expected)]:
                 continue
-            hist = store.history(slot, expected)
             if resolved is None:
-                violations.append((
-                    max(hist[0][0] - 1, 0),
-                    f"entity vanished (first resolved at batch "
-                    f"{hist[0][0]})",
-                ))
-                continue
-            # The tightest (latest) entry flips first: if it still
-            # holds, every looser entry of the staircase does too.
-            tight = hist[-1][1]
-            if self._evaluate(cmp_, det_expr, tight, resolved) == expected:
-                continue
-            flipped = [
-                batch
-                for batch, det in hist
-                if self._evaluate(cmp_, det_expr, det, resolved) != expected
-            ]
-            first = min(flipped)
-            violations.append((
-                max(first - 1, 0),
-                f"resolved decision flipped: {cmp_!r} expected "
-                f"{expected} for det value {tight!r} (earliest flip "
-                f"resolved at batch {first})",
-            ))
+                return f"entity {entity!r} resolved {expected} vanished"
+            # If the tightest decision still holds, every looser one does.
+            tight = float(store.tight[slot, int(expected)])
+            if self._evaluate(cmp_, det_expr, tight, resolved) != expected:
+                return (
+                    f"resolved decision flipped for entity {entity!r}: "
+                    f"{cmp_!r} expected {expected} for det value {tight!r}"
+                )
+        return None
 
     def _suspects(
         self, idx: int, store: _ConjunctSentinels, ctx: RuntimeContext
@@ -474,7 +414,7 @@ class SentinelStore:
         """Slots whose tightest sentinel no longer holds, from one array
         pass: entity points gathered by gid, the uncertain side evaluated
         once, compared against the tightest det values. Only a filter
-        (:meth:`_check_entity` words each violation): it may flag
+        (:meth:`_violated` words each violation): it may flag
         spuriously, never miss; ``None`` = check every entity (one is not a
         plain reference into a published block)."""
         det_expr, _unc_expr, cols = self._sides[idx]
@@ -537,20 +477,6 @@ class SentinelStore:
             return bool(_compare(cmp_.op, det_value, unc))
         return bool(_compare(cmp_.op, unc, det_value))
 
-    def _violation(
-        self, ctx: RuntimeContext, violations: list[tuple[int, str]]
-    ) -> RangeIntegrityError:
-        ctx.monitor.record_failure()
-        recover_from = min(batch for batch, _ in violations)
-        reason = violations[0][1]
-        if len(violations) > 1:
-            reason += f" (+{len(violations) - 1} more)"
-        return RangeIntegrityError(
-            f"sentinel violation at batch {ctx.batch_no}: {reason}; "
-            f"state is consistent through batch {recover_from}",
-            recover_from_batch=recover_from,
-        )
-
     def reset(self) -> None:
         self._per_conjunct = [
             _ConjunctSentinels(op, len(cols))
@@ -559,7 +485,7 @@ class SentinelStore:
 
     def estimated_bytes(self) -> int:
         return sum(
-            96 * store.n + 40 * int(store.has[: store.n].sum()) + 24 * store.log_n
+            96 * store.n + 40 * int(store.has[: store.n].sum())
             for store in self._per_conjunct
         )
 
@@ -572,8 +498,8 @@ class MembershipSentinels:
     the expected membership; a flip of the group's current point
     membership invalidates those emissions.
 
-    Entries are slots in first-recorded order (``keys``, ``member``, the
-    batch each was first resolved in ``since``). The join records by side
+    Entries are slots in first-recorded order (``keys``, ``member``). The
+    join records by side
     gid (:meth:`record_gids`): ``slot_of_gid`` maps gids of one group
     index to slots, so a batch of decisions costs one gather. The check
     gathers every slot's current membership by gid in one pass.
@@ -586,9 +512,6 @@ class MembershipSentinels:
         self.keys: list = []
         self._slot_of: dict = {}
         self.member = np.zeros(0, dtype=bool)
-        #: slot -> batch at which the membership was first resolved; drives
-        #: ``recover_from_batch`` when the decision later flips.
-        self.since = np.zeros(0, dtype=np.intp)
         #: The group index gids below refer to, ``gid -> slot`` (``-1``:
         #: none) and ``slot -> gid`` (``-1``: key not in the index).
         self._index = None
@@ -599,18 +522,16 @@ class MembershipSentinels:
         out = object.__new__(MembershipSentinels)
         out.__dict__.update(self.__dict__)  # the index is run-long, shared
         out.keys, out._slot_of = list(self.keys), dict(self._slot_of)
-        for name in ("member", "since", "_slot_of_gid", "_gids"):
+        for name in ("member", "_slot_of_gid", "_gids"):
             setattr(out, name, getattr(self, name).copy())
         return out
 
-    def record(self, key: tuple, member: bool, batch_no: int = 0) -> None:
+    def record(self, key: tuple, member: bool) -> None:
         """Record one group's decision (the first record of a key wins)."""
         if key not in self._slot_of:
-            self._append([key], np.array([member]), batch_no)
+            self._append([key], np.array([member]))
 
-    def record_gids(
-        self, index, gids: np.ndarray, member: np.ndarray, batch_no: int = 0
-    ) -> None:
+    def record_gids(self, index, gids: np.ndarray, member: np.ndarray) -> None:
         """Record the decisions of distinct groups ``gids`` of ``index``
         (the first record of a group wins)."""
         if not len(gids):
@@ -622,15 +543,14 @@ class MembershipSentinels:
         fresh = ~known
         keys = [index.keys[g] for g in gids[fresh].tolist()]
         new = np.fromiter((k not in self._slot_of for k in keys), bool, len(keys))
-        self._append([k for k, n in zip(keys, new) if n], member[fresh][new], batch_no)
+        self._append([k for k, n in zip(keys, new) if n], member[fresh][new])
 
-    def _append(self, keys: list, member: np.ndarray, batch_no: int) -> None:
+    def _append(self, keys: list, member: np.ndarray) -> None:
         start = len(self.keys)
         for slot, key in enumerate(keys, start):
             self._slot_of[key] = slot
         self.keys.extend(keys)
         self.member = np.concatenate([self.member, member])
-        self.since = np.concatenate([self.since, np.full(len(keys), batch_no)])
         if self._index is not None:
             self._map(start)
 
@@ -672,15 +592,11 @@ class MembershipSentinels:
         if not len(flipped):
             return
         ctx.monitor.record_failure()
-        recover_from = int(np.maximum(self.since[flipped] - 1, 0).min())
-        first = flipped[np.argmin(self.since[flipped])]
-        key = self.keys[first]
+        first = flipped[0]
         more = f" (+{len(flipped) - 1} more)" if len(flipped) > 1 else ""
         raise RangeIntegrityError(
-            f"membership of group {key!r} flipped (expected "
-            f"{bool(self.member[first])}) at batch {ctx.batch_no}{more}; "
-            f"state is consistent through batch {recover_from}",
-            recover_from_batch=recover_from,
+            f"membership of group {self.keys[first]!r} flipped (expected "
+            f"{bool(self.member[first])}) at batch {ctx.batch_no}{more}"
         )
 
     def _map_missing(self, slots: np.ndarray) -> None:

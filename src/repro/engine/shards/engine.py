@@ -221,6 +221,12 @@ class ShardedQueryEngine:
             from repro.faults import FaultInjector, as_plan
 
             injector = FaultInjector(as_plan(self.config.faults))
+            for spec in injector.plan.specs:
+                if spec.kind == "shard" and int(spec.target or 0) >= self.shards:
+                    raise ReproError(
+                        f"fault {spec} targets shard {spec.target}, but the "
+                        f"run has {self.shards} shards"
+                    )
 
         obs = self.obs
         tracer = obs.tracer

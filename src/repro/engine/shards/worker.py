@@ -1,10 +1,10 @@
 """The shard worker: a full shared-nothing engine over one sub-stream.
 
 Each worker process runs the *complete* online delta algorithm — its own
-compiled plan, operator state stores, sentinels, range monitor, and
-per-shard :class:`~repro.state.CheckpointManager` — over the rows whose
-shard-key hash it owns. Nothing is shared with the parent or siblings;
-the only coordination is the batch-step protocol over the pipe.
+compiled plan, operator state stores, sentinels, range monitor and
+pristine baseline snapshot — over the rows whose shard-key hash it owns.
+Nothing is shared with the parent or siblings; the only coordination is
+the batch-step protocol over the pipe.
 
 A worker partitions the *full* stream with the same seeded partitioner
 the serial engine uses, keeps the rows whose shard hash it owns, and draws
@@ -13,8 +13,8 @@ its global row id, so no shard ever draws a cell it drops. Group-key
 sharding (see :mod:`.planner`) guarantees each owned group receives
 exactly the serial row sequence, so every per-group float accumulation
 is bit-identical to the serial reference. Range-integrity recovery runs
-entirely inside the worker — restore from the shard's own checkpoint
-ring, replay the shard's own suffix — giving single-shard recovery.
+entirely inside the worker — restore the shard's own baseline, replay the
+shard's own batches — giving single-shard recovery.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class ShardWorkerEngine(OnlineQueryEngine):
             catalog, streamed_table, config=config, partition_mode=partition_mode
         )
         self.shard = shard
-        self.checkpoint_namespace = f"shard{shard.index}"
 
     def _make_context(self, total_rows: int) -> RuntimeContext:
         return ShardRuntimeContext(
@@ -151,6 +150,5 @@ def _shard_counters(session) -> dict[str, float]:
     return {
         "range_failures": float(ctx.monitor.failures),
         "state_bytes": float(ctx.stores.total_bytes()),
-        "checkpoints_kept": float(len(session.engine._checkpoints)),
         "seen_rows": float(ctx.seen_rows),
     }

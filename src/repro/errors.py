@@ -52,33 +52,12 @@ class UnsupportedQueryError(ReproError):
 class RangeIntegrityError(ReproError):
     """A variation-range integrity check failed (Section 5.1).
 
-    Raised by :class:`repro.core.ranges.RangeMonitor` when a new batch's
-    bootstrap outputs escape the previously published variation range. The
-    query controller catches this and replays from the last consistent
-    batch; it only propagates to users running operators by hand.
+    Raised by the sentinels (:mod:`repro.core.sentinels`) when a pruned
+    decision no longer holds under the current estimates. The query
+    controller catches this, restores the pristine pre-run state and
+    replays conservatively; it only propagates to users running operators
+    by hand.
     """
-
-    def __init__(self, message: str, recover_from_batch: int = 0):
-        super().__init__(message)
-        #: Last batch index whose resolved pruning decisions all still hold
-        #: for the current estimates (0 = none do). The controller restores
-        #: the newest state checkpoint taken at or before this batch and
-        #: replays only the batches after it.
-        self.recover_from_batch = recover_from_batch
-
-
-class TransientUnitError(ReproError):
-    """A retryable failure inside one execution unit.
-
-    Raised before the unit body runs (fault injection, and the seam for
-    future transient backends), so re-running the unit is side-effect
-    safe. The unit loop retries errors carrying ``transient = True`` up to
-    ``OnlineConfig.unit_retry_attempts`` times; anything else propagates
-    immediately.
-    """
-
-    #: Marks the error as safe to retry at the unit level.
-    transient = True
 
 
 class CatalogError(ReproError):

@@ -2,13 +2,14 @@
 
 Incremental engines live or die by their recovery paths, and recovery
 paths rot unless they are exercised on purpose. This package arms
-deterministic faults at the engine's three recovery seams — variation-
-range integrity (sentinel/batch faults), execution units (transient
-failures absorbed by the retry policy), and state checkpoints (corruption
-forcing fall-back to an older snapshot) — from a compact spec wired
-through ``OnlineConfig(faults=...)`` or the CLI ``--faults`` flag::
+deterministic faults at the engine's two recovery seams — variation-
+range integrity (``sentinel`` / ``batch`` faults, recovered by the
+conservative replay from the pristine baseline) and shard worker
+processes (``shard`` faults, recovered by respawn and replay) — from a
+compact spec wired through ``OnlineConfig(faults=...)`` or the CLI
+``--faults`` flag::
 
-    iolap run ... --faults "sentinel@16,unit@5:aggregate*2,checkpoint@12"
+    iolap run ... --faults "sentinel@16,batch@18"
 
 The chaos test suite (``tests/test_chaos.py``) runs every workload query
 under injected faults and asserts the final results match the fault-free

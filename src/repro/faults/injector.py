@@ -1,23 +1,18 @@
 """The fault injector: deterministic failures at designated engine seams.
 
 The injector holds an armed :class:`~repro.faults.plan.FaultPlan` and is
-probed from three seams:
+probed from two seams:
 
 * **sentinel / batch** — :meth:`FaultInjector.fire` from
   ``RuntimeContext.fault``: raises a
   :class:`~repro.errors.RangeIntegrityError` exactly like a real
-  variation-range violation, with ``recover_from_batch = batch - 1`` (no
-  actual decision flipped, so the immediately preceding batch is
-  consistent). Guarded against firing during a recovery replay — a raise
-  there would escape the controller's handler, and re-faulting the replay
-  of an already-faulted batch would livelock recovery.
-* **unit** — also via :meth:`fire`, from the unit loop *before* the unit
-  body runs: raises a :class:`~repro.errors.TransientUnitError`, which
-  the unit retry policy absorbs (so a fault with ``*times`` up to
-  ``OnlineConfig.unit_retry_attempts`` is invisible in the results).
-* **checkpoint** — :meth:`claim` from the controller after taking a
-  checkpoint: returns True when the checkpoint should be corrupted
-  (exercising recovery's fall-back to the next-older snapshot).
+  variation-range violation. Guarded against firing during a recovery
+  replay — a raise there would escape the controller's handler, and
+  re-faulting the replay of an already-faulted batch would livelock
+  recovery.
+* **shard** — :meth:`claim` from the shard scheduler before it dispatches
+  a batch: returns True when the worker whose index equals the spec's
+  target should be killed.
 
 A fired spec decrements its remaining count, so ``times`` is honored
 across the whole run.
@@ -25,7 +20,7 @@ across the whole run.
 
 from __future__ import annotations
 
-from repro.errors import RangeIntegrityError, ReproError, TransientUnitError
+from repro.errors import RangeIntegrityError, ReproError
 from repro.faults.plan import FaultPlan, FaultSpec
 
 
@@ -40,14 +35,18 @@ class FaultInjector:
         self.fired: list[tuple[FaultSpec, int]] = []
 
     def claim(self, kind: str, batch: int, label: str | None = None) -> bool:
-        """Consume one armed firing matching (kind, batch, label)."""
+        """Consume one armed firing matching (kind, batch, label).
+
+        A ``sentinel`` target matches any label containing it; a ``shard``
+        target matches only the label equal to it (the shard index)."""
         for i, spec in enumerate(self.plan.specs):
             if spec.kind != kind or self._remaining[i] <= 0:
                 continue
             if spec.batch != batch:
                 continue
             if spec.target is not None and (
-                label is None or spec.target not in label
+                label is None
+                or (spec.target != label if kind == "shard" else spec.target not in label)
             ):
                 continue
             self._remaining[i] -= 1
@@ -64,13 +63,7 @@ class FaultInjector:
                 ctx.monitor.record_failure()
                 where = f" in {label}" if label else ""
                 raise RangeIntegrityError(
-                    f"injected {point} fault at batch {ctx.batch_no}{where}",
-                    recover_from_batch=ctx.batch_no - 1,
-                )
-        elif point == "unit":
-            if self.claim("unit", ctx.batch_no, label):
-                raise TransientUnitError(
-                    f"injected unit fault at batch {ctx.batch_no} ({label})"
+                    f"injected {point} fault at batch {ctx.batch_no}{where}"
                 )
         else:
             raise ReproError(f"unknown fault point {point!r}")

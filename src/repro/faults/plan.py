@@ -6,15 +6,14 @@ A plan is a comma-separated list of specs, each::
 
 * ``kind``    — ``sentinel`` (force a variation-range integrity failure),
   ``batch`` (force one at the controller level, before any unit runs),
-  ``unit`` (raise a transient execution-unit failure), ``checkpoint``
-  (corrupt the checkpoint taken at that batch), or ``shard`` (kill one
-  shard worker process before that batch; the shard scheduler respawns
-  it and replays its sub-stream — single-shard recovery).
+  or ``shard`` (kill one shard worker process before that batch; the
+  shard scheduler respawns it and replays its sub-stream — single-shard
+  recovery).
 * ``batch``   — the 1-based mini-batch the fault arms at.
-* ``target``  — optional operator/unit label substring the fault is
-  restricted to (e.g. ``select:3``, ``aggregate``); note the label may
-  itself contain ``:``, so everything after the first ``:`` is target.
-  For ``shard`` faults the target is the decimal shard index to kill
+* ``target``  — for ``sentinel`` faults, an optional operator label
+  substring the fault is restricted to (e.g. ``select:3``); note the
+  label may itself contain ``:``, so everything after the first ``:`` is
+  target. For ``shard`` faults, the decimal index of the shard to kill
   (default: shard 0).
 * ``times``   — optional ``*N`` repeat count (default 1): the fault fires
   on the first N matching probes, then disarms.
@@ -24,8 +23,7 @@ Examples::
     sentinel@16                 # integrity failure at batch 16
     sentinel@16:select:3        # ... only in operator select:3
     batch@4                     # controller-level failure at batch 4
-    unit@5:aggregate*2          # fail aggregate units twice at batch 5
-    checkpoint@12               # corrupt the checkpoint taken at batch 12
+    sentinel@5*2                # two integrity failures at batch 5
     shard@6:1                   # kill shard worker 1 before batch 6
 """
 
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 #: The closed set of fault kinds a spec may name.
-FAULT_KINDS = frozenset({"sentinel", "batch", "unit", "checkpoint", "shard"})
+FAULT_KINDS = frozenset({"sentinel", "batch", "shard"})
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,15 @@ def parse_fault(text: str) -> FaultSpec:
     if batch < 1:
         raise ReproError(f"bad fault spec {text!r}: batch must be >= 1")
     target = target.strip() or None
-    if target is not None and kind in ("batch", "checkpoint"):
-        raise ReproError(
-            f"bad fault spec {text!r}: {kind!r} faults take no target"
-        )
+    if target is not None and kind == "batch":
+        raise ReproError(f"bad fault spec {text!r}: 'batch' faults take no target")
+    if target is not None and kind == "shard":
+        if not (target.isascii() and target.isdigit()):
+            raise ReproError(
+                f"bad fault spec {text!r}: shard target {target!r} is not a "
+                "decimal shard index"
+            )
+        target = str(int(target))
     return FaultSpec(kind, batch, target, times)
 
 

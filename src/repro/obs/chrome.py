@@ -59,17 +59,8 @@ def to_chrome(events: Iterable[dict]) -> dict:
             "ts": ts_us,
         }
         if kind == "span":
-            # Retried execution units emit one span per attempt (tagged
-            # `attempt`); suffix the later attempts' names so the slices
-            # are visually distinct in Perfetto instead of reading as
-            # duplicate spans of one unit.
-            name = base["name"]
-            attempt = args.get("attempt")
-            if isinstance(attempt, int) and attempt > 1:
-                name = f"{name} (attempt {attempt})"
             trace_events.append(
-                {**base, "name": name, "ph": "X",
-                 "dur": event["dur"] * 1e6, "args": args}
+                {**base, "ph": "X", "dur": event["dur"] * 1e6, "args": args}
             )
         elif kind == "counter":
             trace_events.append(

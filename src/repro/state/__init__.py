@@ -10,16 +10,13 @@ needs but ad-hoc attributes cannot provide:
   :func:`estimate_nbytes`, feeding the Figure 9(b)/10(c) state-footprint
   metrics automatically;
 * **checkpoint/restore** — the failure-recovery replay (Section 5.1)
-  restores all operator state to a consistent snapshot instead of
-  relying on each operator's ad-hoc ``reset``; :class:`CheckpointManager`
-  keeps a ring buffer of periodic snapshots so recovery replays only the
-  suffix after the newest consistent checkpoint;
+  restores all operator state to the pristine pre-run snapshot instead
+  of relying on each operator's ad-hoc ``reset``;
 * **a backend seam** — the engine only talks to the :class:`StateStore`
   contract, so spill-to-disk or sharded implementations can be swapped
   in per operator without touching operator code.
 """
 
-from repro.state.checkpoints import Checkpoint, CheckpointManager
 from repro.state.registry import StateRegistry
 from repro.state.store import (
     InMemoryStateStore,
@@ -28,8 +25,6 @@ from repro.state.store import (
 )
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointManager",
     "InMemoryStateStore",
     "StateRegistry",
     "StateStore",

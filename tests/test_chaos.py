@@ -2,12 +2,11 @@
 the fault-free answer (the executable form of the Section 5.1 claim that
 failure recovery preserves Theorem 1).
 
-The fault plan per run exercises all four kinds: a transient unit failure
-(absorbed by unit retry), two controller-level integrity failures
-(checkpointed partial replay), and one checkpoint corruption (fall-back
-to an older snapshot). ``batch`` faults are used for the forced failures
-because they fire for every query shape; ``sentinel`` probes only exist
-in plans with uncertain SELECT/JOIN operators.
+The fault plan per run forces two controller-level integrity failures
+(``batch`` faults, which fire for every query shape) and one
+operator-level one (a ``sentinel`` fault, which fires only in plans with
+uncertain SELECT/JOIN operators). Each recovery restores the pristine
+baseline and replays the processed batches conservatively.
 
 Scale knobs (for the CI chaos-smoke job):
 
@@ -31,9 +30,9 @@ BATCHES = int(os.environ.get("IOLAP_CHAOS_BATCHES", "8"))
 TRIALS = int(os.environ.get("IOLAP_CHAOS_TRIALS", "8"))
 SANITIZE = os.environ.get("IOLAP_CHAOS_SANITIZE") == "1"
 
-#: unit retry at batch 3, partial replay at 5 and 8, corrupt snapshot at 6.
-FAULTS = "unit@3:aggregate,batch@5,checkpoint@6,batch@8"
-INTERVAL = 3
+#: Replays from the baseline at batches 5 and 8, and at 6 where a
+#: sentinel probe exists.
+FAULTS = "batch@5,sentinel@6,batch@8"
 
 ALL_QUERIES = [("tpch", name) for name in TPCH_QUERIES] + [
     ("conviva", name) for name in CONVIVA_QUERIES
@@ -53,8 +52,6 @@ def run_query(spec, catalog, faults=None):
             num_trials=TRIALS,
             seed=7,
             faults=faults,
-            checkpoint_interval=INTERVAL,
-            unit_retry_attempts=2,
             sanitize=SANITIZE,
         ),
     )

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import OnlineConfig
+from repro.core.compiler import StreamPipelineUnit
 from repro.core.values import UncertainValue
 from repro.engine.shards import ShardedQueryEngine
 from repro.errors import ReproError
@@ -39,7 +40,7 @@ SHARDABLE = [
 DEFAULT_SLICE = [("tpch", "Q1"), ("conviva", "C2"), ("conviva", "C9")]
 
 #: Kill shard 1 before batch 3 and shard 0 before batch 6: one early
-#: shallow replay, one deep replay crossing a checkpoint boundary.
+#: shallow replay, one deeper one.
 KILL_PLAN = "shard@3:1,shard@6:0"
 
 
@@ -58,7 +59,6 @@ def run_sharded(spec, catalog, faults=None, shards=2):
         spec.streamed_table,
         OnlineConfig(
             num_trials=TRIALS, seed=11, shards=shards, faults=faults,
-            checkpoint_interval=3,
         ),
     )
     return engine, list(engine.run(spec.plan, BATCHES))
@@ -139,6 +139,11 @@ class TestShardKill:
         assert engine.shard_respawns == 0
         assert len(partials) == BATCHES
 
+    def test_out_of_range_shard_target_rejected_at_run_start(self, catalogs):
+        spec = spec_of("conviva", "C2")
+        with pytest.raises(ReproError, match=r"fault shard@6:7 targets shard 7"):
+            run_sharded(spec, catalogs["conviva"], faults="shard@6:7")
+
     def test_in_worker_recovery_composes(self, catalogs):
         """Sentinel faults recover *inside* the worker (single-shard
         recovery); composing them with a worker kill still lands on the
@@ -155,18 +160,25 @@ class TestShardKill:
         recovered = [p.batch_no for p in chaotic if p.metrics.recovered]
         assert 4 in recovered
 
-    def test_worker_failure_surfaces_with_traceback(self, catalogs):
+    def test_worker_failure_surfaces_with_traceback(self, catalogs, monkeypatch):
         """A worker-fatal error (not a kill) aborts the run with the
         worker's formatted traceback attached."""
         spec = spec_of("conviva", "C2")
+        run = StreamPipelineUnit.run
+
+        def fatal_at_batch_2(self, ctx):
+            if ctx.batch_no == 2:
+                raise RuntimeError("planted unit failure")
+            run(self, ctx)
+
+        # Workers are forked after the patch, so they run it.
+        monkeypatch.setattr(StreamPipelineUnit, "run", fatal_at_batch_2)
         engine = ShardedQueryEngine(
             catalogs["conviva"],
             spec.streamed_table,
-            # unit faults exhaust the retry budget -> worker-fatal
-            OnlineConfig(
-                num_trials=TRIALS, seed=11, shards=2,
-                faults="unit@2:aggregate*9", unit_retry_attempts=1,
-            ),
+            OnlineConfig(num_trials=TRIALS, seed=11, shards=2),
         )
-        with pytest.raises(ReproError, match="shard .* failed at batch 2"):
+        with pytest.raises(ReproError, match="shard .* failed at batch 2") as exc:
             list(engine.run(spec.plan, BATCHES))
+        assert "planted unit failure" in str(exc.value)
+        assert "Traceback" in str(exc.value)

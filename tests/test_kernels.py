@@ -587,7 +587,7 @@ _FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class _ReferenceStaircases:
-    """Brute-force sentinels: one dict-held staircase per (entity,
+    """Brute-force sentinels: one dict-held tightest value per (entity,
     direction), every row pushed on its own — the semantics the array
     store must reproduce, NaN det values included."""
 
@@ -595,34 +595,24 @@ class _ReferenceStaircases:
         self.cmp = cmp_
         self.det_left = cmp_.left.attrs() == {"d"}
         self.op = cmp_.op if self.det_left else _FLIP[cmp_.op]
-        #: entity -> {expected: [(batch, det), ...]}, first-recorded order
-        self.hist: dict = {}
+        #: entity -> {expected: tightest det value}, first-recorded order
+        self.tight: dict = {}
 
-    def record(self, rel, rows, expected, batch_no):
+    def record(self, rel, rows, expected):
         for i, exp in zip(rows, expected):
             entity = (rel.columns["u"][i],)
-            hist = self.hist.setdefault(entity, {True: [], False: []})[bool(exp)]
-            self._push(bool(exp), hist, batch_no, float(rel.columns["d"][i]))
+            by_dir = self.tight.setdefault(entity, {})
+            value = float(rel.columns["d"][i])
+            by_dir[bool(exp)] = self._push(bool(exp), by_dir.get(bool(exp)), value)
 
-    def _push(self, expected, hist, batch_no, value):
-        if not hist:
-            hist.append((batch_no, value))
-            return
-        last_batch, last = hist[-1]
+    def _push(self, expected, last, value):
+        if last is None:
+            return value
         if self.op in (">", ">="):
-            tight = min(last, value) if expected else max(last, value)
-        elif self.op in ("<", "<="):
-            tight = max(last, value) if expected else min(last, value)
-        else:
-            tight = value
-        if tight == last:
-            return
-        if self.op in ("==", "!="):
-            hist[:] = [(batch_no, tight)]
-        elif last_batch == batch_no:
-            hist[-1] = (batch_no, tight)
-        else:
-            hist.append((batch_no, tight))
+            return min(last, value) if expected else max(last, value)
+        if self.op in ("<", "<="):
+            return max(last, value) if expected else min(last, value)
+        return value
 
     def holds(self, det, unc):
         a, b = (det, unc) if self.det_left else (unc, det)
@@ -633,46 +623,31 @@ class _ReferenceStaircases:
             )
 
     def outcome(self, points: dict, batch_no: int):
-        """``(recover_from_batch, message)`` of a check against ``points``
-        (entity key -> current point; a missing key has vanished)."""
-        violations = []
-        for (ref,), by_dir in self.hist.items():
+        """The error message of a check against ``points`` (entity key ->
+        current point; a missing key has vanished), or None: the first
+        violated (entity, direction) in record order."""
+        for entity, by_dir in self.tight.items():
             for expected in (True, False):
-                hist = by_dir[expected]
-                if not hist:
+                if expected not in by_dir:
                     continue
-                if ref.key not in points:
-                    violations.append((
-                        max(hist[0][0] - 1, 0),
-                        f"entity vanished (first resolved at batch {hist[0][0]})",
-                    ))
+                if entity[0].key not in points:
+                    reason = f"entity {entity!r} resolved {expected} vanished"
+                elif self.holds(by_dir[expected], points[entity[0].key]) != expected:
+                    reason = (
+                        f"resolved decision flipped for entity {entity!r}: {self.cmp!r} "
+                        f"expected {expected} for det value {by_dir[expected]!r}"
+                    )
+                else:
                     continue
-                unc = points[ref.key]
-                tight = hist[-1][1]
-                if self.holds(tight, unc) == expected:
-                    continue
-                first = min(b for b, det in hist if self.holds(det, unc) != expected)
-                violations.append((
-                    max(first - 1, 0),
-                    f"resolved decision flipped: {self.cmp!r} expected {expected} "
-                    f"for det value {tight!r} (earliest flip resolved at batch {first})",
-                ))
-        if not violations:
-            return None
-        recover_from = min(b for b, _ in violations)
-        reason = violations[0][1]
-        if len(violations) > 1:
-            reason += f" (+{len(violations) - 1} more)"
-        return recover_from, (
-            f"sentinel violation at batch {batch_no}: {reason}; "
-            f"state is consistent through batch {recover_from}"
-        )
+                return f"sentinel violation at batch {batch_no}: {reason}"
+        return None
 
 
 class TestVectorizedSentinels:
     """The array sentinel store against :class:`_ReferenceStaircases`:
-    every check outcome — whether it fails, its recovery depth and its
-    wording — equals the brute-force staircase's."""
+    the tightest value per (entity, direction), and every check outcome —
+    whether it fails and the entity and direction it names — equal the
+    brute-force reference's."""
 
     def make_stores(self, cmp_=None):
         cmp_ = cmp_ or Comparison(">", Col("d"), Col("u"))
@@ -697,9 +672,22 @@ class TestVectorizedSentinels:
         return rel
 
     def assert_matches_reference(self, store, ref, probes=(), keys=range(4)):
-        """Check both against every entity at each probe estimate (and at
-        each recorded det value, just above and below it, NaN and gone)."""
-        dets = [d for by_dir in ref.hist.values() for h in by_dir.values() for _, d in h]
+        """Compare the tightest values, then check both against every
+        entity at each probe estimate (and at each tightest det value,
+        just above and below it, NaN and gone)."""
+        conj = store._per_conjunct[0]
+        got = {
+            conj.entity(slot): {
+                bool(d): float(conj.tight[slot, d]) for d in (1, 0) if conj.has[slot, d]
+            }
+            for slot in range(conj.n)
+        }
+        assert list(got) == list(ref.tight)
+        for entity, by_dir in ref.tight.items():
+            assert got[entity].keys() == by_dir.keys(), entity
+            for expected, det in by_dir.items():
+                assert _scalar_eq(got[entity][expected], det), (entity, expected)
+        dets = [d for by_dir in ref.tight.values() for d in by_dir.values()]
         values = set(probes) | {float("nan"), None}
         for d in dets:
             if d == d:
@@ -716,41 +704,41 @@ class TestVectorizedSentinels:
                 store.check(ctx)
                 got = None
             except RangeIntegrityError as failure:
-                got = (failure.recover_from_batch, str(failure))
+                got = str(failure)
             assert got == ref.outcome(points, 99), value
 
     def test_batched_fold_equals_sequential(self):
         rng = np.random.default_rng(4)
         store, ref = self.make_stores()
-        for batch_no in (1, 1, 2, 4):
+        for sidecar in (False, False, True, True):
             d = np.round(rng.normal(10, 5, 30), 3)
             keys = rng.integers(0, 4, 30)
-            rel = self.rel(d, keys, sidecar=batch_no % 2 == 0)
+            rel = self.rel(d, keys, sidecar=sidecar)
             rows = np.arange(30)
             expected = rng.random(30) > 0.5
-            store.record(0, rel, rows, expected, batch_no=batch_no)
-            ref.record(rel, rows, expected, batch_no)
+            store.record(0, rel, rows, expected)
+            ref.record(rel, rows, expected)
         self.assert_matches_reference(store, ref)
 
     def test_nan_det_values_use_reference(self):
         store, ref = self.make_stores()
-        for batch_no, (d, keys, expected) in enumerate([
+        for d, keys, expected in [
             ([1.0, float("nan"), 3.0], [0, 0, 1], [True, True, False]),
             ([float("nan"), 0.5, 7.0], [2, 0, 1], [True, True, False]),
             ([-1.0, 9.0], [2, 1], [True, False]),
-        ], start=1):
+        ]:
             rel = self.rel(d, keys)
-            store.record(0, rel, np.arange(len(d)), np.array(expected), batch_no=batch_no)
-            ref.record(rel, np.arange(len(d)), expected, batch_no)
+            store.record(0, rel, np.arange(len(d)), np.array(expected))
+            ref.record(rel, np.arange(len(d)), expected)
         self.assert_matches_reference(store, ref, keys=range(3))
 
     def test_equality_op_uses_reference(self):
         store, ref = self.make_stores(Comparison("==", Col("d"), Col("u")))
-        for batch_no, d in ((1, [1.0, 2.0, 1.5]), (2, [1.5, 1.5, 2.5]), (3, [2.5, 2.5, 2.5])):
+        for d in ([1.0, 2.0, 1.5], [1.5, 1.5, 2.5], [2.5, 2.5, 2.5]):
             rel = self.rel(d, [0, 0, 0])
             expected = np.array([False, False, True])
-            store.record(0, rel, np.arange(3), expected, batch_no=batch_no)
-            ref.record(rel, np.arange(3), expected, batch_no)
+            store.record(0, rel, np.arange(3), expected)
+            ref.record(rel, np.arange(3), expected)
         self.assert_matches_reference(store, ref, keys=[0])
 
     @settings(max_examples=30, deadline=None)
@@ -761,16 +749,14 @@ class TestVectorizedSentinels:
         cmp_ = Comparison(op, Col("d"), Col("u")) if det_left else Comparison(op, Col("u"), Col("d"))
         store, ref = self.make_stores(cmp_)
         value = st.one_of(st.just(float("nan")), st.integers(-8, 8).map(lambda i: i / 2))
-        batch_no = 0
         for _ in range(data.draw(st.integers(1, 6), label="calls")):
-            batch_no += data.draw(st.integers(0, 2), label="batch step")
             n = data.draw(st.integers(1, 6), label="rows")
             d = [data.draw(value) for _ in range(n)]
             keys = [data.draw(st.integers(0, 3)) for _ in range(n)]
             expected = np.array([data.draw(st.booleans()) for _ in range(n)])
             rel = self.rel(d, keys, sidecar=data.draw(st.booleans(), label="sidecar"))
-            store.record(0, rel, np.arange(n), expected, batch_no=batch_no)
-            ref.record(rel, np.arange(n), expected, batch_no)
+            store.record(0, rel, np.arange(n), expected)
+            ref.record(rel, np.arange(n), expected)
         self.assert_matches_reference(store, ref, probes=[-5.0, 0.0, 5.0])
 
 

@@ -230,7 +230,7 @@ class TestWeightsDoNotDependOnTheConfiguration:
         table = random_kx(600, seed=2, groups=5)
         cat = Catalog({"t": table})
         engine = OnlineQueryEngine(
-            cat, "t", OnlineConfig(num_trials=T, seed=4, faults="sentinel@5", checkpoint_interval=2)
+            cat, "t", OnlineConfig(num_trials=T, seed=4, faults="sentinel@5")
         )
         final = engine.run_to_completion(nested_plan(), 8)
         assert engine.metrics.batches[4].recovered

@@ -215,9 +215,7 @@ class TestRecoveryOnTimeline:
             ):
                 fired.append(True)
                 ctx.monitor.record_failure()
-                raise RangeIntegrityError(
-                    "forced failure", recover_from_batch=0
-                )
+                raise RangeIntegrityError("forced failure")
             return original(self, ctx)
 
         monkeypatch.setattr(SentinelStore, "check", forced)

@@ -336,7 +336,7 @@ class TestEngineProfiling:
         spec, catalog = self._spec_catalog(catalogs)
         engine, _ = run_query(
             spec, catalog, profile=True, batches=8,
-            faults="batch@7", checkpoint_interval=3,
+            faults="batch@7",
         )
         assert engine.metrics.num_recoveries == 1
         bm = engine.metrics.batches[6]

@@ -317,7 +317,7 @@ class TestRecoveryValve:
             # budget can never absorb this, so the valve must trip.
             if ctx.monitor.enabled and not ctx.monitor.replaying:
                 ctx.monitor.record_failure()
-                raise RangeIntegrityError("forced failure", recover_from_batch=0)
+                raise RangeIntegrityError("forced failure")
             return original_check(self, ctx)
 
         monkeypatch.setattr(SentinelStore, "check", forced_check)

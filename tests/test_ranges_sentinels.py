@@ -213,159 +213,98 @@ class TestMembershipSentinels:
         ms.reset()
         assert len(ms) == 0
 
+    def test_multiple_flips_name_the_first(self):
+        ms = MembershipSentinels()
+        ctx = make_ctx()
+        ms.record(("a",), True)
+        ms.record(("b",), True)
+        publish(ctx, 7, ("a",), "v", 1.0, [1.0], member_point=False)
+        publish(ctx, 7, ("b",), "v", 1.0, [1.0], member_point=False)
+        with pytest.raises(RangeIntegrityError) as exc:
+            ms.check(ctx, ctx.blocks[7])
+        assert str(exc.value) == (
+            "membership of group ('a',) flipped (expected True) at batch 1 (+1 more)"
+        )
 
-class TestRecoverFromDepth:
-    """A violation must report the last batch whose recorded decisions all
-    still hold — the seed hardcoded recover_from_batch=0, forcing every
-    recovery to replay the whole run."""
+    def test_check_skipped_while_replaying(self):
+        ms = MembershipSentinels()
+        ctx = make_ctx()
+        ms.record(("g",), True)
+        ctx.monitor.replaying = True
+        ms.check(ctx, self.view(ctx, member_point=False))
+
+
+class TestStaircaseCheck:
+    """Only the tightest sentinel per (entity, direction) is kept and
+    checked: the check raises exactly when it flips or its entity
+    vanished, and the error names the entity and the direction."""
+
+    REF = LineageRef(1, ("a",), "v")
 
     def make(self):
         cmp_ = Comparison(">", Col("d"), Col("u"))
         return SentinelStore([cmp_], {"u"})
 
-    def record_at(self, store, ctx, d_value, batch_no, expected=True):
-        ref = LineageRef(1, (), "v")
-        rel = rel_with_refs([d_value], ref)
-        store.record(
-            0, rel, np.array([0]), np.array([expected]), batch_no=batch_no
-        )
+    def record(self, store, *d_values):
+        for d in d_values:  # one batch each: 50 > u, then 20 > u, ...
+            store.record(0, rel_with_refs([d], self.REF), np.array([0]), np.array([True]))
 
     def test_only_tightest_flips(self):
         store = self.make()
         ctx = make_ctx()
-        publish(ctx, 1, (), "v", 10.0, [10.0])
-        self.record_at(store, ctx, 50.0, batch_no=3)  # 50 > u, looser
-        self.record_at(store, ctx, 20.0, batch_no=6)  # 20 > u, tighter
-        publish(ctx, 1, (), "v", 30.0, [30.0])  # 20>30 flips, 50>30 holds
+        self.record(store, 50.0, 20.0)
+        publish(ctx, 1, ("a",), "v", 30.0, [30.0])  # 20>30 flips, 50>30 holds
         with pytest.raises(RangeIntegrityError) as exc:
             store.check(ctx)
-        assert exc.value.recover_from_batch == 5
+        assert str(exc.value) == (
+            f"sentinel violation at batch 1: resolved decision flipped for "
+            f"entity {(self.REF,)!r}: {store.conjuncts[0]!r} expected True "
+            f"for det value 20.0"
+        )
 
     def test_whole_staircase_flips(self):
         store = self.make()
         ctx = make_ctx()
-        publish(ctx, 1, (), "v", 10.0, [10.0])
-        self.record_at(store, ctx, 50.0, batch_no=3)
-        self.record_at(store, ctx, 20.0, batch_no=6)
-        publish(ctx, 1, (), "v", 60.0, [60.0])  # above both steps
-        with pytest.raises(RangeIntegrityError) as exc:
+        self.record(store, 50.0, 20.0)
+        publish(ctx, 1, ("a",), "v", 60.0, [60.0])  # above both steps
+        with pytest.raises(RangeIntegrityError, match="det value 20.0"):
             store.check(ctx)
-        assert exc.value.recover_from_batch == 2
+        assert ctx.monitor.failures == 1
 
-    def test_multiple_entities_report_min(self):
+    def test_tightest_holds(self):
         store = self.make()
         ctx = make_ctx()
-        for key, batch in (("a", 4), ("b", 7)):
-            ref = LineageRef(1, (key,), "v")
-            publish(ctx, 1, (key,), "v", 10.0, [10.0])
-            rel = rel_with_refs([20.0], ref)
-            store.record(
-                0, rel, np.array([0]), np.array([True]), batch_no=batch
-            )
-        publish(ctx, 1, ("a",), "v", 99.0, [99.0])
-        publish(ctx, 1, ("b",), "v", 99.0, [99.0])
-        with pytest.raises(RangeIntegrityError) as exc:
-            store.check(ctx)
-        assert exc.value.recover_from_batch == 3
-        # Both violations are collected into one failure.
-        assert "more" in str(exc.value)
+        self.record(store, 50.0, 20.0)
+        publish(ctx, 1, ("a",), "v", 15.0, [15.0])  # 20>15: every step holds
+        store.check(ctx)
+        assert ctx.monitor.failures == 0
 
-    def test_vanished_entity_reports_resolution_batch(self):
+    def test_vanished_entity_is_named(self):
         store = self.make()
         ctx = make_ctx()
-        ref = LineageRef(1, ("gone",), "v")
-        publish(ctx, 1, ("gone",), "v", 10.0, [10.0])
-        rel = rel_with_refs([50.0], ref)
-        store.record(0, rel, np.array([0]), np.array([True]), batch_no=5)
+        self.record(store, 50.0)
         ctx.blocks[1] = BlockOutput(1, [], ["v"])
         with pytest.raises(RangeIntegrityError) as exc:
             store.check(ctx)
-        assert exc.value.recover_from_batch == 4
-
-    def test_unbatched_records_default_to_zero(self):
-        store = self.make()
-        ctx = make_ctx()
-        publish(ctx, 1, (), "v", 10.0, [10.0])
-        self.record_at(store, ctx, 50.0, batch_no=0)
-        publish(ctx, 1, (), "v", 99.0, [99.0])
-        with pytest.raises(RangeIntegrityError) as exc:
-            store.check(ctx)
-        assert exc.value.recover_from_batch == 0
+        assert str(exc.value) == (
+            f"sentinel violation at batch 1: entity {(self.REF,)!r} "
+            f"resolved True vanished"
+        )
 
     def test_check_skipped_while_replaying(self):
         store = self.make()
         ctx = make_ctx()
-        publish(ctx, 1, (), "v", 10.0, [10.0])
-        self.record_at(store, ctx, 50.0, batch_no=3)
-        publish(ctx, 1, (), "v", 99.0, [99.0])
+        self.record(store, 50.0)
+        publish(ctx, 1, ("a",), "v", 99.0, [99.0])
         ctx.monitor.replaying = True
-        store.check(ctx)  # restored sentinels hold at the restore point
-
-    def test_vectorized_record_tracks_batches_too(self):
-        store = self.make()
-        ctx = make_ctx()
-        ref = LineageRef(1, (), "v")
-        publish(ctx, 1, (), "v", 10.0, [10.0])
-        rel = rel_with_refs([50.0, 20.0], ref)
-        store.record(
-            0, rel, np.array([0]), np.array([True]),
-            vectorize=True, batch_no=3,
-        )
-        store.record(
-            0, rel, np.array([1]), np.array([True]),
-            vectorize=True, batch_no=6,
-        )
-        publish(ctx, 1, (), "v", 30.0, [30.0])
-        with pytest.raises(RangeIntegrityError) as exc:
-            store.check(ctx)
-        assert exc.value.recover_from_batch == 5
-
-
-class TestMembershipRecoverFrom:
-    def view(self, ctx, points):
-        for key, member in points.items():
-            publish(ctx, 7, key, "v", 1.0, [1.0], member_point=member)
-        return ctx.blocks[7]
-
-    def test_flip_reports_resolution_batch(self):
-        ms = MembershipSentinels()
-        ctx = make_ctx()
-        ms.record(("g",), True, batch_no=6)
-        with pytest.raises(RangeIntegrityError) as exc:
-            ms.check(ctx, self.view(ctx, {("g",): False}))
-        assert exc.value.recover_from_batch == 5
-
-    def test_multiple_flips_report_min(self):
-        ms = MembershipSentinels()
-        ctx = make_ctx()
-        ms.record(("a",), True, batch_no=4)
-        ms.record(("b",), True, batch_no=7)
-        with pytest.raises(RangeIntegrityError) as exc:
-            ms.check(ctx, self.view(ctx, {("a",): False, ("b",): False}))
-        assert exc.value.recover_from_batch == 3
-        assert "more" in str(exc.value)
-
-    def test_first_record_pins_batch(self):
-        ms = MembershipSentinels()
-        ctx = make_ctx()
-        ms.record(("g",), True, batch_no=2)
-        ms.record(("g",), True, batch_no=9)  # later re-record: ignored
-        with pytest.raises(RangeIntegrityError) as exc:
-            ms.check(ctx, self.view(ctx, {("g",): False}))
-        assert exc.value.recover_from_batch == 1
-
-    def test_check_skipped_while_replaying(self):
-        ms = MembershipSentinels()
-        ctx = make_ctx()
-        ms.record(("g",), True, batch_no=2)
-        ctx.monitor.replaying = True
-        ms.check(ctx, self.view(ctx, {("g",): False}))
+        store.check(ctx)  # the replay prunes nothing; nothing is checked
+        assert ctx.monitor.failures == 0
 
 
 class TestVectorizedCheckMatchesRowwise:
     """The array pass of ``SentinelStore.check`` / ``MembershipSentinels
-    .check`` only filters: outcome, recovery depth and first reason equal
-    the row-wise reference (``vectorize=False``) on random staircases."""
+    .check`` only filters: outcome and first reason equal the row-wise
+    reference (``vectorize=False``) on random staircases."""
 
     SCHEMA = Schema(
         [("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT), ("w", ColumnType.FLOAT)]
@@ -381,7 +320,7 @@ class TestVectorizedCheckMatchesRowwise:
         try:
             check()
         except RangeIntegrityError as failure:
-            return failure.recover_from_batch, str(failure)
+            return str(failure)
         return None
 
     def contexts(self, published):
@@ -409,7 +348,7 @@ class TestVectorizedCheckMatchesRowwise:
         before = {1: [data.draw(value) for _ in range(4)],
                   2: [data.draw(value) for _ in range(2)]}
         store = SentinelStore([conjunct], {"u", "w"})
-        for batch_no in range(1, data.draw(st.integers(1, 5), label="batches") + 1):
+        for _batch in range(data.draw(st.integers(1, 5), label="batches")):
             n = data.draw(st.integers(1, 6), label="rows")
             uk = [data.draw(st.integers(0, 3)) for _ in range(n)]
             wk = [data.draw(st.integers(0, 1)) for _ in range(n)]
@@ -430,7 +369,6 @@ class TestVectorizedCheckMatchesRowwise:
                 0, Relation(self.SCHEMA, {"d": d, "u": u, "w": w}), np.arange(n),
                 held ^ wrong,
                 vectorize=data.draw(st.booleans(), label="batched record"),
-                batch_no=batch_no,
             )
         moved = st.one_of(st.just(0.0), st.floats(-15, 15, allow_nan=False))
         published = {
@@ -460,10 +398,7 @@ class TestVectorizedCheckMatchesRowwise:
         ms = MembershipSentinels()
         for key in range(5):
             if data.draw(st.booleans(), label=f"recorded {key}"):
-                ms.record(
-                    (key,), data.draw(st.booleans()),
-                    batch_no=data.draw(st.integers(1, 8)),
-                )
+                ms.record((key,), data.draw(st.booleans()))
         outcomes = []
         members = {
             key: data.draw(st.booleans())

@@ -212,7 +212,7 @@ class TestEngine:
 # Parity: sanitized + faulted == clean, bit for bit.
 # ---------------------------------------------------------------------------
 
-FAULTS = "unit@3:aggregate,batch@5,checkpoint@6,batch@8"
+FAULTS = "batch@5,sentinel@6,batch@8"
 PARITY_QUERIES = [("tpch", "Q1"), ("tpch", "Q17"), ("conviva", "C8")]
 
 
@@ -234,8 +234,6 @@ class TestParity:
                     num_trials=6,
                     seed=7,
                     faults=faults,
-                    checkpoint_interval=3,
-                    unit_retry_attempts=2,
                     sanitize=sanitize,
                 ),
             )
