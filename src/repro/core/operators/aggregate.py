@@ -305,14 +305,19 @@ class AggregateOp(SpineOp):
         tomb_gids = index.add(sorted(vanished))
         published.update(keys)
         g = len(index)
+        n = len(keys)
+        # Most batches publish every gid, in gid order, with no tombstone:
+        # the per-group arrays are then gid-indexed already.
+        in_place = n == g and bool((gids == np.arange(g)).all())
 
         def scattered(fill, values: np.ndarray) -> np.ndarray:
             # values at gids; fill elsewhere (tombstones too).
+            if in_place:
+                return values
             out = np.full((g,) + values.shape[1:], fill, dtype=values.dtype)
             out[gids] = values
             return out
 
-        n = len(keys)
         certain_n = np.fromiter(map(self.certain_groups.__contains__, keys), bool, n)
         certain = scattered(False, certain_n)
         member_point = scattered(False, certain_n | exist_point)
@@ -355,7 +360,7 @@ class AggregateOp(SpineOp):
         output = BlockOutput(
             self.block_id, self.group_by, [s.name for s in self.specs], index
         )
-        order = np.concatenate([gids, tomb_gids])
+        order = gids if in_place else np.concatenate([gids, tomb_gids])
         all_members = np.full(g, MEMBER_TRUE, dtype=np.int8)
         output.fill(order, certain, all_members, member_point, exist_g, ucols)
         ctx.metrics.nd_groups += n

@@ -18,7 +18,7 @@ rows fold on top of a copy of it (:meth:`AggBundle.folded_with`), so
 the persistent sums never see them.
 
 Every fold is one contraction per group. The call's rows are sorted by
-group once (:class:`~repro.relational.groupby.RowSegments`) and two
+key once (:func:`~repro.relational.groupby.key_segments`) and two
 matrices are built: ``W = [mult | trial weights]``, ``(n, 1+T)`` — the
 ``uint8`` Poisson counts widen here, once — and ``A = [1; features]``,
 ``(1+K, n)``. A group's whole block is then ``A[:, seg] @ W[seg]``, and
@@ -38,12 +38,13 @@ seed bit-identical.
 from __future__ import annotations
 
 from collections import ChainMap
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.relational.aggregates import AggSpec
-from repro.relational.groupby import RowSegments, group_ids
+from repro.relational.groupby import RowSegments, key_segments
 from repro.relational.relation import Relation
 
 GroupKey = tuple
@@ -78,16 +79,18 @@ class AggBundle:
 
     def _ensure_groups(self, keys: Sequence[GroupKey]) -> np.ndarray:
         """Map keys to gids, allocating rows for unseen groups."""
-        gids = list(map(self.key_to_gid.get, keys))
-        if None in gids:
-            misses = np.flatnonzero(np.equal(np.array(gids, dtype=object), None))
+        gids = np.fromiter(
+            map(self.key_to_gid.get, keys, repeat(-1)), dtype=np.intp, count=len(keys)
+        )
+        misses = (gids < 0).nonzero()[0]
+        if len(misses):
             for i in misses.tolist():
                 key = keys[i]  # may repeat among the misses
                 gids[i] = self.key_to_gid.setdefault(key, len(self.keys))
                 if gids[i] == len(self.keys):
                     self.keys.append(key)
             self._grow(len(self.keys))
-        return np.array(gids, dtype=np.intp)
+        return gids
 
     def _grow(self, size: int) -> None:
         """Make room for ``size`` groups, at least doubling the capacity.
@@ -110,8 +113,10 @@ class AggBundle:
         n = len(rel)
         if n == 0:
             return []
-        local_keys, local_gids = group_ids(rel, list(group_by))
-        segments = RowSegments(self._ensure_groups(local_keys)[local_gids])
+        local_keys, local = key_segments(rel, group_by)
+        segments = RowSegments(
+            local.order, local.starts, self._ensure_groups(local_keys)[local.groups]
+        )
         order, groups = segments.order, segments.groups
         mult = rel.mult[order]
         trial_w = rel.trials_at(order)  # lazy weights: drawn in fold order
@@ -190,7 +195,7 @@ class AggBundle:
     ) -> None:
         # Elementwise trial values × weights, not a contraction: segmented
         # sums into the spec's single feature row.
-        segments = RowSegments(gids)
+        segments = RowSegments.of_gids(gids)
         order, groups = segments.order, segments.groups
         row = self.feature_rows[spec_index].start
         mult = mult[order]
@@ -234,6 +239,8 @@ class AggBundle:
         out = np.asarray(spec.func.finalize(sums, self.acc[:g, 0]), dtype=np.float64)
         if spec.func.scales_with_m and scale != 1.0:
             out = out * scale
+        elif np.may_share_memory(out, self.acc):
+            out = out.copy()  # the results outlive the next in-place fold
         return out[:, 0], out[:, 1:]
 
     def estimated_bytes(self) -> int:

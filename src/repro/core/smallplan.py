@@ -161,11 +161,10 @@ def _block_frame(output: BlockOutput, gids: np.ndarray) -> Frame:
 
 def _factorize(arrays: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """First-appearance key codes of ``n`` rows, and each key's first row."""
-    # NaN float keys fall back to comparing as Python objects do.
-    out = factorize_arrays(arrays, n) or factorize_arrays([a.astype(object) for a in arrays], n)
-    if out is None:
-        raise UnsupportedQueryError("group/join key with unhashable values")
-    return out
+    try:
+        return factorize_arrays(arrays, n)
+    except TypeError as exc:
+        raise UnsupportedQueryError("group/join key with unhashable values") from exc
 
 
 def _group_sums(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:

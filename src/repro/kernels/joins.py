@@ -1,12 +1,14 @@
 """Vectorized hash equi-join with a reusable (cross-batch) side index.
 
 ``join_relations`` rebuilds a Python dict over the right side and walks
-the left side row by row, every batch. The kernel version factorizes both
-sides' keys (memoized per relation), sorts the right side's codes once
-into a :class:`SideIndex`, and derives the joined row pairs with pure
-array arithmetic. The static join caches the index of its (immutable)
-dimension side in its state store, so batches after the first skip the
-build entirely.
+the left side row by row, every batch. The kernel version sorts the
+right side's key codes once into a :class:`SideIndex` — a single integer
+key column is its own code, other keys factorize (memoized per relation)
+— probes it with the left side's keys (``np.searchsorted`` for an integer
+key, a dict over the distinct factorized keys otherwise), and derives
+the joined row pairs with pure array arithmetic. The static join caches
+the index of its (immutable) dimension side in its state store, so
+batches after the first skip the build entirely.
 
 Output contract: *bit-identical* to ``join_relations`` — left-major
 order, matches of one left row ordered by ascending right row (the
@@ -20,34 +22,60 @@ import numpy as np
 
 from repro.kernels.codec import factorize_keys
 from repro.relational.evaluator import _join_trials, join_relations
+from repro.relational.groupby import RowSegments
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
 class SideIndex:
-    """Sorted-code index over one relation's join-key columns."""
+    """Sorted-code index over one relation's join-key columns: one integer
+    key column is its own code, other keys factorize (``key_to_code``)."""
 
     def __init__(self, rel: Relation, key_cols: list[str]):
-        kc = factorize_keys(rel, key_cols)
         self.key_cols = list(key_cols)
-        #: Row order grouped by key code; stable sort keeps rows of one
-        #: key in ascending row order (the reference's match order).
-        self.order = np.argsort(kc.codes, kind="stable")
-        self.counts = np.bincount(kc.codes, minlength=kc.num_keys).astype(np.intp)
-        self.starts = np.concatenate(
-            [np.zeros(1, dtype=np.intp), np.cumsum(self.counts[:-1], dtype=np.intp)]
-        ) if kc.num_keys else np.empty(0, dtype=np.intp)
-        self.key_to_code: dict[tuple, int] = {
-            key: code for code, key in enumerate(kc.keys)
-        }
+        column = rel.columns[key_cols[0]] if len(key_cols) == 1 else None
+        self.key_to_code: dict[tuple, int] | None = None
+        if column is not None and column.dtype.kind in "iu":
+            codes = column
+        else:
+            kc = factorize_keys(rel, key_cols)
+            codes = kc.codes
+            self.key_to_code = {key: code for code, key in enumerate(kc.keys)}
+        # Rows grouped by key code; the stable sort keeps rows of one key
+        # in ascending row order (the reference's match order).
+        segments = RowSegments.of_gids(codes)
+        self.order, self.starts = segments.order, segments.starts
+        self.counts = segments.lengths()
+        #: Distinct integer keys, ascending (a key's code is its position).
+        self.sorted_keys = segments.groups if self.key_to_code is None else None
 
     def estimated_bytes(self) -> int:
-        return (
-            self.order.nbytes
-            + self.counts.nbytes
-            + self.starts.nbytes
-            + 64 * len(self.key_to_code)
+        return self.order.nbytes + self.counts.nbytes + self.starts.nbytes + 64 * len(self.counts)
+
+    def probe(self, left: Relation, lkeys: list[str]) -> np.ndarray:
+        """Per row of ``left``, the code of its key (``-1`` when absent):
+        one ``np.searchsorted`` when both key dtypes promote to an integer
+        type; pairs that meet only as float64 (``uint64`` against
+        ``int64``) and other keys take the exact :meth:`probe_by_dict`."""
+        keys, column = self.sorted_keys, left.columns[lkeys[0]]
+        if keys is None or not len(keys) or column.dtype.kind not in "iu" or (
+            np.result_type(column.dtype, keys.dtype).kind not in "iu"
+        ):
+            return self.probe_by_dict(left, lkeys)
+        at = np.searchsorted(keys, column)
+        at[at == len(keys)] = 0
+        return np.where(keys[at] == column, at, -1)
+
+    def probe_by_dict(self, left: Relation, lkeys: list[str]) -> np.ndarray:
+        """:meth:`probe` through the key codec and a dict of key tuples."""
+        key_to_code = self.key_to_code
+        if key_to_code is None:
+            key_to_code = {(k,): c for c, k in enumerate(self.sorted_keys.tolist())}
+        lkc = factorize_keys(left, lkeys)
+        code_of_key = np.fromiter(
+            (key_to_code.get(k, -1) for k in lkc.keys), dtype=np.intp, count=lkc.num_keys
         )
+        return code_of_key[lkc.codes]
 
 
 def vectorized_join(
@@ -71,14 +99,7 @@ def vectorized_join(
         li = np.empty(0, dtype=np.intp)
         ri = np.empty(0, dtype=np.intp)
     else:
-        lkc = factorize_keys(left, lkeys)
-        key_to_code = index.key_to_code
-        code_of_key = np.fromiter(
-            (key_to_code.get(k, -1) for k in lkc.keys),
-            dtype=np.intp,
-            count=lkc.num_keys,
-        )
-        slots = code_of_key[lkc.codes]
+        slots = index.probe(left, lkeys)
         present = slots >= 0
         safe = np.where(present, slots, 0)
         cnt = np.where(present, index.counts[safe], 0)

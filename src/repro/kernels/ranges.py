@@ -14,7 +14,8 @@ Axis-1 reductions over a C-contiguous matrix use the same pairwise
 summation as the equivalent 1-D calls, so ``min``/``max``/``std`` agree
 to the last bit; rows containing non-finite trials (where the reference
 filters before reducing) take a per-row fallback that mirrors
-``from_trials`` literally.
+``from_trials`` literally. Both run NumPy's ``std`` ufunc sequence
+directly (:func:`_std_rows`), without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -39,37 +40,50 @@ def batched_range_bounds(
     """
     pts = np.asarray(points, dtype=np.float64)
     t = np.asarray(trials, dtype=np.float64)
-    g = t.shape[0]
-    lo = np.full(g, -_INF)
-    hi = np.full(g, _INF)
-    if t.shape[1]:
-        finite = np.isfinite(t)
-        ok = finite.all(axis=1)
-        if ok.any():
-            sub = t[ok] if not ok.all() else np.ascontiguousarray(t)
-            sub_lo = sub.min(axis=1)
-            sub_hi = sub.max(axis=1)
-            spread = np.std(sub, axis=1) * slack
-            degenerate = (sub_hi - sub_lo == 0.0) & (spread == 0.0)
-            pad = np.where(degenerate, np.abs(sub_hi) + 1.0, spread)
-            lo[ok] = sub_lo - pad
-            hi[ok] = sub_hi + pad
+    finite = np.isfinite(t)
+    ok = np.logical_and.reduce(finite, axis=1)
+    if t.shape[1] and np.logical_and.reduce(ok):
+        lo, hi = _finite_bounds(np.ascontiguousarray(t), slack)
+    else:
+        lo = np.full(t.shape[0], -_INF)
+        hi = np.full(t.shape[0], _INF)
+        if t.shape[1] and ok.any():
+            lo[ok], hi[ok] = _finite_bounds(t[ok], slack)
         # Rows with NaN/inf trials are rare (empty-weight AVG cells); run
         # them through the scalar formula so the finite-filtering — and
         # therefore the std over the *cleaned* vector — matches exactly.
-        for i in np.flatnonzero(~ok):
+        for i in np.flatnonzero(~ok).tolist():
             clean = t[i][finite[i]]
-            if len(clean) == 0:
-                continue
-            row_lo, row_hi = float(clean.min()), float(clean.max())
-            spread_i = float(np.std(clean)) * slack
-            if row_hi - row_lo == 0.0 and spread_i == 0.0:
-                pad_i = abs(row_hi) + 1.0
-                lo[i], hi[i] = row_lo - pad_i, row_hi + pad_i
-            else:
-                lo[i], hi[i] = row_lo - spread_i, row_hi + spread_i
+            if len(clean):
+                row_lo = float(np.minimum.reduce(clean))
+                row_hi = float(np.maximum.reduce(clean))
+                spread = float(_std_rows(clean[None])[0]) * slack
+                degenerate = row_hi - row_lo == 0.0 and spread == 0.0
+                pad = abs(row_hi) + 1.0 if degenerate else spread
+                lo[i], hi[i] = row_lo - pad, row_hi + pad
     hull = np.isfinite(pts)
     if hull.any():
         lo[hull] = np.minimum(lo[hull], pts[hull])
         hi[hull] = np.maximum(hi[hull], pts[hull])
     return lo, hi
+
+
+def _finite_bounds(sub: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of C-contiguous rows of finite trials."""
+    sub_lo = np.minimum.reduce(sub, axis=1)
+    sub_hi = np.maximum.reduce(sub, axis=1)
+    spread = _std_rows(sub) * slack
+    degenerate = (sub_hi - sub_lo == 0.0) & (spread == 0.0)
+    pad = np.where(degenerate, np.abs(sub_hi) + 1.0, spread)
+    return sub_lo - pad, sub_hi + pad
+
+
+def _std_rows(sub: np.ndarray) -> np.ndarray:
+    """``np.std(sub, axis=1)`` for a C-contiguous float64 ``(G, T)``
+    matrix: the ufunc sequence of NumPy's ``_var`` / ``_std`` (mean,
+    squared deviations, mean, root), without the wrapper's checks."""
+    m = sub.shape[1]
+    dev = sub - np.add.reduce(sub, axis=1, keepdims=True) / m
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=1) / m
+    return np.sqrt(var, out=var)

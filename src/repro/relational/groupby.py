@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.codec import _carried_codes, factorize_arrays
+from repro.kernels.codec import _carried_codes, segment_lengths, sort_keys, stable_segments
 from repro.relational.relation import Relation
 
 #: A group key is the tuple of group-by column values (``()`` for scalar
@@ -20,50 +20,26 @@ def group_ids(rel: Relation, group_by: Sequence[str]) -> tuple[list[GroupKey], n
     Returns ``(keys, gids)`` where ``keys[g]`` is the key tuple of group
     ``g`` and ``gids[i]`` the group of row ``i``. Group ids follow first
     appearance order, which keeps online outputs stable across batches.
+    A view of :func:`key_segments`.
     """
+    keys, segments = key_segments(rel, group_by)
+    gids = np.empty(len(rel), dtype=np.intp)
+    gids[segments.order] = np.repeat(segments.groups, segments.lengths())
+    return keys, gids
+
+
+def key_segments(
+    rel: Relation, group_by: Sequence[str]
+) -> tuple[list[GroupKey], "RowSegments"]:
+    """The rows grouped by key with one stable sort (:func:`sort_keys`):
+    ``(keys, segments)``, ``keys`` in first-appearance order and
+    ``segments.groups`` each segment's index into ``keys``."""
     n = len(rel)
     if not group_by:
-        return [()], np.zeros(n, dtype=np.intp)
-    carried = _carried_codes(rel, list(group_by))
-    if carried is not None:
-        # Dictionary-encoded key columns: group directly on storage codes,
-        # no value hashing or object sorting.
-        arrays = [rel.column(name) for name in group_by]
-        factorized = factorize_arrays(arrays, n, carried)
-        if factorized is not None:
-            codes, first_rows = factorized
-            keys = list(zip(*(a[first_rows].tolist() for a in arrays)))
-            return keys, codes
-    if len(group_by) == 1:
-        values = rel.column(group_by[0])
-        uniques, inverse = np.unique(values, return_inverse=True)
-        # Re-order so that ids follow first appearance, not sorted order.
-        first_pos = np.full(len(uniques), n, dtype=np.intp)
-        np.minimum.at(first_pos, inverse, np.arange(n, dtype=np.intp))
-        order = np.argsort(first_pos, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(uniques))
-        keys = [(uniques[g],) for g in order]
-        return keys, rank[inverse]
+        return [()], RowSegments.of_gids(np.zeros(n, dtype=np.intp))
     arrays = [rel.column(name) for name in group_by]
-    factorized = factorize_arrays(arrays, n)
-    if factorized is not None:
-        codes, first_rows = factorized
-        keys = list(zip(*(a[first_rows].tolist() for a in arrays)))
-        return keys, codes
-    # Fallback for keys np.unique cannot order faithfully (NaN floats,
-    # unorderable objects): the dict reference.
-    mapping: dict[GroupKey, int] = {}
-    gids = np.empty(n, dtype=np.intp)
-    keys = []
-    for i, key in enumerate(rel.key_tuples(group_by)):
-        gid = mapping.get(key)
-        if gid is None:
-            gid = len(keys)
-            mapping[key] = gid
-            keys.append(key)
-        gids[i] = gid
-    return keys, gids
+    order, starts, ranks, rows = sort_keys(arrays, n, _carried_codes(rel, list(group_by)))
+    return list(zip(*(a[rows].tolist() for a in arrays))), RowSegments(order, starts, ranks)
 
 
 def weighted_sums(
@@ -93,13 +69,18 @@ class RowSegments:
 
     __slots__ = ("order", "starts", "groups")
 
-    def __init__(self, gids: np.ndarray):
-        self.order = np.argsort(gids, kind="stable")
-        sorted_gids = gids[self.order]
-        is_start = np.ones(len(sorted_gids), dtype=bool)
-        is_start[1:] = sorted_gids[1:] != sorted_gids[:-1]
-        self.starts = np.flatnonzero(is_start)
-        self.groups = sorted_gids[self.starts]
+    def __init__(self, order: np.ndarray, starts: np.ndarray, groups: np.ndarray):
+        self.order, self.starts, self.groups = order, starts, groups
+
+    @classmethod
+    def of_gids(cls, gids: np.ndarray) -> "RowSegments":
+        """The rows grouped by their ids ``gids``."""
+        order, starts = stable_segments(gids)
+        return cls(order, starts, gids[order[starts]])
+
+    def lengths(self) -> np.ndarray:
+        """Rows per segment."""
+        return segment_lengths(self.starts, len(self.order))
 
     def sums(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Per-segment float64 sums over axis 0 of rows already in ``order``.
@@ -121,7 +102,7 @@ class RowSegments:
         """
         n = right.shape[0]
         out = np.empty((len(self.starts), left.shape[0], right.shape[1]))
-        single = np.diff(self.starts, append=n) == 1
+        single = self.lengths() == 1
         at = self.starts[single]
         out[single] = left[:, at].T[:, :, None] * right[at][:, None, :]
         bounds = self.starts.tolist() + [n]

@@ -13,7 +13,7 @@ Equality contract: a page assigns codes with exactly the semantics of
 ``codec._dict_factorize_column`` — values compare the way dict keys
 compare (hash + equality, with the identity shortcut that keeps each NaN
 object its own key), and unhashable values raise ``TypeError`` so the
-caller leaves the column unencoded and the existing fallbacks apply.
+caller leaves the column unencoded.
 
 Pages are *append-only*: encoding new values never reassigns existing
 codes, which is what lets old slices keep their code buffers while new
@@ -195,7 +195,7 @@ def encode_relation(rel, columns: Sequence[str] | None = None):
     Materialized cells are rebuilt from the page gather, so every row
     holding an equal value holds the *same* canonical object — the page
     codes and the cell objects can never disagree. Columns whose cells are
-    unhashable are left unencoded (the codec falls back as before).
+    unhashable are left unencoded.
     """
     from repro.relational.relation import Relation
 

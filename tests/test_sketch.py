@@ -245,7 +245,7 @@ def grouped_rows(draw):
 
 def trial_weight_sums(rows: np.ndarray, gids: np.ndarray, num_groups: int) -> np.ndarray:
     """Per-group sums over axis 0 through RowSegments, the way AggBundle folds."""
-    segments = RowSegments(gids)
+    segments = RowSegments.of_gids(gids)
     out = np.zeros((num_groups,) + rows.shape[1:])
     out[segments.groups] = segments.sums(rows[segments.order])
     return out
@@ -271,7 +271,7 @@ class TestSegmentedSums:
     def test_empty_input(self):
         out = trial_weight_sums(np.zeros((0, 4), dtype=np.uint8), np.zeros(0, np.intp), 3)
         assert out.shape == (3, 4) and not out.any()
-        segments = RowSegments(np.zeros(0, dtype=np.intp))
+        segments = RowSegments.of_gids(np.zeros(0, dtype=np.intp))
         assert len(segments.order) == len(segments.starts) == len(segments.groups) == 0
 
     def test_one_group(self):
@@ -285,7 +285,7 @@ class TestSegmentedSums:
         assert trial_weight_sums(w, gids, 4).ravel().tolist() == [2.5, 4.5, 3.5, 1.5]
 
     def test_rows_keep_their_order_within_a_group(self):
-        segments = RowSegments(np.array([1, 0, 1, 0, 1], dtype=np.intp))
+        segments = RowSegments.of_gids(np.array([1, 0, 1, 0, 1], dtype=np.intp))
         assert segments.order.tolist() == [1, 3, 0, 2, 4]
         assert segments.starts.tolist() == [0, 2]
         assert segments.groups.tolist() == [0, 1]
