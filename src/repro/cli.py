@@ -18,12 +18,10 @@ saved traces::
     python -m repro.cli report run.jsonl                # offline analysis
     python -m repro.cli report run.jsonl --json         # pinned-schema JSON
 
-Live telemetry (continuous profiler + predictive cost model)::
+Live telemetry (Prometheus exposition of the metrics registry)::
 
-    python -m repro.cli --query Q1 --profile --profiles profiles.json
-    python -m repro.cli metrics --query Q1 --listen :9110   # Prometheus
+    python -m repro.cli metrics --query Q1 --listen :9110
     python -m repro.cli metrics --query Q1 --metrics-textfile out.prom
-    python -m repro.cli top --query Q1 --plain              # hot spots
 
 The ``analyze`` subcommand runs the static analysis suite instead of
 executing anything: the plan typechecker over named workload queries or
@@ -116,38 +114,31 @@ def _log_level(args: argparse.Namespace) -> str:
     return "warning" if args.quiet else args.log_level
 
 
-def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="enable the continuous profiler (iolap engine): rolling "
-        "per-operator EWMA profiles and the predictive cost model; "
-        "results are bit-identical",
-    )
-    parser.add_argument(
-        "--profiles", metavar="PATH", default=None,
-        help="profiles.json artifact to load before and save after the "
-        "run (implies --profile); a warmed profile predicts batch cost "
-        "from the first batch",
-    )
-    parser.add_argument(
-        "--profile-stack", action="store_true",
-        help="also run the sampling stack profiler in a daemon thread "
-        "(implies --profile)",
-    )
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _profile_config(args: argparse.Namespace) -> dict:
-    """OnlineConfig kwargs from the shared profiling flags."""
-    return {
-        "profile": args.profile or bool(args.profiles) or args.profile_stack,
-        "profile_path": args.profiles,
-        "profile_stack": args.profile_stack,
-        "target_rsd": args.stop_rsd,
-    }
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
-    """Query-selection + engine flags shared by ``metrics`` and ``top``."""
+    """Query-selection + engine flags of the ``metrics`` subcommand."""
     parser.add_argument("sql", nargs="?", help="SQL text to run")
     parser.add_argument(
         "--workload", choices=sorted(_WORKLOADS), default="conviva",
@@ -158,8 +149,12 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale")
     parser.add_argument("--seed", type=int, default=0, help="generator/engine seed")
-    parser.add_argument("--batches", type=int, default=20, help="mini-batch count")
-    parser.add_argument("--trials", type=int, default=100, help="bootstrap trials")
+    parser.add_argument(
+        "--batches", type=_positive_int, default=20, help="mini-batch count"
+    )
+    parser.add_argument(
+        "--trials", type=_positive_int, default=100, help="bootstrap trials"
+    )
     parser.add_argument(
         "--stream", help="table to stream (default: the workload's fact table)"
     )
@@ -213,8 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale")
     parser.add_argument("--seed", type=int, default=0, help="generator/engine seed")
-    parser.add_argument("--batches", type=int, default=20, help="mini-batch count")
-    parser.add_argument("--trials", type=int, default=100, help="bootstrap trials")
+    parser.add_argument(
+        "--batches", type=_positive_int, default=20, help="mini-batch count"
+    )
+    parser.add_argument(
+        "--trials", type=_positive_int, default=100, help="bootstrap trials"
+    )
     parser.add_argument("--slack", type=float, default=2.0, help="range slack ε")
     parser.add_argument(
         "--stream", help="table to stream (default: the workload's fact table)"
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop once the worst relative stdev falls below this",
     )
     parser.add_argument(
-        "--max-rows", type=int, default=10, help="result rows to print per update"
+        "--max-rows", type=_non_negative_int, default=10,
+        help="result rows to print per update"
     )
     parser.add_argument(
         "--shards", type=int, default=0, metavar="N",
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "{sentinel,batch,shard}, e.g. 'sentinel@16,batch@18,shard@6:1'; "
         "recovery must still produce the fault-free answer",
     )
-    _add_profile_flags(parser)
     _add_logging_flags(parser)
     return parser
 
@@ -386,34 +385,6 @@ def build_metrics_parser() -> argparse.ArgumentParser:
         help="keep serving --listen this many seconds after the run "
         "completes, so a scraper can collect the final state (default: 0)",
     )
-    _add_profile_flags(parser)
-    _add_logging_flags(parser)
-    return parser
-
-
-def build_top_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli top",
-        description="Live per-operator hot-spot view of an online run: "
-        "EWMA self times, row throughput, |U_i| ND rows, state growth, "
-        "and the cost model's batches-to-convergence estimate.",
-    )
-    _add_query_flags(parser)
-    parser.add_argument(
-        "--target-rsd", type=float, default=0.05,
-        help="accuracy target the convergence ETA counts down to "
-        "(default: 0.05)",
-    )
-    parser.add_argument(
-        "--top", type=int, default=12,
-        help="operators to show per frame (default: 12)",
-    )
-    parser.add_argument(
-        "--plain", action="store_true",
-        help="print newline-separated frames instead of ANSI screen "
-        "refreshes (non-tty / CI mode)",
-    )
-    _add_profile_flags(parser)
     _add_logging_flags(parser)
     return parser
 
@@ -587,8 +558,7 @@ def run_metrics_cmd(argv: Sequence[str]) -> int:
     engine = OnlineQueryEngine(
         catalog,
         streamed,
-        OnlineConfig(num_trials=args.trials, seed=args.seed,
-                     **_profile_config(args)),
+        OnlineConfig(num_trials=args.trials, seed=args.seed),
         obs=obs,
     )
     try:
@@ -622,49 +592,11 @@ def run_metrics_cmd(argv: Sequence[str]) -> int:
     return 0
 
 
-def run_top(argv: Sequence[str]) -> int:
-    """The ``top`` subcommand: live per-operator hot-spot frames."""
-    from repro.obs.export import ANSI_CLEAR, TopView
-
-    args = build_top_parser().parse_args(argv)
-    _configure_logging(_log_level(args))
-    resolved = _resolve_query(args)
-    if resolved is None:
-        return 2
-    catalog, plan, streamed = resolved
-    config_kwargs = _profile_config(args)
-    config_kwargs["profile"] = True  # the view *is* the profiler's state
-    view = TopView(target_rsd=args.target_rsd, top=args.top)
-    engine = OnlineQueryEngine(
-        catalog,
-        streamed,
-        OnlineConfig(num_trials=args.trials, seed=args.seed, **config_kwargs),
-    )
-    seen_rows = 0
-    for partial in engine.run(plan, args.batches):
-        bm = partial.metrics
-        seen_rows += bm.new_tuples
-        rsd = partial.max_relative_stdev()
-        frame = view.frame(
-            engine.profiler, partial.batch_no, partial.num_batches,
-            rsd, bm.new_tuples, seen_rows, bm.wall_seconds,
-        )
-        if args.plain:
-            print(frame + "\n")
-        else:
-            sys.stdout.write(ANSI_CLEAR + frame + "\n")
-        sys.stdout.flush()
-        if args.stop_rsd is not None and rsd == rsd and rsd < args.stop_rsd:
-            break
-    return 0
-
-
 _SUBCOMMANDS = {
     "analyze": run_analyze,
     "trace": run_trace,
     "report": run_report,
     "metrics": run_metrics_cmd,
-    "top": run_top,
 }
 
 
@@ -764,7 +696,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             vectorize=not args.no_vectorize,
             faults=args.faults,
             shards=args.shards,
-            **_profile_config(args),
         ),
         obs=obs,
     )
@@ -800,14 +731,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             log.info("slowest operators: %s", ", ".join(
                 f"{label} {seconds*1000:.1f} ms" for label, seconds in slowest
             ))
-    cal = engine.metrics.cost_calibration
-    if cal.get("predictions"):
-        log.info(
-            "cost model: %d prediction(s), mae %.1f ms, mape %.1f%%",
-            cal["predictions"], cal["mae_seconds"] * 1000, cal["mape"] * 100,
-        )
-    if args.profiles:
-        log.info("profiles written to %s", args.profiles)
     if args.metrics_out:
         try:
             with open(args.metrics_out, "w") as fh:

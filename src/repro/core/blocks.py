@@ -422,29 +422,6 @@ class OnlineConfig:
     #: view provenance, and check every write against the frozen set.
     #: Off by default (zero cost when off).
     sanitize: bool = False
-    #: Continuous profiling (:mod:`repro.obs.profile`): fold every batch
-    #: into a rolling per-operator EWMA profile and fit the predictive
-    #: cost model from it. Purely observational — results are
-    #: bit-identical to an unprofiled run (enforced by tests); zero cost
-    #: when off (one ``is None`` test per batch).
-    profile: bool = False
-    #: Path of the ``profiles.json`` artifact: loaded (if present) at
-    #: run start so predictions warm-start from prior runs of the same
-    #: plan shape, saved at run end. None keeps profiles in memory only.
-    profile_path: str | None = None
-    #: Also run the sampling stack profiler (daemon thread reading
-    #: ``sys._current_frames()`` of the controller thread); implies the
-    #: same bit-identical guarantee — it only reads frames.
-    profile_stack: bool = False
-    #: Batches of samples the cost model needs before it starts issuing
-    #: predictions (calibration counts only scored predictions).
-    profile_warmup_batches: int = 5
-    #: Accuracy target (worst relative stdev) the telemetry layer
-    #: reports distance-to-convergence against (the
-    #: ``costmodel.batches_to_target`` gauge and ``iolap top``'s ETA);
-    #: None disables the gauge. Does not stop the run — early stopping
-    #: stays the caller's decision, as in the paper's interaction model.
-    target_rsd: float | None = None
     #: Process-level scale-out (:mod:`repro.engine.shards`): hash-partition
     #: the streamed table across this many worker processes, each running
     #: the full delta algorithm over its shard with shared-nothing state,

@@ -62,9 +62,6 @@ class OnlineQueryEngine:
         self.obs = obs if obs is not None else NULL_OBS
         #: Metrics of the most recent (or in-progress) run.
         self.metrics = RunMetrics()
-        #: Continuous profiler of the current run
-        #: (``OnlineConfig(profile=True)``), or None.
-        self.profiler = None
 
     def run(
         self,
@@ -99,18 +96,6 @@ class OnlineQueryEngine:
             num_batches = num_batches_for(len(streamed), batch_rows)
 
         obs = self.obs
-        profiler = None
-        if self.config.profile:
-            from repro.obs.profile import ContinuousProfiler
-            from repro.obs.session import MetricsObservability
-
-            if not obs.enabled:
-                # The profiler feeds on registry gauges (nd.rows, per-op
-                # rows). A metrics-only session makes exactly those live
-                # without span allocation or event emission.
-                obs = MetricsObservability()
-            profiler = ContinuousProfiler.for_run(self.config, plan)
-        self.profiler = profiler
         tracer = obs.tracer
         try:
             compiled = compile_online(plan, self.catalog, self.streamed_table)
@@ -282,33 +267,6 @@ class OnlineQueryEngine:
             reg.gauge(f"kernel.{name}").set(value)
         ctx.obs.emit_metrics(batch=batch_no)
 
-    def _sample_cost_metrics(
-        self, ctx: RuntimeContext, bm: BatchMetrics, profiler, batch_rows: int
-    ) -> None:
-        """Publish the cost model's predictions-vs-actuals gauges.
-
-        Live-exporter feed (Prometheus scrapes read the registry
-        directly); with tracing on, the values also land in the next
-        batch's counter-event sample.
-        """
-        reg = ctx.obs.metrics
-        if not reg.enabled:
-            return
-        reg.gauge("costmodel.predicted_seconds").set(bm.predicted_seconds)
-        reg.gauge("costmodel.actual_seconds").set(
-            bm.wall_seconds - bm.recovery_seconds
-        )
-        cal = profiler.calibration()
-        reg.gauge("costmodel.mape").set(cal["mape"])
-        reg.gauge("costmodel.predictions").set(cal["predictions"])
-        target = self.config.target_rsd
-        if target:
-            remaining = profiler.predict_batches_to_ci(
-                target, batch_rows, ctx.seen_rows
-            )
-            if remaining is not None:
-                reg.gauge("costmodel.batches_to_target").set(remaining)
-
     def _make_result(
         self,
         compiled: CompiledQuery,
@@ -371,16 +329,9 @@ class RunSession:
         """Run mini-batch ``batch_no`` (1-based) and build its result."""
         engine = self.engine
         compiled, ctx, obs = self.compiled, self.ctx, self.obs
-        profiler = engine.profiler
         tracer = obs.tracer
         i = batch_no
         bm = engine.metrics.start_batch(i)
-        if profiler is not None:
-            t0 = time.perf_counter()
-            bm.predicted_seconds = profiler.predict_batch_seconds(
-                len(self.batches.indices[i - 1])
-            )
-            engine.metrics.profile_seconds += time.perf_counter() - t0
         started = time.perf_counter()
         # Gathered here, not at open_run: the first estimate waits for
         # one batch, and a run that stops early never gathers the rest.
@@ -406,14 +357,7 @@ class RunSession:
         if obs.enabled:
             engine._sample_metrics(ctx, bm, i)
             obs.flush()
-        partial = engine._make_result(compiled, ctx, i, self.num_batches, bm)
-        if profiler is not None:
-            t0 = time.perf_counter()
-            profiler.observe_batch(ctx, bm, partial)
-            engine._sample_cost_metrics(ctx, bm, profiler, len(delta))
-            engine.metrics.cost_calibration = profiler.calibration()
-            engine.metrics.profile_seconds += time.perf_counter() - t0
-        return partial
+        return engine._make_result(compiled, ctx, i, self.num_batches, bm)
 
     def close(self) -> None:
         """Release everything the run acquired (idempotent)."""
@@ -424,8 +368,6 @@ class RunSession:
             self.run_span.__exit__(None, None, None)
         if self.ctx.sanitizer is not None:
             self.ctx.sanitizer.deactivate()
-        if self.engine.profiler is not None:
-            self.engine.profiler.finish()
         self.compiled.close()
         self.obs.flush()
 

@@ -265,7 +265,7 @@ def _timed_process(root: SpineOp, delta: object, ctx: RuntimeContext) -> DeltaBa
             reg.counter("op.rows_in", op=root.label).inc(rows_in)
             reg.counter("op.rows_out", op=root.label).inc(out.total_rows)
     elif ctx.obs.metrics.enabled:
-        # Metrics-only session (continuous profiler without tracing):
+        # Metrics-only session (``iolap metrics`` without tracing):
         # record row throughput, skip span allocation entirely.
         started = time.perf_counter()
         out = root.process(delta, ctx)

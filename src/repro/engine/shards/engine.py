@@ -115,7 +115,6 @@ class ShardedQueryEngine:
         self.partition_mode = partition_mode
         self.obs = obs if obs is not None else NULL_OBS
         self.metrics = RunMetrics()
-        self.profiler = None
         #: The ShardPlan of the most recent run (None before any run).
         self.shard_plan: ShardPlan | None = None
         #: Worker respawns performed by the shard fault path (per run).
@@ -183,7 +182,6 @@ class ShardedQueryEngine:
         self.metrics = inner.metrics
         for partial in inner.run(plan, num_batches, batch_rows=batch_rows):
             self.metrics = inner.metrics
-            self.profiler = inner.profiler
             yield partial
 
     # -- the sharded path ----------------------------------------------------------

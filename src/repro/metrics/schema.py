@@ -7,12 +7,8 @@ fields. Adding a metric therefore requires touching this module — and
 bumping :data:`RUN_METRICS_SCHEMA_VERSION` — deliberately, instead of
 silently changing the artifact shape.
 
-Versioning: the validators accept the current version *and* the
-immediately preceding one (archived artifacts outlive engine releases),
-each against its own frozen field set. v2 -> v3 added the continuous
-profiler / cost-model fields (``predicted_seconds`` per batch,
-``profile_seconds`` + ``cost_calibration`` per run); v3 -> v4 added the
-per-batch group counts ``rollup_groups`` (now always 0) and ``nd_groups``.
+Only the current version validates; an artifact of any other version is
+rejected rather than checked against an older field set.
 """
 
 from __future__ import annotations
@@ -20,12 +16,12 @@ from __future__ import annotations
 from typing import Any
 
 #: Bump whenever a field is added/removed/retyped in either dict below.
-RUN_METRICS_SCHEMA_VERSION = 4
+RUN_METRICS_SCHEMA_VERSION = 5
 
 _NUMBER = (int, float)
 
-#: Field name -> accepted types, one ``BatchMetrics.to_dict()`` (v3 set).
-BATCH_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
+#: Field name -> accepted types, for one ``BatchMetrics.to_dict()``.
+BATCH_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
     "batch_no": (int,),
     "wall_seconds": _NUMBER,
     "unit_seconds": _NUMBER,
@@ -37,18 +33,12 @@ BATCH_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
     "op_seconds": (dict,),
     "recovered": (bool,),
     "recovery_seconds": _NUMBER,
-    "predicted_seconds": _NUMBER,
-}
-
-#: Field name -> accepted types, for one ``BatchMetrics.to_dict()``.
-BATCH_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
-    **BATCH_METRICS_FIELDS_V3,
     "rollup_groups": (int,),
     "nd_groups": (int,),
 }
 
-#: Field name -> accepted types, one ``RunMetrics.to_dict()`` (v3 set).
-RUN_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
+#: Field name -> accepted types, for one ``RunMetrics.to_dict()``.
+RUN_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
     "schema_version": (int,),
     "num_batches": (int,),
     "total_seconds": _NUMBER,
@@ -61,19 +51,6 @@ RUN_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
     "sanitize_seconds": _NUMBER,
     "op_seconds": (dict,),
     "batches": (list,),
-    "profile_seconds": _NUMBER,
-    "cost_calibration": (dict,),
-}
-
-#: Field name -> accepted types, for one ``RunMetrics.to_dict()``.
-#: The v3 -> v4 bump added only batch-level fields.
-RUN_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
-    **RUN_METRICS_FIELDS_V3,
-}
-
-_FIELDS_BY_VERSION: dict[int, tuple[dict, dict]] = {
-    3: (RUN_METRICS_FIELDS_V3, BATCH_METRICS_FIELDS_V3),
-    4: (RUN_METRICS_FIELDS, BATCH_METRICS_FIELDS),
 }
 
 
@@ -102,17 +79,9 @@ def _check_fields(
             )
 
 
-def validate_batch_metrics(
-    data: Any, version: int = RUN_METRICS_SCHEMA_VERSION
-) -> None:
+def validate_batch_metrics(data: Any) -> None:
     """Validate one serialized ``BatchMetrics``; raise ``ValueError``."""
-    try:
-        _, batch_fields = _FIELDS_BY_VERSION[version]
-    except KeyError:
-        raise ValueError(
-            f"unsupported batch metrics schema version {version!r}"
-        ) from None
-    _check_fields(data, batch_fields, "batch metrics")
+    _check_fields(data, BATCH_METRICS_FIELDS, "batch metrics")
     for label, nbytes in data["state_bytes"].items():
         if not isinstance(label, str) or isinstance(nbytes, bool) or not isinstance(nbytes, int):
             raise ValueError(f"state_bytes entry {label!r} must map str -> int")
@@ -122,22 +91,16 @@ def validate_batch_metrics(
 
 
 def validate_run_metrics(data: Any) -> None:
-    """Validate a full ``RunMetrics.to_dict()`` artifact (recursively).
-
-    Accepts the current schema version and the previous one; every
-    version is checked against its own frozen field set, so a v2
-    artifact with v3 fields (or vice versa) still fails.
-    """
+    """Validate a full ``RunMetrics.to_dict()`` artifact (recursively)."""
     if not isinstance(data, dict):
         raise ValueError("run metrics must be a JSON object")
     version = data.get("schema_version")
-    fields = _FIELDS_BY_VERSION.get(version)  # type: ignore[arg-type]
-    if fields is None:
+    if version != RUN_METRICS_SCHEMA_VERSION:
         raise ValueError(
-            f"run metrics schema version {version!r} not in "
-            f"{sorted(_FIELDS_BY_VERSION)}"
+            f"run metrics schema version {version!r} is not "
+            f"{RUN_METRICS_SCHEMA_VERSION}"
         )
-    _check_fields(data, fields[0], "run metrics")
+    _check_fields(data, RUN_METRICS_FIELDS, "run metrics")
     if data["num_batches"] != len(data["batches"]):
         raise ValueError(
             f"num_batches={data['num_batches']} but {len(data['batches'])} "
@@ -145,6 +108,6 @@ def validate_run_metrics(data: Any) -> None:
         )
     for i, batch in enumerate(data["batches"]):
         try:
-            validate_batch_metrics(batch, version=version)  # type: ignore[arg-type]
+            validate_batch_metrics(batch)
         except ValueError as exc:
             raise ValueError(f"batches[{i}]: {exc}") from None

@@ -39,11 +39,6 @@ class BatchMetrics:
     recovered: bool = False
     #: Seconds spent inside the recovery replay (included in wall_seconds).
     recovery_seconds: float = 0.0
-    #: Cost-model prediction of this batch's wall seconds, issued by the
-    #: continuous profiler *before* the batch ran (0.0 when profiling is
-    #: off or the model was still warming up). Compared against
-    #: ``wall_seconds - recovery_seconds`` for calibration.
-    predicted_seconds: float = 0.0
     #: Always 0 (the tier it counted is gone); ``bench/measure.py`` reads it.
     rollup_groups: int = 0
     #: Groups recomputed by the aggregate sinks this batch, summed.
@@ -118,7 +113,6 @@ class BatchMetrics:
             "op_seconds": dict(self.op_seconds),
             "recovered": self.recovered,
             "recovery_seconds": self.recovery_seconds,
-            "predicted_seconds": self.predicted_seconds,
             "rollup_groups": self.rollup_groups,
             "nd_groups": self.nd_groups,
         }
@@ -142,15 +136,6 @@ class RunMetrics:
     #: tracking, and write checks. Exactly 0.0 when
     #: sanitizing is off — the perf suite asserts the zero-cost claim.
     sanitize_seconds: float = 0.0
-    #: Wall seconds spent inside the continuous profiler + cost model
-    #: (``OnlineConfig(profile=True)``): per-batch profile folds,
-    #: refits, and prediction scoring. Exactly 0.0 when profiling is off
-    #: — the perf suite asserts the zero-cost claim.
-    profile_seconds: float = 0.0
-    #: Cost-model calibration of this run (prediction count, mean
-    #: absolute error in seconds, MAPE, warm-up quota); empty when
-    #: profiling is off.
-    cost_calibration: dict = field(default_factory=dict)
 
     def start_batch(self, batch_no: int) -> BatchMetrics:
         bm = BatchMetrics(batch_no)
@@ -210,8 +195,6 @@ class RunMetrics:
             "pruning_disabled": self.pruning_disabled,
             "analysis_seconds": self.analysis_seconds,
             "sanitize_seconds": self.sanitize_seconds,
-            "profile_seconds": self.profile_seconds,
-            "cost_calibration": dict(self.cost_calibration),
             "op_seconds": self.total_op_seconds(),
             "batches": [bm.to_dict() for bm in self.batches],
         }

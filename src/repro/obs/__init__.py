@@ -19,9 +19,9 @@ default is the inert :data:`NULL_OBS`):
 See DESIGN.md §9 for the span taxonomy and the event schema.
 
 The engine imports this package on every run, so only the pieces a run
-needs load eagerly; the exporters, profiler, report, cost model and
-Chrome writer (``http.server`` among their imports) load on first access
-to one of their names.
+needs load eagerly; the exporters, report and Chrome writer
+(``http.server`` among their imports) load on first access to one of
+their names.
 """
 
 from importlib import import_module
@@ -51,17 +51,11 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 _LAZY = {
     "to_chrome": "chrome",
     "write_chrome": "chrome",
-    "CostModel": "costmodel",
     "MetricsHTTPServer": "export",
     "TextfileExporter": "export",
-    "TopView": "export",
     "parse_listen": "export",
     "parse_prometheus_text": "export",
     "prometheus_text": "export",
-    "ContinuousProfiler": "profile",
-    "ProfileStore": "profile",
-    "QueryProfile": "profile",
-    "plan_signature": "profile",
     "REPORT_SCHEMA_VERSION": "report",
     "TraceSummary": "report",
     "render_report": "report",
@@ -85,9 +79,7 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_TRACER",
     "REPORT_SCHEMA_VERSION",
-    "ContinuousProfiler",
     "ConvergenceReporter",
-    "CostModel",
     "Counter",
     "EventBus",
     "EventSink",
@@ -101,17 +93,13 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "Observability",
-    "ProfileStore",
-    "QueryProfile",
     "Span",
     "TextfileExporter",
-    "TopView",
     "TraceSummary",
     "Tracer",
     "metric_key",
     "parse_listen",
     "parse_prometheus_text",
-    "plan_signature",
     "prometheus_text",
     "read_events",
     "render_report",

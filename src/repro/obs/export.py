@@ -1,9 +1,9 @@
-"""Live telemetry export: Prometheus text format, HTTP endpoint, textfile
-exporter, and the ``iolap top`` live view.
+"""Live telemetry export: Prometheus text format, HTTP endpoint and textfile
+exporter.
 
 The exporter publishes the metrics registry's signals (|U_i| ``nd.rows``,
 variation-range widths, state bytes by entry/tier, recovery depth,
-per-operator self time, cost-model predictions vs actuals) in the
+per-operator self time) in the
 Prometheus text exposition format:
 
 * :func:`prometheus_text` renders a registry snapshot (dots in metric
@@ -18,9 +18,7 @@ Prometheus text exposition format:
 * :class:`TextfileExporter` atomically rewrites a ``.prom`` file per
   batch for scrape-less CI (the node-exporter textfile collector idiom);
 * :func:`parse_prometheus_text` is the inverse used by tests and the CI
-  smoke job to validate published artifacts;
-* :class:`TopView` renders the ``iolap top`` per-operator hot-spot table
-  with the cost model's batches-to-convergence estimate.
+  smoke job to validate published artifacts.
 """
 
 from __future__ import annotations
@@ -29,13 +27,8 @@ import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING
 
-from repro.obs.registry import Counter, Gauge, Histogram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import ContinuousProfiler
-    from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 #: Content type of the Prometheus text exposition format.
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -66,7 +59,7 @@ def _label_text(labels: dict[str, object]) -> str:
     return "{" + inner + "}"
 
 
-def prometheus_text(registry: "MetricsRegistry") -> str:
+def prometheus_text(registry: MetricsRegistry) -> str:
     """Render every registry series in Prometheus text format."""
     families: dict[str, tuple[str, list[str]]] = {}
 
@@ -132,7 +125,7 @@ def parse_prometheus_text(text: str) -> dict[str, float]:
 class TextfileExporter:
     """Atomic ``.prom`` file writer (node-exporter textfile idiom)."""
 
-    def __init__(self, path: str, registry: "MetricsRegistry"):
+    def __init__(self, path: str, registry: MetricsRegistry):
         self.path = path
         self.registry = registry
         self.writes = 0
@@ -165,13 +158,13 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 class _MetricsServer(ThreadingHTTPServer):
     daemon_threads = True
-    registry: "MetricsRegistry"
+    registry: MetricsRegistry
 
 
 class MetricsHTTPServer:
     """Serves ``/metrics`` for one registry from a daemon thread."""
 
-    def __init__(self, registry: "MetricsRegistry", host: str = "127.0.0.1",
+    def __init__(self, registry: MetricsRegistry, host: str = "127.0.0.1",
                  port: int = 0):
         self.registry = registry
         self._server = _MetricsServer((host, port), _MetricsHandler)
@@ -213,63 +206,3 @@ def parse_listen(spec: str) -> tuple[str, int]:
         )
     return (host or "127.0.0.1", int(port))
 
-
-ANSI_CLEAR = "\x1b[2J\x1b[H"
-
-
-class TopView:
-    """The ``iolap top`` frame renderer: per-operator hot spots, live.
-
-    Pure formatting over the profiler's rolling state — one frame per
-    batch, rendered either with an ANSI clear (interactive) or as
-    newline-separated frames (``--plain`` / non-tty / tests).
-    """
-
-    def __init__(self, target_rsd: float = 0.05, top: int = 12):
-        self.target_rsd = target_rsd
-        self.top = top
-        self.frames = 0
-
-    def frame(
-        self,
-        profiler: "ContinuousProfiler",
-        batch_no: int,
-        num_batches: int,
-        rsd: float,
-        batch_rows: int,
-        seen_rows: int,
-        wall_seconds: float,
-    ) -> str:
-        self.frames += 1
-        prof = profiler.profile
-        predicted = profiler.model.predict_batch_seconds(batch_rows)
-        to_target = profiler.predict_batches_to_ci(
-            self.target_rsd, batch_rows, seen_rows
-        )
-        cal = profiler.calibration()
-        rsd_text = f"{rsd:.4f}" if rsd == rsd else "n/a"
-        eta = (
-            "met" if to_target == 0
-            else f"~{to_target} batch(es)" if to_target is not None
-            else "n/a"
-        )
-        lines = [
-            f"iolap top — batch {batch_no}/{num_batches}"
-            f"  wall {wall_seconds * 1000:8.1f} ms"
-            f"  rsd {rsd_text}",
-            f"cost model: next batch ~{predicted * 1000:.1f} ms"
-            f"  (mape {cal['mape'] * 100:.1f}% over {cal['predictions']}"
-            f" scored)  to rsd<{self.target_rsd:g}: {eta}",
-            "",
-            f"{'operator':<40} {'self ms':>9} {'rows in':>9} "
-            f"{'nd rows':>9} {'state KiB':>10}",
-        ]
-        for op in prof.hot_operators(self.top):
-            lines.append(
-                f"{op.label[:40]:<40} "
-                f"{op.self_seconds.get() * 1000:9.2f} "
-                f"{op.rows_in.get():9.0f} "
-                f"{op.nd_rows.get():9.0f} "
-                f"{op.state_bytes.get() / 1024:10.1f}"
-            )
-        return "\n".join(lines)

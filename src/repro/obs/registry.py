@@ -141,7 +141,7 @@ class MetricsRegistry:
     def series(self) -> list[tuple[str, str, dict[str, object], object]]:
         """All series as ``(key, name, labels, instrument)``, key-sorted.
 
-        The structured feed of the Prometheus exporter and the profiler;
+        The structured feed of the Prometheus exporter;
         instruments are live objects — read their current values, do not
         mutate them.
         """

@@ -68,14 +68,13 @@ class Observability:
 class MetricsObservability:
     """A metrics-only session: live registry, inert tracer, no events.
 
-    The continuous profiler (``OnlineConfig(profile=True)``) needs the
-    registry's signals (``nd.rows``, per-op row counters, state gauges)
-    even when no trace sink is attached. This session makes exactly that
-    slice live: ``enabled`` is True so operators record their gauges,
-    but the tracer stays :data:`NULL_TRACER` (no span allocation) and
-    ``emit_metrics`` is a no-op (no per-batch registry -> event
-    sampling), keeping the profiling overhead to the registry writes
-    alone.
+    ``iolap metrics`` exports the registry's signals (``nd.rows``,
+    per-op row counters, state gauges) with no trace sink attached. This
+    session makes exactly that slice live: ``enabled`` is True so
+    operators record their gauges, but the tracer stays
+    :data:`NULL_TRACER` (no span allocation) and ``emit_metrics`` is a
+    no-op (no per-batch registry -> event sampling), keeping the
+    overhead to the registry writes alone.
     """
 
     enabled = True

@@ -19,6 +19,14 @@ class TestParser:
         assert args.batches == 20
         assert args.trace_out is None
         assert args.log_level == "info"
+        # Bad counts are usage errors (exit 2), in the run parser and
+        # in the ``metrics`` subcommand alike.
+        for argv in (["--batches", "0"], ["--batches", "-3"],
+                     ["--trials", "-5"], ["--trials", "x"]):
+            for prefix in ([], ["metrics", "--metrics-textfile", "x.prom"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([*prefix, "--query", "Q6", *argv])
+                assert exc.value.code == 2
 
     def test_named_query(self):
         args = build_parser().parse_args(["--query", "Q17", "--workload", "tpch"])
@@ -141,6 +149,17 @@ class TestMain:
         )
         assert code == 0
         assert "more rows" in out
+        code, out, _ = self.run(
+            ["--workload", "tpch", "--query", "Q6", "--engine", "batch",
+             "--scale", "0.05", "--max-rows", "0"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "  ... 1 more rows\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "tpch", "--query", "Q6", "--max-rows", "-1"])
+        assert exc.value.code == 2
+        assert "--max-rows" in capsys.readouterr().err
 
     def test_trace_out_requires_iolap(self, capsys):
         code = main([

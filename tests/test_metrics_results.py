@@ -140,7 +140,7 @@ class TestMetricsSchema:
         return rm
 
     def test_schema_version_pinned(self):
-        assert RUN_METRICS_SCHEMA_VERSION == 4
+        assert RUN_METRICS_SCHEMA_VERSION == 5
 
     def test_golden_field_sets(self):
         # Adding/removing a metrics field must touch this test AND bump
@@ -151,35 +151,15 @@ class TestMetricsSchema:
             "schema_version", "num_batches", "total_seconds",
             "total_unit_seconds", "total_recomputed", "total_shipped_bytes",
             "num_recoveries", "pruning_disabled", "analysis_seconds",
-            "sanitize_seconds", "profile_seconds", "cost_calibration",
-            "op_seconds", "batches",
+            "sanitize_seconds", "op_seconds", "batches",
         }
         assert set(data["batches"][0]) == {
             "batch_no", "wall_seconds", "unit_seconds", "new_tuples",
             "recomputed_tuples", "shipped_bytes", "state_bytes",
             "total_state_bytes", "op_seconds", "recovered",
-            "recovery_seconds", "predicted_seconds", "rollup_groups",
-            "nd_groups",
+            "recovery_seconds", "rollup_groups", "nd_groups",
         }
         assert data["schema_version"] == RUN_METRICS_SCHEMA_VERSION
-
-    def test_v3_artifact_still_validates(self):
-        # Archived artifacts outlive engine releases: a v3 dump (no
-        # rollup fields) must keep validating against the v3 field set.
-        data = self.make().to_dict()
-        data["schema_version"] = 3
-        for batch in data["batches"]:
-            del batch["rollup_groups"]
-            del batch["nd_groups"]
-        validate_run_metrics(data)
-
-    def test_v3_artifact_with_v4_fields_rejected(self):
-        # Version claims are checked against that version's own field
-        # set — a v3 artifact smuggling v4 fields is drift, not compat.
-        data = self.make().to_dict()
-        data["schema_version"] = 3
-        with pytest.raises(ValueError, match="unknown field"):
-            validate_run_metrics(data)
 
     def test_v4_artifact_missing_v4_fields_rejected(self):
         data = self.make().to_dict()
@@ -190,7 +170,7 @@ class TestMetricsSchema:
 
     def test_v4_artifact_missing_run_fields_rejected(self):
         data = self.make().to_dict()
-        del data["cost_calibration"]
+        del data["sanitize_seconds"]
         with pytest.raises(ValueError, match="missing field"):
             validate_run_metrics(data)
 

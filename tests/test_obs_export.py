@@ -1,7 +1,6 @@
 """Live telemetry export (``repro.obs.export``) and its CLI surfaces:
 Prometheus text rendering + parsing, the /metrics HTTP endpoint, the
-textfile exporter, the ``iolap top`` frame renderer, and the pinned
-``report --json`` artifact."""
+textfile exporter, and the pinned ``report --json`` artifact."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from repro.obs import MetricsObservability, MetricsRegistry
 from repro.obs.export import (
     MetricsHTTPServer,
     TextfileExporter,
-    TopView,
     parse_listen,
     parse_prometheus_text,
     prom_name,
@@ -40,7 +38,7 @@ def make_registry() -> MetricsRegistry:
     reg.counter("recovery.failures").inc(2)
     reg.histogram("batch.seconds").observe(0.5)
     reg.histogram("batch.seconds").observe(1.5)
-    reg.gauge("costmodel.predicted_seconds").set(0.25)
+    reg.gauge("shard.0.cpu_seconds").set(0.25)
     return reg
 
 
@@ -80,7 +78,7 @@ class TestPrometheusText:
         assert parsed['iolap_nd_rows{op="join:2"}'] == 7.0
         assert parsed['iolap_op_rows_in_total{op="select:1"}'] == 1000.0
         assert parsed["iolap_recovery_failures_total"] == 2.0
-        assert parsed["iolap_costmodel_predicted_seconds"] == 0.25
+        assert parsed["iolap_shard_0_cpu_seconds"] == 0.25
 
     def test_histogram_expansion(self):
         parsed = parse_prometheus_text(prometheus_text(make_registry()))
@@ -184,39 +182,6 @@ class TestParseListen:
                 parse_listen(bad)
 
 
-class TestTopView:
-    def _profiler(self):
-        from repro.obs.profile import ContinuousProfiler, QueryProfile
-
-        prof = QueryProfile("sig")
-        for _ in range(6):
-            prof.batch_seconds.update(0.02)
-            prof.add_sample(1000, 10, 2048, 0.02)
-        prof.ci_c.update(10.0)
-        prof.operator("aggregate:1").self_seconds.update(0.015)
-        prof.operator("scan:t").self_seconds.update(0.002)
-        return ContinuousProfiler(prof)
-
-    def test_frame_contents(self):
-        view = TopView(target_rsd=0.05, top=5)
-        frame = view.frame(self._profiler(), batch_no=3, num_batches=10,
-                           rsd=0.1, batch_rows=1000, seen_rows=10_000,
-                           wall_seconds=0.02)
-        assert "batch 3/10" in frame
-        assert "rsd 0.1000" in frame
-        assert "~30 batch(es)" in frame  # (10/0.05)^2 rows at 1k/batch
-        lines = frame.splitlines()
-        # Hottest operator leads the table.
-        assert lines[4].startswith("aggregate:1")
-        assert "scan:t" in frame
-        assert view.frames == 1
-
-    def test_target_met(self):
-        frame = TopView(target_rsd=0.2).frame(
-            self._profiler(), 3, 10, 0.1, 1000, 10_000, 0.02)
-        assert "met" in frame
-
-
 class TestCliMetrics:
     ARGS = ["--workload", "tpch", "--query", "Q1", "--scale", "0.05",
             "--batches", "4", "--trials", "8", "-q"]
@@ -232,14 +197,14 @@ class TestCliMetrics:
         assert any(k.startswith("iolap_op_rows_in_total") for k in parsed)
         assert any(k.startswith("iolap_state_") for k in parsed)
 
-    def test_textfile_with_profile_has_costmodel_series(self, tmp_path):
+    def test_textfile_has_no_costmodel_series(self, tmp_path):
         path = str(tmp_path / "iolap.prom")
         assert main(["metrics", *self.ARGS, "--metrics-textfile", path,
-                     "--profile", "--batches", "7"]) == 0
+                     "--batches", "7"]) == 0
         parsed = parse_prometheus_text(open(path).read())
-        assert parsed["iolap_costmodel_predictions"] >= 1.0
-        assert parsed["iolap_costmodel_predicted_seconds"] > 0.0
-        assert "iolap_costmodel_actual_seconds" in parsed
+        assert any(k.startswith("iolap_op_rows_in_total") for k in parsed)
+        assert any(k.startswith("iolap_state_") for k in parsed)
+        assert not any(k.startswith("iolap_costmodel_") for k in parsed)
 
     def test_listen_serves_while_running(self, tmp_path):
         # Port 0 binds a free port; --hold 0 stops right after the run.
@@ -247,25 +212,6 @@ class TestCliMetrics:
 
     def test_bad_listen_spec(self):
         assert main(["metrics", *self.ARGS, "--listen", "nope"]) == 2
-
-
-class TestCliTop:
-    def test_plain_frames(self, capsys):
-        rc = main(["top", "--workload", "tpch", "--query", "Q1",
-                   "--scale", "0.05", "--batches", "6", "--trials", "8",
-                   "--plain", "-q"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "iolap top — batch 6/6" in out
-        assert "cost model:" in out
-        assert "\x1b" not in out  # --plain means no ANSI control codes
-
-    def test_ansi_frames_by_default(self, capsys):
-        rc = main(["top", "--workload", "tpch", "--query", "Q1",
-                   "--scale", "0.05", "--batches", "2", "--trials", "8",
-                   "-q"])
-        assert rc == 0
-        assert "\x1b[2J" in capsys.readouterr().out
 
 
 def _trace_file(tmp_path) -> str:
