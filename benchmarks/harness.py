@@ -92,7 +92,6 @@ def run_iolap(
     prune_with_ranges: bool = True,
     lazy_lineage: bool = True,
     keep_partials: bool = False,
-    vectorize: bool = True,
 ) -> OnlineRun:
     catalog = catalog if catalog is not None else catalog_for(spec)
     engine = OnlineQueryEngine(
@@ -104,7 +103,6 @@ def run_iolap(
             seed=seed,
             prune_with_ranges=prune_with_ranges,
             lazy_lineage=lazy_lineage,
-            vectorize=vectorize,
         ),
     )
     # Static analysis runs once per query before execution; its wall time

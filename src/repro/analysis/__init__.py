@@ -12,25 +12,19 @@ contracts the engine assumes:
   typechecker: re-infers the Appendix-A tags bottom-up over the logical
   plan and cross-checks them against what the compiler actually emitted
   (operator placement, declared state entries, ND-cache presence, block
-  production/consumption);
+  production/consumption), and checks the unit order: every consumer
+  after its producer, no store shared by two units (TC310/TC311);
 * :mod:`repro.analysis.lint` — an ``ast``-based lint suite over the
   engine's own source, enforcing the engine contracts (no input
   mutation in ``process``, between-batch state only in named
   :class:`~repro.state.StateStore` entries, block writes only by the
   declared producer, no banned nondeterminism in batch-pure paths);
-* :mod:`repro.analysis.verify` — the runtime contract verifier behind
-  ``--verify`` / ``OnlineConfig(verify=True)``, which re-checks the
-  static claims dynamically (input fingerprints around ``process``,
-  state-key snapshots per batch);
-* :mod:`repro.analysis.races` — the plan-level race detector behind
-  ``iolap analyze --races``: derives a read/write effect summary per
-  compiled execution unit (store entries, carried sidecars) and checks
-  that every conflicting pair is ordered by a declared produce/consume
-  path (RACE000/RACE101/RACE201);
-* :mod:`repro.analysis.sanitize` — the runtime buffer sanitizer behind
+* :mod:`repro.analysis.sanitize` — the one runtime debug mode, behind
   ``--sanitize`` / ``OnlineConfig(sanitize=True)``: freezes zero-copy
   buffers during ``process`` and tracks aliased-view provenance, so an
-  in-place write names its writer and the buffer's owner (SAN0xx).
+  in-place write names its writer and the buffer's owner (SAN001/002),
+  and re-checks each operator's state entries against its declared
+  ``StateRule`` after every ``process`` (SAN004).
 
 Everything reports through :class:`AnalysisDiagnostic`: a structured
 (rule id, location, message, fix hint) record instead of a runtime
@@ -43,25 +37,18 @@ __all__ = [
     "AnalysisDiagnostic",
     "AnalysisReport",
     "analyze_query",
-    "analyze_query_races",
     "check_plan",
-    "check_plan_races",
     "run_lint",
 ]
 
 
 def __getattr__(name: str) -> object:
-    # Lazy re-exports: repro.core imports the verifier and sanitizer from
-    # this package, so the package __init__ must not import repro.core
-    # back eagerly.
+    # Lazy re-exports: repro.core imports the sanitizer from this package,
+    # so the package __init__ must not import repro.core back eagerly.
     if name in ("check_plan", "analyze_query"):
         from repro.analysis import typecheck
 
         return getattr(typecheck, name)
-    if name in ("check_plan_races", "analyze_query_races"):
-        from repro.analysis import races
-
-        return getattr(races, name)
     if name == "run_lint":
         from repro.analysis.lint import run_lint
 

@@ -1,4 +1,4 @@
-"""Structured diagnostics shared by the typechecker, lint, and verifier.
+"""Structured diagnostics shared by the typechecker and lint.
 
 A diagnostic names the violated rule, where it fired (a plan node /
 operator label for plan checks, ``file:line`` for lint), what went wrong,

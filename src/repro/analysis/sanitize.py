@@ -1,10 +1,10 @@
-"""Runtime buffer sanitizer for zero-copy aliased batches.
+"""The engine's one runtime debug mode (``--sanitize``).
 
-PR 6 made mini-batches and on-disk chunks *views*: ``Relation.slice``
-aliases the backing buffers and ``DiskTable`` memmaps its chunk files.
-The engine's contract is immutability-by-convention (ENG006) — nothing
+Mini-batches and on-disk chunks are *views*: ``Relation.slice`` aliases
+the backing buffers and ``DiskTable`` memmaps its chunk files. The
+engine's contract is immutability-by-convention (ENG006) — nothing
 enforces it at runtime. Behind ``OnlineConfig(sanitize=True)`` this
-module enforces it:
+module enforces it, and the §4.2 state discipline with it:
 
 * **Freeze on hand-off** — every buffer handed to an operator's
   ``process`` gets ``ndarray.flags.writeable = False`` for the duration
@@ -20,8 +20,13 @@ module enforces it:
   ``id(base buffer) -> owner``: the stream delta, a disk chunk, a sliced
   relation, or the first operator to emit the buffer. An output whose
   base is already owned is a pass-through and claims nothing.
+* **State discipline** — after every ``process`` call the operator's
+  live :meth:`state_items` keys must equal its class's declared
+  ``StateRule.entries`` (``SAN004``), so between-batch state cannot
+  appear or vanish outside the declaration.
 
-Like :mod:`repro.analysis.verify`, this module deliberately imports
+Sanitizing is observational: a sanitized run produces bit-identical
+results to a plain one. This module deliberately imports
 nothing from ``repro.core`` — it duck-types operators, relations, and
 contexts, so the engine only pays an import (and a per-call ``None``
 check) when sanitizing is actually on. The hook installation in
@@ -43,6 +48,7 @@ from repro.errors import SanitizerViolationError
 SANITIZE_RULES: dict[str, str] = {
     "SAN001": "in-place write to a frozen aliased batch buffer",
     "SAN002": "in-place write to a read-only memmapped DiskTable chunk",
+    "SAN004": "operator state entries differ from its declared StateRule",
 }
 
 #: Substrings of numpy's errors for writes into non-writeable arrays.
@@ -155,8 +161,8 @@ class BufferSanitizer:
             self._batch_no = batch_no
             self._owners.clear()
             self._pins.clear()
-        # Re-entry for the same batch (unit retry, replay of the batch
-        # that failed) keeps the map but still owns the delta.
+        # Re-entry for the same batch (the recovery replay re-runs the
+        # batch that failed) keeps the map but still owns the delta.
         owner = f"stream:batch-{batch_no}"
         for arr in _buffers_of(delta):
             arr.flags.writeable = False
@@ -209,6 +215,24 @@ class BufferSanitizer:
             # memory and keeps its owner.
             self._own(_base(arr), label)
         self.seconds += time.perf_counter() - started
+
+    def check_state(self, op: Any) -> None:
+        """SAN004: the operator's live state entries equal its declared
+        ``StateRule.entries``."""
+        started = time.perf_counter()
+        declared = set(type(op).state_rule.entries)
+        live = {key for key, _ in op.state_items()}
+        self.seconds += time.perf_counter() - started
+        if live != declared:
+            writer = _op_label(op)
+            raise self._violation(
+                "SAN004",
+                writer,
+                [writer],
+                f"operator {writer!r} holds state entries {sorted(live)} but "
+                f"its StateRule declares {sorted(declared)}; between-batch "
+                "state may only live in declared named entries",
+            )
 
     def translate_write_error(
         self, op: Any, delta: Any, ctx: Any, err: BaseException

@@ -87,6 +87,8 @@ TYPECHECK_RULES: dict[str, str] = {
     "TC307": "operator uncertain-column tags diverge from the inferred plan tags",
     "TC308": "two execution units produce the same lineage block",
     "TC309": "execution unit consumes a lineage block no unit produces",
+    "TC310": "execution unit consumes a lineage block before its producer runs",
+    "TC311": "operators of two execution units hold the same StateStore",
 }
 
 
@@ -357,7 +359,7 @@ def _union_side_kind(node: PlanNode, side_tags: NodeTags, streamed: set[str]) ->
 
 def _label_node_id(label: str) -> int | None:
     prefix, _, suffix = label.partition(":")
-    if prefix in ("select", "join", "aggregate") and suffix.isdigit():
+    if prefix in ("filter", "select", "join", "aggregate") and suffix.isdigit():
         return int(suffix)
     return None
 
@@ -514,7 +516,13 @@ def _check_op(op: SpineOp, tags: dict[int, NodeTags]) -> Iterator[AnalysisDiagno
 def check_units(
     units: list[ExecutionUnit], tags: dict[int, NodeTags] | None = None
 ) -> list[AnalysisDiagnostic]:
-    """Check a compiled unit list: pipelines plus the block dependency graph."""
+    """Check a compiled unit list: pipelines plus the block dependency graph.
+
+    Units run one by one in list order, so the order is the whole
+    happens-before relation: a consumer must come after its producer
+    (TC310), and no store may be shared by two units (TC311), whose
+    relative order would then be the only thing keeping them apart.
+    """
     diags: list[AnalysisDiagnostic] = []
     producers: dict[int, str] = {}
     for unit in units:
@@ -546,6 +554,38 @@ def check_units(
                     "compiler's unit ordering",
                 )
             )
+    ran: set[int] = set()
+    for unit in units:
+        late = (unit.consumes & produced) - ran
+        if late:
+            diags.append(
+                _diag(
+                    "TC310",
+                    unit.label,
+                    f"consumes blocks {sorted(late)} before their producers "
+                    f"{sorted({producers[b] for b in late})} run",
+                    "the unit would read the previous batch's (or no) block "
+                    "output; emit every producer before its consumers",
+                )
+            )
+        ran |= unit.produces
+    holders: dict[int, ExecutionUnit] = {}
+    for unit in units:
+        if not isinstance(unit, StreamPipelineUnit):
+            continue
+        for op in iter_ops(unit.root_op):
+            holder = holders.setdefault(id(op.state), unit)
+            if holder is not unit:
+                diags.append(
+                    _diag(
+                        "TC311",
+                        unit.label,
+                        f"operator {op.label!r} holds the StateStore already "
+                        f"held by an operator of {holder.label!r}",
+                        "each operator owns its own store; share a published "
+                        "block instead of state",
+                    )
+                )
     for unit in units:
         if isinstance(unit, StreamPipelineUnit):
             diags.extend(check_pipeline(unit.root_op, tags))

@@ -31,14 +31,13 @@ installed ``repro`` sources::
     python -m repro.cli analyze                       # all bundled queries
     python -m repro.cli analyze --workload tpch --query Q17
     python -m repro.cli analyze --lint --json report.json
-    python -m repro.cli analyze --races               # race detector
     python -m repro.cli analyze "SELECT COUNT(*) AS n FROM sessions"
 
 Exit status is 1 if any analysis reported an error-severity violation;
 warnings alone exit 0 unless ``--fail-on-warning`` promotes them (the CI
-setting). ``--verify`` (run mode) enables the runtime contract checks on
-top of normal execution; ``--sanitize`` (run mode) adds the TSan-style
-buffer sanitizer over zero-copy batch views.
+setting). ``--sanitize`` (run mode) is the runtime debug mode: it freezes
+zero-copy batch views and re-checks each operator's declared state
+entries on top of normal execution.
 
 Output discipline: result rows (and the outputs of the ``trace`` /
 ``report`` / ``analyze`` subcommands) go to stdout; progress, warnings
@@ -50,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from typing import Sequence
 
@@ -137,6 +137,33 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _finite_float(minimum: float, inclusive: bool):
+    """An argparse ``type`` accepting finite floats >= ``minimum``
+    (> ``minimum`` unless ``inclusive``)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < minimum or (value == minimum and not inclusive):
+            bound = "at least" if inclusive else "greater than"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum:g}, got {value:g}"
+            )
+        return value
+
+    return parse
+
+
+_non_negative_float = _finite_float(0.0, inclusive=True)
+_positive_float = _finite_float(0.0, inclusive=False)
+
+
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     """Query-selection + engine flags of the ``metrics`` subcommand."""
     parser.add_argument("sql", nargs="?", help="SQL text to run")
@@ -147,7 +174,9 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--query", help="run a named benchmark query (e.g. Q17, C8) instead of SQL"
     )
-    parser.add_argument("--scale", type=float, default=1.0, help="workload scale")
+    parser.add_argument(
+        "--scale", type=_positive_float, default=1.0, help="workload scale"
+    )
     parser.add_argument("--seed", type=int, default=0, help="generator/engine seed")
     parser.add_argument(
         "--batches", type=_positive_int, default=20, help="mini-batch count"
@@ -206,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["iolap", "hda", "batch"], default="iolap",
         help="execution engine (default: iolap)",
     )
-    parser.add_argument("--scale", type=float, default=1.0, help="workload scale")
+    parser.add_argument(
+        "--scale", type=_positive_float, default=1.0, help="workload scale"
+    )
     parser.add_argument("--seed", type=int, default=0, help="generator/engine seed")
     parser.add_argument(
         "--batches", type=_positive_int, default=20, help="mini-batch count"
@@ -214,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trials", type=_positive_int, default=100, help="bootstrap trials"
     )
-    parser.add_argument("--slack", type=float, default=2.0, help="range slack ε")
+    parser.add_argument(
+        "--slack", type=_non_negative_float, default=2.0, help="range slack ε"
+    )
     parser.add_argument(
         "--stream", help="table to stream (default: the workload's fact table)"
     )
@@ -227,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="result rows to print per update"
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
+        "--shards", type=_non_negative_int, default=0, metavar="N",
         help="run the iolap engine across N shard worker processes "
         "(group-key sharding; results are bit-identical to the serial "
         "run; plans without a shardable group key fall back to "
@@ -249,22 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         "batch (iolap engine)",
     )
     parser.add_argument(
-        "--verify", action="store_true",
-        help="enable runtime contract checks (iolap engine): input "
-        "immutability and state-entry discipline; results are unchanged",
-    )
-    parser.add_argument(
         "--sanitize", action="store_true",
-        help="enable the runtime buffer sanitizer (iolap engine): freeze "
+        help="enable the runtime debug mode (iolap engine): freeze "
         "zero-copy batch buffers during process calls and track "
         "aliased-view provenance, so an in-place write names its writer "
-        "and the buffer's owner; results are unchanged",
-    )
-    parser.add_argument(
-        "--no-vectorize", action="store_true",
-        help="run operator hot paths row by row instead of through the "
-        "vectorized kernels (iolap engine); results are bit-identical, "
-        "only slower — an A/B lever for debugging and benchmarks",
+        "and the buffer's owner, and check every operator's state "
+        "entries against its declared StateRule; results are unchanged",
     )
     parser.add_argument(
         "--faults", metavar="SPEC", default=None,
@@ -291,7 +314,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--query", help="check a single named benchmark query (e.g. Q17, C8)"
     )
-    parser.add_argument("--scale", type=float, default=0.05,
+    parser.add_argument("--scale", type=_positive_float, default=0.05,
                         help="workload scale for catalog schemas")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
     parser.add_argument(
@@ -301,12 +324,6 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         "--lint", action="store_true",
         help="also lint the installed repro sources for engine-contract "
         "violations (ENG0xx rules)",
-    )
-    parser.add_argument(
-        "--races", action="store_true",
-        help="run the plan-level race detector instead of the typechecker: "
-        "every pair of units with conflicting effects must be ordered "
-        "by a declared produce/consume path (RACE0xx/RACE1xx/RACE2xx rules)",
     )
     parser.add_argument(
         "--fail-on-warning", action="store_true",
@@ -394,10 +411,6 @@ def run_analyze(argv: Sequence[str]) -> int:
     from repro.analysis import analyze_query, check_plan, run_lint
 
     args = build_analyze_parser().parse_args(argv)
-    if args.races:
-        from repro.analysis import analyze_query_races, check_plan_races
-
-        analyze_query, check_plan = analyze_query_races, check_plan_races
     _configure_logging(_log_level(args))
     reports = []
 
@@ -691,9 +704,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             num_trials=args.trials,
             slack=args.slack,
             seed=args.seed,
-            verify=args.verify,
             sanitize=args.sanitize,
-            vectorize=not args.no_vectorize,
             faults=args.faults,
             shards=args.shards,
         ),

@@ -81,10 +81,9 @@ def evaluate_side(
         vals = np.asarray(expr.evaluate(rel), dtype=np.float64)
         return SideValues(vals, vals, vals, None, np.zeros(n, dtype=bool))
 
-    if ctx.config.vectorize:
-        out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
-        if out is not None:
-            return SideValues(*out)
+    out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
+    if out is not None:
+        return SideValues(*out)
 
     # General path: per-row evaluation with UncertainValue arithmetic.
     lo = np.empty(n)

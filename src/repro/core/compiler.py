@@ -330,7 +330,7 @@ class OnlineCompiler:
         if child.kind == "small":
             return _Ref(small=SmallSelect(child.small, parts))
         if not uncertain:
-            return _Ref(stream=FilterOp(child.stream, conjoin(det)))
+            return _Ref(stream=FilterOp(child.stream, conjoin(det), node.node_id))
         return _Ref(
             stream=UncertainFilterOp(child.stream, det, uncertain, node.node_id)
         )

@@ -140,19 +140,14 @@ class AggregateOp(SpineOp):
             store = self.row_store
             self.row_store = cin if store is None else store.concat(cin)
         if len(cin):
-            if ctx.config.vectorize:
-                # The fold's distinct keys update the set as the per-row
-                # tuples would (set semantics: equal values hash alike),
-                # without factorizing the rows again. A NaN never equals
-                # another NaN, so keys holding one come from the codec, as
-                # the rows' own tuples would.
-                if any(v != v for key in folded_keys for v in key):
-                    folded_keys = factorize_keys(cin, self.group_by).keys
-                self.certain_groups.update(folded_keys)
-            else:
-                self.certain_groups.update(
-                    cin.key_tuples(self.group_by) if self.group_by else [()]
-                )
+            # The fold's distinct keys update the set as the per-row
+            # tuples would (set semantics: equal values hash alike),
+            # without factorizing the rows again. A NaN never equals
+            # another NaN, so keys holding one come from the codec, as
+            # the rows' own tuples would.
+            if any(v != v for key in folded_keys for v in key):
+                folded_keys = factorize_keys(cin, self.group_by).keys
+            self.certain_groups.update(folded_keys)
 
         # The volatile rows fold on top of a copy, re-read from scratch
         # every batch; the persistent sums never see them.
@@ -192,13 +187,7 @@ class AggregateOp(SpineOp):
         """
         rows = self._lazy_input(ctx, vin)
         ctx.metrics.recomputed_tuples += len(rows)
-        vectorize = ctx.config.vectorize
-        kc = factorize_keys(rows, self.group_by) if vectorize else None
-        row_keys = (
-            None
-            if vectorize
-            else rows.key_tuples(self.group_by) if self.group_by else [()] * len(rows)
-        )
+        kc = factorize_keys(rows, self.group_by)
         # Deterministic-mult stores never materialize the (n, T) copy —
         # the broadcast is read-only and all uses below fancy-index it.
         trial_w = rows.trial_mults
@@ -223,41 +212,21 @@ class AggregateOp(SpineOp):
             side = evaluate_side(spec.arg, rows, self.child.uncertain_cols, ctx)
             ok = ~side.pending
             bundle = AggBundle([spec], ctx.num_trials)
-            if vectorize:
-                sub_keys, sub_codes = recode_subset(kc, ok)
-                bundle.fold_values_coded(
-                    sub_keys,
-                    sub_codes,
-                    0,
-                    side.point[ok],
-                    side.trial_matrix(ctx.num_trials)[ok],
-                    rows.mult[ok],
-                    trial_w[ok],
-                )
-            else:
-                bundle.fold_values(
-                    [k for k, good in zip(row_keys, ok) if good],
-                    0,
-                    side.point[ok],
-                    side.trial_matrix(ctx.num_trials)[ok],
-                    rows.mult[ok],
-                    trial_w[ok],
-                )
+            sub_keys, sub_codes = recode_subset(kc, ok)
+            bundle.fold_values_coded(
+                sub_keys,
+                sub_codes,
+                0,
+                side.point[ok],
+                side.trial_matrix(ctx.num_trials)[ok],
+                rows.mult[ok],
+                trial_w[ok],
+            )
             place(spec.name, bundle.keys, *bundle.finalize(0, scale))
         for spec in self.holistic_specs:
             values_arr = spec.arg_values(rows)
-            if vectorize:
-                group_iter = zip(kc.keys, grouped_indices(kc.codes, kc.num_keys))
-            else:
-                by_group: dict[GroupKey, list[int]] = {}
-                for i, key in enumerate(row_keys):
-                    by_group.setdefault(key, []).append(i)
-                group_iter = (
-                    (key, np.asarray(idx, dtype=np.intp))
-                    for key, idx in by_group.items()
-                )
             spec_keys, points, trial_rows = [], [], []
-            for key, ix in group_iter:
+            for key, ix in zip(kc.keys, grouped_indices(kc.codes, kc.num_keys)):
                 point = spec.func.compute(values_arr[ix], rows.mult[ix]) * (
                     scale if spec.func.scales_with_m else 1.0
                 )
@@ -265,12 +234,7 @@ class AggregateOp(SpineOp):
                 # arithmetic on the weights: hand them floats, never the
                 # raw uint8 counts.
                 group_w = np.asarray(trial_w[ix], dtype=np.float64)
-                if vectorize:
-                    trials = spec.func.trial_compute(values_arr[ix], group_w)
-                else:
-                    trials = np.empty(ctx.num_trials)
-                    for j in range(ctx.num_trials):
-                        trials[j] = spec.func.compute(values_arr[ix], group_w[:, j])
+                trials = spec.func.trial_compute(values_arr[ix], group_w)
                 if spec.func.scales_with_m:
                     trials = trials * scale
                 spec_keys.append(key)
@@ -330,21 +294,9 @@ class AggregateOp(SpineOp):
             else None
         )
         columns = [cols[spec.name] for spec in self.specs]
-        if ctx.config.vectorize:
-            # One (K·G, T) reduction for every spec column, bit-identical
-            # to the per-cell observe() loop of the reference.
-            bounds = ctx.monitor.observe_columns(columns)
-        else:
-            bounds = []
-            for points, trials in columns:
-                ranges = [
-                    ctx.monitor.observe(float(p), row)
-                    for p, row in zip(points, trials)
-                ]
-                bounds.append((
-                    np.array([r.lo for r in ranges], dtype=np.float64),
-                    np.array([r.hi for r in ranges], dtype=np.float64),
-                ))
+        # One (K·G, T) reduction for every spec column, bit-identical to
+        # the per-cell RangeMonitor.observe() loop.
+        bounds = ctx.monitor.observe_columns(columns)
         ucols: dict[str, UColumn] = {}
         for spec, (points, trials), (lo, hi) in zip(self.specs, columns, bounds):
             if width_hist is not None:

@@ -89,8 +89,9 @@ class StateRule:
     entries the operator owns between batches (seeded by ``_init_state``);
     ``nd_entry`` names the non-deterministic cache among them, if any.
     The typechecker checks the entries against the store, and the
-    ``--verify`` runtime verifier re-checks them after every ``process``
-    call, so stray between-batch state cannot hide in instance attributes.
+    ``--sanitize`` debug mode re-checks them after every ``process`` call
+    (SAN004), so stray between-batch state cannot hide in instance
+    attributes.
     """
 
     entries: frozenset[str] = frozenset()
@@ -119,7 +120,7 @@ class SpineOp:
 
     #: Declarative analyzer specs; every concrete operator class overrides
     #: these (checked statically by ``repro.analysis.typecheck`` and
-    #: dynamically by the ``--verify`` contract mode).
+    #: dynamically by the ``--sanitize`` debug mode).
     tag_rule: ClassVar[TagRule] = TagRule()
     state_rule: ClassVar[StateRule] = StateRule()
 
@@ -226,9 +227,6 @@ def drive_pipeline(root: SpineOp, ctx: RuntimeContext) -> DeltaBatch:
         delta = inputs[0]
     else:
         delta = inputs
-    verifier = ctx.verifier
-    if verifier is not None:
-        verifier.before_process(root, delta, ctx)
     sanitizer = ctx.sanitizer
     if sanitizer is None:
         out = _timed_process(root, delta, ctx)
@@ -244,8 +242,7 @@ def drive_pipeline(root: SpineOp, ctx: RuntimeContext) -> DeltaBatch:
         finally:
             sanitizer.release(root)
         sanitizer.note_output(root, out)
-    if verifier is not None:
-        verifier.after_process(root, delta, ctx)
+        sanitizer.check_state(root)
     return out
 
 

@@ -37,9 +37,9 @@ class FilterOp(SpineOp):
     tag_rule = TagRule(consumes_uncertain="forbidden")
     state_rule = StateRule()
 
-    def __init__(self, child: SpineOp, predicate: Expression):
+    def __init__(self, child: SpineOp, predicate: Expression, node_id: int):
         super().__init__(
-            f"filter:{id(predicate):x}", child.schema, child.uncertain_cols, (child,)
+            f"filter:{node_id}", child.schema, child.uncertain_cols, (child,)
         )
         self.child = child
         self.predicate = predicate

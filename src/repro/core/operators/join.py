@@ -31,10 +31,9 @@ class StaticJoinOp(SpineOp):
 
     The paper's JOIN state rule: when only the fact table is streamed, the
     operator state is just the dimension side, kept in memory from batch 1
-    (and reported as join state for the Figure 9(b) accounting). With the
-    vectorized kernels the dimension side's hash index is built once into
-    the state store ("side_index", accounted in state bytes) and reused
-    every batch.
+    (and reported as join state for the Figure 9(b) accounting). The
+    dimension side's hash index is built once into the state store
+    ("side_index", accounted in state bytes) and reused every batch.
     """
 
     #: The paper's JOIN state rule with a certain side: state is exactly
@@ -63,7 +62,7 @@ class StaticJoinOp(SpineOp):
         # The broadcast side is immutable configuration, but it *is* the
         # operator's state footprint, so it lives in the store (as a
         # static entry: accounted, checkpointed by reference). The derived
-        # hash index is built lazily on the first vectorized join.
+        # hash index is built lazily on the first keyed join.
         self.state.put("side", self.side, static=True)
         self.state.put("side_index", None, static=True)
         self.state.put("announced", False)
@@ -90,11 +89,11 @@ class StaticJoinOp(SpineOp):
 
     def _join(self, rel: Relation, ctx: RuntimeContext) -> Relation:
         if self.stream_is_left:
-            if ctx.config.vectorize and self.keys:
+            if self.keys:
                 return vectorized_join(rel, self.side, self.keys, self._side_index())
             return join_relations(rel, self.side, self.keys)
         flipped = [(rk, lk) for lk, rk in self.keys]
-        if ctx.config.vectorize and self.keys:
+        if self.keys:
             # Stream on the probe side: the per-batch index is over the
             # stream delta, so there is nothing to cache — but the build
             # and probe are still vectorized.
@@ -204,25 +203,6 @@ class UncertainJoinOp(SpineOp):
         status[gids >= 0] = view.join_status[gids[gids >= 0]]
         return kc, gids, status
 
-    def _probe_rows(
-        self, rel: Relation, view: BlockOutput | None, missing: np.int8,
-        record: bool,
-    ) -> tuple[np.ndarray, list[GroupValue | None]]:
-        """Row-wise :meth:`_probe`: per row its join status (``missing``
-        where the view has not published the key) and group, leaving a
-        sentinel for each stable decision when ``record``."""
-        keys = self._keys_of(rel)
-        status = np.full(len(rel), missing, dtype=np.int8)
-        groups = [view.get(key) if view is not None else None for key in keys]
-        for i, (key, group) in enumerate(zip(keys, groups)):
-            if group is None:
-                continue
-            decided = group.certainly_in or group.certainly_out
-            status[i] = UNKNOWN if not decided else TRUE if group.certainly_in else FALSE
-            if decided and record:
-                self.member_sentinels.record(key, group.certainly_in)
-        return status, groups
-
     def _with_columns(self, rel: Relation, cols: dict, lineage: dict) -> Relation:
         return Relation._from_parts(
             self.schema, cols, rel.mult, rel._trials,
@@ -259,7 +239,7 @@ class UncertainJoinOp(SpineOp):
         self, rel: Relation, view: BlockOutput | None, groups: list[GroupValue]
     ) -> Relation:
         """Append side columns for rows whose group is known, row by row
-        (the reference, and OPT2-off's regenerate-from-scratch cost); the
+        (OPT2-off's regenerate-from-scratch cost); the
         gid sidecar rides along as in :meth:`_attach_coded`."""
         n = len(rel)
         cols = dict(rel.columns)
@@ -297,28 +277,7 @@ class UncertainJoinOp(SpineOp):
         if n == 0:
             none = np.zeros(0, dtype=np.intp)
             return self._empty_out(ctx), self._empty_out(ctx), none, rel
-        if ctx.config.vectorize:
-            return self._partition_new_vec(rel, view, record)
-        status, groups = self._probe_rows(rel, view, PENDING, record)
-        sure = status == TRUE
-        unknown = status == UNKNOWN
-        waiting = status == PENDING
-        certain_out = self._attach(
-            rel.filter(sure), view, [g for g, s in zip(groups, sure) if s]
-        )
-        nd_groups = [g for g, s in zip(groups, unknown) if s]
-        nd = self._attach(rel.filter(unknown), view, nd_groups)
-        nd_gids = view.probe([g.key for g in nd_groups]) if nd_groups else np.zeros(0, np.intp)
-        return certain_out, nd, nd_gids, rel.filter(waiting)
-
-    def _partition_new_vec(
-        self,
-        rel: Relation,
-        view: BlockOutput | None,
-        record: bool,
-    ) -> tuple[Relation, Relation, np.ndarray, Relation]:
-        """Vectorized :meth:`_partition_new` body: one view probe per
-        distinct key, then status/slot gathers."""
+        # One view probe per distinct key, then status/slot gathers.
         kc, gids_u, status_u = self._probe(rel, view, PENDING)
         if record:
             self._record_resolved(view, gids_u, status_u)

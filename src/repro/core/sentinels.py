@@ -336,14 +336,12 @@ class SentinelStore:
         rel,
         row_indices: np.ndarray,
         expected: np.ndarray,
-        vectorize: bool = False,
     ) -> None:
         """Record sentinels for rows just resolved by conjunct ``conjunct_idx``.
 
         ``row_indices`` are positions in ``rel``; ``expected`` the resolved
-        boolean per row. Recording has one path whatever ``vectorize``
-        says: it folds the rows with array min/max, equal to pushing them
-        one by one (see :meth:`_ConjunctSentinels.fold`).
+        boolean per row. The rows fold with array min/max, equal to pushing
+        them one by one (see :meth:`_ConjunctSentinels.fold`).
         """
         idx = np.asarray(row_indices, dtype=np.intp)
         if not len(idx):
@@ -377,7 +375,7 @@ class SentinelStore:
         for idx, store in enumerate(self._per_conjunct):
             if not store.n:
                 continue
-            suspects = self._suspects(idx, store, ctx) if ctx.config.vectorize else None
+            suspects = self._suspects(idx, store, ctx)
             for slot in range(store.n) if suspects is None else suspects.tolist():
                 reason = self._violated(idx, slot, ctx)
                 if reason is not None:
@@ -387,9 +385,9 @@ class SentinelStore:
                     )
 
     def _violated(self, idx: int, slot: int, ctx: RuntimeContext) -> str | None:
-        """Row-wise check of one entity's two tightest sentinels (the
-        reference, and what names the violation once the array pass found
-        one): why the first of them no longer holds, or None."""
+        """Row-wise check of one entity's two tightest sentinels (what
+        names the violation once the array pass found one): why the first
+        of them no longer holds, or None."""
         det_expr, _unc_expr, cols = self._sides[idx]
         cmp_, store = self.conjuncts[idx], self._per_conjunct[idx]
         entity = store.entity(slot)

@@ -17,8 +17,6 @@ from repro.core.compiler import ExecutionUnit
 
 def run_units(units: Sequence[ExecutionUnit], ctx: RuntimeContext) -> None:
     """Run every unit of one batch in compiler order, timing each."""
-    if ctx.verifier is not None:
-        ctx.verifier.begin_batch(ctx.batch_no)
     if ctx.sanitizer is not None:
         ctx.sanitizer.begin_batch(ctx.batch_no, ctx.delta)
     tracer = ctx.obs.tracer

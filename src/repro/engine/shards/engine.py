@@ -213,6 +213,7 @@ class ShardedQueryEngine:
         self.metrics = RunMetrics()
         self.shard_respawns = 0
         self.shard_cpu_seconds = {}
+        sanitize_seconds: dict[int, float] = {}
 
         injector = None
         if self.config.faults:
@@ -279,6 +280,8 @@ class ShardedQueryEngine:
                 for r in results:
                     bm.merge_from(r.metrics)
                     self.shard_cpu_seconds[r.shard_index] = r.cpu_seconds
+                    sanitize_seconds[r.shard_index] = r.sanitize_seconds
+                self.metrics.sanitize_seconds = sum(sanitize_seconds.values())
                 bm.wall_seconds = time.perf_counter() - started
                 seen_rows += batch_sizes[i - 1]
                 if obs.enabled:

@@ -92,6 +92,9 @@ class ShardResult:
     #: Cumulative CPU seconds of the worker process (``process_time``) —
     #: the scaling benchmark's critical-path input.
     cpu_seconds: float = 0.0
+    #: Cumulative wall seconds of the worker's sanitizer (0 when off);
+    #: the parent reports their sum as ``RunMetrics.sanitize_seconds``.
+    sanitize_seconds: float = 0.0
 
 
 @dataclass

@@ -132,6 +132,11 @@ def worker_main(conn, init: InitTask) -> None:
                         else {}
                     ),
                     cpu_seconds=time.process_time(),
+                    sanitize_seconds=(
+                        session.ctx.sanitizer.seconds
+                        if session.ctx.sanitizer is not None
+                        else 0.0
+                    ),
                 )
             )
     except (EOFError, OSError):

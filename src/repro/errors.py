@@ -64,25 +64,16 @@ class CatalogError(ReproError):
     """A referenced table is missing from the catalog."""
 
 
-class ContractViolationError(ReproError):
-    """A runtime engine-contract check failed (``--verify`` mode).
-
-    Raised by :class:`repro.analysis.verify.ContractVerifier` when an
-    operator breaks a contract the engine relies on: mutating its input
-    :class:`~repro.core.operators.DeltaBatch` or the installed streamed
-    delta, or growing state entries outside its declared
-    :class:`~repro.state.StateStore` names.
-    """
-
-
 class SanitizerViolationError(ReproError):
-    """The runtime buffer sanitizer caught an aliased write (``--sanitize``).
+    """The runtime debug mode caught a contract break (``--sanitize``).
 
     Raised by :class:`repro.analysis.sanitize.BufferSanitizer` when an
     operator writes in place into a frozen zero-copy buffer (``SAN001``)
     or a read-only memmapped :class:`~repro.storage.DiskTable` chunk
-    (``SAN002``). Carries the rule id, the
-    writing operator's label, and the buffer's original owner(s).
+    (``SAN002``), or holds state entries outside its declared
+    ``StateRule`` (``SAN004``). Carries the rule id, the offending
+    operator's label, and the buffer's original owner(s) (for SAN004 the
+    operator itself).
     """
 
     def __init__(

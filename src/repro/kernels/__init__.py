@@ -14,10 +14,11 @@ hot paths with batched NumPy kernels:
 * :mod:`repro.kernels.stats` — cache hit/miss counters surfaced through
   the observability registry.
 
-Every kernel has a row-wise reference implementation in the engine
-(selected with ``OnlineConfig(vectorize=False)``); the contract is
-*bit-identical* outputs, enforced by ``tests/test_kernels.py`` and the
-property suite. Submodules are imported directly (not re-exported here)
-to keep import edges acyclic: ``codec`` depends only on NumPy, so even
-``repro.relational`` may use it.
+The kernels are the engine's only execution path. The row-wise helpers
+that remain (``evaluate_side``'s general loop, ``AggBundle.fold_values``,
+``RangeMonitor.observe``, ``join_relations``) are fallbacks or test
+references; ``tests/test_kernels.py`` and the property suite check that
+each kernel is *bit-identical* to them. Submodules are imported
+directly (not re-exported here) to keep import edges acyclic: ``codec``
+depends only on NumPy, so even ``repro.relational`` may use it.
 """

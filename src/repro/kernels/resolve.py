@@ -107,7 +107,7 @@ def evaluate(expr: Expression, leaf: Callable[[str], Node]) -> Node:
         return leaf(expr.name)
     if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/"):
         return _combine(expr.op, evaluate(expr.left, leaf), evaluate(expr.right, leaf))
-    raise UnsupportedKernel(f"cannot vectorize {type(expr).__name__}")
+    raise UnsupportedKernel(f"no array kernel for {type(expr).__name__}")
 
 
 def resolve_column(lineage, ctx) -> Node:

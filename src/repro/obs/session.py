@@ -3,7 +3,7 @@
 An :class:`Observability` object is handed to the engine
 (``OnlineQueryEngine(..., obs=...)``) and threaded through the runtime
 context, so every layer — controller, unit loop, operators, state
-stores, the contract verifier — reports into the same timeline. The
+stores, the sanitizer — reports into the same timeline. The
 default is :data:`NULL_OBS`, whose tracer and registry are the inert
 null implementations: instrumentation then costs a guard or a no-op
 method call and allocates nothing.

@@ -7,9 +7,10 @@ weight ``w`` equal to the tuple's multiplicity.
 Most aggregates here are *decomposable*: they can be computed from a fixed
 number of weighted feature sums ``S_k = Σ w·f_k(x)`` plus the weight sum
 ``W = Σ w``. Decomposable aggregates admit the space-efficient *sketch*
-states of Section 4.2 and vectorize across bootstrap trials (the sums are
-maintained per trial). Non-decomposable aggregates (arbitrary UDAFs) are
-supported too but force the online AGGREGATE operator to keep a row store.
+states of Section 4.2 and are computed for all bootstrap trials at once
+(the sums are maintained per trial). Non-decomposable aggregates
+(arbitrary UDAFs) are supported too but force the online AGGREGATE
+operator to keep a row store.
 
 Each function also declares:
 

@@ -316,7 +316,7 @@ class Relation:
 
         Views alias this relation's memory — cheap, but a caller must not
         write into either side's buffers (ENG006 / immutability-by-
-        convention; the ContractVerifier fingerprints inputs to catch it).
+        convention; ``--sanitize`` freezes the buffers to catch it).
         """
         cols = {n: a[start:stop] for n, a in self.columns.items()}
         trials = None if self._trials is None else self._trials[start:stop]

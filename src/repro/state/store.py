@@ -198,10 +198,9 @@ class InMemoryStateStore(StateStore):
 
     Store *identity* is part of the engine's dataflow contract: each
     operator owns exactly one store instance (adopted into the registry
-    under the operator's label), so the static race detector
-    (``iolap analyze --races``) keys its effect summaries by
-    ``id(store)`` — two execution units sharing one instance is exactly
-    the single-writer violation RACE101 reports.
+    under the operator's label); two execution units holding one
+    instance is the single-writer violation the typechecker's TC311
+    reports.
     """
 
     def __init__(self) -> None:

@@ -276,7 +276,7 @@ def test_tc301_misplaced_uncertain_filter():
 def test_tc302_deterministic_filter_reads_uncertain():
     scan_op = ScanOp("t", KX_SCHEMA)
     scan_op.uncertain_cols.add("x")
-    op = FilterOp(scan_op, col("x") > lit(5.0))
+    op = FilterOp(scan_op, col("x") > lit(5.0), 1)
     assert "TC302" in _rules_of(check_pipeline(op))
 
 
@@ -290,7 +290,7 @@ def test_tc302_det_conjunct_in_uncertain_filter():
 
 
 def test_tc303_stray_state_entry():
-    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0))
+    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
     op.state.put("stray", 123)
     assert "TC303" in _rules_of(check_pipeline(op))
 
@@ -299,7 +299,7 @@ def test_tc304_nd_declaration_contradiction():
     class BadFilter(FilterOp):
         state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
 
-    op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0))
+    op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
     op.state.put("nd", {})  # satisfy TC303; the contradiction is TC304
     assert "TC304" in _rules_of(check_pipeline(op))
 
@@ -348,6 +348,44 @@ def test_tc308_duplicate_block_producer():
 def test_tc309_unproduced_block_consumed():
     units = [_FakeUnit("a", produces={1}, consumes={2})]
     assert "TC309" in _rules_of(check_units(units))
+
+
+def test_tc310_consumer_before_producer():
+    units = [_FakeUnit("b", consumes={1}), _FakeUnit("a", produces={1})]
+    assert _rules_of(check_units(units)) == {"TC310"}
+    assert not _rules_of(check_units(units[::-1]))
+
+
+def _nested_units(tpch_catalog):
+    spec = TPCH_QUERIES["Q17"]
+    units = compile_online(spec.plan, tpch_catalog, spec.streamed_table).units
+    assert any(u.consumes for u in units)
+    return units
+
+
+def test_tc310_planted_out_of_order_compiled_units(tpch_catalog):
+    units = _nested_units(tpch_catalog)
+    assert not _rules_of(check_units(units))
+    assert "TC310" in _rules_of(check_units(units[::-1]))
+
+
+def test_tc311_planted_store_shared_by_two_units(tpch_catalog):
+    pipelines = [
+        u for u in _nested_units(tpch_catalog) if isinstance(u, StreamPipelineUnit)
+    ]
+    assert len(pipelines) >= 2
+    first, second = pipelines[0].root_op, pipelines[1].root_op
+    second.state = first.state
+    assert "TC311" in _rules_of(check_units(pipelines))
+
+
+def test_tc307_cross_checks_deterministic_filter():
+    scan_op = ScanOp("t", KX_SCHEMA)
+    scan_op.uncertain_cols.add("y")
+    op = FilterOp(scan_op, col("x") > lit(5.0), 907)
+    assert op.label == "filter:907"
+    inferred = {907: NodeTags(False, frozenset(), True, True)}
+    assert "TC307" in _rules_of(check_pipeline(op, inferred))
 
 
 def test_shared_subplan_compiles_to_single_producer(kx_catalog):

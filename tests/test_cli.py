@@ -22,11 +22,25 @@ class TestParser:
         # Bad counts are usage errors (exit 2), in the run parser and
         # in the ``metrics`` subcommand alike.
         for argv in (["--batches", "0"], ["--batches", "-3"],
-                     ["--trials", "-5"], ["--trials", "x"]):
+                     ["--trials", "-5"], ["--trials", "x"],
+                     ["--scale", "0"], ["--scale", "-1"], ["--scale", "inf"]):
             for prefix in ([], ["metrics", "--metrics-textfile", "x.prom"]):
                 with pytest.raises(SystemExit) as exc:
                     main([*prefix, "--query", "Q6", *argv])
                 assert exc.value.code == 2
+        # Out-of-range engine knobs of the run parser, and the analyze
+        # subcommand's scale.
+        for argv in (["--slack", "-1"], ["--slack", "nan"], ["--slack", "inf"],
+                     ["--shards", "-3"], ["--shards", "1.5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["--query", "Q6", *argv])
+            assert exc.value.code == 2
+        for argv in (["--scale", "0"], ["--scale", "-1"], ["--scale", "nan"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--query", "Q6", *argv])
+            assert exc.value.code == 2
+        edge = build_parser().parse_args(["--slack", "0", "--shards", "0"])
+        assert (edge.slack, edge.shards) == (0.0, 0)
 
     def test_named_query(self):
         args = build_parser().parse_args(["--query", "Q17", "--workload", "tpch"])
@@ -262,15 +276,6 @@ class TestAnalyzeExit:
         assert code == 0
         assert "0 error(s), 0 warning(s)" in out
 
-    def test_clean_race_check_exits_zero(self, capsys):
-        code, out, _ = self.run(
-            ["analyze", "--races", "--workload", "tpch", "--query", "Q6",
-             "--scale", "0.05"],
-            capsys,
-        )
-        assert code == 0
-        assert "0 error(s), 0 warning(s)" in out
-
     def test_error_diagnostic_exits_one(self, capsys):
         # Unplannable SQL is a TC101 *error* for the typechecker.
         code, out, _ = self.run(
@@ -279,21 +284,31 @@ class TestAnalyzeExit:
         assert code == 1
         assert "1 error(s)" in out
 
-    def test_warning_only_exits_zero(self, capsys):
-        # The same SQL is only a RACE000 *warning* for the race detector:
-        # there is nothing to schedule, hence nothing to race.
+    @staticmethod
+    def _warn_only(monkeypatch):
+        """No bundled rule is warning-severity: plant a one-warning report."""
+        from repro.analysis import typecheck
+        from repro.analysis.diagnostics import AnalysisDiagnostic, AnalysisReport
+
+        def analyze_query(sql, catalog, streamed_table, subject=None):
+            report = AnalysisReport(subject or sql)
+            report.extend([AnalysisDiagnostic("TC101", "sql", "planted", severity="warning")])
+            return report
+
+        monkeypatch.setattr(typecheck, "analyze_query", analyze_query)
+
+    def test_warning_only_exits_zero(self, capsys, monkeypatch):
+        self._warn_only(monkeypatch)
         code, out, _ = self.run(
-            ["analyze", "FROBNICATE everything", "--races",
-             "--scale", "0.05"],
-            capsys,
+            ["analyze", "SELECT 1", "--scale", "0.05"], capsys
         )
         assert code == 0
         assert "1 warning(s)" in out
 
-    def test_fail_on_warning_promotes_to_one(self, capsys):
+    def test_fail_on_warning_promotes_to_one(self, capsys, monkeypatch):
+        self._warn_only(monkeypatch)
         code, out, _ = self.run(
-            ["analyze", "FROBNICATE everything", "--races",
-             "--scale", "0.05", "--fail-on-warning"],
+            ["analyze", "SELECT 1", "--scale", "0.05", "--fail-on-warning"],
             capsys,
         )
         assert code == 1

@@ -19,6 +19,7 @@ from repro.core.operators import (
     UncertainFilterOp,
     UncertainJoinOp,
     UnionOp,
+    iter_ops,
 )
 from repro.errors import UnsupportedQueryError
 from repro.relational import Catalog, avg, col, count, relation_from_columns, scan, sum_
@@ -53,6 +54,16 @@ class TestFlatCompilation:
         plan = scan("t", KX_SCHEMA).select(col("x") > 1).aggregate([], [count("n")])
         compiled = compile_online(plan, catalog(), "t")
         assert isinstance(spine_of(compiled).child, FilterOp)
+
+    def test_deterministic_filter_is_labelled_by_plan_node(self):
+        select = scan("t", KX_SCHEMA).select(col("x") > 1)
+        plan = select.aggregate([], [count("n")])
+        labels = [
+            [op.label for op in iter_ops(spine_of(compile_online(plan, catalog(), "t")))]
+            for _ in range(2)
+        ]
+        assert labels[0] == labels[1]
+        assert f"filter:{select.node_id}" in labels[0]
 
     def test_static_join_side_precomputed(self):
         plan = (

@@ -1,6 +1,6 @@
 """Golden fixtures: every diagnostic rule the analysis layer can emit —
-typechecker TC1xx/TC2xx/TC3xx, engine lint ENG001–006, race detector
-RACE0xx/1xx/2xx, sanitizer SAN00x — has exactly one minimal triggering
+typechecker TC1xx/TC2xx/TC3xx, engine lint ENG001–006, sanitizer
+SAN00x — has exactly one minimal triggering
 fixture here, and each fired diagnostic is pinned down to its rule id,
 a non-empty location, and (where the rule carries one) a repair hint.
 
@@ -22,7 +22,6 @@ import pytest
 from repro.analysis import check_plan
 from repro.analysis.diagnostics import AnalysisDiagnostic
 from repro.analysis.lint import ENGINE_LINT_RULES, lint_source
-from repro.analysis.races import RACE_RULES, analyze_query_races, check_races
 from repro.analysis.sanitize import SANITIZE_RULES, BufferSanitizer
 from repro.analysis.typecheck import (
     TYPECHECK_RULES,
@@ -30,7 +29,7 @@ from repro.analysis.typecheck import (
     check_units,
     infer_tags,
 )
-from repro.core.compiler import ExecutionUnit
+from repro.core.compiler import ExecutionUnit, StreamPipelineUnit
 from repro.core.operators import (
     FilterOp,
     ScanOp,
@@ -38,8 +37,7 @@ from repro.core.operators import (
     UncertainFilterOp,
 )
 from repro.core.uncertainty import NodeTags
-from repro.core.values import LineageRef
-from repro.errors import UnsupportedQueryError
+from repro.errors import SanitizerViolationError, UnsupportedQueryError
 from repro.relational import (
     AggSpec,
     HolisticUDAF,
@@ -54,16 +52,14 @@ from repro.relational import (
 )
 from repro.relational.algebra import PlanNode
 from repro.relational.expressions import Or
-from repro.state import InMemoryStateStore
 from tests.conftest import KX_SCHEMA
 
 STREAMED = {"t"}
 
-#: Rules whose diagnostics legitimately carry no hint: RACE000 wraps the
-#: planner/compiler exception verbatim, TC201 dumps the diverging tag
-#: pair, TC306/TC307 are self-explanatory schema/tag mismatches.
-#: Everything else must carry a repair hint.
-HINTLESS: set[str] = {"RACE000", "TC201", "TC306", "TC307"}
+#: Rules whose diagnostics legitimately carry no hint: TC201 dumps the
+#: diverging tag pair, TC306/TC307 are self-explanatory schema/tag
+#: mismatches. Everything else must carry a repair hint.
+HINTLESS: set[str] = {"TC201", "TC306", "TC307"}
 
 
 @dataclass
@@ -192,11 +188,11 @@ def _tc301(ctx):
 def _tc302(ctx):
     scan_op = ScanOp("t", KX_SCHEMA)
     scan_op.uncertain_cols.add("x")
-    return check_pipeline(FilterOp(scan_op, col("x") > lit(5.0)))
+    return check_pipeline(FilterOp(scan_op, col("x") > lit(5.0), 1))
 
 
 def _tc303(ctx):
-    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0))
+    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
     op.state.put("stray", 123)
     return check_pipeline(op)
 
@@ -205,13 +201,13 @@ def _tc304(ctx):
     class BadFilter(FilterOp):
         state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
 
-    op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0))
+    op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
     op.state.put("nd", {})
     return check_pipeline(op)
 
 
 def _tc305(ctx):
-    from repro.core.compiler import StreamPipelineUnit, compile_online
+    from repro.core.compiler import compile_online
     from repro.core.operators import AggregateOp, iter_ops
 
     plan = _kx().aggregate(["k"], [sum_("x", "sx")])
@@ -242,11 +238,10 @@ def _tc307(ctx):
 
 
 class _Unit(ExecutionUnit):
-    def __init__(self, label, produces=(), consumes=(), ops=()):
+    def __init__(self, label, produces=(), consumes=()):
         self.label = label
         self.produces = frozenset(produces)
         self.consumes = frozenset(consumes)
-        self.ops = list(ops)
 
 
 def _tc308(ctx):
@@ -255,6 +250,16 @@ def _tc308(ctx):
 
 def _tc309(ctx):
     return check_units([_Unit("a", produces={1}, consumes={2})])
+
+
+def _tc310(ctx):
+    return check_units([_Unit("consumer", consumes={1}), _Unit("producer", produces={1})])
+
+
+def _tc311(ctx):
+    first, second = ScanOp("t", KX_SCHEMA), ScanOp("t", KX_SCHEMA)
+    second.state = first.state
+    return check_units([StreamPipelineUnit(first), StreamPipelineUnit(second)])
 
 
 # -- engine-lint fixtures ---------------------------------------------------
@@ -327,58 +332,11 @@ def _eng006(ctx):
     )
 
 
-# -- race-detector fixtures -------------------------------------------------
-
-
-class _StoreOp:
-    label = "agg:golden"
-    state_rule = StateRule(entries=("sketch",))
-
-    def __init__(self, store):
-        self.state = store
-
-
-class _CarrierOp:
-    label = "carrier:golden"
-
-    def __init__(self, src_id):
-        self.src_id = src_id
-
-    def process(self, delta, ctx):
-        return LineageRef(self.src_id, (0,), "v")
-
-
-def _race000(ctx):
-    return analyze_query_races(
-        "FROBNICATE everything", ctx.catalog, "t"
-    ).diagnostics
-
-
-def _race101(ctx):
-    store = InMemoryStateStore()
-    return check_races(
-        [
-            _Unit("a", produces={1}, ops=[_StoreOp(store)]),
-            _Unit("b", produces={2}),
-            _Unit("c", consumes={2}, ops=[_StoreOp(store)]),
-        ]
-    )
-
-
-def _race201(ctx):
-    return check_races(
-        [
-            _Unit("prod", produces={7}),
-            _Unit("carrier", produces={8}, ops=[_CarrierOp(7)]),
-        ]
-    )
-
-
 # -- sanitizer fixtures -----------------------------------------------------
 #
 # SAN rules are runtime violations, not report diagnostics; the fixtures
 # trigger the real SanitizerViolationError and adapt it so the same
-# id/location/hint assertions apply (location = writing operator,
+# id/location/hint assertions apply (location = offending operator,
 # hint = the catalog's one-line repair description).
 
 
@@ -438,6 +396,14 @@ def _san002(ctx, tmp_path=None):
         )
 
 
+def _san004(ctx):
+    op = ScanOp("t", KX_SCHEMA)
+    op.state.put("stray", 1)  # ScanOp declares no state entries
+    with pytest.raises(SanitizerViolationError) as excinfo:
+        BufferSanitizer().check_state(op)
+    return _san_diag(excinfo.value)
+
+
 # -- the registry -----------------------------------------------------------
 
 FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
@@ -463,23 +429,22 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "TC307": _tc307,
     "TC308": _tc308,
     "TC309": _tc309,
+    "TC310": _tc310,
+    "TC311": _tc311,
     "ENG001": _eng001,
     "ENG002": _eng002,
     "ENG003": _eng003,
     "ENG004": _eng004,
     "ENG005": _eng005,
     "ENG006": _eng006,
-    "RACE000": _race000,
-    "RACE101": _race101,
-    "RACE201": _race201,
     "SAN001": _san001,
     "SAN002": _san002,
+    "SAN004": _san004,
 }
 
 ALL_RULES = (
     set(TYPECHECK_RULES)
     | set(ENGINE_LINT_RULES)
-    | set(RACE_RULES)
     | set(SANITIZE_RULES)
 )
 

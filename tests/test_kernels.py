@@ -1,10 +1,11 @@
-"""Bit-identity tests for the vectorized kernel layer (repro.kernels).
+"""Bit-identity tests for the kernel layer (repro.kernels).
 
-Every kernel has a row-wise reference implementation in the engine; the
-contract is *bit-identical* output, not approximate equality. These tests
-pin each kernel against its reference on hand-picked edge cases; the
-property suite (tests/test_properties.py) covers randomized inputs and
-whole-engine runs with ``vectorize`` on/off.
+Each kernel is checked against a row-wise reference — a helper the engine
+keeps as a fallback (``evaluate_side``'s general loop on a relation
+without a lineage sidecar, ``SentinelStore._violated``) or a reference
+written here; the contract is *bit-identical* output, not approximate
+equality. These tests pin each kernel on hand-picked edge cases; the
+property suite (tests/test_properties.py) covers randomized inputs.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OnlineQueryEngine, classify
+from repro.core import classify
 from repro.core.blocks import (
     MEMBER_FALSE,
     MEMBER_TRUE,
@@ -39,14 +40,11 @@ from repro.relational.aggregates import AGG_FUNCTIONS, AggregateFunction, Median
 from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
 from repro.storage.lineage import LineageColumn
-from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 from tests.conftest import output_from_groups, publish_group
 
 
-def make_ctx(t=4, vectorize=True):
-    ctx = RuntimeContext(
-        Catalog({}), "t", 100, OnlineConfig(num_trials=t, vectorize=vectorize)
-    )
+def make_ctx(t=4):
+    ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=t))
     ctx.batch_no = 1
     return ctx
 
@@ -422,22 +420,24 @@ class TestResolveKernel:
             lineage={"u": LineageColumn(1, "v", np.asarray(keys if gids is None else gids))},
         )
 
-    def contexts(self, publish_keys=(0, 1), t=4):
-        pair = []
-        for vectorize in (True, False):
-            ctx = make_ctx(t=t, vectorize=vectorize)
-            for k in publish_keys:
-                publish_block(
-                    ctx, 1, (k,), 10.0 + k, [10.0 + k + j * 0.5 for j in range(t)],
-                    8.0 + k, 12.0 + k,
-                )
-            pair.append(ctx)
-        return pair
+    def context(self, publish_keys=(0, 1), t=4):
+        ctx = make_ctx(t=t)
+        for k in publish_keys:
+            publish_block(
+                ctx, 1, (k,), 10.0 + k, [10.0 + k + j * 0.5 for j in range(t)],
+                8.0 + k, 12.0 + k,
+            )
+        return ctx
+
+    def bare(self, rel):
+        """``rel`` without its gid sidecar: the kernel declines it, so
+        ``evaluate_side`` runs its general per-row loop (the reference)."""
+        return Relation(self.SCHEMA, dict(rel.columns))
 
     def assert_sides_equal(self, expr, rel, t=4, publish_keys=(0, 1)):
-        vec_ctx, ref_ctx = self.contexts(publish_keys, t)
-        vec = classify.evaluate_side(expr, rel, {"u"}, vec_ctx)
-        ref = classify.evaluate_side(expr, rel, {"u"}, ref_ctx)
+        ctx = self.context(publish_keys, t)
+        vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
+        ref = classify.evaluate_side(expr, self.bare(rel), {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)
@@ -457,13 +457,12 @@ class TestResolveKernel:
         self.assert_sides_equal(col("d") * Col("u"), rel)
 
     def test_division_range_crossing_zero(self):
-        vec_ctx, ref_ctx = self.contexts((0,))
-        for ctx in (vec_ctx, ref_ctx):
-            publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
+        ctx = self.context((0,))
+        publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
         rel = self.rel([6.0, 6.0], [0, 9], gids=[0, 1])
         expr = col("d") / Col("u")
-        vec = classify.evaluate_side(expr, rel, {"u"}, vec_ctx)
-        ref = classify.evaluate_side(expr, rel, {"u"}, ref_ctx)
+        vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
+        ref = classify.evaluate_side(expr, self.bare(rel), {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert vec.lo[1] == -np.inf and vec.hi[1] == np.inf
@@ -479,31 +478,31 @@ class TestResolveKernel:
         # the row-wise reference for such expressions.
         from repro.kernels import resolve as kresolve
 
-        vec_ctx, _ = self.contexts((0,))
+        ctx = self.context((0,))
         rel = self.rel([2.0], [0])
         out = kresolve.try_evaluate_side(
-            Arith("%", Col("u"), lit(3.0)), rel, {"u"}, vec_ctx
+            Arith("%", Col("u"), lit(3.0)), rel, {"u"}, ctx
         )
         assert out is None
 
     def test_column_without_sidecar_outside_kernel(self):
         from repro.kernels import resolve as kresolve
 
-        vec_ctx, ref_ctx = self.contexts((0,))
+        ctx = self.context((0,))
         rel = self.rel([2.0], [0])
-        bare = Relation(self.SCHEMA, dict(rel.columns))
-        assert kresolve.try_evaluate_side(Col("u") * 2.0, rel, {"u"}, vec_ctx)
-        assert kresolve.try_evaluate_side(Col("u") * 2.0, bare, {"u"}, vec_ctx) is None
-        vec = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, vec_ctx)
-        ref = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, ref_ctx)
+        bare = self.bare(rel)
+        assert kresolve.try_evaluate_side(Col("u") * 2.0, rel, {"u"}, ctx)
+        assert kresolve.try_evaluate_side(Col("u") * 2.0, bare, {"u"}, ctx) is None
+        vec = classify.evaluate_side(Col("u") * 2.0, rel, {"u"}, ctx)
+        ref = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, ctx)
         assert np.array_equal(vec.point, ref.point)
 
     def test_classification_identical(self):
-        vec_ctx, ref_ctx = self.contexts()
+        ctx = self.context()
         rel = self.rel([20.0, 1.0, 10.5], [0, 0, 0])
         cmp_ = Comparison(">", Col("d"), Col("u"))
-        vec = classify.classify_comparison(cmp_, rel, {"u"}, vec_ctx)
-        ref = classify.classify_comparison(cmp_, rel, {"u"}, ref_ctx)
+        vec = classify.classify_comparison(cmp_, rel, {"u"}, ctx)
+        ref = classify.classify_comparison(cmp_, self.bare(rel), {"u"}, ctx)
         assert np.array_equal(vec.status, ref.status)
         assert np.array_equal(vec.point, ref.point)
         vt, rt = vec.trial_matrix(4), ref.trial_matrix(4)
@@ -760,20 +759,7 @@ class TestVectorizedSentinels:
         self.assert_matches_reference(store, ref, probes=[-5.0, 0.0, 5.0])
 
 
-# -- whole-engine bit identity -----------------------------------------------------
-
-ALL_QUERIES = [("tpch", name) for name in TPCH_QUERIES] + [
-    ("conviva", name) for name in CONVIVA_QUERIES
-]
-
-
-def _run_spec(spec, catalog, vectorize, num_batches=3, num_trials=8):
-    engine = OnlineQueryEngine(
-        catalog,
-        spec.streamed_table,
-        OnlineConfig(num_trials=num_trials, seed=7, vectorize=vectorize),
-    )
-    return list(engine.run(spec.plan, num_batches))
+# -- whole-run comparison helper ---------------------------------------------------
 
 
 def _scalar_eq(a, b):
@@ -790,8 +776,7 @@ def assert_partials_identical(got, want, where):
         assert pg.fraction_processed == pw.fraction_processed, ctx
         assert pg.schema.names == pw.schema.names, ctx
         assert len(pg.rows) == len(pw.rows), ctx
-        # Row order must match too: the vectorized codec assigns group ids
-        # in the same first-appearance order as the dict reference.
+        # Row order must match too.
         for rg, rw in zip(pg.rows, pw.rows):
             for name in pw.schema.names:
                 vg, vw = rg[name], rw[name]
@@ -805,22 +790,3 @@ def assert_partials_identical(got, want, where):
                     assert _scalar_eq(vg.vrange.hi, vw.vrange.hi), f"{ctx}: {name} hi"
                 else:
                     assert _scalar_eq(vg, vw), f"{ctx}: {name}"
-
-
-@pytest.fixture(scope="module")
-def small_catalogs(tpch_small, conviva_small):
-    return {"tpch": tpch_small.catalog(), "conviva": conviva_small.catalog()}
-
-
-class TestFullRunBitIdentity:
-    """Vectorized and reference modes must agree bit for bit on every
-    workload query — per batch, per row, per trial."""
-
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_serial(self, source, name, small_catalogs):
-        spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
-        catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True)
-        ref = _run_spec(spec, catalog, False)
-        assert vec, f"{name}: no partial results"
-        assert_partials_identical(vec, ref, f"{name} serial")

@@ -206,6 +206,27 @@ class TestCliMetrics:
         assert any(k.startswith("iolap_state_") for k in parsed)
         assert not any(k.startswith("iolap_costmodel_") for k in parsed)
 
+    def test_op_labels_are_stable_across_runs(self, tmp_path):
+        """Each run is its own process (as a textfile collector sees it):
+        the exported ``op`` labels must not carry memory addresses."""
+        import re
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        label_sets = []
+        for run in range(2):
+            path = str(tmp_path / f"run{run}.prom")
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "metrics", *self.ARGS,
+                 "--batches", "2", "--metrics-textfile", path],
+                check=True, env={**os.environ, "PYTHONPATH": src},
+            )
+            parsed = parse_prometheus_text(open(path).read())
+            label_sets.append({
+                m.group(1) for k in parsed for m in [re.search(r'op="([^"]*)"', k)] if m
+            })
+        assert label_sets[0] == label_sets[1]
+        assert any(label.startswith("filter:") for label in label_sets[0])
+
     def test_listen_serves_while_running(self, tmp_path):
         # Port 0 binds a free port; --hold 0 stops right after the run.
         assert main(["metrics", *self.ARGS, "--listen", "127.0.0.1:0"]) == 0

@@ -146,34 +146,33 @@ class TestWarningEvents:
         assert "node" in warning["args"]
         validate_events(sink.events)
 
-    def test_attach_obs_wires_verifier_emit(self):
+    def test_attach_obs_wires_sanitizer_emit(self):
         from repro.core.blocks import RuntimeContext
 
         ctx = RuntimeContext(
             Catalog({"t": random_kx(20)}), "t", 20,
-            OnlineConfig(num_trials=5, verify=True),
+            OnlineConfig(num_trials=5, sanitize=True),
         )
         obs, _ = Observability.in_memory()
         ctx.attach_obs(obs)
-        assert ctx.verifier.emit == obs.tracer.warning
-        # The null session must NOT wire it (exception-only verification).
+        assert ctx.sanitizer.emit == obs.tracer.warning
+        # The null session must NOT wire it (exception-only sanitizing).
         ctx2 = RuntimeContext(
             Catalog({"t": random_kx(20)}), "t", 20,
-            OnlineConfig(num_trials=5, verify=True),
+            OnlineConfig(num_trials=5, sanitize=True),
         )
         from repro.obs import NULL_OBS
 
         ctx2.attach_obs(NULL_OBS)
-        assert ctx2.verifier.emit is None
+        assert ctx2.sanitizer.emit is None
 
-    def test_contract_violation_emitted_as_warning(self):
-        from repro.analysis.verify import ContractVerifier
-        from repro.errors import ContractViolationError
+    def test_state_violation_emitted_as_warning(self):
+        from repro.analysis.sanitize import BufferSanitizer
+        from repro.errors import SanitizerViolationError
 
         obs, sink = Observability.in_memory()
-        verifier = ContractVerifier()
-        verifier.emit = obs.tracer.warning
-        verifier.begin_batch(3)
+        sanitizer = BufferSanitizer()
+        sanitizer.emit = obs.tracer.warning
 
         class FakeRule:
             entries = frozenset({"declared"})
@@ -186,15 +185,13 @@ class TestWarningEvents:
             def state_items(self):
                 return [("declared", 1), ("stray", 2)]
 
-        with pytest.raises(ContractViolationError):
-            verifier._check_state_entries(FakeOp())
+        with pytest.raises(SanitizerViolationError, match="stray"):
+            sanitizer.check_state(FakeOp())
         obs.flush()
         [warning] = [e for e in sink.events if e["kind"] == "warning"]
-        assert warning["name"] == "contract-violation"
-        assert warning["batch"] == 3
-        assert warning["args"]["check"] == "undeclared-state"
-        assert warning["args"]["op"] == "join:9"
-        assert "stray" in warning["args"]["message"]
+        assert warning["name"] == "sanitizer.violation"
+        assert warning["args"]["rule"] == "SAN004"
+        assert warning["args"]["writer"] == "join:9"
         validate_events(sink.events)
 
 

@@ -96,7 +96,7 @@ class TestFilterProjectUnion:
 
     def test_filter_applies_to_certain(self):
         rel = random_kx(50, seed=2)
-        out = self.run_one(lambda c: FilterOp(c, col("x") > 20.0), rel)
+        out = self.run_one(lambda c: FilterOp(c, col("x") > 20.0, 1), rel)
         expected = (rel.column("x") > 20.0).sum()
         assert len(out.certain) == expected
 

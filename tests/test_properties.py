@@ -35,13 +35,11 @@ from repro.relational import (
     stddev,
     sum_,
 )
-from repro.relational.aggregates import median
 from repro.relational.evaluator import aggregate_relation, join_relations
 from repro.relational.expressions import Col
 from repro.storage.lineage import LineageColumn
 from tests.conftest import KX_SCHEMA, output_from_groups
 from tests.test_kernels import (
-    assert_partials_identical,
     assert_rel_identical,
     keys_equal,
     reference_codes,
@@ -211,7 +209,7 @@ class TestOnlineEqualsBatchFuzzed:
 
 
 class TestKernelsMatchReferenceFuzzed:
-    """Every vectorized kernel equals its row-wise reference on randomized
+    """Every kernel equals its row-wise reference on randomized
     inputs, including the degenerate shapes the batch path rarely hits:
     empty relations, single rows, NaN-bearing float keys, object/lineage
     columns, and zero-multiplicity rows."""
@@ -308,26 +306,26 @@ class TestKernelsMatchReferenceFuzzed:
             lineage={"u": LineageColumn(1, "v", np.asarray(key_ids))},
         )
         trials_of = {k: rng.standard_normal(5).round(2) for k in range(keys)}
-        sides = []
-        for vectorize in (True, False):
-            ctx = RuntimeContext(
-                Catalog({}), "t", 100, OnlineConfig(num_trials=5, vectorize=vectorize)
+        ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=5))
+        ctx.batch_no = 1
+        groups = []
+        for k in range(keys):
+            value = float(10 + k)
+            uv = UncertainValue(
+                value,
+                value + trials_of[k],
+                VariationRange(value - 2.0, value + 2.0),
+                LineageRef(1, (k,), "v"),
             )
-            ctx.batch_no = 1
-            groups = []
-            for k in range(keys):
-                value = float(10 + k)
-                uv = UncertainValue(
-                    value,
-                    value + trials_of[k],
-                    VariationRange(value - 2.0, value + 2.0),
-                    LineageRef(1, (k,), "v"),
-                )
-                groups.append(GroupValue((k,), {"v": uv}, True))
-            ctx.blocks[1] = output_from_groups(1, [], ["v"], groups, 5)
-            expr = Col("u") * 0.5 + col("d")
-            sides.append(evaluate_side(expr, rel, {"u"}, ctx))
-        vec, ref = sides
+            groups.append(GroupValue((k,), {"v": uv}, True))
+        ctx.blocks[1] = output_from_groups(1, [], ["v"], groups, 5)
+        expr = Col("u") * 0.5 + col("d")
+        # Without its gid sidecar the kernel declines the relation and
+        # evaluate_side runs its general per-row loop: the reference.
+        vec, ref = (
+            evaluate_side(expr, side, {"u"}, ctx)
+            for side in (rel, Relation(schema, dict(rel.columns)))
+        )
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)
@@ -337,40 +335,6 @@ class TestKernelsMatchReferenceFuzzed:
             equal_nan=True,
         )
         assert np.array_equal(vec.pending, ref.pending)
-
-
-class TestFullRunVectorizeFuzzed:
-    """Whole randomized runs: vectorize on/off yield bit-identical partial
-    results (the ND-heavy semijoin + holistic shape)."""
-
-    @fuzz
-    @given(st.integers(0, 10_000), st.integers(150, 500), st.integers(2, 5))
-    def test_bit_identical_modes(self, seed, n, batches):
-        rng = np.random.default_rng(seed)
-        cat = Catalog({"t": dataset(seed, n, 5)})
-        member = (
-            scan("t", KX_SCHEMA)
-            .aggregate(["k"], [sum_("x", "sx")])
-            .select(col("sx") > float(rng.uniform(100.0, 600.0)))
-            .project([("k2", col("k"))])
-        )
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(member, keys=[("k", "k2")])
-            .aggregate(["k"], [median("y", "my"), count("n")])
-        )
-        partials = {}
-        for vectorize in (True, False):
-            eng = OnlineQueryEngine(
-                cat,
-                "t",
-                OnlineConfig(num_trials=9, seed=seed, vectorize=vectorize),
-            )
-            partials[vectorize] = list(eng.run(plan, batches))
-        assert partials[True], "no partial results"
-        assert_partials_identical(
-            partials[True], partials[False], f"fuzz seed={seed}"
-        )
 
 
 class TestBootstrapCoverage:

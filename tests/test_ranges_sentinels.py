@@ -302,9 +302,10 @@ class TestStaircaseCheck:
 
 
 class TestVectorizedCheckMatchesRowwise:
-    """The array pass of ``SentinelStore.check`` / ``MembershipSentinels
-    .check`` only filters: outcome and first reason equal the row-wise
-    reference (``vectorize=False``) on random staircases."""
+    """The array pass of ``SentinelStore.check`` only filters: outcome and
+    first reason equal the row-wise ``_violated`` run over every slot on
+    random staircases; ``MembershipSentinels.check`` raises exactly when
+    some recorded membership differs from the published one."""
 
     SCHEMA = Schema(
         [("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT), ("w", ColumnType.FLOAT)]
@@ -323,18 +324,24 @@ class TestVectorizedCheckMatchesRowwise:
             return str(failure)
         return None
 
-    def contexts(self, published):
-        pair = []
-        for vectorize in (True, False):
-            ctx = RuntimeContext(
-                Catalog({}), "t", 100, OnlineConfig(num_trials=2, vectorize=vectorize)
-            )
-            ctx.batch_no = 9
-            for block_id, colname in ((1, "v"), (2, "x")):
-                for key, value in published[block_id].items():
-                    publish(ctx, block_id, (key,), colname, value, [value])
-            pair.append(ctx)
-        return pair
+    def context(self, published):
+        ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=2))
+        ctx.batch_no = 9
+        for block_id, colname in ((1, "v"), (2, "x")):
+            for key, value in published[block_id].items():
+                publish(ctx, block_id, (key,), colname, value, [value])
+        return ctx
+
+    @staticmethod
+    def rowwise(store, ctx):
+        """The first violation ``_violated`` finds over every slot, worded
+        as ``check`` words it, or None."""
+        for idx, conjunct in enumerate(store._per_conjunct):
+            for slot in range(conjunct.n):
+                reason = store._violated(idx, slot, ctx)
+                if reason is not None:
+                    return f"sentinel violation at batch {ctx.batch_no}: {reason}"
+        return None
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -368,7 +375,6 @@ class TestVectorizedCheckMatchesRowwise:
             store.record(
                 0, Relation(self.SCHEMA, {"d": d, "u": u, "w": w}), np.arange(n),
                 held ^ wrong,
-                vectorize=data.draw(st.booleans(), label="batched record"),
             )
         moved = st.one_of(st.just(0.0), st.floats(-15, 15, allow_nan=False))
         published = {
@@ -379,18 +385,18 @@ class TestVectorizedCheckMatchesRowwise:
             }
             for block_id, points in before.items()
         }
-        vec_ctx, ref_ctx = self.contexts(published)
+        ctx = self.context(published)
+        want = self.rowwise(store, ctx)
         resolved = []
-        resolve = vec_ctx.resolve
-        vec_ctx.resolve = lambda ref: resolved.append(ref) or resolve(ref)
-        got = self.outcome(lambda: store.check(vec_ctx))
-        want = self.outcome(lambda: store.check(ref_ctx))
+        resolve = ctx.resolve
+        ctx.resolve = lambda ref: resolved.append(ref) or resolve(ref)
+        got = self.outcome(lambda: store.check(ctx))
         assert got == want
         needed = {1, 2} if which == 2 else {1}
-        if needed <= set(vec_ctx.blocks) and got is None:
+        if needed <= set(ctx.blocks) and got is None:
             # The array pass decides; it does not fall back to all rows.
             assert resolved == []
-        assert vec_ctx.monitor.failures == ref_ctx.monitor.failures
+        assert ctx.monitor.failures == (got is not None)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -399,18 +405,21 @@ class TestVectorizedCheckMatchesRowwise:
         for key in range(5):
             if data.draw(st.booleans(), label=f"recorded {key}"):
                 ms.record((key,), data.draw(st.booleans()))
-        outcomes = []
         members = {
             key: data.draw(st.booleans())
             for key in range(5)
             if data.draw(st.booleans(), label=f"published {key}")
         }
-        for vectorize in (True, False):
-            ctx = RuntimeContext(
-                Catalog({}), "t", 100, OnlineConfig(num_trials=2, vectorize=vectorize)
-            )
-            ctx.batch_no = 9
-            for key, member in members.items():
-                publish(ctx, 7, (key,), "v", 1.0, [1.0], member_point=member)
-            outcomes.append(self.outcome(lambda: ms.check(ctx, ctx.blocks.get(7))))
-        assert outcomes[0] == outcomes[1]
+        ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=2))
+        ctx.batch_no = 9
+        for key, member in members.items():
+            publish(ctx, 7, (key,), "v", 1.0, [1.0], member_point=member)
+        got = self.outcome(lambda: ms.check(ctx, ctx.blocks.get(7)))
+        # An unpublished group counts as not a member.
+        flipped = [
+            key for key, member in zip(ms.keys, ms.member.tolist())
+            if members.get(key[0], False) != member
+        ]
+        assert (got is None) == (not flipped)
+        if flipped:
+            assert f"membership of group {flipped[0]!r} flipped" in got

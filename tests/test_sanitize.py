@@ -1,9 +1,10 @@
-"""The zero-copy aliasing sanitizer (``OnlineConfig(sanitize=True)``).
+"""The runtime debug mode (``OnlineConfig(sanitize=True)``).
 
 Unit tests drive :class:`BufferSanitizer` directly through its ownership
-protocol; engine tests seed real in-place writes and assert the exact
-SAN rule fires naming writer and owner; parity tests re-run the chaos
-fault plan with the sanitizer on and require bit-identical results.
+protocol and its state-entry check; engine tests seed real in-place
+writes and undeclared state entries and assert the exact SAN rule fires
+naming the offending operator; parity tests require sanitized runs to be
+bit-identical to plain ones, also under the chaos fault plan.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from repro.analysis.sanitize import (
     _buffers_of,
 )
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.core.operators import AggregateOp, StateRule
 from repro.core.operators.base import DeltaBatch
 from repro.core.operators.scan import ScanOp
+from repro.engine.shards import ShardedQueryEngine
 from repro.errors import SanitizerViolationError
 from repro.relational import ColumnType, Schema, relation_from_columns
+from repro.state import InMemoryStateStore
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 S = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT)])
@@ -35,6 +39,20 @@ def make_rel(n=8):
 
 class _Op:
     label = "op:test"
+
+
+class _StatefulOp:
+    """Declares one ``nd`` entry and holds exactly that."""
+
+    label = "fake:op"
+    state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
+
+    def __init__(self):
+        self.state = InMemoryStateStore()
+        self.state.put("nd", {})
+
+    def state_items(self):
+        return list(self.state.items())
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +82,12 @@ class TestProtocol:
         san.release(_Op())  # restore must not thaw the stream delta
         assert not any(a.flags.writeable for a in _buffers_of(rel))
 
-    def test_begin_batch_is_idempotent_across_threads(self):
+    def test_begin_batch_is_idempotent_within_a_batch(self):
         san = BufferSanitizer()
         rel = make_rel()
         san.begin_batch(3, rel)
         owners = dict(san._owners)
-        san.begin_batch(3, rel)  # a unit retry re-enters the same batch
+        san.begin_batch(3, rel)  # the recovery replay re-enters the batch
         assert san._owners == owners
 
     def test_replay_of_the_same_batch_owns_the_redrawn_delta(self):
@@ -153,6 +171,27 @@ class TestRules:
         assert str(path) in str(violation)
         assert violation.writer == "op:test"
 
+    def test_declared_state_passes(self):
+        san = BufferSanitizer()
+        san.check_state(_StatefulOp())
+        assert san.seconds > 0
+
+    def test_san004_stray_state_entry(self):
+        op = _StatefulOp()
+        op.state.put("stray", 123)
+        with pytest.raises(SanitizerViolationError, match="StateRule") as excinfo:
+            BufferSanitizer().check_state(op)
+        assert excinfo.value.rule_id == "SAN004"
+        assert excinfo.value.writer == "fake:op"
+        assert "stray" in str(excinfo.value)
+
+    def test_san004_missing_state_entry(self):
+        op = _StatefulOp()
+        op.state.delete("nd")
+        with pytest.raises(SanitizerViolationError, match="StateRule") as excinfo:
+            BufferSanitizer().check_state(op)
+        assert excinfo.value.rule_id == "SAN004"
+
     def test_translate_ignores_unrelated_value_errors(self):
         san = BufferSanitizer()
         err = ValueError("operands could not be broadcast together")
@@ -191,6 +230,37 @@ class TestEngine:
         assert violation.writer
         assert violation.owners and violation.owners != ["unknown"]
 
+    def test_undeclared_state_entry_raises_san004(self, kx_catalog, monkeypatch):
+        process = AggregateOp.process
+
+        def stamping_process(self, delta, ctx):
+            out = process(self, delta, ctx)
+            self.state.put("stamp", ctx.batch_no)  # not in the StateRule
+            return out
+
+        monkeypatch.setattr(AggregateOp, "process", stamping_process)
+        engine = OnlineQueryEngine(
+            kx_catalog, "t", OnlineConfig(num_trials=4, seed=3, sanitize=True)
+        )
+        from repro.relational import count, scan
+        from tests.conftest import KX_SCHEMA
+
+        plan = scan("t", KX_SCHEMA).aggregate(["k"], [count("n")])
+        with pytest.raises(SanitizerViolationError, match="stamp") as excinfo:
+            engine.run_to_completion(plan, 3)
+        assert excinfo.value.rule_id == "SAN004"
+        assert excinfo.value.writer.startswith("aggregate:")
+
+    def test_sharded_run_reports_sanitize_seconds(self, tpch_small):
+        spec = TPCH_QUERIES["Q1"]
+        engine = ShardedQueryEngine(
+            tpch_small.catalog(),
+            spec.streamed_table,
+            OnlineConfig(num_trials=4, seed=3, sanitize=True, shards=2),
+        )
+        engine.run_to_completion(spec.plan, 3)
+        assert engine.metrics.sanitize_seconds > 0
+
     def test_without_sanitize_write_goes_unnoticed(self, kx_catalog, monkeypatch):
         """Documents why the sanitizer exists: the same seeded write is
         silent corruption when sanitize is off."""
@@ -217,6 +287,32 @@ PARITY_QUERIES = [("tpch", "Q1"), ("tpch", "Q17"), ("conviva", "C8")]
 
 
 class TestParity:
+    @pytest.mark.parametrize("name", ["Q1", "Q17"])  # flat and nested
+    def test_sanitize_mode_is_bit_identical(self, name, tpch_small):
+        spec = TPCH_QUERIES[name]
+
+        def run(sanitize):
+            engine = OnlineQueryEngine(
+                tpch_small.catalog(),
+                spec.streamed_table,
+                OnlineConfig(num_trials=20, seed=3, sanitize=sanitize),
+            )
+            return list(engine.run(spec.plan, 6))
+
+        plain, checked = run(False), run(True)
+        assert len(plain) == len(checked)
+        for pp, pc in zip(plain, checked):
+            assert pp.batch_no == pc.batch_no
+            assert len(pp.rows) == len(pc.rows)
+            for ra, rb in zip(pp.rows, pc.rows):
+                for col_name in pp.schema.names:
+                    va, vb = ra[col_name], rb[col_name]
+                    if hasattr(va, "trials"):
+                        assert va.value == vb.value, f"{name} {col_name}"
+                        assert np.array_equal(va.trials, vb.trials, equal_nan=True)
+                    else:
+                        assert va == vb, f"{name} {col_name}"
+
     @pytest.mark.parametrize("source,name", PARITY_QUERIES)
     def test_sanitized_faulted_matches_clean(
         self, source, name, tpch_small, conviva_small

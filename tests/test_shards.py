@@ -5,8 +5,7 @@ the sharded engine's per-batch rows must be *bit-identical* to the serial
 reference — same values, same bootstrap trial arrays, same canonical
 order — for any shard count. The suite checks a representative slice by
 default; set ``IOLAP_SHARD_FULL=1`` to run every shardable query at
-shards ∈ {1, 2, 4} with vectorization both on and off (the CI
-shard-smoke job's weekly configuration).
+shards ∈ {1, 2, 4} (the CI shard-smoke job's configuration).
 """
 
 from __future__ import annotations
@@ -102,22 +101,21 @@ def assert_rows_bit_identical(expected, actual, context=""):
                 )
 
 
-def run_serial(spec, catalog, vectorize=True):
+def run_serial(spec, catalog):
     engine = OnlineQueryEngine(
         catalog,
         spec.streamed_table,
-        OnlineConfig(num_trials=TRIALS, seed=11, vectorize=vectorize),
+        OnlineConfig(num_trials=TRIALS, seed=11),
     )
     return list(engine.run(spec.plan, BATCHES))
 
 
-def run_sharded(spec, catalog, shards, vectorize=True, **config_kwargs):
+def run_sharded(spec, catalog, shards, **config_kwargs):
     engine = ShardedQueryEngine(
         catalog,
         spec.streamed_table,
         OnlineConfig(
-            num_trials=TRIALS, seed=11, vectorize=vectorize,
-            shards=shards, **config_kwargs,
+            num_trials=TRIALS, seed=11, shards=shards, **config_kwargs,
         ),
     )
     return engine, list(engine.run(spec.plan, BATCHES))
@@ -290,14 +288,6 @@ class TestDeterminism:
     def test_four_shards(self, source, name, catalogs):
         self._check(source, name, catalogs, shards=4)
 
-    @pytest.mark.parametrize(
-        "source,name", SHARDABLE if FULL else [("conviva", "C3")]
-    )
-    def test_row_kernels(self, source, name, catalogs):
-        """Vectorization off exercises the row-at-a-time operator paths
-        inside the workers; the merge contract is unchanged."""
-        self._check(source, name, catalogs, shards=2, vectorize=False)
-
     def test_one_shard_is_serial(self, catalogs):
         """shards=1 short-circuits to the single-process engine."""
         spec = spec_of("tpch", "Q1")
@@ -306,13 +296,11 @@ class TestDeterminism:
         for s, p in zip(serial, sharded):
             assert_rows_bit_identical(s.rows, p.rows, "Q1 shards=1")
 
-    def _check(self, source, name, catalogs, shards, vectorize=True):
+    def _check(self, source, name, catalogs, shards):
         spec = spec_of(source, name)
         catalog = catalogs[source]
-        serial = run_serial(spec, catalog, vectorize=vectorize)
-        engine, sharded = run_sharded(
-            spec, catalog, shards, vectorize=vectorize
-        )
+        serial = run_serial(spec, catalog)
+        engine, sharded = run_sharded(spec, catalog, shards)
         assert engine.shard_plan is not None and engine.shard_plan.shardable
         assert len(sharded) == len(serial) == BATCHES
         for s, p in zip(serial, sharded):

@@ -351,7 +351,8 @@ class TestFoldAgainstReference:
         row_wise.fold_values([keys[c] for c in codes], 0, *args)
         coded.fold_values_coded(keys, codes, 0, *args)
         assert len(row_wise) == len(coded) == 3
-        # Bit-identical, not merely close: the vectorize on/off contract.
+        # Bit-identical, not merely close: the coded fold is the engine's
+        # path and fold_values its row-wise reference.
         for key, gid in row_wise.key_to_gid.items():
             other = coded.key_to_gid[key]
             assert row_wise.acc[gid].tobytes() == coded.acc[other].tobytes()
