@@ -18,10 +18,11 @@ saved traces::
     python -m repro.cli report run.jsonl                # offline analysis
     python -m repro.cli report run.jsonl --json         # pinned-schema JSON
 
-Live telemetry (Prometheus exposition of the metrics registry)::
+Live telemetry: ``--metrics-textfile out.prom`` rewrites a Prometheus
+exposition of the metrics registry after every batch (the node-exporter
+textfile collector idiom)::
 
-    python -m repro.cli metrics --query Q1 --listen :9110
-    python -m repro.cli metrics --query Q1 --metrics-textfile out.prom
+    python -m repro.cli --workload tpch --query Q1 --metrics-textfile out.prom
 
 The ``analyze`` subcommand runs the static analysis suite instead of
 executing anything: the plan typechecker over named workload queries or
@@ -164,56 +165,6 @@ _non_negative_float = _finite_float(0.0, inclusive=True)
 _positive_float = _finite_float(0.0, inclusive=False)
 
 
-def _add_query_flags(parser: argparse.ArgumentParser) -> None:
-    """Query-selection + engine flags of the ``metrics`` subcommand."""
-    parser.add_argument("sql", nargs="?", help="SQL text to run")
-    parser.add_argument(
-        "--workload", choices=sorted(_WORKLOADS), default="conviva",
-        help="dataset to generate (default: conviva)",
-    )
-    parser.add_argument(
-        "--query", help="run a named benchmark query (e.g. Q17, C8) instead of SQL"
-    )
-    parser.add_argument(
-        "--scale", type=_positive_float, default=1.0, help="workload scale"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="generator/engine seed")
-    parser.add_argument(
-        "--batches", type=_positive_int, default=20, help="mini-batch count"
-    )
-    parser.add_argument(
-        "--trials", type=_positive_int, default=100, help="bootstrap trials"
-    )
-    parser.add_argument(
-        "--stream", help="table to stream (default: the workload's fact table)"
-    )
-    parser.add_argument(
-        "--stop-rsd", type=float, default=None,
-        help="stop once the worst relative stdev falls below this",
-    )
-
-
-def _resolve_query(args: argparse.Namespace):
-    """(catalog, plan, streamed table) from shared flags, or None."""
-    generate, queries, default_stream = _WORKLOADS[args.workload]
-    catalog = generate(scale=args.scale, seed=args.seed).catalog()
-    if args.query:
-        if args.query not in queries:
-            log.error("unknown query %r; try --list-queries", args.query)
-            return None
-        spec = queries[args.query]
-        return catalog, spec.plan, spec.streamed_table
-    if args.sql:
-        try:
-            plan = plan_sql(args.sql, catalog.schemas())
-        except ReproError as exc:
-            log.error("SQL error: %s", exc)
-            return None
-        return catalog, plan, args.stream or default_stream
-    log.error("nothing to run: pass SQL text or --query")
-    return None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -252,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", help="table to stream (default: the workload's fact table)"
     )
     parser.add_argument(
-        "--stop-rsd", type=float, default=None,
+        "--stop-rsd", type=_positive_float, default=None,
         help="stop once the worst relative stdev falls below this",
     )
     parser.add_argument(
@@ -269,6 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-out", metavar="PATH", default=None,
         help="write per-batch run metrics as JSON to PATH (iolap engine)",
+    )
+    parser.add_argument(
+        "--metrics-textfile", metavar="PATH", default=None,
+        help="atomically rewrite PATH with the Prometheus exposition of "
+        "the metrics registry after every batch (iolap engine; the "
+        "node-exporter textfile collector idiom)",
     )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
@@ -366,41 +323,13 @@ def build_report_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("trace", help="JSONL event log written by --trace-out")
     parser.add_argument(
-        "--top", type=int, default=10, help="individual spans to list (default: 10)"
+        "--top", type=_non_negative_int, default=10,
+        help="individual spans to list (default: 10)",
     )
     parser.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable summary (schema pinned by "
         "repro.obs.report.REPORT_FIELDS) instead of the text report",
-    )
-    _add_logging_flags(parser)
-    return parser
-
-
-def build_metrics_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli metrics",
-        description="Run a query while exporting live engine telemetry: "
-        "a Prometheus /metrics endpoint (--listen) and/or an atomically "
-        "rewritten exposition textfile (--metrics-textfile).",
-    )
-    _add_query_flags(parser)
-    parser.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help="serve /metrics in Prometheus text format from a daemon "
-        "thread while the query runs (e.g. ':9110'; port 0 picks a "
-        "free port, logged at startup)",
-    )
-    parser.add_argument(
-        "--metrics-textfile", metavar="PATH", default=None,
-        help="atomically rewrite PATH with the Prometheus exposition "
-        "after every batch (node-exporter textfile collector idiom; "
-        "the scrape-less CI mode)",
-    )
-    parser.add_argument(
-        "--hold", type=float, default=0.0, metavar="SECONDS",
-        help="keep serving --listen this many seconds after the run "
-        "completes, so a scraper can collect the final state (default: 0)",
     )
     _add_logging_flags(parser)
     return parser
@@ -440,7 +369,8 @@ def run_analyze(argv: Sequence[str]) -> int:
                     )
                 )
         if args.query is not None and not reports:
-            log.error("unknown query %r; try --list-queries", args.query)
+            log.error("unknown query %r; list them with "
+                      "'repro.cli --workload W --list-queries'", args.query)
             return 2
 
     if args.lint:
@@ -536,80 +466,10 @@ def run_report(argv: Sequence[str]) -> int:
     return 0
 
 
-def run_metrics_cmd(argv: Sequence[str]) -> int:
-    """The ``metrics`` subcommand: run a query, export live telemetry."""
-    from repro.obs import MetricsObservability
-    from repro.obs.export import MetricsHTTPServer, TextfileExporter, parse_listen
-
-    args = build_metrics_parser().parse_args(argv)
-    _configure_logging(_log_level(args))
-    if not args.listen and not args.metrics_textfile:
-        log.error(
-            "metrics: pass --listen HOST:PORT and/or --metrics-textfile PATH"
-        )
-        return 2
-    resolved = _resolve_query(args)
-    if resolved is None:
-        return 2
-    catalog, plan, streamed = resolved
-
-    obs = MetricsObservability()
-    server = None
-    if args.listen:
-        try:
-            host, port = parse_listen(args.listen)
-            server = MetricsHTTPServer(obs.metrics, host, port).start()
-        except (ValueError, OSError) as exc:
-            log.error("cannot serve metrics on %r: %s", args.listen, exc)
-            return 2
-        log.info("serving metrics at %s", server.url)
-    exporter = (
-        TextfileExporter(args.metrics_textfile, obs.metrics)
-        if args.metrics_textfile
-        else None
-    )
-    engine = OnlineQueryEngine(
-        catalog,
-        streamed,
-        OnlineConfig(num_trials=args.trials, seed=args.seed),
-        obs=obs,
-    )
-    try:
-        for partial in engine.run(plan, args.batches):
-            if exporter is not None:
-                try:
-                    exporter.write()
-                except OSError as exc:
-                    log.error("cannot write %s: %s", args.metrics_textfile, exc)
-                    return 2
-            rsd = partial.max_relative_stdev()
-            log.info(
-                "[batch %3d/%d %7.1f ms] %s",
-                partial.batch_no, partial.num_batches,
-                partial.metrics.wall_seconds * 1000,
-                f"rel.stdev {rsd:.4f}" if rsd == rsd else "rel.stdev n/a",
-            )
-            if args.stop_rsd is not None and rsd == rsd and rsd < args.stop_rsd:
-                break
-    finally:
-        if server is not None:
-            if args.hold > 0:
-                import time as _time
-
-                log.info("holding %s for %.1f s", server.url, args.hold)
-                _time.sleep(args.hold)
-            server.stop()
-    if exporter is not None:
-        log.info("exposition written to %s (%d write(s))",
-                 args.metrics_textfile, exporter.writes)
-    return 0
-
-
 _SUBCOMMANDS = {
     "analyze": run_analyze,
     "trace": run_trace,
     "report": run_report,
-    "metrics": run_metrics_cmd,
 }
 
 
@@ -650,6 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     for flag, value in (("--metrics-out", args.metrics_out),
+                        ("--metrics-textfile", args.metrics_textfile),
                         ("--trace-out", args.trace_out),
                         ("--converge", args.converge),
                         ("--faults", args.faults)):
@@ -686,7 +547,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     from repro.obs import NULL_OBS, ConvergenceReporter, Observability
 
-    obs = Observability.to_jsonl(args.trace_out) if args.trace_out else NULL_OBS
+    obs = NULL_OBS
+    if args.trace_out:
+        obs = Observability.to_jsonl(args.trace_out)
+    elif args.metrics_textfile:
+        obs = Observability()  # no sink: a live registry, no tracer
+    exporter = None
+    if args.metrics_textfile:
+        from repro.obs.export import TextfileExporter
+
+        exporter = TextfileExporter(args.metrics_textfile, obs.metrics)
     reporter = (
         ConvergenceReporter(obs=obs, emit_line=log.info)
         if args.converge
@@ -713,6 +583,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     partial = None
     try:
         for partial in engine.run(plan, args.batches):
+            if exporter is not None:
+                try:
+                    exporter.write()
+                except OSError as exc:
+                    log.error("cannot write %s: %s", args.metrics_textfile, exc)
+                    return 2
             rsd = partial.max_relative_stdev()
             rsd_text = "exact" if partial.is_final else (
                 f"rel.stdev {rsd:.4f}" if rsd == rsd else "rel.stdev n/a"
@@ -735,8 +611,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         _print_partial_rows(partial, args.max_rows)
         if engine.metrics.num_recoveries:
             log.info("(failure recoveries: %d)", engine.metrics.num_recoveries)
+        # A ``pipeline:`` unit's time already holds its operators' self
+        # times; ``small:`` units have no operator timings inside them.
         slowest = sorted(
-            engine.metrics.total_op_seconds().items(), key=lambda kv: -kv[1]
+            (kv for kv in engine.metrics.total_op_seconds().items()
+             if not kv[0].startswith("pipeline:")),
+            key=lambda kv: -kv[1],
         )[:3]
         if slowest:
             log.info("slowest operators: %s", ", ".join(
@@ -750,6 +630,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             log.error("cannot write metrics to %s: %s", args.metrics_out, exc)
             return 2
         log.info("metrics written to %s", args.metrics_out)
+    if exporter is not None:
+        log.info("exposition written to %s (%d write(s))",
+                 args.metrics_textfile, exporter.writes)
     if args.trace_out:
         log.info("trace written to %s (convert: repro.cli trace %s; "
                  "summarize: repro.cli report %s)",

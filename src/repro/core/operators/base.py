@@ -247,33 +247,29 @@ def drive_pipeline(root: SpineOp, ctx: RuntimeContext) -> DeltaBatch:
 
 
 def _timed_process(root: SpineOp, delta: object, ctx: RuntimeContext) -> DeltaBatch:
-    tracer = ctx.obs.tracer
-    if tracer.enabled:
-        with tracer.span(
-            "op", cat="op", batch=ctx.batch_no,
-            op=root.label, kind=type(root).__name__,
-        ) as span:
-            started = time.perf_counter()
-            out = root.process(delta, ctx)
-            ctx.metrics.add_op_seconds(root.label, time.perf_counter() - started)
-            rows_in = _delta_rows(delta)
-            span.set(rows_in=rows_in, rows_out=out.total_rows)
-            reg = ctx.obs.metrics
-            reg.counter("op.rows_in", op=root.label).inc(rows_in)
-            reg.counter("op.rows_out", op=root.label).inc(out.total_rows)
-    elif ctx.obs.metrics.enabled:
-        # Metrics-only session (``iolap metrics`` without tracing):
-        # record row throughput, skip span allocation entirely.
-        started = time.perf_counter()
+    """One timed ``process`` call: an ``op`` span when the tracer is on,
+    row counters when the session is on."""
+    obs = ctx.obs
+    span = obs.tracer.span(
+        "op", cat="op", batch=ctx.batch_no,
+        op=root.label, kind=type(root).__name__,
+    ) if obs.tracer.enabled else None
+    started = time.perf_counter()
+    try:
         out = root.process(delta, ctx)
-        ctx.metrics.add_op_seconds(root.label, time.perf_counter() - started)
-        reg = ctx.obs.metrics
-        reg.counter("op.rows_in", op=root.label).inc(_delta_rows(delta))
+    except BaseException as exc:
+        if span is not None:
+            span.__exit__(type(exc), exc, exc.__traceback__)
+        raise
+    ctx.metrics.add_op_seconds(root.label, time.perf_counter() - started)
+    if obs.enabled:
+        rows_in = _delta_rows(delta)
+        reg = obs.metrics
+        reg.counter("op.rows_in", op=root.label).inc(rows_in)
         reg.counter("op.rows_out", op=root.label).inc(out.total_rows)
-    else:
-        started = time.perf_counter()
-        out = root.process(delta, ctx)
-        ctx.metrics.add_op_seconds(root.label, time.perf_counter() - started)
+        if span is not None:
+            span.set(rows_in=rows_in, rows_out=out.total_rows)
+            span.__exit__(None, None, None)
     return out
 
 

@@ -12,16 +12,16 @@ default is the inert :data:`NULL_OBS`):
 * :class:`MetricsRegistry` — counters/gauges/histograms for the paper's
   signals (|U_i| ND-set sizes, variation-range widths, per-entry state
   bytes, recovery depth, per-operator row throughput), sampled into the
-  trace after every batch;
+  trace and, with ``--metrics-textfile``, rewritten as Prometheus text
+  after every batch;
 * :class:`ConvergenceReporter` and ``iolap report`` — the live
   estimate ± CI view and the post-hoc trace summary.
 
 See DESIGN.md §9 for the span taxonomy and the event schema.
 
 The engine imports this package on every run, so only the pieces a run
-needs load eagerly; the exporters, report and Chrome writer
-(``http.server`` among their imports) load on first access to one of
-their names.
+needs load eagerly; the exporter, report and Chrome writer load on
+first access to one of their names.
 """
 
 from importlib import import_module
@@ -43,7 +43,7 @@ from repro.obs.registry import (
     NullRegistry,
     metric_key,
 )
-from repro.obs.session import NULL_OBS, MetricsObservability, Observability
+from repro.obs.session import NULL_OBS, Observability
 from repro.obs.sinks import EventBus, EventSink, JsonlSink, MemorySink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -51,9 +51,7 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 _LAZY = {
     "to_chrome": "chrome",
     "write_chrome": "chrome",
-    "MetricsHTTPServer": "export",
     "TextfileExporter": "export",
-    "parse_listen": "export",
     "parse_prometheus_text": "export",
     "prometheus_text": "export",
     "REPORT_SCHEMA_VERSION": "report",
@@ -87,8 +85,6 @@ __all__ = [
     "Histogram",
     "JsonlSink",
     "MemorySink",
-    "MetricsHTTPServer",
-    "MetricsObservability",
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
@@ -98,7 +94,6 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "metric_key",
-    "parse_listen",
     "parse_prometheus_text",
     "prometheus_text",
     "read_events",

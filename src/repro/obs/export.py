@@ -1,22 +1,16 @@
-"""Live telemetry export: Prometheus text format, HTTP endpoint and textfile
-exporter.
+"""Live telemetry export: Prometheus text format and the textfile exporter.
 
 The exporter publishes the metrics registry's signals (|U_i| ``nd.rows``,
-variation-range widths, state bytes by entry/tier, recovery depth,
-per-operator self time) in the
-Prometheus text exposition format:
+variation-range widths, state bytes per entry, recovery depth,
+per-operator rows in and out) in the Prometheus text exposition format:
 
 * :func:`prometheus_text` renders a registry snapshot (dots in metric
   names become underscores under an ``iolap_`` prefix; counters get the
   conventional ``_total`` suffix; histogram summaries expand to
   ``_count``/``_sum``/``_min``/``_max`` series);
-* :class:`MetricsHTTPServer` serves ``/metrics`` from a stdlib
-  ``http.server`` daemon thread (``iolap metrics --listen :9110``) —
-  scrapes read live gauge values, no engine coordination needed (gauges
-  are 8-byte stores; a scrape races a batch only into a slightly stale
-  value, never a torn one);
-* :class:`TextfileExporter` atomically rewrites a ``.prom`` file per
-  batch for scrape-less CI (the node-exporter textfile collector idiom);
+* :class:`TextfileExporter` atomically rewrites a ``.prom`` file after
+  every batch (``iolap --metrics-textfile``); node-exporter's textfile
+  collector is the standard way to scrape a batch job;
 * :func:`parse_prometheus_text` is the inverse used by tests and the CI
   smoke job to validate published artifacts.
 """
@@ -25,13 +19,8 @@ from __future__ import annotations
 
 import os
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-
-#: Content type of the Prometheus text exposition format.
-PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -136,73 +125,3 @@ class TextfileExporter:
             fh.write(prometheus_text(self.registry))
         os.replace(tmp, self.path)
         self.writes += 1
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    server: "_MetricsServer"  # type: ignore[assignment]
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-            self.send_error(404, "try /metrics")
-            return
-        body = prometheus_text(self.server.registry).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", PROM_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: object) -> None:
-        pass  # scrapes must not pollute the engine's stderr
-
-
-class _MetricsServer(ThreadingHTTPServer):
-    daemon_threads = True
-    registry: MetricsRegistry
-
-
-class MetricsHTTPServer:
-    """Serves ``/metrics`` for one registry from a daemon thread."""
-
-    def __init__(self, registry: MetricsRegistry, host: str = "127.0.0.1",
-                 port: int = 0):
-        self.registry = registry
-        self._server = _MetricsServer((host, port), _MetricsHandler)
-        self._server.registry = registry
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]  # type: ignore[return-value]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}/metrics"
-
-    def start(self) -> "MetricsHTTPServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="iolap-metrics-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-
-def parse_listen(spec: str) -> tuple[str, int]:
-    """``HOST:PORT`` / ``:PORT`` -> (host, port); host defaults local."""
-    host, sep, port = spec.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(
-            f"bad --listen {spec!r}: expected HOST:PORT or :PORT"
-        )
-    return (host or "127.0.0.1", int(port))
-

@@ -8,10 +8,9 @@ throughput. The engine snapshots the registry after every batch into
 ``counter`` trace events, so the series land in the same timeline as the
 spans.
 
-Concurrency model: the engine writes every sample from the thread that
-drives the run. Instruments are created and snapshotted through a lock
-because the ``iolap metrics --listen`` HTTP daemon thread reads the
-registry while the run writes it.
+Concurrency model: one thread writes and reads the registry, the one
+that drives the run, so it takes no lock. Shard workers are processes;
+they ship their counters back with each batch result.
 
 The default registry is :data:`NULL_REGISTRY`: disabled, returning one
 shared inert instrument, so instrumented code paths cost a method call
@@ -21,7 +20,6 @@ and nothing else when observability is off.
 from __future__ import annotations
 
 import math
-import threading
 
 
 def metric_key(name: str, labels: dict[str, object]) -> str:
@@ -107,7 +105,6 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._instruments: dict[str, object] = {}
         #: Series key -> (metric name, labels); the structured view the
         #: exporters need (the key string alone cannot be split back
@@ -118,11 +115,8 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         inst = self._instruments.get(key)
         if inst is None:
-            with self._lock:
-                inst = self._instruments.get(key)
-                if inst is None:
-                    inst = self._instruments[key] = cls()
-                    self._meta[key] = (name, dict(labels))
+            inst = self._instruments[key] = cls()
+            self._meta[key] = (name, dict(labels))
         if not isinstance(inst, cls):
             raise TypeError(
                 f"metric {key!r} already registered as {type(inst).__name__}"
@@ -145,21 +139,16 @@ class MetricsRegistry:
         instruments are live objects — read their current values, do not
         mutate them.
         """
-        with self._lock:
-            items = sorted(self._instruments.items())
-            meta = dict(self._meta)
         out = []
-        for key, inst in items:
-            name, labels = meta.get(key, (key, {}))
+        for key, inst in sorted(self._instruments.items()):
+            name, labels = self._meta[key]
             out.append((key, name, labels, inst))
         return out
 
     def snapshot(self) -> dict[str, object]:
         """All series, sorted by key; histograms as summary dicts."""
         out: dict[str, object] = {}
-        with self._lock:
-            items = sorted(self._instruments.items())
-        for key, inst in items:
+        for key, inst in sorted(self._instruments.items()):
             if isinstance(inst, Histogram):
                 out[key] = inst.summary()
             else:
@@ -170,9 +159,7 @@ class MetricsRegistry:
         """Flat numeric view (histograms flattened to .count/.sum/.min/.max)
         — the per-batch counter-event feed."""
         out: dict[str, float] = {}
-        with self._lock:
-            items = sorted(self._instruments.items())
-        for key, inst in items:
+        for key, inst in sorted(self._instruments.items()):
             if isinstance(inst, Histogram):
                 if inst.count:
                     out[f"{key}.count"] = float(inst.count)

@@ -3,10 +3,13 @@
 An :class:`Observability` object is handed to the engine
 (``OnlineQueryEngine(..., obs=...)``) and threaded through the runtime
 context, so every layer — controller, unit loop, operators, state
-stores, the sanitizer — reports into the same timeline. The
-default is :data:`NULL_OBS`, whose tracer and registry are the inert
-null implementations: instrumentation then costs a guard or a no-op
-method call and allocates nothing.
+stores, the sanitizer — reports into the same timeline. A session
+without sinks keeps a live registry but no tracer: no sink would
+receive the events, so spans are never built (``iolap
+--metrics-textfile`` without ``--trace-out``). The default is
+:data:`NULL_OBS`, whose tracer and registry are the inert null
+implementations: instrumentation then costs a guard or a no-op method
+call and allocates nothing.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ class Observability:
         sinks: Iterable[EventSink] = (),
         clock: Callable[[], float] = time.perf_counter,
     ):
+        sinks = list(sinks)
         self.bus = EventBus(sinks)
-        self.tracer: Tracer = Tracer(self.bus, clock)
+        self.tracer: Tracer | NullTracer = (
+            Tracer(self.bus, clock) if sinks else NULL_TRACER
+        )
         self.metrics: MetricsRegistry = MetricsRegistry()
 
     @classmethod
@@ -48,6 +54,8 @@ class Observability:
         """Sample every registry series into counter events (one batch's
         worth of the Fig. 7–10 trajectories)."""
         tracer = self.tracer
+        if not tracer.enabled:
+            return
         for key, value in self.metrics.scalar_snapshot().items():
             tracer.counter(key, value, batch=batch)
 
@@ -63,35 +71,6 @@ class Observability:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class MetricsObservability:
-    """A metrics-only session: live registry, inert tracer, no events.
-
-    ``iolap metrics`` exports the registry's signals (``nd.rows``,
-    per-op row counters, state gauges) with no trace sink attached. This
-    session makes exactly that slice live: ``enabled`` is True so
-    operators record their gauges, but the tracer stays
-    :data:`NULL_TRACER` (no span allocation) and ``emit_metrics`` is a
-    no-op (no per-batch registry -> event sampling), keeping the
-    overhead to the registry writes alone.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.bus = EventBus()
-        self.tracer: NullTracer = NULL_TRACER
-        self.metrics: MetricsRegistry = MetricsRegistry()
-
-    def emit_metrics(self, batch: int | None = None) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class _NullObservability:

@@ -73,10 +73,6 @@ class EventBus:
     def __init__(self, sinks: Iterable[EventSink] = ()):
         self.sinks: list[EventSink] = list(sinks)
 
-    def attach(self, sink: EventSink) -> EventSink:
-        self.sinks.append(sink)
-        return sink
-
     def emit(self, event: dict) -> None:
         for sink in self.sinks:
             sink.emit(event)

@@ -19,25 +19,26 @@ class TestParser:
         assert args.batches == 20
         assert args.trace_out is None
         assert args.log_level == "info"
-        # Bad counts are usage errors (exit 2), in the run parser and
-        # in the ``metrics`` subcommand alike.
+        # Bad counts and out-of-range knobs are usage errors (exit 2):
+        # in the run parser, the analyze subcommand's scale and the
+        # report subcommand's span count.
         for argv in (["--batches", "0"], ["--batches", "-3"],
                      ["--trials", "-5"], ["--trials", "x"],
-                     ["--scale", "0"], ["--scale", "-1"], ["--scale", "inf"]):
-            for prefix in ([], ["metrics", "--metrics-textfile", "x.prom"]):
-                with pytest.raises(SystemExit) as exc:
-                    main([*prefix, "--query", "Q6", *argv])
-                assert exc.value.code == 2
-        # Out-of-range engine knobs of the run parser, and the analyze
-        # subcommand's scale.
-        for argv in (["--slack", "-1"], ["--slack", "nan"], ["--slack", "inf"],
-                     ["--shards", "-3"], ["--shards", "1.5"]):
+                     ["--scale", "0"], ["--scale", "-1"], ["--scale", "inf"],
+                     ["--slack", "-1"], ["--slack", "nan"], ["--slack", "inf"],
+                     ["--shards", "-3"], ["--shards", "1.5"],
+                     ["--stop-rsd", "nan"], ["--stop-rsd", "-1"],
+                     ["--stop-rsd", "inf"], ["--stop-rsd", "0"]):
             with pytest.raises(SystemExit) as exc:
                 main(["--query", "Q6", *argv])
             assert exc.value.code == 2
         for argv in (["--scale", "0"], ["--scale", "-1"], ["--scale", "nan"]):
             with pytest.raises(SystemExit) as exc:
                 main(["analyze", "--query", "Q6", *argv])
+            assert exc.value.code == 2
+        for argv in (["--top", "-2"], ["--top", "1.5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["report", "run.jsonl", *argv])
             assert exc.value.code == 2
         edge = build_parser().parse_args(["--slack", "0", "--shards", "0"])
         assert (edge.slack, edge.shards) == (0.0, 0)
@@ -79,6 +80,13 @@ class TestMain:
         )
         assert code == 0
         assert "exact" in err
+        # A pipeline unit's time holds its operators' self times, so
+        # only operators and small units are ranked.
+        slowest = next(
+            line for line in err.splitlines() if "slowest operators" in line
+        )
+        assert "pipeline:" not in slowest
+        assert slowest.count(" ms") == 3
 
     def test_batch_engine(self, capsys):
         code, out, err = self.run(
@@ -114,6 +122,11 @@ class TestMain:
         code = main(["--workload", "tpch", "--query", "Q99"])
         assert code == 2
         assert "unknown query" in capsys.readouterr().err
+        # ``analyze`` has no --list-queries; it names the run command's.
+        assert main(["analyze", "--workload", "tpch", "--query", "Q99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown query 'Q99'" in err
+        assert "repro.cli --workload W --list-queries" in err
 
     def test_bad_sql(self, capsys):
         code = main(["SELEKT oops", "--scale", "0.05"])

@@ -1,6 +1,7 @@
 """Live telemetry export (``repro.obs.export``) and its CLI surfaces:
-Prometheus text rendering + parsing, the /metrics HTTP endpoint, the
-textfile exporter, and the pinned ``report --json`` artifact."""
+Prometheus text rendering + parsing, the textfile exporter and the run
+command's ``--metrics-textfile``, and the pinned ``report --json``
+artifact."""
 
 from __future__ import annotations
 
@@ -8,16 +9,13 @@ import json
 import os
 import subprocess
 import sys
-from urllib.request import urlopen
 
 import pytest
 
 from repro.cli import main
-from repro.obs import MetricsObservability, MetricsRegistry
+from repro.obs import NULL_TRACER, MetricsRegistry, Observability, read_events
 from repro.obs.export import (
-    MetricsHTTPServer,
     TextfileExporter,
-    parse_listen,
     parse_prometheus_text,
     prom_name,
     prometheus_text,
@@ -44,11 +42,11 @@ def make_registry() -> MetricsRegistry:
 
 class TestLazyImport:
     def test_engine_import_leaves_exporters_unloaded(self):
-        """The engine imports ``repro.obs`` on every run; the exporters
-        (and ``http.server`` with them) load only when a name is used."""
+        """The engine imports ``repro.obs`` on every run; the exporter
+        loads only when a name is used."""
         code = (
             "import sys, repro.core\n"
-            "loaded = [m for m in ('http.server', 'repro.obs.export') if m in sys.modules]\n"
+            "loaded = [m for m in ('repro.obs.export',) if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -60,7 +58,7 @@ class TestLazyImport:
         import repro.obs
         import repro.obs.export
 
-        assert repro.obs.MetricsHTTPServer is repro.obs.export.MetricsHTTPServer
+        assert repro.obs.TextfileExporter is repro.obs.export.TextfileExporter
         assert set(repro.obs.__all__) <= set(dir(repro.obs)) | set(repro.obs._LAZY)
         with pytest.raises(AttributeError):
             repro.obs.no_such_name
@@ -129,77 +127,34 @@ class TestTextfileExporter:
         assert not [p for p in os.listdir(tmp_path) if ".tmp." in p]
 
 
-class TestMetricsHTTPServer:
-    def test_scrape(self):
-        reg = make_registry()
-        server = MetricsHTTPServer(reg).start()
-        try:
-            with urlopen(server.url) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"].startswith("text/plain")
-                body = resp.read().decode("utf-8")
-        finally:
-            server.stop()
-        assert parse_prometheus_text(body)["iolap_recovery_failures_total"] == 2.0
-
-    def test_scrape_is_live(self):
-        reg = MetricsRegistry()
-        gauge = reg.gauge("nd.rows", op="x")
-        server = MetricsHTTPServer(reg).start()
-        try:
-            gauge.set(1)
-            first = parse_prometheus_text(
-                urlopen(server.url).read().decode())
-            gauge.set(2)
-            second = parse_prometheus_text(
-                urlopen(server.url).read().decode())
-        finally:
-            server.stop()
-        assert first['iolap_nd_rows{op="x"}'] == 1.0
-        assert second['iolap_nd_rows{op="x"}'] == 2.0
-
-    def test_unknown_path_404(self):
-        server = MetricsHTTPServer(MetricsRegistry()).start()
-        try:
-            host, port = server.address
-            with pytest.raises(Exception) as err:
-                urlopen(f"http://{host}:{port}/other")
-            assert "404" in str(err.value)
-        finally:
-            server.stop()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-class TestParseListen:
-    def test_host_and_port(self):
-        assert parse_listen("0.0.0.0:9110") == ("0.0.0.0", 9110)
-
-    def test_port_only(self):
-        assert parse_listen(":9110") == ("127.0.0.1", 9110)
-
-    def test_rejects_garbage(self):
-        for bad in ("9110", "host:", "host:port"):
-            with pytest.raises(ValueError):
-                parse_listen(bad)
+def _run_cli(argv: list[str]) -> None:
+    """One run command in a fresh process, as a textfile collector sees
+    it (the kernel cache counters it exports are process-global)."""
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        check=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 class TestCliMetrics:
+    """The run command's ``--metrics-textfile``."""
+
     ARGS = ["--workload", "tpch", "--query", "Q1", "--scale", "0.05",
             "--batches", "4", "--trials", "8", "-q"]
 
-    def test_requires_an_export_target(self, capsys):
-        assert main(["metrics", *self.ARGS]) == 2
-        assert "--listen" in capsys.readouterr().err
-
     def test_textfile_export(self, tmp_path):
         path = str(tmp_path / "iolap.prom")
-        assert main(["metrics", *self.ARGS, "--metrics-textfile", path]) == 0
+        assert main([*self.ARGS, "--metrics-textfile", path]) == 0
         parsed = parse_prometheus_text(open(path).read())
         assert any(k.startswith("iolap_op_rows_in_total") for k in parsed)
         assert any(k.startswith("iolap_state_") for k in parsed)
 
     def test_textfile_has_no_costmodel_series(self, tmp_path):
         path = str(tmp_path / "iolap.prom")
-        assert main(["metrics", *self.ARGS, "--metrics-textfile", path,
+        assert main([*self.ARGS, "--metrics-textfile", path,
                      "--batches", "7"]) == 0
         parsed = parse_prometheus_text(open(path).read())
         assert any(k.startswith("iolap_op_rows_in_total") for k in parsed)
@@ -207,19 +162,14 @@ class TestCliMetrics:
         assert not any(k.startswith("iolap_costmodel_") for k in parsed)
 
     def test_op_labels_are_stable_across_runs(self, tmp_path):
-        """Each run is its own process (as a textfile collector sees it):
-        the exported ``op`` labels must not carry memory addresses."""
+        """Each run is its own process: the exported ``op`` labels must
+        not carry memory addresses."""
         import re
 
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         label_sets = []
         for run in range(2):
             path = str(tmp_path / f"run{run}.prom")
-            subprocess.run(
-                [sys.executable, "-m", "repro.cli", "metrics", *self.ARGS,
-                 "--batches", "2", "--metrics-textfile", path],
-                check=True, env={**os.environ, "PYTHONPATH": src},
-            )
+            _run_cli([*self.ARGS, "--batches", "2", "--metrics-textfile", path])
             parsed = parse_prometheus_text(open(path).read())
             label_sets.append({
                 m.group(1) for k in parsed for m in [re.search(r'op="([^"]*)"', k)] if m
@@ -227,12 +177,29 @@ class TestCliMetrics:
         assert label_sets[0] == label_sets[1]
         assert any(label.startswith("filter:") for label in label_sets[0])
 
-    def test_listen_serves_while_running(self, tmp_path):
-        # Port 0 binds a free port; --hold 0 stops right after the run.
-        assert main(["metrics", *self.ARGS, "--listen", "127.0.0.1:0"]) == 0
+    @pytest.mark.parametrize("engine", ["hda", "batch"])
+    def test_requires_iolap_engine(self, engine, tmp_path, capsys):
+        path = tmp_path / "iolap.prom"
+        assert main([*self.ARGS, "--engine", engine,
+                     "--metrics-textfile", str(path)]) == 2
+        assert "--metrics-textfile requires --engine iolap" in capsys.readouterr().err
+        assert not path.exists()
 
-    def test_bad_listen_spec(self):
-        assert main(["metrics", *self.ARGS, "--listen", "nope"]) == 2
+    def test_unwritable_textfile_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "iolap.prom"
+        assert main([*self.ARGS, "--metrics-textfile", str(path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_tracing_leaves_the_exposition_unchanged(self, tmp_path):
+        """A traced run writes both files, and its exposition is the one
+        an untraced run writes."""
+        traced, plain = tmp_path / "traced.prom", tmp_path / "plain.prom"
+        trace = tmp_path / "run.jsonl"
+        _run_cli([*self.ARGS, "--metrics-textfile", str(traced),
+                  "--trace-out", str(trace)])
+        _run_cli([*self.ARGS, "--metrics-textfile", str(plain)])
+        assert any(e["kind"] == "span" for e in read_events(str(trace)))
+        assert traced.read_text() == plain.read_text()
 
 
 def _trace_file(tmp_path) -> str:
@@ -299,12 +266,20 @@ class TestReportJson:
             validate_report(doc)
 
 
-class TestMetricsObservability:
-    def test_metrics_only_session_shape(self):
-        obs = MetricsObservability()
+class TestObservabilitySession:
+    def test_tracer_follows_sinks(self):
+        """No sink, no tracer: ``Observability()`` keeps a live registry
+        under ``NULL_TRACER``; a session with a sink traces."""
+        obs = Observability()
         assert obs.enabled
-        assert not obs.tracer.enabled
+        assert obs.tracer is NULL_TRACER
         assert obs.metrics.enabled
-        obs.emit_metrics(1)  # no-ops must accept the session protocol
-        obs.flush()
+        obs.metrics.counter("x").inc()
+        obs.emit_metrics(1)  # nothing to receive the samples
         obs.close()
+        traced, sink = Observability.in_memory()
+        assert traced.tracer.enabled
+        traced.metrics.counter("x").inc()
+        traced.emit_metrics(1)
+        traced.close()
+        assert [(e["kind"], e["name"]) for e in sink.events] == [("counter", "x")]

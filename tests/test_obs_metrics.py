@@ -89,25 +89,6 @@ class TestRegistry:
         reg.gauge("b")
         assert len(reg) == 2
 
-    def test_concurrent_get_or_create(self):
-        import threading
-
-        reg = MetricsRegistry()
-        barrier = threading.Barrier(4)
-
-        def work():
-            barrier.wait()
-            for i in range(100):
-                reg.counter("shared", op=str(i % 5)).inc()
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(reg) == 5
-        assert sum(reg.scalar_snapshot().values()) == 400.0
-
 
 class TestNullRegistry:
     def test_inert(self):
