@@ -4,7 +4,7 @@ The engine assumes contracts the Python type system cannot
 express: ``process`` must treat its inputs as immutable (sibling
 operators read the same :class:`~repro.core.operators.DeltaBatch`),
 between-batch state must live in named :class:`~repro.state.StateStore`
-entries (so checkpoint/restore and the Figure 9(b) accounting see it),
+entries (so recovery's reset and the Figure 9(b) accounting see it),
 lineage blocks have a single producing operator (cross-unit dataflow
 depends on it), and batch-pure code paths must be deterministic
 (bit-identical recovery replay and shard runs depend on it). This module

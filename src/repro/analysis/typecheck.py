@@ -46,6 +46,7 @@ from repro.core.operators import (
 from repro.core.uncertainty import STATIC_TAGS, NodeTags
 from repro.core.uncertainty import analyze as engine_analyze
 from repro.errors import ReproError, UnsupportedQueryError
+from repro.kernels.resolve import uncertain_arithmetic
 from repro.relational.aggregates import AggSpec
 from repro.relational.algebra import (
     Aggregate,
@@ -71,7 +72,7 @@ TYPECHECK_RULES: dict[str, str] = {
     "TC104": "group-by key is uncertain under sampling (§3.3)",
     "TC105": "aggregate function is not Hadamard differentiable over changing input (§3.3)",
     "TC106": "DISTINCT over an uncertain column cannot be decided incrementally",
-    "TC107": "predicate over uncertain attributes must be a simple comparison (x θ y)",
+    "TC107": "predicate over uncertain attributes must be a + - * / comparison (x θ y)",
     "TC108": "projection computes over uncertain attributes (defeats lazy evaluation)",
     "TC109": "aggregate over an uncertain argument needs a single identity feature",
     "TC110": "holistic aggregate over an uncertain argument cannot be re-evaluated lazily",
@@ -149,17 +150,23 @@ def _infer_inner(
         child = _infer(node.child, streamed, tags, diags)
         touched = frozenset(node.predicate.attrs() & child.uncertain_cols)
         # Every conjunct over uncertain attributes must be a comparison
-        # (TC107), on the stream pipeline and in small segments alike.
+        # whose sides compute over them with + - * / only (TC107), on the
+        # stream pipeline and in small segments alike.
         if touched:
             for part in conjuncts(node.predicate):
                 part_touched = part.attrs() & child.uncertain_cols
-                if part_touched and not isinstance(part, Comparison):
+                if part_touched and not (
+                    isinstance(part, Comparison)
+                    and uncertain_arithmetic(part.left, child.uncertain_cols)
+                    and uncertain_arithmetic(part.right, child.uncertain_cols)
+                ):
                     diags.append(
                         _diag(
                             "TC107",
                             loc,
                             f"conjunct {part!r} reads uncertain columns "
-                            f"{sorted(part_touched)} but is not a simple comparison",
+                            f"{sorted(part_touched)} but is not a simple comparison "
+                            "of + - * / arithmetic",
                             "rewrite the predicate as a conjunction of x θ y "
                             "comparisons, or resolve the column before the filter",
                         )

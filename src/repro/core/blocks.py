@@ -21,7 +21,6 @@ work:
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from repro.metrics.stats import BatchMetrics
 from repro.obs.session import NULL_OBS
 from repro.relational.catalog import Catalog
 from repro.relational.relation import LazyTrials, Relation
-from repro.state import StateRegistry
 
 GroupKey = tuple
 
@@ -89,11 +87,11 @@ class GroupValue:
 class GroupIndex:
     """Append-only ``key -> gid`` map of one lineage block, for a whole run.
 
-    Gids follow first publication and never change — recovery rewinds
-    operator state, not this index — so a gid stored in a sidecar, sentinel
-    or checkpoint stays valid whatever is restored around it. A
-    pass-through view shares the index of the block it renames, hence ref
-    pools per ``(block, column)``.
+    Gids follow first publication and never change — recovery resets
+    operator state, not this index — so a gid stored in a sidecar or
+    sentinel stays valid across a replay. A pass-through view shares the
+    index of the block it renames, hence ref pools per
+    ``(block, column)``.
     """
 
     __slots__ = ("keys", "gid_of", "_refs")
@@ -105,9 +103,6 @@ class GroupIndex:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __deepcopy__(self, memo: dict) -> "GroupIndex":
-        return self  # run-long by design: snapshots share it
 
     def add(self, keys: Sequence[GroupKey]) -> np.ndarray:
         """Gid per key, allocating the next gid for each unseen key."""
@@ -150,7 +145,7 @@ class BlockOutput:
 
     Arrays are indexed by gid (:class:`GroupIndex`), sized to the index at
     publish time, replaced whole each batch and never written after
-    publish — snapshots and pass-through views share them. ``order`` lists
+    publish — pass-through views share them. ``order`` lists
     the gids this batch published, in publication order (``present`` is
     its mask; other gids hold NaN / unbounded / empty filler); ``certain``
     / ``member_status`` / ``member_point`` / ``exist (G, T)`` are the
@@ -370,13 +365,6 @@ class BlockOutput:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __deepcopy__(self, memo: dict) -> "BlockOutput":
-        """Checkpoint copy: owns its row cache and shares every array."""
-        clone = copy.copy(self)
-        memo[id(self)] = clone
-        clone._rows = dict(self._rows)
-        return clone
-
     def estimated_bytes(self) -> int:
         per_group = 32 + 8 * len(self.key_cols)
         per_group += (8 + 8 * self.exist.shape[1]) * len(self._ucols)
@@ -443,9 +431,6 @@ class RuntimeContext:
         self.indexes: dict[int, GroupIndex] = defaultdict(GroupIndex)
         self.batch_no = 0
         self.seen_rows = 0
-        #: Operator state stores, registered by ``SpineOp.open``; the
-        #: engine checkpoints/restores through this registry.
-        self.stores = StateRegistry()
         self.metrics = BatchMetrics(0)
         self._delta: Relation | None = None
         #: True while replaying batches during failure recovery: range

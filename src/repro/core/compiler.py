@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.blocks import RuntimeContext
 from repro.core.operators import (
     AggregateOp,
@@ -55,6 +57,7 @@ from repro.core.smallplan import (
 )
 from repro.core.uncertainty import NodeTags, analyze
 from repro.errors import UnsupportedQueryError
+from repro.kernels.resolve import uncertain_arithmetic
 from repro.relational.aggregates import count
 from repro.relational.algebra import (
     Aggregate,
@@ -89,9 +92,6 @@ class ExecutionUnit:
     #: Block ids this unit reads from ``ctx.blocks`` each batch.
     consumes: frozenset[int] = frozenset()
 
-    def open(self, ctx: RuntimeContext) -> None:
-        pass
-
     def run(self, ctx: RuntimeContext) -> None:
         # Matches the compiler's other rejection paths: reaching an
         # abstract unit at runtime means the plan compiled to something
@@ -122,9 +122,6 @@ class StreamPipelineUnit(ExecutionUnit):
                 consumes.add(op.side_id)
         self.produces = frozenset(produces)
         self.consumes = frozenset(consumes)
-
-    def open(self, ctx: RuntimeContext) -> None:
-        self.root_op.open(ctx)
 
     def run(self, ctx: RuntimeContext) -> None:
         self.root_op.run(ctx)
@@ -175,11 +172,6 @@ class CompiledQuery:
     #: a mini-batch needs to carry.
     stream_columns: list[str]
 
-    def open(self, ctx: RuntimeContext) -> None:
-        """Run the operator ``open`` lifecycle (state registration)."""
-        for unit in self.units:
-            unit.open(ctx)
-
     def close(self) -> None:
         for unit in self.units:
             unit.close()
@@ -190,9 +182,18 @@ class CompiledQuery:
             return self.result_small.result_rows(ctx)
         assert self.result_sink is not None
         rel = self.result_sink.result(ctx)
-        return [rel.row(i) for i in range(len(rel))]
+        # Point-excluded rows (multiplicity 0) dropped, as in result_rows.
+        rows = [rel.row(i) for i in np.flatnonzero(rel.mult)]
+        # Uncertain cells travel as lineage references; hand out the
+        # values they currently resolve to.
+        for name in self.result_sink.uncertain_cols:
+            for row in rows:
+                row[name] = ctx.resolve(row[name])
+        return rows
 
     def reset(self) -> None:
+        """Return every operator to its just-compiled state: the rewind
+        point of failure recovery (the controller replays from here)."""
         for unit in self.units:
             unit.reset()
 
@@ -324,6 +325,14 @@ class OnlineCompiler:
                         "simple comparison (x ϑ y)",
                         node=node,
                     )
+                for operand in (part.left, part.right):
+                    if not uncertain_arithmetic(operand, uncertain_cols):
+                        raise UnsupportedQueryError(
+                            f"comparison side {operand!r} computes over "
+                            "uncertain columns beyond + - * /; the engine "
+                            "cannot bound its range or trials",
+                            node=node,
+                        )
                 uncertain.append(part)
             else:
                 det.append(part)

@@ -121,11 +121,6 @@ class OnlineQueryEngine:
             ctx.sanitizer.activate()
         self.metrics = RunMetrics()
 
-        compiled.open(ctx)
-        # Pristine-state snapshot: failure recovery rewinds every operator
-        # store to this point and replays from there.
-        baseline = ctx.stores.checkpoint()
-
         run_span = tracer.span(
             "run", cat="run",
             streamed_table=self.streamed_table,
@@ -134,7 +129,7 @@ class OnlineQueryEngine:
         ) if tracer.enabled else None
         if run_span:
             run_span.__enter__()
-        return RunSession(self, compiled, ctx, batches, baseline, obs, run_span)
+        return RunSession(self, compiled, ctx, batches, obs, run_span)
 
     def _make_context(self, total_rows: int) -> RuntimeContext:
         """Build the run's context (shard workers substitute their own)."""
@@ -166,7 +161,6 @@ class OnlineQueryEngine:
         batch_no: int,
         delta: Relation,
         bm: BatchMetrics,
-        baseline: dict[str, object],
     ) -> None:
         attempts = 0
         while True:
@@ -200,7 +194,7 @@ class OnlineQueryEngine:
                 # earned again by the re-run; zero them so recovered
                 # batches are not double-counted in the run totals.
                 bm.reset_attempt()
-                self._replay(compiled, ctx, batches, batch_no, bm, baseline)
+                self._replay(compiled, ctx, batches, batch_no, bm)
 
     def _replay(
         self,
@@ -209,10 +203,9 @@ class OnlineQueryEngine:
         batches: BatchSource,
         failed_batch: int,
         bm: BatchMetrics,
-        baseline: dict[str, object],
     ) -> None:
-        """Failure recovery (Section 5.1): restore operator state to the
-        pristine baseline, then rebuild it by replaying batches
+        """Failure recovery (Section 5.1): reset every operator to its
+        pristine state, then rebuild it by replaying batches
         ``1..failed_batch-1`` conservatively.
 
         During the replay the monitor publishes unbounded ranges, so no
@@ -236,7 +229,7 @@ class OnlineQueryEngine:
             span.__enter__()
         started = time.perf_counter()
         ctx.monitor.replaying = True
-        ctx.stores.restore(baseline)
+        compiled.reset()
         ctx.reset_for_replay()
         scratch = BatchMetrics(0)
         saved = ctx.metrics
@@ -258,7 +251,7 @@ class OnlineQueryEngine:
         unit of batch ``batch_no`` has finished.
         """
         reg = ctx.obs.metrics
-        reg.gauge("state.total_bytes").set(ctx.stores.total_bytes())
+        reg.gauge("state.total_bytes").set(bm.total_state_bytes)
         reg.gauge("engine.seen_rows").set(ctx.seen_rows)
         reg.gauge("engine.range_failures").set(ctx.monitor.failures)
         reg.counter("engine.recomputed_tuples").inc(bm.recomputed_tuples)
@@ -311,7 +304,6 @@ class RunSession:
         compiled: CompiledQuery,
         ctx: RuntimeContext,
         batches: BatchSource,
-        baseline: dict[str, object],
         obs,
         run_span,
     ):
@@ -319,7 +311,6 @@ class RunSession:
         self.compiled = compiled
         self.ctx = ctx
         self.batches = batches
-        self.baseline = baseline
         self.obs = obs
         self.run_span = run_span
         self.num_batches = len(batches)
@@ -340,17 +331,13 @@ class RunSession:
             with tracer.span(
                 "batch", cat="exec", batch=i, rows=len(delta)
             ) as batch_span:
-                engine._process_batch(
-                    compiled, ctx, self.batches, i, delta, bm, self.baseline
-                )
+                engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
                 batch_span.set(
                     recovered=bm.recovered,
                     recomputed_tuples=bm.recomputed_tuples,
                 )
         else:
-            engine._process_batch(
-                compiled, ctx, self.batches, i, delta, bm, self.baseline
-            )
+            engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
         bm.wall_seconds = time.perf_counter() - started
         if ctx.sanitizer is not None:
             engine.metrics.sanitize_seconds = ctx.sanitizer.seconds

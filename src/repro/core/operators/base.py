@@ -2,14 +2,12 @@
 
 Online operators follow a formal lifecycle, driven from the outside:
 
-* ``open(ctx)`` — once per run, before the first batch: registers the
-  operator's :class:`~repro.state.StateStore` with the engine's state
-  registry (for accounting and checkpoint/restore);
 * ``process(delta, ctx)`` — once per batch: consumes the child outputs
   (``delta`` is ``None`` for leaves, a :class:`DeltaBatch` for unary
   operators, and a list of them for n-ary operators) and returns this
   operator's :class:`DeltaBatch`;
 * ``state_items()`` — introspection over the named state entries;
+* ``reset()`` — on failure recovery: every store back to its seed;
 * ``close()`` — once per run, after the last batch.
 
 Operators never call into their children: :func:`drive_pipeline` walks
@@ -32,7 +30,7 @@ from repro.core.blocks import RuntimeContext
 from repro.relational.expressions import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.state import InMemoryStateStore
+from repro.state import StateStore
 
 
 @dataclass
@@ -135,17 +133,10 @@ class SpineOp:
         self.schema = schema
         self.uncertain_cols = set(uncertain_cols)
         self.children: tuple[SpineOp, ...] = tuple(children)
-        #: Named between-batch state. Standalone operators (unit tests)
-        #: own a private store; ``open`` registers it with the engine.
-        self.state = InMemoryStateStore()
+        #: Named between-batch state, owned by this operator alone.
+        self.state = StateStore()
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def open(self, ctx: RuntimeContext) -> None:
-        """Register state with the engine before the first batch."""
-        for child in self.children:
-            child.open(ctx)
-        ctx.stores.adopt(self.label, self.state)
 
     def process(self, delta: object, ctx: RuntimeContext) -> DeltaBatch:
         """Consume the child outputs for one batch.
@@ -171,7 +162,9 @@ class SpineOp:
         """Seed the store's entries; called at construction and reset."""
 
     def reset(self) -> None:
-        """Drop all inter-batch state (used by failure recovery)."""
+        """Return the subtree to its just-constructed state: every store
+        cleared and re-seeded. Failure recovery calls this before it
+        replays the processed batches."""
         self.state.clear()
         self._init_state()
         for child in self.children:
@@ -324,10 +317,10 @@ class NDStore:
     ``rows`` holds every row appended since the last compaction, in
     arrival order, and ``live`` the increasing positions of those still
     undecided. Each batch appends the new undecided rows and replaces
-    ``live``; nothing is written in place, so a checkpoint shares both.
-    The rows compact (one ``take``) only once dead rows outnumber live
-    ones. ``gids`` optionally rides along per row (the uncertain join
-    keeps each row's side-group gid there).
+    ``live``; nothing is written in place. The rows compact (one
+    ``take``) only once dead rows outnumber live ones. ``gids``
+    optionally rides along per row (the uncertain join keeps each row's
+    side-group gid there).
     """
 
     __slots__ = ("rows", "live", "gids")
@@ -341,9 +334,6 @@ class NDStore:
 
     def __len__(self) -> int:
         return len(self.live)
-
-    def __deepcopy__(self, memo: dict) -> "NDStore":
-        return self  # replaced, never written: snapshots share it
 
     def live_rows(self, columns: list[str] | None = None) -> Relation:
         """The undecided rows, in order; only ``columns`` (and no trial

@@ -60,11 +60,10 @@ class StaticJoinOp(SpineOp):
 
     def _init_state(self) -> None:
         # The broadcast side is immutable configuration, but it *is* the
-        # operator's state footprint, so it lives in the store (as a
-        # static entry: accounted, checkpointed by reference). The derived
-        # hash index is built lazily on the first keyed join.
-        self.state.put("side", self.side, static=True)
-        self.state.put("side_index", None, static=True)
+        # operator's state footprint, so it lives in the store (accounted).
+        # The derived hash index is built lazily on the first keyed join.
+        self.state.put("side", self.side)
+        self.state.put("side_index", None)
         self.state.put("announced", False)
 
     def process(self, delta: DeltaBatch, ctx: RuntimeContext) -> DeltaBatch:
@@ -82,7 +81,7 @@ class StaticJoinOp(SpineOp):
         if index is None:
             STATS.inc("side_index_misses")
             index = SideIndex(self.side, [rk for _, rk in self.keys])
-            self.state.put("side_index", index, static=True)
+            self.state.put("side_index", index)
         else:
             STATS.inc("side_index_hits")
         return index

@@ -8,6 +8,7 @@ from repro.core.blocks import RuntimeContext
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
 from repro.errors import UnsupportedQueryError
 from repro.relational.algebra import Project
+from repro.relational.expressions import Col
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -24,8 +25,6 @@ class ProjectOp(SpineOp):
 
     def __init__(self, child: SpineOp, node: Project, schema: Schema):
         uncertain_out = set()
-        from repro.relational.expressions import Col
-
         for name, expr in node.outputs:
             touched = expr.attrs() & child.uncertain_cols
             if touched:
@@ -45,13 +44,24 @@ class ProjectOp(SpineOp):
 
     def _project(self, rel: Relation) -> Relation:
         cols: dict[str, np.ndarray] = {}
+        encodings: dict[str, object] = {}
+        lineage: dict[str, object] = {}
         for (name, expr), column in zip(self.node.outputs, self.schema):
             values = expr.evaluate(rel)
             if name in self.uncertain_cols:
                 cols[name] = np.asarray(values, dtype=object)
             else:
                 cols[name] = np.asarray(values, dtype=column.ctype.dtype)
-        return Relation(self.schema, cols, rel.mult, rel._trials)
+            if isinstance(expr, Col):
+                # A passed-through column keeps its sidecars, renamed.
+                if expr.name in rel.encodings:
+                    encodings[name] = rel.encodings[expr.name]
+                if expr.name in rel.lineage:
+                    lineage[name] = rel.lineage[expr.name]
+        return Relation._from_parts(
+            self.schema, cols, rel.mult, rel._trials,
+            encodings=encodings or None, lineage=lineage or None,
+        )
 
 
 class RenameOp(SpineOp):

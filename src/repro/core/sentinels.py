@@ -15,8 +15,8 @@ operator re-evaluates its sentinels against the current point estimates
 (one gather and one comparison per conjunct; only an entity that pass
 flags is re-read row by row); a flip, or an entity that vanished, raises
 :class:`~repro.errors.RangeIntegrityError` naming the entity and the
-direction, and the controller restores the pristine pre-run state and
-replays conservatively.
+direction, and the controller resets the operators to their pre-run
+state and replays conservatively.
 
 This is the loosest sound check: it fails exactly when a pruned tuple's
 contribution to the current partial result would have changed, rather
@@ -77,13 +77,6 @@ class _Cells:
         self.code_of: dict = {}
         self.gid_codes: dict[tuple[int, str], np.ndarray] = {}
 
-    def copy(self) -> "_Cells":
-        out = _Cells()
-        out.refs = list(self.refs)
-        out.code_of = dict(self.code_of)
-        out.gid_codes = {k: v.copy() for k, v in self.gid_codes.items()}
-        return out
-
     def _code(self, cell: object) -> int:
         code = self.code_of.get(cell)
         if code is None:
@@ -140,17 +133,6 @@ class _ConjunctSentinels:
         #: Check-time cache per uncertain column position: ``(group index,
         #: gid per code)``, extended as codes are appended.
         self.mirrors: dict[int, tuple] = {}
-
-    def __deepcopy__(self, memo: dict) -> "_ConjunctSentinels":
-        # Cells are immutable; the containers and arrays are copied, and the
-        # check-time cache is rebuilt on demand.
-        out = _ConjunctSentinels(self.op, 0)
-        out.cells = [cells.copy() for cells in self.cells]
-        out.slot_of = dict(self.slot_of)
-        out.n = self.n
-        for name in ("entities", "tight", "has"):
-            setattr(out, name, getattr(self, name).copy())
-        return out
 
     # -- recording ---------------------------------------------------------------
 
@@ -318,13 +300,6 @@ class SentinelStore:
         ]
         self.reset()
 
-    def __deepcopy__(self, memo: dict) -> "SentinelStore":
-        # Conjuncts and sides are compiled configuration, shared.
-        out = object.__new__(SentinelStore)
-        out.__dict__.update(self.__dict__)
-        out._per_conjunct = [store.__deepcopy__(memo) for store in self._per_conjunct]
-        return out
-
     def __len__(self) -> int:
         return sum(int(c.has[: c.n].sum()) for c in self._per_conjunct)
 
@@ -365,9 +340,9 @@ class SentinelStore:
     def check(self, ctx: RuntimeContext) -> None:
         """Re-evaluate all tightest sentinels against current estimates.
 
-        Skipped during a recovery replay: restored sentinels are known to
-        hold at the restore point, the replayed suffix prunes nothing, and
-        a raise here would escape the controller's recovery handler.
+        Skipped during a recovery replay: the operators were reset, so
+        there is no sentinel to check, the replayed prefix prunes nothing,
+        and a raise here would escape the controller's recovery handler.
         """
         _traced(ctx, self, lambda: self._check(ctx))
 
@@ -515,14 +490,6 @@ class MembershipSentinels:
         self._index = None
         self._slot_of_gid = np.zeros(0, dtype=np.intp)
         self._gids = np.zeros(0, dtype=np.intp)
-
-    def __deepcopy__(self, memo: dict) -> "MembershipSentinels":
-        out = object.__new__(MembershipSentinels)
-        out.__dict__.update(self.__dict__)  # the index is run-long, shared
-        out.keys, out._slot_of = list(self.keys), dict(self._slot_of)
-        for name in ("member", "_slot_of_gid", "_gids"):
-            setattr(out, name, getattr(self, name).copy())
-        return out
 
     def record(self, key: tuple, member: bool) -> None:
         """Record one group's decision (the first record of a key wins)."""

@@ -66,15 +66,6 @@ class AggBundle:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __deepcopy__(self, memo: dict) -> "AggBundle":
-        # Specs are compiled configuration and keys are immutable: a
-        # checkpoint owns only the containers and the sums.
-        out = object.__new__(AggBundle)
-        out.__dict__.update(self.__dict__)
-        out.keys, out.key_to_gid = list(self.keys), dict(self.key_to_gid)
-        out.acc = self.acc.copy()
-        return out
-
     # -- construction ------------------------------------------------------------
 
     def _ensure_groups(self, keys: Sequence[GroupKey]) -> np.ndarray:

@@ -136,9 +136,6 @@ class LineageRef:
     key: tuple
     column: str
 
-    def __deepcopy__(self, memo: dict) -> "LineageRef":
-        return self  # immutable: snapshots share it
-
     def __repr__(self) -> str:
         return f"Lineage(block={self.block_id}, key={self.key!r}, col={self.column})"
 

@@ -1,10 +1,10 @@
 """The shard worker: a full shared-nothing engine over one sub-stream.
 
 Each worker process runs the *complete* online delta algorithm — its own
-compiled plan, operator state stores, sentinels, range monitor and
-pristine baseline snapshot — over the rows whose shard-key hash it owns.
-Nothing is shared with the parent or siblings; the only coordination is
-the batch-step protocol over the pipe.
+compiled plan, operator state stores, sentinels and range monitor —
+over the rows whose shard-key hash it owns. Nothing is shared with the
+parent or siblings; the only coordination is the batch-step protocol
+over the pipe.
 
 A worker partitions the *full* stream with the same seeded partitioner
 the serial engine uses, keeps the rows whose shard hash it owns, and draws
@@ -13,7 +13,7 @@ its global row id, so no shard ever draws a cell it drops. Group-key
 sharding (see :mod:`.planner`) guarantees each owned group receives
 exactly the serial row sequence, so every per-group float accumulation
 is bit-identical to the serial reference. Range-integrity recovery runs
-entirely inside the worker — restore the shard's own baseline, replay the
+entirely inside the worker — reset the shard's own operators, replay the
 shard's own batches — giving single-shard recovery.
 """
 
@@ -154,6 +154,6 @@ def _shard_counters(session) -> dict[str, float]:
     ctx = session.ctx
     return {
         "range_failures": float(ctx.monitor.failures),
-        "state_bytes": float(ctx.stores.total_bytes()),
+        "state_bytes": float(ctx.metrics.total_state_bytes),
         "seen_rows": float(ctx.seen_rows),
     }

@@ -54,8 +54,8 @@ class RangeIntegrityError(ReproError):
 
     Raised by the sentinels (:mod:`repro.core.sentinels`) when a pruned
     decision no longer holds under the current estimates. The query
-    controller catches this, restores the pristine pre-run state and
-    replays conservatively; it only propagates to users running operators
+    controller catches this, resets the operators to their pre-run state
+    and replays conservatively; it only propagates to users running operators
     by hand.
     """
 

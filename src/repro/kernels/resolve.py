@@ -13,10 +13,12 @@ to the per-row NumPy-scalar ops) and interval arithmetic mirroring
 :func:`evaluate` is that arithmetic over any column source: the small
 plan segments (:mod:`repro.core.smallplan`) run it over their frames.
 :func:`try_evaluate_side` returns ``None`` for what the kernel does not
-cover (non-arithmetic nodes, ``%``, non-numeric literals, a hand-built
-uncertain column without the sidecar); the caller falls back to the
-row-wise reference, keeping the fast path an optimization rather than a
-semantics fork.
+cover (non-arithmetic nodes over deterministic columns, non-numeric
+literals, a hand-built uncertain column without the sidecar); the caller
+falls back to the row-wise reference, keeping the fast path an
+optimization rather than a semantics fork. Computation over uncertain
+columns beyond ``+ - * /`` is refused when the plan compiles
+(:func:`uncertain_arithmetic`).
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def evaluate(expr: Expression, leaf: Callable[[str], Node]) -> Node:
     if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/"):
         return _combine(expr.op, evaluate(expr.left, leaf), evaluate(expr.right, leaf))
     raise UnsupportedKernel(f"no array kernel for {type(expr).__name__}")
+
+
+def uncertain_arithmetic(expr: Expression, uncertain_cols: set[str]) -> bool:
+    """Whether every node of ``expr`` that reads ``uncertain_cols`` is a
+    column or ``+ - * /``: the only computation over uncertain values the
+    engine carries ranges and trials through. Subexpressions over
+    deterministic columns may be anything."""
+    if not expr.attrs() & uncertain_cols or isinstance(expr, Col):
+        return True
+    return (
+        isinstance(expr, Arith)
+        and expr.op in ("+", "-", "*", "/")
+        and uncertain_arithmetic(expr.left, uncertain_cols)
+        and uncertain_arithmetic(expr.right, uncertain_cols)
+    )
 
 
 def resolve_column(lineage, ctx) -> Node:

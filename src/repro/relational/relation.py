@@ -182,19 +182,6 @@ class Relation:
         rel.lineage = lineage if lineage is not None else _NO_SIDECARS
         return rel
 
-    def __deepcopy__(self, memo: dict) -> "Relation":
-        """Checkpoint copy: a relation is replaced, never written, after
-        hand-off (ENG001/ENG006; the sanitizer freezes the buffers), so a
-        snapshot shares every buffer and sidecar and owns only its dicts."""
-        return Relation._from_parts(
-            self.schema,
-            self.columns,
-            self.mult,
-            self._trials,
-            encodings=dict(self.encodings),
-            lineage=dict(self.lineage),
-        )
-
     def _map_sidecars(self, op: str, *args: object) -> dict:
         """Apply one index operation to both sidecar dicts."""
         out: dict = {}

@@ -1,8 +1,7 @@
-"""The state-store contract and its in-memory implementation."""
+"""The per-operator state store and its byte accounting."""
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Iterator
 
 import numpy as np
@@ -26,7 +25,7 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
     pages) are shared structure: a page backs every slice of its table,
     so naive recursion would double-count it per slice. ``seen`` (ids of
     pages/pools already measured) deduplicates across one traversal —
-    :meth:`InMemoryStateStore.entry_bytes` threads a single set through
+    :meth:`StateStore.entry_bytes` threads a single set through
     all entries of a store, so a dictionary shared by the "nd" and
     "pending" relations counts once.
     """
@@ -124,123 +123,53 @@ class SelfSizingSet(set):
         set.clear(self)
         self._nbytes = 64
 
-    def __deepcopy__(self, memo: dict) -> "SelfSizingSet":
-        # Elements are immutable by contract, so a snapshot shares them;
-        # only the container itself is fresh.
-        clone = self.__class__()
-        memo[id(self)] = clone
-        set.update(clone, self)
-        clone._nbytes = self._nbytes
-        return clone
-
     def estimated_bytes(self) -> int:
         return self._nbytes
 
 
 class StateStore:
-    """Contract for one operator's named between-batch state entries.
+    """One operator's named between-batch state entries.
 
     Entries are keyed by short names (``"nd"``, ``"sentinels"``,
     ``"sketch"``, …). Values are arbitrary engine objects; the store
-    never interprets them beyond size accounting and snapshotting.
-
-    ``static=True`` marks an entry as immutable configuration that rides
-    along for accounting (e.g. a broadcast dimension side): it is counted
-    in :meth:`estimated_bytes` but checkpointed by reference instead of
-    deep copy.
-    """
-
-    #: Lifetime count of mutating calls (``put``/``delete``), surfaced as
-    #: the ``state.writes`` gauge by the observability layer.
-    writes: int = 0
-
-    def get(self, key: str, default: object = None) -> Any:
-        raise NotImplementedError
-
-    def put(self, key: str, value: object, static: bool = False) -> None:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def items(self) -> Iterator[tuple[str, object]]:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def entry_bytes(self) -> dict[str, int]:
-        raise NotImplementedError
-
-    def estimated_bytes(self) -> int:
-        return sum(self.entry_bytes().values())
-
-    def checkpoint(self) -> object:
-        """An opaque snapshot restorable any number of times."""
-        raise NotImplementedError
-
-    def restore(self, snapshot: object) -> None:
-        raise NotImplementedError
-
-    def __contains__(self, key: str) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-
-class InMemoryStateStore(StateStore):
-    """Dict-backed store: the default (and currently only) backend.
+    never interprets them beyond size accounting.
 
     Store *identity* is part of the engine's dataflow contract: each
-    operator owns exactly one store instance (adopted into the registry
-    under the operator's label); two execution units holding one
-    instance is the single-writer violation the typechecker's TC311
+    operator owns exactly one store instance; two execution units holding
+    one instance is the single-writer violation the typechecker's TC311
     reports.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, object] = {}
-        self._static: set[str] = set()
+        #: Lifetime count of mutating calls (``put``/``delete``), surfaced
+        #: as the ``state.writes`` gauge by the observability layer.
         self.writes = 0
         #: ``entry_bytes`` memo, keyed by the mutation counter: the
         #: observability layer sizes every store once per batch for the
         #: per-entry gauges *and* once for the Figure 9(b) accounting —
         #: without the memo each batch walks every relation/sidecar
         #: twice. Any ``put``/``delete`` bumps ``writes`` and thereby
-        #: invalidates; ``restore``/``clear`` bypass ``put`` and drop the
-        #: memo explicitly.
+        #: invalidates; ``clear`` bypasses them and drops the memo
+        #: explicitly.
         self._bytes_memo: tuple[int, dict[str, int]] | None = None
 
     def get(self, key: str, default: object = None) -> Any:
         return self._entries.get(key, default)
 
-    def put(self, key: str, value: object, static: bool = False) -> None:
+    def put(self, key: str, value: object) -> None:
         self.writes += 1
         self._entries[key] = value
-        if static:
-            self._static.add(key)
-        else:
-            self._static.discard(key)
 
     def delete(self, key: str) -> None:
         self.writes += 1
         self._entries.pop(key, None)
-        self._static.discard(key)
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._entries))
 
     def items(self) -> Iterator[tuple[str, object]]:
         return iter(list(self._entries.items()))
 
     def clear(self) -> None:
         self._entries.clear()
-        self._static.clear()
         self._bytes_memo = None
 
     def entry_bytes(self) -> dict[str, int]:
@@ -255,26 +184,8 @@ class InMemoryStateStore(StateStore):
         self._bytes_memo = (self.writes, sizes)
         return sizes
 
-    def checkpoint(self) -> object:
-        # One deepcopy memo across entries: objects shared between
-        # entries stay shared in the snapshot, preserving both the
-        # aliasing semantics and the deduplicated byte accounting.
-        memo: dict[int, object] = {}
-        entries = {
-            k: (v if k in self._static else copy.deepcopy(v, memo))
-            for k, v in self._entries.items()
-        }
-        return {"entries": entries, "static": set(self._static)}
+    def estimated_bytes(self) -> int:
+        return sum(self.entry_bytes().values())
 
-    def restore(self, snapshot: object) -> None:
-        assert isinstance(snapshot, dict)
-        static = snapshot["static"]
-        memo: dict[int, object] = {}
-        self._entries = {
-            k: (v if k in static else copy.deepcopy(v, memo))
-            for k, v in snapshot["entries"].items()
-        }
-        self._static = set(static)
-        # Restoring replaces entries without going through put(); the
-        # writes counter alone cannot witness the change.
-        self._bytes_memo = None
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries

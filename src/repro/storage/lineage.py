@@ -9,8 +9,8 @@ block's append-only :class:`~repro.core.blocks.GroupIndex`. A
 :class:`LineageColumn` records exactly that, at attachment time, and
 rides through every ``Relation`` transformation beside the objects.
 
-Gids are stable for a run (``GroupIndex`` never rewinds), so sidecars
-written in different batches, or restored from a checkpoint, always
+Gids are stable for a run (``GroupIndex`` never rewinds, not even in a
+recovery replay), so sidecars written in different batches always
 concatenate. Consumers gather from the block output's gid-indexed
 arrays; the row-wise reference paths ignore the sidecar.
 """

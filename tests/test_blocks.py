@@ -27,6 +27,7 @@ from repro.core.blocks import (
     RuntimeContext,
     UColumn,
 )
+from repro.core.operators import iter_ops
 from repro.core.smallplan import SmallBlockLeaf, SmallPlanUnit, SmallRename
 from repro.core.values import LineageRef
 from repro.kernels import resolve as kresolve
@@ -95,11 +96,17 @@ class TestLineageIsTheGid:
             OnlineConfig(num_trials=8, seed=5, lazy_lineage=lazy_lineage),
         )
         session = engine.open_run(spec.plan, 12)
+        ops = [
+            op
+            for unit in session.compiled.units
+            if hasattr(unit, "root_op")
+            for op in iter_ops(unit.root_op)
+        ]
         try:
             for batch_no in range(1, 13):
                 assert not session.process(batch_no).metrics.recovered
-                for namespace in session.ctx.stores.namespaces():
-                    nd = session.ctx.stores.get(namespace).get("nd")
+                for op in ops:
+                    nd = op.state.get("nd")
                     if nd is None or not len(nd):
                         continue
                     refs = [
@@ -107,7 +114,7 @@ class TestLineageIsTheGid:
                         if a.dtype == object and isinstance(a[0], LineageRef)
                     ]
                     # The sidecar survives every append to the ND store.
-                    assert refs and set(refs) <= set(nd.rows.lineage), namespace
+                    assert refs and set(refs) <= set(nd.rows.lineage), op.label
         finally:
             session.close()
         assert counts["gathers"] > 0
@@ -272,21 +279,11 @@ class TestRowViewMatchesArrays:
 
 
 # ---------------------------------------------------------------------------
-# Snapshots share relation buffers and still restore exactly, repeatedly.
+# Resetting the operators rewinds a run exactly, repeatedly.
 # ---------------------------------------------------------------------------
 
 
 class TestSnapshotSharing:
-    def test_relation_snapshot_shares_buffers(self):
-        import copy
-
-        schema = Schema([("k", ColumnType.INT)])
-        rel = Relation(schema, {"k": np.arange(5)}, trial_mults=np.ones((5, 3)))
-        snap = copy.deepcopy(rel)
-        assert snap is not rel and snap.columns is not rel.columns
-        assert snap.columns["k"] is rel.columns["k"]
-        assert snap.mult is rel.mult and snap.trial_mults is rel.trial_mults
-
     def test_restore_twice_after_further_batches_reproduces_the_suffix(
         self, tpch_small
     ):
@@ -304,14 +301,14 @@ class TestSnapshotSharing:
             runs = []
             for attempt in range(3):
                 if attempt:
-                    # The pristine baseline must survive the batches run
-                    # since it was taken: restore it and redo the prefix.
-                    ctx.stores.restore(session.baseline)
+                    # Reset rebuilds the just-opened state however far the
+                    # run got: rewind and redo the prefix.
+                    session.compiled.reset()
                     ctx.reset_for_replay()
                     for batch_no in range(1, 7):
                         session.process(batch_no)
                 runs.append([session.process(b) for b in range(7, 13)])
         finally:
             session.close()
-        assert_partials_identical(runs[1], runs[0], "first restore")
-        assert_partials_identical(runs[2], runs[0], "second restore")
+        assert_partials_identical(runs[1], runs[0], "first reset")
+        assert_partials_identical(runs[2], runs[0], "second reset")

@@ -1,5 +1,5 @@
 """The append-only ND store: an undecided row's lifecycle through the
-uncertain filter, compaction, and checkpoints taken while rows are live."""
+uncertain filter, compaction, and a reset taken while rows are live."""
 
 import numpy as np
 
@@ -93,16 +93,19 @@ class TestLifecycle:
         publish_u(ctx, 4.0, 0.0, 10.0)
         run(ctx, op, 1, [5.0, 50.0, 6.0])
         run(ctx, op, 2, [7.0])
-        snapshot = op.state.checkpoint()
         live = ds(op.nd_store.live_rows())
         third = run(ctx, op, 3)
         publish_u(ctx, 1.5, 1.0, 2.0)
         run(ctx, op, 4)
         assert len(op.nd_store) == 0
-        op.state.restore(snapshot)
+        # Recovery resets the operator and replays batches 1-2.
+        op.reset()
+        assert op.nd_store is None
+        publish_u(ctx, 4.0, 0.0, 10.0)
+        run(ctx, op, 1, [5.0, 50.0, 6.0])
+        run(ctx, op, 2, [7.0])
         assert live == [5.0, 6.0, 7.0]
         assert ds(op.nd_store.live_rows()) == live
-        publish_u(ctx, 4.0, 0.0, 10.0)
         again = run(ctx, op, 3)
         assert ds(again.volatile) == ds(third.volatile)
         assert np.array_equal(again.volatile.trial_mults, third.volatile.trial_mults)

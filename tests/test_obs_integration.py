@@ -253,4 +253,13 @@ class TestRecoveryOnTimeline:
         assert any(n.startswith("recovery.failures") for n in counters)
         assert any(n.startswith("recovery.replays") for n in counters)
         assert any(n.startswith("recovery.depth") for n in counters)
+        # The footprint gauge is the batch's own accounting, recovered
+        # batch included.
+        gauge = {
+            e["batch"]: e["value"] for e in sink.events
+            if e["kind"] == "counter" and e["name"] == "state.total_bytes"
+        }
+        assert gauge == {
+            bm.batch_no: bm.total_state_bytes for bm in engine.metrics.batches
+        }
         validate_events(sink.events)

@@ -399,3 +399,46 @@ class TestRunLifecycle:
         second = eng.run_to_completion(plan, 3)
         for ra, rb in zip(first.sorted_plain_rows(), second.sorted_plain_rows()):
             assert ra == rb
+
+
+class TestSpjOverUncertainColumns:
+    """Aggregate-free results whose rows carry an attached aggregate."""
+
+    @staticmethod
+    def joined():
+        inner = (
+            scan("t", KX_SCHEMA)
+            .aggregate(["k"], [avg("x", "ax")])
+            .rename({"k": "k2"})
+        )
+        return scan("t", KX_SCHEMA).join(inner, keys=[("k", "k2")])
+
+    def check_final_exact(self, plan, catalog):
+        partials = list(engine(catalog, num_trials=10).run(plan, 6))
+        for partial in partials[:-1]:
+            for row in partial.rows:
+                assert isinstance(row["ax"], UncertainValue)
+        final = partials[-1].to_relation()
+        assert final.bag_equal(run_batch(plan, catalog).relation, ndigits=6)
+
+    def test_partials_hold_values_not_lineage_refs(self):
+        plan = (
+            self.joined()
+            .select(col("x") > col("ax"))
+            .project([("k", col("k")), ("ax", col("ax"))])
+        )
+        self.check_final_exact(plan, make_catalog(600))
+
+    def test_projection_keeps_lineage_sidecars(self, monkeypatch):
+        from repro.core import classify
+
+        def rowwise(*args):
+            raise AssertionError("uncertain filter fell back to the row loop")
+
+        monkeypatch.setattr(classify, "_resolve_cell", rowwise)
+        plan = (
+            self.joined()
+            .project([("k", col("k")), ("x", col("x")), ("ax", col("ax"))])
+            .select(col("x") > col("ax"))
+        )
+        self.check_final_exact(plan, make_catalog(600))

@@ -21,7 +21,8 @@ from repro.relational import (
     stddev,
 )
 from repro.relational.algebra import PlanNode
-from repro.relational.expressions import Or
+from repro.analysis.typecheck import check_plan
+from repro.relational.expressions import Arith, Func, Literal, Or
 from repro.sql import plan_sql
 from tests.conftest import KX_SCHEMA, random_kx
 
@@ -153,6 +154,30 @@ def test_compound_uncertain_in_subquery_rejected(catalog):
     with pytest.raises(UnsupportedQueryError, match="simple comparison") as exc:
         _compile(plan.aggregate([], [count("n")]), catalog)
     assert exc.value.node is not None
+
+
+def test_udf_over_uncertain_comparison_side_rejected(catalog):
+    # Applied to the point estimate, the UDF gave a zero-width range and a
+    # later flip of a pruned decision ended the run.
+    dbl = Func("dbl", lambda v: v * 2.0, [col("ax")])
+    plan = _with_uncertain().select(col("x") > dbl)
+    with pytest.raises(UnsupportedQueryError, match="dbl.* beyond \\+ - \\* /") as exc:
+        _compile(plan, catalog)
+    assert exc.value.node.node_id == plan.node_id
+    assert "TC107" in check_plan(plan, catalog, "t").rule_ids()
+
+
+def test_modulo_over_uncertain_comparison_side_rejected(catalog):
+    # UncertainValue has no %, so the run raised a TypeError at batch 1.
+    plan = _with_uncertain().select(col("x") > Arith("%", col("ax"), Literal(3.0)))
+    with pytest.raises(UnsupportedQueryError, match="% lit\\(3.0\\)") as exc:
+        _compile(plan, catalog)
+    assert exc.value.node.node_id == plan.node_id
+
+
+def test_udf_on_the_deterministic_side_still_compiles(catalog):
+    half = Func("half", lambda v: v / 2.0, [col("x")])
+    _compile(_with_uncertain().select(half > col("ax") * 2.0), catalog)
 
 
 def test_deterministic_compound_having_still_runs(catalog):

@@ -25,7 +25,7 @@ from repro.core.operators.scan import ScanOp
 from repro.engine.shards import ShardedQueryEngine
 from repro.errors import SanitizerViolationError
 from repro.relational import ColumnType, Schema, relation_from_columns
-from repro.state import InMemoryStateStore
+from repro.state import StateStore
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 S = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT)])
@@ -48,7 +48,7 @@ class _StatefulOp:
     state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
 
     def __init__(self):
-        self.state = InMemoryStateStore()
+        self.state = StateStore()
         self.state.put("nd", {})
 
     def state_items(self):

@@ -1,4 +1,4 @@
-"""Tests for the state-store layer: stores, registry, checkpoint/restore."""
+"""Tests for the state-store layer: stores and their byte accounting."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.relational import Catalog, avg, col, count, scan, sum_
 from repro.relational.relation import relation_from_columns
 from repro.relational.schema import ColumnType, Schema
-from repro.state import InMemoryStateStore, StateRegistry, estimate_nbytes
+from repro.state import StateStore, estimate_nbytes
 from repro.storage import encode_relation, sidecar_nbytes
 from tests.conftest import KX_SCHEMA, random_kx
 
@@ -101,7 +101,7 @@ class TestSidecarAccounting:
 
     def test_shared_page_counted_once_across_entries(self):
         rel = _encoded_cat()
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("nd", rel.slice(0, 20))
         store.put("pending", rel.slice(20, 40))
         page_bytes = rel.encodings["cat"].page.estimated_bytes()
@@ -127,7 +127,7 @@ class TestSidecarAccounting:
 
 class TestInMemoryStateStore:
     def test_put_get_delete(self):
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("nd", [1, 2])
         assert store.get("nd") == [1, 2]
         assert "nd" in store
@@ -136,81 +136,11 @@ class TestInMemoryStateStore:
         assert "nd" not in store
 
     def test_entry_bytes_per_key(self):
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("a", np.zeros(4))
         store.put("b", None)
         assert store.entry_bytes() == {"a": 32, "b": 0}
         assert store.estimated_bytes() == 32
-
-    def test_checkpoint_is_isolated_from_later_mutation(self):
-        store = InMemoryStateStore()
-        store.put("nd", [1])
-        snap = store.checkpoint()
-        store.get("nd").append(2)
-        store.put("extra", "x")
-        store.restore(snap)
-        assert store.get("nd") == [1]
-        assert "extra" not in store
-
-    def test_restore_is_repeatable(self):
-        store = InMemoryStateStore()
-        store.put("nd", {"k": 1})
-        snap = store.checkpoint()
-        store.restore(snap)
-        store.get("nd")["k"] = 99
-        store.restore(snap)
-        assert store.get("nd") == {"k": 1}
-
-    def test_static_entries_checkpoint_by_reference(self):
-        big = random_kx(50, seed=2)
-        store = InMemoryStateStore()
-        store.put("side", big, static=True)
-        snap = store.checkpoint()
-        store.restore(snap)
-        assert store.get("side") is big
-        # ... but static entries still count toward the footprint.
-        assert store.estimated_bytes() >= big.estimated_bytes()
-
-
-class TestStateRegistry:
-    def test_store_get_or_create(self):
-        reg = StateRegistry()
-        a = reg.store("select:1")
-        assert reg.store("select:1") is a
-        assert reg.get("select:1") is a
-        assert reg.get("missing") is None
-
-    def test_adopt_dedups_by_identity(self):
-        reg = StateRegistry()
-        store = InMemoryStateStore()
-        assert reg.adopt("scan:t", store) == "scan:t"
-        assert reg.adopt("scan:t", store) == "scan:t"
-        assert len(reg) == 1
-
-    def test_adopt_suffixes_namespace_collisions(self):
-        reg = StateRegistry()
-        first, second = InMemoryStateStore(), InMemoryStateStore()
-        assert reg.adopt("scan:t", first) == "scan:t"
-        assert reg.adopt("scan:t", second) == "scan:t#2"
-        assert reg.get("scan:t") is first
-        assert reg.get("scan:t#2") is second
-
-    def test_bytes_by_namespace(self):
-        reg = StateRegistry()
-        reg.store("a").put("x", np.zeros(4))
-        reg.store("b").put("y", None)
-        assert reg.bytes_by_namespace() == {"a": 32, "b": 0}
-        assert reg.total_bytes() == 32
-
-    def test_checkpoint_restore_round_trip(self):
-        reg = StateRegistry()
-        reg.store("a").put("x", [1])
-        snap = reg.checkpoint()
-        reg.store("a").put("x", [1, 2])
-        reg.store("late").put("y", 3)  # registered after the snapshot
-        reg.restore(snap)
-        assert reg.store("a").get("x") == [1]
-        assert reg.store("late").get("y") is None  # cleared
 
 
 class TestEngineStateAccounting:
@@ -271,7 +201,7 @@ class TestEntryBytesMemo:
     def test_repeat_calls_do_not_resample(self, monkeypatch):
         import repro.state.store as store_mod
 
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("a", np.zeros(16))
         store.put("b", {"k": 1.0})
         calls = {"n": 0}
@@ -290,7 +220,7 @@ class TestEntryBytesMemo:
         assert calls["n"] == sampled  # memo hit: zero extra sampling
 
     def test_put_and_delete_invalidate(self):
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("a", np.zeros(8))
         assert store.entry_bytes() == {"a": 64}
         store.put("b", np.zeros(4, dtype=np.float64))
@@ -298,21 +228,8 @@ class TestEntryBytesMemo:
         store.delete("a")
         assert store.entry_bytes() == {"b": 32}
 
-    def test_restore_invalidates_despite_counter(self):
-        # restore() swaps the entry dict without bumping ``writes``; the
-        # memo must not survive it.
-        store = InMemoryStateStore()
-        store.put("a", np.zeros(8))
-        snap = store.checkpoint()
-        store.put("a", np.zeros(1000))
-        writes_at_snapshot_use = store.writes
-        big = store.entry_bytes()["a"]
-        store.restore(snap)
-        store.writes = writes_at_snapshot_use  # worst case: counter unchanged
-        assert store.entry_bytes()["a"] < big
-
     def test_clear_invalidates(self):
-        store = InMemoryStateStore()
+        store = StateStore()
         store.put("a", np.zeros(8))
         assert store.entry_bytes()
         store.clear()
