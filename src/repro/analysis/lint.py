@@ -51,7 +51,7 @@ __all__ = [
 ENGINE_LINT_RULES: dict[str, str] = {
     "ENG001": "process() mutates its input DeltaBatch or ctx.delta",
     "ENG002": "between-batch state assigned to a bare instance attribute "
-    "outside the open/init lifecycle",
+    "outside construction and reset",
     "ENG003": "block write from an operator that is not the block's "
     "declared producer",
     "ENG004": "banned nondeterminism (time/random/uuid) in a batch-pure "
@@ -63,8 +63,8 @@ ENGINE_LINT_RULES: dict[str, str] = {
 }
 
 #: Methods whose self-attribute assignments are configuration, not
-#: between-batch state: construction, lifecycle edges, and recovery reset.
-_SETUP_METHODS = frozenset({"__init__", "open", "_init_state", "reset", "close"})
+#: between-batch state: construction and the recovery reset.
+_SETUP_METHODS = frozenset({"__init__", "_init_state", "reset"})
 
 #: Method calls that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -377,7 +377,7 @@ class NoNondeterminism(LintRule):
     def check(self, module: LintModule) -> Iterator[AnalysisDiagnostic]:
         for cls in _operator_classes(module.tree):
             for method in _methods(cls):
-                if method.name in ("__init__", "open", "close"):
+                if method.name == "__init__":
                     continue
                 for node in ast.walk(method):
                     if not isinstance(node, ast.Call):
@@ -406,7 +406,7 @@ class NoUnorderedIteration(LintRule):
     def check(self, module: LintModule) -> Iterator[AnalysisDiagnostic]:
         for cls in _operator_classes(module.tree):
             for method in _methods(cls):
-                if method.name in ("__init__", "open", "close"):
+                if method.name == "__init__":
                     continue
                 for node in ast.walk(method):
                     iters: list[ast.expr] = []

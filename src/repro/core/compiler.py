@@ -100,9 +100,6 @@ class ExecutionUnit:
             f"execution unit {self.label!r} has no runnable implementation"
         )
 
-    def close(self) -> None:
-        pass
-
     def reset(self) -> None:
         pass
 
@@ -126,9 +123,6 @@ class StreamPipelineUnit(ExecutionUnit):
     def run(self, ctx: RuntimeContext) -> None:
         self.root_op.run(ctx)
         self.root_op.record_state(ctx)
-
-    def close(self) -> None:
-        self.root_op.close()
 
     def reset(self) -> None:
         self.root_op.reset()
@@ -171,10 +165,6 @@ class CompiledQuery:
     #: Columns of the streamed table some scan reads, in table order: all
     #: a mini-batch needs to carry.
     stream_columns: list[str]
-
-    def close(self) -> None:
-        for unit in self.units:
-            unit.close()
 
     def current_rows(self, ctx: RuntimeContext) -> list[dict[str, object]]:
         """This batch's result rows as ``column -> value`` dicts."""

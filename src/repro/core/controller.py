@@ -355,7 +355,6 @@ class RunSession:
             self.run_span.__exit__(None, None, None)
         if self.ctx.sanitizer is not None:
             self.ctx.sanitizer.deactivate()
-        self.compiled.close()
         self.obs.flush()
 
 

@@ -7,8 +7,7 @@ Online operators follow a formal lifecycle, driven from the outside:
   operators, and a list of them for n-ary operators) and returns this
   operator's :class:`DeltaBatch`;
 * ``state_items()`` — introspection over the named state entries;
-* ``reset()`` — on failure recovery: every store back to its seed;
-* ``close()`` — once per run, after the last batch.
+* ``reset()`` — on failure recovery: every store back to its seed.
 
 Operators never call into their children: :func:`drive_pipeline` walks
 the operator tree bottom-up, feeding each operator its inputs and
@@ -150,11 +149,6 @@ class SpineOp:
     def state_items(self) -> list[tuple[str, object]]:
         """Current named state entries of this operator (not children)."""
         return list(self.state.items())
-
-    def close(self) -> None:
-        """Release per-run resources after the last batch."""
-        for child in self.children:
-            child.close()
 
     # -- state / metrics ---------------------------------------------------------
 

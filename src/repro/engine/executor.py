@@ -9,10 +9,13 @@ therefore only reads blocks published by units before it, and
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.blocks import RuntimeContext
-from repro.core.compiler import ExecutionUnit
+if TYPE_CHECKING:
+    # Type-only: importing repro.core here would close a cycle, since the
+    # controller imports this module while repro.core initialises.
+    from repro.core.blocks import RuntimeContext
+    from repro.core.compiler import ExecutionUnit
 
 
 def run_units(units: Sequence[ExecutionUnit], ctx: RuntimeContext) -> None:

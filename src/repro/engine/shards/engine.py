@@ -1,14 +1,20 @@
-"""The shard scheduler: N worker processes, one deterministic merge sink.
+"""The shard scheduler: live shards in processes, one deterministic merge sink.
 
 :class:`ShardedQueryEngine` is a drop-in facade over
 :class:`~repro.core.controller.OnlineQueryEngine`: same constructor
 shape, same ``run``/``run_to_completion`` surface, same
 :class:`PartialResult` stream. When the plan admits group-key sharding
 (see :mod:`.planner`) it hash-partitions the streamed table across
-``OnlineConfig.shards`` worker processes and merges their per-batch
-results at the sink; otherwise it falls back to single-process execution
-(bit-identity then holds trivially) after recording a
-``shard-fallback`` trace warning.
+``OnlineConfig.shards`` shards and merges their per-batch results at the
+sink; otherwise it falls back to single-process execution (bit-identity
+then holds trivially) after recording a ``shard-fallback`` trace warning.
+
+Process layout: before forking, one :func:`shard_ids` pass counts each
+shard's rows. A shard that owns no row gets no process. The parent runs
+the live shard with the most rows (ties: lowest index) through the same
+session code a worker runs (:mod:`.worker`), and forks one worker per
+other live shard. Each batch is sent to the workers first, so they run
+while the parent runs its own shard.
 
 Merge discipline (the PR 1/3 determinism contract, extended):
 
@@ -22,20 +28,25 @@ Merge discipline (the PR 1/3 determinism contract, extended):
   :meth:`BatchMetrics.merge_from`.
 
 The ``shard`` fault kind is handled here: before dispatching a batch the
-scheduler claims ``shard@batch:index`` faults, kills the targeted worker
-process, respawns it, and replays its sub-stream deterministically —
-single-shard recovery; the surviving shards' state is never touched.
+scheduler claims ``shard@batch:index`` faults and restarts the targeted
+shard — a worker is killed and respawned, the parent's own shard gets a
+fresh session — which replays its sub-stream deterministically:
+single-shard recovery, the other shards' state is never touched. A fault
+on a shard that owns no row is claimed and counted, with nothing to
+rebuild.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import time
+from multiprocessing.connection import wait
 from typing import Iterator
 
-from repro.batching.partitioner import Partitioner
+import numpy as np
+
 from repro.core.blocks import OnlineConfig
-from repro.core.compiler import compile_online
 from repro.core.result import PartialResult, _key
 from repro.engine.shards.envelope import (
     BatchTask,
@@ -44,9 +55,10 @@ from repro.engine.shards.envelope import (
     ShardResult,
     ShardSpec,
     StopTask,
+    shard_ids,
 )
 from repro.engine.shards.planner import ShardPlan, analyze_shardability
-from repro.engine.shards.worker import worker_main
+from repro.engine.shards.worker import open_shard, run_shard_batch, worker_main
 from repro.errors import ReproError
 from repro.metrics.stats import RunMetrics
 from repro.obs.session import NULL_OBS
@@ -61,16 +73,38 @@ def _mp_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _result(reply: ShardResult | ShardFailure, replaying: bool = False) -> ShardResult:
+    """A shard's result, or its failure raised with the shard's traceback."""
+    if isinstance(reply, ShardResult):
+        return reply
+    where = (
+        f"replaying batch {reply.batch_no} after respawn"
+        if replaying
+        else f"at batch {reply.batch_no}"
+    )
+    raise ReproError(
+        f"shard {reply.shard_index} failed {where} "
+        f"({reply.kind}: {reply.message})\n{reply.traceback}"
+    )
+
+
 class _WorkerHandle:
     """One worker process + its pipe, initialized and ready for batches."""
 
     def __init__(self, ctx, init: InitTask):
-        parent_conn, child_conn = ctx.Pipe()
+        self.ctx = ctx
+        self.init = init
+        self.index = init.shard.index
+        self._start()
+
+    def _start(self) -> None:
+        init = self.init
+        parent_conn, child_conn = self.ctx.Pipe()
         self.conn = parent_conn
         # The InitTask rides along as a process argument: under fork the
         # catalog is inherited copy-on-write (no pickle on either side);
         # under spawn it is pickled once, same as a pipe send would cost.
-        self.proc = ctx.Process(
+        self.proc = self.ctx.Process(
             target=worker_main,
             args=(child_conn, init),
             name=f"iolap-shard-{init.shard.index}",
@@ -79,23 +113,93 @@ class _WorkerHandle:
         self.proc.start()
         child_conn.close()
 
-    def kill(self) -> None:
-        """Hard-kill (the shard fault): no goodbye, no state flush."""
+    def send(self, task: BatchTask) -> None:
+        try:
+            self.conn.send(task)
+        except OSError as exc:  # BrokenPipeError: the worker is gone
+            raise self._died(task.batch_no) from exc
+
+    def recv(self, batch_no: int) -> ShardResult | ShardFailure:
+        """The worker's reply, or a ``ReproError`` if it died first.
+
+        Waits on the process sentinel too: a worker that exits without
+        replying (or never started) cannot leave the parent blocked.
+        """
+        if self.conn in wait([self.conn, self.proc.sentinel]):
+            try:
+                return self.conn.recv()
+            except (EOFError, OSError):
+                pass
+        raise self._died(batch_no)
+
+    def _died(self, batch_no: int) -> ReproError:
+        self.proc.join(timeout=10)
+        return ReproError(
+            f"shard {self.index} worker died at batch {batch_no} "
+            f"(exit code {self.proc.exitcode})"
+        )
+
+    def restart(self, batch_no: int) -> None:
+        """The shard fault: hard-kill the worker (no goodbye, no state
+        flush), fork a fresh one and replay batches ``1..batch_no-1``."""
         self.proc.kill()
         self.proc.join()
         self.conn.close()
+        self._start()
+        for b in range(1, batch_no):
+            self.send(BatchTask(b, replay=True))
+            _result(self.recv(b), replaying=True)
 
     def stop(self) -> None:
         """Orderly shutdown; escalates to terminate if the pipe is gone."""
         try:
             self.conn.send(StopTask())
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass
         self.proc.join(timeout=10)
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join()
         self.conn.close()
+
+
+class _LocalShard:
+    """The live shard the parent runs in its own process.
+
+    It drives the same session a worker drives; ``cpu_seconds`` counts the
+    parent CPU spent inside it, as a worker's counts its process's.
+    """
+
+    def __init__(self, catalog: Catalog, init: InitTask):
+        self.index = init.shard.index
+        self.catalog = catalog
+        self.init = init
+        self.open()
+
+    def open(self) -> None:
+        started = time.process_time()
+        self.session = open_shard(self.catalog, self.init)
+        self.cpu_seconds = time.process_time() - started
+
+    def step(self, batch_no: int) -> ShardResult | ShardFailure:
+        reply = run_shard_batch(
+            self.session, self.init, batch_no,
+            cpu_origin=time.process_time() - self.cpu_seconds,
+        )
+        if isinstance(reply, ShardResult):
+            self.cpu_seconds = reply.cpu_seconds
+        return reply
+
+    def restart(self, batch_no: int) -> None:
+        """The shard fault: a fresh session replays batches
+        ``1..batch_no-1``."""
+        self.close()
+        self.open()
+        for b in range(1, batch_no):
+            _result(self.step(b), replaying=True)
+
+    def close(self) -> None:
+        self.session.close()  # idempotent
 
 
 class ShardedQueryEngine:
@@ -117,11 +221,11 @@ class ShardedQueryEngine:
         self.metrics = RunMetrics()
         #: The ShardPlan of the most recent run (None before any run).
         self.shard_plan: ShardPlan | None = None
-        #: Worker respawns performed by the shard fault path (per run).
+        #: Shard restarts performed by the shard fault path (per run).
         self.shard_respawns = 0
-        #: Cumulative CPU seconds per worker process (shard index ->
-        #: latest ``process_time`` reported). The scaling benchmark's
-        #: critical path is ``parent_cpu + max(shard_cpu_seconds)``.
+        #: Cumulative CPU seconds per live shard (shard index -> latest
+        #: reported): a worker's ``process_time``, or for the shard the
+        #: parent runs, the parent CPU spent in that shard's session.
         self.shard_cpu_seconds: dict[int, float] = {}
 
     @property
@@ -198,18 +302,6 @@ class ShardedQueryEngine:
             from repro.batching.partitioner import num_batches_for
 
             num_batches = num_batches_for(len(streamed), batch_rows)
-        # The parent needs only the global batch *sizes* (for
-        # fraction_processed); workers re-derive the identical batch
-        # relations from the same seeded partitioner, so no batch is ever
-        # materialized on this side of the pipe.
-        partitioner = Partitioner(
-            mode=self.partition_mode, seed=self.config.seed
-        )
-        batch_sizes = [
-            len(ix)
-            for ix in partitioner.partition_indices(len(streamed), num_batches)
-        ]
-        compiled = compile_online(plan, self.catalog, self.streamed_table)
         self.metrics = RunMetrics()
         self.shard_respawns = 0
         self.shard_cpu_seconds = {}
@@ -227,55 +319,64 @@ class ShardedQueryEngine:
                         f"run has {self.shards} shards"
                     )
 
+        # Only shards that own rows run. The parent runs the largest one
+        # itself (ties: lowest index; an empty stream's one empty batch
+        # runs as shard 0) and forks one worker per other live shard.
+        key = shard_plan.shard_key
+        owned = np.bincount(
+            shard_ids(streamed, key, self.shards), minlength=self.shards
+        )
+        local_index = int(np.argmax(owned))
+        remote = [s for s in range(self.shards) if owned[s] and s != local_index]
+
         obs = self.obs
         tracer = obs.tracer
-        mp_ctx = _mp_context()
-        tables = {name: self.catalog.get(name) for name in self.catalog}
-        inits = [
-            InitTask(
-                tables=tables,
-                streamed_table=self.streamed_table,
-                plan=plan,
-                config=self.config,
-                num_batches=len(batch_sizes),
-                partition_mode=self.partition_mode,
-                shard=ShardSpec(
-                    index=s, count=self.shards, key=shard_plan.shard_key
-                ),
-                collect_counters=obs.enabled,
-            )
-            for s in range(self.shards)
-        ]
+        init = InitTask(
+            tables={name: self.catalog.get(name) for name in self.catalog},
+            streamed_table=self.streamed_table,
+            plan=plan,
+            config=self.config,
+            num_batches=num_batches,
+            partition_mode=self.partition_mode,
+            shard=ShardSpec(index=local_index, count=self.shards, key=key),
+            collect_counters=obs.enabled,
+        )
         run_span = tracer.span(
             "run", cat="run",
             streamed_table=self.streamed_table,
-            num_batches=len(batch_sizes),
             total_rows=len(streamed),
             shards=self.shards,
-            shard_key=",".join(shard_plan.shard_key),
+            shard_key=",".join(key),
         ) if tracer.enabled else None
         if run_span:
             run_span.__enter__()
-        workers = [_WorkerHandle(mp_ctx, init) for init in inits]
-        seen_rows = 0
+        mp_ctx = _mp_context()
+        workers: dict[int, _WorkerHandle] = {}
+        local = None
         try:
+            # Fork first: the workers open their sessions while the parent
+            # opens its own.
+            for s in remote:
+                shard = dataclasses.replace(init.shard, index=s)
+                workers[s] = _WorkerHandle(mp_ctx, dataclasses.replace(init, shard=shard))
+            local = _LocalShard(self.catalog, init)
+            # The parent's session has the global batch sizes and schema.
+            batch_sizes = [len(ix) for ix in local.session.batches.indices]
+            schema = local.session.compiled.result_schema
+            if run_span:
+                run_span.set(num_batches=len(batch_sizes))
+            seen_rows = 0
             for i in range(1, len(batch_sizes) + 1):
                 if injector is not None:
-                    self._fire_shard_faults(workers, mp_ctx, inits, injector, i)
+                    self._fire_shard_faults(workers, local, injector, i)
                 bm = self.metrics.start_batch(i)
                 started = time.perf_counter()
-                for handle in workers:
-                    handle.conn.send(BatchTask(i))
-                results = []
-                for s, handle in enumerate(workers):
-                    reply = handle.conn.recv()
-                    if isinstance(reply, ShardFailure):
-                        raise ReproError(
-                            f"shard {s} failed at batch {reply.batch_no} "
-                            f"({reply.kind}: {reply.message})\n"
-                            f"{reply.traceback}"
-                        )
-                    results.append(reply)
+                for handle in workers.values():
+                    handle.send(BatchTask(i))
+                replies = {local.index: local.step(i)}
+                for s, handle in workers.items():
+                    replies[s] = handle.recv(i)
+                results = [_result(replies[s]) for s in sorted(replies)]
                 rows = _merge_rows(results, shard_plan.result_key_cols)
                 for r in results:
                     bm.merge_from(r.metrics)
@@ -293,50 +394,41 @@ class ShardedQueryEngine:
                     fraction_processed=(
                         seen_rows / len(streamed) if len(streamed) else 1.0
                     ),
-                    schema=compiled.result_schema,
+                    schema=schema,
                     rows=rows,
                     metrics=bm,
                     is_final=is_final,
                 )
         finally:
-            for handle in workers:
+            for handle in workers.values():
                 handle.stop()
+            if local is not None:
+                local.close()
             if run_span:
                 run_span.__exit__(None, None, None)
             obs.flush()
 
-    def _fire_shard_faults(
-        self, workers, mp_ctx, inits, injector, batch_no: int
-    ) -> None:
-        """Kill+respawn any worker a ``shard@batch[:index]`` fault targets.
+    def _fire_shard_faults(self, workers, local, injector, batch_no: int) -> None:
+        """Restart any shard a ``shard@batch[:index]`` fault targets.
 
-        Single-shard recovery: the respawned worker replays its own
+        Single-shard recovery: a worker is killed and respawned, the
+        parent's own shard gets a fresh session, and either replays its
         sub-stream (deterministically identical to the lost state) while
-        every other shard's state is left untouched.
+        every other shard's state is left untouched. A shard that owns no
+        row has nothing to rebuild; its fault is claimed all the same.
         """
         tracer = self.obs.tracer
-        for s in range(len(workers)):
+        for s in range(self.shards):
             if not injector.claim("shard", batch_no, label=str(s)):
                 continue
             tracer.warning(
                 "shard-killed", batch=batch_no, shard=s,
-                message=f"injected shard fault: killing worker {s} "
+                message=f"injected shard fault: restarting shard {s} "
                 f"before batch {batch_no}",
             )
-            workers[s].kill()
-            handle = _WorkerHandle(mp_ctx, inits[s])
-            # Deterministic replay of the shard's processed prefix; the
-            # result envelopes are discarded (replay=True).
-            for b in range(1, batch_no):
-                handle.conn.send(BatchTask(b, replay=True))
-                reply = handle.conn.recv()
-                if isinstance(reply, ShardFailure):
-                    raise ReproError(
-                        f"shard {s} failed replaying batch {b} after "
-                        f"respawn ({reply.kind}: {reply.message})\n"
-                        f"{reply.traceback}"
-                    )
-            workers[s] = handle
+            shard = local if s == local.index else workers.get(s)
+            if shard is not None:
+                shard.restart(batch_no)
             self.shard_respawns += 1
             self.obs.metrics.counter("shard.respawns").inc()
 

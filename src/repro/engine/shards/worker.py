@@ -1,10 +1,12 @@
 """The shard worker: a full shared-nothing engine over one sub-stream.
 
-Each worker process runs the *complete* online delta algorithm — its own
+Each shard runs the *complete* online delta algorithm — its own
 compiled plan, operator state stores, sentinels and range monitor —
 over the rows whose shard-key hash it owns. Nothing is shared with the
 parent or siblings; the only coordination is the batch-step protocol
-over the pipe.
+over the pipe. :func:`open_shard` and :func:`run_shard_batch` are that
+protocol's two steps: a worker process runs them in :func:`worker_main`,
+and the parent runs the same two for the shard it keeps for itself.
 
 A worker partitions the *full* stream with the same seeded partitioner
 the serial engine uses, keeps the rows whose shard hash it owns, and draws
@@ -23,7 +25,7 @@ import time
 import traceback
 
 from repro.core.blocks import OnlineConfig, RuntimeContext
-from repro.core.controller import OnlineQueryEngine
+from repro.core.controller import OnlineQueryEngine, RunSession
 from repro.engine.shards.envelope import (
     BatchTask,
     InitTask,
@@ -90,55 +92,65 @@ class ShardWorkerEngine(OnlineQueryEngine):
         )
 
 
+def open_shard(catalog: Catalog, init: InitTask) -> RunSession:
+    """One shard's run session, in a worker or in the parent."""
+    engine = ShardWorkerEngine(
+        catalog,
+        init.streamed_table,
+        init.config,
+        init.partition_mode,
+        init.shard,
+    )
+    return engine.open_run(init.plan, init.num_batches)
+
+
+def run_shard_batch(
+    session: RunSession, init: InitTask, batch_no: int, cpu_origin: float = 0.0
+) -> ShardResult | ShardFailure:
+    """Run one batch of a shard's session and wrap the outcome.
+
+    ``cpu_seconds`` is ``process_time() - cpu_origin``: a worker's whole
+    process, or (with an origin) the parent's time inside one session.
+    """
+    try:
+        partial = session.process(batch_no)
+    except Exception as exc:  # noqa: BLE001 — reported to the scheduler
+        return ShardFailure(
+            shard_index=init.shard.index,
+            batch_no=batch_no,
+            kind=type(exc).__name__,
+            message=str(exc),
+            traceback=traceback.format_exc(),
+        )
+    return ShardResult(
+        shard_index=init.shard.index,
+        batch_no=batch_no,
+        rows=partial.rows,
+        metrics=partial.metrics,
+        counters=_shard_counters(session) if init.collect_counters else {},
+        cpu_seconds=time.process_time() - cpu_origin,
+        sanitize_seconds=(
+            session.ctx.sanitizer.seconds
+            if session.ctx.sanitizer is not None
+            else 0.0
+        ),
+    )
+
+
 def worker_main(conn, init: InitTask) -> None:
     """Worker process entry point: an inherited InitTask, then batch steps."""
     session = None
     try:
-        engine = ShardWorkerEngine(
-            Catalog(init.tables),
-            init.streamed_table,
-            init.config,
-            init.partition_mode,
-            init.shard,
-        )
-        session = engine.open_run(init.plan, init.num_batches)
+        session = open_shard(Catalog(init.tables), init)
         while True:
             task = conn.recv()
             if isinstance(task, StopTask):
                 break
             assert isinstance(task, BatchTask)
-            try:
-                partial = session.process(task.batch_no)
-            except BaseException as exc:  # noqa: BLE001 — shipped to parent
-                conn.send(
-                    ShardFailure(
-                        shard_index=init.shard.index,
-                        batch_no=task.batch_no,
-                        kind=type(exc).__name__,
-                        message=str(exc),
-                        traceback=traceback.format_exc(),
-                    )
-                )
+            reply = run_shard_batch(session, init, task.batch_no)
+            conn.send(reply)
+            if isinstance(reply, ShardFailure):
                 break
-            conn.send(
-                ShardResult(
-                    shard_index=init.shard.index,
-                    batch_no=task.batch_no,
-                    rows=partial.rows,
-                    metrics=partial.metrics,
-                    counters=(
-                        _shard_counters(session)
-                        if init.collect_counters
-                        else {}
-                    ),
-                    cpu_seconds=time.process_time(),
-                    sanitize_seconds=(
-                        session.ctx.sanitizer.seconds
-                        if session.ctx.sanitizer is not None
-                        else 0.0
-                    ),
-                )
-            )
     except (EOFError, OSError):
         # Parent died or killed the pipe: exit quietly (the shard fault
         # path terminates workers without a StopTask).

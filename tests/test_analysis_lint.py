@@ -19,8 +19,6 @@ class GoodOp:
     def __init__(self, child):
         self.child = child
         self.block_id = 7
-
-    def open(self, ctx):
         self.threshold = 4.2
 
     def process(self, delta, ctx):
@@ -105,7 +103,7 @@ def test_eng002_allows_lifecycle_and_property_setters():
                 def __init__(self):
                     self.total = 0
 
-                def open(self, ctx):
+                def _init_state(self):
                     self.total = 0
 
                 @property
@@ -122,6 +120,20 @@ def test_eng002_allows_lifecycle_and_property_setters():
             """
         )
         == set()
+    )
+
+
+def test_eng002_flags_state_seeded_in_open():
+    # The engine never calls open(): state seeded there is never seeded.
+    assert "ENG002" in _rules(
+        """
+        class BadOp:
+            def open(self, ctx):
+                self.total = 0
+
+            def process(self, delta, ctx):
+                return delta
+        """
     )
 
 
@@ -196,14 +208,29 @@ def test_eng004_allows_setup_methods():
             import time
 
             class GoodOp:
-                def open(self, ctx):
-                    self.opened_at = time.time()
+                def __init__(self):
+                    self.built_at = time.time()
 
                 def process(self, delta, ctx):
                     return delta
             """
         )
         == set()
+    )
+
+
+def test_eng004_flags_clock_read_in_open():
+    assert "ENG004" in _rules(
+        """
+        import time
+
+        class BadOp:
+            def open(self, ctx):
+                self.opened_at = time.time()
+
+            def process(self, delta, ctx):
+                return delta
+        """
     )
 
 
