@@ -9,11 +9,12 @@ consistent, and that the operator implementations still honor the
 contracts the engine assumes:
 
 * :mod:`repro.analysis.typecheck` — the plan-level uncertainty
-  typechecker: re-infers the Appendix-A tags bottom-up over the logical
-  plan and cross-checks them against what the compiler actually emitted
-  (operator placement, declared state entries, ND-cache presence, block
-  production/consumption), and checks the unit order: every consumer
-  after its producer, no store shared by two units (TC310/TC311);
+  typechecker: reports every refusal in the engine's refusal table
+  (:func:`repro.core.uncertainty.tag_plan`, TC1xx), then checks what the
+  compiler emitted against the engine's Appendix-A tags (operator
+  placement, declared state entries, ND-cache presence, block
+  production/consumption) and the unit order: every consumer after its
+  producer, no store shared by two units (TC310/TC311);
 * :mod:`repro.analysis.lint` — an ``ast``-based lint suite over the
   engine's own source, enforcing the engine contracts (no input
   mutation in ``process``, between-batch state only in named

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 class AnalysisDiagnostic:
     """One violation of a typechecker or lint rule."""
 
-    #: Stable rule identifier (``TC1xx`` inference, ``TC2xx`` cross-check,
-    #: ``TC3xx`` compiled-plan, ``ENG0xx`` engine lint).
+    #: Stable rule identifier (``TC1xx`` engine refusal, ``TC3xx``
+    #: compiled-plan, ``ENG0xx`` engine lint).
     rule_id: str
     #: Where the rule fired: a plan-node / operator label, or file:line.
     location: str

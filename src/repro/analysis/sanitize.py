@@ -2,9 +2,10 @@
 
 Mini-batches and on-disk chunks are *views*: ``Relation.slice`` aliases
 the backing buffers and ``DiskTable`` memmaps its chunk files. The
-engine's contract is immutability-by-convention (ENG006) — nothing
-enforces it at runtime. Behind ``OnlineConfig(sanitize=True)`` this
-module enforces it, and the §4.2 state discipline with it:
+engine's contract is that no operator writes into them in place. Lint
+rule ENG006 checks the source for such writes; a plain run does not
+check them. Behind ``OnlineConfig(sanitize=True)`` this module enforces
+the contract at runtime, and the §4.2 state discipline with it:
 
 * **Freeze on hand-off** — every buffer handed to an operator's
   ``process`` gets ``ndarray.flags.writeable = False`` for the duration

@@ -57,7 +57,7 @@ from typing import Sequence
 from repro.baselines import HDAExecutor, run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.core.values import UncertainValue
-from repro.errors import ReproError
+from repro.errors import ReproError, UnsupportedQueryError
 from repro.sql import plan_sql
 from repro.workloads import (
     CONVIVA_QUERIES,
@@ -605,6 +605,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 log.info("stopping early: accuracy target %s reached",
                          args.stop_rsd)
                 break
+    except UnsupportedQueryError as exc:
+        if exc.rule_id is None:  # a runtime refusal names no plan node
+            log.error("unsupported query: %s", exc)
+        else:
+            log.error("unsupported query [%s] at %s#%d: %s", exc.rule_id,
+                      type(exc.node).__name__, exc.node.node_id, exc)
+        return 2
     finally:
         obs.close()
     if partial is not None:

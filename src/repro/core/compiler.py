@@ -57,7 +57,6 @@ from repro.core.smallplan import (
 )
 from repro.core.uncertainty import NodeTags, analyze
 from repro.errors import UnsupportedQueryError
-from repro.kernels.resolve import uncertain_arithmetic
 from repro.relational.aggregates import count
 from repro.relational.algebra import (
     Aggregate,
@@ -303,26 +302,12 @@ class OnlineCompiler:
             return _Ref(static=evaluate(node, self.catalog))
         child = self._compile(node.child)
         parts = conjuncts(node.predicate)
-        side = child.stream if child.stream is not None else self.tags[node.child.node_id]
-        uncertain_cols = side.uncertain_cols
+        uncertain_cols = self.tags[node.child.node_id].uncertain_cols
         det: list[Expression] = []
         uncertain: list[Comparison] = []
         for part in parts:
             if part.attrs() & uncertain_cols:
-                if not isinstance(part, Comparison):
-                    raise UnsupportedQueryError(
-                        f"predicate {part!r} over uncertain columns must be a "
-                        "simple comparison (x ϑ y)",
-                        node=node,
-                    )
-                for operand in (part.left, part.right):
-                    if not uncertain_arithmetic(operand, uncertain_cols):
-                        raise UnsupportedQueryError(
-                            f"comparison side {operand!r} computes over "
-                            "uncertain columns beyond + - * /; the engine "
-                            "cannot bound its range or trials",
-                            node=node,
-                        )
+                assert isinstance(part, Comparison)  # analyze refused the rest
                 uncertain.append(part)
             else:
                 det.append(part)
@@ -373,19 +358,13 @@ class OnlineCompiler:
             return _Ref(static=evaluate(node, self.catalog))
         left = self._compile(node.left)
         right = self._compile(node.right)
-        kinds = {left.kind, right.kind}
-        if kinds == {"stream"}:
+        # analyze refused aggregate-derived inputs: each side is a stream
+        # or static.
+        if left.stream is not None and right.stream is not None:
             return _Ref(stream=UnionOp(left.stream, right.stream))
-        if kinds == {"stream", "static"}:
-            stream_side = left.stream or right.stream
-            static_side = left.static if left.static is not None else right.static
-            return _Ref(
-                stream=UnionOp(stream_side, StaticEmitOp(static_side))
-            )
-        raise UnsupportedQueryError(
-            "UNION between aggregate-derived inputs is not supported online",
-            node=node,
-        )
+        stream_side = left.stream or right.stream
+        static_side = left.static if left.static is not None else right.static
+        return _Ref(stream=UnionOp(stream_side, StaticEmitOp(static_side)))
 
     def _compile_join(self, node: Join) -> _Ref:
         if self._is_static(node):

@@ -107,6 +107,7 @@ class OnlineQueryEngine:
                 "unsupported-query",
                 message=str(exc),
                 node=type(exc.node).__name__ if exc.node is not None else None,
+                rule=exc.rule_id,
             )
             obs.flush()
             raise

@@ -17,7 +17,7 @@ from repro.core.sketch import AggBundle
 from repro.state.store import SelfSizingSet
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import grouped_indices
-from repro.errors import ReproError, UnsupportedQueryError
+from repro.errors import ReproError
 from repro.relational.aggregates import AggSpec
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -66,18 +66,9 @@ class AggregateOp(SpineOp):
         self.lazy_specs: list[AggSpec] = []
         self.holistic_specs: list[AggSpec] = []
         for spec in specs:
-            arg_uncertain = bool(spec.attrs() & child.uncertain_cols)
-            if arg_uncertain and not spec.func.decomposable:
-                raise UnsupportedQueryError(
-                    f"aggregate {spec.name!r}: holistic UDAF over an "
-                    "uncertain argument is not supported online"
-                )
-            if arg_uncertain:
-                if spec.func.num_features != 1:
-                    raise UnsupportedQueryError(
-                        f"aggregate {spec.name!r} over an uncertain argument "
-                        "requires a single identity feature (SUM/AVG-style)"
-                    )
+            # analyze refused an uncertain argument to anything but a
+            # one-feature decomposable aggregate.
+            if spec.attrs() & child.uncertain_cols:
                 self.lazy_specs.append(spec)
             elif spec.func.decomposable:
                 self.sketch_specs.append(spec)

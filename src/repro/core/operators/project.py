@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.core.blocks import RuntimeContext
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
-from repro.errors import UnsupportedQueryError
 from repro.relational.algebra import Project
 from repro.relational.expressions import Col
 from repro.relational.relation import Relation
@@ -19,22 +18,14 @@ class ProjectOp(SpineOp):
     use sites — the lazy-evaluation principle)."""
 
     #: Stateless pure delta rule; uncertain attributes may pass through
-    #: by name but must not be computed over (checked at construction).
+    #: by name but must not be computed over (refused at compile time).
     tag_rule = TagRule(consumes_uncertain="allowed")
     state_rule = StateRule()
 
     def __init__(self, child: SpineOp, node: Project, schema: Schema):
-        uncertain_out = set()
-        for name, expr in node.outputs:
-            touched = expr.attrs() & child.uncertain_cols
-            if touched:
-                if not isinstance(expr, Col):
-                    raise UnsupportedQueryError(
-                        f"projection {name!r} computes over uncertain columns "
-                        f"{sorted(touched)}; move the computation into the "
-                        "consuming predicate or aggregate (lazy evaluation)"
-                    )
-                uncertain_out.add(name)
+        uncertain_out = {
+            name for name, expr in node.outputs if expr.attrs() & child.uncertain_cols
+        }
         super().__init__(f"project:{node.node_id}", schema, uncertain_out, (child,))
         self.child = child
         self.node = node

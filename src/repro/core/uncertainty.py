@@ -1,4 +1,5 @@
-"""Static uncertainty propagation analysis (Section 4.1).
+"""Static uncertainty propagation analysis (Section 4.1) and the online
+engine's compile-time refusals.
 
 Given a logical plan and the set of streamed tables, this pass computes
 for every plan node the paper's compile-time uncertainty tags:
@@ -11,12 +12,15 @@ for every plan node the paper's compile-time uncertainty tags:
   the eventual full output, so aggregates above it must extrapolate
   SUM/COUNT-style results by ``m_i``;
 * ``raw_stream`` — whether the node's rows derive row-for-row from a
-  streamed scan *without* an intervening aggregate (used to reject
-  stream-stream joins, which the paper does not stream).
+  streamed scan *without* an intervening aggregate: exactly the nodes the
+  compiler turns into stream operators.
 
-The pass also enforces the supported-query restrictions of Section 3.3:
-no uncertain join or group-by keys ("approximate keys under sampling"),
-and only Hadamard-differentiable aggregate functions over sampled data.
+The same walk collects every reason the online engine cannot run the
+plan (:data:`REFUSAL_RULES`): the restrictions of Section 3.3 (no
+uncertain join or group-by keys, only Hadamard-differentiable aggregates
+over sampled data) and the shapes the operators cannot maintain
+incrementally. The compiler raises the first refusal; the typechecker
+reports them all as its ``TC1xx`` diagnostics.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import UnsupportedQueryError
+from repro.kernels.resolve import uncertain_arithmetic
 from repro.relational.algebra import (
     Aggregate,
     Distinct,
@@ -35,6 +40,7 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
+from repro.relational.expressions import Col, Comparison, conjuncts
 
 
 @dataclass(frozen=True)
@@ -53,31 +59,118 @@ class NodeTags:
 
 STATIC_TAGS = NodeTags(False, frozenset(), False, False)
 
+#: The compile-time refusals: rule id -> (what the rule refuses, how to
+#: rewrite the query). Mirrored in DESIGN.md §8.1.
+REFUSAL_RULES: dict[str, tuple[str, str]] = {
+    "TC101": (
+        "plan node type is not supported by the online engine",
+        "only SELECT/PROJECT/RENAME/JOIN/UNION/AGGREGATE/DISTINCT over base "
+        "scans run online",
+    ),
+    "TC102": (
+        "join key is uncertain under sampling (approximate join keys, §3.3)",
+        "join on certain columns, or aggregate the uncertain side first so "
+        "the key becomes a group key",
+    ),
+    "TC103": (
+        "both join inputs stream the raw fact table (§2 streams one input)",
+        "stream exactly one input relation and read the others in entirety",
+    ),
+    "TC104": (
+        "group-by key is uncertain under sampling (§3.3)",
+        "group by certain columns only",
+    ),
+    "TC105": (
+        "aggregate function is not Hadamard differentiable over changing input (§3.3)",
+        "use SUM/COUNT/AVG-style aggregates, or run this query on the batch engine",
+    ),
+    "TC106": (
+        "DISTINCT over an uncertain column cannot be decided incrementally",
+        "resolve the column (aggregate it) before DISTINCT",
+    ),
+    "TC107": (
+        "predicate over uncertain attributes must be a + - * / comparison (x θ y)",
+        "rewrite the predicate as a conjunction of x θ y comparisons, or "
+        "resolve the column before the filter",
+    ),
+    "TC108": (
+        "projection computes over uncertain attributes (defeats lazy evaluation)",
+        "move the computation into the consuming predicate or aggregate argument",
+    ),
+    "TC109": (
+        "aggregate over an uncertain argument needs a single identity feature",
+        "SUM/AVG-style aggregates only over uncertain arguments (§6.2)",
+    ),
+    "TC110": (
+        "holistic aggregate over an uncertain argument cannot be re-evaluated lazily",
+        "holistic UDAFs require certain arguments online",
+    ),
+    "TC111": (
+        "UNION between aggregate-derived inputs is not executable online",
+        "union the raw inputs below the aggregates, or compute the union in "
+        "a post-processing small plan",
+    ),
+}
 
-def analyze(
-    plan: PlanNode, streamed_tables: set[str]
-) -> dict[int, NodeTags]:
+
+@dataclass(frozen=True)
+class Refusal:
+    """One reason the online engine cannot run a plan."""
+
+    rule_id: str
+    node: PlanNode
+    message: str
+
+    @property
+    def hint(self) -> str:
+        return REFUSAL_RULES[self.rule_id][1]
+
+    def error(self) -> UnsupportedQueryError:
+        return UnsupportedQueryError(self.message, node=self.node, rule_id=self.rule_id)
+
+
+def analyze(plan: PlanNode, streamed_tables: set[str]) -> dict[int, NodeTags]:
     """Tag every node in ``plan``; returns ``{node_id: NodeTags}``.
 
-    Raises :class:`UnsupportedQueryError` for queries outside the online
-    engine's supported class.
+    Raises the plan's first refusal as an :class:`UnsupportedQueryError`.
     """
-    tags: dict[int, NodeTags] = {}
-    _tag(plan, streamed_tables, tags)
+    tags, refusals = tag_plan(plan, streamed_tables)
+    if refusals:
+        raise refusals[0].error()
     return tags
 
 
+def tag_plan(
+    plan: PlanNode, streamed_tables: set[str]
+) -> tuple[dict[int, NodeTags], list[Refusal]]:
+    """One post-order walk: every node's tags and every refusal, in plan
+    order. Above a refused node the tags are a best effort."""
+    tags: dict[int, NodeTags] = {}
+    refusals: list[Refusal] = []
+    _tag(plan, streamed_tables, tags, refusals)
+    return tags, refusals
+
+
 def _tag(
-    node: PlanNode, streamed: set[str], tags: dict[int, NodeTags]
+    node: PlanNode,
+    streamed: set[str],
+    tags: dict[int, NodeTags],
+    refusals: list[Refusal],
 ) -> NodeTags:
-    result = _tag_inner(node, streamed, tags)
+    result = _tag_inner(node, streamed, tags, refusals)
     tags[node.node_id] = result
     return result
 
 
 def _tag_inner(
-    node: PlanNode, streamed: set[str], tags: dict[int, NodeTags]
+    node: PlanNode,
+    streamed: set[str],
+    tags: dict[int, NodeTags],
+    refusals: list[Refusal],
 ) -> NodeTags:
+    def refuse(rule_id: str, message: str) -> None:
+        refusals.append(Refusal(rule_id, node, message))
+
     if isinstance(node, Scan):
         if node.table in streamed:
             # Streamed leaf: all attributes deterministic, multiplicities
@@ -86,31 +179,62 @@ def _tag_inner(
         return STATIC_TAGS
 
     if isinstance(node, Select):
-        child = _tag(node.child, streamed, tags)
-        touches_uncertain = bool(node.predicate.attrs() & child.uncertain_cols)
+        child = _tag(node.child, streamed, tags, refusals)
+        uncertain = child.uncertain_cols
+        touches_uncertain = False
+        for part in conjuncts(node.predicate):
+            if not part.attrs() & uncertain:
+                continue
+            touches_uncertain = True
+            if not isinstance(part, Comparison):
+                refuse(
+                    "TC107",
+                    f"predicate {part!r} over uncertain columns must be a "
+                    "simple comparison (x ϑ y)",
+                )
+                continue
+            for operand in (part.left, part.right):
+                if not uncertain_arithmetic(operand, uncertain):
+                    refuse(
+                        "TC107",
+                        f"comparison side {operand!r} computes over "
+                        "uncertain columns beyond + - * /; the engine "
+                        "cannot bound its range or trials",
+                    )
+                    break
         return NodeTags(
             child.tuple_uncertain or touches_uncertain,
-            child.uncertain_cols,
+            uncertain,
             child.sample_weighted,
             child.raw_stream,
         )
 
     if isinstance(node, Project):
-        child = _tag(node.child, streamed, tags)
-        out_uncertain = frozenset(
-            name
-            for name, expr in node.outputs
-            if expr.attrs() & child.uncertain_cols
-        )
+        child = _tag(node.child, streamed, tags, refusals)
+        out_uncertain: set[str] = set()
+        for name, expr in node.outputs:
+            touched = expr.attrs() & child.uncertain_cols
+            if not touched:
+                continue
+            out_uncertain.add(name)
+            # Uncertain columns pass through a stream projection unchanged;
+            # computation over them is deferred to the use sites.
+            if child.raw_stream and not isinstance(expr, Col):
+                refuse(
+                    "TC108",
+                    f"projection {name!r} computes over uncertain columns "
+                    f"{sorted(touched)}; move the computation into the "
+                    "consuming predicate or aggregate (lazy evaluation)",
+                )
         return NodeTags(
             child.tuple_uncertain,
-            out_uncertain,
+            frozenset(out_uncertain),
             child.sample_weighted,
             child.raw_stream,
         )
 
     if isinstance(node, Rename):
-        child = _tag(node.child, streamed, tags)
+        child = _tag(node.child, streamed, tags, refusals)
         renamed = frozenset(
             node.mapping.get(c, c) for c in child.uncertain_cols
         )
@@ -119,20 +243,20 @@ def _tag_inner(
         )
 
     if isinstance(node, Join):
-        left = _tag(node.left, streamed, tags)
-        right = _tag(node.right, streamed, tags)
+        left = _tag(node.left, streamed, tags, refusals)
+        right = _tag(node.right, streamed, tags, refusals)
         for lk, rk in node.keys:
             if lk in left.uncertain_cols or rk in right.uncertain_cols:
-                raise UnsupportedQueryError(
+                refuse(
+                    "TC102",
                     f"join key {lk!r}={rk!r} is uncertain under sampling; "
                     "approximate join keys are not supported (Section 3.3)",
-                    node=node,
                 )
         if left.raw_stream and right.raw_stream:
-            raise UnsupportedQueryError(
+            refuse(
+                "TC103",
                 "both join inputs stream the raw fact table; stream only one "
                 "input relation and read the others in entirety (Section 2)",
-                node=node,
             )
         kept_right = right.uncertain_cols - set(node.right_keys)
         return NodeTags(
@@ -143,8 +267,18 @@ def _tag_inner(
         )
 
     if isinstance(node, Union):
-        left = _tag(node.left, streamed, tags)
-        right = _tag(node.right, streamed, tags)
+        left = _tag(node.left, streamed, tags, refusals)
+        right = _tag(node.right, streamed, tags, refusals)
+        # Online, a UNION input is a stream or static; an input that reads
+        # the stream through an aggregate is neither.
+        if any(
+            streamed & side.base_tables() and not side_tags.raw_stream
+            for side, side_tags in ((node.left, left), (node.right, right))
+        ):
+            refuse(
+                "TC111",
+                "UNION between aggregate-derived inputs is not supported online",
+            )
         return NodeTags(
             left.tuple_uncertain or right.tuple_uncertain,
             left.uncertain_cols | right.uncertain_cols,
@@ -153,13 +287,13 @@ def _tag_inner(
         )
 
     if isinstance(node, Aggregate):
-        child = _tag(node.child, streamed, tags)
+        child = _tag(node.child, streamed, tags, refusals)
         for g in node.group_by:
             if g in child.uncertain_cols:
-                raise UnsupportedQueryError(
+                refuse(
+                    "TC104",
                     f"group-by key {g!r} is uncertain under sampling; "
                     "approximate group-by keys are not supported (Section 3.3)",
-                    node=node,
                 )
         agg_uncertain: set[str] = set()
         for spec in node.aggs:
@@ -169,14 +303,34 @@ def _tag_inner(
                 or bool(spec.attrs() & child.uncertain_cols)
             )
             if input_changes and not spec.func.hadamard_differentiable:
-                raise UnsupportedQueryError(
+                refuse(
+                    "TC105",
                     f"aggregate {spec.func.name.upper()} is not Hadamard "
                     "differentiable and cannot be approximated under "
                     "sampling (Section 3.3)",
-                    node=node,
                 )
             if input_changes:
                 agg_uncertain.add(spec.name)
+        # Over a stream, an uncertain argument is re-evaluated lazily from
+        # its lineage references each batch (Section 6.2).
+        lazy = [
+            spec
+            for spec in node.aggs
+            if child.raw_stream and spec.attrs() & child.uncertain_cols
+        ]
+        for spec in lazy:
+            if not spec.func.decomposable:
+                refuse(
+                    "TC110",
+                    f"aggregate {spec.name!r}: holistic UDAF over an "
+                    "uncertain argument is not supported online",
+                )
+            elif spec.func.num_features != 1:
+                refuse(
+                    "TC109",
+                    f"aggregate {spec.name!r} over an uncertain argument "
+                    "requires a single identity feature (SUM/AVG-style)",
+                )
         # A group's multiplicity is uncertain only if every contributing
         # tuple is uncertain; statically that collapses to "the input has
         # tuple uncertainty at all" (new groups may still appear).
@@ -185,15 +339,13 @@ def _tag_inner(
         )
 
     if isinstance(node, Distinct):
-        child = _tag(node.child, streamed, tags)
+        child = _tag(node.child, streamed, tags, refusals)
         for c in node.columns:
             if c in child.uncertain_cols:
-                raise UnsupportedQueryError(
-                    f"distinct over uncertain column {c!r} is not supported",
-                    node=node,
+                refuse(
+                    "TC106", f"distinct over uncertain column {c!r} is not supported"
                 )
         return NodeTags(child.tuple_uncertain, frozenset(), False, False)
 
-    raise UnsupportedQueryError(
-        f"cannot analyze node {type(node).__name__}", node=node
-    )
+    refuse("TC101", f"cannot analyze node {type(node).__name__}")
+    return STATIC_TAGS

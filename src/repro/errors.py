@@ -39,14 +39,20 @@ class UnsupportedQueryError(ReproError):
     must be Hadamard differentiable (so MIN/MAX are rejected online even
     though the batch evaluator supports them).
 
-    Rejection sites pass the offending plan node so callers (and the
-    ``repro.analysis`` typechecker) can point at the exact plan location.
+    Compile-time refusals come from one table
+    (:func:`repro.core.uncertainty.tag_plan`) and carry the offending plan
+    node and their ``TC1xx`` rule id, so callers can point at the exact
+    plan location; runtime refusals carry neither.
     """
 
-    def __init__(self, message: str, node: object = None):
+    def __init__(
+        self, message: str, node: object = None, rule_id: str | None = None
+    ) -> None:
         super().__init__(message)
         #: The plan node the rejection is about, when known.
         self.node = node
+        #: The refusal's ``TC1xx`` rule id, for compile-time refusals.
+        self.rule_id = rule_id
 
 
 class RangeIntegrityError(ReproError):

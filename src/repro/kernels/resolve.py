@@ -112,7 +112,9 @@ def evaluate(expr: Expression, leaf: Callable[[str], Node]) -> Node:
     raise UnsupportedKernel(f"no array kernel for {type(expr).__name__}")
 
 
-def uncertain_arithmetic(expr: Expression, uncertain_cols: set[str]) -> bool:
+def uncertain_arithmetic(
+    expr: Expression, uncertain_cols: set[str] | frozenset[str]
+) -> bool:
     """Whether every node of ``expr`` that reads ``uncertain_cols`` is a
     column or ``+ - * /``: the only computation over uncertain values the
     engine carries ranges and trials through. Subexpressions over

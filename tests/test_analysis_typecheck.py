@@ -10,7 +10,6 @@ from repro.analysis.typecheck import (
     TYPECHECK_RULES,
     check_pipeline,
     check_units,
-    infer_tags,
 )
 from repro.core.compiler import ExecutionUnit, StreamPipelineUnit, compile_online
 from repro.core.operators import (
@@ -45,9 +44,6 @@ from repro.workloads import (
 )
 from tests.conftest import KX_SCHEMA
 
-STREAMED = {"t"}
-
-
 def _kx():
     return scan("t", KX_SCHEMA)
 
@@ -60,6 +56,12 @@ def _with_uncertain():
 
 def _rules_of(diags) -> set[str]:
     return {d.rule_id for d in diags}
+
+
+@pytest.fixture
+def refusals(kx_catalog):
+    """The TC1xx rule ids ``check_plan`` reports for a plan over ``t``."""
+    return lambda plan: check_plan(plan, kx_catalog, "t").rule_ids()
 
 
 # ---------------------------------------------------------------------------
@@ -108,92 +110,85 @@ def test_analyze_query_bad_sql_reports_tc101(conviva_catalog):
 
 
 # ---------------------------------------------------------------------------
-# TC1xx: tag-inference rules, one broken plan per rule.
+# TC1xx: the engine's refusals, one broken plan per rule.
 # ---------------------------------------------------------------------------
 
 
-def test_tc101_unsupported_node():
+def test_tc101_unsupported_node(refusals):
     class Exotic(PlanNode):
         pass
 
-    _, diags = infer_tags(Exotic(), STREAMED)
-    assert "TC101" in _rules_of(diags)
+    assert "TC101" in refusals(Exotic())
 
 
-def test_tc102_uncertain_join_key():
+def test_tc102_uncertain_join_key(refusals):
     inner = _kx().aggregate(["k"], [avg("x", "ax")]).rename({"k": "k2"})
     plan = _kx().join(inner, keys=[("x", "ax")])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC102" in _rules_of(diags)
+    assert "TC102" in refusals(plan)
 
 
-def test_tc103_stream_stream_join():
+def test_tc103_stream_stream_join(refusals):
     plan = _kx().join(_kx(), keys=[("k", "k")])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC103" in _rules_of(diags)
+    assert "TC103" in refusals(plan)
 
 
-def test_tc104_uncertain_group_by():
+def test_tc104_uncertain_group_by(refusals):
     plan = _with_uncertain().aggregate(["ax"], [count("n")])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC104" in _rules_of(diags)
+    assert "TC104" in refusals(plan)
 
 
-def test_tc105_non_hadamard_aggregate():
+def test_tc105_non_hadamard_aggregate(refusals):
     plan = _kx().aggregate(["k"], [min_("x", "mn")])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC105" in _rules_of(diags)
+    assert "TC105" in refusals(plan)
 
 
-def test_tc106_distinct_uncertain():
+def test_tc106_distinct_uncertain(refusals):
     plan = _with_uncertain().distinct(["ax"])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC106" in _rules_of(diags)
+    assert "TC106" in refusals(plan)
 
 
-def test_tc107_non_comparison_uncertain_predicate():
+def test_tc107_non_comparison_uncertain_predicate(refusals):
     pred = Or(col("x") > col("ax"), col("y") > col("ax"))
     plan = _with_uncertain().select(pred)
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC107" in _rules_of(diags)
+    assert "TC107" in refusals(plan)
 
 
-def test_tc107_holds_in_small_segments_as_the_compiler_does(kx_catalog):
+def test_tc107_holds_in_small_segments_as_the_compiler_does(kx_catalog, refusals):
     # A HAVING over an aggregate: the compiler rejects the OR as it does on
-    # the stream, so the typechecker flags it before the compiler can.
+    # the stream, under the rule id the typechecker reports.
     plan = _kx().aggregate(["k"], [avg("x", "ax")]).select(Or(col("ax") > 5.0, col("k").eq(1)))
-    report = check_plan(plan, kx_catalog, "t")
-    assert "TC107" in _rules_of(report.diagnostics)
-    assert not any("compiler rejects" in d.message for d in report.diagnostics)
+    assert refusals(plan) == {"TC107"}
+    with pytest.raises(UnsupportedQueryError) as exc:
+        compile_online(plan, kx_catalog, "t")
+    assert exc.value.rule_id == "TC107" and exc.value.node is plan
 
 
-def test_tc108_projection_computes_over_uncertain():
+def test_tc108_projection_computes_over_uncertain(refusals):
     plan = _with_uncertain().project([("z", col("ax") * 2.0), ("k", col("k"))])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC108" in _rules_of(diags)
+    assert "TC108" in refusals(plan)
 
 
-def test_tc109_multi_feature_uncertain_aggregate():
+def test_tc109_multi_feature_uncertain_aggregate(refusals):
     plan = _with_uncertain().aggregate([], [stddev("ax", "sd")])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC109" in _rules_of(diags)
+    assert "TC109" in refusals(plan)
 
 
-def test_tc110_holistic_uncertain_aggregate():
+def test_tc110_holistic_uncertain_aggregate(refusals):
     udaf = HolisticUDAF("median", lambda values, weights: 0.0)
     plan = _with_uncertain().aggregate([], [AggSpec("md", udaf, col("ax"))])
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC110" in _rules_of(diags)
+    assert "TC110" in refusals(plan)
 
 
-def test_tc111_union_with_aggregate_derived_input():
+def test_tc111_union_with_aggregate_derived_input(refusals):
     inner = _kx().aggregate(["k"], [avg("x", "x"), avg("y", "y")])
-    plan = _kx().union(_kx())  # clean
-    _, diags = infer_tags(plan, STREAMED)
-    assert not diags
-    plan = inner.union(_kx())
-    _, diags = infer_tags(plan, STREAMED)
-    assert "TC111" in _rules_of(diags)
+    assert not refusals(_kx().union(_kx()))  # clean
+    assert "TC111" in refusals(inner.union(_kx()))
+
+
+def test_every_refusal_is_reported(refusals):
+    # One run reports all problems of a plan; the compiler raises the first.
+    plan = _with_uncertain().aggregate(["ax"], [min_("x", "mn"), stddev("ax", "sd")])
+    assert refusals(plan) == {"TC104", "TC105", "TC109"}
 
 
 def test_clean_plan_has_no_findings(kx_catalog):
@@ -202,64 +197,6 @@ def test_clean_plan_has_no_findings(kx_catalog):
     )
     report = check_plan(plan, kx_catalog, "t")
     assert report.ok, report.format()
-
-
-# ---------------------------------------------------------------------------
-# TC2xx: cross-check against the engine's own analysis.
-# ---------------------------------------------------------------------------
-
-
-def test_tc201_tag_divergence(kx_catalog, monkeypatch):
-    import repro.analysis.typecheck as tc
-
-    real = tc.engine_analyze
-
-    def skewed(plan, streamed):
-        tags = real(plan, streamed)
-        return {
-            node_id: NodeTags(
-                t.tuple_uncertain,
-                t.uncertain_cols | frozenset({"__phantom"}),
-                t.sample_weighted,
-                t.raw_stream,
-            )
-            for node_id, t in tags.items()
-        }
-
-    monkeypatch.setattr(tc, "engine_analyze", skewed)
-    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
-    report = check_plan(plan, kx_catalog, "t")
-    assert "TC201" in report.rule_ids()
-
-
-def test_tc202_engine_rejects_what_typechecker_accepts(kx_catalog, monkeypatch):
-    import repro.analysis.typecheck as tc
-
-    def rejecting(plan, streamed):
-        raise UnsupportedQueryError("engine says no")
-
-    monkeypatch.setattr(tc, "engine_analyze", rejecting)
-    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
-    report = check_plan(plan, kx_catalog, "t")
-    assert "TC202" in report.rule_ids()
-
-
-def test_tc202_typechecker_rejects_what_engine_accepts(kx_catalog, monkeypatch):
-    import repro.analysis.typecheck as tc
-
-    real_infer = tc.infer_tags
-
-    def overstrict(plan, streamed):
-        tags, diags = real_infer(plan, streamed)
-        diags = diags + [
-            tc._diag("TC105", "synthetic", "injected overstrict finding")
-        ]
-        return tags, diags
-
-    monkeypatch.setattr(tc, "infer_tags", overstrict)
-    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
-    report = check_plan(plan, kx_catalog, "t")
-    assert "TC202" in report.rule_ids()
 
 
 # ---------------------------------------------------------------------------

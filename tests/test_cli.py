@@ -88,6 +88,17 @@ class TestMain:
         assert "pipeline:" not in slowest
         assert slowest.count(" ms") == 3
 
+    def test_unsupported_query_is_one_line_and_exit_2(self, capsys):
+        code, out, err = self.run(
+            ["--workload", "conviva", "--scale", "0.05", "--batches", "3",
+             "--trials", "5", "SELECT MIN(play_time) AS mn FROM sessions"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        [line] = err.strip().splitlines()
+        assert "unsupported query [TC105] at Aggregate#" in line
+        assert "MIN is not Hadamard" in line and "Traceback" not in err
+
     def test_batch_engine(self, capsys):
         code, out, err = self.run(
             ["--workload", "tpch", "--query", "Q6", "--engine", "batch",

@@ -1,5 +1,5 @@
 """Golden fixtures: every diagnostic rule the analysis layer can emit —
-typechecker TC1xx/TC2xx/TC3xx, engine lint ENG001–006, sanitizer
+typechecker TC1xx/TC3xx, engine lint ENG001–006, sanitizer
 SAN00x — has exactly one minimal triggering
 fixture here, and each fired diagnostic is pinned down to its rule id,
 a non-empty location, and (where the rule carries one) a repair hint.
@@ -27,9 +27,8 @@ from repro.analysis.typecheck import (
     TYPECHECK_RULES,
     check_pipeline,
     check_units,
-    infer_tags,
 )
-from repro.core.compiler import ExecutionUnit, StreamPipelineUnit
+from repro.core.compiler import ExecutionUnit, StreamPipelineUnit, compile_online
 from repro.core.operators import (
     FilterOp,
     ScanOp,
@@ -54,19 +53,16 @@ from repro.relational.algebra import PlanNode
 from repro.relational.expressions import Or
 from tests.conftest import KX_SCHEMA
 
-STREAMED = {"t"}
-
-#: Rules whose diagnostics legitimately carry no hint: TC201 dumps the
-#: diverging tag pair, TC306/TC307 are self-explanatory schema/tag
-#: mismatches. Everything else must carry a repair hint.
-HINTLESS: set[str] = {"TC201", "TC306", "TC307"}
+#: Rules whose diagnostics legitimately carry no hint: TC306/TC307 are
+#: self-explanatory schema/tag mismatches. Everything else must carry a
+#: repair hint.
+HINTLESS: set[str] = {"TC306", "TC307"}
 
 
 @dataclass
 class Ctx:
-    """What a fixture may use: a monkeypatch and a small catalog."""
+    """What a fixture may use: a small catalog."""
 
-    monkeypatch: pytest.MonkeyPatch
     catalog: Any
 
 
@@ -79,11 +75,6 @@ def _with_uncertain():
     return _kx().join(inner, keys=[])
 
 
-def _infer(plan):
-    _, diags = infer_tags(plan, STREAMED)
-    return diags
-
-
 def _lint(source: str):
     return lint_source(textwrap.dedent(source))
 
@@ -91,91 +82,42 @@ def _lint(source: str):
 # -- typechecker fixtures ---------------------------------------------------
 
 
-def _tc101(ctx):
-    class Exotic(PlanNode):
-        pass
-
-    return _infer(Exotic())
+class _Exotic(PlanNode):
+    pass
 
 
-def _tc102(ctx):
-    inner = _kx().aggregate(["k"], [avg("x", "ax")]).rename({"k": "k2"})
-    return _infer(_kx().join(inner, keys=[("x", "ax")]))
-
-
-def _tc103(ctx):
-    return _infer(_kx().join(_kx(), keys=[("k", "k")]))
-
-
-def _tc104(ctx):
-    return _infer(_with_uncertain().aggregate(["ax"], [count("n")]))
-
-
-def _tc105(ctx):
-    return _infer(_kx().aggregate(["k"], [min_("x", "mn")]))
-
-
-def _tc106(ctx):
-    return _infer(_with_uncertain().distinct(["ax"]))
-
-
-def _tc107(ctx):
-    pred = Or(col("x") > col("ax"), col("y") > col("ax"))
-    return _infer(_with_uncertain().select(pred))
-
-
-def _tc108(ctx):
-    return _infer(
-        _with_uncertain().project([("z", col("ax") * 2.0), ("k", col("k"))])
-    )
-
-
-def _tc109(ctx):
-    return _infer(_with_uncertain().aggregate([], [stddev("ax", "sd")]))
-
-
-def _tc110(ctx):
+def _tc110_plan():
     udaf = HolisticUDAF("median", lambda values, weights: 0.0)
-    return _infer(
-        _with_uncertain().aggregate([], [AggSpec("md", udaf, col("ax"))])
-    )
+    return _with_uncertain().aggregate([], [AggSpec("md", udaf, col("ax"))])
 
 
-def _tc111(ctx):
-    inner = _kx().aggregate(["k"], [avg("x", "x"), avg("y", "y")])
-    return _infer(inner.union(_kx()))
+#: One minimal plan per engine refusal.
+REFUSED_PLANS: dict[str, Callable[[], PlanNode]] = {
+    "TC101": _Exotic,
+    "TC102": lambda: _kx().join(
+        _kx().aggregate(["k"], [avg("x", "ax")]).rename({"k": "k2"}),
+        keys=[("x", "ax")],
+    ),
+    "TC103": lambda: _kx().join(_kx(), keys=[("k", "k")]),
+    "TC104": lambda: _with_uncertain().aggregate(["ax"], [count("n")]),
+    "TC105": lambda: _kx().aggregate(["k"], [min_("x", "mn")]),
+    "TC106": lambda: _with_uncertain().distinct(["ax"]),
+    "TC107": lambda: _with_uncertain().select(
+        Or(col("x") > col("ax"), col("y") > col("ax"))
+    ),
+    "TC108": lambda: _with_uncertain().project(
+        [("z", col("ax") * 2.0), ("k", col("k"))]
+    ),
+    "TC109": lambda: _with_uncertain().aggregate([], [stddev("ax", "sd")]),
+    "TC110": _tc110_plan,
+    "TC111": lambda: _kx()
+    .aggregate(["k"], [avg("x", "x"), avg("y", "y")])
+    .union(_kx()),
+}
 
 
-def _tc201(ctx):
-    import repro.analysis.typecheck as tc
-
-    real = tc.engine_analyze
-
-    def skewed(plan, streamed):
-        return {
-            node_id: NodeTags(
-                t.tuple_uncertain,
-                t.uncertain_cols | frozenset({"__phantom"}),
-                t.sample_weighted,
-                t.raw_stream,
-            )
-            for node_id, t in real(plan, streamed).items()
-        }
-
-    ctx.monkeypatch.setattr(tc, "engine_analyze", skewed)
-    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
-    return check_plan(plan, ctx.catalog, "t").diagnostics
-
-
-def _tc202(ctx):
-    import repro.analysis.typecheck as tc
-
-    def rejecting(plan, streamed):
-        raise UnsupportedQueryError("engine says no")
-
-    ctx.monkeypatch.setattr(tc, "engine_analyze", rejecting)
-    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
-    return check_plan(plan, ctx.catalog, "t").diagnostics
+def _refused(rule_id: str) -> Callable[[Ctx], list[AnalysisDiagnostic]]:
+    return lambda ctx: check_plan(REFUSED_PLANS[rule_id](), ctx.catalog, "t").diagnostics
 
 
 def _tc301(ctx):
@@ -207,7 +149,6 @@ def _tc304(ctx):
 
 
 def _tc305(ctx):
-    from repro.core.compiler import compile_online
     from repro.core.operators import AggregateOp, iter_ops
 
     plan = _kx().aggregate(["k"], [sum_("x", "sx")])
@@ -407,19 +348,17 @@ def _san004(ctx):
 # -- the registry -----------------------------------------------------------
 
 FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
-    "TC101": _tc101,
-    "TC102": _tc102,
-    "TC103": _tc103,
-    "TC104": _tc104,
-    "TC105": _tc105,
-    "TC106": _tc106,
-    "TC107": _tc107,
-    "TC108": _tc108,
-    "TC109": _tc109,
-    "TC110": _tc110,
-    "TC111": _tc111,
-    "TC201": _tc201,
-    "TC202": _tc202,
+    "TC101": _refused("TC101"),
+    "TC102": _refused("TC102"),
+    "TC103": _refused("TC103"),
+    "TC104": _refused("TC104"),
+    "TC105": _refused("TC105"),
+    "TC106": _refused("TC106"),
+    "TC107": _refused("TC107"),
+    "TC108": _refused("TC108"),
+    "TC109": _refused("TC109"),
+    "TC110": _refused("TC110"),
+    "TC111": _refused("TC111"),
     "TC301": _tc301,
     "TC302": _tc302,
     "TC303": _tc303,
@@ -457,8 +396,8 @@ def test_every_rule_has_a_fixture():
 
 
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
-def test_golden_fixture(rule_id, monkeypatch, kx_catalog):
-    diags = FIXTURES[rule_id](Ctx(monkeypatch, kx_catalog))
+def test_golden_fixture(rule_id, kx_catalog):
+    diags = FIXTURES[rule_id](Ctx(kx_catalog))
     fired = [d for d in diags if d.rule_id == rule_id]
     assert fired, (
         f"fixture for {rule_id} fired {sorted({d.rule_id for d in diags})} "
@@ -470,3 +409,14 @@ def test_golden_fixture(rule_id, monkeypatch, kx_catalog):
     assert diag.severity in ("error", "warning")
     if rule_id not in HINTLESS:
         assert diag.hint, f"{rule_id} diagnostic has no repair hint"
+
+
+@pytest.mark.parametrize("rule_id", sorted(REFUSED_PLANS))
+def test_compiler_raises_the_first_reported_refusal(rule_id, kx_catalog):
+    plan = REFUSED_PLANS[rule_id]()
+    first = check_plan(plan, kx_catalog, "t").diagnostics[0]
+    with pytest.raises(UnsupportedQueryError) as exc:
+        compile_online(plan, kx_catalog, "t")
+    assert exc.value.rule_id == first.rule_id == rule_id
+    assert f"{type(exc.value.node).__name__}#{exc.value.node.node_id}" == first.location
+    assert str(exc.value) == first.message

@@ -146,6 +146,24 @@ class TestWarningEvents:
         assert "node" in warning["args"]
         validate_events(sink.events)
 
+    def test_rejection_names_its_node_and_rule(self):
+        # Refused once by the ProjectOp constructor with no plan node.
+        catalog = Catalog({"t": random_kx(100, seed=0, groups=3)})
+        inner = scan("t", KX_SCHEMA).aggregate([], [avg("x", "ax")])
+        plan = scan("t", KX_SCHEMA).join(inner, keys=[]).project(
+            [("z", col("ax") * 2.0)]
+        )
+        obs, sink = Observability.in_memory()
+        engine = OnlineQueryEngine(
+            catalog, "t", OnlineConfig(num_trials=5), obs=obs
+        )
+        with pytest.raises(UnsupportedQueryError):
+            engine.run_to_completion(plan, 3)
+        [warning] = [e for e in sink.events if e["kind"] == "warning"]
+        assert warning["args"]["node"] == "Project"
+        assert warning["args"]["rule"] == "TC108"
+        validate_events(sink.events)
+
     def test_attach_obs_wires_sanitizer_emit(self):
         from repro.core.blocks import RuntimeContext
 

@@ -2,7 +2,8 @@
 
 The contract under test: rejected queries fail *at compile time* with a
 message that names the unsupported construct (so the user can rewrite the
-query), and plan-level rejections carry the offending plan node.
+query), and plan-level rejections carry the offending plan node and their
+rule id.
 """
 
 import pytest
@@ -53,7 +54,7 @@ class Exotic(PlanNode):
         return {"t"}
 
 
-# -- uncertainty.py: the Section 3.3 supported-class fence ------------------------
+# -- the Section 3.3 supported-class fence -----------------------------------------
 
 
 def test_uncertain_join_key_rejected(catalog):
@@ -61,7 +62,7 @@ def test_uncertain_join_key_rejected(catalog):
     plan = _with_uncertain().join(right, keys=[("ax", "k2")])
     with pytest.raises(UnsupportedQueryError, match="join key 'ax'='k2'") as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC102"
 
 
 def test_stream_stream_join_rejected(catalog):
@@ -70,14 +71,14 @@ def test_stream_stream_join_rejected(catalog):
         UnsupportedQueryError, match="both join inputs stream"
     ) as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC103"
 
 
 def test_uncertain_group_by_key_rejected(catalog):
     plan = _with_uncertain().aggregate(["ax"], [count("n")])
     with pytest.raises(UnsupportedQueryError, match="group-by key 'ax'") as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC104"
 
 
 def test_non_hadamard_aggregate_rejected(catalog):
@@ -86,7 +87,7 @@ def test_non_hadamard_aggregate_rejected(catalog):
         UnsupportedQueryError, match="MIN is not Hadamard"
     ) as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC105"
 
 
 def test_distinct_over_uncertain_column_rejected(catalog):
@@ -95,7 +96,7 @@ def test_distinct_over_uncertain_column_rejected(catalog):
         UnsupportedQueryError, match="distinct over uncertain column 'ax'"
     ) as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC106"
 
 
 def test_unknown_node_rejected_by_analyzer(catalog):
@@ -103,10 +104,10 @@ def test_unknown_node_rejected_by_analyzer(catalog):
         UnsupportedQueryError, match="cannot analyze node Exotic"
     ) as exc:
         _compile(Exotic(), catalog)
-    assert type(exc.value.node) is Exotic
+    assert type(exc.value.node) is Exotic and exc.value.rule_id == "TC101"
 
 
-# -- compiler.py: online-rewrite limitations --------------------------------------
+# -- online-rewrite limitations -----------------------------------------------------
 
 
 def test_unknown_node_rejected_by_compiler(catalog):
@@ -118,7 +119,7 @@ def test_unknown_node_rejected_by_compiler(catalog):
         UnsupportedQueryError, match="cannot compile node Exotic"
     ) as exc:
         compiler._compile(exotic)
-    assert exc.value.node is exotic
+    assert exc.value.node is exotic and exc.value.rule_id is None
 
 
 def test_compound_uncertain_predicate_rejected(catalog):
@@ -129,7 +130,7 @@ def test_compound_uncertain_predicate_rejected(catalog):
         UnsupportedQueryError, match="simple comparison"
     ) as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC107"
 
 
 def _having(predicate):
@@ -143,7 +144,7 @@ def test_compound_uncertain_having_rejected(catalog):
     plan = _having(Or(col("ax") > 25.0, col("ax") < 0.0))
     with pytest.raises(UnsupportedQueryError, match="simple comparison") as exc:
         _compile(plan, catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is plan and exc.value.rule_id == "TC107"
 
 
 def test_compound_uncertain_in_subquery_rejected(catalog):
@@ -153,7 +154,7 @@ def test_compound_uncertain_in_subquery_rejected(catalog):
     plan = _kx().join(inner.rename({"k": "k2"}), keys=[("k", "k2")])
     with pytest.raises(UnsupportedQueryError, match="simple comparison") as exc:
         _compile(plan.aggregate([], [count("n")]), catalog)
-    assert exc.value.node is not None
+    assert exc.value.node is inner.child and exc.value.rule_id == "TC107"
 
 
 def test_udf_over_uncertain_comparison_side_rejected(catalog):
@@ -163,7 +164,7 @@ def test_udf_over_uncertain_comparison_side_rejected(catalog):
     plan = _with_uncertain().select(col("x") > dbl)
     with pytest.raises(UnsupportedQueryError, match="dbl.* beyond \\+ - \\* /") as exc:
         _compile(plan, catalog)
-    assert exc.value.node.node_id == plan.node_id
+    assert exc.value.node.node_id == plan.node_id and exc.value.rule_id == "TC107"
     assert "TC107" in check_plan(plan, catalog, "t").rule_ids()
 
 
@@ -172,7 +173,7 @@ def test_modulo_over_uncertain_comparison_side_rejected(catalog):
     plan = _with_uncertain().select(col("x") > Arith("%", col("ax"), Literal(3.0)))
     with pytest.raises(UnsupportedQueryError, match="% lit\\(3.0\\)") as exc:
         _compile(plan, catalog)
-    assert exc.value.node.node_id == plan.node_id
+    assert exc.value.node.node_id == plan.node_id and exc.value.rule_id == "TC107"
 
 
 def test_udf_on_the_deterministic_side_still_compiles(catalog):
@@ -196,11 +197,12 @@ def test_deterministic_compound_having_still_runs(catalog):
 def test_union_of_aggregate_derived_inputs_rejected(catalog):
     left = _kx().aggregate([], [avg("x", "v")])
     right = _kx().aggregate([], [avg("y", "v")])
+    plan = left.union(right)
     with pytest.raises(
         UnsupportedQueryError, match="UNION between aggregate-derived"
     ) as exc:
-        _compile(left.union(right), catalog)
-    assert exc.value.node is not None
+        _compile(plan, catalog)
+    assert exc.value.node is plan and exc.value.rule_id == "TC111"
 
 
 def test_abstract_execution_unit_rejected_at_runtime():
@@ -213,16 +215,16 @@ def test_abstract_execution_unit_rejected_at_runtime():
         Bare().run(None)
 
 
-# -- operator constructors: shapes the tag pass admits but the engine
-#    cannot maintain incrementally -------------------------------------------------
+# -- shapes the operators cannot maintain incrementally ---------------------------
 
 
 def test_computed_projection_over_uncertain_column_rejected(catalog):
     plan = _with_uncertain().project(
         [("z", col("ax") * 2.0), ("k", col("k"))]
     )
-    with pytest.raises(UnsupportedQueryError, match="'z' computes over uncertain"):
+    with pytest.raises(UnsupportedQueryError, match="'z' computes over uncertain") as exc:
         _compile(plan, catalog)
+    assert exc.value.node is plan and exc.value.rule_id == "TC108"
 
 
 def test_holistic_udaf_over_uncertain_argument_rejected(catalog):
@@ -230,16 +232,18 @@ def test_holistic_udaf_over_uncertain_argument_rejected(catalog):
     plan = _with_uncertain().aggregate([], [AggSpec("md", udaf, col("ax"))])
     with pytest.raises(
         UnsupportedQueryError, match="holistic UDAF over an .*uncertain argument"
-    ):
+    ) as exc:
         _compile(plan, catalog)
+    assert exc.value.node is plan and exc.value.rule_id == "TC110"
 
 
 def test_multi_feature_aggregate_over_uncertain_argument_rejected(catalog):
     plan = _with_uncertain().aggregate([], [stddev("ax", "sd")])
     with pytest.raises(
         UnsupportedQueryError, match="requires a single identity feature"
-    ):
+    ) as exc:
         _compile(plan, catalog)
+    assert exc.value.node is plan and exc.value.rule_id == "TC109"
 
 
 # -- end to end: SQL in, named construct out --------------------------------------
@@ -247,5 +251,6 @@ def test_multi_feature_aggregate_over_uncertain_argument_rejected(catalog):
 
 def test_sql_query_rejected_with_named_construct(catalog):
     plan = plan_sql("SELECT MIN(x) AS mn FROM t", catalog.schemas())
-    with pytest.raises(UnsupportedQueryError, match="MIN is not Hadamard"):
+    with pytest.raises(UnsupportedQueryError, match="MIN is not Hadamard") as exc:
         _compile(plan, catalog)
+    assert type(exc.value.node).__name__ == "Aggregate" and exc.value.rule_id == "TC105"
