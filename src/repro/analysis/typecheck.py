@@ -15,7 +15,8 @@ checks what the engine derives:
    an uncertain attribute is consumed, declared state entries must match
    the §4.2 state rule the tags demand (ND cache present iff a
    non-deterministic set can exist, sketch-only aggregation iff the input
-   is certain-append), and the block-production graph must be
+   is certain-append, group gates only over group-key columns), and the
+   block-production graph must be
    uniquely-produced and run in producer-before-consumer order.
 """
 
@@ -59,6 +60,7 @@ TYPECHECK_RULES: dict[str, str] = {
     "TC309": "execution unit consumes a lineage block no unit produces",
     "TC310": "execution unit consumes a lineage block before its producer runs",
     "TC311": "operators of two execution units hold the same StateStore",
+    "TC312": "group-gated aggregate gates by columns outside its group key",
 }
 
 
@@ -206,6 +208,19 @@ def _check_op(op: SpineOp, tags: dict[int, NodeTags]) -> Iterator[AnalysisDiagno
                 "certain decomposable arguments fold into sketches; uncertain "
                 "arguments are re-evaluated lazily; holistic functions keep "
                 "the row store (§4.2/§6.2)",
+            )
+        # TC312: a gate keeps no row store, so it is only sound where one
+        # membership holds for a whole group.
+        stray = sorted({c for gate in op.gates for c in gate.columns} - set(op.group_by))
+        if stray:
+            yield _diag(
+                "TC312",
+                loc,
+                f"group gates read columns {stray} outside the group key "
+                f"{op.group_by}",
+                "gate a semi-join by group only when its key is part of the "
+                "group key (by provenance); otherwise keep the uncertain join "
+                "and its ND store",
             )
         if _subtree_certain_append(op.child) and not op.child.uncertain_cols:
             if op.lazy_specs:

@@ -29,6 +29,7 @@ from typing import Iterator
 from repro.batching.partitioner import Partitioner
 from repro.baselines.viewlet import apply_viewlet_rewrites
 from repro.core.sketch import AggBundle
+from repro.errors import UnsupportedQueryError
 from repro.metrics.stats import BatchMetrics, RunMetrics
 from repro.relational.aggregates import AggSpec
 from repro.relational.algebra import Aggregate, PlanNode, Scan, transform
@@ -109,7 +110,9 @@ class HDAExecutor:
     # -- compilation --------------------------------------------------------------------
 
     def _split(self, plan: PlanNode) -> tuple[PlanNode, list[_MaintainedView]]:
-        """Replace innermost stream aggregates with view scans."""
+        """Replace innermost stream aggregates with view scans; refuses an
+        innermost aggregate no delta sketch can maintain (MIN, MAX,
+        holistic UDAFs)."""
         schemas = self.catalog.schemas()
         if self.use_viewlet_rewrites:
             plan = apply_viewlet_rewrites(plan, schemas)
@@ -127,6 +130,13 @@ class HDAExecutor:
             )
             if has_inner_blocks:
                 return None  # not innermost; the outer query recomputes it
+            for spec in node.aggs:
+                if not spec.func.decomposable:
+                    raise UnsupportedQueryError(
+                        f"HDA maintains innermost aggregates as delta sketches; "
+                        f"{spec.func.name.upper()} is not decomposable",
+                        node=node,
+                    )
             view_table = f"__hda_view_{len(views)}"
             schema = node.output_schema(schemas)
             views.append(_MaintainedView(node, view_table, schema))

@@ -473,6 +473,16 @@ _SUBCOMMANDS = {
 }
 
 
+def _unsupported(exc: UnsupportedQueryError) -> int:
+    """Report a refused query on one line; the usage-error exit code."""
+    if exc.rule_id is None:  # a runtime or baseline refusal has no rule id
+        log.error("unsupported query: %s", exc)
+    else:
+        log.error("unsupported query [%s] at %s#%d: %s", exc.rule_id,
+                  type(exc.node).__name__, exc.node.node_id, exc)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -536,12 +546,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.engine == "hda":
         executor = HDAExecutor(catalog, streamed, seed=args.seed)
-        for partial in executor.run(plan, args.batches):
-            marker = "exact" if partial.is_final else "approx"
-            log.info("[batch %3d/%d %7.1f ms  %s] %d rows",
-                     partial.batch_no, partial.num_batches,
-                     partial.metrics.wall_seconds * 1000, marker,
-                     len(partial.relation))
+        try:
+            for partial in executor.run(plan, args.batches):
+                marker = "exact" if partial.is_final else "approx"
+                log.info("[batch %3d/%d %7.1f ms  %s] %d rows",
+                         partial.batch_no, partial.num_batches,
+                         partial.metrics.wall_seconds * 1000, marker,
+                         len(partial.relation))
+        except UnsupportedQueryError as exc:
+            return _unsupported(exc)
         _print_relation_rows(partial.relation, args.max_rows)
         return 0
 
@@ -606,12 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                          args.stop_rsd)
                 break
     except UnsupportedQueryError as exc:
-        if exc.rule_id is None:  # a runtime refusal names no plan node
-            log.error("unsupported query: %s", exc)
-        else:
-            log.error("unsupported query [%s] at %s#%d: %s", exc.rule_id,
-                      type(exc.node).__name__, exc.node.node_id, exc)
-        return 2
+        return _unsupported(exc)
     finally:
         obs.close()
     if partial is not None:

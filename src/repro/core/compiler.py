@@ -13,7 +13,13 @@ Compiles a logical plan into an ordered list of executable *units*:
   *small unit* interpreted per bootstrap trial;
 * joins between the stream and uncertain small sides compile to
   :class:`~repro.core.operators.UncertainJoinOp`, with the side published
-  as a joinable view under the join node's id.
+  as a joinable view under the join node's id;
+* a join whose side only filters stream rows by key, where that key is
+  part of the group key of the aggregate above it (by column provenance,
+  :mod:`repro.core.provenance`), compiles to no operator at all: the
+  aggregate folds every row once and gates each group's existence by
+  the side's current membership of its key (:class:`GroupGate`). Every
+  row of a group shares that membership, so no row waits in an ND store.
 
 Unit order is the block-topological order: producers always run before
 consumers within a batch, so lineage references resolve to this batch's
@@ -22,6 +28,7 @@ values (the "aggregate runs first" ordering of Section 6.2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ from repro.core.blocks import RuntimeContext
 from repro.core.operators import (
     AggregateOp,
     FilterOp,
+    GroupGate,
     ProjectOp,
     RenameOp,
     RowSinkOp,
@@ -42,6 +50,7 @@ from repro.core.operators import (
     UnionOp,
     iter_ops,
 )
+from repro.core.provenance import plan_provenance
 from repro.core.smallplan import (
     SmallAggregate,
     SmallBlockLeaf,
@@ -114,6 +123,7 @@ class StreamPipelineUnit(ExecutionUnit):
         for op in iter_ops(root_op):
             if isinstance(op, AggregateOp):
                 produces.add(op.block_id)
+                consumes.update(gate.side_id for gate in op.gates)
             elif isinstance(op, UncertainJoinOp):
                 consumes.add(op.side_id)
         self.produces = frozenset(produces)
@@ -214,6 +224,9 @@ class OnlineCompiler:
         # Scans narrowed to the columns the plan reads; node ids (the keys
         # of ``tags``) are kept.
         self.plan = prune_scans(plan, self.schemas)
+        #: join node id -> (id of the aggregate gating its membership,
+        #: the gate): the joins that compile to no operator.
+        self._gates = _group_gates(self.plan, streamed_table, self.schemas)
         self.units: list[ExecutionUnit] = []
         #: node_id -> compiled ref, for plan nodes referenced more than
         #: once (a subquery bound to a variable and reused, e.g. the
@@ -416,6 +429,8 @@ class OnlineCompiler:
                 value_cols=[c for c, _ in attach_cols],
             )
             self.units.append(SmallSegmentUnit(unit))
+            if node.node_id in self._gates:
+                return stream_ref  # the aggregate above gates by group
             return _Ref(
                 stream=UncertainJoinOp(
                     stream_ref.stream,
@@ -453,9 +468,69 @@ class OnlineCompiler:
             self._schema(node),
             block_id=node.node_id,
             sample_weighted=child_tags.sample_weighted,
+            gates=[
+                gate for agg_id, gate in self._gates.values() if agg_id == node.node_id
+            ],
         )
         self.units.append(StreamPipelineUnit(op))
         return _Ref(small=SmallBlockLeaf(node.node_id))
+
+
+def _group_gates(
+    plan: PlanNode, streamed_table: str, schemas
+) -> dict[int, tuple[int, GroupGate]]:
+    """The joins an aggregate above them gates by group: join node id ->
+    (aggregate node id, gate).
+
+    A join qualifies when it is the stream (left) side's lookup into a
+    small side that attaches no column, so the side only decides each
+    row's membership by key; when every stream key column copies a fact
+    column that some group-key column of the aggregate also copies, so
+    all rows of one group share one side key; and when the path between
+    them only filters, projects, renames or joins (each plan node used
+    once), so the aggregate sees the join's rows.
+    """
+    prov = plan_provenance(plan, streamed_table)
+    uses = Counter(node.node_id for node in plan.walk())
+    gates: dict[int, tuple[int, GroupGate]] = {}
+    for node in plan.walk():
+        if not isinstance(node, (Aggregate, Distinct)):
+            continue
+        child = prov[node.child.node_id]
+        if child.kind != "stream":
+            continue
+        keys = node.group_by if isinstance(node, Aggregate) else node.columns
+        # fact column -> the first group-key column copying it
+        by_fact = {
+            fact: key
+            for key in reversed(keys)
+            if (fact := child.columns.get(key)) is not None
+        }
+        below = node.child
+        while isinstance(below, (Select, Project, Rename, Join)):
+            if not isinstance(below, Join):
+                below = below.child
+                continue
+            left, right = prov[below.left.node_id], prov[below.right.node_id]
+            if left.kind != "stream":
+                if right.kind != "stream":
+                    break
+                below = below.right
+                continue
+            columns = [by_fact.get(left.columns.get(k)) for k in below.left_keys]
+            if (
+                right.kind == "small"
+                and below.keys
+                and None not in columns
+                and uses[below.node_id] == 1
+                and below.output_schema(schemas).names
+                == below.left.output_schema(schemas).names
+            ):
+                gates[below.node_id] = (
+                    node.node_id, GroupGate(below.node_id, tuple(columns))
+                )
+            below = below.left
+    return gates
 
 
 def _col(name: str):

@@ -25,7 +25,7 @@ in a named :class:`~repro.state.StateStore` (see
 :mod:`repro.core.operators.base` for the lifecycle contract).
 """
 
-from repro.core.operators.aggregate import AggregateOp
+from repro.core.operators.aggregate import AggregateOp, GroupGate
 from repro.core.operators.base import (
     DeltaBatch,
     SpineOp,
@@ -46,6 +46,7 @@ __all__ = [
     "AggregateOp",
     "DeltaBatch",
     "FilterOp",
+    "GroupGate",
     "ProjectOp",
     "RenameOp",
     "RowSinkOp",

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import BlockOutput, GroupKey, GroupValue, RuntimeContext
+from repro.core.blocks import (
+    BlockOutput,
+    GroupKey,
+    GroupValue,
+    RuntimeContext,
+    membership,
+)
 from repro.core.classify import FALSE, PENDING, TRUE, UNKNOWN
 from repro.core.operators.base import (
     DeltaBatch,
@@ -306,14 +312,9 @@ class UncertainJoinOp(SpineOp):
         """Current contribution of attached-but-unresolved rows (``rel``'s
         rows at ``rows``, all for None), read by their side ``gids``."""
         view = ctx.blocks.get(self.side_id)
-        n = len(gids)
-        if n == 0 or view is None:
+        if len(gids) == 0 or view is None:
             return self._empty_out(ctx)
-        point = np.zeros(n, dtype=bool)
-        trials = np.zeros((n, ctx.num_trials), dtype=bool)
-        present = ~view.absent(gids)
-        point[present] = view.member_point[gids[present]]
-        trials[present] = view.exist[gids[present]]
+        point, trials, _ = membership(view, gids, ctx.num_trials)
         return mask_contribution(rel, (point, trials), rows)
 
     def _empty_out(self, ctx: RuntimeContext) -> Relation:

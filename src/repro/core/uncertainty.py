@@ -40,7 +40,7 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.expressions import Col, Comparison, conjuncts
+from repro.relational.expressions import Col, Comparison, Expression, conjuncts
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,11 @@ REFUSAL_RULES: dict[str, tuple[str, str]] = {
         "UNION between aggregate-derived inputs is not executable online",
         "union the raw inputs below the aggregates, or compute the union in "
         "a post-processing small plan",
+    ),
+    "TC112": (
+        "expression over aggregate outputs computes beyond + - * / (no array kernel)",
+        "keep computation over aggregate outputs to + - * /, or apply other "
+        "functions to the final result",
     ),
 }
 
@@ -226,6 +231,8 @@ def _tag_inner(
                     f"{sorted(touched)}; move the computation into the "
                     "consuming predicate or aggregate (lazy evaluation)",
                 )
+            elif not uncertain_arithmetic(expr, child.uncertain_cols):
+                refuse("TC112", _no_kernel(f"projection {name!r}", expr, touched))
         return NodeTags(
             child.tuple_uncertain,
             frozenset(out_uncertain),
@@ -311,6 +318,14 @@ def _tag_inner(
                 )
             if input_changes:
                 agg_uncertain.add(spec.name)
+        for spec in node.aggs:
+            touched = spec.attrs() & child.uncertain_cols
+            if (
+                spec.arg is not None
+                and not child.raw_stream
+                and not uncertain_arithmetic(spec.arg, child.uncertain_cols)
+            ):
+                refuse("TC112", _no_kernel(f"aggregate {spec.name!r}", spec.arg, touched))
         # Over a stream, an uncertain argument is re-evaluated lazily from
         # its lineage references each batch (Section 6.2).
         lazy = [
@@ -349,3 +364,10 @@ def _tag_inner(
 
     refuse("TC101", f"cannot analyze node {type(node).__name__}")
     return STATIC_TAGS
+
+
+def _no_kernel(what: str, expr: Expression, touched: frozenset[str] | set[str]) -> str:
+    return (
+        f"{what} computes {expr!r} over uncertain columns {sorted(touched)}; "
+        "the engine carries ranges and trials through + - * / only"
+    )

@@ -323,9 +323,8 @@ class ShardedQueryEngine:
         # itself (ties: lowest index; an empty stream's one empty batch
         # runs as shard 0) and forks one worker per other live shard.
         key = shard_plan.shard_key
-        owned = np.bincount(
-            shard_ids(streamed, key, self.shards), minlength=self.shards
-        )
+        owners = shard_ids(streamed, key, self.shards)
+        owned = np.bincount(owners, minlength=self.shards)
         local_index = int(np.argmax(owned))
         remote = [s for s in range(self.shards) if owned[s] and s != local_index]
 
@@ -340,6 +339,7 @@ class ShardedQueryEngine:
             partition_mode=self.partition_mode,
             shard=ShardSpec(index=local_index, count=self.shards, key=key),
             collect_counters=obs.enabled,
+            owners=owners,
         )
         run_span = tracer.span(
             "run", cat="run",
@@ -361,7 +361,7 @@ class ShardedQueryEngine:
                 workers[s] = _WorkerHandle(mp_ctx, dataclasses.replace(init, shard=shard))
             local = _LocalShard(self.catalog, init)
             # The parent's session has the global batch sizes and schema.
-            batch_sizes = [len(ix) for ix in local.session.batches.indices]
+            batch_sizes = local.session.batches.sizes
             schema = local.session.compiled.result_schema
             if run_span:
                 run_span.set(num_batches=len(batch_sizes))

@@ -10,8 +10,9 @@ float operations in the same order as the serial engine, and the sink
 merge is a plain disjoint union — no cross-shard arithmetic, hence no
 float-reassociation drift.
 
-The analysis walks the logical plan tracking column *provenance*: which
-output columns are an unmodified copy of a streamed fact column. Each
+The analysis reads the plan's column *provenance*
+(:func:`repro.core.provenance.plan_provenance`): which output columns
+are an unmodified copy of a streamed fact column. Each
 aggregate over stream-derived input constrains the shard key to the
 fact-column subset of its group-by; each join between stream-derived
 inputs constrains it to the join-key columns both sides derive from the
@@ -27,22 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.relational.algebra import (
-    Aggregate,
-    Distinct,
-    Join,
-    PlanNode,
-    Project,
-    Rename,
-    Scan,
-    Select,
-    Union,
-)
-from repro.relational.expressions import Col
-
-#: Provenance: output column name -> streamed fact column it copies
-#: unmodified, or None (computed / static / aggregate output).
-_Mapping = dict[str, "str | None"]
+from repro.core.provenance import Provenance, plan_provenance
+from repro.errors import UnsupportedQueryError
+from repro.relational.algebra import Aggregate, Distinct, Join, PlanNode, Union
 
 
 @dataclass(frozen=True)
@@ -59,24 +47,23 @@ class ShardPlan:
     result_key_cols: tuple[str, ...] = ()
 
 
-class _NotShardable(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def analyze_shardability(plan: PlanNode, streamed_table: str) -> ShardPlan:
     """Decide whether ``plan`` admits group-key sharding over the stream."""
-    constraints: list[frozenset[str]] = []
     try:
-        kind, mapping = _walk(plan, streamed_table, constraints)
-    except _NotShardable as exc:
-        return ShardPlan(False, reason=exc.reason)
-    if kind == "static":
+        nodes = plan_provenance(plan, streamed_table)
+    except UnsupportedQueryError as exc:
+        return ShardPlan(False, reason=str(exc))
+    constraints: list[frozenset[str]] = []
+    for prov in nodes.values():
+        reason = _constrain(prov, nodes, constraints)
+        if reason is not None:
+            return ShardPlan(False, reason=reason)
+    root = nodes[plan.node_id]
+    if root.kind == "static":
         return ShardPlan(
             False, reason="result does not depend on the streamed table"
         )
-    if kind == "stream":
+    if root.kind == "stream":
         return ShardPlan(
             False,
             reason="row-stream result (no aggregate boundary to merge at)",
@@ -90,110 +77,56 @@ def analyze_shardability(plan: PlanNode, streamed_table: str) -> ShardPlan:
             reason="aggregates/joins share no common fact-column group key",
         )
     result_key_cols = tuple(
-        sorted(name for name, fact in mapping.items() if fact in key)
+        sorted(name for name, fact in root.columns.items() if fact in key)
     )
     return ShardPlan(
         True, shard_key=tuple(sorted(key)), result_key_cols=result_key_cols
     )
 
 
-def _walk(
-    node: PlanNode, streamed: str, constraints: list[frozenset[str]]
-) -> tuple[str, _Mapping]:
-    """Returns (kind, provenance) for ``node``'s output.
+def _constrain(
+    prov: Provenance,
+    nodes: dict[int, Provenance],
+    constraints: list[frozenset[str]],
+) -> str | None:
+    """Append the shard-key constraint ``prov``'s node imposes, or return
+    why no shard key can satisfy it."""
+    node = prov.node
+    if prov.kind == "static":
+        return None
 
-    ``kind`` mirrors the online compiler's dataflow classes: ``static``
-    (no streamed input), ``stream`` (row stream of fact-derived tuples),
-    ``small`` (aggregate-bounded block output).
-    """
-    if isinstance(node, Scan):
-        if node.table == streamed:
-            return "stream", {name: name for name in node.schema.names}
-        return "static", {}
-
-    if isinstance(node, Select):
-        return _walk(node.child, streamed, constraints)
-
-    if isinstance(node, Project):
-        kind, mapping = _walk(node.child, streamed, constraints)
-        out: _Mapping = {}
-        for name, expr in node.outputs:
-            out[name] = mapping.get(expr.name) if isinstance(expr, Col) else None
-        return kind, out
-
-    if isinstance(node, Rename):
-        kind, mapping = _walk(node.child, streamed, constraints)
-        return kind, {
-            node.mapping.get(name, name): fact for name, fact in mapping.items()
-        }
-
-    if isinstance(node, Distinct):
-        # Lowered to a COUNT aggregate over its columns by the rewriter,
-        # so it carries the same group-key constraint as an Aggregate.
-        kind, mapping = _walk(node.child, streamed, constraints)
-        if kind == "static":
-            return "static", {}
-        out = {name: mapping.get(name) for name in node.columns}
-        facts = frozenset(f for f in out.values() if f is not None)
+    if isinstance(node, (Aggregate, Distinct)):
+        # A group must live on one shard: the shard key sits inside the
+        # fact columns the group key copies.
+        facts = frozenset(f for f in prov.columns.values() if f is not None)
         if not facts:
-            raise _NotShardable(
-                f"distinct over no streamed fact column: {node.columns}"
-            )
+            if isinstance(node, Distinct):
+                return f"distinct over no streamed fact column: {node.columns}"
+            if not node.group_by:
+                return "scalar aggregate over the stream"
+            return f"aggregate groups by no streamed fact column: {node.group_by}"
         constraints.append(facts)
-        return "small", out
-
-    if isinstance(node, Aggregate):
-        kind, mapping = _walk(node.child, streamed, constraints)
-        if kind == "static":
-            return "static", {}
-        out = {name: mapping.get(name) for name in node.group_by}
-        facts = frozenset(f for f in out.values() if f is not None)
-        if not facts:
-            raise _NotShardable(
-                "scalar aggregate over the stream"
-                if not node.group_by
-                else f"aggregate groups by no streamed fact column: "
-                f"{node.group_by}"
-            )
-        constraints.append(facts)
-        for spec in node.aggs:
-            out[spec.name] = None
-        return "small", out
+        return None
 
     if isinstance(node, Union):
-        lkind, lmap = _walk(node.left, streamed, constraints)
-        rkind, rmap = _walk(node.right, streamed, constraints)
-        if lkind == "static" and rkind == "static":
-            return "static", {}
-        if "static" in (lkind, rkind):
+        kinds = {nodes[node.left.node_id].kind, nodes[node.right.node_id].kind}
+        if "static" in kinds:
             # Static rows bypass stream partitioning entirely; no shard
             # owns them exclusively.
-            raise _NotShardable("union of streamed and static inputs")
-        if lkind != rkind:
-            raise _NotShardable("union of stream and aggregate subplans")
-        out = {
-            name: (fact if fact is not None and rmap.get(name) == fact else None)
-            for name, fact in lmap.items()
-        }
-        return lkind, out
+            return "union of streamed and static inputs"
+        if len(kinds) > 1:
+            return "union of stream and aggregate subplans"
+        return None
 
     if isinstance(node, Join):
-        lkind, lmap = _walk(node.left, streamed, constraints)
-        rkind, rmap = _walk(node.right, streamed, constraints)
-        if lkind == "static" and rkind == "static":
-            return "static", {}
-        if {lkind, rkind} == {"stream"}:
-            raise _NotShardable("join of two raw streams")
-        # Output schema: left columns + right columns minus right keys.
-        dropped = set(node.right_keys)
-        out = dict(lmap)
-        for name, fact in rmap.items():
-            if name not in dropped:
-                out[name] = fact if rkind != "static" else None
-        if "static" in (lkind, rkind):
+        left, right = nodes[node.left.node_id], nodes[node.right.node_id]
+        kinds = {left.kind, right.kind}
+        if kinds == {"stream"}:
+            return "join of two raw streams"
+        if "static" in kinds:
             # Broadcast join against a replicated static side: row-local
             # on the streamed side, no ownership constraint.
-            return (lkind if rkind == "static" else rkind), out
+            return None
         # stream x small or small x small: the side groups a stream row
         # (or a group row) looks up must live on the row's own shard, so
         # the shard key must sit inside the join keys both sides derive
@@ -201,15 +134,13 @@ def _walk(
         matched = frozenset(
             lf
             for lk, rk in node.keys
-            if (lf := lmap.get(lk)) is not None and rmap.get(rk) == lf
+            if (lf := left.columns.get(lk)) is not None
+            and right.columns.get(rk) == lf
         )
         if not matched:
-            raise _NotShardable(
+            return (
                 "join between stream/aggregate subplans has no shared "
-                "fact-column key"
-                + (" (cross join)" if not node.keys else "")
+                "fact-column key" + (" (cross join)" if not node.keys else "")
             )
         constraints.append(matched)
-        return ("stream" if "stream" in (lkind, rkind) else "small"), out
-
-    raise _NotShardable(f"unsupported plan node {type(node).__name__}")
+    return None

@@ -35,7 +35,7 @@ from repro.relational import (
     sum_,
 )
 from repro.relational.algebra import PlanNode
-from repro.relational.expressions import Or
+from repro.relational.expressions import Arith, Or
 from repro.workloads import (
     CONVIVA_QUERIES,
     TPCH_QUERIES,
@@ -185,6 +185,20 @@ def test_tc111_union_with_aggregate_derived_input(refusals):
     assert "TC111" in refusals(inner.union(_kx()))
 
 
+def test_tc112_small_segment_expression_without_a_kernel(kx_catalog, refusals):
+    # A projection and an aggregate argument over aggregate outputs run in
+    # small segments, whose arithmetic is + - * / only.
+    per_k = _kx().aggregate(["k"], [avg("x", "ax")])
+    modulo = Arith("%", col("ax"), lit(7.0))
+    plan = per_k.project([("k", col("k")), ("m", modulo)])
+    assert refusals(plan) == {"TC112"}
+    with pytest.raises(UnsupportedQueryError) as exc:
+        compile_online(plan, kx_catalog, "t")
+    assert exc.value.rule_id == "TC112" and exc.value.node is plan
+    assert refusals(per_k.aggregate([], [sum_(modulo, "sm")])) == {"TC112"}
+    assert not refusals(per_k.project([("k", col("k")), ("m", col("ax") * 7.0 - 1.0)]))
+
+
 def test_every_refusal_is_reported(refusals):
     # One run reports all problems of a plan; the compiler raises the first.
     plan = _with_uncertain().aggregate(["ax"], [min_("x", "mn"), stddev("ax", "sd")])
@@ -314,6 +328,21 @@ def test_tc311_planted_store_shared_by_two_units(tpch_catalog):
     first, second = pipelines[0].root_op, pipelines[1].root_op
     second.state = first.state
     assert "TC311" in _rules_of(check_units(pipelines))
+
+
+def test_tc312_gate_outside_group_key(tpch_catalog):
+    spec = TPCH_QUERIES["Q18"]
+    units = compile_online(spec.plan, tpch_catalog, spec.streamed_table).units
+    (agg,) = [
+        op
+        for unit in units
+        if isinstance(unit, StreamPipelineUnit)
+        for op in iter_ops(unit.root_op)
+        if isinstance(op, AggregateOp) and op.gates
+    ]
+    assert not _rules_of(check_units(units))
+    agg.gates[0] = agg.gates[0]._replace(columns=("quantity",))
+    assert "TC312" in _rules_of(check_pipeline(agg))
 
 
 def test_tc307_cross_checks_deterministic_filter():

@@ -18,7 +18,7 @@ import pytest
 from repro.batching import BatchSource, Partitioner, StratifiedPartitioner
 from repro.batching import partitioner as partitioner_mod
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.engine.shards import ShardedQueryEngine
+from repro.engine.shards import ShardedQueryEngine, shard_ids
 from repro.relational import Catalog, col, count, scan, sum_
 from repro.relational.relation import LazyTrials, Relation
 from repro.storage import encode_relation, open_table, write_relation
@@ -212,42 +212,57 @@ class TestReplayRegathers:
         assert faulted.to_relation().bag_equal(clean.to_relation(), 9)
 
     def test_shard_respawn_regathers_same_bits(self, tmp_path, monkeypatch, conviva_small):
-        """A killed worker's replacement replays its prefix by gathering
-        each batch again; forked workers log their gathers to files."""
+        """Each shard gathers only its own rows of a batch: the shards'
+        index arrays are disjoint and together are the batch. A killed
+        worker's replacement replays its prefix by gathering exactly its
+        predecessor's bits; forked workers log their gathers to files."""
         real = partitioner_mod._materialize_batch
 
         def logging(relation, ix):
             batch = real(relation, ix)
             with open(tmp_path / f"{os.getpid()}.log", "a") as log:
-                log.write(
-                    f"{hashlib.sha256(ix.tobytes()).hexdigest()} "
-                    f"{relation_digest(batch)}\n"
-                )
+                log.write(f"{','.join(map(str, ix))} {relation_digest(batch)}\n")
             return batch
 
         monkeypatch.setattr(partitioner_mod, "_materialize_batch", logging)
         spec = CONVIVA_QUERIES["C2"]
-        engine = ShardedQueryEngine(
-            conviva_small.catalog(), spec.streamed_table,
-            OnlineConfig(num_trials=8, seed=4, shards=2, faults="shard@4:1"),
-        )
+        catalog = conviva_small.catalog()
+        config = OnlineConfig(num_trials=8, seed=4, shards=2, faults="shard@4:1")
+        engine = ShardedQueryEngine(catalog, spec.streamed_table, config)
         final = engine.run_to_completion(spec.plan, 6)
         assert final.is_final and engine.shard_respawns == 1
-        logs = [p.read_text().split("\n")[:-1] for p in tmp_path.glob("*.log")]
-        # Shard 0, the killed shard 1 and its replacement.
-        assert len(logs) == 3
-        digests: dict[str, set[str]] = {}
-        gatherers: dict[str, int] = {}
-        for log in logs:
-            for ix in {line.split()[0] for line in log}:
-                gatherers[ix] = gatherers.get(ix, 0) + 1
-            for line in log:
-                ix, digest = line.split()
-                digests.setdefault(ix, set()).add(digest)
-        assert all(len(d) == 1 for d in digests.values())
-        # Batches 1-3 ran in all three processes (the replacement replayed
-        # them), batches 4-6 in shard 0 and the replacement only.
-        assert sorted(gatherers.values()) == [2, 2, 2, 3, 3, 3]
+
+        stream = catalog.get(spec.streamed_table)
+        owner = shard_ids(stream, engine.shard_plan.shard_key, 2)
+        batches = Partitioner(seed=4).partition_indices(len(stream), 6)
+        batch_of = np.empty(len(stream), dtype=np.intp)
+        for b, ix in enumerate(batches, start=1):
+            batch_of[ix] = b
+        # (shard, batch) -> [(index array, digest)], one entry per gather
+        # (a recovery replay inside a shard gathers its prefix again), and
+        # the processes that gathered it.
+        gathered: dict[tuple[int, int], list[tuple[np.ndarray, str]]] = {}
+        gatherers: dict[tuple[int, int], set[str]] = {}
+        for path in tmp_path.glob("*.log"):
+            for line in path.read_text().splitlines():
+                text, digest = line.split()
+                ix = np.array(text.split(","), dtype=np.intp)
+                shard, batch = np.unique(owner[ix]), np.unique(batch_of[ix])
+                assert len(shard) == len(batch) == 1, "a gather crossed shards or batches"
+                key = (int(shard[0]), int(batch[0]))
+                gathered.setdefault(key, []).append((ix, digest))
+                gatherers.setdefault(key, set()).add(path.name)
+        for b, ix in enumerate(batches, start=1):
+            parts = [gathered[(s, b)][0][0] for s in range(2)]
+            assert np.array_equal(np.sort(np.concatenate(parts)), ix)
+        # Shard 1 was killed before batch 4: its replacement, a second
+        # process, regathered batches 1-3 with the same bits.
+        counts = {key: len(names) for key, names in gatherers.items()}
+        assert counts == {
+            (s, b): 2 if s == 1 and b < 4 else 1 for s in range(2) for b in range(1, 7)
+        }
+        for runs in gathered.values():
+            assert len({(ix.tobytes(), digest) for ix, digest in runs}) == 1
 
 
 class TestSanitizedSequential:

@@ -99,6 +99,20 @@ class TestMain:
         assert "unsupported query [TC105] at Aggregate#" in line
         assert "MIN is not Hadamard" in line and "Traceback" not in err
 
+    def test_hda_unsupported_query_is_one_line_and_exit_2(self, capsys):
+        code, out, err = self.run(
+            ["--workload", "conviva", "--scale", "0.05", "--batches", "3",
+             "--engine", "hda", "SELECT MIN(play_time) AS mn FROM sessions"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        [line] = err.strip().splitlines()
+        assert line.endswith(
+            "unsupported query: HDA maintains innermost aggregates as delta "
+            "sketches; MIN is not decomposable"
+        )
+        assert "Traceback" not in err
+
     def test_batch_engine(self, capsys):
         code, out, err = self.run(
             ["--workload", "tpch", "--query", "Q6", "--engine", "batch",

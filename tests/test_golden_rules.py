@@ -50,7 +50,7 @@ from repro.relational import (
     sum_,
 )
 from repro.relational.algebra import PlanNode
-from repro.relational.expressions import Or
+from repro.relational.expressions import Arith, Or
 from tests.conftest import KX_SCHEMA
 
 #: Rules whose diagnostics legitimately carry no hint: TC306/TC307 are
@@ -113,6 +113,9 @@ REFUSED_PLANS: dict[str, Callable[[], PlanNode]] = {
     "TC111": lambda: _kx()
     .aggregate(["k"], [avg("x", "x"), avg("y", "y")])
     .union(_kx()),
+    "TC112": lambda: _kx()
+    .aggregate(["k"], [avg("x", "ax")])
+    .project([("m", Arith("%", col("ax"), lit(7.0)))]),
 }
 
 
@@ -201,6 +204,18 @@ def _tc311(ctx):
     first, second = ScanOp("t", KX_SCHEMA), ScanOp("t", KX_SCHEMA)
     second.state = first.state
     return check_units([StreamPipelineUnit(first), StreamPipelineUnit(second)])
+
+
+def _tc312(ctx):
+    from repro.core.operators import AggregateOp, GroupGate
+
+    plan = _kx().aggregate(["k"], [sum_("x", "sx")])
+    schema = plan.output_schema(ctx.catalog.schemas())
+    agg = AggregateOp(
+        ScanOp("t", KX_SCHEMA), ["k"], plan.aggs, schema, block_id=1,
+        sample_weighted=True, gates=[GroupGate(2, ("y",))],
+    )
+    return check_pipeline(agg)
 
 
 # -- engine-lint fixtures ---------------------------------------------------
@@ -359,6 +374,7 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "TC109": _refused("TC109"),
     "TC110": _refused("TC110"),
     "TC111": _refused("TC111"),
+    "TC112": _refused("TC112"),
     "TC301": _tc301,
     "TC302": _tc302,
     "TC303": _tc303,
@@ -370,6 +386,7 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "TC309": _tc309,
     "TC310": _tc310,
     "TC311": _tc311,
+    "TC312": _tc312,
     "ENG001": _eng001,
     "ENG002": _eng002,
     "ENG003": _eng003,
