@@ -87,7 +87,7 @@ def _fresh_ctx():
     rel = random_kx(10, seed=0, groups=2)
     ctx = RuntimeContext(Catalog({"t": rel}), "t", len(rel), OnlineConfig(num_trials=5))
     bm = BatchMetrics(1)
-    ctx.begin_batch(1, rel, bm)
+    ctx.begin_batch(1, rel, bm, len(rel))
     return ctx, bm
 
 

@@ -20,7 +20,7 @@ from repro.core import blocks as blocks_module
 from repro.core.blocks import RuntimeContext
 from repro.core.operators.scan import ScanOp
 from repro.core.sketch import AggBundle
-from repro.engine.shards.envelope import ShardSpec
+from repro.engine.shards.envelope import ShardSpec, shard_ids
 from repro.engine.shards.worker import ShardWorkerEngine
 from repro.kernels.joins import vectorized_join
 from repro.metrics.stats import BatchMetrics
@@ -161,8 +161,8 @@ def recorder(monkeypatch):
     log = {"deltas": [], "draws": []}
     begin, draw = RuntimeContext.begin_batch, RuntimeContext.draw_trials
 
-    def begin_batch(self, batch_no, delta, metrics):
-        begin(self, batch_no, delta, metrics)
+    def begin_batch(self, batch_no, delta, metrics, rows):
+        begin(self, batch_no, delta, metrics, rows)
         log["deltas"].append((batch_no, self.delta))
 
     def draw_trials(self, ids):
@@ -207,11 +207,12 @@ class TestWeightsDoNotDependOnTheConfiguration:
         table = random_kx(600, seed=2, groups=7)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("y", "s")])
         owned = []
+        owners = shard_ids(table, ("k",), shards)
         for index in range(shards):
             recorder["deltas"].clear(), recorder["draws"].clear()
             engine = ShardWorkerEngine(
                 Catalog({"t": table}), "t", OnlineConfig(num_trials=T, seed=4),
-                "shuffle", ShardSpec(index, shards, ("k",)),
+                "shuffle", ShardSpec(index, shards, ("k",)), owners,
             )
             session = engine.open_run(plan, 6)
             try:
@@ -270,13 +271,13 @@ class TestWeightsDoNotDependOnTheConfiguration:
     def test_a_hand_built_delta_gets_arrival_order_ids(self):
         ctx = RuntimeContext(Catalog({}), "t", 30, OnlineConfig(num_trials=T, seed=3))
         first, second = random_kx(10, seed=1), random_kx(20, seed=2)
-        ctx.begin_batch(1, first, BatchMetrics(1))
+        ctx.begin_batch(1, first, BatchMetrics(1), 10)
         assert ctx.delta._trials.ids.tolist() == list(range(10))
-        ctx.begin_batch(2, second, BatchMetrics(2))
+        ctx.begin_batch(2, second, BatchMetrics(2), 20)
         assert ctx.delta._trials.ids.tolist() == list(range(10, 30))
         assert (ctx.delta.trial_mults == trial_multiplicities(20, T, 3, "t", np.arange(10, 30))).all()
         # Trials a caller attached are replaced, as they always were.
-        ctx.begin_batch(3, first.with_mult(first.mult, np.ones((10, T))), BatchMetrics(3))
+        ctx.begin_batch(3, first.with_mult(first.mult, np.ones((10, T))), BatchMetrics(3), 10)
         assert ctx.delta.trial_mults.dtype == np.uint8
 
 
@@ -302,8 +303,8 @@ def test_lazy_equals_eager(name, tpch_small, conviva_small, monkeypatch):
     lazy = run_all(spec, catalog)
     begin = RuntimeContext.begin_batch
 
-    def eager_begin(self, batch_no, delta, metrics):
-        begin(self, batch_no, delta, metrics)
+    def eager_begin(self, batch_no, delta, metrics, rows):
+        begin(self, batch_no, delta, metrics, rows)
         self._delta = self._delta.with_drawn_trials()
 
     monkeypatch.setattr(RuntimeContext, "begin_batch", eager_begin)

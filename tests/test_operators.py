@@ -44,7 +44,7 @@ def make_ctx(catalog=None, total=100):
 
 
 def feed(ctx, batch_no, delta):
-    ctx.begin_batch(batch_no, delta, BatchMetrics(batch_no))
+    ctx.begin_batch(batch_no, delta, BatchMetrics(batch_no), len(delta))
 
 
 class _Fixed(SpineOp):

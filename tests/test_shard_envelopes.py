@@ -27,6 +27,7 @@ from repro.engine.shards import (
     ShardResult,
     ShardSpec,
     StopTask,
+    shard_ids,
 )
 from repro.metrics.stats import BatchMetrics
 from repro.relational import ColumnType, Schema, relation_from_columns
@@ -216,9 +217,11 @@ class TestEnvelopeRoundTrip:
             num_batches=4,
             partition_mode="shuffle",
             shard=ShardSpec(index=1, count=2, key=("returnflag",)),
+            owners=shard_ids(catalog.get("lineorder"), ("returnflag",), 2),
         )
         back = roundtrip(task)
         assert back.shard == ShardSpec(1, 2, ("returnflag",))
+        assert np.array_equal(back.owners, task.owners)
         assert back.config.num_trials == 8 and back.config.shards == 2
         assert set(back.tables) == set(task.tables)
         assert_relation_equal(
