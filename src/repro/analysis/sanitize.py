@@ -60,8 +60,9 @@ def _buffers_of(obj: Any) -> Iterator[np.ndarray]:
     """Duck-typed sweep of every ndarray a dataflow message carries.
 
     Understands ``DeltaBatch`` (certain/volatile), ``Relation``
-    (columns, mult, the trial matrix or the row ids of undrawn trials,
-    encoding and lineage sidecars), lists, tuples, and bare arrays;
+    (columns, attached gid columns included; mult; the trial matrix or
+    the row ids of undrawn trials; encoding sidecars), lists, tuples, and
+    bare arrays;
     silently skips anything else.
     """
     if obj is None:
@@ -93,12 +94,6 @@ def _buffers_of(obj: Any) -> Iterator[np.ndarray]:
                 arr = getattr(enc, attr, None)
                 if isinstance(arr, np.ndarray):
                     yield arr
-    lineage = getattr(obj, "lineage", None)
-    if isinstance(lineage, dict):
-        for lin in lineage.values():
-            arr = getattr(lin, "gids", None)
-            if isinstance(arr, np.ndarray):
-                yield arr
 
 
 def _base(arr: np.ndarray) -> np.ndarray:

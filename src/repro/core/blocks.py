@@ -11,11 +11,13 @@ work:
   gid, the uncertain aggregate values (point estimate + bootstrap trials +
   variation range) and the group's own existence uncertainty (a group
   backed only by non-deterministic tuples may still disappear from some
-  bootstrap trials); :class:`GroupValue` is the row form of one group;
+  bootstrap trials). The gid is the only per-row lineage: a stream row
+  references a group by its gid, and every read of an uncertain cell is
+  a gather by gid from these arrays;
 * :class:`RuntimeContext` — everything an operator needs during one
   mini-batch: the batch number and scale factor, this batch's delta
   relations (with their Poisson trial multiplicities), the block registry
-  for lazy lineage resolution, the range monitor, metrics, and the
+  the gids are resolved against, the range monitor, metrics, and the
   feature flags for the Figure 9(a) ablations.
 """
 
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.bootstrap.poisson import trial_multiplicities
 from repro.core.ranges import RangeMonitor
-from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.errors import ReproError
 from repro.metrics.stats import BatchMetrics
 from repro.obs.session import NULL_OBS
@@ -44,62 +45,20 @@ GroupKey = tuple
 MEMBER_FALSE, MEMBER_TRUE, MEMBER_UNKNOWN = 0, 1, 2
 
 
-@dataclass
-class GroupValue:
-    """One group's published state in a block output.
-
-    Besides the aggregate values, a group carries its *membership* state
-    for consumers that join against the block: plain aggregate blocks
-    publish every group as a member, while filtered views (HAVING /
-    IN-subquery sides) classify membership against variation ranges —
-    ``MEMBER_TRUE``/``MEMBER_FALSE`` are stable decisions, and
-    ``MEMBER_UNKNOWN`` groups expose their current point decision and the
-    per-bootstrap-trial decisions.
-    """
-
-    key: GroupKey
-    #: column name -> UncertainValue (aggregates) or scalar (group keys).
-    values: dict[str, object]
-    #: The group contains at least one tuple without tuple uncertainty, so
-    #: its existence is settled (the AGGREGATE ``u#`` rule of Section 4.1).
-    certain: bool
-    #: Range-classified membership: MEMBER_TRUE / MEMBER_FALSE / MEMBER_UNKNOWN.
-    member_status: int = MEMBER_TRUE
-    #: Current point decision of the membership predicate.
-    member_point: bool = True
-    #: Per-bootstrap-trial existence/membership (None = all trials).
-    exist_trials: np.ndarray | None = None
-
-    def exist_in_trial(self, num_trials: int) -> np.ndarray:
-        if self.exist_trials is None:
-            return np.ones(num_trials, dtype=bool)
-        return self.exist_trials
-
-    @property
-    def certainly_in(self) -> bool:
-        return self.certain and self.member_status == MEMBER_TRUE
-
-    @property
-    def certainly_out(self) -> bool:
-        return self.member_status == MEMBER_FALSE
-
-
 class GroupIndex:
     """Append-only ``key -> gid`` map of one lineage block, for a whole run.
 
     Gids follow first publication and never change — recovery resets
-    operator state, not this index — so a gid stored in a sidecar or
+    operator state, not this index — so a gid stored in a relation or
     sentinel stays valid across a replay. A pass-through view shares the
-    index of the block it renames, hence ref pools per
-    ``(block, column)``.
+    index of the block it renames.
     """
 
-    __slots__ = ("keys", "gid_of", "_refs")
+    __slots__ = ("keys", "gid_of")
 
     def __init__(self) -> None:
         self.keys: list[GroupKey] = []
         self.gid_of: dict[GroupKey, int] = {}
-        self._refs: dict[tuple[int, str], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -116,19 +75,6 @@ class GroupIndex:
                     if gids[i] == len(self.keys):
                         self.keys.append(key)
         return np.array(gids, dtype=np.intp)
-
-    def refs(self, block_id: int, column: str) -> np.ndarray:
-        """Object array ``gid -> LineageRef(block_id, key, column)``: one
-        shared ref per group (refs compare by value), grown with the index."""
-        pool = self._refs.get((block_id, column))
-        have = 0 if pool is None else len(pool)
-        if have < len(self.keys):
-            grown = np.empty(len(self.keys), dtype=object)
-            grown[:have] = pool[:have] if have else ()
-            for gid in range(have, len(grown)):
-                grown[gid] = LineageRef(block_id, self.keys[gid], column)
-            pool = self._refs[(block_id, column)] = grown
-        return pool
 
 
 class UColumn(NamedTuple):
@@ -147,12 +93,17 @@ class BlockOutput:
     publish time, replaced whole each batch and never written after
     publish — pass-through views share them. ``order`` lists
     the gids this batch published, in publication order (``present`` is
-    its mask; other gids hold NaN / unbounded / empty filler); ``certain``
-    / ``member_status`` / ``member_point`` / ``exist (G, T)`` are the
-    :class:`GroupValue` membership fields; :meth:`ucol` is an uncertain
-    value column, :meth:`det_values` a plain one. :class:`GroupValue` rows
-    are a cache over the arrays (:meth:`get`, :meth:`rows`,
-    :attr:`groups`), the one thing written after publish.
+    its mask; other gids hold NaN / unbounded / empty filler).
+
+    Per gid, ``certain`` says the group contains a tuple without tuple
+    uncertainty, so its existence is settled (the AGGREGATE ``u#`` rule
+    of Section 4.1); ``member_status`` is its range-classified membership
+    for consumers that join against the block (plain aggregate blocks
+    publish every group as a TRUE member; filtered views classify it:
+    ``MEMBER_TRUE`` / ``MEMBER_FALSE`` are stable, ``MEMBER_UNKNOWN``
+    groups expose their current decision ``member_point`` and per-trial
+    ``exist (G, T)``). :meth:`ucol` is an uncertain value column,
+    :meth:`det_values` a plain one.
     """
 
     def __init__(
@@ -167,7 +118,6 @@ class BlockOutput:
         self.key_cols = key_cols
         self.value_cols = value_cols
         self.index = index if index is not None else GroupIndex()
-        self._rows: dict[int, GroupValue] = {}
         self._dets: dict[str, np.ndarray] = {}
         self._join_status: np.ndarray | None = None
         none = np.zeros(0, dtype=bool)
@@ -278,10 +228,8 @@ class BlockOutput:
         return self._dets[name].astype(dtype, copy=False)
 
     def column(self, name: str) -> "UColumn | np.ndarray | None":
-        """Column ``name`` by gid: a :class:`UColumn` if uncertain, else
-        plain (keys' dtype inferred); None if there is no such column."""
-        if name in self.key_cols:
-            return self.det_values(name, None)
+        """Value column ``name`` by gid: a :class:`UColumn` if uncertain,
+        else plain; None if there is no such value column."""
         return self._ucols.get(name, self._dets.get(name))
 
     @property
@@ -303,64 +251,14 @@ class BlockOutput:
         out[~out] = ~self.present[gids[~out]]
         return out
 
-    def gid(self, key: GroupKey) -> int:
-        """Gid of ``key`` if this batch published it, else ``-1``."""
-        gid = self.index.gid_of.get(key, -1)
-        return gid if 0 <= gid < len(self.present) and self.present[gid] else -1
-
     def probe(self, keys: Sequence[GroupKey]) -> np.ndarray:
-        """:meth:`gid` for many keys."""
+        """Gid of each of ``keys`` if this batch published it, else ``-1``."""
         gid_of = self.index.gid_of
         gids = np.fromiter(
             (gid_of.get(k, -1) for k in keys), dtype=np.intp, count=len(keys)
         )
         gids[self.absent(gids)] = -1
         return gids
-
-    # -- row view -------------------------------------------------------------------
-
-    @property
-    def groups(self) -> dict[GroupKey, GroupValue]:
-        """The whole output as rows, in publication order."""
-        return {group.key: group for group in self.rows(self.order.tolist())}
-
-    def get(self, key: GroupKey) -> GroupValue | None:
-        gid = self.gid(key)
-        return None if gid < 0 else self.rows([gid])[0]
-
-    def rows(self, gids: list[int]) -> list[GroupValue]:
-        """Row form of the published groups ``gids``, materialised on
-        first use and cached for the life of this output."""
-        cache = self._rows
-        missing = sorted(set(gids).difference(cache))
-        if missing:
-            at = np.asarray(missing, dtype=np.intp)
-            keys = self.index.keys
-            certain = self.certain[at].tolist()
-            status = self.member_status[at].tolist()
-            point = self.member_point[at].tolist()
-            # Gathers copy: a row owns its trial vectors.
-            exist = self.exist[at]
-            cols = [
-                (name, col.point[at].tolist(), col.trials[at], col.lo[at].tolist(),
-                 col.hi[at].tolist(), self.index.refs(self.block_id, name))
-                for name, col in self._ucols.items()
-            ]
-            dets = [(name, det[at].tolist()) for name, det in self._dets.items()]
-            for i, gid in enumerate(missing):
-                key = keys[gid]
-                values: dict[str, object] = dict(zip(self.key_cols, key))
-                for name, plain in dets:
-                    values[name] = plain[i]
-                for name, points, trials, lo, hi, refs in cols:
-                    values[name] = UncertainValue(
-                        points[i], trials[i], VariationRange(lo[i], hi[i]), refs[gid]
-                    )
-                cache[gid] = GroupValue(
-                    key, values, certain[i], status[i], point[i],
-                    None if certain[i] else exist[i],
-                )
-        return [cache[gid] for gid in gids]
 
     def __len__(self) -> int:
         return len(self.order)
@@ -551,24 +449,6 @@ class RuntimeContext:
     @property
     def num_trials(self) -> int:
         return self.config.num_trials
-
-    # -- lineage resolution (Section 6.2's broadcast-join lookup) -------------------
-
-    def block(self, block_id: int) -> BlockOutput:
-        try:
-            return self.blocks[block_id]
-        except KeyError:
-            raise ReproError(f"block {block_id} has not published output yet") from None
-
-    def resolve(self, ref: LineageRef) -> object | None:
-        """Current value of a lineage reference (None if group unseen)."""
-        output = self.blocks.get(ref.block_id)
-        if output is None:
-            return None
-        group = output.get(ref.key)
-        if group is None:
-            return None
-        return group.values.get(ref.column)
 
     def reset_for_replay(self) -> None:
         """Rewind the batch cursor to the start of the run before a

@@ -1,17 +1,16 @@
 """Range-based predicate classification (Sections 5.1–5.2).
 
-Given rows whose columns may hold uncertain values (either
-:class:`~repro.core.values.UncertainValue` cells or
-:class:`~repro.core.values.LineageRef` cells resolved against the block
-registry), a comparison ``x ϑ y`` splits its input into:
+Given rows whose uncertain columns hold lineage gids (resolved by
+gathering from the block outputs, :mod:`repro.kernels.resolve`), a
+comparison ``x ϑ y`` splits its input into:
 
 * ``TRUE``  — ``R(x)`` and ``R(y)`` ordered so the predicate holds for
   every possible value: the row is *near-deterministically selected*;
 * ``FALSE`` — ordered the other way: near-deterministically filtered;
 * ``UNKNOWN`` — ranges overlap: the row joins the non-deterministic set
   ``U_i`` and must be re-evaluated each batch;
-* ``PENDING`` — a lineage reference points at a group that no block has
-  published yet, so the row cannot be evaluated at all this batch.
+* ``PENDING`` — a row's gid names a group its block has not published
+  this batch, so the row cannot be evaluated at all.
 
 For UNKNOWN rows the classifier also produces the *current* decision
 (from point estimates, defining this batch's partial result) and the
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.blocks import RuntimeContext
-from repro.core.values import LineageRef, UncertainValue
 from repro.errors import UnsupportedQueryError
 from repro.kernels import resolve as kresolve
 from repro.relational.expressions import Comparison, Expression
@@ -44,7 +42,7 @@ class SideValues:
     hi: np.ndarray  # (n,) upper range bounds
     point: np.ndarray  # (n,) current estimates
     trials: np.ndarray | None  # (n, T); None means "equal to point"
-    pending: np.ndarray  # (n,) bool: unresolvable lineage refs
+    pending: np.ndarray  # (n,) bool: gids of unpublished groups
 
     def trial_matrix(self, num_trials: int) -> np.ndarray:
         if self.trials is not None:
@@ -76,59 +74,13 @@ def evaluate_side(
 ) -> SideValues:
     """Evaluate one comparison side, with ranges and trials."""
     n = len(rel)
-    touched = expr.attrs() & uncertain_cols
-    if not touched:
+    if not n:
+        none = np.zeros(0)
+        return SideValues(none, none, none, None, np.zeros(0, dtype=bool))
+    if not expr.attrs() & uncertain_cols:
         vals = np.asarray(expr.evaluate(rel), dtype=np.float64)
         return SideValues(vals, vals, vals, None, np.zeros(n, dtype=bool))
-
-    out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
-    if out is not None:
-        return SideValues(*out)
-
-    # General path: per-row evaluation with UncertainValue arithmetic.
-    lo = np.empty(n)
-    hi = np.empty(n)
-    point = np.empty(n)
-    trials = np.empty((n, ctx.num_trials))
-    pending = np.zeros(n, dtype=bool)
-    cache: dict[object, object] = {}
-    for i in range(n):
-        row = rel.row(i)
-        bad = False
-        for name in touched:
-            cell = row[name]
-            resolved = _resolve_cell(cell, ctx, cache)
-            if resolved is None:
-                bad = True
-                break
-            row[name] = resolved
-        if bad:
-            pending[i] = True
-            lo[i] = hi[i] = point[i] = np.nan
-            trials[i] = np.nan
-            continue
-        value = expr.evaluate_row(row)
-        if isinstance(value, UncertainValue):
-            lo[i], hi[i] = value.vrange.lo, value.vrange.hi
-            point[i] = value.value
-            trials[i] = value.trials
-        else:
-            lo[i] = hi[i] = point[i] = float(value)  # type: ignore[arg-type]
-            trials[i] = float(value)  # type: ignore[arg-type]
-    return SideValues(lo, hi, point, trials, pending)
-
-
-def _resolve_cell(
-    cell: object, ctx: RuntimeContext, cache: dict[object, object]
-) -> object | None:
-    """Resolve a cell to a concrete (possibly uncertain) value."""
-    if isinstance(cell, LineageRef):
-        if cell in cache:
-            return cache[cell]
-        resolved = ctx.resolve(cell)
-        cache[cell] = resolved
-        return resolved
-    return cell
+    return SideValues(*kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx))
 
 
 def classify_comparison(

@@ -22,7 +22,7 @@ Compiles a logical plan into an ordered list of executable *units*:
   row of a group shares that membership, so no row waits in an ND store.
 
 Unit order is the block-topological order: producers always run before
-consumers within a batch, so lineage references resolve to this batch's
+consumers within a batch, so lineage gids resolve to this batch's
 values (the "aggregate runs first" ordering of Section 6.2).
 """
 
@@ -62,6 +62,7 @@ from repro.core.smallplan import (
     SmallRename,
     SmallSelect,
     SmallStaticLeaf,
+    UCol,
     iter_small_nodes,
 )
 from repro.core.uncertainty import NodeTags, analyze
@@ -182,12 +183,22 @@ class CompiledQuery:
         assert self.result_sink is not None
         rel = self.result_sink.result(ctx)
         # Point-excluded rows (multiplicity 0) dropped, as in result_rows.
-        rows = [rel.row(i) for i in np.flatnonzero(rel.mult)]
-        # Uncertain cells travel as lineage references; hand out the
-        # values they currently resolve to.
+        keep = np.flatnonzero(rel.mult)
+        rows = [rel.row(i) for i in keep]
+        # Uncertain cells travel as gids: hand out the values they index
+        # now (None for a group its block did not publish this batch).
         for name in self.result_sink.uncertain_cols:
-            for row in rows:
-                row[name] = ctx.resolve(row[name])
+            lin, gids = rel.lineage.get(name), rel.columns[name][keep]
+            output = None if lin is None else ctx.blocks.get(lin.block_id)
+            absent = np.ones(len(gids), bool) if output is None else output.absent(gids)
+            values = [None] * len(gids)
+            if not absent.all():
+                at = np.flatnonzero(~absent)
+                cells = UCol(output.ucol(lin.column), gids[at]).values()
+                for i, value in zip(at.tolist(), cells):
+                    values[i] = value
+            for row, value in zip(rows, values):
+                row[name] = value
         return rows
 
     def reset(self) -> None:

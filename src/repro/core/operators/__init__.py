@@ -19,7 +19,7 @@ mechanism covers both partial-result semantics and error estimation.
 State kept between batches follows the paper's delta-update principle:
 tuple uncertainty is resolved as early as possible (SELECT/JOIN
 non-deterministic stores, re-classified each batch against variation
-ranges), attribute uncertainty as late as possible (lineage references
+ranges), attribute uncertainty as late as possible (lineage gids
 resolved lazily at use sites). Each operator's between-batch state lives
 in a named :class:`~repro.state.StateStore` (see
 :mod:`repro.core.operators.base` for the lifecycle contract).

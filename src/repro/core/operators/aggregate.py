@@ -46,7 +46,7 @@ class AggregateOp(SpineOp):
     Certain input rows with deterministic aggregate arguments fold into
     per-group per-trial sketches and are forgotten. Rows whose argument is
     uncertain go to a row store and are lazily re-evaluated each batch
-    through their lineage references; volatile input rows are re-aggregated
+    through their lineage gids; volatile input rows are re-aggregated
     from scratch each batch (they are few — that is the point). The
     combined result is published as this lineage block's output.
 
@@ -275,7 +275,7 @@ class AggregateOp(SpineOp):
         published = self._published_keys
         # Groups that vanished (all their volatile contributors currently
         # excluded) stay visible with empty existence, so downstream
-        # lineage references keep resolving. Sorted so the tombstone order
+        # lineage gids keep resolving. Sorted so the tombstone order
         # (and hence the output's group iteration order) does not depend
         # on set hashing.
         vanished = published - set(keys)

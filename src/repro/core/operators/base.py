@@ -30,6 +30,7 @@ from repro.relational.expressions import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.state import StateStore
+from repro.storage.columns import CODE_DTYPE
 
 
 @dataclass
@@ -102,10 +103,10 @@ class StateRule:
 
 
 def empty_relation(schema: Schema, uncertain_cols: set[str], num_trials: int) -> Relation:
-    """Empty relation whose uncertain columns use object dtype (refs)."""
+    """Empty relation whose uncertain columns hold gids."""
     cols = {}
     for c in schema:
-        dtype = np.dtype(object) if c.name in uncertain_cols else c.ctype.dtype
+        dtype = CODE_DTYPE if c.name in uncertain_cols else c.ctype.dtype
         cols[c.name] = np.empty(0, dtype=dtype)
     return Relation._from_parts(
         schema, cols, np.empty(0), np.empty((0, num_trials), dtype=np.float64)
@@ -362,7 +363,4 @@ class NDStore:
         n = len(self.rows)
         if not n:
             return 0
-        total = self.rows.estimated_bytes() + sum(
-            lin.estimated_bytes() for lin in self.rows.lineage.values()
-        )
-        return total * len(self.live) // n
+        return self.rows.estimated_bytes() * len(self.live) // n

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import (
-    BlockOutput,
-    GroupKey,
-    GroupValue,
-    RuntimeContext,
-    membership,
-)
+from repro.core.blocks import BlockOutput, GroupKey, RuntimeContext, membership
 from repro.core.classify import FALSE, PENDING, TRUE, UNKNOWN
 from repro.core.operators.base import (
     DeltaBatch,
@@ -22,13 +16,12 @@ from repro.core.operators.base import (
     mask_contribution,
 )
 from repro.core.sentinels import MembershipSentinels
-from repro.core.values import LineageRef
 from repro.kernels.codec import factorize_keys
 from repro.kernels.joins import SideIndex, vectorized_join
 from repro.kernels.stats import STATS
-from repro.relational.evaluator import join_relations
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.storage.columns import CODE_DTYPE
 from repro.storage.lineage import LineageColumn
 
 
@@ -94,18 +87,13 @@ class StaticJoinOp(SpineOp):
 
     def _join(self, rel: Relation, ctx: RuntimeContext) -> Relation:
         if self.stream_is_left:
-            if self.keys:
-                return vectorized_join(rel, self.side, self.keys, self._side_index())
-            return join_relations(rel, self.side, self.keys)
+            index = self._side_index() if self.keys else None
+            return vectorized_join(rel, self.side, self.keys, index)
+        # Stream on the probe side: the per-batch index is over the stream
+        # delta, so there is nothing to cache — but the build and probe
+        # are still vectorized.
         flipped = [(rk, lk) for lk, rk in self.keys]
-        if self.keys:
-            # Stream on the probe side: the per-batch index is over the
-            # stream delta, so there is nothing to cache — but the build
-            # and probe are still vectorized.
-            joined = vectorized_join(self.side, rel, flipped)
-        else:
-            joined = join_relations(self.side, rel, flipped)
-        return _reorder_columns(joined, self.schema)
+        return _reorder_columns(vectorized_join(self.side, rel, flipped), self.schema)
 
 
 def _reorder_columns(rel: Relation, schema: Schema) -> Relation:
@@ -127,11 +115,11 @@ class UncertainJoinOp(SpineOp):
     boundary, Section 6).
 
     Each stream row looks up its group in the side view and attaches the
-    side's columns — uncertain ones as :class:`LineageRef` so their values
-    stay lazily up to date, deterministic ones by value. Rows whose group
-    membership is unresolved form this operator's non-deterministic store;
-    rows whose group has not been published at all wait in the pending
-    store (re-tried every batch).
+    side's columns — uncertain ones as the group's gid (its lineage), so
+    their values stay lazily up to date, deterministic ones by value. Rows
+    whose group membership is unresolved form this operator's
+    non-deterministic store; rows whose group has not been published at
+    all wait in the pending store (re-tried every batch).
     """
 
     #: JOIN against an uncertain block output: unresolved-membership rows
@@ -217,52 +205,21 @@ class UncertainJoinOp(SpineOp):
     def _attach_coded(
         self, rel: Relation, view: BlockOutput | None, gid_rows: np.ndarray
     ) -> Relation:
-        """Vectorized :meth:`_attach`: gather side columns by gid instead
-        of filling row by row. Uncertain columns also get their
-        :class:`~repro.storage.lineage.LineageColumn` sidecar — the gids
-        *are* the lineage; downstream resolve/sentinel passes gather by
-        them instead of looking at the ref objects."""
-        n = len(rel)
-        cols = dict(rel.columns)
-        lineage = dict(rel.lineage)
-        for name, is_uncertain in self.attach_cols:
-            if n == 0:
-                dtype = (
-                    np.dtype(object) if is_uncertain else self.schema.type_of(name).dtype
-                )
-                cols[name] = np.empty(0, dtype=dtype)
-            elif is_uncertain:
-                cols[name] = view.index.refs(self.side_id, name)[gid_rows]
-                lineage[name] = LineageColumn(self.side_id, name, gid_rows)
-            else:
-                cols[name] = view.det_values(name, self.schema.type_of(name).dtype)[
-                    gid_rows
-                ]
-        return self._with_columns(rel, cols, lineage)
-
-    def _attach(
-        self, rel: Relation, view: BlockOutput | None, groups: list[GroupValue]
-    ) -> Relation:
-        """Append side columns for rows whose group is known, row by row
-        (OPT2-off's regenerate-from-scratch cost); the
-        gid sidecar rides along as in :meth:`_attach_coded`."""
-        n = len(rel)
+        """Append the side columns of the rows' groups ``gid_rows``: an
+        uncertain column's cells are the gids themselves (its
+        :class:`~repro.storage.lineage.LineageColumn` names the block
+        column they index; every reader gathers by them), a plain one is
+        gathered by value."""
         cols = dict(rel.columns)
         lineage = dict(rel.lineage)
         for name, is_uncertain in self.attach_cols:
             if is_uncertain:
-                arr = np.empty(n, dtype=object)
-                for i, g in enumerate(groups):
-                    arr[i] = LineageRef(self.side_id, g.key, name)
-                if n:
-                    lineage[name] = LineageColumn(
-                        self.side_id, name, view.probe([g.key for g in groups])
-                    )
+                cols[name] = gid_rows.astype(CODE_DTYPE)
+                lineage[name] = LineageColumn(self.side_id, name)
+            elif len(rel):
+                cols[name] = view.det_values(name, self.schema.type_of(name).dtype)[gid_rows]
             else:
-                arr = np.empty(n, dtype=self.schema.type_of(name).dtype)
-                for i, g in enumerate(groups):
-                    arr[i] = g.values[name]
-            cols[name] = arr
+                cols[name] = np.empty(0, dtype=self.schema.type_of(name).dtype)
         return self._with_columns(rel, cols, lineage)
 
     def _partition_new(
@@ -362,8 +319,7 @@ class UncertainJoinOp(SpineOp):
             gids = view.probe(self._keys_of(live))
             keep = gids >= 0
             store = NDStore(
-                self._attach(live.filter(keep), view, view.rows(gids[keep].tolist())),
-                gids=gids[keep],
+                self._attach_coded(live.filter(keep), view, gids[keep]), gids=gids[keep]
             )
         keep = np.ones(len(store), dtype=bool)
         if len(store) and view is not None:

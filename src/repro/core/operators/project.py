@@ -13,9 +13,9 @@ from repro.relational.schema import Schema
 
 
 class ProjectOp(SpineOp):
-    """PROJECT over a stream. Uncertain columns may only pass through
-    unchanged (computation over uncertain attributes is deferred to the
-    use sites — the lazy-evaluation principle)."""
+    """PROJECT over a stream. Uncertain columns (gids) may only pass
+    through unchanged (computation over uncertain attributes is deferred
+    to the use sites — the lazy-evaluation principle)."""
 
     #: Stateless pure delta rule; uncertain attributes may pass through
     #: by name but must not be computed over (refused at compile time).
@@ -40,7 +40,7 @@ class ProjectOp(SpineOp):
         for (name, expr), column in zip(self.node.outputs, self.schema):
             values = expr.evaluate(rel)
             if name in self.uncertain_cols:
-                cols[name] = np.asarray(values, dtype=object)
+                cols[name] = values
             else:
                 cols[name] = np.asarray(values, dtype=column.ctype.dtype)
             if isinstance(expr, Col):

@@ -12,10 +12,10 @@ against (the lineage cells of its uncertain side). Only the *tightest*
 sentinel per direction needs keeping — if the closest resolved value
 still classifies the same way, every farther one does too. Each batch the
 operator re-evaluates its sentinels against the current point estimates
-(one gather and one comparison per conjunct; only an entity that pass
-flags is re-read row by row); a flip, or an entity that vanished, raises
-:class:`~repro.errors.RangeIntegrityError` naming the entity and the
-direction, and the controller resets the operators to their pre-run
+(one gather and one comparison per conjunct); a flip, or an entity that
+vanished, raises :class:`~repro.errors.RangeIntegrityError` naming the
+entity (block, group key and column of each cell), the direction and the
+det value, and the controller resets the operators to their pre-run
 state and replays conservatively.
 
 This is the loosest sound check: it fails exactly when a pruned tuple's
@@ -24,10 +24,12 @@ than whenever a range drifts.
 
 Everything is kept in arrays indexed by *slot* (one per entity, in
 first-recorded order). An entity is the tuple of its cells' codes, and a
-cell carried with a lineage sidecar is coded straight from its gid
-(:class:`~repro.storage.lineage.LineageColumn`), so recording touches each
-row a constant number of times: no per-row tuple, dict probe or Python
-call.
+cell is a lineage gid (:mod:`repro.storage.lineage`) coded with one
+gather, so recording touches each row a constant number of times: no
+per-row tuple, dict probe or Python call. An entity holds only uncertain
+cells, so the uncertain side of a sentinel's comparison reads uncertain
+columns only (a stream comparison mixing in a certain column is refused
+at compile time, TC107).
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocks import RuntimeContext
-from repro.core.values import LineageRef, UncertainValue
+from repro.core.classify import compare
 from repro.errors import RangeIntegrityError
 from repro.relational.expressions import Comparison, Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
-
-#: Identity of the uncertain side of one resolved decision: the raw
-#: lineage cells it compared against (hashable).
-Entity = tuple
 
 _ORDERED = ("<", "<=", ">", ">=")
 
@@ -62,62 +60,52 @@ def _room(arr: np.ndarray, size: int, fill: object) -> np.ndarray:
 class _Cells:
     """Dense codes of one uncertain column's cells, in first-recorded order.
 
-    ``refs[code]`` is the cell (a :class:`LineageRef` in the engine).
-    ``gid_codes`` maps a lineage sidecar's gids straight to codes (``-1``:
-    not seen yet), one table per ``(block, column)`` the sidecars name, so
-    a recorded row costs one gather; only a first-seen gid goes through
-    the ``code_of`` dict, which also codes cells that arrive without a
-    sidecar (by value, as the cells compare).
+    The cells are gids into the block column ``lineage`` names;
+    ``gids[code]`` is the cell of each code and ``code_of_gid`` maps a gid
+    straight to its code (``-1``: not seen yet), so a recorded row costs
+    one gather.
     """
 
-    __slots__ = ("refs", "code_of", "gid_codes")
+    __slots__ = ("lineage", "gids", "code_of_gid")
 
     def __init__(self) -> None:
-        self.refs: list = []
-        self.code_of: dict = {}
-        self.gid_codes: dict[tuple[int, str], np.ndarray] = {}
-
-    def _code(self, cell: object) -> int:
-        code = self.code_of.get(cell)
-        if code is None:
-            code = self.code_of[cell] = len(self.refs)
-            self.refs.append(cell)
-        return code
+        self.lineage = None
+        self.gids = np.zeros(0, dtype=np.intp)
+        self.code_of_gid = np.zeros(0, dtype=np.intp)
 
     def codes(self, rel: Relation, name: str, idx: np.ndarray) -> np.ndarray:
         """Code of column ``name``'s cell at each row of ``idx``."""
-        cells = rel.columns[name]
-        lin = rel.lineage.get(name)
-        if lin is None or len(lin) != len(rel):
-            return np.fromiter(map(self._code, cells[idx].tolist()), np.intp, len(idx))
-        gids = lin.gids[idx]
-        key = (lin.block_id, lin.column)
-        table = self.gid_codes.get(key)
-        top = int(gids.max()) + 1
-        if table is None or len(table) < top:
-            table = self.gid_codes[key] = _room(
-                np.zeros(0, np.intp) if table is None else table, top, -1
-            )
+        self.lineage = rel.lineage[name]
+        gids = rel.columns[name][idx]
+        table = self.code_of_gid = _room(self.code_of_gid, int(gids.max()) + 1, -1)
         codes = table[gids]
         missed = np.flatnonzero(codes < 0)
         if len(missed):
             # First-seen gids in row order, so codes follow first record.
             new, first = np.unique(gids[missed], return_index=True)
-            order = np.argsort(first, kind="stable")
-            for gid, at in zip(new[order].tolist(), missed[first[order]].tolist()):
-                table[gid] = self._code(cells[idx[at]])
+            new = new[np.argsort(first, kind="stable")]
+            table[new] = np.arange(len(self.gids), len(self.gids) + len(new))
+            self.gids = np.concatenate([self.gids, new])
             codes = table[gids]
         return codes
+
+    def describe(self, code: int, ctx: RuntimeContext) -> str:
+        """``(block, group key, column)`` of the cell ``code``."""
+        lin, gid = self.lineage, int(self.gids[code])
+        output = ctx.blocks.get(lin.block_id)
+        keys = output.index.keys if output is not None else ()
+        key = f"key {keys[gid]!r}" if gid < len(keys) else f"gid {gid}"
+        return f"(block {lin.block_id}, {key}, column {lin.column!r})"
 
 
 class _ConjunctSentinels:
     """Sentinels of one uncertain conjunct, one slot per entity.
 
     ``entities[slot]`` holds the entity's cell code per uncertain column
-    (whose cells, zipped with those columns, are also the row its
-    uncertain side is re-evaluated on). Per slot and direction (column 0:
-    resolved FALSE, 1: TRUE), ``tight`` is the binding det value and
-    ``has`` whether any decision was recorded.
+    (whose cells, gathered per column, are also the row its uncertain
+    side is re-evaluated on). Per slot and direction (column 0: resolved
+    FALSE, 1: TRUE), ``tight`` is the binding det value and ``has``
+    whether any decision was recorded.
     """
 
     def __init__(self, op: str, ncols: int):
@@ -130,9 +118,6 @@ class _ConjunctSentinels:
         self.entities = np.zeros((0, ncols), dtype=np.intp)
         self.tight = np.zeros((0, 2))
         self.has = np.zeros((0, 2), dtype=bool)
-        #: Check-time cache per uncertain column position: ``(group index,
-        #: gid per code)``, extended as codes are appended.
-        self.mirrors: dict[int, tuple] = {}
 
     # -- recording ---------------------------------------------------------------
 
@@ -141,7 +126,7 @@ class _ConjunctSentinels:
         per_col = [cells.codes(rel, name, idx) for cells, name in zip(self.cells, cols)]
         if len(per_col) == 1:
             slots = per_col[0]
-            top = len(self.cells[0].refs)
+            top = len(self.cells[0].gids)
         else:
             keys = zip(*(c.tolist() for c in per_col))
             slots = np.fromiter(map(self._slot, keys), np.intp, len(idx))
@@ -218,38 +203,21 @@ class _ConjunctSentinels:
 
     # -- reading -----------------------------------------------------------------------
 
-    def entity(self, slot: int) -> Entity:
-        return tuple(cells.refs[code] for cells, code in zip(self.cells, self.entities[slot].tolist()))
+    def describe(self, slot: int, ctx: RuntimeContext) -> str:
+        return " & ".join(
+            cells.describe(code, ctx)
+            for cells, code in zip(self.cells, self.entities[slot].tolist())
+        )
 
-    def gather(self, j: int, ctx: RuntimeContext) -> tuple[np.ndarray, np.ndarray] | None:
-        """Current ``(points, absent mask)`` of every slot's ``j``-th cell,
-        or ``None`` unless all of them reference one published block column."""
-        refs = self.cells[j].refs
-        first = refs[0]
-        output = ctx.blocks.get(first.block_id) if isinstance(first, LineageRef) else None
-        if output is None:
-            return None
-        index, gids = self.mirrors.get(j, (None, None))
-        if index is not output.index:
-            index, gids = output.index, np.zeros(0, dtype=np.intp)
-        if len(gids) < len(refs):
-            extra = []
-            for cell in refs[len(gids):]:
-                if not (
-                    isinstance(cell, LineageRef)
-                    and cell.block_id == first.block_id
-                    and cell.column == first.column
-                ):
-                    self.mirrors.pop(j, None)
-                    return None
-                extra.append(index.gid_of.get(cell.key, -1))
-            gids = np.concatenate([gids, np.asarray(extra, dtype=np.intp)])
-        self.mirrors[j] = (index, gids)
-        at = gids[self.entities[: self.n, j]]
-        absent = output.absent(at)
+    def gather(self, j: int, ctx: RuntimeContext) -> tuple[np.ndarray, np.ndarray]:
+        """Current ``(points, absent mask)`` of every slot's ``j``-th cell."""
+        cells = self.cells[j]
+        at = cells.gids[self.entities[: self.n, j]]
+        output = ctx.blocks.get(cells.lineage.block_id)
+        absent = np.ones(len(at), dtype=bool) if output is None else output.absent(at)
         if absent.all():
             return np.full(len(at), np.nan), absent
-        return output.ucol(first.column).point[np.where(absent, 0, at)], absent
+        return output.ucol(cells.lineage.column).point[np.where(absent, 0, at)], absent
 
 
 def _traced(ctx: RuntimeContext, store, check) -> None:
@@ -350,56 +318,40 @@ class SentinelStore:
         for idx, store in enumerate(self._per_conjunct):
             if not store.n:
                 continue
-            suspects = self._suspects(idx, store, ctx)
-            for slot in range(store.n) if suspects is None else suspects.tolist():
-                reason = self._violated(idx, slot, ctx)
-                if reason is not None:
-                    ctx.monitor.record_failure()
-                    raise RangeIntegrityError(
-                        f"sentinel violation at batch {ctx.batch_no}: {reason}"
-                    )
-
-    def _violated(self, idx: int, slot: int, ctx: RuntimeContext) -> str | None:
-        """Row-wise check of one entity's two tightest sentinels (what
-        names the violation once the array pass found one): why the first
-        of them no longer holds, or None."""
-        det_expr, _unc_expr, cols = self._sides[idx]
-        cmp_, store = self.conjuncts[idx], self._per_conjunct[idx]
-        entity = store.entity(slot)
-        resolved = self._resolve_row(dict(zip(cols, entity)), ctx)
-        for expected in (True, False):
-            if not store.has[slot, int(expected)]:
+            violated, vanished = self._violations(idx, store, ctx)
+            hit = np.flatnonzero(violated.any(axis=1))
+            if not len(hit):
                 continue
-            if resolved is None:
-                return f"entity {entity!r} resolved {expected} vanished"
-            # If the tightest decision still holds, every looser one does.
-            tight = float(store.tight[slot, int(expected)])
-            if self._evaluate(cmp_, det_expr, tight, resolved) != expected:
-                return (
-                    f"resolved decision flipped for entity {entity!r}: "
-                    f"{cmp_!r} expected {expected} for det value {tight!r}"
+            # The first entity, its resolved-TRUE sentinel before FALSE.
+            slot = int(hit[0])
+            expected = bool(violated[slot, 1])
+            entity = store.describe(slot, ctx)
+            if vanished[slot]:
+                reason = f"entity {entity} resolved {expected} vanished"
+            else:
+                # If the tightest decision still holds, every looser one does.
+                tight = float(store.tight[slot, int(expected)])
+                reason = (
+                    f"resolved decision flipped for entity {entity}: "
+                    f"{self.conjuncts[idx]!r} expected {expected} for det value {tight!r}"
                 )
-        return None
+            ctx.monitor.record_failure()
+            raise RangeIntegrityError(f"sentinel violation at batch {ctx.batch_no}: {reason}")
 
-    def _suspects(
+    def _violations(
         self, idx: int, store: _ConjunctSentinels, ctx: RuntimeContext
-    ) -> np.ndarray | None:
-        """Slots whose tightest sentinel no longer holds, from one array
-        pass: entity points gathered by gid, the uncertain side evaluated
-        once, compared against the tightest det values. Only a filter
-        (:meth:`_violated` words each violation): it may flag
-        spuriously, never miss; ``None`` = check every entity (one is not a
-        plain reference into a published block)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot and direction (as in ``tight``), whether its tightest
+        sentinel no longer holds, and per slot whether its entity vanished:
+        entity points gathered by gid, the uncertain side evaluated once,
+        compared against the tightest det values."""
         det_expr, _unc_expr, cols = self._sides[idx]
         cmp_ = self.conjuncts[idx]
         n = store.n
         points: dict[str, np.ndarray] = {}
         vanished = np.zeros(n, dtype=bool)
         for j, name in enumerate(cols):
-            gathered = store.gather(j, ctx)
-            if gathered is None:
-                return None
-            points[name], absent = gathered
+            points[name], absent = store.gather(j, ctx)
             vanished |= absent
         rows = Relation._from_parts(self._point_schemas[idx], points, np.ones(n))
         with np.errstate(all="ignore"):
@@ -409,46 +361,18 @@ class SentinelStore:
                 else np.asarray(side.evaluate(rows), dtype=np.float64)
                 for side in (cmp_.left, cmp_.right)
             )
-        suspect = np.zeros(n, dtype=bool)
-        for expected in (True, False):
+        violated = np.zeros((n, 2), dtype=bool)
+        for expected in (False, True):
             tight = store.tight[:n, int(expected)]
-            decided = _compare(
+            decided = compare(
                 cmp_.op,
                 tight if left is None else left,
                 tight if right is None else right,
             )
-            suspect |= store.has[:n, int(expected)] & (vanished | (decided != expected))
-        return np.flatnonzero(suspect)
-
-    def _resolve_row(
-        self, refs: dict[str, object], ctx: RuntimeContext
-    ) -> dict[str, object] | None:
-        out: dict[str, object] = {}
-        for col_name, cell in refs.items():
-            value = ctx.resolve(cell) if isinstance(cell, LineageRef) else cell
-            if value is None:
-                return None
-            out[col_name] = value
-        return out
-
-    def _evaluate(
-        self,
-        cmp_: Comparison,
-        det_expr: Expression | None,
-        det_value: float,
-        resolved: dict[str, object],
-    ) -> bool:
-        if det_expr is None:
-            # Both sides uncertain: re-evaluate both on the ref row.
-            left = point_of_safe(cmp_.left.evaluate_row(resolved))
-            right = point_of_safe(cmp_.right.evaluate_row(resolved))
-            return bool(_compare(cmp_.op, left, right))
-        unc = point_of_safe(
-            (cmp_.right if det_expr is cmp_.left else cmp_.left).evaluate_row(resolved)
-        )
-        if det_expr is cmp_.left:
-            return bool(_compare(cmp_.op, det_value, unc))
-        return bool(_compare(cmp_.op, unc, det_value))
+            violated[:, int(expected)] = store.has[:n, int(expected)] & (
+                vanished | (decided != expected)
+            )
+        return violated, vanished
 
     def reset(self) -> None:
         self._per_conjunct = [
@@ -471,10 +395,10 @@ class MembershipSentinels:
     the expected membership; a flip of the group's current point
     membership invalidates those emissions.
 
-    Entries are slots in first-recorded order (``keys``, ``member``). The
-    join records by side
-    gid (:meth:`record_gids`): ``slot_of_gid`` maps gids of one group
-    index to slots, so a batch of decisions costs one gather. The check
+    Entries are slots in first-recorded order, keyed by the group's gid
+    in the side view's :class:`~repro.core.blocks.GroupIndex` (one per
+    run, never rewound): ``gids`` and ``member`` per slot, and
+    ``slot_of_gid`` so a batch of decisions costs one gather. The check
     gathers every slot's current membership by gid in one pass.
     """
 
@@ -482,77 +406,34 @@ class MembershipSentinels:
         self.reset()
 
     def reset(self) -> None:
-        self.keys: list = []
-        self._slot_of: dict = {}
-        self.member = np.zeros(0, dtype=bool)
-        #: The group index gids below refer to, ``gid -> slot`` (``-1``:
-        #: none) and ``slot -> gid`` (``-1``: key not in the index).
+        #: The group index the gids below refer to (it names a flipped key).
         self._index = None
+        self.gids = np.zeros(0, dtype=np.intp)
+        self.member = np.zeros(0, dtype=bool)
         self._slot_of_gid = np.zeros(0, dtype=np.intp)
-        self._gids = np.zeros(0, dtype=np.intp)
-
-    def record(self, key: tuple, member: bool) -> None:
-        """Record one group's decision (the first record of a key wins)."""
-        if key not in self._slot_of:
-            self._append([key], np.array([member]))
 
     def record_gids(self, index, gids: np.ndarray, member: np.ndarray) -> None:
         """Record the decisions of distinct groups ``gids`` of ``index``
         (the first record of a group wins)."""
         if not len(gids):
             return
-        self._use(index)
-        known = self._slot_of_gid[gids] >= 0
-        if known.all():
+        self._index = index
+        table = self._slot_of_gid = _room(self._slot_of_gid, len(index), -1)
+        fresh = table[gids] < 0
+        if not fresh.any():
             return
-        fresh = ~known
-        keys = [index.keys[g] for g in gids[fresh].tolist()]
-        new = np.fromiter((k not in self._slot_of for k in keys), bool, len(keys))
-        self._append([k for k, n in zip(keys, new) if n], member[fresh][new])
-
-    def _append(self, keys: list, member: np.ndarray) -> None:
-        start = len(self.keys)
-        for slot, key in enumerate(keys, start):
-            self._slot_of[key] = slot
-        self.keys.extend(keys)
-        self.member = np.concatenate([self.member, member])
-        if self._index is not None:
-            self._map(start)
-
-    def _use(self, index) -> None:
-        """Point the gid maps at ``index`` (rebuilt if it changed)."""
-        if index is not self._index:
-            self._index = index
-            self._slot_of_gid = np.zeros(0, dtype=np.intp)
-            self._gids = np.zeros(0, dtype=np.intp)
-            self._map(0)
-        self._slot_of_gid = _room(self._slot_of_gid, len(index), -1)
-
-    def _map(self, start: int) -> None:
-        """Gids of slots ``start..`` in the current index."""
-        gid_of = self._index.gid_of
-        gids = np.fromiter(
-            (gid_of.get(k, -1) for k in self.keys[start:]), np.intp, len(self.keys) - start
-        )
-        self._gids = np.concatenate([self._gids[:start], gids])
-        found = gids >= 0
-        self._slot_of_gid = _room(self._slot_of_gid, int(gids.max(initial=-1)) + 1, -1)
-        self._slot_of_gid[gids[found]] = np.arange(start, len(self.keys))[found]
+        table[gids[fresh]] = np.arange(len(self.gids), len(self.gids) + int(fresh.sum()))
+        self.gids = np.concatenate([self.gids, gids[fresh]])
+        self.member = np.concatenate([self.member, member[fresh]])
 
     def check(self, ctx: RuntimeContext, view) -> None:
         _traced(ctx, self, lambda: self._check(ctx, view))
 
     def _check(self, ctx: RuntimeContext, view) -> None:
-        member_now = np.zeros(len(self.keys), dtype=bool)
-        if view is not None and self.keys:
-            self._use(view.index)
-            unmapped = np.flatnonzero(self._gids < 0)
-            if len(unmapped):
-                # Keys recorded before their group reached the index.
-                self._map_missing(unmapped)
-            gids = self._gids
-            present = ~view.absent(gids)
-            member_now[present] = view.member_point[gids[present]]
+        member_now = np.zeros(len(self.gids), dtype=bool)
+        if view is not None and len(self.gids):
+            present = ~view.absent(self.gids)
+            member_now[present] = view.member_point[self.gids[present]]
         flipped = np.flatnonzero(member_now != self.member)
         if not len(flipped):
             return
@@ -560,45 +441,15 @@ class MembershipSentinels:
         first = flipped[0]
         more = f" (+{len(flipped) - 1} more)" if len(flipped) > 1 else ""
         raise RangeIntegrityError(
-            f"membership of group {self.keys[first]!r} flipped (expected "
-            f"{bool(self.member[first])}) at batch {ctx.batch_no}{more}"
+            f"membership of group {self._index.keys[self.gids[first]]!r} flipped "
+            f"(expected {bool(self.member[first])}) at batch {ctx.batch_no}{more}"
         )
 
-    def _map_missing(self, slots: np.ndarray) -> None:
-        gid_of = self._index.gid_of
-        gids = np.fromiter((gid_of.get(self.keys[s], -1) for s in slots.tolist()), np.intp, len(slots))
-        found = gids >= 0
-        if found.any():
-            self._gids[slots[found]] = gids[found]
-            self._slot_of_gid = _room(self._slot_of_gid, int(gids.max()) + 1, -1)
-            self._slot_of_gid[gids[found]] = slots[found]
-
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.gids)
 
     def estimated_bytes(self) -> int:
-        return 56 * len(self.keys)
-
-
-def point_of_safe(value: object) -> float:
-    if isinstance(value, UncertainValue):
-        return value.value
-    return float(value)  # type: ignore[arg-type]
-
-
-def _compare(op: str, a: float, b: float) -> bool:
-    with np.errstate(invalid="ignore"):
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == "==":
-            return a == b
-        return a != b
+        return 56 * len(self.gids)
 
 
 def _flip(op: str) -> str:

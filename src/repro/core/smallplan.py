@@ -20,7 +20,8 @@ block outputs, plus per-row membership arrays); each node maps frames to
 a frame with a few array operations — selects classify with the ND
 stores' :func:`~repro.core.classify.classify_bounds`, arithmetic is
 :func:`~repro.kernels.resolve.evaluate` — and rows are built only where
-the root segment delivers the query result.
+the root segment delivers the query result (:func:`rows_of`, the one row
+builder, which also delivers a bare block root and a row sink's gids).
 """
 
 from __future__ import annotations
@@ -66,13 +67,32 @@ class UCol(NamedTuple):
         picked = s.trials[at] if trials else None
         return kresolve.Node(s.lo[at], s.hi[at], s.point[at], picked, None)
 
+    def values(self) -> list[UncertainValue]:
+        """The cells as :class:`UncertainValue` objects."""
+        s, at = self.src, self.at
+        ranges = map(VariationRange, s.lo[at].tolist(), s.hi[at].tolist())
+        return list(map(UncertainValue, s.point[at].tolist(), s.trials[at], ranges))
+
+
+def rows_of(cols: dict[str, "np.ndarray | UCol | list"]) -> list[dict[str, object]]:
+    """Rows of equal-length columns as ``column -> value`` dicts (an
+    uncertain column's cells as :class:`UncertainValue`)."""
+    cells = [
+        col.values() if isinstance(col, UCol)
+        else col.tolist() if isinstance(col, np.ndarray)
+        else col
+        for col in cols.values()
+    ]
+    names = list(cols)
+    return [dict(zip(names, row)) for row in zip(*cells)]
+
 
 class Frame:
     """The rows of a small segment, column-wise.
 
     ``cols`` maps each column to a plain array or a :class:`UCol`; per
     row, ``certain`` / ``status`` / ``point`` are the membership fields of
-    :class:`~repro.core.blocks.GroupValue` and ``exist (n, T)`` the
+    :class:`~repro.core.blocks.BlockOutput` and ``exist (n, T)`` the
     per-trial existence (None: every row exists in every trial).
     """
 
@@ -107,7 +127,7 @@ class Frame:
             return kresolve.Node(col, col, col, None, None)
 
         try:
-            return kresolve.evaluate(expr, leaf)
+            return kresolve.evaluate(expr, leaf, self, self.uncertain)
         except kresolve.UnsupportedKernel as exc:
             raise UnsupportedQueryError(f"{expr!r} over uncertain columns: {exc}") from None
 
@@ -132,24 +152,31 @@ class Frame:
 
     def rows(self) -> list[dict[str, object]]:
         """Every row as a ``column -> value`` dict."""
-        cells = []
-        for col in self.cols.values():
-            if isinstance(col, UCol):
-                c = col.gather()
-                bounds = zip(c.point.tolist(), c.trials, c.lo.tolist(), c.hi.tolist())
-                col = [UncertainValue(p, tr, VariationRange(lo, hi)) for p, tr, lo, hi in bounds]
-            cells.append(col.tolist() if isinstance(col, np.ndarray) else col)
-        return [dict(zip(self.cols, row)) for row in zip(*cells)]
+        return rows_of(self.cols)
+
+
+def _block_columns(
+    output: BlockOutput, gids: np.ndarray
+) -> dict[str, list | np.ndarray | UCol]:
+    """Columns of the groups ``gids`` of ``output``: key cells read from
+    the index for those gids only (as lists), value columns gathered."""
+    keys = list(map(output.index.keys.__getitem__, gids.tolist()))
+    cols: dict[str, list | np.ndarray | UCol] = {
+        name: [key[at] for key in keys] for at, name in enumerate(output.key_cols)
+    }
+    for name in output.value_cols:
+        if name not in cols and (col := output.column(name)) is not None:
+            cols[name] = UCol(col, gids) if isinstance(col, UColumn) else col[gids]
+    return cols
 
 
 def _block_frame(output: BlockOutput, gids: np.ndarray) -> Frame:
     """Groups ``gids`` of ``output`` as rows; as at any leaf, an unsettled
     group is an UNKNOWN member."""
-    cols: dict[str, np.ndarray | UCol] = {}
-    for name in dict.fromkeys(output.key_cols + output.value_cols):
-        col = output.column(name)
-        if col is not None:
-            cols[name] = UCol(col, gids) if isinstance(col, UColumn) else col[gids]
+    cols = {
+        name: np.array(col) if isinstance(col, list) else col
+        for name, col in _block_columns(output, gids).items()
+    }
     certain = output.certain[gids]
     exist = None
     if not certain.all():
@@ -561,15 +588,13 @@ class SmallPlanUnit:
 
     def result_rows(self, ctx: RuntimeContext) -> list[dict[str, object]]:
         """This batch's result rows (stable-false and point-excluded ones
-        dropped) as ``column -> value`` dicts. A bare block root hands
-        back its groups' own value dicts: the same objects for as long as
-        the block keeps a group's row."""
+        dropped) as ``column -> value`` dicts. A bare block root reads
+        only the groups it delivers."""
         if isinstance(self.root, SmallBlockLeaf):
             output = ctx.blocks.get(self.root.block_id)
             if output is None:
                 return []
-            gids = output.order[output.member_point[output.order]]
-            return [group.values for group in output.rows(gids.tolist())]
+            return rows_of(_block_columns(output, output.order[output.member_point[output.order]]))
         f = self._result
         if f is None:
             return []

@@ -19,7 +19,7 @@ The same walk collects every reason the online engine cannot run the
 plan (:data:`REFUSAL_RULES`): the restrictions of Section 3.3 (no
 uncertain join or group-by keys, only Hadamard-differentiable aggregates
 over sampled data) and the shapes the operators cannot maintain
-incrementally. The compiler raises the first refusal; the typechecker
+incrementally or whose lineage gids they cannot resolve. The compiler raises the first refusal; the typechecker
 reports them all as its ``TC1xx`` diagnostics.
 """
 
@@ -89,9 +89,10 @@ REFUSAL_RULES: dict[str, tuple[str, str]] = {
         "resolve the column (aggregate it) before DISTINCT",
     ),
     "TC107": (
-        "predicate over uncertain attributes must be a + - * / comparison (x θ y)",
-        "rewrite the predicate as a conjunction of x θ y comparisons, or "
-        "resolve the column before the filter",
+        "predicate over uncertain attributes must be a + - * / comparison (x θ y); "
+        "on a stream, a side that reads an uncertain column reads no certain one",
+        "rewrite the predicate as a conjunction of x θ y comparisons with the "
+        "certain columns on one side, or resolve the column before the filter",
     ),
     "TC108": (
         "projection computes over uncertain attributes (defeats lazy evaluation)",
@@ -114,6 +115,11 @@ REFUSAL_RULES: dict[str, tuple[str, str]] = {
         "expression over aggregate outputs computes beyond + - * / (no array kernel)",
         "keep computation over aggregate outputs to + - * /, or apply other "
         "functions to the final result",
+    ),
+    "TC113": (
+        "UNION input carries an uncertain column (its lineage gids cannot be "
+        "merged across blocks)",
+        "union the stream inputs below the join that attaches the column",
     ),
 }
 
@@ -199,12 +205,23 @@ def _tag_inner(
                 )
                 continue
             for operand in (part.left, part.right):
+                certain = operand.attrs() - uncertain
                 if not uncertain_arithmetic(operand, uncertain):
                     refuse(
                         "TC107",
                         f"comparison side {operand!r} computes over "
                         "uncertain columns beyond + - * /; the engine "
                         "cannot bound its range or trials",
+                    )
+                    break
+                if child.raw_stream and operand.attrs() & uncertain and certain:
+                    # A sentinel re-evaluates this side from the entity's
+                    # uncertain cells alone.
+                    refuse(
+                        "TC107",
+                        f"comparison side {operand!r} reads certain columns "
+                        f"{sorted(certain)} beside uncertain ones; move them "
+                        "to the other side of the comparison",
                     )
                     break
         return NodeTags(
@@ -286,6 +303,13 @@ def _tag_inner(
                 "TC111",
                 "UNION between aggregate-derived inputs is not supported online",
             )
+        elif left.uncertain_cols or right.uncertain_cols:
+            refuse(
+                "TC113",
+                "UNION input carries uncertain columns "
+                f"{sorted(left.uncertain_cols | right.uncertain_cols)}; union "
+                "the stream inputs below the join that attaches them",
+            )
         return NodeTags(
             left.tuple_uncertain or right.tuple_uncertain,
             left.uncertain_cols | right.uncertain_cols,
@@ -327,7 +351,7 @@ def _tag_inner(
             ):
                 refuse("TC112", _no_kernel(f"aggregate {spec.name!r}", spec.arg, touched))
         # Over a stream, an uncertain argument is re-evaluated lazily from
-        # its lineage references each batch (Section 6.2).
+        # its lineage gids each batch (Section 6.2).
         lazy = [
             spec
             for spec in node.aggs

@@ -1,4 +1,4 @@
-"""Uncertain values, variation ranges, and lineage references.
+"""Uncertain values and variation ranges.
 
 These are the cell-level building blocks of the online engine:
 
@@ -7,9 +7,6 @@ These are the cell-level building blocks of the online engine:
   approximated from bootstrap outputs. Supports the interval arithmetic
   needed to push ranges through projection expressions, and the
   containment/intersection operations used by the integrity monitor.
-* :class:`LineageRef` — Definition 1's cross-block lineage: a pointer
-  ``(block, group key, column)`` into an aggregate block output, resolved
-  lazily (Section 6.2's broadcast-join lookup).
 * :class:`UncertainValue` — a current point estimate plus the per-trial
   bootstrap values and the variation range. Arithmetic operators propagate
   all three, which is how PROJECT expressions over uncertain attributes
@@ -123,46 +120,26 @@ class VariationRange:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-@dataclass(frozen=True)
-class LineageRef:
-    """Lineage of an uncertain attribute across a lineage-block boundary.
-
-    ``block_id`` names the producing aggregate block, ``key`` its group-by
-    key tuple, and ``column`` the aggregate output column. Matches the
-    paper's ``L = {(rel(γ), t.key)}`` plus the accessed column.
-    """
-
-    block_id: int
-    key: tuple
-    column: str
-
-    def __repr__(self) -> str:
-        return f"Lineage(block={self.block_id}, key={self.key!r}, col={self.column})"
-
-
 class UncertainValue:
     """A value that may change across batches.
 
     Carries the current point estimate, the vector of bootstrap-trial
-    values, the variation range, and (optionally) the lineage reference it
-    was resolved from. Arithmetic with scalars and other uncertain values
+    values and the variation range. Arithmetic with scalars and other uncertain values
     propagates trials elementwise and ranges by interval arithmetic.
     """
 
     __iolap_uncertain__ = True
-    __slots__ = ("value", "trials", "vrange", "lineage")
+    __slots__ = ("value", "trials", "vrange")
 
     def __init__(
         self,
         value: float,
         trials: np.ndarray,
         vrange: VariationRange | None = None,
-        lineage: LineageRef | None = None,
     ):
         self.value = float(value)
         self.trials = np.asarray(trials, dtype=np.float64)
         self.vrange = vrange if vrange is not None else VariationRange.everything()
-        self.lineage = lineage
 
     # -- arithmetic ---------------------------------------------------------------
 

@@ -15,9 +15,9 @@ hot paths with batched NumPy kernels:
   the observability registry.
 
 The kernels are the engine's only execution path. The row-wise helpers
-that remain (``evaluate_side``'s general loop, ``AggBundle.fold_values``,
-``RangeMonitor.observe``, ``join_relations``) are fallbacks or test
-references; ``tests/test_kernels.py`` and the property suite check that
+that remain (``AggBundle.fold_values``, ``RangeMonitor.observe``,
+``join_relations``) are test references, beside the per-row comparison
+side in ``tests/conftest.py``; ``tests/test_kernels.py`` and the property suite check that
 each kernel is *bit-identical* to them. Submodules are imported
 directly (not re-exported here) to keep import edges acyclic: ``codec``
 depends only on NumPy, so even ``repro.relational`` may use it.

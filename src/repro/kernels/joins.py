@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.codec import factorize_keys
-from repro.relational.evaluator import _join_trials, join_relations
+from repro.relational.evaluator import _join_trials
 from repro.relational.groupby import RowSegments
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -84,18 +84,22 @@ def vectorized_join(
     keys: list[tuple[str, str]],
     right_index: SideIndex | None = None,
 ) -> Relation:
-    """Equi-join, bit-identical to ``join_relations``.
+    """Equi-join (cross join for no ``keys``), bit-identical to
+    ``join_relations``, carrying the storage sidecars.
 
     ``right_index`` may be a prebuilt :class:`SideIndex` over ``right``'s
     key columns (the cross-batch cache); otherwise one is built here.
     """
-    if not keys:
-        return join_relations(left, right, keys)
     lkeys = [lk for lk, _ in keys]
     rkeys = [rk for _, rk in keys]
-    index = right_index if right_index is not None else SideIndex(right, rkeys)
+    index = None
+    if keys:
+        index = right_index if right_index is not None else SideIndex(right, rkeys)
 
-    if len(left) == 0 or len(index.counts) == 0:
+    if index is None:
+        li = np.repeat(np.arange(len(left)), len(right))
+        ri = np.tile(np.arange(len(right)), len(left))
+    elif len(left) == 0 or len(index.counts) == 0:
         li = np.empty(0, dtype=np.intp)
         ri = np.empty(0, dtype=np.intp)
     else:
@@ -142,4 +146,4 @@ def _gather_sidecars(
         encodings[name] = enc.take(rows)
     lin = side.lineage.get(name)
     if lin is not None:
-        lineage[name] = lin.take(rows)
+        lineage[name] = lin

@@ -1,24 +1,22 @@
-"""Batched lineage resolution and array-wide interval arithmetic.
+"""Lineage resolution and array-wide interval arithmetic.
 
-The reference classifier (``repro.core.classify``) evaluates a
-comparison side row by row: resolve the row's lineage cells, run
-``UncertainValue`` arithmetic, copy ``lo/hi/point/trials`` out. A column
-attached by the uncertain join carries its group ids
-(:class:`~repro.storage.lineage.LineageColumn`) and the block output is
-gid-indexed arrays, so resolving it is four gathers. Arithmetic then
-runs array-wide: elementwise ufuncs for points and trials (bit-identical
-to the per-row NumPy-scalar ops) and interval arithmetic mirroring
-:class:`~repro.core.values.VariationRange` for the bounds.
+An uncertain column attached by the uncertain join holds, per row, the
+gid of its group in the side block (its
+:class:`~repro.storage.lineage.LineageColumn` names the block column),
+and the block output is gid-indexed arrays, so resolving it is four
+gathers (:func:`resolve_column`). Arithmetic then runs array-wide:
+elementwise ufuncs for points and trials and interval arithmetic
+mirroring :class:`~repro.core.values.VariationRange` for the bounds, the
+same bits ``UncertainValue`` arithmetic gives row by row.
 
-:func:`evaluate` is that arithmetic over any column source: the small
-plan segments (:mod:`repro.core.smallplan`) run it over their frames.
-:func:`try_evaluate_side` returns ``None`` for what the kernel does not
-cover (non-arithmetic nodes over deterministic columns, non-numeric
-literals, a hand-built uncertain column without the sidecar); the caller
-falls back to the row-wise reference, keeping the fast path an
-optimization rather than a semantics fork. Computation over uncertain
-columns beyond ``+ - * /`` is refused when the plan compiles
-(:func:`uncertain_arithmetic`).
+:func:`evaluate` is that arithmetic over any column source: comparison
+sides of the ND stores (:func:`try_evaluate_side`) and the small plan
+segments (:mod:`repro.core.smallplan`) both run it. A subtree outside
+``+ - * /`` that reads no uncertain column is evaluated with
+``Expression.evaluate``; computation over uncertain columns beyond
+``+ - * /`` is refused when the plan compiles
+(:func:`uncertain_arithmetic`), so a comparison side never falls outside
+the kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ _INF = float("inf")
 
 
 class UnsupportedKernel(Exception):
-    """Raised when an expression shape is outside :func:`evaluate`."""
+    """Raised for computation over uncertain columns beyond ``+ - * /``."""
 
 
 @dataclass
@@ -54,29 +52,18 @@ def try_evaluate_side(
     rel,
     uncertain_cols: set[str],
     ctx,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Vectorized ``evaluate_side`` payload, or ``None`` to fall back.
-
-    Returns ``(lo, hi, point, trials, pending)`` with the exact
-    values the row-wise reference computes (pending rows NaN-filled).
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``evaluate_side``'s payload ``(lo, hi, point, trials, pending)``
+    for a side over ``rel``'s uncertain columns (pending rows NaN-filled)."""
     n = len(rel)
 
     def leaf(name: str) -> Node:
         values = rel.columns[name]
         if name in uncertain_cols:
-            lineage = rel.lineage.get(name)
-            if lineage is None:
-                raise UnsupportedKernel(f"no lineage sidecar on {name!r}")
-            return resolve_column(lineage, ctx)
-        if values.dtype == object:
-            raise UnsupportedKernel(f"object column {name!r}")
+            return resolve_column(rel.lineage[name], values, ctx)
         return Node(values, values, values, None, None)
 
-    try:
-        node = evaluate(expr, leaf)
-    except UnsupportedKernel:
-        return None
+    node = evaluate(expr, leaf, rel, uncertain_cols)
     lo = np.asarray(node.lo, dtype=np.float64)
     hi = np.asarray(node.hi, dtype=np.float64)
     point = np.asarray(node.point, dtype=np.float64)
@@ -97,18 +84,30 @@ def try_evaluate_side(
 # -- evaluation --------------------------------------------------------------------
 
 
-def evaluate(expr: Expression, leaf: Callable[[str], Node]) -> Node:
+def evaluate(
+    expr: Expression, leaf: Callable[[str], Node], source, uncertain: set[str] | frozenset[str]
+) -> Node:
     """Arithmetic over numeric literals and the columns ``leaf`` resolves;
-    raises :class:`UnsupportedKernel` for any other expression shape."""
-    if isinstance(expr, Literal):
-        v = expr.value
-        if not isinstance(v, (int, float, np.integer, np.floating)):
-            raise UnsupportedKernel(f"non-numeric literal {v!r}")
-        return Node(v, v, v, None, None)
+    any other subtree that reads none of ``uncertain`` is evaluated over
+    ``source`` with ``Expression.evaluate``. Raises
+    :class:`UnsupportedKernel` for computation over ``uncertain`` beyond
+    ``+ - * /``."""
     if isinstance(expr, Col):
         return leaf(expr.name)
+    if isinstance(expr, Literal) and isinstance(
+        expr.value, (int, float, np.integer, np.floating)
+    ):
+        v = expr.value
+        return Node(v, v, v, None, None)
     if isinstance(expr, Arith) and expr.op in ("+", "-", "*", "/"):
-        return _combine(expr.op, evaluate(expr.left, leaf), evaluate(expr.right, leaf))
+        return _combine(
+            expr.op,
+            evaluate(expr.left, leaf, source, uncertain),
+            evaluate(expr.right, leaf, source, uncertain),
+        )
+    if not expr.attrs() & uncertain:
+        values = expr.evaluate(source)
+        return Node(values, values, values, None, None)
     raise UnsupportedKernel(f"no array kernel for {type(expr).__name__}")
 
 
@@ -129,18 +128,18 @@ def uncertain_arithmetic(
     )
 
 
-def resolve_column(lineage, ctx) -> Node:
-    """Per-row ``lo/hi/point/trials`` of a lineage column: four gathers
-    by gid from the referenced block output, pending where that output
-    has not published the gid (those rows read group 0 here and are
-    blanked by :func:`try_evaluate_side`)."""
+def resolve_column(lineage, gids: np.ndarray, ctx) -> Node:
+    """Per-row ``lo/hi/point/trials`` of a column of ``gids`` into
+    ``lineage``'s block column: four gathers from the block output,
+    pending where that output has not published the gid (those rows read
+    group 0 here and are blanked by :func:`try_evaluate_side`)."""
     output = ctx.blocks.get(lineage.block_id)
-    n = len(lineage)
+    n = len(gids)
     if output is None or not len(output):
         nan = np.full(n, np.nan)
         return Node(nan, nan, nan, None, np.ones(n, dtype=bool))
-    pending = output.absent(lineage.gids)
-    gids = np.where(pending, 0, lineage.gids)
+    pending = output.absent(gids)
+    gids = np.where(pending, 0, gids)
     col = output.ucol(lineage.column)
     return Node(col.lo[gids], col.hi[gids], col.point[gids], col.trials[gids], pending)
 

@@ -20,19 +20,20 @@ A :class:`Relation` stores one NumPy array per column plus:
   ids — through every index operation, and the matrix is drawn for
   exactly the rows that reach the first reader of ``trial_mults``.
 
-Columns normally hold plain scalars; in the online engine a column may be
-an object array of :class:`~repro.core.values.LineageRef`, which is opaque
-to this module.
+Columns hold plain scalars. In the online engine an uncertain column
+attached across a lineage-block boundary holds the int32 gids of the
+groups it references; ``lineage`` maps its name to the
+:class:`~repro.storage.lineage.LineageColumn` naming the ``(block,
+column)`` those gids index. The gids move with every row operation like
+any other column, so the sidecar itself is carried unchanged.
 
-Storage sidecars (``repro.storage``): a column may additionally carry an
+A column may also carry an
 :class:`~repro.storage.columns.EncodedColumn` (dictionary codes + null
-mask) in ``encodings`` and/or a
-:class:`~repro.storage.lineage.LineageColumn` (structured lineage + ND
-bitmask) in ``lineage``. Sidecars describe the *same* rows as the
-materialized column and ride through every transformation; they are pure
-acceleration structure — dropping one never changes semantics, only
-speed. The public constructor (an API boundary) validates shapes and
-accepts no sidecars; operator-internal hops use :meth:`_from_parts`.
+mask) in ``encodings``: the *same* rows as the materialized column,
+mapped through every transformation, and pure acceleration structure —
+dropping one never changes semantics, only speed. The public
+constructor (an API boundary) validates shapes and accepts no sidecars;
+operator-internal hops use :meth:`_from_parts`.
 """
 
 from __future__ import annotations
@@ -183,15 +184,10 @@ class Relation:
         return rel
 
     def _map_sidecars(self, op: str, *args: object) -> dict:
-        """Apply one index operation to both sidecar dicts."""
-        out: dict = {}
-        for field in ("encodings", "lineage"):
-            mapped = {
-                name: getattr(sc, op)(*args)
-                for name, sc in getattr(self, field).items()
-            }
-            out[field] = mapped if mapped else None
-        return out
+        """Sidecars after one index operation: encodings mapped, lineage
+        (which has no per-row state) carried."""
+        encodings = {name: getattr(enc, op)(*args) for name, enc in self.encodings.items()}
+        return {"encodings": encodings or None, "lineage": self.lineage or None}
 
     @classmethod
     def empty(cls, schema: Schema, num_trials: int | None = None) -> "Relation":
@@ -413,13 +409,10 @@ class Relation:
             other_enc = other.encodings.get(n)
             if other_enc is not None:
                 encodings[n] = enc.concat(other_enc)
-        lineage: dict = {}
-        for n, lin in self.lineage.items():
-            other_lin = other.lineage.get(n)
-            if other_lin is not None:
-                merged = lin.concat(other_lin)
-                if merged is not None:
-                    lineage[n] = merged
+        # Gids of one column concatenate only if they index one block
+        # column (a UNION of columns attached from different blocks is
+        # refused at compile time, TC113).
+        lineage = {n: lin for n, lin in self.lineage.items() if other.lineage.get(n) == lin}
         return Relation._from_parts(
             self.schema,
             cols,

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.relational.relation import Relation
 from repro.storage.columns import DictPage, EncodedColumn, sidecar_nbytes
-from repro.storage.lineage import LineageColumn
 
 
 def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
@@ -21,8 +20,8 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
     same conventions the operators used before the store layer existed,
     so the Figure 9(b)/10(c) accounting is unchanged.
 
-    Storage-plane objects (encoded columns, lineage sidecars, dictionary
-    pages) are shared structure: a page backs every slice of its table,
+    Storage-plane objects (encoded columns, dictionary pages) are shared
+    structure: a page backs every slice of its table,
     so naive recursion would double-count it per slice. ``seen`` (ids of
     pages/pools already measured) deduplicates across one traversal —
     :meth:`StateStore.entry_bytes` threads a single set through
@@ -37,7 +36,7 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
         # Logical bytes (the pinned Figure 9(b) convention) plus the
         # physical sidecar buffers, page-deduplicated.
         return value.estimated_bytes() + sidecar_nbytes(value, seen)
-    if isinstance(value, (EncodedColumn, LineageColumn)):
+    if isinstance(value, EncodedColumn):
         return value.estimated_bytes(seen)
     if isinstance(value, DictPage):
         if id(value) in seen:

@@ -5,10 +5,9 @@ This package owns the physical representation of relation data:
 * :mod:`repro.storage.columns` — append-only dictionary pages and
   dictionary-encoded columns with explicit null masks. Encoding is a
   property of storage (carried across operators), not a per-call cache.
-* :mod:`repro.storage.lineage` — the structured lineage sidecar: the
-  ``(block, column)`` a reference column points into plus one int32 group
-  id per row, replacing object arrays of
-  :class:`~repro.core.values.LineageRef` on hot paths.
+* :mod:`repro.storage.lineage` — structured lineage: an attached
+  uncertain column's cells are int32 group ids, and its sidecar names the
+  ``(block, column)`` they index.
 * :mod:`repro.storage.chunks` / :mod:`repro.storage.ingest` — the on-disk
   chunked columnar format (memory-mapped buffers, Arrow-IPC in spirit)
   and streaming ingestion, so fact tables never materialize as in-memory

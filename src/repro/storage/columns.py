@@ -227,14 +227,9 @@ def encode_relation(rel, columns: Sequence[str] | None = None):
 def sidecar_nbytes(rel, seen: set[int] | None = None) -> int:
     """Byte accounting for a relation's storage sidecars.
 
-    Shared dictionary pages and lineage pools are deduplicated through
-    ``seen`` (by ``id``), so two slices of one encoded table count the
-    page once. Used by ``repro.state.store.estimate_nbytes``.
+    Shared dictionary pages are deduplicated through ``seen`` (by
+    ``id``), so two slices of one encoded table count the page once. Used
+    by ``repro.state.store.estimate_nbytes``.
     """
     seen = seen if seen is not None else set()
-    total = 0
-    for enc in rel.encodings.values():
-        total += enc.estimated_bytes(seen)
-    for lin in rel.lineage.values():
-        total += lin.estimated_bytes(seen)
-    return total
+    return sum(enc.estimated_bytes(seen) for enc in rel.encodings.values())

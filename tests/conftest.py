@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.core.blocks import (
+    MEMBER_TRUE,
     BlockOutput,
     GroupIndex,
-    GroupValue,
     RuntimeContext,
     UColumn,
 )
-from repro.core.values import UncertainValue
+from repro.core.classify import SideValues
+from repro.core.values import UncertainValue, VariationRange
 from repro.relational import (
     Catalog,
     ColumnType,
@@ -20,6 +23,8 @@ from repro.relational import (
     Schema,
     relation_from_columns,
 )
+from repro.storage.columns import CODE_DTYPE
+from repro.storage.lineage import LineageColumn
 from repro.workloads import generate_conviva, generate_tpch
 
 KX_SCHEMA = Schema(
@@ -27,6 +32,26 @@ KX_SCHEMA = Schema(
 )
 
 DIM_SCHEMA = Schema([("k", ColumnType.INT), ("label", ColumnType.STRING)])
+
+
+@dataclass
+class Group:
+    """One group of a block output in row form: how tests specify a
+    published group and read one back (:func:`group_rows`)."""
+
+    key: tuple
+    #: column name -> UncertainValue (aggregates) or scalar (keys, plain).
+    values: dict[str, object]
+    certain: bool
+    member_status: int = MEMBER_TRUE
+    member_point: bool = True
+    #: Per-trial existence (None: every trial).
+    exist_trials: np.ndarray | None = None
+
+    def exist_in_trial(self, num_trials: int) -> np.ndarray:
+        if self.exist_trials is None:
+            return np.ones(num_trials, dtype=bool)
+        return self.exist_trials
 
 
 def output_from_groups(
@@ -37,10 +62,10 @@ def output_from_groups(
     num_trials: int,
     index: GroupIndex | None = None,
 ) -> BlockOutput:
-    """A block output stacked from row-form groups, which seed its row
-    cache (a later duplicate key replaces the earlier group, as in a
-    dict). A value column with an uncertain cell becomes a ``UColumn``
-    (plain cells read as point ranges), any other a plain array."""
+    """A block output stacked from :class:`Group` rows (a later duplicate
+    key replaces the earlier group, as in a dict). A value column with an
+    uncertain cell becomes a ``UColumn`` (plain cells read as point
+    ranges), any other a plain array."""
     by_key = {group.key: group for group in groups}
     rows = list(by_key.values())
     n = len(rows)
@@ -62,7 +87,7 @@ def output_from_groups(
                 col.lo[i], col.hi[i] = v.vrange.lo, v.vrange.hi
             else:
                 col.point[i] = col.trials[i] = col.lo[i] = col.hi[i] = v
-    out = BlockOutput.published(
+    return BlockOutput.published(
         block_id, key_cols, value_cols, index, gids,
         np.array([group.certain for group in rows], dtype=bool),
         np.array([group.member_status for group in rows], dtype=np.int8),
@@ -72,7 +97,27 @@ def output_from_groups(
         ).reshape(n, num_trials),
         columns, num_trials,
     )
-    out._rows = dict(zip(gids.tolist(), rows))
+
+
+def group_rows(output: BlockOutput) -> dict[tuple, Group]:
+    """The published groups of ``output`` in publication order, read back
+    from its arrays as :class:`Group` rows."""
+    out = {}
+    for gid in output.order.tolist():
+        key = output.index.keys[gid]
+        values: dict[str, object] = dict(zip(output.key_cols, key))
+        for name in output.value_cols:
+            col = output.column(name)
+            if isinstance(col, UColumn):
+                values[name] = UncertainValue(
+                    col.point[gid], col.trials[gid], VariationRange(col.lo[gid], col.hi[gid])
+                )
+            elif col is not None and name not in output.key_cols:
+                values[name] = col[gid].item()
+        out[key] = Group(
+            key, values, bool(output.certain[gid]), int(output.member_status[gid]),
+            bool(output.member_point[gid]), output.exist[gid].copy(),
+        )
     return out
 
 
@@ -80,13 +125,13 @@ def publish_group(
     ctx: RuntimeContext,
     block_id: int,
     value_cols: list[str],
-    group: GroupValue,
+    group: Group,
     key_cols: tuple[str, ...] = (),
 ) -> None:
     """Republish block ``block_id`` with ``group`` added (a block output
     is replaced whole, never extended in place)."""
     prev = ctx.blocks.get(block_id)
-    groups = list(prev.groups.values()) if prev is not None else []
+    groups = list(group_rows(prev).values()) if prev is not None else []
     ctx.blocks[block_id] = output_from_groups(
         block_id,
         list(key_cols),
@@ -95,6 +140,51 @@ def publish_group(
         ctx.num_trials,
         ctx.indexes[block_id],
     )
+
+
+def gid_column(ctx: RuntimeContext, block_id: int, keys, column: str):
+    """An attached uncertain column referencing ``block_id``'s groups
+    ``keys``: its gids (allocated in the run's index, published or not)
+    and the lineage sidecar naming ``(block_id, column)``."""
+    gids = ctx.indexes[block_id].add(list(keys)).astype(CODE_DTYPE)
+    return gids, LineageColumn(block_id, column)
+
+
+def rowwise_side(expr, rel: Relation, uncertain_cols: set[str], ctx: RuntimeContext) -> SideValues:
+    """Reference for ``classify.evaluate_side``: per row, resolve each
+    uncertain cell (a gid) to an ``UncertainValue`` read from its block
+    output and evaluate the side with ``UncertainValue`` arithmetic; a row
+    whose group is not published is pending (NaN-filled)."""
+    n = len(rel)
+    touched = expr.attrs() & uncertain_cols
+    lo, hi, point = np.empty(n), np.empty(n), np.empty(n)
+    trials = np.empty((n, ctx.num_trials))
+    pending = np.zeros(n, dtype=bool)
+    for i in range(n):
+        row = rel.row(i)
+        for name in touched:
+            row[name] = _resolve_cell(rel.lineage[name], int(row[name]), ctx)
+        if any(row[name] is None for name in touched):
+            pending[i] = True
+            lo[i] = hi[i] = point[i] = np.nan
+            trials[i] = np.nan
+            continue
+        value = expr.evaluate_row(row)
+        if isinstance(value, UncertainValue):
+            lo[i], hi[i] = value.vrange.lo, value.vrange.hi
+            point[i] = value.value
+            trials[i] = value.trials
+        else:
+            lo[i] = hi[i] = point[i] = trials[i] = float(value)
+    return SideValues(lo, hi, point, trials, pending)
+
+
+def _resolve_cell(lineage: LineageColumn, gid: int, ctx: RuntimeContext):
+    output = ctx.blocks.get(lineage.block_id)
+    if output is None or output.absent(np.array([gid]))[0]:
+        return None
+    col = output.ucol(lineage.column)
+    return UncertainValue(col.point[gid], col.trials[gid], VariationRange(col.lo[gid], col.hi[gid]))
 
 
 @pytest.fixture

@@ -199,6 +199,32 @@ def test_tc112_small_segment_expression_without_a_kernel(kx_catalog, refusals):
     assert not refusals(per_k.project([("k", col("k")), ("m", col("ax") * 7.0 - 1.0)]))
 
 
+def test_tc107_stream_side_reading_certain_columns(kx_catalog, refusals):
+    # A sentinel re-evaluates a stream comparison's uncertain side from its
+    # uncertain cells alone, so that side may read no certain column.
+    for pred in (col("ax") - col("x") > 0.0, col("ax") * 0.5 + col("x") > col("y")):
+        plan = _with_uncertain().select(pred)
+        assert refusals(plan) == {"TC107"}
+        with pytest.raises(UnsupportedQueryError) as exc:
+            compile_online(plan, kx_catalog, "t")
+        assert exc.value.rule_id == "TC107" and exc.value.node is plan
+    assert not refusals(_with_uncertain().select(col("ax") * 0.5 > col("x") - col("y")))
+    # Small segments keep no sentinels and keep accepting the shape.
+    having = _kx().aggregate(["k"], [avg("x", "ax")]).select(col("ax") - col("k") > 0.0)
+    assert not refusals(having)
+
+
+def test_tc113_union_of_inputs_carrying_uncertain_columns(kx_catalog, refusals):
+    plan = _with_uncertain().union(_with_uncertain())
+    assert refusals(plan) == {"TC113"}
+    with pytest.raises(UnsupportedQueryError) as exc:
+        compile_online(plan, kx_catalog, "t")
+    assert exc.value.rule_id == "TC113" and exc.value.node is plan
+    # The repair: union the stream inputs below the join.
+    inner = _kx().aggregate([], [avg("x", "ax")])
+    assert not refusals(_kx().union(_kx()).join(inner, keys=[]))
+
+
 def test_every_refusal_is_reported(refusals):
     # One run reports all problems of a plan; the compiler raises the first.
     plan = _with_uncertain().aggregate(["ax"], [min_("x", "mn"), stddev("ax", "sd")])

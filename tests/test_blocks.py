@@ -2,13 +2,14 @@
 
 Three kinds of check, all count- or value-based so they repeat exactly:
 
-* engine runs — in the default config and with OPT2 off, no lineage
-  reference is resolved through an object: every classify
-  of an ND store gathers by gid from the sidecar, and never over more
-  distinct groups than the block has;
-* hypothesis parity of the lazily materialised ``groups`` view against
-  the arrays it is built from (tombstones, volatile-only groups, the
-  scalar ``()`` group, empty outputs, keys not yet published);
+* engine runs — in the default config and with OPT2 off, an uncertain
+  column is its gids: every classify of an ND store gathers by gid, never
+  over more distinct groups than the block has, and no ND store holds an
+  object column;
+* hypothesis parity of the rows the one row builder delivers, and of
+  gathers by gid against a row-wise reference, with the arrays they read
+  (tombstones, volatile-only groups, the scalar ``()`` group, empty
+  outputs, keys not yet published);
 * a state snapshot shares relation buffers yet restores any number of
   times to the same suffix, bit for bit.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OnlineConfig, OnlineQueryEngine, classify
+from repro.core import OnlineConfig, OnlineQueryEngine, classify, smallplan
 from repro.core.blocks import (
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
@@ -29,13 +30,13 @@ from repro.core.blocks import (
 )
 from repro.core.operators import iter_ops
 from repro.core.smallplan import SmallBlockLeaf, SmallPlanUnit, SmallRename
-from repro.core.values import LineageRef
 from repro.kernels import resolve as kresolve
 from repro.relational import Catalog, ColumnType, Relation, Schema
 from repro.relational.expressions import Col
+from repro.storage.columns import CODE_DTYPE
 from repro.storage.lineage import LineageColumn
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
-from tests.conftest import output_from_groups
+from tests.conftest import group_rows, output_from_groups, rowwise_side
 from tests.test_kernels import assert_partials_identical
 
 fuzz = settings(
@@ -62,37 +63,22 @@ class TestLineageIsTheGid:
         self, name, lazy_lineage, catalogs, monkeypatch
     ):
         spec = {**TPCH_QUERIES, **CONVIVA_QUERIES}[name]
-        counts = {"resolve": 0, "rowwise": 0, "gathers": 0}
-        original_resolve = RuntimeContext.resolve
-        original_cell = classify._resolve_cell
+        gathers = []
         original_gather = kresolve.resolve_column
 
-        def resolve(self, ref):
-            counts["resolve"] += 1
-            return original_resolve(self, ref)
-
-        def cell(*args):
-            counts["rowwise"] += 1
-            return original_cell(*args)
-
-        def gather(lineage, ctx):
-            counts["gathers"] += 1
+        def gather(lineage, gids, ctx):
+            gathers.append(len(gids))
             output = ctx.blocks[lineage.block_id]
             # Distinct cells behind one classify never exceed the block's
             # groups — whatever batch the rows were attached in.
-            assert len(np.unique(lineage.gids)) <= len(output)
-            return original_gather(lineage, ctx)
+            assert len(np.unique(gids)) <= len(output)
+            return original_gather(lineage, gids, ctx)
 
-        monkeypatch.setattr(RuntimeContext, "resolve", resolve)
-        monkeypatch.setattr(classify, "_resolve_cell", cell)
         monkeypatch.setattr(kresolve, "resolve_column", gather)
 
         engine = OnlineQueryEngine(
             catalogs[name],
             spec.streamed_table,
-            # A seed with no range-integrity failure in these 12 batches:
-            # a recovery words its violation through the row-wise sentinel
-            # check (one ``resolve`` per flipped entity), by design.
             OnlineConfig(num_trials=8, seed=5, lazy_lineage=lazy_lineage),
         )
         session = engine.open_run(spec.plan, 12)
@@ -109,17 +95,15 @@ class TestLineageIsTheGid:
                     nd = op.state.get("nd")
                     if nd is None or not len(nd):
                         continue
-                    refs = [
-                        c for c, a in nd.rows.columns.items()
-                        if a.dtype == object and isinstance(a[0], LineageRef)
-                    ]
-                    # The sidecar survives every append to the ND store.
-                    assert refs and set(refs) <= set(nd.rows.lineage), op.label
+                    uncertain = op.uncertain_cols & set(nd.rows.columns)
+                    # Every uncertain column of the store is its gids, and
+                    # its sidecar survives every append to the store.
+                    assert uncertain and uncertain <= set(nd.rows.lineage), op.label
+                    for name in uncertain:
+                        assert nd.rows.columns[name].dtype == CODE_DTYPE, (op.label, name)
         finally:
             session.close()
-        assert counts["gathers"] > 0
-        assert counts["resolve"] == 0
-        assert counts["rowwise"] == 0
+        assert sum(gathers) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,51 +162,39 @@ class TestRowViewMatchesArrays:
     def test_groups_view(self, case):
         out, later = case
         keys = out.index.keys
-        assert list(out.groups) == [keys[g] for g in out.order.tolist()]
-        assert len(out.groups) == len(out) == len(out.order)
+        frame = smallplan._block_frame(out, out.order)
+        rows = frame.rows()
+        assert len(rows) == len(out) == len(out.order)
         col = out.ucol("v")
-        for key, group in out.groups.items():
-            gid = out.gid(key)
-            assert group is out.groups[key] is out.get(key)  # cached
-            assert group.key == key
-            assert group.certain == bool(out.certain[gid])
-            assert group.member_status == MEMBER_TRUE
-            assert group.member_point == bool(out.member_point[gid])
-            assert np.array_equal(group.exist_in_trial(T), out.exist[gid])
+        for gid, row in zip(out.order.tolist(), rows):
             if out.key_cols:
-                assert group.values["k"] == key[0]
-            uv = group.values["v"]
+                assert row["k"] == keys[gid][0]
+            uv = row["v"]
             assert np.array_equal([uv.value], [col.point[gid]], equal_nan=True)
             assert np.array_equal(uv.trials, col.trials[gid], equal_nan=True)
             assert (uv.vrange.lo, uv.vrange.hi) == (col.lo[gid], col.hi[gid])
-            assert uv.lineage == LineageRef(5, key, "v")
+        assert frame.certain.tolist() == out.certain[out.order].tolist()
+        assert frame.point.tolist() == out.member_point[out.order].tolist()
         for gid in later.tolist():
-            assert out.get(keys[gid]) is None and keys[gid] not in out.groups
-        assert out.get(("never",)) is None
+            assert out.probe([keys[gid]]).tolist() == [-1]
+        assert out.probe([("never",)]).tolist() == [-1]
 
     @fuzz
     @given(published_outputs())
     def test_gather_resolves_like_the_row_reference(self, case):
         out, later = case
-        gids = np.concatenate([out.order, later, out.order[:1]])
+        gids = np.concatenate([out.order, later, out.order[:1]]).astype(CODE_DTYPE)
         if not len(gids):
             return
-        keys = out.index.keys
-        refs = np.empty(len(gids), dtype=object)
-        refs[:] = [LineageRef(5, keys[g], "v") for g in gids.tolist()]
         schema = Schema([("u", ColumnType.FLOAT)])
-        with_sidecar = Relation._from_parts(
-            schema, {"u": refs}, np.ones(len(gids)), None,
-            lineage={"u": LineageColumn(5, "v", gids)},
+        rel = Relation._from_parts(
+            schema, {"u": gids}, np.ones(len(gids)), None,
+            lineage={"u": LineageColumn(5, "v")},
         )
-        # Without a lineage sidecar the kernel declines and evaluate_side
-        # falls back to its general per-row loop: the reference.
         ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=T))
         ctx.blocks[5] = out
-        vec, ref = (
-            classify.evaluate_side(Col("u"), rel, {"u"}, ctx)
-            for rel in (with_sidecar, Relation(schema, {"u": refs}))
-        )
+        vec = classify.evaluate_side(Col("u"), rel, {"u"}, ctx)
+        ref = rowwise_side(Col("u"), rel, {"u"}, ctx)
         # Keys the index handed out after this publish are PENDING.
         assert vec.pending.tolist() == [g in later.tolist() for g in gids.tolist()]
         assert np.array_equal(vec.pending, ref.pending)
@@ -234,8 +206,8 @@ class TestRowViewMatchesArrays:
 
     def test_empty_output(self):
         out = BlockOutput(5, ["k"], ["v"])
-        assert len(out) == 0 and list(out.groups) == []
-        assert out.get((1,)) is None
+        assert len(out) == 0 and group_rows(out) == {}
+        assert smallplan._block_frame(out, out.order).rows() == []
         assert out.probe([(1,)]).tolist() == [-1]
         assert out.estimated_bytes() == 0
 
@@ -272,9 +244,8 @@ class TestRowViewMatchesArrays:
         assert view.index is leaf.index
         assert view.ucol("v") is leaf.ucol("v") and view.exist is leaf.exist
         assert view.member_status.tolist() == [MEMBER_TRUE, MEMBER_UNKNOWN, MEMBER_UNKNOWN]
-        row = view.get((2,))
+        row = group_rows(view)[(2,)]
         assert row.values["k2"] == 2 and row.values["v"].value == 1.0
-        assert row.values["v"].lineage == LineageRef(9, (2,), "v")
         assert not row.certain and row.member_status == MEMBER_UNKNOWN
 
 

@@ -1,9 +1,8 @@
 """Tests for range-based predicate classification (Section 5.2)."""
 
 import numpy as np
-import pytest
 
-from repro.core.blocks import GroupValue, OnlineConfig, RuntimeContext
+from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.classify import (
     FALSE,
     PENDING,
@@ -13,10 +12,10 @@ from repro.core.classify import (
     combine_conjuncts,
     evaluate_side,
 )
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.relational import Catalog, ColumnType, Relation, Schema
-from repro.relational.expressions import Col, Comparison, Literal, col
-from tests.conftest import publish_group
+from repro.relational.expressions import Col, Comparison, col
+from tests.conftest import Group, gid_column, publish_group
 
 SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 
@@ -28,30 +27,25 @@ def make_ctx(t=4):
 
 
 def publish(ctx, value, trials, lo, hi, key=(), block=1, colname="v"):
-    uv = UncertainValue(
-        value,
-        np.asarray(trials, dtype=float),
-        VariationRange(lo, hi),
-        LineageRef(block, key, colname),
-    )
-    publish_group(ctx, block, [colname], GroupValue(key, {colname: uv}, True))
+    uv = UncertainValue(value, np.asarray(trials, dtype=float), VariationRange(lo, hi))
+    publish_group(ctx, block, [colname], Group(key, {colname: uv}, True))
 
 
-def rel(d_values, keys=None, block=1, colname="v"):
-    n = len(d_values)
-    refs = np.empty(n, dtype=object)
-    for i in range(n):
-        key = () if keys is None else (keys[i],)
-        refs[i] = LineageRef(block, key, colname)
-    return Relation(
-        SCHEMA, {"d": np.asarray(d_values, dtype=float), "u": refs}
+def rel(ctx, d_values, keys=None, block=1, colname="v"):
+    """Rows ``d``, each with ``u`` referencing group ``(keys[i],)`` (``()``
+    for None) of ``block``'s column ``colname``."""
+    keys = [() if keys is None else (k,) for k in (keys or [None] * len(d_values))]
+    gids, lineage = gid_column(ctx, block, keys, colname)
+    return Relation._from_parts(
+        SCHEMA, {"d": np.asarray(d_values, dtype=float), "u": gids},
+        np.ones(len(gids)), lineage={"u": lineage},
     )
 
 
 class TestEvaluateSide:
     def test_deterministic_side(self):
         ctx = make_ctx()
-        side = evaluate_side(col("d") * 2, rel([1.0, 2.0]), {"u"}, ctx)
+        side = evaluate_side(col("d") * 2, rel(ctx, [1.0, 2.0]), {"u"}, ctx)
         assert list(side.point) == [2.0, 4.0]
         assert (side.lo == side.hi).all()
         assert side.trials is None
@@ -59,7 +53,7 @@ class TestEvaluateSide:
     def test_bare_uncertain_column(self):
         ctx = make_ctx()
         publish(ctx, 10.0, [9.0, 10.0, 11.0, 10.0], 8.0, 12.0)
-        side = evaluate_side(Col("u"), rel([0.0, 0.0]), {"u"}, ctx)
+        side = evaluate_side(Col("u"), rel(ctx, [0.0, 0.0]), {"u"}, ctx)
         assert list(side.point) == [10.0, 10.0]
         assert side.lo[0] == 8.0 and side.hi[0] == 12.0
         assert side.trials.shape == (2, 4)
@@ -67,13 +61,13 @@ class TestEvaluateSide:
     def test_expression_over_uncertain(self):
         ctx = make_ctx()
         publish(ctx, 10.0, [10.0] * 4, 8.0, 12.0)
-        side = evaluate_side(Col("u") * 0.5, rel([0.0]), {"u"}, ctx)
+        side = evaluate_side(Col("u") * 0.5, rel(ctx, [0.0]), {"u"}, ctx)
         assert side.point[0] == 5.0
         assert side.lo[0] == 4.0 and side.hi[0] == 6.0
 
     def test_pending_unresolved_ref(self):
         ctx = make_ctx()  # nothing published
-        side = evaluate_side(Col("u"), rel([0.0]), {"u"}, ctx)
+        side = evaluate_side(Col("u"), rel(ctx, [0.0]), {"u"}, ctx)
         assert side.pending[0]
 
 
@@ -86,53 +80,53 @@ class TestClassifyComparison:
     def test_greater_partitions(self):
         ctx = self.setup_ctx()
         # d > u with R(u) = [8, 12]
-        r = rel([20.0, 1.0, 10.5])
+        r = rel(ctx, [20.0, 1.0, 10.5])
         res = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
         assert list(res.status) == [TRUE, FALSE, UNKNOWN]
 
     def test_point_decisions(self):
         ctx = self.setup_ctx()
-        r = rel([20.0, 1.0, 10.5])
+        r = rel(ctx, [20.0, 1.0, 10.5])
         res = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
         assert list(res.point) == [True, False, True]  # current estimate 10
 
     def test_trial_decisions(self):
         ctx = self.setup_ctx()
-        r = rel([10.5])
+        r = rel(ctx, [10.5])
         res = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
         # trials are [9, 10, 11, 10]: 10.5 > trial?
         assert list(res.trials[0]) == [True, True, False, True]
 
     def test_less_than(self):
         ctx = self.setup_ctx()
-        r = rel([1.0, 20.0, 9.0])
+        r = rel(ctx, [1.0, 20.0, 9.0])
         res = classify_comparison(Comparison("<", Col("d"), Col("u")), r, {"u"}, ctx)
         assert list(res.status) == [TRUE, FALSE, UNKNOWN]
 
     def test_boundary_is_unknown_for_ge(self):
         ctx = self.setup_ctx()
         res = classify_comparison(
-            Comparison(">=", Col("d"), Col("u")), rel([12.0]), {"u"}, ctx
+            Comparison(">=", Col("d"), Col("u")), rel(ctx, [12.0]), {"u"}, ctx
         )
         assert res.status[0] == TRUE  # 12 >= hi(R)=12 always
 
     def test_equality_disjoint_false(self):
         ctx = self.setup_ctx()
         res = classify_comparison(
-            Comparison("==", Col("d"), Col("u")), rel([99.0]), {"u"}, ctx
+            Comparison("==", Col("d"), Col("u")), rel(ctx, [99.0]), {"u"}, ctx
         )
         assert res.status[0] == FALSE
 
     def test_equality_overlapping_unknown(self):
         ctx = self.setup_ctx()
         res = classify_comparison(
-            Comparison("==", Col("d"), Col("u")), rel([10.0]), {"u"}, ctx
+            Comparison("==", Col("d"), Col("u")), rel(ctx, [10.0]), {"u"}, ctx
         )
         assert res.status[0] == UNKNOWN
 
     def test_pending_rows_marked(self):
         ctx = self.setup_ctx()
-        r = rel([5.0], keys=["missing"], block=1)
+        r = rel(ctx, [5.0], keys=["missing"], block=1)
         res = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
         assert res.status[0] == PENDING
         assert not res.point[0]
@@ -141,7 +135,7 @@ class TestClassifyComparison:
         ctx = make_ctx()
         publish(ctx, 5.0, [5.0] * 4, 4.0, 6.0, key=("a",))
         publish(ctx, 50.0, [50.0] * 4, 40.0, 60.0, key=("b",))
-        r = rel([10.0, 10.0], keys=["a", "b"])
+        r = rel(ctx, [10.0, 10.0], keys=["a", "b"])
         res = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
         assert list(res.status) == [TRUE, FALSE]
 
@@ -149,16 +143,16 @@ class TestClassifyComparison:
         ctx = self.setup_ctx()
         # d > 2*u: R(2u) = [16, 24]
         res = classify_comparison(
-            Comparison(">", Col("d"), Col("u") * 2), rel([30.0, 10.0, 20.0]), {"u"}, ctx
+            Comparison(">", Col("d"), Col("u") * 2), rel(ctx, [30.0, 10.0, 20.0]), {"u"}, ctx
         )
         assert list(res.status) == [TRUE, FALSE, UNKNOWN]
 
 
 class TestCombineConjuncts:
     def make_results(self, ctx, d1, d2):
-        r = rel(d1)
+        r = rel(ctx, d1)
         c1 = classify_comparison(Comparison(">", Col("d"), Col("u")), r, {"u"}, ctx)
-        r2 = rel(d2)
+        r2 = rel(ctx, d2)
         c2 = classify_comparison(Comparison("<", Col("d"), Col("u")), r2, {"u"}, ctx)
         return c1, c2
 
@@ -166,7 +160,7 @@ class TestCombineConjuncts:
         ctx = make_ctx()
         publish(ctx, 10.0, [10.0] * 4, 8.0, 12.0)
         res = classify_comparison(
-            Comparison(">", Col("d"), Col("u")), rel([20.0]), {"u"}, ctx
+            Comparison(">", Col("d"), Col("u")), rel(ctx, [20.0]), {"u"}, ctx
         )
         assert combine_conjuncts([res], 4) is res
 
@@ -184,7 +178,7 @@ class TestCombineConjuncts:
         combined = combine_conjuncts([a, b], 4)
         assert combined.status[0] == TRUE
         c = classify_comparison(
-            Comparison(">", Col("d"), Col("u")), rel([10.0]), {"u"}, ctx
+            Comparison(">", Col("d"), Col("u")), rel(ctx, [10.0]), {"u"}, ctx
         )
         combined2 = combine_conjuncts([a, c], 4)
         assert combined2.status[0] == UNKNOWN
@@ -201,7 +195,7 @@ class TestCombineConjuncts:
         publish(ctx, 10.0, [9.0, 10.0, 11.0, 12.0], 8.0, 12.0)
         a, _ = self.make_results(ctx, [10.5], [10.5])
         b = classify_comparison(
-            Comparison("<", Col("d"), Col("u")), rel([10.5]), {"u"}, ctx
+            Comparison("<", Col("d"), Col("u")), rel(ctx, [10.5]), {"u"}, ctx
         )
         combined = combine_conjuncts([a, b], 4)
         expected = a.trial_matrix(4)[0] & b.trial_matrix(4)[0]

@@ -116,7 +116,17 @@ REFUSED_PLANS: dict[str, Callable[[], PlanNode]] = {
     "TC112": lambda: _kx()
     .aggregate(["k"], [avg("x", "ax")])
     .project([("m", Arith("%", col("ax"), lit(7.0)))]),
+    "TC113": lambda: _with_uncertain().union(_with_uncertain()),
+    # A second shape of one rule: ``<rule>/<shape>``.
+    "TC107/certain-beside-uncertain": lambda: _with_uncertain().select(
+        col("ax") - col("x") > lit(0.0)
+    ),
 }
+
+
+def _rule(fixture: str) -> str:
+    """The rule id a fixture key names."""
+    return fixture.split("/")[0]
 
 
 def _refused(rule_id: str) -> Callable[[Ctx], list[AnalysisDiagnostic]]:
@@ -375,6 +385,8 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "TC110": _refused("TC110"),
     "TC111": _refused("TC111"),
     "TC112": _refused("TC112"),
+    "TC113": _refused("TC113"),
+    "TC107/certain-beside-uncertain": _refused("TC107/certain-beside-uncertain"),
     "TC301": _tc301,
     "TC302": _tc302,
     "TC303": _tc303,
@@ -407,7 +419,7 @@ ALL_RULES = (
 
 def test_every_rule_has_a_fixture():
     missing = sorted(ALL_RULES - set(FIXTURES))
-    stale = sorted(set(FIXTURES) - ALL_RULES)
+    stale = sorted({_rule(f) for f in FIXTURES} - ALL_RULES)
     assert not missing, f"rules without golden fixtures: {missing}"
     assert not stale, f"fixtures for rules no longer in any catalog: {stale}"
 
@@ -415,7 +427,7 @@ def test_every_rule_has_a_fixture():
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
 def test_golden_fixture(rule_id, kx_catalog):
     diags = FIXTURES[rule_id](Ctx(kx_catalog))
-    fired = [d for d in diags if d.rule_id == rule_id]
+    fired = [d for d in diags if d.rule_id == _rule(rule_id)]
     assert fired, (
         f"fixture for {rule_id} fired {sorted({d.rule_id for d in diags})} "
         f"instead"
@@ -424,7 +436,7 @@ def test_golden_fixture(rule_id, kx_catalog):
     assert diag.location, f"{rule_id} diagnostic has no location"
     assert diag.message, f"{rule_id} diagnostic has no message"
     assert diag.severity in ("error", "warning")
-    if rule_id not in HINTLESS:
+    if _rule(rule_id) not in HINTLESS:
         assert diag.hint, f"{rule_id} diagnostic has no repair hint"
 
 
@@ -434,6 +446,6 @@ def test_compiler_raises_the_first_reported_refusal(rule_id, kx_catalog):
     first = check_plan(plan, kx_catalog, "t").diagnostics[0]
     with pytest.raises(UnsupportedQueryError) as exc:
         compile_online(plan, kx_catalog, "t")
-    assert exc.value.rule_id == first.rule_id == rule_id
+    assert exc.value.rule_id == first.rule_id == _rule(rule_id)
     assert f"{type(exc.value.node).__name__}#{exc.value.node.node_id}" == first.location
     assert str(exc.value) == first.message

@@ -24,7 +24,6 @@ from repro.core.blocks import (
     MEMBER_FALSE,
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
-    GroupValue,
     RuntimeContext,
 )
 from repro.core.compiler import StreamPipelineUnit, compile_online
@@ -44,7 +43,7 @@ from repro.relational.algebra import scan
 from repro.relational.expressions import col
 from repro.workloads import TPCH_QUERIES, generate_tpch
 from repro.workloads.tpch import CUSTOMER_SCHEMA, LINEORDER_SCHEMA
-from tests.conftest import KX_SCHEMA, output_from_groups
+from tests.conftest import KX_SCHEMA, Group, output_from_groups
 from tests.test_shards import assert_rows_bit_identical, canon
 
 Q18 = TPCH_QUERIES["Q18"]
@@ -177,9 +176,9 @@ def test_gate_sets_existence_not_values():
     ctx.begin_batch(1, rel, BatchMetrics(1), len(rel))
     unresolved = np.array([True, False, True, False])
     ctx.blocks[7] = output_from_groups(7, ["k2"], ["k2"], [
-        GroupValue((0,), {"k2": 0}, True, MEMBER_TRUE, True),
-        GroupValue((1,), {"k2": 1}, False, MEMBER_FALSE, False),
-        GroupValue((2,), {"k2": 2}, False, MEMBER_UNKNOWN, True, unresolved),
+        Group((0,), {"k2": 0}, True, MEMBER_TRUE, True),
+        Group((1,), {"k2": 1}, False, MEMBER_FALSE, False),
+        Group((2,), {"k2": 2}, False, MEMBER_UNKNOWN, True, unresolved),
     ], t, ctx.indexes[7])
     plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("y", "sy")])
     op = AggregateOp(

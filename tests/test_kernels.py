@@ -1,10 +1,9 @@
 """Bit-identity tests for the kernel layer (repro.kernels).
 
-Each kernel is checked against a row-wise reference — a helper the engine
-keeps as a fallback (``evaluate_side``'s general loop on a relation
-without a lineage sidecar, ``SentinelStore._violated``) or a reference
-written here; the contract is *bit-identical* output, not approximate
-equality. These tests pin each kernel on hand-picked edge cases; the
+Each kernel is checked against a row-wise reference written in the
+tests (``tests.conftest.rowwise_side``, the per-row ``UncertainValue``
+evaluation of a comparison side; brute-force staircases here); the
+contract is *bit-identical* output, not approximate equality. These tests pin each kernel on hand-picked edge cases; the
 property suite (tests/test_properties.py) covers randomized inputs.
 """
 
@@ -18,14 +17,14 @@ from repro.core.blocks import (
     MEMBER_FALSE,
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
-    GroupValue,
+    GroupIndex,
     OnlineConfig,
     RuntimeContext,
 )
 from repro.core.operators.base import SpineOp, StateRule, TagRule
 from repro.core.operators.join import UncertainJoinOp
 from repro.core.sentinels import SentinelStore
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.errors import RangeIntegrityError
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import (
@@ -39,8 +38,17 @@ from repro.relational import Catalog, ColumnType, Relation, Schema, relation_fro
 from repro.relational.aggregates import AGG_FUNCTIONS, AggregateFunction, Median, Quantile
 from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
+from repro.kernels import resolve as kresolve
+from repro.storage.columns import CODE_DTYPE
 from repro.storage.lineage import LineageColumn
-from tests.conftest import output_from_groups, publish_group
+from tests.conftest import (
+    Group,
+    gid_column,
+    group_rows,
+    output_from_groups,
+    publish_group,
+    rowwise_side,
+)
 
 
 def make_ctx(t=4):
@@ -258,12 +266,9 @@ def _view(t=4):
         (4, MEMBER_TRUE, False, True, np.array([True, True, False, True])),
     ]
     for k, status, certain, point, exist in statuses:
-        uv = UncertainValue(
-            float(k), np.full(t, float(k)), VariationRange(k - 1.0, k + 1.0),
-            LineageRef(7, (k,), "ax"),
-        )
+        uv = UncertainValue(float(k), np.full(t, float(k)), VariationRange(k - 1.0, k + 1.0))
         groups.append(
-            GroupValue(
+            Group(
                 (k,), {"ax": uv, "lbl": k * 10}, certain,
                 member_status=status, member_point=point, exist_trials=exist,
             )
@@ -272,7 +277,7 @@ def _view(t=4):
 
 
 class TestBlockOutputArrays:
-    """The gid-indexed arrays against the row view of the same output."""
+    """The gid-indexed arrays against the groups they were stacked from."""
 
     def test_status_codes_align_with_classify(self):
         assert MEMBER_TRUE == classify.TRUE
@@ -282,20 +287,18 @@ class TestBlockOutputArrays:
     def test_probe_matches_view_get(self):
         view = _view()
         keys = [(0,), (99,), (3,), (2,)]
+        assert view.probe(keys).tolist() == [0, -1, 3, 2]
         for key, gid in zip(keys, view.probe(keys)):
-            if gid < 0:
-                assert view.get(key) is None
-            else:
+            if gid >= 0:
                 assert view.index.keys[gid] == key
-                assert view.get(key).key == key
 
     def test_join_status_matches_group_flags(self):
         view = _view()
-        for key, group in view.groups.items():
-            gid = view.gid(key)
-            if group.certainly_in:
+        for key, group in group_rows(view).items():
+            gid = view.probe([key])[0]
+            if group.certain and group.member_status == MEMBER_TRUE:
                 assert view.join_status[gid] == classify.TRUE
-            elif group.certainly_out:
+            elif group.member_status == MEMBER_FALSE:
                 assert view.join_status[gid] == classify.FALSE
             else:
                 assert view.join_status[gid] == classify.UNKNOWN
@@ -303,18 +306,18 @@ class TestBlockOutputArrays:
 
     def test_exist_matrix(self):
         view = _view()
-        for key, group in view.groups.items():
-            assert np.array_equal(view.exist[view.gid(key)], group.exist_in_trial(4))
+        for key, group in group_rows(view).items():
+            assert np.array_equal(view.exist[view.probe([key])[0]], group.exist_in_trial(4))
 
     def test_columns_stacked_from_rows(self):
         view = _view()
         col = view.ucol("ax")
         assert view.ucol("ax") is col
-        for key, group in view.groups.items():
-            gid, uv = view.gid(key), group.values["ax"]
-            assert col.point[gid] == uv.value
-            assert np.array_equal(col.trials[gid], uv.trials)
-            assert (col.lo[gid], col.hi[gid]) == (uv.vrange.lo, uv.vrange.hi)
+        for k in range(5):
+            gid = view.probe([(k,)])[0]
+            assert col.point[gid] == float(k)
+            assert np.array_equal(col.trials[gid], np.full(4, float(k)))
+            assert (col.lo[gid], col.hi[gid]) == (k - 1.0, k + 1.0)
         assert view.det_values("lbl", np.dtype(np.int64)).tolist() == [
             0, 10, 20, 30, 40
         ]
@@ -322,13 +325,13 @@ class TestBlockOutputArrays:
 
     def test_gids_survive_republish_in_another_order(self):
         first = _view()
+        groups = group_rows(first)
         again = output_from_groups(
-            7, ["k2"], ["ax", "lbl"], reversed(list(first.groups.values())), 4,
-            first.index,
+            7, ["k2"], ["ax", "lbl"], reversed(list(groups.values())), 4, first.index,
         )
-        assert list(again.groups) == list(reversed(list(first.groups)))
-        for key in first.groups:
-            assert again.gid(key) == first.gid(key)
+        assert list(group_rows(again)) == list(reversed(list(groups)))
+        keys = list(groups)
+        assert again.probe(keys).tolist() == first.probe(keys).tolist()
 
 
 class _StubChild(SpineOp):
@@ -366,58 +369,46 @@ class TestAttachCoded:
         view = _view()
         rel = self.stream([0, 2, 4, 0, 3])
         gids = view.probe([(k,) for k in rel.columns["k"].tolist()])
-        groups = [view.get((k,)) for k in rel.columns["k"].tolist()]
-        ref = op._attach(rel, view, groups)
         out = op._attach_coded(rel, view, gids)
-        for lin in (out.lineage["ax"], ref.lineage["ax"]):
-            assert (lin.block_id, lin.column) == (7, "ax")
-            assert lin.gids.tolist() == gids.tolist()
-        assert out.schema.names == ref.schema.names
-        assert np.array_equal(out.columns["lbl"], ref.columns["lbl"])
-        assert out.columns["lbl"].dtype == ref.columns["lbl"].dtype
-        # Lineage refs compare by value: pooled instances are equivalent.
-        assert list(out.columns["ax"]) == list(ref.columns["ax"])
-        assert np.array_equal(out.mult, ref.mult)
+        # The uncertain column's cells are the gids; the plain one holds
+        # each row's group value, as a row-by-row fill would.
+        groups = group_rows(view)
+        assert out.columns["ax"].dtype == CODE_DTYPE
+        assert out.columns["ax"].tolist() == gids.tolist()
+        assert out.lineage == {"ax": LineageColumn(7, "ax")}
+        assert out.schema.names == ["k", "x", "ax", "lbl"]
+        assert out.columns["lbl"].tolist() == [
+            groups[(k,)].values["lbl"] for k in rel.columns["k"].tolist()
+        ]
+        assert out.columns["lbl"].dtype == np.int64
+        assert np.array_equal(out.mult, rel.mult)
 
     def test_attach_empty(self):
         op = self.make_op()
-        rel = self.stream([])
-        out = op._attach_coded(rel, None, np.empty(0, dtype=np.intp))
-        ref = op._attach(rel, None, [])
-        assert out.schema.names == ref.schema.names
-        for name in out.schema.names:
-            assert out.columns[name].dtype == ref.columns[name].dtype
-            assert len(out.columns[name]) == 0
+        out = op._attach_coded(self.stream([]), None, np.empty(0, dtype=np.intp))
+        assert out.schema.names == ["k", "x", "ax", "lbl"]
+        assert [out.columns[n].dtype for n in ("ax", "lbl")] == [CODE_DTYPE, np.int64]
+        assert all(len(out.columns[name]) == 0 for name in out.schema.names)
+        assert out.lineage == {"ax": LineageColumn(7, "ax")}
 
 
 def publish_block(ctx, block, key, value, trials, lo, hi, colname="v"):
-    uv = UncertainValue(
-        value,
-        np.asarray(trials, dtype=float),
-        VariationRange(lo, hi),
-        LineageRef(block, key, colname),
-    )
-    publish_group(ctx, block, [colname], GroupValue(key, {colname: uv}, True))
+    uv = UncertainValue(value, np.asarray(trials, dtype=float), VariationRange(lo, hi))
+    publish_group(ctx, block, [colname], Group(key, {colname: uv}, True))
 
 
 class TestResolveKernel:
-    """kernels.resolve vs the row-wise classify reference."""
+    """kernels.resolve vs the row-wise reference (``rowwise_side``)."""
 
     SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 
-    def rel(self, d_values, keys, gids=None):
-        """Refs plus their gid sidecar, as the uncertain join attaches
-        them (the tests publish key ``k`` as gid ``k`` unless told)."""
-        n = len(d_values)
-        refs = np.empty(n, dtype=object)
-        for i in range(n):
-            refs[i] = LineageRef(1, (keys[i],), "v")
+    def rel(self, ctx, d_values, keys):
+        """Rows ``d`` whose ``u`` references group ``(k,)`` of block 1 by
+        gid, as the uncertain join attaches them."""
+        gids, lineage = gid_column(ctx, 1, [(k,) for k in keys], "v")
         return Relation._from_parts(
-            self.SCHEMA,
-            {"d": np.asarray(d_values, dtype=float), "u": refs},
-            np.ones(n),
-            None,
-            lineage={"u": LineageColumn(1, "v", np.asarray(keys if gids is None else gids))},
+            self.SCHEMA, {"d": np.asarray(d_values, dtype=float), "u": gids},
+            np.ones(len(gids)), None, lineage={"u": lineage},
         )
 
     def context(self, publish_keys=(0, 1), t=4):
@@ -429,15 +420,11 @@ class TestResolveKernel:
             )
         return ctx
 
-    def bare(self, rel):
-        """``rel`` without its gid sidecar: the kernel declines it, so
-        ``evaluate_side`` runs its general per-row loop (the reference)."""
-        return Relation(self.SCHEMA, dict(rel.columns))
-
-    def assert_sides_equal(self, expr, rel, t=4, publish_keys=(0, 1)):
-        ctx = self.context(publish_keys, t)
+    def assert_sides_equal(self, expr, d_values, keys, ctx=None, t=4):
+        ctx = ctx if ctx is not None else self.context(t=t)
+        rel = self.rel(ctx, d_values, keys)
         vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
-        ref = classify.evaluate_side(expr, self.bare(rel), {"u"}, ctx)
+        ref = rowwise_side(expr, rel, {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)
@@ -446,67 +433,59 @@ class TestResolveKernel:
             equal_nan=True,
         )
         assert np.array_equal(vec.pending, ref.pending)
+        return vec
 
     def test_bare_column(self):
-        self.assert_sides_equal(Col("u"), self.rel([0.0, 0.0, 0.0], [0, 1, 0]))
+        self.assert_sides_equal(Col("u"), [0.0, 0.0, 0.0], [0, 1, 0])
 
     def test_arith_with_literal(self):
-        rel = self.rel([2.0, 4.0], [0, 1])
-        self.assert_sides_equal(Col("u") * 0.5 + lit(1.0), rel)
-        self.assert_sides_equal(Col("u") - col("d"), rel)
-        self.assert_sides_equal(col("d") * Col("u"), rel)
+        for expr in (Col("u") * 0.5 + lit(1.0), Col("u") - col("d"), col("d") * Col("u")):
+            self.assert_sides_equal(expr, [2.0, 4.0], [0, 1])
 
     def test_division_range_crossing_zero(self):
         ctx = self.context((0,))
         publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
-        rel = self.rel([6.0, 6.0], [0, 9], gids=[0, 1])
-        expr = col("d") / Col("u")
-        vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
-        ref = classify.evaluate_side(expr, self.bare(rel), {"u"}, ctx)
-        assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
-        assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
+        vec = self.assert_sides_equal(col("d") / Col("u"), [6.0, 6.0], [0, 9], ctx)
         assert vec.lo[1] == -np.inf and vec.hi[1] == np.inf
 
     def test_pending_refs(self):
         # Key 5 never published: rows referencing it are pending, NaN-filled.
-        rel = self.rel([1.0, 2.0, 3.0], [0, 5, 1])
-        self.assert_sides_equal(Col("u") + lit(1.0), rel)
-        self.assert_sides_equal(Col("u"), rel)
+        for expr in (Col("u") + lit(1.0), Col("u")):
+            vec = self.assert_sides_equal(expr, [1.0, 2.0, 3.0], [0, 5, 1])
+            assert vec.pending.tolist() == [False, True, False]
 
     def test_modulo_outside_kernel_dialect(self):
-        # % has no interval rule; the kernel declines and classify keeps
-        # the row-wise reference for such expressions.
-        from repro.kernels import resolve as kresolve
-
+        # % has no interval rule: over an uncertain column the kernel
+        # refuses it (the compiler rejects such a plan, TC107); over
+        # certain columns only it is evaluated as a plain expression.
         ctx = self.context((0,))
-        rel = self.rel([2.0], [0])
-        out = kresolve.try_evaluate_side(
-            Arith("%", Col("u"), lit(3.0)), rel, {"u"}, ctx
-        )
-        assert out is None
+        rel = self.rel(ctx, [2.0], [0])
+        with pytest.raises(kresolve.UnsupportedKernel):
+            kresolve.try_evaluate_side(Arith("%", Col("u"), lit(3.0)), rel, {"u"}, ctx)
+        vec = self.assert_sides_equal(Col("u") + Arith("%", col("d"), lit(3.0)), [5.0], [0])
+        assert vec.point.tolist() == [12.0]
 
     def test_column_without_sidecar_outside_kernel(self):
-        from repro.kernels import resolve as kresolve
-
+        # Only an empty relation carries an uncertain column without its
+        # sidecar (an operator's empty output); it evaluates to no rows.
         ctx = self.context((0,))
-        rel = self.rel([2.0], [0])
-        bare = self.bare(rel)
-        assert kresolve.try_evaluate_side(Col("u") * 2.0, rel, {"u"}, ctx)
-        assert kresolve.try_evaluate_side(Col("u") * 2.0, bare, {"u"}, ctx) is None
-        vec = classify.evaluate_side(Col("u") * 2.0, rel, {"u"}, ctx)
-        ref = classify.evaluate_side(Col("u") * 2.0, bare, {"u"}, ctx)
-        assert np.array_equal(vec.point, ref.point)
+        empty = Relation(self.SCHEMA, {"d": np.zeros(0), "u": np.zeros(0, dtype=CODE_DTYPE)})
+        side = classify.evaluate_side(Col("u") * 2.0, empty, {"u"}, ctx)
+        assert len(side.point) == len(side.pending) == 0
+        assert side.trial_matrix(4).shape == (0, 4)
 
     def test_classification_identical(self):
         ctx = self.context()
-        rel = self.rel([20.0, 1.0, 10.5], [0, 0, 0])
+        rel = self.rel(ctx, [20.0, 1.0, 10.5], [0, 0, 0])
         cmp_ = Comparison(">", Col("d"), Col("u"))
         vec = classify.classify_comparison(cmp_, rel, {"u"}, ctx)
-        ref = classify.classify_comparison(cmp_, self.bare(rel), {"u"}, ctx)
-        assert np.array_equal(vec.status, ref.status)
-        assert np.array_equal(vec.point, ref.point)
-        vt, rt = vec.trial_matrix(4), ref.trial_matrix(4)
-        assert np.array_equal(np.asarray(vt), np.asarray(rt))
+        left = rowwise_side(cmp_.left, rel, {"u"}, ctx)
+        right = rowwise_side(cmp_.right, rel, {"u"}, ctx)
+        status, point = classify.classify_bounds(cmp_.op, left, right)
+        assert np.array_equal(vec.status, status)
+        assert np.array_equal(vec.point, point)
+        trials = classify.compare(cmp_.op, left.trial_matrix(4), right.trial_matrix(4))
+        assert np.array_equal(np.asarray(vec.trial_matrix(4)), trials)
 
 
 class TestHolisticKernels:
@@ -621,19 +600,24 @@ class _ReferenceStaircases:
                  "<=": np.less_equal, "==": np.equal, "!=": np.not_equal}[self.cmp.op](a, b)
             )
 
-    def outcome(self, points: dict, batch_no: int):
+    def outcome(self, points: dict, batch_no: int, index):
         """The error message of a check against ``points`` (entity key ->
-        current point; a missing key has vanished), or None: the first
-        violated (entity, direction) in record order."""
+        current point; a missing key has vanished, and with no key at all
+        the block is not published), or None: the first violated (entity,
+        direction) in record order."""
         for entity, by_dir in self.tight.items():
+            gid = int(entity[0])
+            key = index.keys[gid]
+            named = f"key {key!r}" if points else f"gid {gid}"
+            described = f"(block 1, {named}, column 'v')"
             for expected in (True, False):
                 if expected not in by_dir:
                     continue
-                if entity[0].key not in points:
-                    reason = f"entity {entity!r} resolved {expected} vanished"
-                elif self.holds(by_dir[expected], points[entity[0].key]) != expected:
+                if key not in points:
+                    reason = f"entity {described} resolved {expected} vanished"
+                elif self.holds(by_dir[expected], points[key]) != expected:
                     reason = (
-                        f"resolved decision flipped for entity {entity!r}: {self.cmp!r} "
+                        f"resolved decision flipped for entity {described}: {self.cmp!r} "
                         f"expected {expected} for det value {by_dir[expected]!r}"
                     )
                 else:
@@ -652,31 +636,28 @@ class TestVectorizedSentinels:
         cmp_ = cmp_ or Comparison(">", Col("d"), Col("u"))
         return SentinelStore([cmp_], {"u"}), _ReferenceStaircases(cmp_)
 
-    def rel(self, d_values, keys, sidecar=False):
-        n = len(d_values)
-        refs = np.empty(n, dtype=object)
-        for i in range(n):
-            refs[i] = LineageRef(1, (int(keys[i]),), "v")
-        rel = Relation(
-            Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)]),
-            {"d": np.asarray(d_values, dtype=float), "u": refs},
-        )
-        if sidecar:
-            # Gids of a fixed key -> gid map (key k has gid 10 - k).
-            gids = 10 - np.asarray(keys, dtype=np.intp)
-            rel = Relation._from_parts(
-                rel.schema, rel.columns, rel.mult,
-                lineage={"u": LineageColumn(1, "v", gids)},
-            )
-        return rel
+    def index(self):
+        """One run's group index of block 1; keys are added in reverse so
+        a key's gid is not the key itself."""
+        index = GroupIndex()
+        index.add([(k,) for k in (3, 2, 1, 0)])
+        return index
 
-    def assert_matches_reference(self, store, ref, probes=(), keys=range(4)):
+    def rel(self, index, d_values, keys):
+        gids = index.add([(int(k),) for k in keys]).astype(CODE_DTYPE)
+        return Relation._from_parts(
+            Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)]),
+            {"d": np.asarray(d_values, dtype=float), "u": gids},
+            np.ones(len(gids)), lineage={"u": LineageColumn(1, "v")},
+        )
+
+    def assert_matches_reference(self, store, ref, index, probes=(), keys=range(4)):
         """Compare the tightest values, then check both against every
         entity at each probe estimate (and at each tightest det value,
         just above and below it, NaN and gone)."""
         conj = store._per_conjunct[0]
         got = {
-            conj.entity(slot): {
+            (int(conj.cells[0].gids[conj.entities[slot, 0]]),): {
                 bool(d): float(conj.tight[slot, d]) for d in (1, 0) if conj.has[slot, d]
             }
             for slot in range(conj.n)
@@ -694,51 +675,55 @@ class TestVectorizedSentinels:
         for value in values:
             ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=2))
             ctx.batch_no = 99
+            ctx.indexes[1] = index
             points = {}
             for k in keys if value is not None else ():
                 points[(k,)] = value
-                uv = UncertainValue(value, np.full(2, value), lineage=LineageRef(1, (k,), "v"))
-                publish_group(ctx, 1, ["v"], GroupValue((k,), {"v": uv}, True))
+                uv = UncertainValue(value, np.full(2, value))
+                publish_group(ctx, 1, ["v"], Group((k,), {"v": uv}, True))
             try:
                 store.check(ctx)
                 got = None
             except RangeIntegrityError as failure:
                 got = str(failure)
-            assert got == ref.outcome(points, 99), value
+            assert got == ref.outcome(points, 99, index), value
 
     def test_batched_fold_equals_sequential(self):
         rng = np.random.default_rng(4)
         store, ref = self.make_stores()
-        for sidecar in (False, False, True, True):
+        index = self.index()
+        for _ in range(4):
             d = np.round(rng.normal(10, 5, 30), 3)
             keys = rng.integers(0, 4, 30)
-            rel = self.rel(d, keys, sidecar=sidecar)
+            rel = self.rel(index, d, keys)
             rows = np.arange(30)
             expected = rng.random(30) > 0.5
             store.record(0, rel, rows, expected)
             ref.record(rel, rows, expected)
-        self.assert_matches_reference(store, ref)
+        self.assert_matches_reference(store, ref, index)
 
     def test_nan_det_values_use_reference(self):
         store, ref = self.make_stores()
+        index = self.index()
         for d, keys, expected in [
             ([1.0, float("nan"), 3.0], [0, 0, 1], [True, True, False]),
             ([float("nan"), 0.5, 7.0], [2, 0, 1], [True, True, False]),
             ([-1.0, 9.0], [2, 1], [True, False]),
         ]:
-            rel = self.rel(d, keys)
+            rel = self.rel(index, d, keys)
             store.record(0, rel, np.arange(len(d)), np.array(expected))
             ref.record(rel, np.arange(len(d)), expected)
-        self.assert_matches_reference(store, ref, keys=range(3))
+        self.assert_matches_reference(store, ref, index, keys=range(3))
 
     def test_equality_op_uses_reference(self):
         store, ref = self.make_stores(Comparison("==", Col("d"), Col("u")))
+        index = self.index()
         for d in ([1.0, 2.0, 1.5], [1.5, 1.5, 2.5], [2.5, 2.5, 2.5]):
-            rel = self.rel(d, [0, 0, 0])
+            rel = self.rel(index, d, [0, 0, 0])
             expected = np.array([False, False, True])
             store.record(0, rel, np.arange(3), expected)
             ref.record(rel, np.arange(3), expected)
-        self.assert_matches_reference(store, ref, keys=[0])
+        self.assert_matches_reference(store, ref, index, keys=[0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -747,16 +732,17 @@ class TestVectorizedSentinels:
         det_left = data.draw(st.booleans(), label="det on the left")
         cmp_ = Comparison(op, Col("d"), Col("u")) if det_left else Comparison(op, Col("u"), Col("d"))
         store, ref = self.make_stores(cmp_)
+        index = self.index()
         value = st.one_of(st.just(float("nan")), st.integers(-8, 8).map(lambda i: i / 2))
         for _ in range(data.draw(st.integers(1, 6), label="calls")):
             n = data.draw(st.integers(1, 6), label="rows")
             d = [data.draw(value) for _ in range(n)]
             keys = [data.draw(st.integers(0, 3)) for _ in range(n)]
             expected = np.array([data.draw(st.booleans()) for _ in range(n)])
-            rel = self.rel(d, keys, sidecar=data.draw(st.booleans(), label="sidecar"))
+            rel = self.rel(index, d, keys)
             store.record(0, rel, np.arange(n), expected)
             ref.record(rel, np.arange(n), expected)
-        self.assert_matches_reference(store, ref, probes=[-5.0, 0.0, 5.0])
+        self.assert_matches_reference(store, ref, index, probes=[-5.0, 0.0, 5.0])
 
 
 # -- whole-run comparison helper ---------------------------------------------------

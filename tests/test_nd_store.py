@@ -3,14 +3,13 @@ uncertain filter, compaction, and a reset taken while rows are live."""
 
 import numpy as np
 
-from repro.core.blocks import GroupValue, OnlineConfig, RuntimeContext
+from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.operators import DeltaBatch, ScanOp, UncertainFilterOp
 from repro.core.operators.base import NDStore
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.relational import Catalog, ColumnType, Relation, Schema
 from repro.relational.expressions import Col, Comparison
-from repro.storage.lineage import LineageColumn
-from tests.conftest import publish_group
+from tests.conftest import Group, gid_column, publish_group
 
 SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 T = 4
@@ -25,22 +24,17 @@ def make_filter() -> tuple[RuntimeContext, UncertainFilterOp]:
 
 
 def publish_u(ctx: RuntimeContext, point: float, lo: float, hi: float) -> None:
-    uv = UncertainValue(
-        point, np.full(T, point), vrange=VariationRange(lo, hi),
-        lineage=LineageRef(1, (0,), "v"),
-    )
-    publish_group(ctx, 1, ["v"], GroupValue((0,), {"v": uv}, True))
+    uv = UncertainValue(point, np.full(T, point), vrange=VariationRange(lo, hi))
+    publish_group(ctx, 1, ["v"], Group((0,), {"v": uv}, True))
 
 
 def rows(ctx: RuntimeContext, d: list[float]) -> Relation:
-    """Rows referencing block 1's group, lineage sidecar included."""
+    """Rows referencing block 1's group by gid, lineage sidecar included."""
     n = len(d)
-    refs = np.empty(n, dtype=object)
-    refs[:] = [LineageRef(1, (0,), "v")] * n
-    gid = ctx.indexes[1].gid_of[(0,)]
+    gids, lineage = gid_column(ctx, 1, [(0,)] * n, "v")
     return Relation._from_parts(
-        SCHEMA, {"d": np.asarray(d, dtype=float), "u": refs}, np.ones(n), np.ones((n, T)),
-        lineage={"u": LineageColumn(1, "v", np.full(n, gid))},
+        SCHEMA, {"d": np.asarray(d, dtype=float), "u": gids}, np.ones(n), np.ones((n, T)),
+        lineage={"u": lineage},
     )
 
 
@@ -78,11 +72,8 @@ class TestLifecycle:
         ctx, op = make_filter()
         publish_u(ctx, 4.0, 0.0, 10.0)
         run(ctx, op, 1, [3.0, 5.0])
-        uv = UncertainValue(
-            4.0, np.array([2.0, 4.0, 6.0, 8.0]), vrange=VariationRange(0.0, 10.0),
-            lineage=LineageRef(1, (0,), "v"),
-        )
-        publish_group(ctx, 1, ["v"], GroupValue((0,), {"v": uv}, True))
+        uv = UncertainValue(4.0, np.array([2.0, 4.0, 6.0, 8.0]), vrange=VariationRange(0.0, 10.0))
+        publish_group(ctx, 1, ["v"], Group((0,), {"v": uv}, True))
         out = run(ctx, op, 2)
         assert ds(out.volatile) == [3.0, 5.0]
         assert out.volatile.mult.tolist() == [0.0, 1.0]

@@ -6,8 +6,6 @@ multiplicities scaled by ``m_i`` — checked here batch by batch for every
 supported query shape, and exactly (not approximately) at the final batch.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,7 @@ from repro.core.values import UncertainValue
 from repro.errors import UnsupportedQueryError
 from repro.relational import (
     Catalog,
-    ColumnType,
-    Schema,
+    Relation,
     avg,
     col,
     count,
@@ -429,16 +426,39 @@ class TestSpjOverUncertainColumns:
         )
         self.check_final_exact(plan, make_catalog(600))
 
-    def test_projection_keeps_lineage_sidecars(self, monkeypatch):
-        from repro.core import classify
+    def test_projection_keeps_lineage_sidecars(self):
+        from repro.core.operators import iter_ops
+        from repro.core.operators.base import NDStore
 
-        def rowwise(*args):
-            raise AssertionError("uncertain filter fell back to the row loop")
-
-        monkeypatch.setattr(classify, "_resolve_cell", rowwise)
         plan = (
             self.joined()
             .project([("k", col("k")), ("x", col("x")), ("ax", col("ax"))])
             .select(col("x") > col("ax"))
         )
-        self.check_final_exact(plan, make_catalog(600))
+        catalog = make_catalog(600)
+        session = engine(catalog, num_trials=10).open_run(plan, 6)
+        ops = [
+            op
+            for unit in session.compiled.units
+            if hasattr(unit, "root_op")
+            for op in iter_ops(unit.root_op)
+        ]
+        seen = 0
+        try:
+            for batch_no in range(1, 7):
+                session.process(batch_no)
+                for op in ops:
+                    for _, value in op.state_items():
+                        rel = value.rows if isinstance(value, NDStore) else value
+                        if not isinstance(rel, Relation):
+                            continue
+                        # An attached column is its gids, never objects,
+                        # through the projection and into every store.
+                        for name in op.uncertain_cols & set(rel.columns):
+                            assert rel.columns[name].dtype != object, (op.label, name)
+                            assert not len(rel) or name in rel.lineage, (op.label, name)
+                            seen += len(rel)
+        finally:
+            session.close()
+        assert seen
+        self.check_final_exact(plan, catalog)

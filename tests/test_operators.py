@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import OnlineConfig, RuntimeContext
-from repro.core.compiler import compile_online
 from repro.core.operators import (
     AggregateOp,
     DeltaBatch,
@@ -18,7 +17,6 @@ from repro.core.operators import (
     UnionOp,
     empty_relation,
 )
-from repro.errors import RangeIntegrityError
 from repro.metrics import BatchMetrics
 from repro.relational import (
     Catalog,
@@ -31,7 +29,7 @@ from repro.relational import (
     scan,
     sum_,
 )
-from tests.conftest import DIM_SCHEMA, KX_SCHEMA, random_kx
+from tests.conftest import DIM_SCHEMA, KX_SCHEMA, group_rows, random_kx
 
 T = 5
 
@@ -188,7 +186,7 @@ class TestAggregateOp:
         op = self.make_op(ctx, ctx.delta)
         op.run(ctx)
         total_sx = sum(
-            g.values["sx"].value for g in ctx.blocks[99].groups.values()
+            g.values["sx"].value for g in group_rows(ctx.blocks[99]).values()
         )
         assert total_sx == pytest.approx(2.0 * rel.column("x").sum())
 
@@ -198,7 +196,7 @@ class TestAggregateOp:
         feed(ctx, 1, rel)
         op = self.make_op(ctx, ctx.delta)
         op.run(ctx)
-        assert all(g.certain for g in ctx.blocks[99].groups.values())
+        assert all(g.certain for g in group_rows(ctx.blocks[99]).values())
 
     def test_gids_follow_first_publication_across_batches(self):
         ctx = make_ctx(total=20)
@@ -219,13 +217,13 @@ class TestAggregateOp:
         op.run(ctx)
         index = ctx.indexes[99]
         first_keys = list(index.keys)
-        assert first_keys == list(ctx.blocks[99].groups)
+        assert first_keys == list(group_rows(ctx.blocks[99]))
         feed(ctx, 2, second)
         op.run(ctx)
         assert ctx.blocks[99].index is index
         assert index.keys[: len(first_keys)] == first_keys
         assert len(index) > len(first_keys)
-        assert set(index.keys) == set(ctx.blocks[99].groups)
+        assert set(index.keys) == set(group_rows(ctx.blocks[99]))
 
     def test_vanished_volatile_group_tombstoned(self):
         ctx = make_ctx(total=20)
@@ -242,13 +240,13 @@ class TestAggregateOp:
         op = AggregateOp(child, ["k"], [count("n")], node.output_schema({}), 99, True)
         feed(ctx, 1, rel.take(np.arange(0)))
         op.run(ctx)
-        keys_before = set(ctx.blocks[99].groups)
+        keys_before = set(group_rows(ctx.blocks[99]))
         feed(ctx, 2, rel.take(np.arange(0)))
         op.run(ctx)
         # Groups that lost all (volatile) contributors stay resolvable but
         # report non-existence.
         for key in keys_before:
-            group = ctx.blocks[99].groups[key]
+            group = group_rows(ctx.blocks[99])[key]
             assert not group.member_point or group.certain
 
 

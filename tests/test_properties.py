@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.core.blocks import GroupValue, RuntimeContext
+from repro.core.blocks import RuntimeContext
 from repro.core.classify import evaluate_side
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.kernels.codec import factorize_keys
 from repro.kernels.holistic import weighted_quantile, weighted_quantile_trials
 from repro.kernels.joins import vectorized_join
@@ -37,8 +37,13 @@ from repro.relational import (
 )
 from repro.relational.evaluator import aggregate_relation, join_relations
 from repro.relational.expressions import Col
-from repro.storage.lineage import LineageColumn
-from tests.conftest import KX_SCHEMA, output_from_groups
+from tests.conftest import (
+    KX_SCHEMA,
+    Group,
+    gid_column,
+    output_from_groups,
+    rowwise_side,
+)
 from tests.test_kernels import (
     assert_rel_identical,
     keys_equal,
@@ -289,43 +294,35 @@ class TestKernelsMatchReferenceFuzzed:
         st.integers(0, 3),
     )
     def test_lineage_resolution_matches_reference(self, seed, n, keys, unpublished):
-        """Object/lineage columns: the batched resolver and the per-row
-        reference agree, including rows pending on unpublished groups."""
+        """Lineage columns: the batched resolver (``evaluate_side``) and the
+        per-row ``UncertainValue`` reference agree, including rows pending
+        on unpublished groups."""
         rng = np.random.default_rng(seed)
         schema = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
         key_ids = rng.integers(0, keys + unpublished, n)
-        refs = np.empty(n, dtype=object)
-        for i in range(n):
-            refs[i] = LineageRef(1, (int(key_ids[i]),), "v")
-        # Groups are published in key order below, so gid == key.
-        rel = Relation._from_parts(
-            schema,
-            {"d": np.round(rng.normal(0, 3, n), 2), "u": refs},
-            np.ones(n),
-            None,
-            lineage={"u": LineageColumn(1, "v", np.asarray(key_ids))},
-        )
-        trials_of = {k: rng.standard_normal(5).round(2) for k in range(keys)}
         ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=5))
         ctx.batch_no = 1
+        # Gids follow the rows' first appearance, not the keys.
+        gids, lineage = gid_column(ctx, 1, [(int(k),) for k in key_ids], "v")
+        rel = Relation._from_parts(
+            schema,
+            {"d": np.round(rng.normal(0, 3, n), 2), "u": gids},
+            np.ones(n),
+            None,
+            lineage={"u": lineage},
+        )
+        trials_of = {k: rng.standard_normal(5).round(2) for k in range(keys)}
         groups = []
         for k in range(keys):
             value = float(10 + k)
             uv = UncertainValue(
-                value,
-                value + trials_of[k],
-                VariationRange(value - 2.0, value + 2.0),
-                LineageRef(1, (k,), "v"),
+                value, value + trials_of[k], VariationRange(value - 2.0, value + 2.0)
             )
-            groups.append(GroupValue((k,), {"v": uv}, True))
-        ctx.blocks[1] = output_from_groups(1, [], ["v"], groups, 5)
+            groups.append(Group((k,), {"v": uv}, True))
+        ctx.blocks[1] = output_from_groups(1, [], ["v"], groups, 5, ctx.indexes[1])
         expr = Col("u") * 0.5 + col("d")
-        # Without its gid sidecar the kernel declines the relation and
-        # evaluate_side runs its general per-row loop: the reference.
-        vec, ref = (
-            evaluate_side(expr, side, {"u"}, ctx)
-            for side in (rel, Relation(schema, dict(rel.columns)))
-        )
+        vec = evaluate_side(expr, rel, {"u"}, ctx)
+        ref = rowwise_side(expr, rel, {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)

@@ -205,6 +205,29 @@ def test_union_of_aggregate_derived_inputs_rejected(catalog):
     assert exc.value.node is plan and exc.value.rule_id == "TC111"
 
 
+def test_union_of_inputs_carrying_uncertain_columns_rejected(catalog):
+    # Each input attaches ``ax`` from its own block: one column could not
+    # say which block its gids index.
+    plan = _with_uncertain().union(_with_uncertain())
+    with pytest.raises(UnsupportedQueryError, match="UNION input carries uncertain") as exc:
+        _compile(plan, catalog)
+    assert exc.value.node is plan and exc.value.rule_id == "TC113"
+    assert "TC113" in check_plan(plan, catalog, "t").rule_ids()
+
+
+@pytest.mark.parametrize("pred", [
+    col("ax") - col("x") > 0.0,
+    col("ax") * 0.5 + col("x") > col("y"),
+], ids=["difference", "sum"])
+def test_stream_comparison_side_reading_certain_columns_rejected(catalog, pred):
+    # The sentinel check re-evaluated this side from the entity's
+    # uncertain cells alone and crashed on the missing certain column.
+    plan = _with_uncertain().select(pred).aggregate([], [count("n")])
+    with pytest.raises(UnsupportedQueryError, match="beside uncertain ones") as exc:
+        _compile(plan, catalog)
+    assert exc.value.node is plan.child and exc.value.rule_id == "TC107"
+
+
 def test_abstract_execution_unit_rejected_at_runtime():
     class Bare(ExecutionUnit):
         label = "bare:unit"

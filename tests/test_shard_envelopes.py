@@ -33,6 +33,7 @@ from repro.metrics.stats import BatchMetrics
 from repro.relational import ColumnType, Schema, relation_from_columns
 from repro.relational.relation import Relation
 from repro.storage import ingest_chunks
+from repro.storage.columns import CODE_DTYPE
 from repro.storage.lineage import LineageColumn
 from repro.workloads import TPCH_QUERIES
 
@@ -100,18 +101,16 @@ class TestRelationRoundTrip:
         ).encodings
 
     def test_lineage_sidecar(self, kx_relation):
-        lin = LineageColumn(7, "v", np.array([0, 1] * 6))
+        # An attached column is its gids; the sidecar names the block column.
+        columns = dict(kx_relation.columns, k=np.array([0, 1] * 6, dtype=CODE_DTYPE))
         rel = Relation._from_parts(
-            kx_relation.schema,
-            dict(kx_relation.columns),
-            kx_relation.mult,
-            None,
-            lineage={"k": lin},
+            kx_relation.schema, columns, kx_relation.mult, None,
+            lineage={"k": LineageColumn(7, "v")},
         )
         back = roundtrip(rel)
-        assert "k" in back.lineage
-        assert np.array_equal(back.lineage["k"].gids, lin.gids)
-        assert (back.lineage["k"].block_id, back.lineage["k"].column) == (7, "v")
+        assert back.lineage == {"k": LineageColumn(7, "v")}
+        assert np.array_equal(back.columns["k"], columns["k"])
+        assert back.columns["k"].dtype == CODE_DTYPE
 
     def test_whole_disk_table_relation(self, tmp_path):
         schema = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT)])

@@ -21,8 +21,6 @@ from repro.core.blocks import (
     MEMBER_FALSE,
     MEMBER_TRUE,
     MEMBER_UNKNOWN,
-    BlockOutput,
-    GroupValue,
     RuntimeContext,
 )
 from repro.core import smallplan
@@ -38,7 +36,7 @@ from repro.core.smallplan import (
     SmallSelect,
     SmallStaticLeaf,
 )
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.relational import (
     Catalog,
     ColumnType,
@@ -52,9 +50,10 @@ from repro.relational import (
 )
 from repro.errors import UnsupportedQueryError
 from repro.relational.expressions import Col, Comparison, Func
+from repro.storage.columns import CODE_DTYPE
 from repro.storage.lineage import LineageColumn
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
-from tests.conftest import DIM_SCHEMA, output_from_groups
+from tests.conftest import DIM_SCHEMA, Group, group_rows, output_from_groups
 
 T = 4
 
@@ -65,13 +64,8 @@ def make_ctx(num_trials=T):
     return ctx
 
 
-def uv(value, trials, lo, hi, key=(), colname="v", block=1):
-    return UncertainValue(
-        value,
-        np.asarray(trials, dtype=float),
-        VariationRange(lo, hi),
-        LineageRef(block, key, colname),
-    )
+def uv(value, trials, lo, hi, key=()):
+    return UncertainValue(value, np.asarray(trials, dtype=float), VariationRange(lo, hi))
 
 
 def publish_block(ctx, rows, block=1, key_cols=("g",)):
@@ -79,7 +73,7 @@ def publish_block(ctx, rows, block=1, key_cols=("g",)):
         block,
         list(key_cols),
         sorted({c for _, values, _ in rows for c in values} - set(key_cols)),
-        [GroupValue(key, values, certain) for key, values, certain in rows],
+        [Group(key, values, certain) for key, values, certain in rows],
         ctx.num_trials,
     )
     ctx.blocks[block] = out
@@ -243,7 +237,7 @@ class TestAggregate:
         ctx = make_ctx()
         publish_block(ctx, [(("a",), {"g": "a", "v": 3.0}, True)])
         SmallAggregate(SmallBlockLeaf(1), [], [sum_("v", "sv")], block_id=50).frame(ctx)
-        assert ctx.blocks[50].get(()).values["sv"].value == 3.0
+        assert group_rows(ctx.blocks[50])[()].values["sv"].value == 3.0
 
     def test_excludes_stable_false_rows(self):
         ctx = make_ctx()
@@ -269,7 +263,7 @@ class TestAggregate:
         (row,) = node.frame(ctx).rows()
         assert row["n"].value == 0.0 and np.all(row["n"].trials == 0.0)
         assert np.isnan(row["av"].value) and np.isnan(row["av"].trials).all()
-        assert ctx.blocks[53].get(()) is not None
+        assert () in group_rows(ctx.blocks[53])
 
     def test_grouped_aggregate_over_empty_input_has_no_rows(self):
         ctx = make_ctx()
@@ -305,7 +299,7 @@ class TestUnit:
             SmallBlockLeaf(1), publish_id=77, key_cols=["g"], value_cols=["v"]
         )
         unit.run(ctx)
-        assert ctx.blocks[77].get(("a",)).values["v"] == 1.0
+        assert group_rows(ctx.blocks[77])[("a",)].values["v"] == 1.0
 
     def test_result_rows_filter_nonmembers(self):
         ctx = make_ctx()
@@ -322,7 +316,7 @@ class TestUnit:
         unit = SmallPlanUnit(SmallBlockLeaf(1))
         unit.run(ctx)
         (values,) = unit.result_rows(ctx)
-        assert values is out.get(("a",)).values
+        assert values == group_rows(out)[("a",)].values == {"g": "a", "v": 1.0}
 
 
 class TestStableFalseRows:
@@ -351,9 +345,9 @@ class TestStableFalseRows:
         )
         unit.run(ctx)
         view = ctx.blocks[9]
-        assert view.get(("a",)).member_status == MEMBER_FALSE
-        assert view.join_status[view.gid(("a",))] == MEMBER_FALSE
-        assert view.get(("b",)).member_status == MEMBER_TRUE
+        assert group_rows(view)[("a",)].member_status == MEMBER_FALSE
+        assert view.join_status[view.probe([("a",)])[0]] == MEMBER_FALSE
+        assert group_rows(view)[("b",)].member_status == MEMBER_TRUE
 
     def test_join_aggregate_and_delivery_skip_them(self):
         ctx, having = self.setup_ctx()
@@ -378,14 +372,15 @@ class TestClassifyRowPredicate:
         frame = SmallSelect(SmallBlockLeaf(1), [pred]).frame(ctx)
         schema = Schema([("a", ColumnType.FLOAT)])
         if isinstance(cell, UncertainValue):
-            refs = np.array([LineageRef(1, ("a",), "a")], dtype=object)
+            # The group's gid (its block's only one) as an attached cell.
             rel = Relation._from_parts(
-                schema, {"a": refs}, np.ones(1), None,
-                lineage={"a": LineageColumn(1, "a", np.zeros(1, dtype=np.intp))},
+                schema, {"a": np.zeros(1, dtype=CODE_DTYPE)}, np.ones(1), None,
+                lineage={"a": LineageColumn(1, "a")},
             )
         else:
             rel = Relation(schema, {"a": np.array([cell])})
-        want = classify_comparison(pred, rel, {"a"}, ctx)
+        uncertain = {"a"} if isinstance(cell, UncertainValue) else set()
+        want = classify_comparison(pred, rel, uncertain, ctx)
         assert frame.status[0] == want.status[0]
         assert frame.point[0] == want.point[0]
         if want.status[0] == MEMBER_UNKNOWN:
@@ -495,8 +490,8 @@ def ref_rows(node, ctx):
         output = ctx.blocks[node.block_id]
         return [
             RefRow(dict(g.values), g.certain, MEMBER_TRUE if g.certain else MEMBER_UNKNOWN,
-                   g.member_point, g.exist_trials)
-            for g in output.rows(output.order.tolist())
+                   g.member_point, None if g.certain else g.exist_trials)
+            for g in group_rows(output).values()
         ]
     rows = ref_rows(node.child, ctx) if hasattr(node, "child") else None
     if isinstance(node, SmallSelect):
@@ -645,14 +640,14 @@ def blocks(draw):
         width = draw(st.floats(0.0, 50.0))
         certain = draw(st.booleans())
         exist = None if certain else np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))
-        groups1.append(GroupValue(
+        groups1.append(Group(
             (g, i), {"g": g, "i": i, "v": uv(point, trials, point - width, point + width),
                      "w": point + draw(st.floats(-60.0, 60.0)).__round__(1)},
             certain, member_point=certain or draw(st.booleans()), exist_trials=exist,
         ))
     for h in draw(st.lists(st.integers(0, 3), unique=True, max_size=3)):
         point = draw(finite)
-        groups2.append(GroupValue(
+        groups2.append(Group(
             (h,), {"h": h, "u": uv(point, [draw(finite) for _ in range(t)], point - 5, point + 5)},
             draw(st.booleans()),
         ))
@@ -724,28 +719,26 @@ class TestReferenceParity:
 
 class TestNoRowsInsideSegments:
     """Over the 13 nested-query workload queries, small segments build no
-    row objects: group rows are materialised for root delivery only (and,
-    outside small segments, by ``BlockOutput.get`` when a recovery words a
-    flipped decision through ``RuntimeContext.resolve``)."""
+    row objects: rows are built for root delivery only."""
 
     NESTED = ("Q11", "Q17", "Q18", "Q20", "Q22", "C1", "C2", "C4",
               "C6", "C7", "C8", "C9", "C10")
 
     def test_rows_only_for_root_delivery(self, tpch_small, conviva_small, monkeypatch):
         callers = {"rows": set(), "replace": set()}
-        rows, replace = BlockOutput.rows, dataclasses.replace
+        rows, replace = smallplan.Frame.rows, dataclasses.replace
 
-        def counted_rows(self, gids):
+        def counted_rows(self):
             caller = sys._getframe(1)
             callers["rows"].add((caller.f_globals.get("__name__"), caller.f_code.co_name))
-            return rows(self, gids)
+            return rows(self)
 
         def counted_replace(obj, **changes):
             callers["replace"].add(sys._getframe(1).f_globals.get("__name__"))
             return replace(obj, **changes)
 
         assert dataclasses.replace not in vars(smallplan).values()
-        monkeypatch.setattr(BlockOutput, "rows", counted_rows)
+        monkeypatch.setattr(smallplan.Frame, "rows", counted_rows)
         monkeypatch.setattr(dataclasses, "replace", counted_replace)
         catalogs = {"Q": tpch_small.catalog(), "C": conviva_small.catalog()}
         for name in self.NESTED:
@@ -755,8 +748,5 @@ class TestNoRowsInsideSegments:
             )
             for _ in engine.run(spec.plan, 20):
                 pass
-        assert ("repro.core.smallplan", "result_rows") in callers["rows"]
-        assert callers["rows"] <= {
-            ("repro.core.smallplan", "result_rows"), ("repro.core.blocks", "get")
-        }
+        assert callers["rows"] == {("repro.core.smallplan", "result_rows")}
         assert "repro.core.smallplan" not in callers["replace"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.lint import lint_source
 from repro.batching import Partitioner
-from repro.core.values import LineageRef
+from repro.core.operators import ScanOp, UncertainJoinOp
 from repro.errors import ReproError
 from repro.relational import ColumnType, Relation, Schema, relation_from_columns
 from repro.relational.groupby import group_ids
@@ -33,6 +33,7 @@ from repro.storage import (
     open_table,
     write_relation,
 )
+from repro.storage.columns import CODE_DTYPE
 from repro.workloads.tpch import LINEORDER_SCHEMA, stream_lineorder_chunks
 from tests.conftest import KX_SCHEMA, random_kx
 
@@ -280,43 +281,58 @@ def _gids(n: int, groups: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, groups, n)
 
 
+def _attached(gids, block_id: int = 3, column: str = "v") -> Relation:
+    """A relation whose uncertain column ``u`` holds ``gids`` into
+    ``(block_id, column)``."""
+    gids = np.asarray(gids, dtype=CODE_DTYPE)
+    return Relation._from_parts(
+        Schema([("u", ColumnType.FLOAT)]), {"u": gids}, np.ones(len(gids)), None,
+        lineage={"u": LineageColumn(block_id, column)},
+    )
+
+
 class TestLineageColumn:
     def test_gids_narrow_to_code_dtype(self):
-        lin = LineageColumn(3, "v", _gids(50, 5, seed=3))
-        assert lin.gids.dtype == np.int32
-        assert (lin.block_id, lin.column, len(lin)) == (3, "v", 50)
+        # The uncertain join attaches a column's cells as int32 gids.
+        op = UncertainJoinOp(
+            ScanOp("t", KX_SCHEMA), 3, ["k"], [("v", True)],
+            KX_SCHEMA.concat(Schema([("v", ColumnType.FLOAT)])), 1,
+        )
+        out = op._attach_coded(random_kx(50, seed=3), None, _gids(50, 5, seed=3))
+        assert out.columns["v"].dtype == np.int32
+        assert out.lineage == {"v": LineageColumn(3, "v")}
 
     def test_take_slice_keep_the_block_column(self):
         gids = _gids(20, 4)
-        lin = LineageColumn(3, "v", gids)
-        taken = lin.take(np.array([3, 7]))
-        assert (taken.block_id, taken.column) == (3, "v")
-        assert taken.gids.tolist() == gids[[3, 7]].tolist()
-        assert lin.slice(5, 15).gids.tolist() == gids[5:15].tolist()
+        rel = _attached(gids)
+        for part, expected in (
+            (rel.take(np.array([3, 7])), gids[[3, 7]]),
+            (rel.filter(gids > 1), gids[gids > 1]),
+            (rel.slice(5, 15), gids[5:15]),
+        ):
+            assert part.lineage == {"u": LineageColumn(3, "v")}
+            assert part.columns["u"].tolist() == expected.tolist()
 
     def test_concat_requires_the_same_block_column(self):
-        lin = LineageColumn(3, "v", _gids(10, 3))
-        # Sidecars written in different batches always concatenate: gids
+        rel = _attached(_gids(10, 3))
+        # Columns attached in different batches always concatenate: gids
         # are stable, so there is no per-batch pool to disagree on.
-        later = LineageColumn(3, "v", _gids(4, 6, seed=1))
-        both = lin.concat(later)
-        assert both.gids.tolist() == lin.gids.tolist() + later.gids.tolist()
-        assert lin.concat(LineageColumn(4, "v", later.gids)) is None
-        assert lin.concat(LineageColumn(3, "w", later.gids)) is None
+        later = _gids(4, 6, seed=1)
+        both = rel.concat(_attached(later))
+        assert both.columns["u"].tolist() == rel.columns["u"].tolist() + later.tolist()
+        assert both.lineage == rel.lineage
+        assert rel.concat(_attached(later, block_id=4)).lineage == {}
+        assert rel.concat(_attached(later, column="w")).lineage == {}
 
     def test_relation_concat_keeps_sidecar_across_batches(self):
-        schema = Schema([("u", ColumnType.FLOAT)])
+        store = _attached([0, 1]).concat(_attached([1, 2, 5]))
+        assert store.columns["u"].tolist() == [0, 1, 1, 2, 5]
+        assert store.lineage["u"] == LineageColumn(3, "v")
 
-        def batch(gids):
-            refs = np.empty(len(gids), dtype=object)
-            refs[:] = [LineageRef(3, (int(g),), "v") for g in gids]
-            return Relation._from_parts(
-                schema, {"u": refs}, np.ones(len(gids)), None,
-                lineage={"u": LineageColumn(3, "v", np.asarray(gids))},
-            )
-
-        store = batch([0, 1]).concat(batch([1, 2, 5]))
-        assert store.lineage["u"].gids.tolist() == [0, 1, 1, 2, 5]
+    def test_equal_and_hashable_by_block_column(self):
+        a, b = LineageColumn(1, "c"), LineageColumn(1, "c")
+        assert a == b and hash(a) == hash(b)
+        assert a != LineageColumn(2, "c") and a != LineageColumn(1, "d")
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +618,9 @@ def test_prop_single_distinct_key(n, chunk_rows, tmp_path_factory):
 @fuzz
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40))
 def test_prop_lineage_round_trip(raw_slots):
-    gids = np.asarray([abs(s) for s in raw_slots])
-    lin = LineageColumn(0, "v", gids)
+    rel = _attached([abs(s) for s in raw_slots], block_id=0)
     # Slicing then concatenating reproduces the original gids.
-    half = len(gids) // 2
-    rejoined = lin.slice(0, half).concat(lin.slice(half, len(gids)))
-    np.testing.assert_array_equal(rejoined.gids, lin.gids)
+    half = len(rel) // 2
+    rejoined = rel.slice(0, half).concat(rel.slice(half, len(rel)))
+    np.testing.assert_array_equal(rejoined.columns["u"], rel.columns["u"])
+    assert rejoined.lineage == rel.lineage

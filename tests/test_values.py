@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.core.values import UncertainValue, VariationRange
 from repro.errors import ExpressionError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -168,10 +168,3 @@ class TestUncertainValue:
     def test_confidence_interval_empty(self):
         lo, hi = uv(0.0, [np.nan]).confidence_interval()
         assert math.isnan(lo) and math.isnan(hi)
-
-
-class TestHelpers:
-    def test_lineage_ref_hashable(self):
-        a = LineageRef(1, ("x",), "c")
-        b = LineageRef(1, ("x",), "c")
-        assert a == b and hash(a) == hash(b)
