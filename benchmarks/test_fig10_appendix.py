@@ -16,7 +16,6 @@ import numpy as np
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 from benchmarks.harness import (
-    NESTED_CONVIVA,
     NESTED_TPCH,
     catalog_for,
     fmt_table,

@@ -12,8 +12,6 @@ recomputed, relative to the dataset) are reported; assertions use work
 (see fig7a's measurement note).
 """
 
-import pytest
-
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 from benchmarks.harness import (

@@ -12,7 +12,6 @@
 """
 
 import numpy as np
-import pytest
 
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
@@ -22,7 +21,6 @@ from benchmarks.harness import (
     NESTED_CONVIVA,
     NESTED_TPCH,
     NUM_BATCHES,
-    catalog_for,
     conviva_catalog,
     fmt_table,
     run_hda,

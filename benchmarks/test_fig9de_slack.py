@@ -15,7 +15,6 @@ from repro.workloads import CONVIVA_QUERIES
 
 from benchmarks.harness import (
     NESTED_CONVIVA,
-    NUM_BATCHES,
     conviva_catalog,
     fmt_table,
     run_iolap,

@@ -7,8 +7,6 @@ less per-batch scheduling/bootstrap overhead) — the user trades update
 interactivity against end-to-end cost.
 """
 
-import numpy as np
-
 from repro.workloads import CONVIVA_QUERIES
 
 from benchmarks.harness import conviva_catalog, fmt_table, run_iolap, write_result

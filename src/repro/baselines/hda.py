@@ -31,7 +31,6 @@ from repro.baselines.viewlet import apply_viewlet_rewrites
 from repro.core.sketch import AggBundle
 from repro.errors import UnsupportedQueryError
 from repro.metrics.stats import BatchMetrics, RunMetrics
-from repro.relational.aggregates import AggSpec
 from repro.relational.algebra import Aggregate, PlanNode, Scan, transform
 from repro.relational.catalog import Catalog
 from repro.relational.evaluator import EvalStats, evaluate

@@ -116,10 +116,6 @@ class OnlineQueryEngine:
             self.catalog, self.streamed_table, len(streamed), self.config
         )
         ctx.attach_obs(obs)
-        if ctx.sanitizer is not None:
-            # Install the Relation.slice / DiskTable chunk-view aliasing
-            # hooks for the duration of this run (removed on close).
-            ctx.sanitizer.activate()
         self.metrics = RunMetrics()
 
         run_span = tracer.span(
@@ -325,20 +321,29 @@ class RunSession:
         i = batch_no
         bm = engine.metrics.start_batch(i)
         started = time.perf_counter()
-        # Gathered here, not at open_run: the first estimate waits for
-        # one batch, and a run that stops early never gathers the rest.
-        delta = self.batches[i - 1]
-        if tracer.enabled:
-            with tracer.span(
-                "batch", cat="exec", batch=i, rows=len(delta)
-            ) as batch_span:
+        if ctx.sanitizer is not None:
+            # The Relation.slice / DiskTable chunk-view aliasing hooks are
+            # process-global, and one process may hold several sessions
+            # (a sharded run's parent): each installs its own per batch.
+            ctx.sanitizer.activate()
+        try:
+            # Gathered here, not at open_run: the first estimate waits for
+            # one batch, and a run that stops early never gathers the rest.
+            delta = self.batches[i - 1]
+            if tracer.enabled:
+                with tracer.span(
+                    "batch", cat="exec", batch=i, rows=len(delta)
+                ) as batch_span:
+                    engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
+                    batch_span.set(
+                        recovered=bm.recovered,
+                        recomputed_tuples=bm.recomputed_tuples,
+                    )
+            else:
                 engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
-                batch_span.set(
-                    recovered=bm.recovered,
-                    recomputed_tuples=bm.recomputed_tuples,
-                )
-        else:
-            engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
+        finally:
+            if ctx.sanitizer is not None:
+                ctx.sanitizer.deactivate()
         bm.wall_seconds = time.perf_counter() - started
         if ctx.sanitizer is not None:
             engine.metrics.sanitize_seconds = ctx.sanitizer.seconds
@@ -354,8 +359,6 @@ class RunSession:
         self._closed = True
         if self.run_span:
             self.run_span.__exit__(None, None, None)
-        if self.ctx.sanitizer is not None:
-            self.ctx.sanitizer.deactivate()
         self.obs.flush()
 
 

@@ -2,9 +2,10 @@
 
 Everything that crosses the process boundary is defined here, as plain
 dataclasses over already-picklable engine types (:class:`Relation`,
-:class:`PartialResult` rows, :class:`BatchMetrics`). The parent hands
-each worker one :class:`InitTask` at spawn time (as a process argument,
-so a forked worker inherits the catalog copy-on-write instead of
+:class:`PartialResult` rows, :class:`BatchMetrics`). The parent builds
+one :class:`InitTask` per live shard, opens that shard's session from it
+and, from batch 2 on, hands it to the shard's worker as a process
+argument (a forked worker inherits it copy-on-write instead of
 unpickling it), then sends one :class:`BatchTask` per mini-batch; the
 worker answers each batch with a :class:`ShardResult`
 (or a :class:`ShardFailure` carrying the formatted traceback — raw
@@ -12,9 +13,9 @@ exceptions never cross the pipe, so an unpicklable error cannot wedge
 the scheduler).
 
 Shard ownership is a pure function of the row's shard-key values —
-:func:`shard_ids` — so every worker computes identical assignments from
-its own copy of the stream with no coordination, and a respawned worker
-re-derives exactly the rows its predecessor owned.
+:func:`shard_ids` — computed once per run by the parent and handed to
+every shard with the run's batch partition, so a respawned worker
+gathers exactly the rows its predecessor owned.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ class InitTask:
     streamed_table: str
     plan: PlanNode
     config: OnlineConfig
-    num_batches: int
-    partition_mode: str
     shard: ShardSpec
     #: Each streamed row's shard (:func:`shard_ids`), hashed once per run
     #: by the parent.
     owners: np.ndarray
+    #: Each batch's sorted global row indices, partitioned once per run by
+    #: the parent with the serial engine's seeded partitioner.
+    batches: list[np.ndarray]
     #: Whether the parent's observability session is live: workers skip
     #: computing per-batch counters (state walks) when nobody reads them.
     collect_counters: bool = True

@@ -5,19 +5,25 @@ compiled plan, operator state stores, sentinels and range monitor —
 over the rows whose shard-key hash it owns. Nothing is shared with the
 parent or siblings; the only coordination is the batch-step protocol
 over the pipe. :func:`open_shard` and :func:`run_shard_batch` are that
-protocol's two steps: a worker process runs them in :func:`worker_main`,
-and the parent runs the same two for the shard it keeps for itself.
+protocol's two steps. The parent runs them for every live shard up to
+the first estimate; :func:`worker_main` runs them in a worker process
+from batch 2 on. Under fork the worker adopts the session the parent
+already advanced (inherited as a process argument, never pickled);
+under spawn, and after a restart, it opens its own session and the
+parent replays the batches it missed.
 
-A worker partitions the *full* stream with the same seeded partitioner
-the serial engine uses and cuts each batch's row indices to the rows its
-shard owns (by the parent's one hash of the stream) before gathering them; it draws trial weights
-for those rows only: a row's weights are a pure function of its global
-row id, so no shard ever gathers or draws a row it drops. Group-key
-sharding (see :mod:`.planner`) guarantees each owned group receives
-exactly the serial row sequence, so every per-group float accumulation
-is bit-identical to the serial reference. Range-integrity recovery runs
-entirely inside the worker — reset the shard's own operators, replay the
-shard's own batches — giving single-shard recovery.
+No shard partitions the stream: the parent computes each batch's row
+indices once per run with the seeded partitioner the serial engine uses
+(``InitTask.batches``) and hashes the stream once (``InitTask.owners``).
+A shard cuts each batch's indices to the rows it owns before gathering
+them, and draws trial weights for those rows only: a row's weights are
+a pure function of its global row id, so no shard ever gathers or draws
+a row it drops. Group-key sharding (see :mod:`.planner`) guarantees each
+owned group receives exactly the serial row sequence, so every
+per-group float accumulation is bit-identical to the serial reference.
+Range-integrity recovery runs entirely inside the shard's session —
+reset the shard's own operators, replay the shard's own batches —
+giving single-shard recovery.
 """
 
 from __future__ import annotations
@@ -57,28 +63,28 @@ class ShardWorkerEngine(OnlineQueryEngine):
         catalog: Catalog,
         streamed_table: str,
         config: OnlineConfig,
-        partition_mode: str,
         shard: ShardSpec,
         owners: np.ndarray,
+        batches: list[np.ndarray],
     ):
-        super().__init__(
-            catalog, streamed_table, config=config, partition_mode=partition_mode
-        )
+        super().__init__(catalog, streamed_table, config=config)
         self.shard = shard
         self.owners = owners
+        self.batches = batches
 
     def _batch_source(
         self, streamed: Relation, num_batches: int, columns: list[str]
     ) -> BatchSource:
-        # The parent hashes the stream once per run (``owners``), and each
-        # batch's indices are cut to this shard's rows before anything is
-        # gathered. Original order is kept, so each group's row sequence
-        # matches serial; the indices are the rows' global ids, which name
-        # their trial weights.
-        source = super()._batch_source(streamed, num_batches, columns)
+        # The parent partitions (``batches``) and hashes (``owners``) the
+        # stream once per run, and each batch's indices are cut to this
+        # shard's rows before anything is gathered. Original order is
+        # kept, so each group's row sequence matches serial; the indices
+        # are the rows' global ids, which name their trial weights.
         mine = self.owners == self.shard.index
         return BatchSource(
-            source.relation, [ix[mine[ix]] for ix in source.indices], source.sizes
+            streamed.project(columns),
+            [ix[mine[ix]] for ix in self.batches],
+            [len(ix) for ix in self.batches],
         )
 
 
@@ -88,11 +94,11 @@ def open_shard(catalog: Catalog, init: InitTask) -> RunSession:
         catalog,
         init.streamed_table,
         init.config,
-        init.partition_mode,
         init.shard,
         init.owners,
+        init.batches,
     )
-    return engine.open_run(init.plan, init.num_batches)
+    return engine.open_run(init.plan, len(init.batches))
 
 
 def run_shard_batch(
@@ -100,8 +106,10 @@ def run_shard_batch(
 ) -> ShardResult | ShardFailure:
     """Run one batch of a shard's session and wrap the outcome.
 
-    ``cpu_seconds`` is ``process_time() - cpu_origin``: a worker's whole
-    process, or (with an origin) the parent's time inside one session.
+    ``cpu_seconds`` is ``process_time() - cpu_origin``: the parent's time
+    inside one session (the origin moves past the time spent elsewhere),
+    or a worker's whole process, plus, for an adopted session, the CPU it
+    had already cost the parent (a negative origin).
     """
     try:
         partial = session.process(batch_no)
@@ -128,17 +136,27 @@ def run_shard_batch(
     )
 
 
-def worker_main(conn, init: InitTask) -> None:
-    """Worker process entry point: an inherited InitTask, then batch steps."""
-    session = None
+def worker_main(
+    conn, init: InitTask, session: RunSession | None = None, cpu_before: float = 0.0
+) -> None:
+    """Worker process entry point: an inherited InitTask, then batch steps.
+
+    Under fork the worker adopts ``session``, the parent's session of
+    this shard, and continues its CPU count from ``cpu_before`` (a forked
+    child's ``process_time`` starts at 0). Without one it opens its own
+    session and the parent replays the batches it missed.
+    """
     try:
-        session = open_shard(Catalog(init.tables), init)
+        if session is None:
+            session = open_shard(Catalog(init.tables), init)
         while True:
             task = conn.recv()
             if isinstance(task, StopTask):
                 break
             assert isinstance(task, BatchTask)
-            reply = run_shard_batch(session, init, task.batch_no)
+            reply = run_shard_batch(
+                session, init, task.batch_no, cpu_origin=-cpu_before
+            )
             conn.send(reply)
             if isinstance(reply, ShardFailure):
                 break

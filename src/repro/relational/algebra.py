@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 from repro.errors import PlanError
 from repro.relational.aggregates import AggSpec
 from repro.relational.expressions import Expression, lift
-from repro.relational.schema import Column, ColumnType, Schema
+from repro.relational.schema import Column, Schema
 
 #: Catalog schemas: table name → schema, used for schema inference.
 CatalogSchemas = dict[str, Schema]

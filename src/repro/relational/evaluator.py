@@ -34,7 +34,7 @@ from repro.relational.algebra import (
 from repro.relational.catalog import Catalog
 from repro.relational.groupby import group_ids, weighted_sums
 from repro.relational.relation import LazyTrials, Relation
-from repro.relational.schema import ColumnType, Schema
+from repro.relational.schema import Schema
 
 
 @dataclass

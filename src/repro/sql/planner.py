@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.errors import SQLError
 from repro.relational.aggregates import AGG_FUNCTIONS, AggSpec, Count
-from repro.relational.algebra import Aggregate, Distinct, PlanNode, Rename, Scan
+from repro.relational.algebra import Distinct, PlanNode, Rename, Scan
 from repro.relational.expressions import (
     And,
     Arith,

@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.relational.aggregates import avg, count, sum_
 from repro.relational.algebra import PlanNode, scan
-from repro.relational.expressions import col, lit
+from repro.relational.expressions import col
 from repro.workloads.tpch import (
     CUSTOMER_SCHEMA,
     LINEORDER_SCHEMA,

@@ -4,16 +4,12 @@ import pytest
 
 from repro.errors import PlanError
 from repro.relational import (
-    Aggregate,
     ColumnType,
     Distinct,
     Join,
-    Project,
-    Rename,
     Scan,
     Schema,
     Select,
-    Union,
     avg,
     col,
     count,

@@ -5,7 +5,6 @@ import pytest
 from repro.core.compiler import (
     CompiledQuery,
     OnlineCompiler,
-    SmallSegmentUnit,
     StreamPipelineUnit,
     compile_online,
 )

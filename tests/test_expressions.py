@@ -1,6 +1,5 @@
 """Unit tests for the expression AST (vector and per-row evaluation)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ExpressionError
@@ -10,10 +9,7 @@ from repro.relational.expressions import (
     Arith,
     Comparison,
     Func,
-    InList,
     Literal,
-    Not,
-    Or,
     conjoin,
     conjuncts,
     is_uncertain,

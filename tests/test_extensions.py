@@ -17,8 +17,6 @@ from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.errors import ReproError
 from repro.relational import (
     Catalog,
-    ColumnType,
-    Schema,
     avg,
     count,
     evaluate,

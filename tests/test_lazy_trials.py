@@ -208,11 +208,12 @@ class TestWeightsDoNotDependOnTheConfiguration:
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("y", "s")])
         owned = []
         owners = shard_ids(table, ("k",), shards)
+        batches = Partitioner(seed=4).partition_indices(len(table), 6)
         for index in range(shards):
             recorder["deltas"].clear(), recorder["draws"].clear()
             engine = ShardWorkerEngine(
                 Catalog({"t": table}), "t", OnlineConfig(num_trials=T, seed=4),
-                "shuffle", ShardSpec(index, shards, ("k",)), owners,
+                ShardSpec(index, shards, ("k",)), owners, batches,
             )
             session = engine.open_run(plan, 6)
             try:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batching import Partitioner
 from repro.core.blocks import OnlineConfig
 from repro.core.values import UncertainValue
 from repro.engine.shards import (
@@ -213,14 +214,17 @@ class TestEnvelopeRoundTrip:
             streamed_table=spec.streamed_table,
             plan=spec.plan,
             config=OnlineConfig(num_trials=8, seed=3, shards=2),
-            num_batches=4,
-            partition_mode="shuffle",
             shard=ShardSpec(index=1, count=2, key=("returnflag",)),
             owners=shard_ids(catalog.get("lineorder"), ("returnflag",), 2),
+            batches=Partitioner(seed=3).partition_indices(
+                len(catalog.get("lineorder")), 4
+            ),
         )
         back = roundtrip(task)
         assert back.shard == ShardSpec(1, 2, ("returnflag",))
         assert np.array_equal(back.owners, task.owners)
+        assert len(back.batches) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(back.batches, task.batches))
         assert back.config.num_trials == 8 and back.config.shards == 2
         assert set(back.tables) == set(task.tables)
         assert_relation_equal(

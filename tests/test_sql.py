@@ -6,10 +6,10 @@ import pytest
 from repro.baselines import run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.errors import SQLError
-from repro.relational import Catalog, ColumnType, relation_from_columns
-from repro.sql import UDF, SQLPlanner, parse, plan_sql, tokenize
+from repro.relational import Catalog, relation_from_columns
+from repro.sql import UDF, parse, plan_sql, tokenize
 from repro.sql import ast
-from tests.conftest import DIM_SCHEMA, KX_SCHEMA, random_kx
+from tests.conftest import DIM_SCHEMA, random_kx
 
 
 def catalog():

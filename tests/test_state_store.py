@@ -1,7 +1,6 @@
 """Tests for the state-store layer: stores and their byte accounting."""
 
 import numpy as np
-import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.relational import Catalog, avg, col, count, scan, sum_

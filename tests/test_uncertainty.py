@@ -12,7 +12,6 @@ from repro.relational import (
     count,
     max_,
     scan,
-    sum_,
 )
 
 T = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT), ("y", ColumnType.FLOAT)])
