@@ -188,15 +188,15 @@ def factorize_common_join(node: PlanNode) -> PlanNode | None:
     """Appendix B rule (2): ``(Q ⋈ Q1) ∪ (Q ⋈ Q2) → Q ⋈ (Q1 ∪ Q2)``."""
     if not isinstance(node, Union):
         return None
-    l, r = node.left, node.right
-    if not (isinstance(l, Join) and isinstance(r, Join)):
+    a, b = node.left, node.right
+    if not (isinstance(a, Join) and isinstance(b, Join)):
         return None
-    if l.keys != r.keys:
+    if a.keys != b.keys:
         return None
-    if plans_equal(l.left, r.left):
-        return Join(l.left, Union(l.right, r.right), l.keys)
-    if plans_equal(l.right, r.right):
-        return Join(Union(l.left, r.left), l.right, l.keys)
+    if plans_equal(a.left, b.left):
+        return Join(a.left, Union(a.right, b.right), a.keys)
+    if plans_equal(a.right, b.right):
+        return Join(Union(a.left, b.left), a.right, a.keys)
     return None
 
 

@@ -18,7 +18,6 @@ from repro.core.blocks import (
 from repro.core.classify import evaluate_side
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
 from repro.core.sketch import AggBundle
-from repro.state.store import SelfSizingSet
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import grouped_indices
 from repro.errors import ReproError
@@ -60,13 +59,10 @@ class AggregateOp(SpineOp):
     #: published block output (fresh ``u#``/``uA`` tags downstream). The
     #: §4.2 state rule is sketch-only over certain-append input; the row
     #: store ("rows") is populated only when a lazy/holistic aggregate
-    #: argument demands re-evaluation.
+    #: argument demands re-evaluation, and "published" masks the block's
+    #: gids published since the last reset.
     tag_rule = TagRule(consumes_uncertain="allowed", resets_tags=True)
-    state_rule = StateRule(
-        frozenset(
-            {"sketch", "sketch_ready", "rows", "certain_groups", "published_keys"}
-        )
-    )
+    state_rule = StateRule(frozenset({"sketch", "rows", "published"}))
 
     def __init__(
         self,
@@ -101,14 +97,13 @@ class AggregateOp(SpineOp):
         self._init_state()
 
     def _init_state(self) -> None:
-        self.state.put("sketch", AggBundle(self.sketch_specs, 0))
-        self.state.put("sketch_ready", False)
+        # The sketch is built by the first batch, with the run's T.
+        self.state.put("sketch", None)
         self.state.put("rows", None)
-        self.state.put("certain_groups", SelfSizingSet())
-        self.state.put("published_keys", SelfSizingSet())
+        self.state.put("published", np.zeros(0, dtype=bool))
 
     @property
-    def sketch(self) -> AggBundle:
+    def sketch(self) -> AggBundle | None:
         return self.state.get("sketch")
 
     @sketch.setter
@@ -124,50 +119,32 @@ class AggregateOp(SpineOp):
         self.state.put("rows", value)
 
     @property
-    def certain_groups(self) -> set[GroupKey]:
-        return self.state.get("certain_groups")
-
-    @property
-    def _published_keys(self) -> set[GroupKey]:
-        return self.state.get("published_keys")
-
-    @property
     def needs_row_store(self) -> bool:
         return bool(self.lazy_specs or self.holistic_specs)
 
     def process(self, delta: DeltaBatch, ctx: RuntimeContext) -> DeltaBatch:
-        if not self.state.get("sketch_ready"):
-            self.sketch = AggBundle(self.sketch_specs, ctx.num_trials)
-            self.state.put("sketch_ready", True)
+        sketch = self.sketch
+        if sketch is None:
+            sketch = self.sketch = AggBundle(self.sketch_specs, ctx.num_trials)
             if not self.group_by:
                 # A scalar aggregate always yields one row, even if no
                 # input ever arrives (COUNT -> 0, AVG -> NaN) — matching
                 # the batch evaluator.
-                self.sketch._ensure_groups([()])
-                self.certain_groups.add(())
+                sketch._ensure_groups([()])
         cin, vin = delta.certain, delta.volatile
         ctx.metrics.shipped_bytes += cin.estimated_bytes() + vin.estimated_bytes()
 
         if self.needs_row_store:
             cin = cin.with_drawn_trials()  # folded now, re-read every batch
-        folded_keys = self.sketch.fold(cin, self.group_by)
+        sketch.fold(cin, self.group_by)
         if self.needs_row_store and len(cin):
             store = self.row_store
             self.row_store = cin if store is None else store.concat(cin)
-        if len(cin):
-            # The fold's distinct keys update the set as the per-row
-            # tuples would (set semantics: equal values hash alike),
-            # without factorizing the rows again. A NaN never equals
-            # another NaN, so keys holding one come from the codec, as
-            # the rows' own tuples would.
-            if any(v != v for key in folded_keys for v in key):
-                folded_keys = factorize_keys(cin, self.group_by).keys
-            self.certain_groups.update(folded_keys)
 
         # The volatile rows fold on top of a copy, re-read from scratch
         # every batch; the persistent sums never see them.
         ctx.metrics.recomputed_tuples += len(vin)
-        combined = self.sketch.folded_with(vin, self.group_by)
+        combined = sketch.folded_with(vin, self.group_by)
 
         scale = ctx.scale if self.sample_weighted else 1.0
         cols = {
@@ -272,19 +249,26 @@ class AggregateOp(SpineOp):
         weights = combined.acc[: len(keys), 0]  # (n, 1+T): point, then trials
         exist = weights[:, 1:] > 0
         exist_point = weights[:, 0] > 0
-        published = self._published_keys
-        # Groups that vanished (all their volatile contributors currently
-        # excluded) stay visible with empty existence, so downstream
-        # lineage gids keep resolving. Sorted so the tombstone order
-        # (and hence the output's group iteration order) does not depend
-        # on set hashing.
-        vanished = published - set(keys)
         index = ctx.indexes[self.block_id]
         gids = index.add(keys)
-        tomb_gids = index.add(sorted(vanished))
-        published.update(keys)
         g = len(index)
         n = len(keys)
+        # Groups that vanished (all their volatile contributors currently
+        # excluded) stay visible with empty existence, so downstream
+        # lineage gids keep resolving. Sorted by key so the tombstone
+        # order (and hence the output's group order) does not depend on
+        # when a group was first published.
+        published = np.zeros(g, dtype=bool)
+        before = self.state.get("published")
+        published[: len(before)] = before
+        vanished = published.copy()
+        vanished[gids] = False
+        tomb_gids = np.array(
+            sorted(np.flatnonzero(vanished).tolist(), key=index.keys.__getitem__),
+            dtype=np.intp,
+        )
+        published[gids] = True
+        self.state.put("published", published)
         # Most batches publish every gid, in gid order, with no tombstone:
         # the per-group arrays are then gid-indexed already.
         in_place = n == g and bool((gids == np.arange(g)).all())
@@ -297,7 +281,9 @@ class AggregateOp(SpineOp):
             out[gids] = values
             return out
 
-        certain_n = np.fromiter(map(self.certain_groups.__contains__, keys), bool, n)
+        # The sketch's groups are exactly those with a certain row, and
+        # ``combined`` lists them first, then the volatile rows' new ones.
+        certain_n = np.arange(n) < len(self.sketch)
         point_n = certain_n | exist_point
         exist_n = exist | certain_n[:, None]
         for gate in self.gates:

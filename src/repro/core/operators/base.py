@@ -166,22 +166,26 @@ class SpineOp:
             child.reset()
 
     def record_state(self, ctx: RuntimeContext) -> None:
-        """Report the subtree's state footprint into the batch metrics."""
-        nbytes = self.state.estimated_bytes()
+        """Report the subtree's state footprint into the batch metrics,
+        measuring each store once."""
+        sizes = self.state.entry_bytes()
+        nbytes = sum(sizes.values())
         if nbytes:
             ctx.metrics.add_state(self.label, nbytes)
         if ctx.obs.enabled:
-            self._record_state_metrics(ctx)
+            self._record_state_metrics(ctx, sizes)
         for child in self.children:
             child.record_state(ctx)
 
-    def _record_state_metrics(self, ctx: RuntimeContext) -> None:
+    def _record_state_metrics(
+        self, ctx: RuntimeContext, sizes: dict[str, int]
+    ) -> None:
         """Per-entry state gauges: bytes per named store entry, split into
         the pruned (ND cache) vs resolved shares of the §4.2 contract."""
         reg = ctx.obs.metrics
         nd_entry = self.state_rule.nd_entry
         nd_bytes = resolved_bytes = 0
-        for name, nbytes in self.state.entry_bytes().items():
+        for name, nbytes in sizes.items():
             reg.gauge("state.entry.bytes", op=self.label, entry=name).set(nbytes)
             if name == nd_entry:
                 nd_bytes += nbytes

@@ -98,12 +98,11 @@ class AggBundle:
 
     # -- delta update ---------------------------------------------------------------
 
-    def fold(self, rel: Relation, group_by: Sequence[str]) -> list[GroupKey]:
-        """Fold a mini-batch of rows into the sums (the delta update);
-        returns the distinct keys of its rows."""
+    def fold(self, rel: Relation, group_by: Sequence[str]) -> None:
+        """Fold a mini-batch of rows into the sums (the delta update)."""
         n = len(rel)
         if n == 0:
-            return []
+            return
         local_keys, local = key_segments(rel, group_by)
         segments = RowSegments(
             local.order, local.starts, self._ensure_groups(local_keys)[local.groups]
@@ -118,7 +117,7 @@ class AggBundle:
             # are summed as they are, without widening.
             self.acc[groups, 0, 0] += segments.sums(mult)
             self.acc[groups, 0, 1:] += segments.sums(trial_w)
-            return local_keys
+            return
         weights = np.empty((n, 1 + self.num_trials))
         weights[:, 0] = mult
         weights[:, 1:] = trial_w
@@ -128,7 +127,6 @@ class AggBundle:
             if spec.func.num_features:
                 features[rows] = spec.func.features(spec.arg_values(rel))[:, order]
         self.acc[groups] += segments.contract(features, weights)
-        return local_keys
 
     def fold_values(
         self,

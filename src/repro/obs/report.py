@@ -146,9 +146,6 @@ class TraceSummary:
     def slowest_spans(self, top: int = 10) -> list[dict]:
         return sorted(self.spans, key=lambda s: -s["dur"])[:top]
 
-    def counter_trajectory(self, name: str) -> list[tuple[int | None, float]]:
-        return self.counters.get(name, [])
-
     def state_series(self) -> dict[str, list[tuple[int | None, float]]]:
         return {
             name: samples

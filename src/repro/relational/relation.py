@@ -544,12 +544,3 @@ def relation_from_columns(
     }
     return Relation(schema, cols)
 
-
-def apply_per_row(
-    rel: Relation, fn: Callable[[Row], object], dtype: np.dtype
-) -> np.ndarray:
-    """Apply ``fn`` to each row dict; returns an array (slow path, small inputs)."""
-    out = np.empty(len(rel), dtype=dtype)
-    for i in range(len(rel)):
-        out[i] = fn(rel.row(i))
-    return out

@@ -338,7 +338,6 @@ class SQLPlanner:
         if len(sub.items) != 1:
             raise SQLError("scalar subquery must select exactly one expression")
         # Pull correlation equalities out of the subquery's WHERE.
-        sub_scope = _Scope(parent=scope)
         inner_tables = {t.binding for t in sub.tables}
         corr_keys: list[tuple[str, str]] = []  # (outer physical, inner column)
         remaining: list[ast.SqlExpr] = []

@@ -4,9 +4,10 @@ Every stateful online operator keeps its inter-batch state (ND-set
 caches, sentinel guards, pending-join rows, aggregate sketches, …) in a
 :class:`StateStore` rather than in bare instance attributes. That gives
 the engine **uniform size accounting**: every entry is measured by
-:func:`estimate_nbytes`, feeding the Figure 9(b)/10(c) state-footprint
-metrics automatically. Failure recovery (Section 5.1) clears every store
-and re-seeds it through the operator's ``reset``.
+:func:`estimate_nbytes` once per batch, as it is then (a sketch grows in
+place), feeding the Figure 9(b)/10(c) state-footprint metrics
+automatically. Failure recovery (Section 5.1) clears every store and
+re-seeds it through the operator's ``reset``.
 """
 
 from repro.state.store import StateStore, estimate_nbytes

@@ -1,8 +1,8 @@
 """Dictionary pages and encoded key columns.
 
-PR 4's ``repro.kernels.codec`` factorized key columns per call and
-memoized the result per relation; this module promotes that factorization
-into the column format itself. A :class:`DictPage` is an append-only
+The key codec (``repro.kernels.codec``) factorizes key columns per call;
+this module keeps that factorization in the column format itself. A
+:class:`DictPage` is an append-only
 dictionary of distinct cell values; an :class:`EncodedColumn` is the
 ``(page, codes, null_mask)`` triple riding alongside a materialized
 object column. Pages are shared across every slice, batch, and join
@@ -18,7 +18,8 @@ caller leaves the column unencoded.
 Pages are *append-only*: encoding new values never reassigns existing
 codes, which is what lets old slices keep their code buffers while new
 chunks extend the dictionary. This is the single sanctioned mutation in
-the storage plane (see ENG006).
+the storage plane (see ENG006). It also makes a page's byte count exact
+as a running sum, kept as values are appended.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ CODE_DTYPE = np.int32
 
 
 def _scalar_nbytes(value: object) -> int:
-    """Flat footprint of one dictionary value (store.py conventions)."""
+    """Flat footprint of one dictionary value: a string's 49 + length,
+    8 for anything else, 0 for None."""
     if value is None:
         return 0
     if isinstance(value, str):
@@ -45,15 +47,17 @@ class DictPage:
 
     ``values[code]`` is the canonical Python object for ``code``. Codes
     are assigned in first-appearance order across every ``encode`` call,
-    and never change once assigned.
+    and never change once assigned. The page's byte count grows with each
+    appended value, so reading it costs nothing per value.
     """
 
-    __slots__ = ("_mapping", "_values", "_array", "__weakref__")
+    __slots__ = ("_mapping", "_values", "_array", "_nbytes", "__weakref__")
 
     def __init__(self) -> None:
         self._mapping: dict = {}
         self._values: list = []
         self._array: np.ndarray | None = None
+        self._nbytes = 64
 
     def __len__(self) -> int:
         return len(self._values)
@@ -82,6 +86,7 @@ class DictPage:
                 code = len(store)
                 mapping[value] = code
                 store.append(value)
+                self._nbytes += 16 + _scalar_nbytes(value)
             out.append(code)
         return np.asarray(out, dtype=CODE_DTYPE)
 
@@ -104,7 +109,8 @@ class DictPage:
         return self.values[codes]
 
     def estimated_bytes(self) -> int:
-        return 64 + sum(16 + _scalar_nbytes(v) for v in self._values)
+        """``64 + Σ (16 + value bytes)`` over the page's values."""
+        return self._nbytes
 
 
 class EncodedColumn:
@@ -228,8 +234,9 @@ def sidecar_nbytes(rel, seen: set[int] | None = None) -> int:
     """Byte accounting for a relation's storage sidecars.
 
     Shared dictionary pages are deduplicated through ``seen`` (by
-    ``id``), so two slices of one encoded table count the page once. Used
-    by ``repro.state.store.estimate_nbytes``.
+    ``id``), so two slices of one encoded table count the page once.
+    ``repro.state.store.estimate_nbytes`` sizes a relation's encodings
+    through it.
     """
     seen = seen if seen is not None else set()
     return sum(enc.estimated_bytes(seen) for enc in rel.encodings.values())

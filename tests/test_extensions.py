@@ -63,6 +63,7 @@ class TestStratifiedPartitioner:
         )
         uniform = Partitioner(seed=5).partition(rel, 8)
         stratified = StratifiedPartitioner("k", seed=5).partition(rel, 8)
+        assert not all((b.column("k") == 5).any() for b in uniform)
         rare_total = int((rel.column("k") == 5).sum())
         if rare_total >= 8:
             assert all((b.column("k") == 5).any() for b in stratified)

@@ -249,6 +249,50 @@ class TestAggregateOp:
             group = group_rows(ctx.blocks[99])[key]
             assert not group.member_point or group.certain
 
+    def _certain(self, rel):
+        return DeltaBatch(
+            rel.with_mult(rel.mult, np.ones((len(rel), T))),
+            empty_relation(KX_SCHEMA, set(), T),
+        )
+
+    def test_nan_key_from_certain_rows_is_certain(self):
+        # NaN keys hash by object identity: the group must still count as
+        # certain, like every group folded from certain rows.
+        rel = relation_from_columns(
+            KX_SCHEMA,
+            k=[0, 1, 2, 3],
+            x=[1.0, float("nan"), float("nan"), 2.0],
+            y=[1.0, 2.0, 3.0, 4.0],
+        )
+        ctx = make_ctx(total=4)
+        feed(ctx, 1, rel)
+        node = scan("t", KX_SCHEMA).aggregate(["x"], [count("n")])
+        op = AggregateOp(
+            _Fixed(KX_SCHEMA, [self._certain(rel)]),
+            ["x"], [count("n")], node.output_schema({}), 99, True,
+        )
+        op.run(ctx)
+        groups = group_rows(ctx.blocks[99]).values()
+        assert any(g.key[0] != g.key[0] for g in groups)
+        assert all(g.certain for g in groups)
+
+    def test_reset_forgets_published_groups(self):
+        ctx = make_ctx(total=20)
+        rel = random_kx(10, seed=4, groups=3)
+        zeros = rel.take(np.flatnonzero(rel.column("k") == 0))
+        child = _Fixed(KX_SCHEMA, [self._certain(rel), self._certain(zeros)])
+        node = scan("t", KX_SCHEMA).aggregate(["k"], [count("n")])
+        op = AggregateOp(child, ["k"], [count("n")], node.output_schema({}), 99, True)
+        feed(ctx, 1, rel)
+        op.run(ctx)
+        assert set(group_rows(ctx.blocks[99])) == {(0,), (1,), (2,)}
+        op.reset()
+        feed(ctx, 2, zeros)
+        op.run(ctx)
+        # The replay published only group 0: groups 1 and 2 were published
+        # before the reset alone, so they are not tombstoned.
+        assert list(group_rows(ctx.blocks[99])) == [(0,)]
+
 
 class TestRowSink:
     def test_accumulates(self):

@@ -379,8 +379,7 @@ class TestObservability:
         )
         final = engine.run_to_completion(spec.plan, 3)
         assert final.is_final
-        serial = run_serial(spec, catalogs["conviva"])
-        # run_serial uses BATCHES batches; rerun at 3 for the comparison.
+        # The serial reference at 3 batches (run_serial uses BATCHES).
         ref = OnlineQueryEngine(
             catalogs["conviva"],
             spec.streamed_table,

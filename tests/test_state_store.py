@@ -3,6 +3,10 @@
 import numpy as np
 
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.core.compiler import compile_online
+from repro.core.operators import AggregateOp, UncertainFilterOp, iter_ops
+from repro.core.sketch import AggBundle
+from repro.kernels.joins import vectorized_join
 from repro.relational import Catalog, avg, col, count, scan, sum_
 from repro.relational.relation import relation_from_columns
 from repro.relational.schema import ColumnType, Schema
@@ -29,30 +33,6 @@ class TestEstimateNbytes:
     def test_relation_footprint(self):
         rel = random_kx(100, seed=1)
         assert estimate_nbytes(rel) == rel.estimated_bytes()
-
-    def test_containers_recursive(self):
-        assert estimate_nbytes({"a": 1.0}) > estimate_nbytes({})
-        assert estimate_nbytes([1, 2, 3]) > estimate_nbytes([])
-        assert estimate_nbytes({1, 2}) > estimate_nbytes(set())
-
-    def test_nested_container_estimates_pinned(self):
-        """Regression: dict estimates must account for the *keys* too (a
-        tuple group key or long string key is real state), and set members
-        get the same 16-byte slot overhead as dict slots. Pinned so the
-        Figure 9(b)/10(c) state-size accounting cannot silently shift."""
-        assert estimate_nbytes("a") == 50  # 49 + len
-        assert estimate_nbytes({"a": 1.0}) == 64 + 16 + 50 + 8
-        assert estimate_nbytes({1, 2}) == 64 + 2 * (16 + 8)
-        assert estimate_nbytes(("k", 1)) == 56 + (8 + 50) + (8 + 8)
-        assert estimate_nbytes([1.0, 2.0]) == 56 + 2 * (8 + 8)
-        inner = {("k", 1): [1.0, 2.0]}
-        assert estimate_nbytes(inner) == 64 + 16 + 130 + 88
-        assert estimate_nbytes({"groups": inner}) == 64 + 16 + (49 + 6) + 298
-
-    def test_dict_keys_are_not_free(self):
-        short = {"k": 1.0}
-        long = {"k" * 100: 1.0}
-        assert estimate_nbytes(long) - estimate_nbytes(short) == 99
 
 
 _CAT_SCHEMA = Schema([("cat", ColumnType.STRING), ("x", ColumnType.FLOAT)])
@@ -88,15 +68,21 @@ class TestSidecarAccounting:
         assert estimate_nbytes(rel) == rel.estimated_bytes()
 
     def test_shared_page_counted_once_within_one_entry(self):
+        # A join of two slices of one table: both key columns are coded
+        # on the table's one page, which the entry counts once.
         rel = _encoded_cat()
-        a, b = rel.slice(0, 20), rel.slice(20, 40)
+        left = rel.slice(0, 5)
+        right = rel.slice(5, 10).rename({"cat": "cat2", "x": "x2"})
+        joined = vectorized_join(left, right, [])
         page = rel.encodings["cat"].page
-        assert a.encodings["cat"].page is page  # slices alias the page
-        together = estimate_nbytes([a, b])
-        separate = estimate_nbytes([a]) + estimate_nbytes([b])
-        # The list header is double-counted in `separate`; beyond that the
-        # only difference must be the one deduplicated dictionary page.
-        assert separate - together == 56 + page.estimated_bytes()
+        encodings = joined.encodings.values()
+        assert all(enc.page is page for enc in encodings)
+        store = StateStore()
+        store.put("nd", joined)
+        codes = sum(enc.codes.nbytes for enc in encodings)
+        assert store.entry_bytes() == {
+            "nd": joined.estimated_bytes() + codes + page.estimated_bytes()
+        }
 
     def test_shared_page_counted_once_across_entries(self):
         rel = _encoded_cat()
@@ -106,9 +92,10 @@ class TestSidecarAccounting:
         page_bytes = rel.encodings["cat"].page.estimated_bytes()
         per_entry = store.entry_bytes()
         assert per_entry["nd"] - per_entry["pending"] == page_bytes
-        assert store.estimated_bytes() == estimate_nbytes(
-            [store.get("nd"), store.get("pending")]
-        ) - 56 - 2 * 8
+        separate = estimate_nbytes(store.get("nd")) + estimate_nbytes(
+            store.get("pending")
+        )
+        assert sum(per_entry.values()) == separate - page_bytes
 
     def test_null_mask_buffer_is_counted(self):
         rel = relation_from_columns(
@@ -139,7 +126,6 @@ class TestInMemoryStateStore:
         store.put("a", np.zeros(4))
         store.put("b", None)
         assert store.entry_bytes() == {"a": 32, "b": 0}
-        assert store.estimated_bytes() == 32
 
 
 class TestEngineStateAccounting:
@@ -175,48 +161,58 @@ class TestEngineStateAccounting:
         engine.run_to_completion(plan, 4)
         assert engine.metrics.batches[-1].state_bytes_matching("aggregate:") > 0
 
-    def test_operator_state_items_introspection(self):
-        from repro.core.compiler import compile_online
-        from repro.core.operators import UncertainFilterOp, iter_ops
-
-        catalog = self.make_catalog()
-        compiled = compile_online(self.nested_plan(), catalog, "t")
-        ops = [
+    @staticmethod
+    def ops_of(compiled):
+        return [
             op
             for unit in compiled.units
             if hasattr(unit, "root_op")
             for op in iter_ops(unit.root_op)
         ]
-        filters = [op for op in ops if isinstance(op, UncertainFilterOp)]
+
+    def test_operator_state_items_introspection(self):
+        catalog = self.make_catalog()
+        compiled = compile_online(self.nested_plan(), catalog, "t")
+        filters = [
+            op for op in self.ops_of(compiled) if isinstance(op, UncertainFilterOp)
+        ]
         assert filters
         assert {k for k, _ in filters[0].state_items()} == {"nd", "sentinels"}
 
+    def test_growing_aggregate_reports_its_bytes_every_batch(self):
+        # Each batch brings groups the sketch has not seen, and the
+        # sketch grows in place: every batch's report is measured afresh.
+        catalog = Catalog({"t": random_kx(2000, seed=0, groups=500)})
+        engine = OnlineQueryEngine(catalog, "t", OnlineConfig(num_trials=10, seed=5))
+        plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("y", "sy")])
+        session = engine.open_run(plan, 10)
+        try:
+            [op] = [
+                op for op in self.ops_of(session.compiled) if isinstance(op, AggregateOp)
+            ]
+            reported = []
+            for batch_no in range(1, 11):
+                metrics = session.process(batch_no).metrics
+                seen: set[int] = set()
+                fresh = sum(estimate_nbytes(v, seen) for _, v in op.state_items())
+                assert metrics.state_bytes[op.label] == fresh
+                reported.append(fresh)
+        finally:
+            session.close()
+        assert reported == sorted(reported) and reported[-1] > reported[0]
+
 
 class TestEntryBytesMemo:
-    """``entry_bytes`` memoizes on the mutation counter: the obs layer
-    sizes every store twice per batch (per-entry gauges + Fig. 9(b)
-    accounting), and without the memo each call re-walks every entry."""
+    """``entry_bytes`` keeps no memo: every call measures the entries as
+    they are now, including entries that grew in place."""
 
-    def test_repeat_calls_do_not_resample(self, monkeypatch):
-        import repro.state.store as store_mod
-
+    def test_in_place_growth_is_measured(self):
         store = StateStore()
-        store.put("a", np.zeros(16))
-        store.put("b", {"k": 1.0})
-        calls = {"n": 0}
-        real = store_mod.estimate_nbytes
-
-        def counting(value, seen=None):
-            calls["n"] += 1
-            return real(value, seen)
-
-        monkeypatch.setattr(store_mod, "estimate_nbytes", counting)
-        first = store.entry_bytes()
-        sampled = calls["n"]
-        assert sampled > 0
-        assert store.entry_bytes() is first
-        assert store.estimated_bytes() == sum(first.values())
-        assert calls["n"] == sampled  # memo hit: zero extra sampling
+        bundle = AggBundle([sum_("y", "sy")], 4)
+        store.put("sketch", bundle)
+        before = store.entry_bytes()["sketch"]
+        bundle._ensure_groups([(1,), (2,)])
+        assert store.entry_bytes()["sketch"] == bundle.estimated_bytes() > before
 
     def test_put_and_delete_invalidate(self):
         store = StateStore()
