@@ -7,7 +7,7 @@ between-batch state must live in named :class:`~repro.state.StateStore`
 entries (so recovery's reset and the Figure 9(b) accounting see it),
 lineage blocks have a single producing operator (cross-unit dataflow
 depends on it), and batch-pure code paths must be deterministic
-(bit-identical recovery replay and shard runs depend on it). This module
+(bit-identical recovery replay depends on it). This module
 enforces those contracts statically over ``src/repro`` itself.
 
 Framework:
@@ -392,8 +392,8 @@ class NoNondeterminism(LintRule):
                             f"call to {name}() in batch-pure "
                             f"{cls.name}.{method.name}()",
                             "batch results must be a pure function of the "
-                            "batch inputs and seeded config (sharded runs "
-                            "and recovery replay must agree bit for bit)",
+                            "batch inputs and seeded config (recovery "
+                            "replay must agree bit for bit)",
                         )
 
 

@@ -133,20 +133,12 @@ class BatchSource(Sequence):
     reads) and each batch's sorted row indices. ``source[i]`` gathers
     batch ``i + 1`` afresh and keeps nothing: work and memory follow the
     batches a run consumes, and a recovery replay re-gathers the same
-    bits. ``sizes[i]`` is batch ``i + 1``'s row count in the whole
-    stream: its own index count, unless the source holds a shard's
-    share of each batch.
+    bits.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        indices: list[np.ndarray],
-        sizes: list[int] | None = None,
-    ):
+    def __init__(self, relation: Relation, indices: list[np.ndarray]):
         self.relation = relation
         self.indices = indices
-        self.sizes = [len(ix) for ix in indices] if sizes is None else sizes
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -11,10 +11,10 @@ variation ranges of Section 5 are all derived.
 
 A row's ``T`` weights are a pure function of ``(seed, streamed table,
 global row id, trial)`` — a counter-based hash, no generator state — so
-every scan of the streamed table inside one query, every
-shard worker and every failure-recovery replay observes identical
-weights, whatever the batch count or partition mode, and only the rows
-that survive to a consumer of trials are ever drawn
+every scan of the streamed table inside one query and every
+failure-recovery replay observes identical weights, whatever the batch
+count or partition mode, and only the rows that survive to a consumer of
+trials are ever drawn
 (:class:`~repro.relational.relation.LazyTrials`).
 """
 

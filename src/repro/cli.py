@@ -211,13 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result rows to print per update"
     )
     parser.add_argument(
-        "--shards", type=_non_negative_int, default=0, metavar="N",
-        help="run the iolap engine across N shard worker processes "
-        "(group-key sharding; results are bit-identical to the serial "
-        "run; plans without a shardable group key fall back to "
-        "single-process execution; 0/1 disables)",
-    )
-    parser.add_argument(
         "--metrics-out", metavar="PATH", default=None,
         help="write per-batch run metrics as JSON to PATH (iolap engine)",
     )
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", metavar="SPEC", default=None,
         help="inject deterministic faults (iolap engine): comma-separated "
         "kind@batch[:target][*times] specs with kind in "
-        "{sentinel,batch,shard}, e.g. 'sentinel@16,batch@18,shard@6:1'; "
+        "{sentinel,batch}, e.g. 'sentinel@16,batch@18'; "
         "recovery must still produce the fault-free answer",
     )
     _add_logging_flags(parser)
@@ -575,12 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.converge
         else None
     )
-    engine_cls = OnlineQueryEngine
-    if args.shards > 1:
-        from repro.engine.shards import ShardedQueryEngine
-
-        engine_cls = ShardedQueryEngine
-    engine = engine_cls(
+    engine = OnlineQueryEngine(
         catalog,
         streamed,
         OnlineConfig(
@@ -589,7 +577,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             sanitize=args.sanitize,
             faults=args.faults,
-            shards=args.shards,
         ),
         obs=obs,
     )

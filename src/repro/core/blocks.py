@@ -311,7 +311,7 @@ class OnlineConfig:
     #: RNG seed for partitioning and bootstrap draws.
     seed: int = 0
     #: Deterministic fault-injection plan: a spec string like
-    #: ``"sentinel@16,batch@18,shard@6:1"`` (see :mod:`repro.faults`), an
+    #: ``"sentinel@16,batch@18"`` (see :mod:`repro.faults`), an
     #: already-parsed ``FaultPlan``, or None (no faults — the production
     #: setting).
     faults: object = None
@@ -322,12 +322,9 @@ class OnlineConfig:
     #: check each operator's state entries against its ``StateRule``
     #: after every ``process``. Off by default (zero cost when off).
     sanitize: bool = False
-    #: Process-level scale-out (:mod:`repro.engine.shards`): hash-partition
-    #: the streamed table across this many worker processes, each running
-    #: the full delta algorithm over its shard with shared-nothing state,
-    #: merging per-batch results deterministically at the sink. 0/1 = off
-    #: (single-process execution). Plans without a fact-column group key
-    #: fall back to single-process execution automatically.
+    #: Accepted for callers of :class:`repro.engine.shards.ShardedQueryEngine`
+    #: and has no effect: every run executes in one process on the serial
+    #: engine.
     shards: int = 0
 
 
@@ -394,15 +391,11 @@ class RuntimeContext:
     # -- per-batch lifecycle -------------------------------------------------------
 
     def begin_batch(
-        self, batch_no: int, delta: Relation, metrics: BatchMetrics, rows: int
+        self, batch_no: int, delta: Relation, metrics: BatchMetrics
     ) -> None:
         """Install this batch's streamed delta, its bootstrap trials named
         by global row id (the partitioner's; arrival order for a delta
-        built by hand) and drawn where something first reads them.
-
-        ``rows`` is the batch's row count in the whole stream, which
-        ``seen_rows`` advances by: a shard installs its share of each
-        batch but extrapolates by the serial ``m_i``."""
+        built by hand) and drawn where something first reads them."""
         self.batch_no = batch_no
         self.metrics = metrics
         lazy = delta._trials
@@ -412,7 +405,7 @@ class RuntimeContext:
             else self.seen_rows + np.arange(len(delta))
         )
         self._delta = delta.with_mult(delta.mult, LazyTrials(ids, self))
-        self.seen_rows += rows
+        self.seen_rows += len(delta)
         metrics.new_tuples += len(delta)
 
     def draw_trials(self, row_ids: np.ndarray) -> np.ndarray:

@@ -85,9 +85,8 @@ class OnlineQueryEngine:
     ) -> "RunSession":
         """Set up one online run and hand back its batch driver.
 
-        ``run`` drives the session start to finish; external schedulers
-        (the shard workers of :mod:`repro.engine.shards`) call this
-        directly and drive one batch at a time.
+        ``run`` drives the session start to finish; a caller that wants
+        one batch at a time drives the session itself.
         """
         streamed = self.catalog.get(self.streamed_table)
         if batch_rows is not None:
@@ -111,11 +110,17 @@ class OnlineQueryEngine:
             )
             obs.flush()
             raise
-        batches = self._batch_source(streamed, num_batches, compiled.stream_columns)
+        batches = self.partitioner.source(
+            streamed, num_batches, compiled.stream_columns
+        )
         ctx = RuntimeContext(
             self.catalog, self.streamed_table, len(streamed), self.config
         )
         ctx.attach_obs(obs)
+        if ctx.sanitizer is not None:
+            # Install the Relation.slice / DiskTable chunk-view aliasing
+            # hooks for the duration of this run (removed on close).
+            ctx.sanitizer.activate()
         self.metrics = RunMetrics()
 
         run_span = tracer.span(
@@ -127,12 +132,6 @@ class OnlineQueryEngine:
         if run_span:
             run_span.__enter__()
         return RunSession(self, compiled, ctx, batches, obs, run_span)
-
-    def _batch_source(
-        self, streamed: Relation, num_batches: int, columns: list[str]
-    ) -> BatchSource:
-        """The run's mini-batches (a shard worker keeps its shard's rows)."""
-        return self.partitioner.source(streamed, num_batches, columns)
 
     def run_to_completion(
         self,
@@ -162,7 +161,7 @@ class OnlineQueryEngine:
         attempts = 0
         while True:
             try:
-                ctx.begin_batch(batch_no, delta, bm, batches.sizes[batch_no - 1])
+                ctx.begin_batch(batch_no, delta, bm)
                 # Controller-level fault seam: fires before any unit runs.
                 ctx.fault("batch")
                 run_units(compiled.units, ctx)
@@ -232,7 +231,7 @@ class OnlineQueryEngine:
         saved = ctx.metrics
         try:
             for b in range(1, failed_batch):
-                ctx.begin_batch(b, batches[b - 1], scratch, batches.sizes[b - 1])
+                ctx.begin_batch(b, batches[b - 1], scratch)
                 run_units(compiled.units, ctx)
         finally:
             ctx.metrics = saved
@@ -321,29 +320,20 @@ class RunSession:
         i = batch_no
         bm = engine.metrics.start_batch(i)
         started = time.perf_counter()
-        if ctx.sanitizer is not None:
-            # The Relation.slice / DiskTable chunk-view aliasing hooks are
-            # process-global, and one process may hold several sessions
-            # (a sharded run's parent): each installs its own per batch.
-            ctx.sanitizer.activate()
-        try:
-            # Gathered here, not at open_run: the first estimate waits for
-            # one batch, and a run that stops early never gathers the rest.
-            delta = self.batches[i - 1]
-            if tracer.enabled:
-                with tracer.span(
-                    "batch", cat="exec", batch=i, rows=len(delta)
-                ) as batch_span:
-                    engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
-                    batch_span.set(
-                        recovered=bm.recovered,
-                        recomputed_tuples=bm.recomputed_tuples,
-                    )
-            else:
+        # Gathered here, not at open_run: the first estimate waits for
+        # one batch, and a run that stops early never gathers the rest.
+        delta = self.batches[i - 1]
+        if tracer.enabled:
+            with tracer.span(
+                "batch", cat="exec", batch=i, rows=len(delta)
+            ) as batch_span:
                 engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
-        finally:
-            if ctx.sanitizer is not None:
-                ctx.sanitizer.deactivate()
+                batch_span.set(
+                    recovered=bm.recovered,
+                    recomputed_tuples=bm.recomputed_tuples,
+                )
+        else:
+            engine._process_batch(compiled, ctx, self.batches, i, delta, bm)
         bm.wall_seconds = time.perf_counter() - started
         if ctx.sanitizer is not None:
             engine.metrics.sanitize_seconds = ctx.sanitizer.seconds
@@ -359,6 +349,8 @@ class RunSession:
         self._closed = True
         if self.run_span:
             self.run_span.__exit__(None, None, None)
+        if self.ctx.sanitizer is not None:
+            self.ctx.sanitizer.deactivate()
         self.obs.flush()
 
 

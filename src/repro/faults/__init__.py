@@ -2,11 +2,9 @@
 
 Incremental engines live or die by their recovery paths, and recovery
 paths rot unless they are exercised on purpose. This package arms
-deterministic faults at the engine's two recovery seams — variation-
-range integrity (``sentinel`` / ``batch`` faults, recovered by the
-conservative replay from freshly reset operators) and shard worker
-processes (``shard`` faults, recovered by respawn and replay) — from a
-compact spec wired through ``OnlineConfig(faults=...)`` or the CLI
+deterministic faults at the engine's recovery seam — variation-range
+integrity (``sentinel`` / ``batch`` faults, recovered by the
+conservative replay from freshly reset operators) — from a compact spec wired through ``OnlineConfig(faults=...)`` or the CLI
 ``--faults`` flag::
 
     iolap run ... --faults "sentinel@16,batch@18"

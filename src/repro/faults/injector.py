@@ -1,18 +1,13 @@
 """The fault injector: deterministic failures at designated engine seams.
 
 The injector holds an armed :class:`~repro.faults.plan.FaultPlan` and is
-probed from two seams:
-
-* **sentinel / batch** — :meth:`FaultInjector.fire` from
-  ``RuntimeContext.fault``: raises a
-  :class:`~repro.errors.RangeIntegrityError` exactly like a real
-  variation-range violation. Guarded against firing during a recovery
-  replay — a raise there would escape the controller's handler, and
-  re-faulting the replay of an already-faulted batch would livelock
-  recovery.
-* **shard** — :meth:`claim` from the shard scheduler before it dispatches
-  a batch: returns True when the worker whose index equals the spec's
-  target should be killed.
+probed by :meth:`FaultInjector.fire` from ``RuntimeContext.fault``: a
+matching ``sentinel`` or ``batch`` spec raises a
+:class:`~repro.errors.RangeIntegrityError` exactly like a real
+variation-range violation. It is guarded against firing during a
+recovery replay — a raise there would escape the controller's handler,
+and re-faulting the replay of an already-faulted batch would livelock
+recovery.
 
 A fired spec decrements its remaining count, so ``times`` is honored
 across the whole run.
@@ -37,17 +32,13 @@ class FaultInjector:
     def claim(self, kind: str, batch: int, label: str | None = None) -> bool:
         """Consume one armed firing matching (kind, batch, label).
 
-        A ``sentinel`` target matches any label containing it; a ``shard``
-        target matches only the label equal to it (the shard index)."""
+        A ``sentinel`` target matches any label containing it."""
         for i, spec in enumerate(self.plan.specs):
             if spec.kind != kind or self._remaining[i] <= 0:
                 continue
             if spec.batch != batch:
                 continue
-            if spec.target is not None and (
-                label is None
-                or (spec.target != label if kind == "shard" else spec.target not in label)
-            ):
+            if spec.target is not None and (label is None or spec.target not in label):
                 continue
             self._remaining[i] -= 1
             self.fired.append((spec, batch))

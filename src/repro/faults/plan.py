@@ -5,16 +5,12 @@ A plan is a comma-separated list of specs, each::
     kind@batch[:target][*times]
 
 * ``kind``    — ``sentinel`` (force a variation-range integrity failure),
-  ``batch`` (force one at the controller level, before any unit runs),
-  or ``shard`` (kill one shard worker process before that batch; the
-  shard scheduler respawns it and replays its sub-stream — single-shard
-  recovery).
+  or ``batch`` (force one at the controller level, before any unit runs).
 * ``batch``   — the 1-based mini-batch the fault arms at.
 * ``target``  — for ``sentinel`` faults, an optional operator label
   substring the fault is restricted to (e.g. ``select:3``); note the
   label may itself contain ``:``, so everything after the first ``:`` is
-  target. For ``shard`` faults, the decimal index of the shard to kill
-  (default: shard 0).
+  target.
 * ``times``   — optional ``*N`` repeat count (default 1): the fault fires
   on the first N matching probes, then disarms.
 
@@ -24,7 +20,6 @@ Examples::
     sentinel@16:select:3        # ... only in operator select:3
     batch@4                     # controller-level failure at batch 4
     sentinel@5*2                # two integrity failures at batch 5
-    shard@6:1                   # kill shard worker 1 before batch 6
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 #: The closed set of fault kinds a spec may name.
-FAULT_KINDS = frozenset({"sentinel", "batch", "shard"})
+FAULT_KINDS = frozenset({"sentinel", "batch"})
 
 
 @dataclass(frozen=True)
@@ -104,13 +99,6 @@ def parse_fault(text: str) -> FaultSpec:
     target = target.strip() or None
     if target is not None and kind == "batch":
         raise ReproError(f"bad fault spec {text!r}: 'batch' faults take no target")
-    if target is not None and kind == "shard":
-        if not (target.isascii() and target.isdigit()):
-            raise ReproError(
-                f"bad fault spec {text!r}: shard target {target!r} is not a "
-                "decimal shard index"
-            )
-        target = str(int(target))
     return FaultSpec(kind, batch, target, times)
 
 

@@ -22,7 +22,7 @@ class BatchMetrics:
     #: Owned by the controller, which stamps it once per batch.
     wall_seconds: float = 0.0
     #: Sum of per-execution-unit elapsed seconds: ~``wall_seconds`` minus
-    #: engine overhead (summed over shards for a sharded run).
+    #: engine overhead.
     unit_seconds: float = 0.0
     #: Rows newly ingested from the streamed table this batch.
     new_tuples: int = 0
@@ -69,29 +69,6 @@ class BatchMetrics:
 
     def add_op_seconds(self, label: str, seconds: float) -> None:
         self.op_seconds[label] = self.op_seconds.get(label, 0.0) + seconds
-
-    def merge_from(self, other: "BatchMetrics") -> None:
-        """Fold another batch's counters into this one.
-
-        The shard scheduler merges each worker's ``BatchMetrics`` in
-        shard-index order, so the merged totals are deterministic.
-
-        ``wall_seconds`` is deliberately *not* merged: summing the
-        concurrent shards' elapsed time would inflate it past the true batch latency.
-        Per-unit time folds into ``unit_seconds`` instead; the scheduler
-        stamps ``wall_seconds`` with the real batch elapsed time.
-        """
-        self.unit_seconds += other.unit_seconds
-        self.new_tuples += other.new_tuples
-        self.recomputed_tuples += other.recomputed_tuples
-        self.shipped_bytes += other.shipped_bytes
-        for label, nbytes in other.state_bytes.items():
-            self.add_state(label, nbytes)
-        for label, seconds in other.op_seconds.items():
-            self.add_op_seconds(label, seconds)
-        self.recovered = self.recovered or other.recovered
-        self.recovery_seconds += other.recovery_seconds
-        self.nd_groups += other.nd_groups
 
     @property
     def total_state_bytes(self) -> int:
@@ -148,8 +125,7 @@ class RunMetrics:
 
     @property
     def total_unit_seconds(self) -> float:
-        """Summed per-unit elapsed time (CPU-occupancy view; exceeds
-        ``total_seconds`` when shards overlap)."""
+        """Summed per-unit elapsed time (the CPU-occupancy view)."""
         return sum(b.unit_seconds for b in self.batches)
 
     @property

@@ -9,8 +9,7 @@ throughput. The engine snapshots the registry after every batch into
 spans.
 
 Concurrency model: one thread writes and reads the registry, the one
-that drives the run, so it takes no lock. Shard workers are processes;
-they ship their counters back with each batch result.
+that drives the run, so it takes no lock.
 
 The default registry is :data:`NULL_REGISTRY`: disabled, returning one
 shared inert instrument, so instrumented code paths cost a method call

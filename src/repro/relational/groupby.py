@@ -63,8 +63,7 @@ class RowSegments:
     accumulates: ``order`` lists the rows group by group (original
     order within a group), ``starts`` the first sorted position of each
     segment and ``groups`` its id. A segment's sum depends only on that
-    group's own row sequence, never on which other rows share the call —
-    this is what keeps serial and sharded runs bit-identical.
+    group's own row sequence, never on which other rows share the call.
     """
 
     __slots__ = ("order", "starts", "groups")

@@ -87,6 +87,7 @@ class Schema:
             raise SchemaError(f"duplicate column names: {dupes}")
         self._columns: tuple[Column, ...] = tuple(cols)
         self._index: dict[str, int] = {c.name: i for i, c in enumerate(cols)}
+        self._row_byte_width: int | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -163,5 +164,9 @@ class Schema:
             )
 
     def row_byte_width(self) -> int:
-        """Approximate bytes per row, for state/shipped accounting."""
-        return sum(c.ctype.byte_width for c in self._columns)
+        """Approximate bytes per row, for state/shipped accounting.
+
+        Summed on the first call and kept: a schema never changes."""
+        if self._row_byte_width is None:
+            self._row_byte_width = sum(c.ctype.byte_width for c in self._columns)
+        return self._row_byte_width

@@ -2,16 +2,13 @@
 
 A run gathers batch ``i`` when it reaches it: the first estimate waits
 for one gather, a run stopped after batch ``k`` gathers ``k``, and a
-recovery replay (in process or in a respawned shard worker) re-gathers
-the same bits. Every pulled batch equals what an eager gather of all
-batches up front produced.
+recovery replay re-gathers the same bits. Every pulled batch equals what
+an eager gather of all batches up front produced.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,11 +16,10 @@ import pytest
 from repro.batching import BatchSource, Partitioner, StratifiedPartitioner
 from repro.batching import partitioner as partitioner_mod
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.engine.shards import ShardedQueryEngine, shard_ids
 from repro.relational import Catalog, col, count, scan, sum_
 from repro.relational.relation import LazyTrials, Relation
 from repro.storage import encode_relation, open_table, write_relation
-from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
+from repro.workloads import TPCH_QUERIES
 from tests.conftest import KX_SCHEMA, random_kx
 
 FLAT = scan("t", KX_SCHEMA).select(col("x") > 10.0).aggregate(
@@ -211,73 +207,6 @@ class TestReplayRegathers:
         for ix, digest in gathers:
             assert by_index[ix] == digest
         assert faulted.to_relation().bag_equal(clean.to_relation(), 9)
-
-    def test_shard_respawn_regathers_same_bits(self, tmp_path, monkeypatch, conviva_small):
-        """Each shard gathers only its own rows of a batch: the shards'
-        index arrays are disjoint and together are the batch. A killed
-        worker's replacement replays its prefix by gathering exactly its
-        predecessor's bits; every process logs its gathers to its own
-        file."""
-        real = partitioner_mod._materialize_batch
-
-        def logging(relation, ix):
-            batch = real(relation, ix)
-            with open(tmp_path / f"{os.getpid()}.log", "a") as log:
-                log.write(f"{','.join(map(str, ix))} {relation_digest(batch)}\n")
-            return batch
-
-        monkeypatch.setattr(partitioner_mod, "_materialize_batch", logging)
-        spec = CONVIVA_QUERIES["C2"]
-        catalog = conviva_small.catalog()
-        config = OnlineConfig(num_trials=8, seed=4, shards=2, faults="shard@4:1")
-        engine = ShardedQueryEngine(catalog, spec.streamed_table, config)
-        partials = list(engine.run(spec.plan, 6))
-        assert partials[-1].is_final and engine.shard_respawns == 1
-        # Batch 3 fails a range check: shard 1 recovers by replaying its
-        # prefix, regathering batches 1-2 in the process that runs it.
-        assert [p.metrics.recovered for p in partials] == [False, False, True] + [False] * 3
-
-        stream = catalog.get(spec.streamed_table)
-        owner = shard_ids(stream, engine.shard_plan.shard_key, 2)
-        batches = Partitioner(seed=4).partition_indices(len(stream), 6)
-        batch_of = np.empty(len(stream), dtype=np.intp)
-        for b, ix in enumerate(batches, start=1):
-            batch_of[ix] = b
-        # (shard, batch) -> [(index array, digest)], one entry per gather
-        # (a recovery replay inside a shard gathers its prefix again), and
-        # how often each process gathered it.
-        gathered: dict[tuple[int, int], list[tuple[np.ndarray, str]]] = {}
-        gatherers: dict[tuple[int, int], Counter[str]] = {}
-        for path in tmp_path.glob("*.log"):
-            for line in path.read_text().splitlines():
-                text, digest = line.split()
-                ix = np.array(text.split(","), dtype=np.intp)
-                shard, batch = np.unique(owner[ix]), np.unique(batch_of[ix])
-                assert len(shard) == len(batch) == 1, "a gather crossed shards or batches"
-                key = (int(shard[0]), int(batch[0]))
-                gathered.setdefault(key, []).append((ix, digest))
-                gatherers.setdefault(key, Counter())[path.name] += 1
-        for b, ix in enumerate(batches, start=1):
-            parts = [gathered[(s, b)][0][0] for s in range(2)]
-            assert np.array_equal(np.sort(np.concatenate(parts)), ix)
-        # Shard 0 stays in the parent. Shard 1 ran batch 1 in the parent
-        # and batches 2-3 in the worker that adopted its session (its
-        # recovery at batch 3 regathered batches 1-2); killed before
-        # batch 4, its replacement, another process, regathered batches
-        # 1-3 (recovering at 3 again) with the same bits.
-        parent = f"{os.getpid()}.log"
-        (replacement,) = gatherers[(1, 4)]
-        (adopter,) = set(gatherers[(1, 2)]) - {replacement}
-        assert len({parent, adopter, replacement}) == 3
-        assert gatherers == {
-            **{(0, b): Counter({parent: 1}) for b in range(1, 7)},
-            (1, 1): Counter({parent: 1, adopter: 1, replacement: 2}),
-            (1, 2): Counter({adopter: 2, replacement: 2}),
-            (1, 3): Counter({adopter: 1, replacement: 1}),
-            **{(1, b): Counter({replacement: 1}) for b in range(4, 7)},
-        }
-        for runs in gathered.values():
-            assert len({(ix.tobytes(), digest) for ix, digest in runs}) == 1
 
 
 class TestSanitizedSequential:

@@ -26,7 +26,6 @@ class TestParser:
                      ["--trials", "-5"], ["--trials", "x"],
                      ["--scale", "0"], ["--scale", "-1"], ["--scale", "inf"],
                      ["--slack", "-1"], ["--slack", "nan"], ["--slack", "inf"],
-                     ["--shards", "-3"], ["--shards", "1.5"],
                      ["--stop-rsd", "nan"], ["--stop-rsd", "-1"],
                      ["--stop-rsd", "inf"], ["--stop-rsd", "0"]):
             with pytest.raises(SystemExit) as exc:
@@ -40,8 +39,8 @@ class TestParser:
             with pytest.raises(SystemExit) as exc:
                 main(["report", "run.jsonl", *argv])
             assert exc.value.code == 2
-        edge = build_parser().parse_args(["--slack", "0", "--shards", "0"])
-        assert (edge.slack, edge.shards) == (0.0, 0)
+        edge = build_parser().parse_args(["--slack", "0"])
+        assert edge.slack == 0.0
 
     def test_named_query(self):
         args = build_parser().parse_args(["--query", "Q17", "--workload", "tpch"])

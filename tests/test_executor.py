@@ -87,7 +87,7 @@ def _fresh_ctx():
     rel = random_kx(10, seed=0, groups=2)
     ctx = RuntimeContext(Catalog({"t": rel}), "t", len(rel), OnlineConfig(num_trials=5))
     bm = BatchMetrics(1)
-    ctx.begin_batch(1, rel, bm, len(rel))
+    ctx.begin_batch(1, rel, bm)
     return ctx, bm
 
 
@@ -100,15 +100,3 @@ class TestUnitSeconds:
         units = [_SleepUnit("a", {1}, 0.01), _SleepUnit("b", {2}, 0.01)]
         run_units(units, ctx)
         assert bm.unit_seconds >= 0.02
-
-    def test_merge_folds_unit_seconds_not_wall(self):
-        from repro.metrics import BatchMetrics
-
-        a = BatchMetrics(1)
-        a.wall_seconds = 5.0
-        scratch = BatchMetrics(1)
-        scratch.unit_seconds = 2.0
-        scratch.wall_seconds = 99.0  # a merged shard never owns wall time
-        a.merge_from(scratch)
-        assert a.unit_seconds == 2.0
-        assert a.wall_seconds == 5.0

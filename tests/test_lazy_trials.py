@@ -20,8 +20,6 @@ from repro.core import blocks as blocks_module
 from repro.core.blocks import RuntimeContext
 from repro.core.operators.scan import ScanOp
 from repro.core.sketch import AggBundle
-from repro.engine.shards.envelope import ShardSpec, shard_ids
-from repro.engine.shards.worker import ShardWorkerEngine
 from repro.kernels.joins import vectorized_join
 from repro.metrics.stats import BatchMetrics
 from repro.relational import Catalog, avg, col, count, evaluate, scan, sum_
@@ -161,8 +159,8 @@ def recorder(monkeypatch):
     log = {"deltas": [], "draws": []}
     begin, draw = RuntimeContext.begin_batch, RuntimeContext.draw_trials
 
-    def begin_batch(self, batch_no, delta, metrics, rows):
-        begin(self, batch_no, delta, metrics, rows)
+    def begin_batch(self, batch_no, delta, metrics):
+        begin(self, batch_no, delta, metrics)
         log["deltas"].append((batch_no, self.delta))
 
     def draw_trials(self, ids):
@@ -201,32 +199,6 @@ class TestWeightsDoNotDependOnTheConfiguration:
         final = engine.run_to_completion(plan, num_batches)
         assert sorted(check_log(recorder, table, 4).tolist()) == list(range(600))
         assert recorder["draws"] and final.is_final
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_a_shard_draws_only_the_rows_it_owns(self, shards, recorder):
-        table = random_kx(600, seed=2, groups=7)
-        plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("y", "s")])
-        owned = []
-        owners = shard_ids(table, ("k",), shards)
-        batches = Partitioner(seed=4).partition_indices(len(table), 6)
-        for index in range(shards):
-            recorder["deltas"].clear(), recorder["draws"].clear()
-            engine = ShardWorkerEngine(
-                Catalog({"t": table}), "t", OnlineConfig(num_trials=T, seed=4),
-                ShardSpec(index, shards, ("k",)), owners, batches,
-            )
-            session = engine.open_run(plan, 6)
-            try:
-                for batch_no in range(1, 7):
-                    session.process(batch_no)
-            finally:
-                session.close()
-            ids = check_log(recorder, table, 4)
-            # (A shard may own no group of a small table: nothing drawn.)
-            drawn = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in recorder["draws"]])
-            assert sorted(drawn.tolist()) == sorted(ids.tolist())  # each owned row, once
-            owned.append(ids)
-        assert sorted(np.concatenate(owned).tolist()) == list(range(600))
 
     def test_a_recovery_replay_installs_the_same_ids(self, recorder):
         table = random_kx(600, seed=2, groups=5)
@@ -272,13 +244,13 @@ class TestWeightsDoNotDependOnTheConfiguration:
     def test_a_hand_built_delta_gets_arrival_order_ids(self):
         ctx = RuntimeContext(Catalog({}), "t", 30, OnlineConfig(num_trials=T, seed=3))
         first, second = random_kx(10, seed=1), random_kx(20, seed=2)
-        ctx.begin_batch(1, first, BatchMetrics(1), 10)
+        ctx.begin_batch(1, first, BatchMetrics(1))
         assert ctx.delta._trials.ids.tolist() == list(range(10))
-        ctx.begin_batch(2, second, BatchMetrics(2), 20)
+        ctx.begin_batch(2, second, BatchMetrics(2))
         assert ctx.delta._trials.ids.tolist() == list(range(10, 30))
         assert (ctx.delta.trial_mults == trial_multiplicities(20, T, 3, "t", np.arange(10, 30))).all()
         # Trials a caller attached are replaced, as they always were.
-        ctx.begin_batch(3, first.with_mult(first.mult, np.ones((10, T))), BatchMetrics(3), 10)
+        ctx.begin_batch(3, first.with_mult(first.mult, np.ones((10, T))), BatchMetrics(3))
         assert ctx.delta.trial_mults.dtype == np.uint8
 
 
@@ -304,8 +276,8 @@ def test_lazy_equals_eager(name, tpch_small, conviva_small, monkeypatch):
     lazy = run_all(spec, catalog)
     begin = RuntimeContext.begin_batch
 
-    def eager_begin(self, batch_no, delta, metrics, rows):
-        begin(self, batch_no, delta, metrics, rows)
+    def eager_begin(self, batch_no, delta, metrics):
+        begin(self, batch_no, delta, metrics)
         self._delta = self._delta.with_drawn_trials()
 
     monkeypatch.setattr(RuntimeContext, "begin_batch", eager_begin)

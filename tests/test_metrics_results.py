@@ -99,30 +99,6 @@ class TestRunMetrics:
         assert json.loads(rm.to_json(indent=2)) == data
 
 
-class TestBatchMetricsMerge:
-    def test_merge_from_sums_and_unions(self):
-        a = BatchMetrics(1)
-        a.recomputed_tuples = 5
-        a.shipped_bytes = 10
-        a.add_state("join:1", 100)
-        a.add_op_seconds("scan:t", 0.5)
-        b = BatchMetrics(1)
-        b.recomputed_tuples = 7
-        b.shipped_bytes = 20
-        b.add_state("join:1", 50)
-        b.add_state("select:2", 5)
-        b.add_op_seconds("scan:t", 0.5)
-        b.recovered = True
-        b.recovery_seconds = 1.5
-        a.merge_from(b)
-        assert a.recomputed_tuples == 12
-        assert a.shipped_bytes == 30
-        assert a.state_bytes == {"join:1": 150, "select:2": 5}
-        assert a.op_seconds == {"scan:t": 1.0}
-        assert a.recovered
-        assert a.recovery_seconds == 1.5
-
-
 class TestMetricsSchema:
     """The --metrics-out artifact shape is pinned: golden field sets, a
     version constant, and a validator that rejects drift in either

@@ -42,7 +42,7 @@ def make_ctx(catalog=None, total=100):
 
 
 def feed(ctx, batch_no, delta):
-    ctx.begin_batch(batch_no, delta, BatchMetrics(batch_no), len(delta))
+    ctx.begin_batch(batch_no, delta, BatchMetrics(batch_no))
 
 
 class _Fixed(SpineOp):

@@ -5,6 +5,14 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational import Column, ColumnType, Schema
+from repro.workloads import conviva, tpch
+
+WORKLOAD_SCHEMAS = [
+    value
+    for module in (tpch, conviva)
+    for name, value in vars(module).items()
+    if name.endswith("_SCHEMA") and isinstance(value, Schema)
+]
 
 
 class TestColumnType:
@@ -130,6 +138,23 @@ class TestSchema:
     def test_row_byte_width(self):
         s = Schema([("a", ColumnType.INT), ("s", ColumnType.STRING)])
         assert s.row_byte_width() == 24
+
+    def test_row_byte_width_is_the_column_sum_of_every_derived_schema(self):
+        base = [*WORKLOAD_SCHEMAS, Schema([])]
+        derived = []
+        for s in base:
+            names = s.names
+            derived += [
+                s.project(names[::-1]),
+                s.project(names[:1]),
+                s.rename({n: f"{n}_r" for n in names[::2]}),
+                s.with_prefix("p."),
+                s.concat(s.with_prefix("q.")),
+            ]
+        for s in base + derived:
+            expected = sum(c.ctype.byte_width for c in s.columns)
+            assert s.row_byte_width() == expected, s
+            assert s.row_byte_width() == expected, s  # the kept value
 
     def test_iteration_order(self):
         s = Schema([("b", ColumnType.INT), ("a", ColumnType.INT)])

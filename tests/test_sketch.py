@@ -297,7 +297,7 @@ class TestSegmentedSums:
         assert out.tolist() == [[900.0, 900.0]]
 
     def test_a_groups_sum_ignores_the_other_rows_of_the_call(self):
-        """What keeps shards (which see a subset of each batch) bit-identical."""
+        """A group's sum depends on its own rows only, not on the call's others."""
         rng = np.random.default_rng(3)
         gids = rng.integers(0, 5, 400).astype(np.intp)
         w = rng.random((400, 7))
@@ -436,7 +436,7 @@ class TestAccumulatorParity:
 
 class TestPositionIndependence:
     """A group's block is the same bits alone, among other groups, or at
-    another offset of the call — what shards rely on."""
+    another offset of the call."""
 
     @given(fold_cases(), st.integers(1, 9))
     @settings(max_examples=100, deadline=None)

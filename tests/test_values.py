@@ -168,3 +168,27 @@ class TestUncertainValue:
     def test_confidence_interval_empty(self):
         lo, hi = uv(0.0, [np.nan]).confidence_interval()
         assert math.isnan(lo) and math.isnan(hi)
+
+
+class TestVariationRangeIsAValue:
+    def test_immutable(self):
+        r = VariationRange(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            r.lo = 5.0
+        with pytest.raises(AttributeError):
+            del r.hi
+        assert (r.lo, r.hi) == (1.0, 2.0)
+
+    def test_equal_and_hashable_by_value(self):
+        a, b = VariationRange(1.0, 2.0), VariationRange(1.0, 2.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != VariationRange(1.0, 3.0)
+        assert a != (1.0, 2.0)
+
+    def test_copy_and_pickle_round_trip(self):
+        import copy
+        import pickle
+
+        r = VariationRange(-1.5, 4.0)
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and type(twin) is VariationRange
