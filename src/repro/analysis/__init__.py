@@ -12,7 +12,7 @@ contracts the engine assumes:
   typechecker: reports every refusal in the engine's refusal table
   (:func:`repro.core.uncertainty.tag_plan`, TC1xx), then checks what the
   compiler emitted against the engine's Appendix-A tags (operator
-  placement, declared state entries, ND-cache presence, block
+  placement, declared state rules, ND-cache presence, block
   production/consumption) and the unit order: every consumer after its
   producer, no store shared by two units (TC310/TC311);
 * :mod:`repro.analysis.lint` — an ``ast``-based lint suite over the
@@ -24,7 +24,7 @@ contracts the engine assumes:
   ``--sanitize`` / ``OnlineConfig(sanitize=True)``: freezes zero-copy
   buffers during ``process`` and tracks aliased-view provenance, so an
   in-place write names its writer and the buffer's owner (SAN001/002),
-  and re-checks each operator's state entries against its declared
+  and checks each operator's state entries against its declared
   ``StateRule`` after every ``process`` (SAN004).
 
 Everything reports through :class:`AnalysisDiagnostic`: a structured

@@ -8,7 +8,10 @@ entries (so recovery's reset and the Figure 9(b) accounting see it),
 lineage blocks have a single producing operator (cross-unit dataflow
 depends on it), and batch-pure code paths must be deterministic
 (bit-identical recovery replay depends on it). This module
-enforces those contracts statically over ``src/repro`` itself.
+enforces those contracts statically over ``src/repro`` itself. In-place
+writes into relation buffers reach them through any alias (a local
+name, a slice view, a ufunc's ``out=``), so no syntactic rule covers
+them; the ``--sanitize`` run catches each at the write (SAN001/SAN002).
 
 Framework:
 
@@ -58,8 +61,6 @@ ENGINE_LINT_RULES: dict[str, str] = {
     "code path",
     "ENG005": "iteration over an unordered set in a batch-pure code path "
     "(dict/set-ordering hazard)",
-    "ENG006": "in-place write to a Relation column/mask buffer outside the "
-    "storage layer's mutation helpers",
 }
 
 #: Methods whose self-attribute assignments are configuration, not
@@ -441,81 +442,6 @@ def _is_set_expression(node: ast.expr) -> bool:
     return False
 
 
-#: Buffer attributes of :class:`~repro.relational.relation.Relation` and
-#: its storage sidecars. With zero-copy ``slice`` batches and memmapped
-#: ingestion these arrays alias other relations (and disk pages), so an
-#: in-place write anywhere corrupts every aliasing view.
-_BUFFER_ATTRS = frozenset(
-    {"columns", "mult", "trial_mults", "_trials", "ids", "codes", "null_mask", "gids"}
-)
-
-#: Module suffixes allowed to write buffers: the storage layer's own
-#: mutation helpers and the Relation constructor/validators.
-_BUFFER_OWNERS = ("relational/relation.py",)
-
-
-def _touches_buffer_attr(node: ast.AST) -> bool:
-    """Whether an attribute/subscript chain reads one of the buffer
-    attributes (catches ``rel.columns["x"][mask]`` and ``enc.codes[i]``)."""
-    return _chain_touches(
-        node, lambda n: isinstance(n, ast.Attribute) and n.attr in _BUFFER_ATTRS
-    )
-
-
-class NoBufferWrites(LintRule):
-    """ENG006: relation buffers are immutable outside the storage layer.
-
-    ``Relation.slice`` and :class:`~repro.storage.chunks.DiskTable` hand
-    out views, not copies; writing through ``.columns[...]``, ``.mult``,
-    ``.trial_mults``, or a sidecar's ``.codes``/``.null_mask``/``.slots``
-    buffers therefore mutates sibling batches (or read-only disk maps,
-    which raise). Unlike ENG001 this applies to the whole engine source,
-    not just operator classes — any helper holding a relation can alias.
-    """
-
-    rule_id = "ENG006"
-    description = ENGINE_LINT_RULES["ENG006"]
-
-    def check(self, module: LintModule) -> Iterator[AnalysisDiagnostic]:
-        path = module.path.replace("\\", "/")
-        if "/storage/" in path or path.endswith(_BUFFER_OWNERS):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript) and _touches_buffer_attr(
-                        target
-                    ):
-                        yield self.diag(
-                            module,
-                            node,
-                            f"in-place write {ast.unparse(target)} into a "
-                            "relation buffer",
-                            "buffers may be zero-copy views of other batches "
-                            "or disk maps; build new arrays (Relation.take / "
-                            "_from_parts) or go through repro.storage helpers",
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATOR_METHODS
-                    and _touches_buffer_attr(func.value)
-                ):
-                    yield self.diag(
-                        module,
-                        node,
-                        f"mutating call {ast.unparse(func)}() on a relation "
-                        "buffer",
-                        "buffers may be zero-copy views of other batches or "
-                        "disk maps; copy first or go through repro.storage "
-                        "helpers",
-                    )
-
-
 #: The default pluggable rule set.
 LINT_RULES: list[LintRule] = [
     NoInputMutation(),
@@ -523,7 +449,6 @@ LINT_RULES: list[LintRule] = [
     BlockWriteByProducerOnly(),
     NoNondeterminism(),
     NoUnorderedIteration(),
-    NoBufferWrites(),
 ]
 
 

@@ -2,10 +2,12 @@
 
 Mini-batches and on-disk chunks are *views*: ``Relation.slice`` aliases
 the backing buffers and ``DiskTable`` memmaps its chunk files. The
-engine's contract is that no operator writes into them in place. Lint
-rule ENG006 checks the source for such writes; a plain run does not
-check them. Behind ``OnlineConfig(sanitize=True)`` this module enforces
-the contract at runtime, and the §4.2 state discipline with it:
+engine's contract is that no operator writes into them in place. No
+static rule checks it, since a write can reach a buffer through any
+alias, and a plain run does not check it. Behind
+``OnlineConfig(sanitize=True)`` this module enforces the contract at
+runtime, and the §4.2 state discipline with it; it is the only checker
+of both:
 
 * **Freeze on hand-off** — every buffer handed to an operator's
   ``process`` gets ``ndarray.flags.writeable = False`` for the duration

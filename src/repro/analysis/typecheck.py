@@ -12,12 +12,14 @@ checks what the engine derives:
    operator and checked against the engine's tags and against each
    operator class's declarative :class:`~repro.core.operators.TagRule` /
    ``StateRule`` specs: an ``UncertainFilterOp`` must sit exactly where
-   an uncertain attribute is consumed, declared state entries must match
-   the §4.2 state rule the tags demand (ND cache present iff a
+   an uncertain attribute is consumed, the declared state rule must be
+   the §4.2 one the tags demand (ND cache present iff a
    non-deterministic set can exist, sketch-only aggregation iff the input
    is certain-append, group gates only over group-key columns), and the
    block-production graph must be
-   uniquely-produced and run in producer-before-consumer order.
+   uniquely-produced and run in producer-before-consumer order. That a
+   live store holds exactly the declared entries is checked at runtime,
+   after every sanitized ``process`` call (SAN004).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ TYPECHECK_RULES: dict[str, str] = {
     **{rule_id: description for rule_id, (description, _) in REFUSAL_RULES.items()},
     "TC301": "UncertainFilterOp placed where no uncertain attribute is consumed",
     "TC302": "deterministic filter path reads uncertain attributes",
-    "TC303": "operator state entries do not match its declared StateRule",
     "TC304": "ND cache declaration contradicts the operator's tag rule",
     "TC305": "aggregate state split contradicts its input tags (sketch/lazy/holistic)",
     "TC306": "operator declares uncertain columns outside its output schema",
@@ -119,18 +120,6 @@ def check_pipeline(
 def _check_op(op: SpineOp, tags: dict[int, NodeTags]) -> Iterator[AnalysisDiagnostic]:
     cls = type(op)
     loc = op.label
-
-    # TC303: the store must hold exactly the declared §4.2 entries.
-    keys = {k for k, _ in op.state_items()}
-    if keys != set(cls.state_rule.entries):
-        yield _diag(
-            "TC303",
-            loc,
-            f"state entries {sorted(keys)} do not match the declared "
-            f"StateRule entries {sorted(cls.state_rule.entries)}",
-            "seed every between-batch entry in _init_state and declare it "
-            "in the class's state_rule",
-        )
 
     # TC304: ND cache declared iff the tag rule says an ND set can exist.
     if (cls.state_rule.nd_entry is not None) != cls.tag_rule.introduces_nd:

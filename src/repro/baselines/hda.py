@@ -150,10 +150,11 @@ class HDAExecutor:
         streamed = self.catalog.get(self.streamed_table)
         batches = self.partitioner.source(streamed, num_batches)
         outer_plan, views = self._split(plan)
-        outer_reads_data = bool(
-            self.streamed_table in outer_plan.base_tables()
-            or not isinstance(outer_plan, Scan)
-        )
+        # Only an outer query that reads the streamed table itself needs
+        # the accumulated stream; one that reads just the maintained views
+        # (every flat query) costs the same per batch throughout.
+        outer_reads_stream = self.streamed_table in outer_plan.base_tables()
+        outer_reads_data = outer_reads_stream or not isinstance(outer_plan, Scan)
         self.metrics = RunMetrics()
 
         accumulated: Relation | None = None
@@ -165,12 +166,15 @@ class HDAExecutor:
             bm.new_tuples = len(delta)
             seen += len(delta)
             scale = total / seen if seen else 1.0
-            accumulated = delta if accumulated is None else accumulated.concat(delta)
 
+            stream = delta
+            if outer_reads_stream:
+                accumulated = (
+                    delta if accumulated is None else accumulated.concat(delta)
+                )
+                stream = accumulated.scale(scale)
             delta_catalog = self.catalog.replace(self.streamed_table, delta)
-            run_catalog = self.catalog.replace(
-                self.streamed_table, accumulated.scale(scale)
-            )
+            run_catalog = self.catalog.replace(self.streamed_table, stream)
             for view in views:
                 bm.recomputed_tuples += 0  # folding ΔD is new work, not recompute
                 view.fold_delta(delta_catalog)
@@ -190,7 +194,7 @@ class HDAExecutor:
 
             # The accumulated relation is operator state the classical
             # rules must keep to re-evaluate the outer query.
-            if outer_reads_data and self.streamed_table in outer_plan.base_tables():
+            if accumulated is not None:
                 bm.add_state("accumulated", accumulated.estimated_bytes())
 
             bm.wall_seconds = time.perf_counter() - started

@@ -86,10 +86,9 @@ class StateRule:
     ``entries`` is the exact set of named :class:`~repro.state.StateStore`
     entries the operator owns between batches (seeded by ``_init_state``);
     ``nd_entry`` names the non-deterministic cache among them, if any.
-    The typechecker checks the entries against the store, and the
-    ``--sanitize`` debug mode re-checks them after every ``process`` call
-    (SAN004), so stray between-batch state cannot hide in instance
-    attributes.
+    The ``--sanitize`` debug mode checks the entries against the store
+    after every ``process`` call (SAN004); the typechecker checks
+    ``nd_entry`` against the class's tag rule (TC304).
     """
 
     entries: frozenset[str] = frozenset()

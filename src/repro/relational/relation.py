@@ -105,7 +105,7 @@ class Relation:
 
     Mutating helpers always return new relations; the backing arrays may be
     shared, so callers must not write into ``columns`` / ``mult`` in place
-    (the ENG006 lint enforces this outside ``repro.storage``).
+    (a ``--sanitize`` run raises SAN001 at such a write).
     """
 
     def __init__(
@@ -298,8 +298,8 @@ class Relation:
         """Rows ``[start, stop)`` as zero-copy views of the backing buffers.
 
         Views alias this relation's memory — cheap, but a caller must not
-        write into either side's buffers (ENG006 / immutability-by-
-        convention; ``--sanitize`` freezes the buffers to catch it).
+        write into either side's buffers (immutability by convention;
+        ``--sanitize`` freezes the buffers and raises SAN001 at the write).
         """
         cols = {n: a[start:stop] for n, a in self.columns.items()}
         trials = None if self._trials is None else self._trials[start:stop]

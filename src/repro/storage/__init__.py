@@ -15,8 +15,8 @@ This package owns the physical representation of relation data:
 
 Buffer ownership: arrays handed out by this layer are shared, not copied.
 All in-place writes to column/mask buffers must happen inside this
-package (the ENG006 lint enforces this); engine code copies before
-writing.
+package; engine code copies before writing (a ``--sanitize`` run raises
+SAN001/SAN002 at any write into a handed-out buffer).
 """
 
 from repro.storage.columns import (

@@ -18,7 +18,7 @@ caller leaves the column unencoded.
 Pages are *append-only*: encoding new values never reassigns existing
 codes, which is what lets old slices keep their code buffers while new
 chunks extend the dictionary. This is the single sanctioned mutation in
-the storage plane (see ENG006). It also makes a page's byte count exact
+the storage plane (SAN001 guards the rest). It also makes a page's byte count exact
 as a running sum, kept as values are appended.
 """
 
@@ -119,7 +119,7 @@ class EncodedColumn:
     Index operations mirror :class:`~repro.relational.relation.Relation`
     transformations and always reuse the page, so a table's dictionary is
     carried across operators. Code buffers obtained from ``slice`` are
-    zero-copy views; callers must not write into them (ENG006).
+    zero-copy views; callers must not write into them (SAN001).
     """
 
     __slots__ = ("page", "codes", "null_mask")

@@ -271,80 +271,6 @@ def test_eng005_allows_sorted_iteration():
     )
 
 
-def test_eng006_subscript_write_into_column_buffer():
-    assert "ENG006" in _rules(
-        """
-        def patch(rel, mask):
-            rel.columns["x"][mask] = 0.0
-        """
-    )
-
-
-def test_eng006_augmented_write_into_mult():
-    assert "ENG006" in _rules(
-        """
-        def rescale(rel, factor):
-            rel.mult[:] *= factor
-        """
-    )
-
-
-def test_eng006_mutating_call_on_sidecar_buffer():
-    assert "ENG006" in _rules(
-        """
-        def clear_codes(enc):
-            enc.codes.fill(-1)
-        """
-    )
-
-
-def test_eng006_applies_outside_operator_classes():
-    # Unlike ENG001-ENG005, buffer ownership is engine-wide: a helper
-    # holding a sliced relation aliases other batches just the same.
-    assert "ENG006" in _rules(
-        """
-        class Helper:
-            def tweak(self, rel):
-                rel.trial_mults[0, :] = 0.0
-        """
-    )
-
-
-def test_eng006_exempts_the_storage_layer():
-    source = textwrap.dedent(
-        """
-        def _write(enc, i, code):
-            enc.codes[i] = code
-        """
-    )
-    assert {
-        d.rule_id
-        for d in lint_source(source, path="src/repro/storage/columns.py")
-    } == set()
-    assert {
-        d.rule_id
-        for d in lint_source(source, path="src/repro/relational/relation.py")
-    } == set()
-    assert "ENG006" in {
-        d.rule_id for d in lint_source(source, path="src/repro/core/ops.py")
-    }
-
-
-def test_eng006_reads_and_fresh_dicts_are_fine():
-    assert (
-        _rules(
-            """
-            def build(rel, name, arr):
-                cols = dict(rel.columns)
-                cols[name] = arr
-                x = rel.columns["x"][:10]
-                return cols, x
-            """
-        )
-        == set()
-    )
-
-
 def test_noqa_suppresses_named_rule():
     assert (
         _rules(

@@ -266,18 +266,11 @@ def test_tc302_det_conjunct_in_uncertain_filter():
     assert "TC302" in _rules_of(check_pipeline(op))
 
 
-def test_tc303_stray_state_entry():
-    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
-    op.state.put("stray", 123)
-    assert "TC303" in _rules_of(check_pipeline(op))
-
-
 def test_tc304_nd_declaration_contradiction():
     class BadFilter(FilterOp):
         state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
 
     op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
-    op.state.put("nd", {})  # satisfy TC303; the contradiction is TC304
     assert "TC304" in _rules_of(check_pipeline(op))
 
 

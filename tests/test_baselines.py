@@ -28,6 +28,8 @@ from repro.relational import (
     scan,
     sum_,
 )
+from repro.relational.relation import Relation
+from repro.workloads import TPCH_QUERIES
 from tests.conftest import DIM_SCHEMA, KX_SCHEMA, random_kx
 
 
@@ -126,6 +128,26 @@ class TestHDA:
         hda = HDAExecutor(cat, "t", seed=1, use_viewlet_rewrites=False)
         final = hda.run_to_completion(nested_plan(), 5)
         assert final.relation.bag_equal(run_batch(nested_plan(), cat).relation, 4)
+
+    def test_flat_query_never_rebuilds_the_stream(self, tpch_small, monkeypatch):
+        """Q6's outer plan reads only its maintained view, so no batch
+        concatenates or rescales the accumulated stream."""
+        calls = []
+        for name in ("concat", "scale"):
+            original = getattr(Relation, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Relation, name, spy)
+        spec = TPCH_QUERIES["Q6"]
+        cat = tpch_small.catalog()
+        hda = HDAExecutor(cat, spec.streamed_table, seed=1)
+        final = hda.run_to_completion(spec.plan, 5)
+        assert calls == []
+        assert final.relation.bag_equal(run_batch(spec.plan, cat).relation, 4)
+        assert not hda.metrics.batches[-1].state_bytes_matching("accumulated")
 
     def test_view_state_reported(self):
         cat = catalog()

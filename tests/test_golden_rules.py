@@ -1,5 +1,5 @@
 """Golden fixtures: every diagnostic rule the analysis layer can emit —
-typechecker TC1xx/TC3xx, engine lint ENG001–006, sanitizer
+typechecker TC1xx/TC3xx, engine lint ENG001–005, sanitizer
 SAN00x — has exactly one minimal triggering
 fixture here, and each fired diagnostic is pinned down to its rule id,
 a non-empty location, and (where the rule carries one) a repair hint.
@@ -146,18 +146,11 @@ def _tc302(ctx):
     return check_pipeline(FilterOp(scan_op, col("x") > lit(5.0), 1))
 
 
-def _tc303(ctx):
-    op = FilterOp(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
-    op.state.put("stray", 123)
-    return check_pipeline(op)
-
-
 def _tc304(ctx):
     class BadFilter(FilterOp):
         state_rule = StateRule(frozenset({"nd"}), nd_entry="nd")
 
     op = BadFilter(ScanOp("t", KX_SCHEMA), col("x") > lit(5.0), 1)
-    op.state.put("nd", {})
     return check_pipeline(op)
 
 
@@ -289,15 +282,6 @@ def _eng005(ctx):
     )
 
 
-def _eng006(ctx):
-    return _lint(
-        """
-        def patch(rel, mask):
-            rel.columns["x"][mask] = 0.0
-        """
-    )
-
-
 # -- sanitizer fixtures -----------------------------------------------------
 #
 # SAN rules are runtime violations, not report diagnostics; the fixtures
@@ -389,7 +373,6 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "TC107/certain-beside-uncertain": _refused("TC107/certain-beside-uncertain"),
     "TC301": _tc301,
     "TC302": _tc302,
-    "TC303": _tc303,
     "TC304": _tc304,
     "TC305": _tc305,
     "TC306": _tc306,
@@ -404,7 +387,6 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "ENG003": _eng003,
     "ENG004": _eng004,
     "ENG005": _eng005,
-    "ENG006": _eng006,
     "SAN001": _san001,
     "SAN002": _san002,
     "SAN004": _san004,

@@ -3,8 +3,10 @@
 Unit tests drive :class:`BufferSanitizer` directly through its ownership
 protocol and its state-entry check; engine tests seed real in-place
 writes and undeclared state entries and assert the exact SAN rule fires
-naming the offending operator; parity tests require sanitized runs to be
-bit-identical to plain ones, also under the chaos fault plan.
+naming the offending operator; reach tests show that sanitized runs enter
+every operator class's ``process`` (the sanitizer sees only code a run
+reaches); parity tests require sanitized runs to be bit-identical to
+plain ones, also under the chaos fault plan.
 """
 
 from __future__ import annotations
@@ -19,15 +21,25 @@ from repro.analysis.sanitize import (
     _buffers_of,
 )
 from repro.core import OnlineConfig, OnlineQueryEngine
-from repro.core.operators import AggregateOp, StateRule
+from repro.core import operators
+from repro.core.operators import AggregateOp, FilterOp, SpineOp, StateRule
 from repro.core.operators.base import DeltaBatch
 from repro.core.operators.scan import ScanOp
 from repro.engine.shards import ShardedQueryEngine
 from repro.errors import SanitizerViolationError
-from repro.relational import ColumnType, Schema, relation_from_columns
+from repro.relational import (
+    Catalog,
+    ColumnType,
+    Schema,
+    col,
+    lit,
+    relation_from_columns,
+    scan,
+)
 from repro.relational import relation as relation_module
 from repro.state import StateStore
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
+from tests.conftest import KX_SCHEMA, random_kx
 
 S = Schema([("k", ColumnType.INT), ("x", ColumnType.FLOAT)])
 
@@ -278,6 +290,157 @@ class TestEngine:
         )
         engine.run_to_completion(plan, 3)  # no error raised
         assert engine.metrics.sanitize_seconds == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Reach: the sanitizer checks only the operators a run enters, so every
+# operator class must run sanitized somewhere in the suite.
+# ---------------------------------------------------------------------------
+
+
+def _operator_classes():
+    """The concrete ``SpineOp`` classes ``repro.core.operators`` exports."""
+    return {
+        obj
+        for obj in vars(operators).values()
+        if isinstance(obj, type) and issubclass(obj, SpineOp) and obj is not SpineOp
+    }
+
+
+def _run_sanitized(catalog, table, plan, batches=3):
+    engine = OnlineQueryEngine(
+        catalog, table, OnlineConfig(num_trials=4, seed=3, sanitize=True)
+    )
+    engine.run_to_completion(plan, batches)
+
+
+class TestReach:
+    def test_sanitized_runs_enter_every_operator_class(
+        self, tpch_small, conviva_small, monkeypatch
+    ):
+        """The 22 workload queries, plus one plan for the classes they never
+        compile to (a rename over a stream-static union with no aggregate
+        above it), enter the ``process`` of every exported operator class
+        with the sanitizer armed: ``check_state`` runs after each call."""
+        entered = set()
+        check_state = BufferSanitizer.check_state
+
+        def recording_check_state(self, op):
+            entered.add(type(op))
+            return check_state(self, op)
+
+        monkeypatch.setattr(BufferSanitizer, "check_state", recording_check_state)
+        for queries, data in (
+            (TPCH_QUERIES, tpch_small),
+            (CONVIVA_QUERIES, conviva_small),
+        ):
+            catalog = data.catalog()
+            for spec in queries.values():
+                _run_sanitized(catalog, spec.streamed_table, spec.plan)
+        catalog = Catalog({"t": random_kx(400, seed=1), "s": random_kx(40, seed=2)})
+        plan = (
+            scan("t", KX_SCHEMA)
+            .select(col("x") > lit(1.0))
+            .union(scan("s", KX_SCHEMA))
+            .rename({"y": "y2"})
+        )
+        _run_sanitized(catalog, "t", plan)
+        expected = _operator_classes()
+        assert len(expected) == 11
+        missing = sorted(cls.__name__ for cls in expected - entered)
+        assert not missing, f"operator classes no sanitized run enters: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# Planted defects: each in-place write a static rule could look for, and
+# the aliased writes no syntactic rule sees, raise a SAN rule at runtime.
+# ---------------------------------------------------------------------------
+
+
+def _zero_first_trial(rel):
+    rel.trial_mults[0, :] = 0.0
+
+
+def _column_subscript_write(op, rel):
+    rel.columns["quantity"][:] = 0.0
+
+
+def _mult_augmented_write(op, rel):
+    rel.mult[:] *= 2
+
+
+def _sidecar_codes_fill(op, rel):
+    rel.encodings["returnflag"].codes.fill(-1)
+
+
+def _trial_mults_write_from_helper(op, rel):
+    _zero_first_trial(rel)
+
+
+def _slice_view_write(op, rel):
+    view = rel.slice(0, 4)
+    view.columns["quantity"][0] = -1.0
+
+
+def _alias_then_write(op, rel):
+    m = rel.mult
+    m[:] = 0
+
+
+def _ufunc_out_write(op, rel):
+    np.multiply(rel.mult, 2, out=rel.mult)
+
+
+def _stray_state_entry(op, rel):
+    op.state.put("stray", 123)
+
+
+def _reads_and_fresh_dicts(op, rel):
+    cols = dict(rel.columns)
+    cols["quantity"] = np.zeros(len(rel))
+    return rel.columns["quantity"][:10]
+
+
+#: name -> (defect planted into a filter's ``process``, the SAN rule it
+#: raises; None for the clean control). The first five are the writes a
+#: syntactic lint over ``.columns`` / ``.mult`` / ``.codes`` subscripts
+#: can see; ``alias-then-write`` and ``ufunc-out-write`` reach the same
+#: buffer through a local name or an ``out=`` argument.
+PLANTED = {
+    "column-subscript-write": (_column_subscript_write, "SAN001"),
+    "mult-augmented-write": (_mult_augmented_write, "SAN001"),
+    "sidecar-codes-fill": (_sidecar_codes_fill, "SAN001"),
+    "trial-mults-write-from-helper": (_trial_mults_write_from_helper, "SAN001"),
+    "slice-view-write": (_slice_view_write, "SAN001"),
+    "alias-then-write": (_alias_then_write, "SAN001"),
+    "ufunc-out-write": (_ufunc_out_write, "SAN001"),
+    "stray-state-entry": (_stray_state_entry, "SAN004"),
+    "reads-and-fresh-dicts": (_reads_and_fresh_dicts, None),
+}
+
+
+class TestPlantedDefects:
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_planted_defect_raises(self, name, tpch_small, monkeypatch):
+        """Q1's filter receives the streamed delta (encoded columns and
+        lazy trials included); the defect runs inside its ``process``."""
+        defect, rule_id = PLANTED[name]
+        process = FilterOp.process
+
+        def planted_process(self, delta, ctx):
+            defect(self, delta.certain)
+            return process(self, delta, ctx)
+
+        monkeypatch.setattr(FilterOp, "process", planted_process)
+        spec = TPCH_QUERIES["Q1"]
+        catalog = tpch_small.catalog()
+        if rule_id is None:
+            _run_sanitized(catalog, spec.streamed_table, spec.plan)
+            return
+        with pytest.raises(SanitizerViolationError) as excinfo:
+            _run_sanitized(catalog, spec.streamed_table, spec.plan)
+        assert excinfo.value.rule_id == rule_id
+        assert excinfo.value.writer.startswith("filter:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for the columnar storage plane.
 
 Covers the dictionary pages / encoded columns, the structured lineage
-sidecar, zero-copy relation slicing (and the aliasing hazard ENG006
-guards), and the on-disk chunk format round-trip. Property-based tests
+sidecar, zero-copy relation slicing (whose aliasing hazard the
+sanitizer catches: ``tests/test_sanitize.py``), and the on-disk chunk
+format round-trip. Property-based tests
 at the bottom fuzz the encode/decode and disk round-trips over the nasty
 corners: None (null masks), NaN (identity-distinct), empty batches, and
 single-distinct-key columns.
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.lint import lint_source
 from repro.batching import Partitioner
 from repro.core.operators import ScanOp, UncertainJoinOp
 from repro.errors import ReproError
@@ -231,17 +231,6 @@ class TestZeroCopySlice:
         out = rel.take(np.arange(10, 20))
         for name in ("k", "x", "y"):
             assert not np.shares_memory(out.columns[name], rel.columns[name])
-
-    def test_slice_then_mutate_is_caught_by_eng006(self):
-        # The hazard the lint exists for: writing through a slice would
-        # corrupt the parent (they alias). ENG006 flags the write site.
-        hazard = """
-def poke(rel):
-    view = rel.slice(0, 10)
-    view.columns["x"][0] = -1.0
-"""
-        diags = lint_source(hazard, path="src/repro/core/somewhere.py")
-        assert [d.rule_id for d in diags] == ["ENG006"]
 
     def test_slice_bit_identical_to_take(self):
         rel = encode_relation(sales(40, seed=2, nulls=True))
