@@ -5,8 +5,8 @@ hot paths with batched NumPy kernels:
 
 * :mod:`repro.kernels.codec` — key factorization: group-by/join key
   columns become dense integer codes, memoized per (immutable) relation;
-* :mod:`repro.kernels.joins` — cross-batch cached hash-join index and a
-  vectorized equi-join identical to the reference row-wise join;
+* :mod:`repro.kernels.joins` — cross-batch cached hash-join index and the
+  vectorized equi-join both engines (online and ``run_batch``) run;
 * :mod:`repro.kernels.resolve` — batched lineage resolution and
   array-wide interval arithmetic for predicate classification;
 * :mod:`repro.kernels.holistic` — sort-based grouped reductions for the
@@ -15,10 +15,13 @@ hot paths with batched NumPy kernels:
   the observability registry.
 
 The kernels are the engine's only execution path. The row-wise helpers
-that remain (``AggBundle.fold_values``, ``RangeMonitor.observe``,
-``join_relations``) are test references, beside the per-row comparison
-side in ``tests/conftest.py``; ``tests/test_kernels.py`` and the property suite check that
-each kernel is *bit-identical* to them. Submodules are imported
-directly (not re-exported here) to keep import edges acyclic: ``codec``
-depends only on NumPy, so even ``repro.relational`` may use it.
+that remain in ``src/`` (``AggBundle.fold_values``,
+``RangeMonitor.observe``) are test references, as are the dict-walk
+join ``join_relations`` in ``tests/test_kernels.py`` and the per-row
+comparison side in ``tests/conftest.py``; ``tests/test_kernels.py`` and
+the property suite check that each kernel is *bit-identical* to them.
+Submodules are imported directly (not re-exported here): ``codec`` and
+``holistic`` depend only on NumPy, and ``relational.evaluator`` binds
+``joins`` as a module, so ``repro.relational`` and ``repro.kernels.joins``
+may be imported in either order.
 """

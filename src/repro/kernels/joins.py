@@ -1,19 +1,21 @@
 """Vectorized hash equi-join with a reusable (cross-batch) side index.
 
-``join_relations`` rebuilds a Python dict over the right side and walks
-the left side row by row, every batch. The kernel version sorts the
-right side's key codes once into a :class:`SideIndex` — a single integer
-key column is its own code, other keys factorize (memoized per relation)
-— probes it with the left side's keys (``np.searchsorted`` for an integer
-key, a dict over the distinct factorized keys otherwise), and derives
-the joined row pairs with pure array arithmetic. The static join caches
-the index of its (immutable) dimension side in its state store, so
-batches after the first skip the build entirely.
+This is the one join of both engines: the online operators and the batch
+evaluator (``relational.evaluator``, the ``run_batch`` baseline) call
+:func:`vectorized_join`. It sorts the right side's key codes once into a
+:class:`SideIndex` — a single integer key column is its own code, other
+keys factorize (memoized per relation) — probes it with the left side's
+keys (``np.searchsorted`` for an integer key, a dict over the distinct
+factorized keys otherwise), and derives the joined row pairs with pure
+array arithmetic. The static join caches the index of its (immutable)
+dimension side in its state store, so batches after the first skip the
+build entirely.
 
-Output contract: *bit-identical* to ``join_relations`` — left-major
-order, matches of one left row ordered by ascending right row (the
-stable sort reproduces the reference dict's insertion order), identical
-schema/column assembly, multiplicities, and trial multiplicities.
+Output contract: left-major order, matches of one left row ordered by
+ascending right row (the stable sort keeps a key's rows in row order).
+The test reference ``tests/test_kernels.py::join_relations`` (a dict over
+the right side walked row by row from the left) must produce the same
+schema, columns, multiplicities and trial multiplicities bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.codec import factorize_keys
-from repro.relational.evaluator import _join_trials
 from repro.relational.groupby import RowSegments
-from repro.relational.relation import Relation
+from repro.relational.relation import LazyTrials, Relation
 from repro.relational.schema import Schema
 
 
@@ -84,8 +85,8 @@ def vectorized_join(
     keys: list[tuple[str, str]],
     right_index: SideIndex | None = None,
 ) -> Relation:
-    """Equi-join (cross join for no ``keys``), bit-identical to
-    ``join_relations``, carrying the storage sidecars.
+    """Equi-join (cross join for no ``keys``) carrying the storage
+    sidecars.
 
     ``right_index`` may be a prebuilt :class:`SideIndex` over ``right``'s
     key columns (the cross-batch cache); otherwise one is built here.
@@ -147,3 +148,35 @@ def _gather_sidecars(
     lin = side.lineage.get(name)
     if lin is not None:
         lineage[name] = lin
+
+
+def _join_trials(
+    left: Relation,
+    right: Relation,
+    li: np.ndarray,
+    ri: np.ndarray,
+    lm: np.ndarray,
+    rm: np.ndarray,
+) -> "np.ndarray | LazyTrials | None":
+    """Trial weights of the joined rows ``(li, ri)``; ``lm``/``rm`` are the
+    sides' gathered multiplicities. Weights joined with a trial-less side
+    of unit multiplicity (a dimension table) are gathered as they are,
+    lazy or drawn: the product would multiply every count by 1.0."""
+    # Ids no run has installed (a disk table as dimension side) are not trials.
+    lt, rt = (
+        None if isinstance(t, LazyTrials) and t.source is None else t
+        for t in (left._trials, right._trials)
+    )
+    if rt is None and lt is not None and (rm == 1.0).all():
+        return lt[li]
+    if lt is None and rt is not None and (lm == 1.0).all():
+        return rt[ri]
+    lt, rt = left.trials_at(li), right.trials_at(ri)
+    if lt is None and rt is None:
+        return None
+    # Both sides may carry uint8 Poisson counts: widen before the product.
+    return np.multiply(
+        lm[:, None] if lt is None else lt,
+        rm[:, None] if rt is None else rt,
+        dtype=np.float64,
+    )

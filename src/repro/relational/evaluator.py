@@ -4,7 +4,10 @@ This is the "traditional OLAP engine" of the paper's experiments (the
 *baseline*): it evaluates a plan bottom-up over full relations with bag
 semantics. It is also the correctness oracle for the online engine — at
 the final mini-batch, iOLAP must deliver exactly what this evaluator
-computes on the whole dataset (Theorem 1).
+computes on the whole dataset (Theorem 1). Joins run through the online
+engine's own kernel (:func:`repro.kernels.joins.vectorized_join`), so
+the check that shares no code with either engine is the SQLite oracle
+in ``tests/sqlite_oracle.py``.
 
 The evaluator threads an :class:`EvalStats` accumulator that models the
 cost accounting of a distributed engine: rows processed per operator and
@@ -19,6 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import PlanError
+# A module binding: ``kernels.joins`` imports ``repro.relational`` back.
+from repro.kernels import joins
+from repro.kernels.holistic import grouped_indices
 from repro.relational.aggregates import AggSpec
 from repro.relational.algebra import (
     Aggregate,
@@ -33,7 +39,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.catalog import Catalog
 from repro.relational.groupby import group_ids, weighted_sums
-from repro.relational.relation import LazyTrials, Relation
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
@@ -87,7 +93,7 @@ def _eval(node: PlanNode, catalog: Catalog, stats: EvalStats) -> Relation:
         stats.record("join", len(left) + len(right))
         stats.record_shipped(left)
         stats.record_shipped(right)
-        return join_relations(left, right, node.keys)
+        return joins.vectorized_join(left, right, node.keys)
     if isinstance(node, Union):
         left = _eval(node.left, catalog, stats)
         right = _eval(node.right, catalog, stats)
@@ -115,77 +121,6 @@ def project_relation(rel: Relation, node: Project) -> Relation:
         values = expr.evaluate(rel)
         cols[name] = np.asarray(values, dtype=column.ctype.dtype)
     return Relation(schema, cols, rel.mult, rel._trials)
-
-
-def join_relations(
-    left: Relation, right: Relation, keys: list[tuple[str, str]]
-) -> Relation:
-    """Hash equi-join (or cross join when ``keys`` is empty).
-
-    Output multiplicity is the product of input multiplicities
-    (Appendix A); trial multiplicities multiply the same way, which is what
-    lets Poissonized bootstrap ride through joins.
-    """
-    if not keys:
-        li = np.repeat(np.arange(len(left)), len(right))
-        ri = np.tile(np.arange(len(right)), len(left))
-    else:
-        lkeys = [lk for lk, _ in keys]
-        rkeys = [rk for _, rk in keys]
-        index: dict[tuple, list[int]] = {}
-        for j, key in enumerate(right.key_tuples(rkeys)):
-            index.setdefault(key, []).append(j)
-        li_list: list[int] = []
-        ri_list: list[int] = []
-        for i, key in enumerate(left.key_tuples(lkeys)):
-            for j in index.get(key, ()):
-                li_list.append(i)
-                ri_list.append(j)
-        li = np.asarray(li_list, dtype=np.intp)
-        ri = np.asarray(ri_list, dtype=np.intp)
-
-    drop = {rk for _, rk in keys}
-    kept_right = [c for c in right.schema if c.name not in drop]
-    schema = Schema(list(left.schema.columns) + kept_right)
-    cols: dict[str, np.ndarray] = {}
-    for c in left.schema:
-        cols[c.name] = left.columns[c.name][li]
-    for c in kept_right:
-        cols[c.name] = right.columns[c.name][ri]
-    lm, rm = left.mult[li], right.mult[ri]
-    return Relation(schema, cols, lm * rm, _join_trials(left, right, li, ri, lm, rm))
-
-
-def _join_trials(
-    left: Relation,
-    right: Relation,
-    li: np.ndarray,
-    ri: np.ndarray,
-    lm: np.ndarray,
-    rm: np.ndarray,
-) -> "np.ndarray | LazyTrials | None":
-    """Trial weights of the joined rows ``(li, ri)``; ``lm``/``rm`` are the
-    sides' gathered multiplicities. Weights joined with a trial-less side
-    of unit multiplicity (a dimension table) are gathered as they are,
-    lazy or drawn: the product would multiply every count by 1.0."""
-    # Ids no run has installed (a disk table as dimension side) are not trials.
-    lt, rt = (
-        None if isinstance(t, LazyTrials) and t.source is None else t
-        for t in (left._trials, right._trials)
-    )
-    if rt is None and lt is not None and (rm == 1.0).all():
-        return lt[li]
-    if lt is None and rt is not None and (lm == 1.0).all():
-        return rt[ri]
-    lt, rt = left.trials_at(li), right.trials_at(ri)
-    if lt is None and rt is None:
-        return None
-    # Both sides may carry uint8 Poisson counts: widen before the product.
-    return np.multiply(
-        lm[:, None] if lt is None else lt,
-        rm[:, None] if rt is None else rt,
-        dtype=np.float64,
-    )
 
 
 def aggregate_relation(
@@ -217,10 +152,9 @@ def aggregate_relation(
             )
         else:
             results = np.empty(num_groups, dtype=np.float64)
-            for g in range(num_groups):
-                in_group = gids == g
-                vals = values[in_group] if values is not None else np.zeros(in_group.sum())
-                results[g] = spec.func.compute(vals, rel.mult[in_group])
+            for g, ix in enumerate(grouped_indices(gids, num_groups)):
+                vals = values[ix] if values is not None else np.zeros(len(ix))
+                results[g] = spec.func.compute(vals, rel.mult[ix])
             cols[spec.name] = results
 
     schema = Schema(out_schema_cols)

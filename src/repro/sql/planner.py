@@ -433,6 +433,10 @@ class SQLPlanner:
         agg_scope = _Scope(parent=scope.parent)
         for column in group_cols + [a.name for a in aggs]:
             agg_scope.add("", column, column)
+        # A grouping column may also be named as GROUP BY qualifies it.
+        for ref, column in zip(stmt.group_by, group_cols):
+            if ref.table is not None:
+                agg_scope.qualified[(ref.table, ref.name)] = column
         if having_expr is not None:
             plan = plan.select(self._expr(having_expr, agg_scope))
         return plan.project(

@@ -29,12 +29,16 @@ from repro.kernels.stats import STATS
 from repro.relational import Catalog, ColumnType, Relation, Schema, relation_from_columns
 from repro.relational.aggregates import avg, count, sum_
 from repro.relational.algebra import scan
-from repro.relational.evaluator import join_relations
 from repro.relational.groupby import RowSegments, group_ids, key_segments
 from repro.storage.columns import EncodedColumn
 from repro.relational.expressions import col
 from repro.workloads.tpch import CUSTOMER_SCHEMA, LINEORDER_SCHEMA
-from tests.test_kernels import assert_rel_identical, keys_equal, reference_codes
+from tests.test_kernels import (
+    assert_rel_identical,
+    join_relations,
+    keys_equal,
+    reference_codes,
+)
 
 # -- one-sort segmentation ---------------------------------------------------------
 

@@ -12,7 +12,6 @@ the batch engine and SQLite — and pin what the path no longer does.
 from __future__ import annotations
 
 import math
-import sqlite3
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from repro.relational.expressions import col
 from repro.workloads import TPCH_QUERIES, generate_tpch
 from repro.workloads.tpch import CUSTOMER_SCHEMA, LINEORDER_SCHEMA
 from tests.conftest import KX_SCHEMA, Group, output_from_groups
+from tests.sqlite_oracle import SQLiteOracle
 from tests.test_shards import assert_cells_identical
 
 Q18 = TPCH_QUERIES["Q18"]
@@ -129,37 +129,10 @@ GATED_VARIANTS = {
 }
 
 
-SQLITE_Q18 = """
-    SELECT l.custkey, l.orderkey, SUM(l.quantity)
-    FROM lineorder l JOIN customer c ON l.custkey = c.custkey
-    WHERE l.orderkey IN (
-        SELECT orderkey FROM lineorder GROUP BY orderkey
-        HAVING SUM(quantity) > 7500.0
-    )
-    GROUP BY l.custkey, l.orderkey
-"""
-
-
-def _sqlite_q18(catalog):
-    db = sqlite3.connect(":memory:")
-    lineorder, customer = catalog.get("lineorder"), catalog.get("customer")
-    db.execute("CREATE TABLE lineorder (orderkey INTEGER, custkey INTEGER, quantity REAL)")
-    db.execute("CREATE TABLE customer (custkey INTEGER)")
-    db.executemany(
-        "INSERT INTO lineorder VALUES (?, ?, ?)",
-        zip(
-            lineorder.columns["orderkey"].tolist(),
-            lineorder.columns["custkey"].tolist(),
-            lineorder.columns["quantity"].tolist(),
-        ),
-    )
-    db.executemany(
-        "INSERT INTO customer VALUES (?)",
-        ((k,) for k in customer.columns["custkey"].tolist()),
-    )
-    rows = db.execute(SQLITE_Q18).fetchall()
-    db.close()
-    return sorted(rows)
+@pytest.fixture(scope="module")
+def sqlite_q18(catalog):
+    """Q18's answer from SQLite over the whole catalog, sorted."""
+    return sorted(SQLiteOracle(catalog).query(Q18.plan))
 
 
 def test_gate_sets_existence_not_values():
@@ -229,10 +202,10 @@ class TestCompiledShape:
 
 class TestTheorem1:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_partials_equal_the_scaled_prefix(self, catalog, seed):
+    def test_partials_equal_the_scaled_prefix(self, catalog, sqlite_q18, seed):
         """Each partial's points equal the batch engine over the prefix
         ``D_i`` with every row weighted ``m_i``; the final equals the
-        batch engine and a hand-written SQLite Q18."""
+        batch engine and SQLite."""
         engine = OnlineQueryEngine(
             catalog, "lineorder", OnlineConfig(num_trials=TRIALS, seed=seed)
         )
@@ -250,7 +223,7 @@ class TestTheorem1:
                 f"seed {seed} batch {i}",
             )
         final = _points(partials[-1].rows, keys)
-        _assert_close(final, _sqlite_q18(catalog), f"seed {seed} vs SQLite")
+        _assert_close(final, sqlite_q18, f"seed {seed} vs SQLite")
 
     @pytest.mark.parametrize("variant", sorted(GATED_VARIANTS))
     def test_gated_variants_equal_the_scaled_prefix(self, variant, catalog):

@@ -32,11 +32,10 @@ from repro.kernels.holistic import (
     weighted_quantile,
     weighted_quantile_trials,
 )
-from repro.kernels.joins import SideIndex, vectorized_join
+from repro.kernels.joins import SideIndex, _join_trials, vectorized_join
 from repro.kernels.stats import STATS
 from repro.relational import Catalog, ColumnType, Relation, Schema, relation_from_columns
 from repro.relational.aggregates import AGG_FUNCTIONS, AggregateFunction, Median, Quantile
-from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
 from repro.kernels import resolve as kresolve
 from repro.storage.columns import CODE_DTYPE
@@ -186,6 +185,40 @@ def _sides(seed=0, n_left=40, n_right=12):
         v=rng.normal(0, 1, n_right),
     )
     return left, right
+
+
+def join_relations(
+    left: Relation, right: Relation, keys: list[tuple[str, str]]
+) -> Relation:
+    """Brute-force reference for ``vectorized_join``: a dict over the right
+    side's key tuples, walked row by row from the left (cross join when
+    ``keys`` is empty). Multiplicities multiply (Appendix A); trial
+    weights come from the kernel module's ``_join_trials``."""
+    if not keys:
+        li = np.repeat(np.arange(len(left)), len(right))
+        ri = np.tile(np.arange(len(right)), len(left))
+    else:
+        index: dict[tuple, list[int]] = {}
+        for j, key in enumerate(right.key_tuples([rk for _, rk in keys])):
+            index.setdefault(key, []).append(j)
+        pairs = [
+            (i, j)
+            for i, key in enumerate(left.key_tuples([lk for lk, _ in keys]))
+            for j in index.get(key, ())
+        ]
+        li = np.array([i for i, _ in pairs], dtype=np.intp)
+        ri = np.array([j for _, j in pairs], dtype=np.intp)
+    drop = {rk for _, rk in keys}
+    kept_right = [c for c in right.schema if c.name not in drop]
+    cols = {c.name: left.columns[c.name][li] for c in left.schema}
+    cols.update({c.name: right.columns[c.name][ri] for c in kept_right})
+    lm, rm = left.mult[li], right.mult[ri]
+    return Relation(
+        Schema(list(left.schema.columns) + kept_right),
+        cols,
+        lm * rm,
+        _join_trials(left, right, li, ri, lm, rm),
+    )
 
 
 def assert_rel_identical(a: Relation, b: Relation):

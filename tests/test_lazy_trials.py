@@ -23,11 +23,11 @@ from repro.core.sketch import AggBundle
 from repro.kernels.joins import vectorized_join
 from repro.metrics.stats import BatchMetrics
 from repro.relational import Catalog, avg, col, count, evaluate, scan, sum_
-from repro.relational.evaluator import join_relations
 from repro.relational.relation import LazyTrials, Relation
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 from tests.conftest import KX_SCHEMA, random_kx
 from tests.test_executor import _assert_rows_identical
+from tests.test_kernels import join_relations
 
 ALL_QUERIES = {**TPCH_QUERIES, **CONVIVA_QUERIES}
 T = 12

@@ -35,7 +35,7 @@ from repro.relational import (
     stddev,
     sum_,
 )
-from repro.relational.evaluator import aggregate_relation, join_relations
+from repro.relational.evaluator import aggregate_relation
 from repro.relational.expressions import Col
 from tests.conftest import (
     KX_SCHEMA,
@@ -44,8 +44,10 @@ from tests.conftest import (
     output_from_groups,
     rowwise_side,
 )
+from tests.sqlite_oracle import SQLiteOracle, mismatch, rows_of
 from tests.test_kernels import (
     assert_rel_identical,
+    join_relations,
     keys_equal,
     reference_codes,
 )
@@ -122,6 +124,15 @@ class TestBagAlgebraLaws:
 
 
 class TestOnlineEqualsBatchFuzzed:
+    """Each plan's final online answer equals ``run_batch``'s, and
+    ``run_batch``'s equals SQLite's (``tests/sqlite_oracle.py``)."""
+
+    @staticmethod
+    def exact(plan, cat):
+        exact = run_batch(plan, cat).relation
+        assert mismatch(rows_of(exact), SQLiteOracle(cat).query(plan)) is None
+        return exact
+
     def run_online(self, plan, cat, seed, batches):
         eng = OnlineQueryEngine(
             cat, "t", OnlineConfig(num_trials=15, seed=seed)
@@ -142,7 +153,7 @@ class TestOnlineEqualsBatchFuzzed:
             .select(col("x") > 6.0)
             .aggregate(["k"], [sum_("y", "sy"), count("n"), stddev("x", "sd")])
         )
-        exact = run_batch(plan, cat).relation
+        exact = self.exact(plan, cat)
         assert self.run_online(plan, cat, seed, batches).bag_equal(exact, 3)
 
     @fuzz
@@ -161,7 +172,7 @@ class TestOnlineEqualsBatchFuzzed:
             .select(col("x") > col("ax") * threshold_factor)
             .aggregate([], [avg("y", "ay"), count("n")])
         )
-        exact = run_batch(plan, cat).relation
+        exact = self.exact(plan, cat)
         assert self.run_online(plan, cat, seed, batches).bag_equal(exact, 3)
 
     @fuzz
@@ -191,7 +202,7 @@ class TestOnlineEqualsBatchFuzzed:
             .select(col("x") > col("ax"))
             .aggregate(["k"], [count("n")])
         )
-        exact = run_batch(plan, cat).relation
+        exact = self.exact(plan, cat)
         assert self.run_online(plan, cat, seed, batches).bag_equal(exact, 3)
 
     @fuzz
@@ -209,7 +220,7 @@ class TestOnlineEqualsBatchFuzzed:
             .join(member, keys=[("k", "k2")])
             .aggregate(["k"], [count("n")])
         )
-        exact = run_batch(plan, cat).relation
+        exact = self.exact(plan, cat)
         assert self.run_online(plan, cat, seed, 5).bag_equal(exact, 3)
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.sketch import AggBundle
 from repro.relational import ColumnType, avg, count, sum_, var
-from repro.relational.evaluator import join_relations
 from repro.relational.groupby import RowSegments, group_ids
 from repro.relational.relation import Relation, relation_from_columns
 from tests.conftest import KX_SCHEMA, random_kx
+from tests.test_kernels import join_relations
 
 
 def with_trials(rel: Relation, value: float = 1.0, t: int = 3) -> Relation:
